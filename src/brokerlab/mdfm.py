@@ -9,10 +9,13 @@ knowledge (ORA), or unconstrained (OPT).
 The continuous maximum over p is computed exactly by enumerating the
 feasible cells of the price-space arrangement cut by two predicate families:
 *willingness* (g(t) . p <= v_t) and *participation* (a node's fee income on
-its bundle covers the bundle's cost).  Surplus equals allocation welfare
-because base-fee payments are internal transfers (exact when each
-transaction runs on at most one node), so within a cell the inner min/max
-over allocations is price-free; only FEE's objective depends on price
+its bundle covers the bundle's cost).  One list of cells serves INC, FEE and
+ORA: each cell's admissible pool is filtered once, and ORA is the best
+welfare admitted by any cell.  Surplus equals allocation welfare because
+base-fee payments are internal transfers, which holds only when each
+transaction runs on at most one node, so markets whose valid set places a
+transaction on several nodes are refused.  Within a cell the inner min/max
+over allocations is then price-free; only FEE's objective depends on price
 magnitudes, which keeps it exact for d = 1 and a certified lower bound for
 d >= 2.
 
@@ -98,19 +101,6 @@ class ResourceMarket:
         constraints.extend(self.exclusions)
         return MarketInstance(self.transactions, self.nodes, Constraints(tuple(constraints)))
 
-    def resource_of(self, tx: str) -> tuple[Fraction, ...]:
-        for t in self.transactions:
-            if t.id == tx:
-                assert t.resources is not None
-                return t.resources
-        raise MalformedInput(f"unknown transaction id {tx!r}")
-
-    def value_of(self, tx: str) -> Fraction:
-        for t in self.transactions:
-            if t.id == tx:
-                return t.value
-        raise MalformedInput(f"unknown transaction id {tx!r}")
-
 
 def base_fee(resources: Sequence[Fraction], price: Sequence[Fraction]) -> Fraction:
     """Total base fee of a usage vector: the dot product with the unit prices."""
@@ -121,6 +111,10 @@ def base_fee(resources: Sequence[Fraction], price: Sequence[Fraction]) -> Fracti
     return sum((g * p for g, p in zip(resources, price)), ZERO)
 
 
+def _tx_fees(market: ResourceMarket, price: Sequence[Fraction]) -> dict[str, Fraction]:
+    return {t.id: base_fee(t.resources, price) for t in market.transactions}
+
+
 def base_fee_payments(
     market: ResourceMarket, allocation: Allocation, price: Sequence[Fraction]
 ) -> tuple[dict[str, Fraction], dict[str, Fraction]]:
@@ -128,20 +122,16 @@ def base_fee_payments(
     nodes collect the fees of the transactions they execute.
 
     With a transaction on several nodes each node still collects the full
-    fee, so the routing's margin goes negative; callers should treat such
-    outcomes as outside the posted-price model.
+    fee, so the routing's margin goes negative; such outcomes lie outside
+    the posted-price model, and ``run_benchmarks`` refuses their markets.
     """
-    tx_payments: dict[str, Fraction] = {}
-    node_payments: dict[str, Fraction] = {n.id: ZERO for n in market.nodes}
-    for t in market.transactions:
-        assert t.resources is not None
-        fee = base_fee(t.resources, price)
-        tx_payments[t.id] = fee if t.id in allocation.transactions else ZERO
-    for n in market.nodes:
-        total = ZERO
-        for tx in allocation.inverse(n.id):
-            total += base_fee(market.resource_of(tx), price)
-        node_payments[n.id] = total
+    fees = _tx_fees(market, price)
+    tx_payments = {
+        tx: fee if tx in allocation.transactions else ZERO for tx, fee in fees.items()
+    }
+    node_payments = {
+        n.id: sum((fees[tx] for tx in allocation.inverse(n.id)), ZERO) for n in market.nodes
+    }
     return tx_payments, node_payments
 
 
@@ -163,7 +153,6 @@ class WillingnessPattern:
 class PriceCell:
     willing: frozenset[str]
     participating: frozenset[tuple[str, frozenset[str]]]
-    positive_dims: tuple[bool, ...] | None
     witness: tuple[Fraction, ...]
 
 
@@ -172,34 +161,42 @@ class _AllocationInfo:
     allocation: Allocation
     txs: frozenset[str]
     welfare: Fraction
-    bundles: tuple[tuple[str, frozenset[str], Fraction], ...]  # node, bundle, cost
+    # node, bundle, cost, bundle usage: only nodes with a non-zero bundle
+    # cost, since participation holds for the rest at every price p >= 0
+    bundles: tuple[tuple[str, frozenset[str], Fraction, tuple[Fraction, ...]], ...]
     fee_vector: tuple[Fraction, ...]  # sum of g(t) over included transactions
 
 
-def _prepare(market: ResourceMarket) -> tuple[MarketInstance, list[_AllocationInfo]]:
+def _usage(instance: MarketInstance, txs: Iterable[str], d: int) -> tuple[Fraction, ...]:
+    total = [ZERO] * d
+    for tx in txs:
+        for i, g in enumerate(instance.resources[tx]):
+            total[i] += g
+    return tuple(total)
+
+
+def _prepare(market: ResourceMarket) -> list[_AllocationInfo]:
     instance = market.instance()
     truthful = instance.truthful_reports()
+    d = market.dimensions
     infos = []
     for allocation in enumerate_valid(instance):
         bundles = []
         for node in sorted(allocation.nodes):
             bundle = allocation.inverse(node)
             cost = instance.node(node).cost.cost(bundle, instance.resources)
-            bundles.append((node, bundle, cost))
-        fee_vector = [ZERO] * market.dimensions
-        for tx in allocation.transactions:
-            for i, g in enumerate(market.resource_of(tx)):
-                fee_vector[i] += g
+            if cost != 0:
+                bundles.append((node, bundle, cost, _usage(instance, bundle, d)))
         infos.append(
             _AllocationInfo(
                 allocation,
                 allocation.transactions,
                 welfare(instance, allocation, truthful),
                 tuple(bundles),
-                tuple(fee_vector),
+                _usage(instance, allocation.transactions, d),
             )
         )
-    return instance, infos
+    return infos
 
 
 def _check_pattern_caps(market: ResourceMarket) -> None:
@@ -229,25 +226,14 @@ def _willingness_hyperplanes(
     return hyperplanes, members
 
 
-def _bundle_fee_vector(market: ResourceMarket, bundle: Iterable[str]) -> tuple[Fraction, ...]:
-    fee_vec = [ZERO] * market.dimensions
-    for tx in bundle:
-        for i, g in enumerate(market.resource_of(tx)):
-            fee_vec[i] += g
-    return tuple(fee_vec)
-
-
 def _participation_hyperplanes(
-    market: ResourceMarket, infos: Iterable[_AllocationInfo]
+    infos: Iterable[_AllocationInfo],
 ) -> tuple[list[Hyperplane], list[tuple[tuple[str, frozenset[str]], ...]]]:
     groups: dict[tuple, set[tuple[str, frozenset[str]]]] = {}
     for info in infos:
-        for node, bundle, cost in info.bundles:
-            if cost == 0:
-                continue  # participation holds at every non-negative price
-            fee_vec = _bundle_fee_vector(market, bundle)
+        for node, bundle, cost, usage in info.bundles:
             # participating (TRUE branch): fee income >= cost
-            key = (tuple(-g for g in fee_vec), -cost)
+            key = (tuple(-g for g in usage), -cost)
             groups.setdefault(key, set()).add((node, bundle))
     hyperplanes, members = [], []
     for (coeffs, bound), pairs in sorted(
@@ -270,17 +256,15 @@ def _zero_split_hyperplanes(dimensions: int) -> list[Hyperplane]:
 
 def _enumerate_price_cells(
     market: ResourceMarket,
-    infos: list[_AllocationInfo],
-    include_participation: bool,
+    infos: Iterable[_AllocationInfo],
     include_zero_splits: bool,
 ) -> list[PriceCell]:
+    """Cells cut by every transaction's willingness and by the participation
+    of every costly bundle in ``infos`` (none when it is empty)."""
     _check_pattern_caps(market)
     d = market.dimensions
     will_h, will_members = _willingness_hyperplanes(market)
-    part_h: list[Hyperplane] = []
-    part_members: list[tuple[tuple[str, frozenset[str]], ...]] = []
-    if include_participation:
-        part_h, part_members = _participation_hyperplanes(market, infos)
+    part_h, part_members = _participation_hyperplanes(infos)
     zero_h = _zero_split_hyperplanes(d) if include_zero_splits else []
 
     hyperplanes = will_h + part_h + zero_h
@@ -295,11 +279,7 @@ def _enumerate_price_cells(
         for i, pairs in enumerate(part_members):
             if signs[offset + i]:
                 participating.update(pairs)
-        offset += len(part_h)
-        positive = None
-        if include_zero_splits:
-            positive = tuple(not signs[offset + i] for i in range(d))
-        cells.append(PriceCell(frozenset(willing), frozenset(participating), positive, witness))
+        cells.append(PriceCell(frozenset(willing), frozenset(participating), witness))
     return cells
 
 
@@ -309,12 +289,8 @@ def feasible_patterns(market: ResourceMarket) -> list[WillingnessPattern]:
     A subset S is feasible when some p >= 0 makes exactly the transactions in
     S willing (fee <= value) and everything else strictly unwilling.
     """
-    _, infos = _prepare(market)
-    cells = _enumerate_price_cells(
-        market, infos, include_participation=False, include_zero_splits=False
-    )
     patterns: dict[frozenset[str], tuple[Fraction, ...]] = {}
-    for cell in cells:
+    for cell in _enumerate_price_cells(market, (), include_zero_splits=False):
         patterns.setdefault(cell.willing, cell.witness)
     return [
         WillingnessPattern(willing, witness)
@@ -332,10 +308,8 @@ def pools_at_price(
     Independent of the cell machinery; used to cross-check it.
     """
     instance = market.instance()
-    willing = frozenset(
-        t.id for t in market.transactions if base_fee(t.resources, price) <= t.value
-    )
-    resources = {t.id: t.resources for t in market.transactions}
+    fees = _tx_fees(market, price)
+    willing = frozenset(t.id for t in market.transactions if fees[t.id] <= t.value)
     pool = []
     for allocation in enumerate_valid(instance):
         if not allocation.transactions <= willing:
@@ -343,8 +317,8 @@ def pools_at_price(
         admissible = True
         for node in allocation.nodes:
             bundle = allocation.inverse(node)
-            income = sum((base_fee(market.resource_of(tx), price) for tx in bundle), ZERO)
-            if income < instance.node(node).cost.cost(bundle, resources):
+            income = sum((fees[tx] for tx in bundle), ZERO)
+            if income < instance.node(node).cost.cost(bundle, instance.resources):
                 admissible = False
                 break
         if admissible:
@@ -362,20 +336,19 @@ def fee_maximal_allocations(
     market: ResourceMarket, pool: Sequence[Allocation], price: Sequence[Fraction]
 ) -> list[Allocation]:
     """Pool members maximizing total base fees at the given price."""
+    fees = _tx_fees(market, price)
+
     def total_fee(a: Allocation) -> Fraction:
-        return sum((base_fee(market.resource_of(tx), price) for tx in a.transactions), ZERO)
+        return sum((fees[tx] for tx in a.transactions), ZERO)
 
     top = max((total_fee(a) for a in pool), default=ZERO)
     return [a for a in pool if total_fee(a) == top]
 
 
 def _allowed(info: _AllocationInfo, cell: PriceCell) -> bool:
-    if not info.txs <= cell.willing:
-        return False
-    for node, bundle, cost in info.bundles:
-        if cost != 0 and (node, bundle) not in cell.participating:
-            return False
-    return True
+    return info.txs <= cell.willing and all(
+        (node, bundle) in cell.participating for node, bundle, _, _ in info.bundles
+    )
 
 
 def _maximal_infos(pool: list[_AllocationInfo], downward_closed: bool) -> list[_AllocationInfo]:
@@ -395,6 +368,35 @@ def _zero_costs(market: ResourceMarket) -> bool:
         or (isinstance(n.cost, LinearResources) and all(c == 0 for c in n.cost.unit_costs))
         for n in market.nodes
     )
+
+
+def _fee_at_price(pool: list[_AllocationInfo], price: Sequence[Fraction]) -> Fraction:
+    """Worst welfare among the fee-maximizing members of the pool at a price."""
+    fees = [base_fee(info.fee_vector, price) for info in pool]
+    top = max(fees)
+    return min(info.welfare for info, fee in zip(pool, fees) if fee == top)
+
+
+def _attainability_system(market: ResourceMarket, info: _AllocationInfo) -> list[Constraint]:
+    """p >= 0 keeping every included transaction willing and paying every
+    working node at least its bundle cost."""
+    constraints = nonneg_orthant(market.dimensions)
+    by_id = {t.id: t for t in market.transactions}
+    for tx in sorted(info.txs):
+        constraints.append(Constraint(by_id[tx].resources, by_id[tx].value))
+    for _, _, cost, usage in info.bundles:
+        constraints.append(Constraint(tuple(-g for g in usage), -cost))
+    return constraints
+
+
+def _refuse_multi_node(infos: Iterable[_AllocationInfo]) -> None:
+    for info in infos:
+        for tx, nodes in info.allocation.pairs:
+            if len(nodes) > 1:
+                raise MalformedInput(
+                    f"benchmarks need each transaction on at most one node, but a valid "
+                    f"allocation places {tx!r} on {len(nodes)} nodes; set single_assignment"
+                )
 
 
 @dataclass(frozen=True)
@@ -417,199 +419,76 @@ class BenchmarkResult:
 
 def opt_benchmark(market: ResourceMarket) -> Fraction:
     """Highest welfare of any valid allocation (payments are free transfers)."""
-    _, infos = _prepare(market)
-    return max((info.welfare for info in infos), default=ZERO)
+    return max((info.welfare for info in _prepare(market)), default=ZERO)
 
 
 def inc_benchmark(market: ResourceMarket) -> Fraction:
-    return _inc_with_witness(market, _prepare(market)[1])[0]
+    return run_benchmarks(market).inc
 
 
-def _inc_with_witness(
-    market: ResourceMarket,
-    infos: list[_AllocationInfo],
-    cells: list[PriceCell] | None = None,
-) -> tuple[Fraction, BenchmarkWitness]:
-    """Best-case price, worst-case inclusion-maximal allocation.
-
-    Within a cell the pool of admissible allocations (willing transactions
-    only, every working node participating) is fixed, so the worst maximal
-    member is price-free and the outer max ranges over cells.
-    """
-    if cells is None:
-        cells = _enumerate_price_cells(
-            market, infos, include_participation=True, include_zero_splits=False
-        )
-    downward = _zero_costs(market)  # participation never filters, so pools are subset-closed
-    best: Fraction | None = None
-    witness = BenchmarkWitness()
-    for cell in cells:
-        pool = [info for info in infos if _allowed(info, cell)]
-        if not pool:
-            continue
-        worst = min(_maximal_infos(pool, downward), key=lambda info: info.welfare)
-        if best is None or worst.welfare > best:
-            best = worst.welfare
-            witness = BenchmarkWitness(worst.allocation, cell.witness, cell.willing)
-    return (best if best is not None else ZERO), witness
+def fee_benchmark(market: ResourceMarket) -> tuple[Fraction, bool]:
+    result = run_benchmarks(market)
+    return result.fee, result.fee_exact
 
 
 def ora_benchmark(market: ResourceMarket) -> Fraction:
-    return _ora_with_witness(market, _prepare(market)[1])[0]
+    return run_benchmarks(market).ora
 
 
-def _ora_with_witness(
-    market: ResourceMarket, infos: list[_AllocationInfo]
-) -> tuple[Fraction, BenchmarkWitness]:
-    """Best allocation an informed planner can post prices for.
+def run_benchmarks(market: ResourceMarket) -> BenchmarkResult:
+    """OPT, INC, FEE and ORA in one pass over one list of price cells.
 
-    An allocation is attainable when some p >= 0 keeps every included
-    transaction willing and pays every working node at least its bundle
-    cost; the best attainable welfare is found allocation by allocation.
+    Within a cell the admissible pool (willing transactions only, every
+    working node participating) is fixed, so each benchmark's inner min/max
+    over the pool is price-free and the outer max ranges over cells:
+
+    - INC: best-case price, worst-case inclusion-maximal allocation.
+    - FEE: best-case price, worst-case fee-maximal allocation at the cell's
+      witness price.  For d = 1 the zero price is split off, and inside a
+      cell with positive price the fee-maximizers all maximize total
+      resource, so the value is exact.  For d >= 2 it is a lower bound
+      certified at the witness prices.
+    - ORA: the best allocation an informed planner can post prices for,
+      i.e. the best welfare any cell admits.  Its witness is the first such
+      allocation in canonical order, with a price solving its own system.
+
+    Raises MalformedInput when a valid allocation places a transaction on
+    several nodes, where posted prices pay every node the full fee.
     """
-    _check_pattern_caps(market)
-    d = market.dimensions
-    best: Fraction | None = None
-    witness = BenchmarkWitness()
-    for info in infos:
-        constraints = list(nonneg_orthant(d))
-        for tx in sorted(info.txs):
-            constraints.append(Constraint(market.resource_of(tx), market.value_of(tx)))
-        for _, bundle, cost in info.bundles:
-            if cost == 0:
-                continue
-            fee_vec = _bundle_fee_vector(market, bundle)
-            constraints.append(Constraint(tuple(-g for g in fee_vec), -cost))
-        point = find_point(constraints, d)
-        if point is None:
-            continue
-        if best is None or info.welfare > best:
-            best = info.welfare
-            witness = BenchmarkWitness(info.allocation, point, None)
-    return (best if best is not None else ZERO), witness
-
-
-def fee_benchmark(
-    market: ResourceMarket, extra_prices: Sequence[Sequence[Fraction]] = ()
-) -> tuple[Fraction, bool]:
-    value, exact, _ = _fee_with_witness(market, _prepare(market)[1], extra_prices)
-    return value, exact
-
-
-def _fee_at_price(pool: list[_AllocationInfo], price: Sequence[Fraction]) -> Fraction:
-    """Worst welfare among the fee-maximizing members of the pool at a price."""
-    fees = [base_fee(info.fee_vector, price) for info in pool]
-    top = max(fees)
-    return min(info.welfare for info, fee in zip(pool, fees) if fee == top)
-
-
-def _fee_with_witness(
-    market: ResourceMarket,
-    infos: list[_AllocationInfo],
-    extra_prices: Sequence[Sequence[Fraction]] = (),
-    cells: list[PriceCell] | None = None,
-) -> tuple[Fraction, bool, BenchmarkWitness]:
-    """Best-case price, worst-case fee-maximal allocation.
-
-    For d = 1 the fee-maximizers inside a cell with positive price all
-    maximize total resource, so the value is exact; the zero-price cell is
-    split off (every pool member is trivially fee-maximal there).  For
-    d >= 2 the value is a lower bound certified at the explored prices, and
-    the zero-price split is unnecessary.
-    """
-    d = market.dimensions
-    exact = d == 1
-    if cells is None:
-        cells = _enumerate_price_cells(
-            market, infos, include_participation=True, include_zero_splits=exact
-        )
-    best: Fraction | None = None
-    witness = BenchmarkWitness()
-
-    def consider(value: Fraction, cell: PriceCell, price: tuple[Fraction, ...]) -> None:
-        nonlocal best, witness
-        if best is None or value > best:
-            best = value
-            witness = BenchmarkWitness(None, price, cell.willing)
-
-    for cell in cells:
+    infos = _prepare(market)
+    _refuse_multi_node(infos)
+    opt_info = max(infos, key=lambda info: info.welfare)
+    exact = market.dimensions == 1
+    downward = _zero_costs(market)  # participation never filters, so pools are subset-closed
+    # (cell, worst maximal member, FEE value) per cell; every pool holds the
+    # empty allocation, and max() keeps the first cell that attains the best
+    rows = []
+    attainable: set[Allocation] = set()
+    for cell in _enumerate_price_cells(market, infos, include_zero_splits=exact):
         pool = [info for info in infos if _allowed(info, cell)]
-        if not pool:
-            continue
-        if exact:
-            assert cell.positive_dims is not None
-            if not cell.positive_dims[0]:
-                consider(min(info.welfare for info in pool), cell, cell.witness)
-            else:
-                top = max(info.fee_vector[0] for info in pool)
-                consider(
-                    min(i.welfare for i in pool if i.fee_vector[0] == top),
-                    cell,
-                    cell.witness,
-                )
-        else:
-            prices = [cell.witness]
-            for p in extra_prices:
-                q = tuple(p)
-                if q != cell.witness and _price_in_cell(market, cell, q):
-                    prices.append(q)
-            for price in prices:
-                consider(_fee_at_price(pool, price), cell, price)
-    return (best if best is not None else ZERO), exact, witness
-
-
-def _price_in_cell(market: ResourceMarket, cell: PriceCell, price: tuple[Fraction, ...]) -> bool:
-    if len(price) != market.dimensions or any(p < 0 for p in price):
-        return False
-    willing = {
-        t.id for t in market.transactions if base_fee(t.resources, price) <= t.value
-    }
-    if frozenset(willing) != cell.willing:
-        return False
-    if cell.positive_dims is not None and tuple(p > 0 for p in price) != cell.positive_dims:
-        return False
-    resources = {t.id: t.resources for t in market.transactions}
-    for node, bundle in cell.participating:
-        income = sum((base_fee(market.resource_of(tx), price) for tx in bundle), ZERO)
-        spec = next(n for n in market.nodes if n.id == node)
-        if income < spec.cost.cost(bundle, resources):
-            return False
-    return True
-
-
-def run_benchmarks(
-    market: ResourceMarket, extra_prices: Sequence[Sequence[Fraction]] = ()
-) -> BenchmarkResult:
-    _, infos = _prepare(market)
-    opt_value = max((info.welfare for info in infos), default=ZERO)
-    opt_alloc = next(
-        (info.allocation for info in infos if info.welfare == opt_value), Allocation()
+        worst = min(_maximal_infos(pool, downward), key=lambda info: info.welfare)
+        rows.append((cell, worst, _fee_at_price(pool, cell.witness)))
+        attainable.update(info.allocation for info in pool)
+    inc_cell, inc_info, _ = max(rows, key=lambda row: row[1].welfare)
+    fee_cell, _, fee_value = max(rows, key=lambda row: row[2])
+    ora_info = max(
+        (info for info in infos if info.allocation in attainable), key=lambda info: info.welfare
     )
-    base_cells = _enumerate_price_cells(
-        market, infos, include_participation=True, include_zero_splits=False
-    )
-    inc_value, inc_witness = _inc_with_witness(market, infos, base_cells)
-    fee_cells = None if market.dimensions == 1 else base_cells
-    fee_value, fee_exact, fee_witness = _fee_with_witness(
-        market, infos, extra_prices, fee_cells
-    )
-    ora_value, ora_witness = _ora_with_witness(market, infos)
-    hierarchy = None
-    if fee_exact:
-        hierarchy = inc_value <= fee_value <= ora_value <= opt_value
+    ora_price = find_point(_attainability_system(market, ora_info), market.dimensions)
+    inc_value, ora_value = inc_info.welfare, ora_info.welfare
     return BenchmarkResult(
-        opt=opt_value,
+        opt=opt_info.welfare,
         inc=inc_value,
         fee=fee_value,
-        fee_exact=fee_exact,
+        fee_exact=exact,
         ora=ora_value,
         witnesses={
-            "opt": BenchmarkWitness(opt_alloc, None, None),
-            "inc": inc_witness,
-            "fee": fee_witness,
-            "ora": ora_witness,
+            "opt": BenchmarkWitness(opt_info.allocation, None, None),
+            "inc": BenchmarkWitness(inc_info.allocation, inc_cell.witness, inc_cell.willing),
+            "fee": BenchmarkWitness(None, fee_cell.witness, fee_cell.willing),
+            "ora": BenchmarkWitness(ora_info.allocation, ora_price, None),
         },
-        hierarchy_ok=hierarchy,
+        hierarchy_ok=inc_value <= fee_value <= ora_value <= opt_info.welfare if exact else None,
     )
 
 

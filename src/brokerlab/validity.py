@@ -3,8 +3,10 @@
 A validity specification is either an explicit list of allocations or a
 conjunction of constraint primitives.  The empty allocation always satisfies
 every specification.  Enumeration returns the full valid set in canonical
-allocation order and refuses instances whose raw search space
-``(2^|N|)^|T|`` exceeds a configurable cap.
+allocation order and refuses instances whose search space exceeds a
+configurable cap.  The cap counts the effective space, the product over
+transactions of the node sets each may take once ``SingleAssignment`` and
+``RequiredNodeCount`` are applied, not the raw ``(2^|N|)^|T|``.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb, prod
 from typing import Iterable, Union
 
 from .core import EMPTY_ALLOCATION, Allocation, MarketInstance
@@ -211,18 +214,27 @@ def enumerate_valid(
 
     txs = list(instance.tx_ids)
     nodes = list(instance.node_ids)
-    raw_space = (2 ** len(nodes)) ** len(txs)
-    if raw_space > cap:
-        raise InstanceTooLarge(
-            f"search space (2^{len(nodes)})^{len(txs)} = {raw_space} exceeds cap {cap}"
-        )
-
     single = any(isinstance(c, SingleAssignment) for c in spec.constraints)
     count_ranges: dict[str, tuple[int, int]] = {}
     for c in spec.constraints:
         if isinstance(c, RequiredNodeCount):
             lo, hi = count_ranges.get(c.tx, (0, len(nodes)))
             count_ranges[c.tx] = (max(lo, c.min_nodes), min(hi, c.max_nodes))
+
+    def sizes_for(tx: str) -> range:
+        """Node-set sizes a placed transaction may take (unplaced is size 0)."""
+        lo, hi = count_ranges.get(tx, (0, len(nodes)))
+        return range(max(lo, 1), min(hi, 1 if single else len(nodes)) + 1)
+
+    space = prod(1 + sum(comb(len(nodes), k) for k in sizes_for(tx)) for tx in txs)
+    if space > cap:
+        raise InstanceTooLarge(
+            f"search space of {len(txs)} transactions x {len(nodes)} nodes "
+            f"has {space} leaves, which exceeds cap {cap}"
+        )
+    subsets = {
+        tx: [()] + [s for k in sizes_for(tx) for s in combinations(nodes, k)] for tx in txs
+    }
     node_limits = {
         c.node: c.limit for c in spec.constraints if isinstance(c, MaxTxPerNode)
     }
@@ -232,16 +244,6 @@ def enumerate_valid(
             exclusions.setdefault(c.first, set()).add(c.second)
             exclusions.setdefault(c.second, set()).add(c.first)
     capacity_on = any(isinstance(c, NodeCapacity) for c in spec.constraints)
-
-    all_subsets: list[tuple[str, ...]] = [()]
-    for size in range(1, len(nodes) + 1):
-        if single and size > 1:
-            break
-        all_subsets.extend(combinations(nodes, size))
-
-    def subsets_for(tx: str) -> list[tuple[str, ...]]:
-        lo, hi = count_ranges.get(tx, (0, len(nodes)))
-        return [s for s in all_subsets if not s or lo <= len(s) <= hi]
 
     capacities = {
         n: instance.node(n).capacity for n in nodes if instance.node(n).capacity is not None
@@ -299,7 +301,7 @@ def enumerate_valid(
                 found.append(allocation)
             return
         tx = txs[index]
-        for subset in subsets_for(tx):
+        for subset in subsets[tx]:
             if place(tx, subset):
                 search(index + 1)
                 unplace(tx)

@@ -20,6 +20,7 @@ from brokerlab.core import (
     Zero,
     welfare,
 )
+from brokerlab.linineq import Constraint, find_point, nonneg_orthant
 from brokerlab.mdfm import (
     ResourceMarket,
     fee_maximal_allocations,
@@ -34,6 +35,7 @@ from brokerlab.validity import (
     MutualExclusion,
     RequiredNodeCount,
     SingleAssignment,
+    enumerate_valid,
     is_valid,
 )
 
@@ -186,23 +188,33 @@ def random_resource_market(
     max_txs: int = 5,
     with_costs: bool = True,
     positive_only: bool = False,
+    dimensions: int = 1,
+    n_nodes: int = 1,
 ) -> ResourceMarket:
-    """A random single-node one-dimensional market."""
+    """A random market with resource-linear or zero node costs; one node
+    in one dimension by default.  With several nodes it carries
+    ``single_assignment``, the shape posted-price benchmarks accept."""
     n_txs = rng.randint(1, max_txs)
     lo = 1 if positive_only else 0
     txs = tuple(
         TransactionSpec(
-            f"t{i + 1}", frac(rng, lo, 8, (1, 2)), (frac(rng, 1, 4, (1, 2)),)
+            f"t{i + 1}",
+            frac(rng, lo, 8, (1, 2)),
+            tuple(frac(rng, 1, 4, (1, 2)) for _ in range(dimensions)),
         )
         for i in range(n_txs)
     )
-    if with_costs and rng.random() < 0.5:
-        node_cost: Zero | LinearResources = LinearResources((frac(rng, 0, 2, (1, 2)),))
-    else:
-        node_cost = Zero()
-    capacity = (frac(rng, 2, 10, (1, 2)),)
-    node = NodeSpec("n", node_cost, capacity)
-    return ResourceMarket(1, txs, (node,))
+    nodes = []
+    for j in range(n_nodes):
+        if with_costs and rng.random() < 0.5:
+            node_cost: Zero | LinearResources = LinearResources(
+                tuple(frac(rng, 0, 2, (1, 2)) for _ in range(dimensions))
+            )
+        else:
+            node_cost = Zero()
+        capacity = tuple(frac(rng, 2, 10, (1, 2)) for _ in range(dimensions))
+        nodes.append(NodeSpec("n" if n_nodes == 1 else f"n{j + 1}", node_cost, capacity))
+    return ResourceMarket(dimensions, txs, tuple(nodes), single_assignment=n_nodes > 1)
 
 
 def sweep_prices(market: ResourceMarket, quantum: Fraction = Fraction(1, 64)) -> list[Fraction]:
@@ -233,7 +245,7 @@ def sweep_benchmarks(market: ResourceMarket) -> dict[str, Fraction]:
     instance = market.instance()
     truthful = instance.truthful_reports()
 
-    def value_of(a: Allocation) -> Fraction:
+    def welfare_of(a: Allocation) -> Fraction:
         return welfare(instance, a, truthful)
 
     inc = fee = ora = None
@@ -241,9 +253,9 @@ def sweep_benchmarks(market: ResourceMarket) -> dict[str, Fraction]:
         _, pool = pools_at_price(market, (price,))
         if not pool:
             continue
-        inc_here = min(value_of(a) for a in inclusion_maximal_allocations(pool))
-        fee_here = min(value_of(a) for a in fee_maximal_allocations(market, pool, (price,)))
-        ora_here = max(value_of(a) for a in pool)
+        inc_here = min(welfare_of(a) for a in inclusion_maximal_allocations(pool))
+        fee_here = min(welfare_of(a) for a in fee_maximal_allocations(market, pool, (price,)))
+        ora_here = max(welfare_of(a) for a in pool)
         inc = inc_here if inc is None else max(inc, inc_here)
         fee = fee_here if fee is None else max(fee, fee_here)
         ora = ora_here if ora is None else max(ora, ora_here)
@@ -252,3 +264,39 @@ def sweep_benchmarks(market: ResourceMarket) -> dict[str, Fraction]:
         "fee": fee if fee is not None else ZERO,
         "ora": ora if ora is not None else ZERO,
     }
+
+
+def ora_by_allocation(
+    market: ResourceMarket,
+) -> tuple[Fraction, Allocation, tuple[Fraction, ...]]:
+    """ORA allocation by allocation, each decided by its own exact system.
+
+    An allocation is attainable when some p >= 0 keeps every included
+    transaction willing and pays every working node at least its bundle
+    cost.  Returns the best attainable welfare, the first allocation in
+    canonical order that attains it, and that allocation's solution point.
+    """
+    instance = market.instance()
+    truthful = instance.truthful_reports()
+    d = market.dimensions
+    best = None
+    for allocation in enumerate_valid(instance):
+        constraints = nonneg_orthant(d)
+        for tx in sorted(allocation.transactions):
+            t = instance.transaction(tx)
+            constraints.append(Constraint(t.resources, t.value))
+        for node in sorted(allocation.nodes):
+            bundle = allocation.inverse(node)
+            cost = instance.node(node).cost.cost(bundle, instance.resources)
+            if cost == 0:
+                continue
+            usage = [sum((instance.resources[tx][i] for tx in bundle), ZERO) for i in range(d)]
+            constraints.append(Constraint(tuple(-g for g in usage), -cost))
+        point = find_point(constraints, d)
+        if point is None:
+            continue
+        value = welfare(instance, allocation, truthful)
+        if best is None or value > best[0]:
+            best = (value, allocation, point)
+    assert best is not None  # the empty allocation is always attainable
+    return best

@@ -148,26 +148,97 @@ class TestDynamics:
 
 
 class TestBenchmarks:
+    """Whole reports, witnesses included, so that a change to any value or
+    witness of the gap constructions shows."""
+
     def test_inclusion_gap_via_gen(self, tmp_path, capsys):
         assert main(["gen", "thm-of", "--d", "4", "--out", str(tmp_path / "of.json")]) == 0
         assert main(["benchmarks", str(tmp_path / "of.json")]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["opt"] == "1"
+        assert report == {
+            "fee": "1",
+            "fee_exact": False,
+            "hierarchy_ok": None,
+            "inc": {"den": 2, "num": 1},
+            "opt": "1",
+            "ora": "1",
+            "witnesses": {
+                "fee": {"price": ["0", "0", "1", "0"], "willing": ["t01", "t02", "t04"]},
+                "inc": {
+                    "allocation": {"t01": ["n"]},
+                    "price": ["0", "0", "0", "0"],
+                    "willing": ["t01", "t02", "t03", "t04"],
+                },
+                "opt": {"allocation": {"t04": ["n"]}},
+                "ora": {"allocation": {"t04": ["n"]}, "price": ["0", "0", "0", "0"]},
+            },
+        }
 
     def test_fee_gap_via_gen(self, tmp_path, capsys):
         assert main(["gen", "thm-fee", "--k", "3", "--out", str(tmp_path / "fee.json")]) == 0
         assert main(["benchmarks", str(tmp_path / "fee.json")]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["fee"] == {"num": 3, "den": 4}
-        assert report["fee_exact"] is True
+        assert report == {
+            "fee": {"den": 4, "num": 3},
+            "fee_exact": True,
+            "hierarchy_ok": True,
+            "inc": {"den": 4, "num": 3},
+            "opt": "1",
+            "ora": "1",
+            "witnesses": {
+                "fee": {
+                    "price": [{"den": 4, "num": 1}],
+                    "willing": ["t01", "t02", "t03", "t04"],
+                },
+                "inc": {
+                    "allocation": {"t01": ["n"], "t02": ["n"], "t03": ["n"]},
+                    "price": ["0"],
+                    "willing": ["t01", "t02", "t03", "t04"],
+                },
+                "opt": {"allocation": {"t01": ["n"], "t02": ["n"], "t04": ["n"]}},
+                "ora": {
+                    "allocation": {"t01": ["n"], "t02": ["n"], "t04": ["n"]},
+                    "price": ["0"],
+                },
+            },
+        }
 
     def test_oracle_gap_via_gen(self, tmp_path, capsys):
         out = str(tmp_path / "wo.json")
         assert main(["gen", "thm-wo", "--k", "3", "--values", "1,2,3", "--epsilon", "1/2", "--out", out]) == 0
         assert main(["benchmarks", out]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["ora"] == "1"
-        assert report["opt"] == "3"
+        assert report == {
+            "fee": "1",
+            "fee_exact": True,
+            "hierarchy_ok": True,
+            "inc": "1",
+            "opt": "3",
+            "ora": "1",
+            "witnesses": {
+                "fee": {"price": ["1"], "willing": ["t01", "t02", "t03"]},
+                "inc": {
+                    "allocation": {"t01": ["n01"]},
+                    "price": ["1"],
+                    "willing": ["t01", "t02", "t03"],
+                },
+                "opt": {"allocation": {"t01": ["n01"], "t02": ["n02"], "t03": ["n03"]}},
+                "ora": {"allocation": {"t01": ["n01"]}, "price": ["1"]},
+            },
+        }
+
+    def test_multi_node_market_exits_one(self, tmp_path, capsys):
+        payload = {
+            "kind": "resource_market",
+            "dimensions": 1,
+            "transactions": [{"id": "t1", "value": "5", "resources": ["1"]}],
+            "nodes": [{"id": "a", "capacity": ["2"]}, {"id": "b", "capacity": ["2"]}],
+        }
+        assert main(["benchmarks", write(tmp_path, "two.json", payload)]) == 1
+        assert "'t1'" in capsys.readouterr().err
+        payload["single_assignment"] = True
+        assert main(["benchmarks", write(tmp_path, "one.json", payload)]) == 0
+        capsys.readouterr()
 
     def test_wrong_kind_errors(self, fig1_path, capsys):
         assert main(["benchmarks", fig1_path]) == 1

@@ -26,7 +26,7 @@ from brokerlab.mdfm import (
 )
 from brokerlab.validity import MutualExclusion, enumerate_valid
 
-from helpers import random_resource_market, sweep_benchmarks
+from helpers import ora_by_allocation, random_resource_market, sweep_benchmarks
 
 
 class TestBaseFee:
@@ -164,6 +164,13 @@ class TestConstructions:
         assert ora_benchmark(oracle_gap_market(2, [F(1), F(2)])) == 1
         assert ora_benchmark(oracle_gap_market(3, [F(1), F(2), F(3)])) == 1
 
+    def test_oracle_gap_k5_fits_the_enumeration_cap(self):
+        # single assignment leaves 6 choices per transaction: 6^5 leaves
+        market = oracle_gap_market(5, [F(1), F(2), F(3), F(4), F(5)])
+        assert len(enumerate_valid(market.instance())) == 261
+        result = run_benchmarks(market)
+        assert (result.opt, result.ora) == (5, 1)
+
     def test_inclusion_gap_price_isolating_the_big_transaction(self):
         # If the cheap transactions conflict through a priced shared
         # dimension, a price concentrated on it keeps only the
@@ -263,6 +270,41 @@ class TestHierarchyAndSweep:
         assert checked > 50
 
 
+class TestAssignment:
+    def nodes(self):
+        return (NodeSpec("a", Zero(), (F(2),)), NodeSpec("b", Zero(), (F(2),)))
+
+    def test_multi_node_market_is_refused(self):
+        txs = (TransactionSpec("t1", F(5), (F(1),)),)
+        with pytest.raises(MalformedInput, match="'t1'"):
+            run_benchmarks(ResourceMarket(1, txs, self.nodes()))
+
+    def test_single_assignment_market_runs(self):
+        txs = (TransactionSpec("t1", F(5), (F(1),)),)
+        result = run_benchmarks(ResourceMarket(1, txs, self.nodes(), single_assignment=True))
+        assert (result.opt, result.inc, result.fee, result.ora) == (5, 5, 5, 5)
+
+    def test_ora_matches_allocation_by_allocation_oracle(self):
+        rng = random.Random(67)
+        markets = [
+            oracle_gap_market(3, [F(1), F(2), F(3)]),
+            fee_gap_market(4),
+            inclusion_gap_market(3),
+        ]
+        for dimensions in (1, 2, 3):
+            for n_nodes in (1, 2):
+                markets.extend(
+                    random_resource_market(
+                        rng, max_txs=3, dimensions=dimensions, n_nodes=n_nodes
+                    )
+                    for _ in range(8)
+                )
+        for market in markets:
+            result = run_benchmarks(market)
+            witness = result.witnesses["ora"]
+            assert (result.ora, witness.allocation, witness.price) == ora_by_allocation(market)
+
+
 class TestTwoDimensionalConsistency:
     """The exact cell machinery against direct evaluation at concrete prices."""
 
@@ -321,6 +363,13 @@ class TestTwoDimensionalConsistency:
                     for a in inclusion_maximal_allocations(pool)
                 )
                 assert value == result.inc
+            fee_witness = result.witnesses["fee"]
+            _, pool = pools_at_price(market, fee_witness.price)
+            value = min(
+                welfare(instance, a, truthful)
+                for a in fee_maximal_allocations(market, pool, fee_witness.price)
+            )
+            assert value == result.fee
             ora_witness = result.witnesses["ora"]
             if ora_witness.price is not None and ora_witness.allocation is not None:
                 _, pool = pools_at_price(market, ora_witness.price)

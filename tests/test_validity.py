@@ -20,6 +20,7 @@ from brokerlab.validity import (
     MustShareNode,
     MutualExclusion,
     NodeCapacity,
+    RequiredNodeCount,
     SingleAssignment,
     enumerate_valid,
     is_valid,
@@ -128,6 +129,19 @@ class TestEnumerateValid:
         instance = simple_instance(n_txs=3, n_nodes=2)
         with pytest.raises(InstanceTooLarge):
             enumerate_valid(instance, cap=10)
+
+    def test_cap_counts_the_effective_space(self):
+        # single assignment: 1 + 4 node choices per transaction, not 2^4
+        instance = simple_instance(
+            n_txs=4, n_nodes=4, validity=Constraints((SingleAssignment(),))
+        )
+        assert len(enumerate_valid(instance, cap=5**4)) == 5**4
+        with pytest.raises(InstanceTooLarge, match="4 transactions x 4 nodes.*exceeds cap"):
+            enumerate_valid(instance, cap=5**4 - 1)
+        # an exact node count of 2 leaves 1 + C(4, 2) choices
+        pinned = Constraints(tuple(RequiredNodeCount.exactly(f"t{i}", 2) for i in range(1, 5)))
+        instance = simple_instance(n_txs=4, n_nodes=4, validity=pinned)
+        assert len(enumerate_valid(instance, cap=7**4)) == 7**4
 
     def test_matches_naive_enumeration_on_random_instances(self):
         rng = random.Random(7)
