@@ -1,20 +1,34 @@
 """The valid-allocation set: constraint vocabulary and exact enumeration.
 
 A validity specification is either an explicit list of allocations or a
-conjunction of constraint primitives.  The empty allocation always satisfies
-every specification.  Enumeration returns the full valid set in canonical
+conjunction of constraint primitives:
+
+- ``NodeCapacity``: on every node that declares a capacity, each bounded
+  dimension's total usage fits; nodes without one are not checked, and a
+  transaction needs a resource vector only to run on a node that has one.
+- ``MaxTxPerNode``: the node executes at most ``limit`` transactions.
+- ``RequiredNodeCount``: an allocated transaction runs on between
+  ``min_nodes`` and ``max_nodes`` nodes.
+- ``MustShareNode``: if every listed transaction is allocated, one node runs
+  them all.
+- ``MutualExclusion``: the two transactions are never both allocated.
+- ``SingleAssignment``: every allocated transaction runs on exactly one node.
+
+Each constraint must be closed under dropping a transaction (see
+``Constraint``), so the empty allocation always satisfies every
+specification.  Enumeration returns the full valid set in canonical
 allocation order and refuses instances whose search space exceeds a
 configurable cap.  The cap counts the effective space, the product over
-transactions of the node sets each may take once ``SingleAssignment`` and
-``RequiredNodeCount`` are applied, not the raw ``(2^|N|)^|T|``.
+transactions of the node sets each may take once the constraints' node-count
+bounds are applied, not the raw ``(2^|N|)^|T|``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Set
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
-from math import comb, prod
+from math import comb, inf, prod
 from typing import Iterable, Union
 
 from .core import EMPTY_ALLOCATION, Allocation, MarketInstance
@@ -24,19 +38,75 @@ from .rationals import ZERO
 DEFAULT_ENUM_CAP = 1 << 24
 
 
+class Constraint:
+    """A validity constraint primitive.
+
+    A constraint must be closed under dropping a transaction: if an
+    allocation satisfies it, so does the same allocation with any one
+    transaction unassigned.  ``enumerate_valid`` relies on this to cut a
+    search branch as soon as a partial allocation fails ``holds``.
+    """
+
+    def check_ids(self, txs: Set[str], nodes: Set[str]) -> None:
+        """Refuse unknown transaction or node ids and out-of-range parameters."""
+
+    def holds(self, instance: MarketInstance, allocation: Allocation) -> bool:
+        raise NotImplementedError
+
+    def node_counts(self, tx: str) -> tuple[int, float]:
+        """Bounds on the number of nodes an allocated ``tx`` may run on."""
+        return 0, inf
+
+
+def _check_txs(listed: Iterable[str], txs: Set[str]) -> None:
+    unknown = set(listed) - txs
+    if unknown:
+        raise MalformedInput(f"constraint references unknown transactions {sorted(unknown)}")
+
+
 @dataclass(frozen=True)
-class NodeCapacity:
+class NodeCapacity(Constraint):
     """Per node and dimension, total resource usage must fit the node's capacity."""
 
+    def holds(self, instance: MarketInstance, allocation: Allocation) -> bool:
+        for node in sorted(allocation.nodes):
+            capacity = instance.node(node).capacity
+            if capacity is None:
+                continue
+            usage = [ZERO] * len(capacity)
+            for tx in allocation.inverse(node):
+                vector = instance.resources.get(tx)
+                if vector is None:
+                    raise MalformedInput(
+                        f"transaction {tx!r} has no resource vector for capacity checks"
+                    )
+                if len(vector) != len(capacity):
+                    raise MalformedInput(
+                        f"resource vector of {tx!r} has wrong length for node {node!r}"
+                    )
+                usage = [u + g for u, g in zip(usage, vector)]
+            if any(cap is not None and used > cap for used, cap in zip(usage, capacity)):
+                return False
+        return True
+
 
 @dataclass(frozen=True)
-class MaxTxPerNode:
+class MaxTxPerNode(Constraint):
     node: str
     limit: int
 
+    def check_ids(self, txs: Set[str], nodes: Set[str]) -> None:
+        if self.node not in nodes:
+            raise MalformedInput(f"constraint references unknown node {self.node!r}")
+        if self.limit < 0:
+            raise MalformedInput(f"negative transaction limit {self.limit} for node {self.node!r}")
+
+    def holds(self, instance: MarketInstance, allocation: Allocation) -> bool:
+        return len(allocation.inverse(self.node)) <= self.limit
+
 
 @dataclass(frozen=True)
-class RequiredNodeCount:
+class RequiredNodeCount(Constraint):
     """An allocated transaction must run on between min_nodes and max_nodes nodes."""
 
     tx: str
@@ -47,33 +117,60 @@ class RequiredNodeCount:
     def exactly(tx: str, count: int) -> "RequiredNodeCount":
         return RequiredNodeCount(tx, count, count)
 
+    def check_ids(self, txs: Set[str], nodes: Set[str]) -> None:
+        if self.tx not in txs:
+            raise MalformedInput(f"constraint references unknown transaction {self.tx!r}")
+        if not (0 <= self.min_nodes <= self.max_nodes):
+            raise MalformedInput(f"bad node count range for {self.tx!r}")
+
+    def holds(self, instance: MarketInstance, allocation: Allocation) -> bool:
+        nodes = allocation.nodes_for(self.tx)
+        return not nodes or self.min_nodes <= len(nodes) <= self.max_nodes
+
+    def node_counts(self, tx: str) -> tuple[int, float]:
+        return (self.min_nodes, self.max_nodes) if tx == self.tx else (0, inf)
+
 
 @dataclass(frozen=True)
-class MustShareNode:
+class MustShareNode(Constraint):
     """If every listed transaction is allocated, some single node runs them all."""
 
     txs: tuple[str, ...]
 
+    def check_ids(self, txs: Set[str], nodes: Set[str]) -> None:
+        _check_txs(self.txs, txs)
+
+    def holds(self, instance: MarketInstance, allocation: Allocation) -> bool:
+        node_sets = []
+        for tx in self.txs:
+            nodes = allocation.nodes_for(tx)
+            if not nodes:
+                return True
+            node_sets.append(set(nodes))
+        return not node_sets or bool(set.intersection(*node_sets))
+
 
 @dataclass(frozen=True)
-class MutualExclusion:
+class MutualExclusion(Constraint):
     first: str
     second: str
 
+    def check_ids(self, txs: Set[str], nodes: Set[str]) -> None:
+        _check_txs([self.first, self.second], txs)
+
+    def holds(self, instance: MarketInstance, allocation: Allocation) -> bool:
+        return not (allocation.nodes_for(self.first) and allocation.nodes_for(self.second))
+
 
 @dataclass(frozen=True)
-class SingleAssignment:
+class SingleAssignment(Constraint):
     """Every allocated transaction runs on exactly one node."""
 
+    def holds(self, instance: MarketInstance, allocation: Allocation) -> bool:
+        return all(len(nodes) == 1 for _, nodes in allocation.pairs)
 
-Constraint = Union[
-    NodeCapacity,
-    MaxTxPerNode,
-    RequiredNodeCount,
-    MustShareNode,
-    MutualExclusion,
-    SingleAssignment,
-]
+    def node_counts(self, tx: str) -> tuple[int, float]:
+        return 0, 1
 
 
 @dataclass(frozen=True)
@@ -100,75 +197,7 @@ def _check_constraint_ids(spec: Constraints, instance: MarketInstance) -> None:
     txs = set(instance.tx_ids)
     nodes = set(instance.node_ids)
     for c in spec.constraints:
-        if isinstance(c, MaxTxPerNode) and c.node not in nodes:
-            raise MalformedInput(f"constraint references unknown node {c.node!r}")
-        if isinstance(c, RequiredNodeCount):
-            if c.tx not in txs:
-                raise MalformedInput(f"constraint references unknown transaction {c.tx!r}")
-            if not (0 <= c.min_nodes <= c.max_nodes):
-                raise MalformedInput(f"bad node count range for {c.tx!r}")
-        if isinstance(c, MustShareNode):
-            unknown = set(c.txs) - txs
-            if unknown:
-                raise MalformedInput(f"constraint references unknown transactions {sorted(unknown)}")
-        if isinstance(c, MutualExclusion):
-            unknown = {c.first, c.second} - txs
-            if unknown:
-                raise MalformedInput(f"constraint references unknown transactions {sorted(unknown)}")
-
-
-def _node_usage(instance: MarketInstance, allocation: Allocation, node: str) -> list[Fraction]:
-    """Per-dimension resource usage of a node's bundle; errors on missing vectors."""
-    spec = instance.node(node)
-    dims = len(spec.capacity) if spec.capacity is not None else None
-    totals: list[Fraction] | None = None
-    for tx in allocation.inverse(node):
-        usage = instance.resources.get(tx)
-        if usage is None:
-            raise MalformedInput(f"transaction {tx!r} has no resource vector for capacity checks")
-        if dims is not None and len(usage) != dims:
-            raise MalformedInput(f"resource vector of {tx!r} has wrong length for node {node!r}")
-        if totals is None:
-            totals = list(usage)
-        else:
-            totals = [a + b for a, b in zip(totals, usage)]
-    return totals if totals is not None else []
-
-
-def _satisfies(instance: MarketInstance, allocation: Allocation, constraint: Constraint) -> bool:
-    if isinstance(constraint, NodeCapacity):
-        for node in allocation.nodes:
-            capacity = instance.node(node).capacity
-            if capacity is None:
-                continue
-            usage = _node_usage(instance, allocation, node)
-            for used, cap in zip(usage, capacity):
-                if cap is not None and used > cap:
-                    return False
-        return True
-    if isinstance(constraint, MaxTxPerNode):
-        return len(allocation.inverse(constraint.node)) <= constraint.limit
-    if isinstance(constraint, RequiredNodeCount):
-        nodes = allocation.nodes_for(constraint.tx)
-        if not nodes:
-            return True
-        return constraint.min_nodes <= len(nodes) <= constraint.max_nodes
-    if isinstance(constraint, MustShareNode):
-        node_sets = []
-        for tx in constraint.txs:
-            nodes = allocation.nodes_for(tx)
-            if not nodes:
-                return True
-            node_sets.append(set(nodes))
-        shared = set.intersection(*node_sets) if node_sets else set()
-        return bool(shared) or not node_sets
-    if isinstance(constraint, MutualExclusion):
-        return not (
-            allocation.nodes_for(constraint.first) and allocation.nodes_for(constraint.second)
-        )
-    if isinstance(constraint, SingleAssignment):
-        return all(len(nodes) == 1 for _, nodes in allocation.pairs)
-    raise MalformedInput(f"unknown constraint {constraint!r}")
+        c.check_ids(txs, nodes)
 
 
 def is_valid(
@@ -190,7 +219,7 @@ def is_valid(
     if isinstance(spec, Extensional):
         return allocation.is_empty() or allocation in set(spec.allocations)
     _check_constraint_ids(spec, instance)
-    return all(_satisfies(instance, allocation, c) for c in spec.constraints)
+    return all(c.holds(instance, allocation) for c in spec.constraints)
 
 
 def enumerate_valid(
@@ -200,9 +229,11 @@ def enumerate_valid(
 ) -> list[Allocation]:
     """Every valid allocation exactly once, in canonical order.
 
-    Constraint specs are enumerated by a depth-first search over per-transaction
-    node subsets with incremental capacity and count pruning; every emitted leaf
-    is re-checked against the full specification.
+    Constraint specs are enumerated by a depth-first search over
+    per-transaction node subsets of the sizes the constraints allow.  Each
+    partial allocation is tested with every constraint's ``holds`` and a
+    failing branch is cut, which is exact because constraints are closed
+    under dropping a transaction.
     """
     if spec is None:
         spec = instance.validity
@@ -211,20 +242,14 @@ def enumerate_valid(
     if spec is None:
         spec = Constraints(())
     _check_constraint_ids(spec, instance)
-
-    txs = list(instance.tx_ids)
-    nodes = list(instance.node_ids)
-    single = any(isinstance(c, SingleAssignment) for c in spec.constraints)
-    count_ranges: dict[str, tuple[int, int]] = {}
-    for c in spec.constraints:
-        if isinstance(c, RequiredNodeCount):
-            lo, hi = count_ranges.get(c.tx, (0, len(nodes)))
-            count_ranges[c.tx] = (max(lo, c.min_nodes), min(hi, c.max_nodes))
+    constraints = spec.constraints
+    txs = instance.tx_ids
+    nodes = instance.node_ids
 
     def sizes_for(tx: str) -> range:
         """Node-set sizes a placed transaction may take (unplaced is size 0)."""
-        lo, hi = count_ranges.get(tx, (0, len(nodes)))
-        return range(max(lo, 1), min(hi, 1 if single else len(nodes)) + 1)
+        bounds = [(1, len(nodes))] + [c.node_counts(tx) for c in constraints]
+        return range(max(lo for lo, _ in bounds), min(hi for _, hi in bounds) + 1)
 
     space = prod(1 + sum(comb(len(nodes), k) for k in sizes_for(tx)) for tx in txs)
     if space > cap:
@@ -232,80 +257,21 @@ def enumerate_valid(
             f"search space of {len(txs)} transactions x {len(nodes)} nodes "
             f"has {space} leaves, which exceeds cap {cap}"
         )
-    subsets = {
-        tx: [()] + [s for k in sizes_for(tx) for s in combinations(nodes, k)] for tx in txs
-    }
-    node_limits = {
-        c.node: c.limit for c in spec.constraints if isinstance(c, MaxTxPerNode)
-    }
-    exclusions: dict[str, set[str]] = {}
-    for c in spec.constraints:
-        if isinstance(c, MutualExclusion):
-            exclusions.setdefault(c.first, set()).add(c.second)
-            exclusions.setdefault(c.second, set()).add(c.first)
-    capacity_on = any(isinstance(c, NodeCapacity) for c in spec.constraints)
-
-    capacities = {
-        n: instance.node(n).capacity for n in nodes if instance.node(n).capacity is not None
-    }
-    tx_counts = {n: 0 for n in nodes}
-    usage = {n: [ZERO] * len(capacities[n]) for n in capacities}
-    chosen: dict[str, tuple[str, ...]] = {}
+    subsets = {tx: [s for k in sizes_for(tx) for s in combinations(nodes, k)] for tx in txs}
     found: list[Allocation] = []
 
-    def place(tx: str, subset: tuple[str, ...]) -> bool:
-        """Apply one assignment, pruning; returns False if it cannot extend."""
-        if subset and tx in exclusions:
-            if any(chosen.get(other) for other in exclusions[tx]):
-                return False
-        for n in subset:
-            if n in node_limits and tx_counts[n] + 1 > node_limits[n]:
-                return False
-        if capacity_on and subset:
-            g = instance.resources.get(tx)
-            if g is None:
-                raise MalformedInput(
-                    f"transaction {tx!r} has no resource vector for capacity checks"
-                )
-            for n in subset:
-                if n not in capacities:
-                    continue
-                capacity = capacities[n]
-                if len(g) != len(capacity):
-                    raise MalformedInput(
-                        f"resource vector of {tx!r} has wrong length for node {n!r}"
-                    )
-                for i, cap_i in enumerate(capacity):
-                    if cap_i is not None and usage[n][i] + g[i] > cap_i:
-                        return False
-        for n in subset:
-            tx_counts[n] += 1
-            if capacity_on and n in capacities:
-                g = instance.resources[tx]
-                usage[n] = [u + gi for u, gi in zip(usage[n], g)]
-        chosen[tx] = subset
-        return True
-
-    def unplace(tx: str) -> None:
-        subset = chosen.pop(tx)
-        for n in subset:
-            tx_counts[n] -= 1
-            if capacity_on and n in capacities:
-                g = instance.resources[tx]
-                usage[n] = [u - gi for u, gi in zip(usage[n], g)]
-
-    def search(index: int) -> None:
+    def search(index: int, partial: Allocation) -> None:
         if index == len(txs):
-            allocation = Allocation.of(chosen)
-            if is_valid(allocation, spec, instance):
-                found.append(allocation)
+            found.append(partial)
             return
+        search(index + 1, partial)
         tx = txs[index]
         for subset in subsets[tx]:
-            if place(tx, subset):
-                search(index + 1)
-                unplace(tx)
+            # tx_ids and combinations are sorted, so the pairs stay canonical
+            extended = Allocation(partial.pairs + ((tx, subset),))
+            if all(c.holds(instance, extended) for c in constraints):
+                search(index + 1, extended)
 
-    search(0)
+    search(0, EMPTY_ALLOCATION)
     found.sort()
     return found

@@ -20,6 +20,7 @@ from brokerlab.core import (
     Zero,
     welfare,
 )
+from brokerlab.errors import MalformedInput
 from brokerlab.linineq import Constraint, find_point, nonneg_orthant
 from brokerlab.mdfm import (
     ResourceMarket,
@@ -32,7 +33,9 @@ from brokerlab.strategy import max_extraction_routing, scaled_rebate_routing
 from brokerlab.validity import (
     Constraints,
     MaxTxPerNode,
+    MustShareNode,
     MutualExclusion,
+    NodeCapacity,
     RequiredNodeCount,
     SingleAssignment,
     enumerate_valid,
@@ -176,6 +179,140 @@ def naive_enumerate(instance: MarketInstance, spec=None) -> list[Allocation]:
         if is_valid(allocation, spec, instance):
             out.append(allocation)
     return sorted(set(out))
+
+
+def random_constrained_instance(
+    rng: random.Random, max_txs: int = 4, max_nodes: int = 3
+) -> MarketInstance:
+    """A random market over all six constraint types, in random order.
+
+    Resource vectors are sometimes missing, nodes sometimes declare no
+    capacity or leave a dimension unbounded, one node may carry two
+    ``MaxTxPerNode`` limits, and node-count ranges may be empty or exceed
+    the node count.
+    """
+    n_txs = rng.randint(1, max_txs)
+    n_nodes = rng.randint(1, max_nodes)
+    dims = rng.randint(1, 2)
+    tx_ids = [f"t{i + 1}" for i in range(n_txs)]
+    node_ids = [f"n{j + 1}" for j in range(n_nodes)]
+    txs = tuple(
+        TransactionSpec(
+            tx,
+            frac(rng),
+            None if rng.random() < 0.15 else tuple(frac(rng, 0, 3) for _ in range(dims)),
+        )
+        for tx in tx_ids
+    )
+    nodes = tuple(
+        NodeSpec(
+            node,
+            Zero(),
+            None
+            if rng.random() < 0.3
+            else tuple(None if rng.random() < 0.25 else frac(rng, 0, 4) for _ in range(dims)),
+        )
+        for node in node_ids
+    )
+    constraints: list = []
+    if rng.random() < 0.6:
+        constraints.append(NodeCapacity())
+    if rng.random() < 0.3:
+        constraints.append(SingleAssignment())
+    if rng.random() < 0.5:
+        node = rng.choice(node_ids)
+        for _ in range(rng.randint(1, 2)):
+            constraints.append(MaxTxPerNode(node, rng.randint(0, 2)))
+    if rng.random() < 0.4:
+        lo = rng.randint(0, n_nodes)
+        constraints.append(RequiredNodeCount(rng.choice(tx_ids), lo, rng.randint(lo, n_nodes + 1)))
+    if n_txs >= 2 and rng.random() < 0.4:
+        constraints.append(MustShareNode(tuple(sorted(rng.sample(tx_ids, rng.randint(2, n_txs))))))
+    if n_txs >= 2 and rng.random() < 0.3:
+        constraints.append(MutualExclusion(*rng.sample(tx_ids, 2)))
+    rng.shuffle(constraints)
+    return MarketInstance(txs, nodes, Constraints(tuple(constraints)))
+
+
+def _node_usage_by_ladder(instance: MarketInstance, allocation: Allocation, node: str) -> list[Fraction]:
+    """Per-dimension resource usage of a node's bundle; errors on missing vectors."""
+    spec = instance.node(node)
+    dims = len(spec.capacity) if spec.capacity is not None else None
+    totals: list[Fraction] | None = None
+    for tx in allocation.inverse(node):
+        usage = instance.resources.get(tx)
+        if usage is None:
+            raise MalformedInput(f"transaction {tx!r} has no resource vector for capacity checks")
+        if dims is not None and len(usage) != dims:
+            raise MalformedInput(f"resource vector of {tx!r} has wrong length for node {node!r}")
+        if totals is None:
+            totals = list(usage)
+        else:
+            totals = [a + b for a, b in zip(totals, usage)]
+    return totals if totals is not None else []
+
+
+def satisfies_by_ladder(instance: MarketInstance, allocation: Allocation, constraint) -> bool:
+    """One constraint decided by a type switch, as before each constraint
+    class owned its own ``holds``."""
+    if isinstance(constraint, NodeCapacity):
+        for node in allocation.nodes:
+            capacity = instance.node(node).capacity
+            if capacity is None:
+                continue
+            usage = _node_usage_by_ladder(instance, allocation, node)
+            for used, cap in zip(usage, capacity):
+                if cap is not None and used > cap:
+                    return False
+        return True
+    if isinstance(constraint, MaxTxPerNode):
+        return len(allocation.inverse(constraint.node)) <= constraint.limit
+    if isinstance(constraint, RequiredNodeCount):
+        nodes = allocation.nodes_for(constraint.tx)
+        if not nodes:
+            return True
+        return constraint.min_nodes <= len(nodes) <= constraint.max_nodes
+    if isinstance(constraint, MustShareNode):
+        node_sets = []
+        for tx in constraint.txs:
+            nodes = allocation.nodes_for(tx)
+            if not nodes:
+                return True
+            node_sets.append(set(nodes))
+        shared = set.intersection(*node_sets) if node_sets else set()
+        return bool(shared) or not node_sets
+    if isinstance(constraint, MutualExclusion):
+        return not (
+            allocation.nodes_for(constraint.first) and allocation.nodes_for(constraint.second)
+        )
+    if isinstance(constraint, SingleAssignment):
+        return all(len(nodes) == 1 for _, nodes in allocation.pairs)
+    raise MalformedInput(f"unknown constraint {constraint!r}")
+
+
+def ladder_enumerate(instance: MarketInstance) -> list[Allocation]:
+    """The raw (2^|N|)^|T| space filtered by ``satisfies_by_ladder``.
+
+    The node-count constraints are tested first.  ``enumerate_valid`` never
+    builds a node set outside their bounds, so without this a transaction
+    that may take no node set at all would still reach a ``NodeCapacity``
+    listed earlier, which raises for a missing resource vector on an
+    allocation the count constraints reject anyway.
+    """
+    nodes = list(instance.node_ids)
+    node_subsets = [
+        [nodes[i] for i in range(len(nodes)) if mask >> i & 1] for mask in range(1 << len(nodes))
+    ]
+    constraints = sorted(
+        instance.validity.constraints,
+        key=lambda c: not isinstance(c, (SingleAssignment, RequiredNodeCount)),
+    )
+    out = []
+    for assignment in product(node_subsets, repeat=len(instance.tx_ids)):
+        allocation = Allocation.of(dict(zip(instance.tx_ids, assignment)))
+        if all(satisfies_by_ladder(instance, allocation, c) for c in constraints):
+            out.append(allocation)
+    return sorted(out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 import json
+from dataclasses import fields
 from fractions import Fraction as F
+from typing import get_type_hints
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brokerlab.core import (
     Allocation,
@@ -19,12 +23,15 @@ from brokerlab.mdfm import (
     oracle_gap_market,
 )
 from brokerlab.scenario import (
+    constraint_to_json,
     cost_function_to_json,
     instance_to_scenario_json,
+    parse_constraint,
     parse_cost_function,
     parse_scenario,
     resource_market_to_scenario_json,
 )
+from brokerlab.validity import Constraint
 
 
 MARKET_SCENARIO = {
@@ -124,6 +131,30 @@ class TestCostFunctionRoundTrip:
     )
     def test_round_trip(self, fn):
         assert parse_cost_function(cost_function_to_json(fn), "fn") == fn
+
+
+IDS = st.sampled_from(["t1", "t2", "t3", "n1"])
+FIELD_VALUES = {
+    str: IDS,
+    int: st.integers(min_value=-3, max_value=5),
+    tuple[str, ...]: st.lists(IDS, unique=True).map(lambda ids: tuple(sorted(ids))),
+}
+
+
+def constraints_of(cls):
+    hints = get_type_hints(cls)
+    return st.builds(cls, **{f.name: FIELD_VALUES[hints[f.name]] for f in fields(cls)})
+
+
+@pytest.mark.parametrize("cls", Constraint.__subclasses__(), ids=lambda cls: cls.__name__)
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_constraint_round_trip(cls, data):
+    constraint = data.draw(constraints_of(cls))
+    payload = constraint_to_json(constraint)
+    parsed = parse_constraint(payload, "constraint")
+    assert parsed == constraint
+    assert json.dumps(constraint_to_json(parsed)) == json.dumps(payload)
 
 
 class TestGeneratedScenarios:

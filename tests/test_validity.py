@@ -13,6 +13,7 @@ from brokerlab.core import (
 )
 from brokerlab.errors import InstanceTooLarge, MalformedInput
 from brokerlab.mdfm import collusion_example_instance
+from brokerlab.scenario import parse_scenario
 from brokerlab.validity import (
     Constraints,
     Extensional,
@@ -26,7 +27,12 @@ from brokerlab.validity import (
     is_valid,
 )
 
-from helpers import naive_enumerate, random_instance
+from helpers import (
+    ladder_enumerate,
+    naive_enumerate,
+    random_constrained_instance,
+    random_instance,
+)
 
 
 def simple_instance(n_txs=2, n_nodes=2, validity=None):
@@ -83,6 +89,13 @@ class TestIsValid:
         with pytest.raises(MalformedInput):
             is_valid(EMPTY_ALLOCATION, spec, instance)
 
+    def test_negative_tx_limit_raises(self):
+        with pytest.raises(MalformedInput, match="'n1'"):
+            MaxTxPerNode("n1", -3).check_ids({"t1"}, {"n1"})
+        spec = Constraints((MaxTxPerNode("n1", -3),))
+        with pytest.raises(MalformedInput, match="'n1'"):
+            is_valid(EMPTY_ALLOCATION, spec, simple_instance(validity=spec))
+
     def test_unknown_allocation_id_raises(self):
         instance = simple_instance()
         with pytest.raises(MalformedInput):
@@ -125,6 +138,29 @@ class TestEnumerateValid:
         instance = simple_instance(validity=spec)
         assert enumerate_valid(instance, spec) == [EMPTY_ALLOCATION, member]
 
+    def test_uncapacitated_node_needs_no_resource_vector(self):
+        txs = (TransactionSpec("t1", F(1)),)
+        nodes = (NodeSpec("n1", Zero(), None),)
+        instance = MarketInstance(txs, nodes, Constraints((NodeCapacity(),)))
+        assert enumerate_valid(instance) == [
+            EMPTY_ALLOCATION,
+            Allocation.of({"t1": ["n1"]}),
+        ]
+
+    def test_negative_tx_limit_in_a_scenario_raises(self):
+        payload = {
+            "kind": "market",
+            "transactions": [{"id": "t1", "value": "1"}],
+            "nodes": [{"id": "n1", "cost": {"type": "Zero"}}],
+            "validity": {
+                "type": "constraints",
+                "constraints": [{"type": "MaxTxPerNode", "node": "n1", "limit": -3}],
+            },
+        }
+        instance = parse_scenario(payload).instance
+        with pytest.raises(MalformedInput, match="'n1'"):
+            enumerate_valid(instance)
+
     def test_cap_enforced(self):
         instance = simple_instance(n_txs=3, n_nodes=2)
         with pytest.raises(InstanceTooLarge):
@@ -148,6 +184,22 @@ class TestEnumerateValid:
         for _ in range(150):
             instance = random_instance(rng, max_txs=3, max_nodes=2)
             assert enumerate_valid(instance) == naive_enumerate(instance, instance.validity)
+
+    def test_matches_the_ladder_over_the_raw_space(self):
+        # all six constraint types, with missing vectors and capacities
+        rng = random.Random(29)
+        raised = 0
+        for _ in range(400):
+            instance = random_constrained_instance(rng)
+            try:
+                expected = ladder_enumerate(instance)
+            except MalformedInput:
+                raised += 1
+                with pytest.raises(MalformedInput):
+                    enumerate_valid(instance)
+                continue
+            assert enumerate_valid(instance) == expected
+        assert 0 < raised < 200
 
     def test_deterministic_and_canonically_ordered(self):
         rng = random.Random(11)
