@@ -32,7 +32,7 @@ from .core import (
     surplus,
 )
 from .errors import InstanceTooLarge, MalformedInput
-from .mechanism import Proposal, broker_utility, run
+from .mechanism import Proposal, broker_utility, prepare_round, run
 from .rationals import ZERO
 from .strategy import (
     DEFAULT_QUANTUM,
@@ -205,9 +205,13 @@ def check_pne(
 
     Agents are checked exactly through the breakpoint candidates; brokers
     through the exact best response against the fixed others, where a
-    witness must improve utility on the margin lattice.
+    witness must improve utility on the margin lattice.  The proposals are
+    prepared once and every deviation settles against them through ``run``.
     """
     instance.validate_reports(true_types)
+    # reports are refused before proposals, as in run
+    instance.validate_reports(reports)
+    proposals = prepare_round(instance, spec, proposals, broker_order)
     base = run(instance, spec, reports, proposals, broker_order)
     witnesses: list[DeviationWitness] = []
     agent_checks = 0
@@ -314,6 +318,8 @@ def check_dsic_barring_b(
     if len(allocations) != 1:
         raise MalformedInput("all proposals in sigma must share one allocation")
 
+    instance.validate_reports(true_types)
+    sigma = prepare_round(instance, spec, sigma, broker_order)
     pne = check_pne(
         instance, spec, true_types, true_types, sigma, broker_order, quantum, bundle_cap, cap
     )

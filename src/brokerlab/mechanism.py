@@ -6,23 +6,28 @@ IR gate is strict: a proposal is rejected only if some agent's reported
 utility is negative; zero utility is accepted.  When the gate fires, the
 first violator in canonical agent order (transactions then nodes, sorted by
 id) is named.
+
+A round is prepared once and settled many times.  ``prepare_round`` makes
+every check on the proposals and the broker order and caches, for each
+budget-balanced proposal, the terms that do not depend on the reports: its
+margin, its broker's position, its included transactions and its non-empty
+node bundles.  Settling one report profile then reads only the reports:
+a proposal's reported surplus is the reported value of its included
+transactions, minus the reported cost of its non-empty bundles, minus its
+margin, which equals ``core.surplus`` exactly because every cost function
+charges 0 on the empty bundle.  Deviation search changes one report at a
+time, so it prepares once and passes the prepared sequence to ``run``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
-from .core import (
-    MarketInstance,
-    ReportProfile,
-    Routing,
-    agent_utility,
-    margin,
-    surplus,
-)
+from .core import MarketInstance, ReportProfile, Routing, agent_utility, margin
 from .errors import InvalidProposal, MalformedInput
 from .rationals import ZERO
 from .validity import ValiditySpec, is_valid
@@ -58,6 +63,106 @@ class MechanismOutcome:
     ir_violator: str | None = None
 
 
+@dataclass(frozen=True)
+class _Terms:
+    """The report-independent terms of one budget-balanced proposal."""
+
+    proposal: Proposal
+    margin: Fraction
+    position: int
+    included: tuple[str, ...]
+    bundles: tuple[tuple[str, frozenset[str]], ...]
+
+    def surplus(
+        self, reports: ReportProfile, resources: Mapping[str, tuple[Fraction, ...]]
+    ) -> Fraction:
+        total = -self.margin
+        for tx in self.included:
+            total += reports.tx_reports[tx]
+        for node, bundle in self.bundles:
+            total -= reports.node_reports[node].cost(bundle, resources)
+        return total
+
+
+@dataclass(frozen=True, eq=False)
+class PreparedRound(Sequence):
+    """The proposals of one round, validated for one instance, validity spec
+    and broker order; built by ``prepare_round``.
+
+    It reads as the immutable sequence of the proposals.  The proposals'
+    routings must not be mutated after preparation.
+    """
+
+    proposals: tuple[Proposal, ...]
+    instance: MarketInstance
+    spec: ValiditySpec | None
+    broker_order: tuple[str, ...]
+    terms: tuple[_Terms, ...]
+
+    def __getitem__(self, index):
+        return self.proposals[index]
+
+    def __len__(self) -> int:
+        return len(self.proposals)
+
+    def __iter__(self):
+        return iter(self.proposals)
+
+
+def prepare_round(
+    instance: MarketInstance,
+    spec: ValiditySpec | None,
+    proposals: Sequence[Proposal],
+    broker_order: Sequence[str],
+) -> PreparedRound:
+    """Validate the proposals once and cache their report-independent terms.
+
+    Raises ``InvalidProposal`` for any proposal whose allocation lies outside
+    the valid set and ``MalformedInput`` for a duplicate broker, a broker
+    order that is not a permutation covering the proposing brokers, or a
+    malformed routing.  A ``PreparedRound`` is returned unchanged only when
+    it was prepared for this very instance and spec (by identity) and an
+    equal broker order; any other sequence is validated from scratch.
+    """
+    order = tuple(broker_order)
+    if (
+        isinstance(proposals, PreparedRound)
+        and proposals.instance is instance
+        and proposals.spec is spec
+        and proposals.broker_order == order
+    ):
+        return proposals
+    brokers = [p.broker for p in proposals]
+    if len(set(brokers)) != len(brokers):
+        raise MalformedInput("each broker may submit at most one proposal")
+    if sorted(order) != sorted(set(order)) or set(brokers) - set(order):
+        raise MalformedInput("broker order must be a permutation covering the proposing brokers")
+    for proposal in proposals:
+        instance.validate_routing(proposal.routing)
+        if not is_valid(proposal.routing.allocation, spec, instance):
+            raise InvalidProposal(
+                f"proposal from {proposal.broker!r} carries an invalid allocation"
+            )
+
+    position = {b: i for i, b in enumerate(order)}
+    terms = []
+    for proposal in proposals:
+        allocation = proposal.routing.allocation
+        proposal_margin = margin(proposal.routing)
+        if proposal_margin >= 0:
+            bundles = ((n, allocation.inverse(n)) for n in instance.node_ids)
+            terms.append(
+                _Terms(
+                    proposal,
+                    proposal_margin,
+                    position[proposal.broker],
+                    tuple(sorted(allocation.transactions)),
+                    tuple((n, b) for n, b in bundles if b),
+                )
+            )
+    return PreparedRound(tuple(proposals), instance, spec, order, tuple(terms))
+
+
 def _reported_utilities(
     instance: MarketInstance, routing: Routing, reports: ReportProfile
 ) -> dict[str, Fraction]:
@@ -65,17 +170,15 @@ def _reported_utilities(
 
 
 def _rejection(
-    instance: MarketInstance,
-    reports: ReportProfile,
-    reason: RejectionReason,
-    violator: str | None = None,
+    instance: MarketInstance, reason: RejectionReason, violator: str | None = None
 ) -> MechanismOutcome:
-    empty = instance.empty_routing()
+    # the empty routing pays nobody and, as every cost function charges 0 on
+    # the empty bundle, costs nobody anything
     return MechanismOutcome(
-        routing=empty,
+        routing=instance.empty_routing(),
         winner=None,
         broker_payment=ZERO,
-        agent_utilities=_reported_utilities(instance, empty, reports),
+        agent_utilities=dict.fromkeys(instance.agent_ids, ZERO),
         rejection_reason=reason,
         ir_violator=violator,
     )
@@ -90,42 +193,31 @@ def run(
 ) -> MechanismOutcome:
     """Execute one round.
 
-    Raises ``InvalidProposal`` for any proposal whose allocation lies outside
-    the valid set and ``MalformedInput`` for non-total reports or a broker
-    order that is not a permutation of the proposing brokers.
+    Raises ``MalformedInput`` for non-total reports, checked first, and
+    otherwise refuses the proposals as ``prepare_round`` does.  ``proposals``
+    may be a ``PreparedRound``; its validation is reused only when it was
+    prepared for this very instance and spec (by identity) and an equal
+    broker order, and is redone otherwise.
     """
     instance.validate_reports(reports)
-    brokers = [p.broker for p in proposals]
-    if len(set(brokers)) != len(brokers):
-        raise MalformedInput("each broker may submit at most one proposal")
-    if sorted(broker_order) != sorted(set(broker_order)) or set(brokers) - set(broker_order):
-        raise MalformedInput("broker order must be a permutation covering the proposing brokers")
-    for proposal in proposals:
-        instance.validate_routing(proposal.routing)
-        if not is_valid(proposal.routing.allocation, spec, instance):
-            raise InvalidProposal(
-                f"proposal from {proposal.broker!r} carries an invalid allocation"
-            )
+    prepared = prepare_round(instance, spec, proposals, broker_order)
+    if not prepared.terms:
+        return _rejection(instance, RejectionReason.NO_BUDGET_BALANCED_PROPOSAL)
 
-    candidates = [p for p in proposals if margin(p.routing) >= 0]
-    if not candidates:
-        return _rejection(instance, reports, RejectionReason.NO_BUDGET_BALANCED_PROPOSAL)
-
-    position = {b: i for i, b in enumerate(broker_order)}
+    resources = instance.resources
     best = max(
-        candidates,
-        key=lambda p: (surplus(instance, p.routing, reports), -position[p.broker]),
+        prepared.terms, key=lambda t: (t.surplus(reports, resources), -t.position)
     )
 
-    utilities = _reported_utilities(instance, best.routing, reports)
+    utilities = _reported_utilities(instance, best.proposal.routing, reports)
     for agent in instance.agent_ids:
         if utilities[agent] < 0:
-            return _rejection(instance, reports, RejectionReason.IR_VIOLATION, agent)
+            return _rejection(instance, RejectionReason.IR_VIOLATION, agent)
 
     return MechanismOutcome(
-        routing=best.routing,
-        winner=best.broker,
-        broker_payment=margin(best.routing),
+        routing=best.proposal.routing,
+        winner=best.proposal.broker,
+        broker_payment=best.margin,
         agent_utilities=utilities,
     )
 

@@ -20,7 +20,9 @@ specification.  Enumeration returns the full valid set in canonical
 allocation order and refuses instances whose search space exceeds a
 configurable cap.  The cap counts the effective space, the product over
 transactions of the node sets each may take once the constraints' node-count
-bounds are applied, not the raw ``(2^|N|)^|T|``.
+bounds are applied, not the raw ``(2^|N|)^|T|``.  ``is_valid`` tests the
+same bounds before any ``holds``, so its answer does not depend on the
+order of the constraints.
 """
 
 from __future__ import annotations
@@ -219,6 +221,13 @@ def is_valid(
     if isinstance(spec, Extensional):
         return allocation.is_empty() or allocation in set(spec.allocations)
     _check_constraint_ids(spec, instance)
+    # every node_counts bound first, so that no ``holds`` sees a node set the
+    # enumerator would never build, whatever the constraint order
+    for tx, nodes in allocation.pairs:
+        for c in spec.constraints:
+            lo, hi = c.node_counts(tx)
+            if not lo <= len(nodes) <= hi:
+                return False
     return all(c.holds(instance, allocation) for c in spec.constraints)
 
 

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import random
+from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations, product
+from typing import Sequence
 
 from brokerlab.core import (
     Allocation,
@@ -18,9 +20,12 @@ from brokerlab.core import (
     SubsetTable,
     TransactionSpec,
     Zero,
+    agent_utility,
+    margin,
+    surplus,
     welfare,
 )
-from brokerlab.errors import MalformedInput
+from brokerlab.errors import InvalidProposal, MalformedInput, MarketError
 from brokerlab.linineq import Constraint, find_point, nonneg_orthant
 from brokerlab.mdfm import (
     ResourceMarket,
@@ -28,7 +33,7 @@ from brokerlab.mdfm import (
     inclusion_maximal_allocations,
     pools_at_price,
 )
-from brokerlab.mechanism import Proposal
+from brokerlab.mechanism import MechanismOutcome, Proposal, RejectionReason
 from brokerlab.strategy import max_extraction_routing, scaled_rebate_routing
 from brokerlab.validity import (
     Constraints,
@@ -437,3 +442,96 @@ def ora_by_allocation(
             best = (value, allocation, point)
     assert best is not None  # the empty allocation is always attainable
     return best
+
+
+# ---------------------------------------------------------------------------
+# Round oracle: the auction round as it was before the prepared-round kernel
+# ---------------------------------------------------------------------------
+
+# ``run_reference`` is the former ``mechanism.run``, verbatim: it validates
+# every proposal and recomputes every surplus with ``core.surplus`` on each
+# call.  The prepared-round kernel must match it field for field.
+
+
+def _reported_utilities(
+    instance: MarketInstance, routing: Routing, reports: ReportProfile
+) -> dict[str, Fraction]:
+    return {a: agent_utility(instance, a, routing, reports) for a in instance.agent_ids}
+
+
+def _rejection(
+    instance: MarketInstance,
+    reports: ReportProfile,
+    reason: RejectionReason,
+    violator: str | None = None,
+) -> MechanismOutcome:
+    empty = instance.empty_routing()
+    return MechanismOutcome(
+        routing=empty,
+        winner=None,
+        broker_payment=ZERO,
+        agent_utilities=_reported_utilities(instance, empty, reports),
+        rejection_reason=reason,
+        ir_violator=violator,
+    )
+
+
+def run_reference(
+    instance: MarketInstance,
+    spec: ValiditySpec | None,
+    reports: ReportProfile,
+    proposals: Sequence[Proposal],
+    broker_order: Sequence[str],
+) -> MechanismOutcome:
+    """Execute one round.
+
+    Raises ``InvalidProposal`` for any proposal whose allocation lies outside
+    the valid set and ``MalformedInput`` for non-total reports or a broker
+    order that is not a permutation of the proposing brokers.
+    """
+    instance.validate_reports(reports)
+    brokers = [p.broker for p in proposals]
+    if len(set(brokers)) != len(brokers):
+        raise MalformedInput("each broker may submit at most one proposal")
+    if sorted(broker_order) != sorted(set(broker_order)) or set(brokers) - set(broker_order):
+        raise MalformedInput("broker order must be a permutation covering the proposing brokers")
+    for proposal in proposals:
+        instance.validate_routing(proposal.routing)
+        if not is_valid(proposal.routing.allocation, spec, instance):
+            raise InvalidProposal(
+                f"proposal from {proposal.broker!r} carries an invalid allocation"
+            )
+
+    candidates = [p for p in proposals if margin(p.routing) >= 0]
+    if not candidates:
+        return _rejection(instance, reports, RejectionReason.NO_BUDGET_BALANCED_PROPOSAL)
+
+    position = {b: i for i, b in enumerate(broker_order)}
+    best = max(
+        candidates,
+        key=lambda p: (surplus(instance, p.routing, reports), -position[p.broker]),
+    )
+
+    utilities = _reported_utilities(instance, best.routing, reports)
+    for agent in instance.agent_ids:
+        if utilities[agent] < 0:
+            return _rejection(instance, reports, RejectionReason.IR_VIOLATION, agent)
+
+    return MechanismOutcome(
+        routing=best.routing,
+        winner=best.broker,
+        broker_payment=margin(best.routing),
+        agent_utilities=utilities,
+    )
+
+
+def outcome_or_error(settle, *args):
+    """Every field of the outcome, the utilities in their order, or the
+    type and message of the error raised."""
+    try:
+        outcome = settle(*args)
+    except MarketError as exc:
+        return type(exc), str(exc)
+    return [(f.name, getattr(outcome, f.name)) for f in fields(outcome)] + [
+        list(outcome.agent_utilities.items())
+    ]

@@ -3,6 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from brokerlab import equilibrium, mechanism, strategy
+from brokerlab.cli import _figure1_proposals
 from brokerlab.core import Allocation, SubsetTable, Zero
 from brokerlab.equilibrium import (
     check_dsic_barring_b,
@@ -13,13 +15,20 @@ from brokerlab.equilibrium import (
 )
 from brokerlab.errors import MalformedInput
 from brokerlab.mdfm import collusion_example_instance, oracle_gap_market
-from brokerlab.mechanism import Proposal, run
+from brokerlab.mechanism import PreparedRound, Proposal, run
 from brokerlab.strategy import (
     max_extraction_routing,
     scaled_rebate_routing,
 )
+from brokerlab.validity import enumerate_valid
 
-from helpers import random_instance
+from helpers import (
+    outcome_or_error,
+    random_instance,
+    random_proposals,
+    random_reports,
+    run_reference,
+)
 
 
 @pytest.fixture
@@ -309,3 +318,72 @@ class TestMonopolistEfficiency:
             )
             assert welfare(instance, outcome.routing.allocation, truthful) == best
             assert surplus(instance, outcome.routing, truthful) == 0
+
+
+def pne_profiles(seed, count):
+    """Figure 1, then random 2-3 broker action profiles on up to 3
+    transactions x 2 nodes: (instance, reports, proposals, broker order)."""
+    figure1 = collusion_example_instance()
+    yield figure1, figure1.truthful_reports(), _figure1_proposals(figure1), ["b1", "b2"]
+    rng = random.Random(seed)
+    made = 0
+    while made < count:
+        instance = random_instance(rng, max_txs=3, max_nodes=2)
+        reports, _ = random_reports(rng, instance, liar_prob=0.3)
+        proposals, order = random_proposals(rng, instance, reports, enumerate_valid(instance))
+        if len(proposals) >= 2:
+            made += 1
+            yield instance, reports, proposals, order
+
+
+def patch_run(monkeypatch, on_call):
+    """Show every ``run`` call the equilibrium and strategy modules make to
+    ``on_call(module name, args)`` before it runs."""
+    for module in (equilibrium, strategy):
+        def wrapper(*args, _name=module.__name__):
+            on_call(_name, args)
+            return mechanism.run(*args)
+
+        monkeypatch.setattr(module, "run", wrapper)
+
+
+class TestPreparedDeviationSearch:
+    def test_every_deviation_round_matches_the_reference(self, monkeypatch):
+        seen = {"brokerlab.equilibrium": 0, "brokerlab.strategy": 0}
+
+        def compare(name, args):
+            instance, spec, reports, proposals, order = args
+            seen[name] += 1
+            if name == "brokerlab.equilibrium":
+                # check_pne and check_dsic_barring_b settle against one preparation
+                assert isinstance(proposals, PreparedRound)
+            raw = list(proposals)
+            expected = outcome_or_error(run_reference, instance, spec, reports, raw, order)
+            assert outcome_or_error(mechanism.run, *args) == expected
+            assert outcome_or_error(mechanism.run, instance, spec, reports, raw, order) == expected
+
+        patch_run(monkeypatch, compare)
+        for instance, reports, proposals, order in pne_profiles(1618, 60):
+            check_pne(instance, instance.validity, instance.truthful_reports(), reports, proposals, order)
+        rng = random.Random(1618)
+        for _ in range(5):
+            instance = random_instance(rng, max_txs=2, max_nodes=2)
+            truthful = instance.truthful_reports()
+            sigma = construct_consensus_equilibrium(instance, instance.validity, truthful, ["b1", "b2"])
+            check_dsic_barring_b(instance, instance.validity, truthful, sigma, ["b1", "b2"])
+        assert seen["brokerlab.equilibrium"] > 2000 and seen["brokerlab.strategy"] > 120
+
+    def test_run_calls_are_one_per_round_checked(self, monkeypatch):
+        # the identity the benchmark's traced run checks for every check_pne:
+        # run calls = 1 (base) + checked agent deviations + proposing brokers
+        calls = {"brokerlab.equilibrium": 0, "brokerlab.strategy": 0}
+        patch_run(monkeypatch, lambda name, args: calls.__setitem__(name, calls[name] + 1))
+        for instance, reports, proposals, order in pne_profiles(2719, 50):
+            calls.update(dict.fromkeys(calls, 0))
+            report = check_pne(
+                instance, instance.validity, instance.truthful_reports(), reports, proposals, order
+            )
+            proposers = sum(1 for b in order if b in {p.broker for p in proposals})
+            assert calls["brokerlab.equilibrium"] == 1 + report.checked_agent_deviations
+            assert calls["brokerlab.strategy"] == proposers
+

@@ -1,22 +1,40 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from brokerlab.core import (
     Allocation,
+    ReportProfile,
     Routing,
     margin,
     node_utility,
     surplus,
     tx_utility,
 )
-from brokerlab.errors import InvalidProposal, MalformedInput
+from brokerlab.equilibrium import check_dsic_barring_b, check_pne
+from brokerlab.errors import InvalidProposal, MalformedInput, MarketError
 from brokerlab.mdfm import collusion_example_instance
-from brokerlab.mechanism import Proposal, RejectionReason, broker_utility, run
+from brokerlab.mechanism import (
+    PreparedRound,
+    Proposal,
+    RejectionReason,
+    broker_utility,
+    prepare_round,
+    run,
+)
 from brokerlab.strategy import max_extraction_routing, scaled_rebate_routing
+from brokerlab.validity import Constraints, Extensional
 
-from helpers import naive_enumerate, random_instance, random_proposals, random_reports
+from helpers import (
+    naive_enumerate,
+    outcome_or_error,
+    random_instance,
+    random_proposals,
+    random_reports,
+    run_reference,
+)
 
 
 @pytest.fixture
@@ -175,3 +193,87 @@ class TestInvariantsOnCorpus:
             if outcome.winner is not None:
                 assert all(u >= 0 for u in outcome.agent_utilities.values())
                 assert surplus(instance, outcome.routing, reports) >= 0
+
+
+class TestPreparedRound:
+    def test_matches_the_reference_on_the_random_corpus(self):
+        rng = random.Random(4242)
+        settled = refused = 0
+        for _ in range(300):
+            instance = random_instance(rng, max_txs=3, max_nodes=2)
+            spec = instance.validity
+            reports, _ = random_reports(rng, instance)
+            # a fifth of the rounds draw from the raw space, so some proposals are invalid
+            pool = naive_enumerate(instance, spec if rng.random() < 0.8 else Constraints(()))
+            proposals, order = random_proposals(rng, instance, reports, pool)
+            expected = outcome_or_error(run_reference, instance, spec, reports, proposals, order)
+            assert outcome_or_error(run, instance, spec, reports, proposals, order) == expected
+            try:
+                prepared = prepare_round(instance, spec, proposals, order)
+            except MarketError as exc:
+                assert (type(exc), str(exc)) == expected
+                refused += 1
+                continue
+            assert list(prepared) == proposals and len(prepared) == len(proposals)
+            # one preparation settles many report profiles
+            for profile in [reports] + [random_reports(rng, instance)[0] for _ in range(3)]:
+                assert outcome_or_error(
+                    run, instance, spec, profile, prepared, order
+                ) == outcome_or_error(run_reference, instance, spec, profile, proposals, order)
+                settled += 1
+        assert settled > 600 and refused > 10
+
+    def test_same_key_returns_the_prepared_round(self, collusion_market):
+        spec = collusion_market.validity
+        prepared = prepare_round(collusion_market, spec, demo_proposals(collusion_market), ["b1", "b2"])
+        assert isinstance(prepared, PreparedRound)
+        assert prepare_round(collusion_market, spec, prepared, ["b1", "b2"]) is prepared
+        assert prepare_round(collusion_market, spec, prepared, ("b1", "b2")) is prepared
+        # an equal but distinct instance is not the one it was prepared for
+        again = prepare_round(replace(collusion_market), spec, prepared, ["b1", "b2"])
+        assert again is not prepared and list(again) == list(prepared)
+
+    def test_another_instance_is_revalidated(self, collusion_market):
+        truthful = collusion_market.truthful_reports()
+        prepared = prepare_round(collusion_market, None, demo_proposals(collusion_market), ["b1", "b2"])
+        only_empty = replace(collusion_market, validity=Extensional.of([]))
+        with pytest.raises(InvalidProposal):
+            run(only_empty, None, truthful, prepared, ["b1", "b2"])
+
+    def test_another_spec_is_revalidated(self, collusion_market):
+        truthful = collusion_market.truthful_reports()
+        spec = collusion_market.validity
+        prepared = prepare_round(collusion_market, spec, demo_proposals(collusion_market), ["b1", "b2"])
+        with pytest.raises(InvalidProposal):
+            run(collusion_market, Extensional.of([]), truthful, prepared, ["b1", "b2"])
+
+    def test_another_broker_order_is_revalidated(self, collusion_market):
+        truthful = collusion_market.truthful_reports()
+        spec = collusion_market.validity
+        routing = demo_proposals(collusion_market)[0].routing
+        proposals = [Proposal("b1", routing), Proposal("b2", routing)]
+        prepared = prepare_round(collusion_market, spec, proposals, ["b1", "b2"])
+        assert run(collusion_market, spec, truthful, prepared, ["b1", "b2"]).winner == "b1"
+        assert run(collusion_market, spec, truthful, prepared, ["b2", "b1"]).winner == "b2"
+        with pytest.raises(MalformedInput, match="permutation"):
+            run(collusion_market, spec, truthful, prepared, ["b1"])
+
+    def test_reports_are_refused_before_proposals(self, collusion_market):
+        spec = collusion_market.validity
+        truthful = collusion_market.truthful_reports()
+        partial = ReportProfile({"t1": F(1)}, truthful.node_reports)
+        bad = Proposal(
+            "b1",
+            Routing(Allocation.of({"t1": ["n1"]}), {"t1": F(0), "t2": F(0)}, {"n1": F(0), "n2": F(0)}),
+        )
+        for settle in (run, run_reference):
+            with pytest.raises(MalformedInput, match="transaction reports"):
+                settle(collusion_market, spec, partial, [bad], ["b1"])
+        prepared = prepare_round(collusion_market, spec, demo_proposals(collusion_market), ["b1", "b2"])
+        with pytest.raises(MalformedInput, match="transaction reports"):
+            run(collusion_market, spec, partial, prepared, ["b1", "b2"])
+        with pytest.raises(MalformedInput, match="transaction reports"):
+            check_pne(collusion_market, spec, truthful, partial, [bad], ["b1"])
+        with pytest.raises(MalformedInput, match="transaction reports"):
+            check_dsic_barring_b(collusion_market, spec, partial, [bad], ["b1"])
+

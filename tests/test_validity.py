@@ -8,11 +8,13 @@ from brokerlab.core import (
     EMPTY_ALLOCATION,
     MarketInstance,
     NodeSpec,
+    Routing,
     TransactionSpec,
     Zero,
 )
-from brokerlab.errors import InstanceTooLarge, MalformedInput
+from brokerlab.errors import InstanceTooLarge, InvalidProposal, MalformedInput
 from brokerlab.mdfm import collusion_example_instance
+from brokerlab.mechanism import Proposal, run
 from brokerlab.scenario import parse_scenario
 from brokerlab.validity import (
     Constraints,
@@ -95,6 +97,24 @@ class TestIsValid:
         spec = Constraints((MaxTxPerNode("n1", -3),))
         with pytest.raises(MalformedInput, match="'n1'"):
             is_valid(EMPTY_ALLOCATION, spec, simple_instance(validity=spec))
+
+    def test_node_count_bounds_decide_before_any_holds(self):
+        # t1 has no resource vector and n1 declares a capacity, so
+        # NodeCapacity.holds raises on {t1: [n1]}; the node-count bound
+        # refuses that node set first, in either constraint order
+        instance = MarketInstance(
+            (TransactionSpec("t1", F(1)),), (NodeSpec("n1", Zero(), (F(1),)),)
+        )
+        allocation = Allocation.of({"t1": ["n1"]})
+        routing = Routing(allocation, {"t1": F(0)}, {"n1": F(0)})
+        for constraints in [
+            (NodeCapacity(), RequiredNodeCount("t1", 0, 0)),
+            (RequiredNodeCount("t1", 0, 0), NodeCapacity()),
+        ]:
+            spec = Constraints(constraints)
+            assert is_valid(allocation, spec, instance) is False
+            with pytest.raises(InvalidProposal):
+                run(instance, spec, instance.truthful_reports(), [Proposal("b1", routing)], ["b1"])
 
     def test_unknown_allocation_id_raises(self):
         instance = simple_instance()
