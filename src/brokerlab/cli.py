@@ -6,8 +6,8 @@ undercutting, one JSON line per step), ``benchmarks`` (OPT/INC/FEE/ORA on a
 resource market), ``gen`` (write a named worst-case scenario file).
 
 Exit codes: 0 success; 2 when the auction legitimately outputs the empty
-routing (so harnesses can assert on rejections); 1 for malformed input or
-operational errors.
+routing (so harnesses can assert on rejections); 1 for malformed input,
+usage errors or operational errors.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from .equilibrium import check_dsic_barring_b, check_pne
-from .errors import MarketError
+from .errors import MalformedInput, MarketError
 from .mdfm import (
     collusion_example_instance,
     fee_gap_market,
@@ -74,12 +74,14 @@ def _flatten(payload, prefix: str = ""):
 
 
 def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> None:
+    """Apply ``--quantum`` and ``--enum-cap``, the flags of the commands that
+    search the valid set."""
     if args.quantum is not None:
         scenario.quantum = parse_number(args.quantum, "--quantum")
     if args.enum_cap is not None:
+        if args.enum_cap < 1:
+            raise MalformedInput(f"--enum-cap: must be at least 1, got {args.enum_cap}")
         scenario.enum_cap = args.enum_cap
-    if args.seed is not None:
-        scenario.seed = args.seed
 
 
 def _require_market(scenario: Scenario) -> None:
@@ -89,7 +91,6 @@ def _require_market(scenario: Scenario) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args.scenario)
-    _apply_overrides(scenario, args)
     _require_market(scenario)
     assert scenario.instance is not None and scenario.reports is not None
     outcome = run_mechanism(
@@ -106,6 +107,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_equilibrium(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args.scenario)
     _apply_overrides(scenario, args)
+    if args.seed is not None:
+        scenario.seed = args.seed
     _require_market(scenario)
     assert scenario.instance is not None and scenario.reports is not None
     instance = scenario.instance
@@ -161,7 +164,6 @@ def _cmd_dynamics(args: argparse.Namespace) -> int:
 
 def _cmd_benchmarks(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args.scenario)
-    _apply_overrides(scenario, args)
     if scenario.kind != "resource_market" or scenario.market is None:
         raise MarketError("this command needs a scenario of kind 'resource_market'")
     result = run_benchmarks(scenario.market)
@@ -224,34 +226,37 @@ def build_parser() -> argparse.ArgumentParser:
         prog="brokerlab",
         description="Exact laboratory for broker-auction fee mechanisms",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--quantum", help="margin lattice step, e.g. 1/1024")
-    common.add_argument("--enum-cap", type=int, dest="enum_cap", help="enumeration size cap")
-    common.add_argument("--seed", type=int, help="seed for sampled quantification")
-    common.add_argument(
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument(
         "--output", choices=["json", "csv"], default="json", help="report format"
     )
+    search = argparse.ArgumentParser(add_help=False)
+    search.add_argument("--quantum", help="margin lattice step, e.g. 1/1024")
+    search.add_argument("--enum-cap", type=int, dest="enum_cap", help="enumeration size cap")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", parents=[common], help="execute one auction round")
+    p_run = sub.add_parser("run", parents=[output], help="execute one auction round")
     p_run.add_argument("scenario")
     p_run.set_defaults(func=_cmd_run)
 
-    p_eq = sub.add_parser("equilibrium", parents=[common], help="check an action profile")
+    p_eq = sub.add_parser(
+        "equilibrium", parents=[search, output], help="check an action profile"
+    )
     p_eq.add_argument("scenario")
     p_eq.add_argument("--mode", choices=["pne", "dsic-barring-b"], default="pne")
+    p_eq.add_argument("--seed", type=int, help="seed for sampled quantification")
     p_eq.set_defaults(func=_cmd_equilibrium)
 
-    p_dyn = sub.add_parser("dynamics", parents=[common], help="run best-response dynamics")
+    p_dyn = sub.add_parser("dynamics", parents=[search], help="run best-response dynamics")
     p_dyn.add_argument("scenario")
     p_dyn.set_defaults(func=_cmd_dynamics)
 
-    p_bench = sub.add_parser("benchmarks", parents=[common], help="compute OPT/INC/FEE/ORA")
+    p_bench = sub.add_parser("benchmarks", parents=[output], help="compute OPT/INC/FEE/ORA")
     p_bench.add_argument("scenario")
     p_bench.set_defaults(func=_cmd_benchmarks)
 
-    p_gen = sub.add_parser("gen", parents=[common], help="write a named scenario")
+    p_gen = sub.add_parser("gen", help="write a named scenario")
     p_gen.add_argument("name", choices=["thm-of", "thm-fee", "thm-wo", "figure1"])
     p_gen.add_argument("--d", type=int, help="dimension count for thm-of")
     p_gen.add_argument("--k", type=int, help="size parameter for thm-fee / thm-wo")
@@ -265,7 +270,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, but 2 means a rejected round
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except MarketError as exc:

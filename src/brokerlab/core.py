@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, ItemsView, Iterable, Mapping
 
 from .errors import MalformedInput
 from .rationals import ZERO
@@ -230,7 +230,7 @@ class Allocation:
         for tx, nodes in self.pairs:
             for n in nodes:
                 inv.setdefault(n, set()).add(tx)
-        return {n: frozenset(txs) for n, txs in inv.items()}
+        return {n: frozenset(inv[n]) for n in sorted(inv)}
 
     def nodes_for(self, tx: str) -> tuple[str, ...]:
         return self._by_tx.get(tx, ())
@@ -238,6 +238,12 @@ class Allocation:
     def inverse(self, node: str) -> frozenset[str]:
         """Transactions the given node executes under this allocation."""
         return self._inverse.get(node, frozenset())
+
+    @property
+    def bundles(self) -> ItemsView[str, frozenset[str]]:
+        """``(node, transactions)`` for each node that runs something, sorted
+        by node id."""
+        return self._inverse.items()
 
     @cached_property
     def transactions(self) -> frozenset[str]:
@@ -432,20 +438,25 @@ def agent_utility(instance: MarketInstance, agent: str, routing: Routing, types:
 
 
 def surplus(instance: MarketInstance, routing: Routing, types: ReportProfile) -> Fraction:
-    """Sum of transaction and node utilities under the given type profile."""
-    total = ZERO
-    for tx in instance.tx_ids:
-        total += tx_utility(tx, routing, types.tx_reports[tx])
-    for n in instance.node_ids:
-        total += node_utility(n, routing, types.node_reports[n], instance.resources)
-    return total
+    """Sum of transaction and node utilities under the given type profile.
+
+    Payments are transfers, so they cancel down to the broker's margin, and
+    every cost function charges 0 on the empty bundle, so only the nodes
+    that run something add a cost: the sum is the allocation's welfare minus
+    the margin.
+    """
+    return welfare(instance, routing.allocation, types) - margin(routing)
 
 
 def welfare(instance: MarketInstance, allocation: Allocation, types: ReportProfile) -> Fraction:
-    """Total allocated value minus total incurred cost; payment-free."""
+    """Total allocated value minus total incurred cost; payment-free.
+
+    Nodes are charged in id order, so which reported cost function raises
+    first does not depend on the hash seed.
+    """
     total = ZERO
     for tx in allocation.transactions:
         total += types.tx_reports[tx]
-    for n in allocation.nodes:
-        total -= types.node_reports[n].cost(allocation.inverse(n), instance.resources)
+    for node, bundle in allocation.bundles:
+        total -= types.node_reports[node].cost(bundle, instance.resources)
     return total

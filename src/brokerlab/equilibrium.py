@@ -190,6 +190,61 @@ class EquilibriumReport:
     checked_broker_allocations: int
 
 
+def _candidates(
+    instance: MarketInstance,
+    agent: str,
+    proposals: Sequence[Proposal],
+    reports: ReportProfile,
+    bundle_cap: int,
+) -> list:
+    """The deviation candidates of a transaction or a node."""
+    if agent in reports.tx_reports:
+        return tx_deviation_candidates(instance, agent, proposals, reports)
+    return node_deviation_candidates(instance, agent, proposals, reports, bundle_cap)
+
+
+def _with_report(reports: ReportProfile, agent: str, report) -> ReportProfile:
+    """``reports`` with one transaction's or node's report replaced."""
+    if agent in reports.tx_reports:
+        return reports.replace_tx(agent, report)
+    return reports.replace_node(agent, report)
+
+
+def _deviation_witnesses(
+    instance: MarketInstance,
+    spec: ValiditySpec | None,
+    true_types: ReportProfile,
+    reports: ReportProfile,
+    proposals: Sequence[Proposal],
+    broker_order: Sequence[str],
+    bundle_cap: int,
+    agent: str,
+    before: Fraction,
+    kind: str,
+) -> tuple[int, list[DeviationWitness]]:
+    """Settle each of one agent's candidate reports against the others'
+    ``reports`` through ``run``.
+
+    Returns the number of candidates settled and, as witnesses of ``kind``,
+    those that raise the agent's true utility above ``before``.  A
+    transaction's candidate equal to its current report is skipped, since it
+    settles the round ``reports`` already gives; node candidates never are.
+    """
+    current = reports.tx_reports.get(agent)
+    checked = 0
+    witnesses = []
+    for candidate in _candidates(instance, agent, proposals, reports, bundle_cap):
+        if candidate == current:
+            continue
+        checked += 1
+        deviated = _with_report(reports, agent, candidate)
+        outcome = run(instance, spec, deviated, proposals, broker_order)
+        after = agent_utility(instance, agent, outcome.routing, true_types)
+        if after > before:
+            witnesses.append(DeviationWitness(agent, kind, candidate, before, after))
+    return checked, witnesses
+
+
 def check_pne(
     instance: MarketInstance,
     spec: ValiditySpec | None,
@@ -215,36 +270,15 @@ def check_pne(
     base = run(instance, spec, reports, proposals, broker_order)
     witnesses: list[DeviationWitness] = []
     agent_checks = 0
-
-    for tx in instance.tx_ids:
-        before = agent_utility(instance, tx, base.routing, true_types)
-        for candidate in tx_deviation_candidates(instance, tx, proposals, reports):
-            if candidate == reports.tx_reports[tx]:
-                continue
-            agent_checks += 1
-            outcome = run(
-                instance, spec, reports.replace_tx(tx, candidate), proposals, broker_order
-            )
-            after = agent_utility(instance, tx, outcome.routing, true_types)
-            if after > before:
-                witnesses.append(
-                    DeviationWitness(tx, "tx_report", candidate, before, after)
-                )
-
-    for node in instance.node_ids:
-        before = agent_utility(instance, node, base.routing, true_types)
-        for candidate in node_deviation_candidates(
-            instance, node, proposals, reports, bundle_cap
-        ):
-            agent_checks += 1
-            outcome = run(
-                instance, spec, reports.replace_node(node, candidate), proposals, broker_order
-            )
-            after = agent_utility(instance, node, outcome.routing, true_types)
-            if after > before:
-                witnesses.append(
-                    DeviationWitness(node, "node_report", candidate, before, after)
-                )
+    for agent in instance.agent_ids:
+        kind = "tx_report" if agent in reports.tx_reports else "node_report"
+        before = agent_utility(instance, agent, base.routing, true_types)
+        checked, found = _deviation_witnesses(
+            instance, spec, true_types, reports, proposals, broker_order, bundle_cap,
+            agent, before, kind,
+        )
+        agent_checks += checked
+        witnesses += found
 
     broker_allocations = 0
     by_broker = {p.broker: p for p in proposals}
@@ -312,6 +346,8 @@ def check_dsic_barring_b(
     Every proposal in sigma must share one allocation; that is what makes
     the induced subgame a take-it-or-leave-it offer.
     """
+    if others_cap < 1:
+        raise MalformedInput(f"others_cap must be at least 1, got {others_cap}")
     if not sigma:
         raise MalformedInput("sigma must contain at least one proposal")
     allocations = {p.routing.allocation for p in sigma}
@@ -331,18 +367,9 @@ def check_dsic_barring_b(
 
     for agent in agents:
         others = [a for a in agents if a != agent]
-        other_candidates: list[list[object]] = []
-        for other in others:
-            if other in true_types.tx_reports:
-                other_candidates.append(
-                    list(tx_deviation_candidates(instance, other, sigma, true_types))
-                )
-            else:
-                other_candidates.append(
-                    list(
-                        node_deviation_candidates(instance, other, sigma, true_types, bundle_cap)
-                    )
-                )
+        other_candidates = [
+            _candidates(instance, other, sigma, true_types, bundle_cap) for other in others
+        ]
         total = 1
         for cands in other_candidates:
             total *= len(cands)
@@ -365,31 +392,16 @@ def check_dsic_barring_b(
             profiles_checked += 1
             shifted = true_types
             for other, report in zip(others, profile):
-                if other in true_types.tx_reports:
-                    shifted = shifted.replace_tx(other, report)  # type: ignore[arg-type]
-                else:
-                    shifted = shifted.replace_node(other, report)  # type: ignore[arg-type]
+                shifted = _with_report(shifted, other, report)
             truthful_outcome = run(instance, spec, shifted, sigma, broker_order)
             truthful_utility = agent_utility(
                 instance, agent, truthful_outcome.routing, true_types
             )
-            if agent in true_types.tx_reports:
-                candidates = tx_deviation_candidates(instance, agent, sigma, shifted)
-                deviate = shifted.replace_tx
-            else:
-                candidates = node_deviation_candidates(
-                    instance, agent, sigma, shifted, bundle_cap
-                )
-                deviate = shifted.replace_node
-            for candidate in candidates:
-                outcome = run(instance, spec, deviate(agent, candidate), sigma, broker_order)
-                utility = agent_utility(instance, agent, outcome.routing, true_types)
-                if utility > truthful_utility:
-                    witnesses.append(
-                        DeviationWitness(
-                            agent, "against_rival_profile", candidate, truthful_utility, utility
-                        )
-                    )
+            _, found = _deviation_witnesses(
+                instance, spec, true_types, shifted, sigma, broker_order, bundle_cap,
+                agent, truthful_utility, "against_rival_profile",
+            )
+            witnesses += found
 
     return TruthfulnessReport(
         holds=not witnesses and pne.is_pne,

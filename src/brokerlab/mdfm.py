@@ -182,8 +182,7 @@ def _prepare(market: ResourceMarket) -> list[_AllocationInfo]:
     infos = []
     for allocation in enumerate_valid(instance):
         bundles = []
-        for node in sorted(allocation.nodes):
-            bundle = allocation.inverse(node)
+        for node, bundle in allocation.bundles:
             cost = instance.node(node).cost.cost(bundle, instance.resources)
             if cost != 0:
                 bundles.append((node, bundle, cost, _usage(instance, bundle, d)))
@@ -315,8 +314,7 @@ def pools_at_price(
         if not allocation.transactions <= willing:
             continue
         admissible = True
-        for node in allocation.nodes:
-            bundle = allocation.inverse(node)
+        for node, bundle in allocation.bundles:
             income = sum((fees[tx] for tx in bundle), ZERO)
             if income < instance.node(node).cost.cost(bundle, instance.resources):
                 admissible = False

@@ -10,13 +10,11 @@ id) is named.
 A round is prepared once and settled many times.  ``prepare_round`` makes
 every check on the proposals and the broker order and caches, for each
 budget-balanced proposal, the terms that do not depend on the reports: its
-margin, its broker's position, its included transactions and its non-empty
-node bundles.  Settling one report profile then reads only the reports:
-a proposal's reported surplus is the reported value of its included
-transactions, minus the reported cost of its non-empty bundles, minus its
-margin, which equals ``core.surplus`` exactly because every cost function
-charges 0 on the empty bundle.  Deviation search changes one report at a
-time, so it prepares once and passes the prepared sequence to ``run``.
+margin and its broker's position.  Settling one report profile then ranks
+the proposals by reported surplus, their allocation's reported welfare
+(``core.welfare``) minus the cached margin, which is ``core.surplus``.
+Deviation search changes one report at a time, so it prepares once and
+passes the prepared sequence to ``run``.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping
 
-from .core import MarketInstance, ReportProfile, Routing, agent_utility, margin
+from .core import MarketInstance, ReportProfile, Routing, agent_utility, margin, welfare
 from .errors import InvalidProposal, MalformedInput
 from .rationals import ZERO
 from .validity import ValiditySpec, is_valid
@@ -70,18 +68,6 @@ class _Terms:
     proposal: Proposal
     margin: Fraction
     position: int
-    included: tuple[str, ...]
-    bundles: tuple[tuple[str, frozenset[str]], ...]
-
-    def surplus(
-        self, reports: ReportProfile, resources: Mapping[str, tuple[Fraction, ...]]
-    ) -> Fraction:
-        total = -self.margin
-        for tx in self.included:
-            total += reports.tx_reports[tx]
-        for node, bundle in self.bundles:
-            total -= reports.node_reports[node].cost(bundle, resources)
-        return total
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,19 +133,9 @@ def prepare_round(
     position = {b: i for i, b in enumerate(order)}
     terms = []
     for proposal in proposals:
-        allocation = proposal.routing.allocation
         proposal_margin = margin(proposal.routing)
         if proposal_margin >= 0:
-            bundles = ((n, allocation.inverse(n)) for n in instance.node_ids)
-            terms.append(
-                _Terms(
-                    proposal,
-                    proposal_margin,
-                    position[proposal.broker],
-                    tuple(sorted(allocation.transactions)),
-                    tuple((n, b) for n, b in bundles if b),
-                )
-            )
+            terms.append(_Terms(proposal, proposal_margin, position[proposal.broker]))
     return PreparedRound(tuple(proposals), instance, spec, order, tuple(terms))
 
 
@@ -204,9 +180,12 @@ def run(
     if not prepared.terms:
         return _rejection(instance, RejectionReason.NO_BUDGET_BALANCED_PROPOSAL)
 
-    resources = instance.resources
     best = max(
-        prepared.terms, key=lambda t: (t.surplus(reports, resources), -t.position)
+        prepared.terms,
+        key=lambda t: (
+            welfare(instance, t.proposal.routing.allocation, reports) - t.margin,
+            -t.position,
+        ),
     )
 
     utilities = _reported_utilities(instance, best.proposal.routing, reports)

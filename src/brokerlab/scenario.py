@@ -81,6 +81,13 @@ def _int(obj: Any, where: str) -> int:
     return obj
 
 
+def _positive_int(obj: Any, where: str) -> int:
+    value = _int(obj, where)
+    if value < 1:
+        raise MalformedInput(f"{where}: must be at least 1, got {value}")
+    return value
+
+
 def _vector(obj: Any, where: str, allow_none_entries: bool = False):
     _expect(obj, list, where)
     out = []
@@ -365,13 +372,13 @@ def parse_scenario(obj: Any) -> Scenario:
         if scenario.quantum <= 0:
             raise MalformedInput("quantum: must be positive")
     if "enum_cap" in obj:
-        scenario.enum_cap = _int(obj["enum_cap"], "enum_cap")
+        scenario.enum_cap = _positive_int(obj["enum_cap"], "enum_cap")
     if "seed" in obj and obj["seed"] is not None:
         scenario.seed = _int(obj["seed"], "seed")
     if "others_cap" in obj:
-        scenario.others_cap = _int(obj["others_cap"], "others_cap")
+        scenario.others_cap = _positive_int(obj["others_cap"], "others_cap")
     if "max_rounds" in obj:
-        scenario.max_rounds = _int(obj["max_rounds"], "max_rounds")
+        scenario.max_rounds = _positive_int(obj["max_rounds"], "max_rounds")
 
     if kind == "market":
         instance = _parse_market_instance(obj)

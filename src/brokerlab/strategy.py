@@ -279,6 +279,8 @@ def best_response_dynamics(
     """
     if quantum <= 0:
         raise MalformedInput(f"quantum must be positive, got {quantum}")
+    if max_rounds < 1:
+        raise MalformedInput(f"max_rounds must be at least 1, got {max_rounds}")
     brokers = [p.broker for p in initial]
     if len(brokers) < 2:
         raise MalformedInput("best-response dynamics need at least two brokers")

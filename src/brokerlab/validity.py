@@ -71,12 +71,12 @@ class NodeCapacity(Constraint):
     """Per node and dimension, total resource usage must fit the node's capacity."""
 
     def holds(self, instance: MarketInstance, allocation: Allocation) -> bool:
-        for node in sorted(allocation.nodes):
+        for node, bundle in allocation.bundles:
             capacity = instance.node(node).capacity
             if capacity is None:
                 continue
             usage = [ZERO] * len(capacity)
-            for tx in allocation.inverse(node):
+            for tx in bundle:
                 vector = instance.resources.get(tx)
                 if vector is None:
                     raise MalformedInput(

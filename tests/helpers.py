@@ -22,7 +22,8 @@ from brokerlab.core import (
     Zero,
     agent_utility,
     margin,
-    surplus,
+    node_utility,
+    tx_utility,
     welfare,
 )
 from brokerlab.errors import InvalidProposal, MalformedInput, MarketError
@@ -449,8 +450,19 @@ def ora_by_allocation(
 # ---------------------------------------------------------------------------
 
 # ``run_reference`` is the former ``mechanism.run``, verbatim: it validates
-# every proposal and recomputes every surplus with ``core.surplus`` on each
-# call.  The prepared-round kernel must match it field for field.
+# every proposal and recomputes every surplus on each call, summing every
+# agent's utility with ``surplus_by_utilities``, the former ``core.surplus``.
+# The prepared-round kernel must match it field for field.
+
+
+def surplus_by_utilities(instance: MarketInstance, routing: Routing, types: ReportProfile) -> Fraction:
+    """Sum of transaction and node utilities under the given type profile."""
+    total = ZERO
+    for tx in instance.tx_ids:
+        total += tx_utility(tx, routing, types.tx_reports[tx])
+    for n in instance.node_ids:
+        total += node_utility(n, routing, types.node_reports[n], instance.resources)
+    return total
 
 
 def _reported_utilities(
@@ -509,7 +521,7 @@ def run_reference(
     position = {b: i for i, b in enumerate(broker_order)}
     best = max(
         candidates,
-        key=lambda p: (surplus(instance, p.routing, reports), -position[p.broker]),
+        key=lambda p: (surplus_by_utilities(instance, p.routing, reports), -position[p.broker]),
     )
 
     utilities = _reported_utilities(instance, best.routing, reports)

@@ -76,6 +76,39 @@ class TestRun:
         assert "exceeds cap" in capsys.readouterr().err
 
 
+class TestUsage:
+    def test_usage_errors_exit_one(self, fig1_path, capsys):
+        # 2 is the exit code of a rejected round, never of a usage error
+        assert main(["run", fig1_path, "--bogus"]) == 1
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+        assert main([]) == 1
+        assert main(["--help"]) == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "SCENARIO", "--quantum", "1/4"],
+            ["run", "SCENARIO", "--enum-cap", "9"],
+            ["run", "SCENARIO", "--seed", "1"],
+            ["dynamics", "SCENARIO", "--seed", "1"],
+            ["dynamics", "SCENARIO", "--output", "csv"],
+            ["gen", "figure1", "--quantum", "1/4"],
+            ["gen", "figure1", "--enum-cap", "9"],
+            ["gen", "figure1", "--seed", "1"],
+            ["gen", "figure1", "--output", "csv"],
+        ],
+    )
+    def test_flags_a_command_does_not_read_are_refused(self, fig1_path, capsys, argv):
+        assert main([fig1_path if a == "SCENARIO" else a for a in argv]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_enum_cap_below_one_is_refused(self, fig1_path, capsys, cap):
+        assert main(["equilibrium", fig1_path, "--enum-cap", cap]) == 1
+        assert "--enum-cap: must be at least 1" in capsys.readouterr().err
+
+
 class TestEquilibrium:
     def test_consensus_scenario_is_pne(self, tmp_path, capsys):
         from brokerlab.equilibrium import construct_consensus_equilibrium
@@ -145,6 +178,12 @@ class TestDynamics:
         assert len(lines) - 1 == summary["steps"]
         first = json.loads(lines[0])
         assert {"broker", "proposal", "utility"} <= set(first)
+
+    def test_max_rounds_below_one_exits_one(self, tmp_path, fig1_path, capsys):
+        payload = json.loads(open(fig1_path).read())
+        payload["max_rounds"] = -2
+        assert main(["dynamics", write(tmp_path, "dyn.json", payload)]) == 1
+        assert "max_rounds: must be at least 1" in capsys.readouterr().err
 
 
 class TestBenchmarks:
@@ -243,6 +282,13 @@ class TestBenchmarks:
     def test_wrong_kind_errors(self, fig1_path, capsys):
         assert main(["benchmarks", fig1_path]) == 1
         assert "resource_market" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--enum-cap", "2"], ["--quantum", "1/4"], ["--seed", "1"]])
+    def test_flags_benchmarks_does_not_read_are_refused(self, tmp_path, capsys, flag):
+        path = str(tmp_path / "wo.json")
+        assert main(["gen", "thm-wo", "--k", "3", "--out", path]) == 0
+        assert main(["benchmarks", path, *flag]) == 1
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
 
 class TestGen:

@@ -27,7 +27,13 @@ from brokerlab.core import (
 from brokerlab.errors import MalformedInput
 from brokerlab.mdfm import collusion_example_instance
 
-from helpers import naive_enumerate, random_instance, random_reports, random_routing
+from helpers import (
+    naive_enumerate,
+    random_instance,
+    random_reports,
+    random_routing,
+    surplus_by_utilities,
+)
 
 
 @pytest.fixture
@@ -128,6 +134,17 @@ class TestSurplusAndWelfare:
         assert welfare(collusion_market, Allocation.of({"t2": ["n1"]}), truthful) == 3
         assert welfare(collusion_market, EMPTY_ALLOCATION, truthful) == 0
 
+    def test_nodes_are_charged_in_id_order(self):
+        # both reported costs raise; the lower node id must raise first
+        instance = MarketInstance(
+            (TransactionSpec("t1", F(1)), TransactionSpec("t2", F(1))),
+            (NodeSpec("n1", LinearResources((F(1),))), NodeSpec("n2", LinearResources((F(1),)))),
+        )
+        allocation = Allocation.of({"t1": ["n2"], "t2": ["n1"]})
+        assert list(allocation.bundles) == [("n1", frozenset({"t2"})), ("n2", frozenset({"t1"}))]
+        with pytest.raises(MalformedInput, match="'t2'"):
+            welfare(instance, allocation, instance.truthful_reports())
+
 
 def test_surplus_plus_margin_equals_welfare_on_random_corpus():
     rng = random.Random(20240817)
@@ -139,6 +156,7 @@ def test_surplus_plus_margin_equals_welfare_on_random_corpus():
         assert surplus(instance, routing, reports) + margin(routing) == welfare(
             instance, routing.allocation, reports
         )
+        assert surplus(instance, routing, reports) == surplus_by_utilities(instance, routing, reports)
 
 
 costs = st.one_of(

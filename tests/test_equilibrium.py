@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction as F
 
@@ -16,6 +18,7 @@ from brokerlab.equilibrium import (
 from brokerlab.errors import MalformedInput
 from brokerlab.mdfm import collusion_example_instance, oracle_gap_market
 from brokerlab.mechanism import PreparedRound, Proposal, run
+from brokerlab.scenario import equilibrium_report_to_json, truthfulness_report_to_json
 from brokerlab.strategy import (
     max_extraction_routing,
     scaled_rebate_routing,
@@ -245,6 +248,20 @@ class TestDsicBarringB:
                 collusion_market, collusion_market.validity, truthful, consensus(collusion_market), ["b1", "b2"], others_cap=2
             )
 
+    @pytest.mark.parametrize("others_cap", [0, -1])
+    def test_others_cap_below_one_is_refused(self, collusion_market, others_cap):
+        truthful = collusion_market.truthful_reports()
+        with pytest.raises(MalformedInput, match="others_cap"):
+            check_dsic_barring_b(
+                collusion_market,
+                collusion_market.validity,
+                truthful,
+                consensus(collusion_market),
+                ["b1", "b2"],
+                others_cap=others_cap,
+                seed=3,
+            )
+
     def test_sampling_path_is_deterministic(self, collusion_market):
         truthful = collusion_market.truthful_reports()
         first = check_dsic_barring_b(
@@ -387,3 +404,57 @@ class TestPreparedDeviationSearch:
             assert calls["brokerlab.equilibrium"] == 1 + report.checked_agent_deviations
             assert calls["brokerlab.strategy"] == proposers
 
+
+def _digest(reports) -> str:
+    """sha256 of the reports' canonical JSON."""
+    return hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
+
+
+def dsic_profiles(seed, count):
+    """Figure 1's consensus profile, exhaustive and sampled with a small
+    ``others_cap``, a shared allocation at a positive margin (a broker can
+    undercut it), then consensus profiles on random markets:
+    (instance, sigma, keyword arguments)."""
+    figure1 = collusion_example_instance()
+    yield figure1, consensus(figure1), {}
+    yield figure1, consensus(figure1), {"others_cap": 10, "seed": 42}
+    shared = scaled_rebate_routing(
+        figure1, Allocation.of({"t1": ["n1", "n2"]}), figure1.truthful_reports(), F(1)
+    )
+    yield figure1, [Proposal("b1", shared), Proposal("b2", shared)], {}
+    rng = random.Random(seed)
+    for _ in range(count):
+        instance = random_instance(rng, max_txs=2, max_nodes=2)
+        yield instance, consensus(instance), {}
+
+
+class TestGoldenReports:
+    # Each digest covers whole reports in order: witnesses (their order
+    # included), checked_agent_deviations, checked_broker_allocations,
+    # profiles_checked and coverage.  A change to the deviation search that
+    # alters any of them fails here.
+    def test_check_pne_reports(self):
+        reports = [
+            equilibrium_report_to_json(
+                check_pne(
+                    instance, instance.validity, instance.truthful_reports(), profile, proposals, order
+                )
+            )
+            for instance, profile, proposals, order in pne_profiles(3141, 60)
+        ]
+        kinds = {w["kind"] for report in reports for w in report["witnesses"]}
+        assert kinds == {"tx_report", "node_report", "broker_proposal"}
+        assert _digest(reports) == "7b9df134aec9931e7e70caa994be16abd41259c2220011be501e710bc5ef768d"
+
+    def test_check_dsic_barring_b_reports(self):
+        reports = [
+            truthfulness_report_to_json(
+                check_dsic_barring_b(
+                    instance, instance.validity, instance.truthful_reports(), sigma, ["b1", "b2"], **kwargs
+                )
+            )
+            for instance, sigma, kwargs in dsic_profiles(5772, 10)
+        ]
+        assert {r["coverage"] for r in reports} == {"exhaustive", "sound-but-incomplete"}
+        assert any(r["pne"]["witnesses"] for r in reports)
+        assert _digest(reports) == "8d8e90023fea4e5f57eacfdeefa163257d7846c9494b35daee31657e0a039e14"

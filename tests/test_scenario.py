@@ -109,6 +109,14 @@ class TestMarketParsing:
         with pytest.raises(MalformedInput):
             parse_scenario({"kind": "nonsense"})
 
+    @pytest.mark.parametrize("field", ["enum_cap", "others_cap", "max_rounds"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_caps_below_one_are_refused(self, field, value):
+        payload = dict(MARKET_SCENARIO, **{field: value})
+        with pytest.raises(MalformedInput, match=f"^{field}: must be at least 1"):
+            parse_scenario(payload)
+        assert getattr(parse_scenario(dict(MARKET_SCENARIO, **{field: 1})), field) == 1
+
 
 class TestCostFunctionRoundTrip:
     @pytest.mark.parametrize(

@@ -263,6 +263,18 @@ class TestDynamics:
                 collusion_market, collusion_market.validity, truthful, start, ["b1", "b2"], F(0), 10
             )
 
+    @pytest.mark.parametrize("max_rounds", [0, -2])
+    def test_max_rounds_below_one_rejected(self, collusion_market, max_rounds):
+        truthful = collusion_market.truthful_reports()
+        start = [
+            Proposal("b1", collusion_market.empty_routing()),
+            Proposal("b2", collusion_market.empty_routing()),
+        ]
+        with pytest.raises(MalformedInput, match="max_rounds"):
+            best_response_dynamics(
+                collusion_market, collusion_market.validity, truthful, start, ["b1", "b2"], F(1, 4), max_rounds
+            )
+
     def test_three_brokers_converge(self, collusion_market):
         truthful = collusion_market.truthful_reports()
         allocation = Allocation.of({"t1": ["n1", "n2"]})
