@@ -166,7 +166,7 @@ def _cmd_benchmarks(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args.scenario)
     if scenario.kind != "resource_market" or scenario.market is None:
         raise MarketError("this command needs a scenario of kind 'resource_market'")
-    result = run_benchmarks(scenario.market)
+    result = run_benchmarks(scenario.market, cap=scenario.enum_cap)
     _emit(benchmark_result_to_json(result), args.output)
     return 0
 

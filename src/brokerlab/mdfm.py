@@ -45,6 +45,7 @@ from .errors import InstanceTooLarge, MalformedInput
 from .linineq import Constraint, Hyperplane, enumerate_cells, find_point, nonneg_orthant
 from .rationals import ONE, ZERO
 from .validity import (
+    DEFAULT_ENUM_CAP,
     Constraints,
     MaxTxPerNode,
     MutualExclusion,
@@ -175,12 +176,12 @@ def _usage(instance: MarketInstance, txs: Iterable[str], d: int) -> tuple[Fracti
     return tuple(total)
 
 
-def _prepare(market: ResourceMarket) -> list[_AllocationInfo]:
+def _prepare(market: ResourceMarket, cap: int = DEFAULT_ENUM_CAP) -> list[_AllocationInfo]:
     instance = market.instance()
     truthful = instance.truthful_reports()
     d = market.dimensions
     infos = []
-    for allocation in enumerate_valid(instance):
+    for allocation in enumerate_valid(instance, cap=cap):
         bundles = []
         for node, bundle in allocation.bundles:
             cost = instance.node(node).cost.cost(bundle, instance.resources)
@@ -433,7 +434,7 @@ def ora_benchmark(market: ResourceMarket) -> Fraction:
     return run_benchmarks(market).ora
 
 
-def run_benchmarks(market: ResourceMarket) -> BenchmarkResult:
+def run_benchmarks(market: ResourceMarket, cap: int = DEFAULT_ENUM_CAP) -> BenchmarkResult:
     """OPT, INC, FEE and ORA in one pass over one list of price cells.
 
     Within a cell the admissible pool (willing transactions only, every
@@ -451,9 +452,10 @@ def run_benchmarks(market: ResourceMarket) -> BenchmarkResult:
       allocation in canonical order, with a price solving its own system.
 
     Raises MalformedInput when a valid allocation places a transaction on
-    several nodes, where posted prices pay every node the full fee.
+    several nodes, where posted prices pay every node the full fee, and
+    InstanceTooLarge when the valid-set search space exceeds ``cap``.
     """
-    infos = _prepare(market)
+    infos = _prepare(market, cap)
     _refuse_multi_node(infos)
     opt_info = max(infos, key=lambda info: info.welfare)
     exact = market.dimensions == 1

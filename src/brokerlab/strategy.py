@@ -4,9 +4,13 @@ A broker who knows every reported type can build the margin-maximizing
 routing on any allocation (charge each included transaction its full value,
 pay each node its exact cost) and can rebate any amount of that margin back
 to transactions by scaling their payments down proportionally.  Best
-responses search over all valid allocations; where a rival's surplus must be
+responses range over all valid allocations; where a rival's surplus must be
 beaten strictly, margins live on a configurable lattice ``{k * quantum}``
-because the continuous problem has no maximizer on an open set.
+because the continuous problem has no maximizer on an open set.  The best
+winning margin never falls as welfare rises, so one welfare pass over the
+valid set finds the best response (see ``broker_best_response``).
+Best-response dynamics settle the starting profile once and then one round
+per broker turn: the round a best response settles is the next profile's.
 """
 
 from __future__ import annotations
@@ -66,10 +70,17 @@ def welfare_max_allocation(
     cap: int = DEFAULT_ENUM_CAP,
 ) -> WelfareMax:
     """Argmax of reported welfare over the valid set, canonical tie-break."""
+    return _welfare_argmax(instance, enumerate_valid(instance, spec, cap), reports)
+
+
+def _welfare_argmax(
+    instance: MarketInstance, allocations: Sequence[Allocation], reports: ReportProfile
+) -> WelfareMax:
+    """The first of ``allocations`` with maximal reported welfare."""
     best: Allocation | None = None
     best_welfare = ZERO
     ties = 0
-    for allocation in enumerate_valid(instance, spec, cap):
+    for allocation in allocations:
         w = welfare(instance, allocation, reports)
         if best is None or w > best_welfare:
             best, best_welfare, ties = allocation, w, 1
@@ -119,10 +130,13 @@ def scaled_rebate_routing(
 
 @dataclass(frozen=True)
 class BrokerBestResponse:
+    """A best response and the round it settles against the fixed rivals."""
+
     proposal: Proposal
     utility: Fraction
     wins: bool
-    allocations_examined: int = 0
+    allocations_examined: int
+    outcome: MechanismOutcome
 
 
 def _max_winning_margin(
@@ -181,6 +195,18 @@ def broker_best_response(
     surplus in the fixed order), or the least lattice-representable surplus
     strictly above it otherwise.  When no margin is strictly positive the
     empty routing is the response (utility zero, never negative).
+
+    The response is the lexicographic maximum of (margin, welfare) over the
+    valid set, first in canonical order.  ``_max_winning_margin`` is
+    monotone non-decreasing in the welfare, with None below every margin:
+    each branch (no rival, wins ties, strict lattice) and the lattice floor
+    are, and so is the cut to None below welfare 0 or margin 0.  So no
+    allocation beats the welfare maximum's margin, and among those that
+    match it the maximal welfare comes first.  One welfare pass therefore
+    finds the response: the first allocation of maximal reported welfare,
+    with that welfare's margin; if this margin is None or not positive, no
+    allocation's is.  ``outcome`` is the round settled on the rivals plus
+    the response, in broker order.
     """
     if quantum <= 0:
         raise MalformedInput(f"quantum must be positive, got {quantum}")
@@ -206,31 +232,23 @@ def broker_best_response(
     else:
         rival_best, wins_ties = None, True
 
-    best_margin: Fraction | None = None
-    best_welfare: Fraction | None = None
-    best_allocation: Allocation | None = None
-    examined = 0
-    for allocation in enumerate_valid(instance, spec, cap):
-        examined += 1
-        w = welfare(instance, allocation, reports)
-        m = _max_winning_margin(w, rival_best, wins_ties, quantum, lattice_margins)
-        if m is None or m <= 0:
-            continue
-        # at equal margin prefer the higher-welfare allocation: the payoff is
-        # the same but the win survives more rival configurations
-        if best_margin is None or (m, w) > (best_margin, best_welfare):
-            best_margin, best_welfare, best_allocation = m, w, allocation
-
-    if best_margin is None:
-        proposal = Proposal(broker, instance.empty_routing())
-        outcome = _outcome_with(instance, spec, reports, rivals, proposal, broker_order)
-        return BrokerBestResponse(proposal, ZERO, outcome.winner == broker, examined)
-
-    routing = scaled_rebate_routing(instance, best_allocation, reports, best_margin)
+    allocations = enumerate_valid(instance, spec, cap)
+    best = _welfare_argmax(instance, allocations, reports)
+    best_margin = _max_winning_margin(
+        best.welfare, rival_best, wins_ties, quantum, lattice_margins
+    )
+    if best_margin is None or best_margin <= 0:
+        routing = instance.empty_routing()
+    else:
+        routing = scaled_rebate_routing(instance, best.allocation, reports, best_margin)
     proposal = Proposal(broker, routing)
     outcome = _outcome_with(instance, spec, reports, rivals, proposal, broker_order)
     return BrokerBestResponse(
-        proposal, broker_utility(outcome, broker), outcome.winner == broker, examined
+        proposal,
+        broker_utility(outcome, broker),
+        outcome.winner == broker,
+        len(allocations),
+        outcome,
     )
 
 
@@ -275,7 +293,9 @@ def best_response_dynamics(
 
     Each recorded step strictly improves the moving broker's utility; the
     dynamics stop after a full round with no improvement (converged) or when
-    the round budget runs out.
+    the round budget runs out.  The initial profile's round is settled once;
+    after that the current round is the last adopted response's ``outcome``,
+    so each broker turn settles one round.
     """
     if quantum <= 0:
         raise MalformedInput(f"quantum must be positive, got {quantum}")
@@ -290,6 +310,7 @@ def best_response_dynamics(
     profile = {p.broker: p for p in initial}
     for p in initial:
         instance.validate_routing(p.routing)
+    current = run(instance, spec, reports, [profile[b] for b in broker_order], broker_order)
     steps: list[DynamicsStep] = []
     converged = False
     rounds = 0
@@ -298,14 +319,6 @@ def best_response_dynamics(
         improved = False
         for broker in broker_order:
             rivals = [profile[b] for b in broker_order if b != broker]
-            current = run(
-                instance,
-                spec,
-                reports,
-                [profile[b] for b in broker_order],
-                broker_order,
-            )
-            current_utility = broker_utility(current, broker)
             response = broker_best_response(
                 broker,
                 instance,
@@ -317,8 +330,10 @@ def best_response_dynamics(
                 lattice_margins=True,
                 cap=cap,
             )
-            if response.utility > current_utility:
+            if response.utility > broker_utility(current, broker):
+                # the response's round is the new profile's, in broker order
                 profile[broker] = response.proposal
+                current = response.outcome
                 steps.append(DynamicsStep(broker, response.proposal, response.utility))
                 improved = True
         if not improved:

@@ -23,6 +23,10 @@ transactions of the node sets each may take once the constraints' node-count
 bounds are applied, not the raw ``(2^|N|)^|T|``.  ``is_valid`` tests the
 same bounds before any ``holds``, so its answer does not depend on the
 order of the constraints.
+
+``enumerate_valid`` remembers its last result: the same instance and spec
+objects (compared by identity, as ``mechanism.prepare_round`` compares
+them) with an equal cap get a fresh copy of it without a second search.
 """
 
 from __future__ import annotations
@@ -231,6 +235,12 @@ def is_valid(
     return all(c.holds(instance, allocation) for c in spec.constraints)
 
 
+# (instance, spec, cap, valid set) of the last enumeration.  Strong references,
+# so the ids compared below cannot be reused by other objects; one tuple,
+# replaced whole, so a concurrent caller at worst searches again.
+_last: tuple[MarketInstance, ValiditySpec | None, int, tuple[Allocation, ...]] | None = None
+
+
 def enumerate_valid(
     instance: MarketInstance,
     spec: ValiditySpec | None = None,
@@ -243,7 +253,24 @@ def enumerate_valid(
     partial allocation is tested with every constraint's ``holds`` and a
     failing branch is cut, which is exact because constraints are closed
     under dropping a transaction.
+
+    The last result is remembered: a call with the very same instance and
+    spec objects (by identity; both are immutable) and an equal cap returns
+    it without searching again.  Every call returns a fresh list, so a
+    caller may mutate it; the ``Allocation`` objects in it are shared.
     """
+    global _last
+    last = _last
+    if last is not None and last[0] is instance and last[1] is spec and last[2] == cap:
+        return list(last[3])
+    found = _search_valid(instance, spec, cap)
+    _last = (instance, spec, cap, tuple(found))
+    return found
+
+
+def _search_valid(
+    instance: MarketInstance, spec: ValiditySpec | None, cap: int
+) -> list[Allocation]:
     if spec is None:
         spec = instance.validity
     if isinstance(spec, Extensional):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from dataclasses import fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Sequence
@@ -23,6 +23,7 @@ from brokerlab.core import (
     agent_utility,
     margin,
     node_utility,
+    surplus,
     tx_utility,
     welfare,
 )
@@ -34,9 +35,16 @@ from brokerlab.mdfm import (
     inclusion_maximal_allocations,
     pools_at_price,
 )
-from brokerlab.mechanism import MechanismOutcome, Proposal, RejectionReason
-from brokerlab.strategy import max_extraction_routing, scaled_rebate_routing
+from brokerlab.mechanism import MechanismOutcome, Proposal, RejectionReason, broker_utility
+from brokerlab.strategy import (
+    DEFAULT_QUANTUM,
+    _max_winning_margin,
+    _outcome_with,
+    max_extraction_routing,
+    scaled_rebate_routing,
+)
 from brokerlab.validity import (
+    DEFAULT_ENUM_CAP,
     Constraints,
     MaxTxPerNode,
     MustShareNode,
@@ -547,3 +555,94 @@ def outcome_or_error(settle, *args):
     return [(f.name, getattr(outcome, f.name)) for f in fields(outcome)] + [
         list(outcome.agent_utilities.items())
     ]
+
+
+# ---------------------------------------------------------------------------
+# Best-response oracle: the per-allocation search before the welfare pass
+# ---------------------------------------------------------------------------
+
+# ``broker_best_response_reference`` is the former
+# ``strategy.broker_best_response``, verbatim, with the four-field record it
+# returned: it scores every valid allocation with ``_max_winning_margin``
+# and keeps the lexicographic maximum of (margin, welfare).  The one welfare
+# pass must match its proposal, utility, wins and allocations examined.
+
+
+@dataclass(frozen=True)
+class BrokerBestResponse:
+    proposal: Proposal
+    utility: Fraction
+    wins: bool
+    allocations_examined: int = 0
+
+
+def broker_best_response_reference(
+    broker: str,
+    instance: MarketInstance,
+    spec: ValiditySpec | None,
+    reports: ReportProfile,
+    rivals: Sequence[Proposal],
+    broker_order: Sequence[str],
+    quantum: Fraction = DEFAULT_QUANTUM,
+    lattice_margins: bool = False,
+    cap: int = DEFAULT_ENUM_CAP,
+) -> BrokerBestResponse:
+    """Exact utility-maximizing proposal against fixed rival proposals.
+
+    For each valid allocation the broker's best winning margin is the
+    allocation's reported welfare minus the surplus it must reach: the top
+    rival surplus when the broker wins ties (it precedes every rival at that
+    surplus in the fixed order), or the least lattice-representable surplus
+    strictly above it otherwise.  When no margin is strictly positive the
+    empty routing is the response (utility zero, never negative).
+    """
+    if quantum <= 0:
+        raise MalformedInput(f"quantum must be positive, got {quantum}")
+    if broker not in broker_order:
+        raise MalformedInput(f"broker {broker!r} missing from broker order")
+    for rival in rivals:
+        if rival.broker == broker:
+            raise MalformedInput("rival proposals must come from other brokers")
+        if rival.broker not in broker_order:
+            raise MalformedInput(f"rival broker {rival.broker!r} missing from broker order")
+
+    position = {b: i for i, b in enumerate(broker_order)}
+    rival_surpluses = [
+        (surplus(instance, p.routing, reports), p.broker)
+        for p in rivals
+        if margin(p.routing) >= 0
+    ]
+    if rival_surpluses:
+        rival_best = max(s for s, _ in rival_surpluses)
+        wins_ties = all(
+            position[broker] < position[b] for s, b in rival_surpluses if s == rival_best
+        )
+    else:
+        rival_best, wins_ties = None, True
+
+    best_margin: Fraction | None = None
+    best_welfare: Fraction | None = None
+    best_allocation: Allocation | None = None
+    examined = 0
+    for allocation in enumerate_valid(instance, spec, cap):
+        examined += 1
+        w = welfare(instance, allocation, reports)
+        m = _max_winning_margin(w, rival_best, wins_ties, quantum, lattice_margins)
+        if m is None or m <= 0:
+            continue
+        # at equal margin prefer the higher-welfare allocation: the payoff is
+        # the same but the win survives more rival configurations
+        if best_margin is None or (m, w) > (best_margin, best_welfare):
+            best_margin, best_welfare, best_allocation = m, w, allocation
+
+    if best_margin is None:
+        proposal = Proposal(broker, instance.empty_routing())
+        outcome = _outcome_with(instance, spec, reports, rivals, proposal, broker_order)
+        return BrokerBestResponse(proposal, ZERO, outcome.winner == broker, examined)
+
+    routing = scaled_rebate_routing(instance, best_allocation, reports, best_margin)
+    proposal = Proposal(broker, routing)
+    outcome = _outcome_with(instance, spec, reports, rivals, proposal, broker_order)
+    return BrokerBestResponse(
+        proposal, broker_utility(outcome, broker), outcome.winner == broker, examined
+    )

@@ -279,6 +279,22 @@ class TestBenchmarks:
         assert main(["benchmarks", write(tmp_path, "one.json", payload)]) == 0
         capsys.readouterr()
 
+    def test_scenario_enum_cap_is_honoured(self, tmp_path, capsys):
+        # thm-wo k = 5: 261 valid allocations in a space of (1 + 5)^5 leaves
+        path = tmp_path / "wo.json"
+        assert main(["gen", "thm-wo", "--k", "5", "--out", str(path)]) == 0
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        assert main(["benchmarks", str(path)]) == 0
+        uncapped = capsys.readouterr().out
+        assert json.loads(uncapped)["opt"] == "5"
+        for cap in (1, 6**5 - 1):
+            payload["enum_cap"] = cap
+            assert main(["benchmarks", write(tmp_path, f"cap{cap}.json", payload)]) == 1
+            assert f"exceeds cap {cap}" in capsys.readouterr().err
+        payload["enum_cap"] = 6**5
+        assert main(["benchmarks", write(tmp_path, "fits.json", payload)]) == 0
+        assert capsys.readouterr().out == uncapped
+
     def test_wrong_kind_errors(self, fig1_path, capsys):
         assert main(["benchmarks", fig1_path]) == 1
         assert "resource_market" in capsys.readouterr().err

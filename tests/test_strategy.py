@@ -1,11 +1,18 @@
+import hashlib
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from brokerlab import mechanism, strategy, validity
 from brokerlab.core import (
     Allocation,
+    ConstantNonempty,
     EMPTY_ALLOCATION,
+    ReportProfile,
     margin,
     surplus,
     welfare,
@@ -13,7 +20,9 @@ from brokerlab.core import (
 from brokerlab.errors import InfeasibleTarget, MalformedInput
 from brokerlab.mdfm import collusion_example_instance, oracle_gap_market
 from brokerlab.mechanism import Proposal, run
+from brokerlab.scenario import dynamics_step_to_json, dynamics_summary_to_json
 from brokerlab.strategy import (
+    _max_winning_margin,
     best_response_dynamics,
     broker_best_response,
     max_extraction_routing,
@@ -22,7 +31,14 @@ from brokerlab.strategy import (
 )
 from brokerlab.validity import enumerate_valid
 
-from helpers import random_instance, random_reports
+from helpers import (
+    broker_best_response_reference,
+    frac,
+    random_instance,
+    random_reports,
+    random_routing,
+    run_reference,
+)
 
 
 @pytest.fixture
@@ -213,6 +229,196 @@ class TestBrokerBestResponse:
                 )
                 assert outcome.winner == "b2"
                 assert outcome.broker_payment == response.utility
+
+
+# (quantum, lattice_margins) pairs the best-response oracle runs under
+QUANTA = [(F(1, 1024), False), (F(1, 4), False), (F(1, 4), True), (F(1, 3), True), (F(5, 2), True)]
+
+
+def best_response_cases(seed, count):
+    """Figure 1's cases, then ``count`` random cases on up to 3 transactions
+    x 2 nodes with 1-2 rivals: (broker, instance, reports, rivals, broker
+    order).  Every fifth random case reports every transaction at zero and
+    every node at a positive constant, so each non-empty allocation has
+    negative welfare."""
+    figure1 = collusion_example_instance()
+    truthful = figure1.truthful_reports()
+    both = Allocation.of({"t1": ["n1", "n2"]})
+    yield "b1", figure1, truthful, [], ["b1"]
+    for target in (F(0), F(7, 2), F(4)):
+        rival = Proposal("b1", scaled_rebate_routing(figure1, both, truthful, target))
+        yield "b2", figure1, truthful, [rival], ["b1", "b2"]
+        yield "b2", figure1, truthful, [rival], ["b2", "b1"]
+    rng = random.Random(seed)
+    for i in range(count):
+        instance = random_instance(rng, max_txs=3, max_nodes=2)
+        reports, _ = random_reports(rng, instance, liar_prob=0.3)
+        if i % 5 == 0:
+            reports = ReportProfile(
+                {tx: F(0) for tx in instance.tx_ids},
+                {n: ConstantNonempty(frac(rng, 1, 4)) for n in instance.node_ids},
+            )
+        allocations = enumerate_valid(instance)
+        brokers = [f"b{j + 1}" for j in range(rng.randint(2, 3))]
+        order = list(brokers)
+        rng.shuffle(order)
+        rivals = [
+            Proposal(b, random_routing(rng, instance, rng.choice(allocations), reports))
+            for b in brokers[1:]
+        ]
+        yield "b1", instance, reports, rivals, order
+
+
+def case_kinds(broker, instance, reports, rivals, order):
+    """The rival and welfare configurations one case exercises."""
+    kinds = set()
+    top = [
+        (surplus(instance, p.routing, reports), order.index(p.broker))
+        for p in rivals
+        if margin(p.routing) >= 0
+    ]
+    if not top:
+        kinds.add("no budget-balanced rival")
+    else:
+        best = max(s for s, _ in top)
+        if best < 0:
+            kinds.add("negative rival surplus")
+        wins = all(order.index(broker) < pos for s, pos in top if s == best)
+        kinds.add("wins ties" if wins else "loses ties")
+    welfares = [welfare(instance, a, reports) for a in enumerate_valid(instance) if not a.is_empty()]
+    if welfares and max(welfares) < 0:
+        kinds.add("all-negative welfare")
+    maximum = welfare_max_allocation(instance, instance.validity, reports)
+    if maximum.welfare > 0 and not maximum.unique:
+        kinds.add("tied maximal welfare")
+    return kinds
+
+
+@given(
+    w=st.fractions(min_value=-6, max_value=12, max_denominator=8),
+    dw=st.fractions(min_value=0, max_value=12, max_denominator=8),
+    rival_best=st.none() | st.fractions(min_value=-6, max_value=12, max_denominator=8),
+    wins_ties=st.booleans(),
+    quantum=st.fractions(min_value=F(1, 8), max_value=4, max_denominator=8),
+    lattice=st.booleans(),
+)
+@settings(max_examples=400, deadline=None)
+def test_max_winning_margin_is_monotone_in_welfare(w, dw, rival_best, wins_ties, quantum, lattice):
+    # the lemma behind the one welfare pass; None ranks below every margin
+    low = _max_winning_margin(w, rival_best, wins_ties, quantum, lattice)
+    high = _max_winning_margin(w + dw, rival_best, wins_ties, quantum, lattice)
+    assert low is None or (high is not None and low <= high)
+
+
+class TestBestResponseOracle:
+    def test_matches_the_per_allocation_search(self):
+        kinds = set()
+        responses = set()
+        for case in best_response_cases(8128, 220):
+            broker, instance, reports, rivals, order = case
+            kinds |= case_kinds(*case)
+            for quantum, lattice in QUANTA:
+                args = (broker, instance, instance.validity, reports, rivals, order, quantum, lattice)
+                got = broker_best_response(*args)
+                want = broker_best_response_reference(*args)
+                assert (got.proposal, got.utility, got.wins, got.allocations_examined) == (
+                    want.proposal,
+                    want.utility,
+                    want.wins,
+                    want.allocations_examined,
+                )
+                ordered = sorted([*rivals, got.proposal], key=lambda p: order.index(p.broker))
+                assert got.outcome == run_reference(instance, instance.validity, reports, ordered, order)
+                responses.add("empty" if got.proposal.routing.allocation.is_empty() else "non-empty")
+        assert kinds == {
+            "no budget-balanced rival",
+            "negative rival surplus",
+            "wins ties",
+            "loses ties",
+            "all-negative welfare",
+            "tied maximal welfare",
+        }
+        assert responses == {"empty", "non-empty"}
+
+
+def dynamics_runs(seed, count):
+    """Figure 1 with two and three brokers, and cut off after three rounds,
+    then ``count`` random 2-3 broker dynamics on up to 3 transactions x 2
+    nodes from random routings: (instance, reports, initial proposals,
+    broker order, quantum, max_rounds)."""
+    figure1 = collusion_example_instance()
+    truthful = figure1.truthful_reports()
+    both = Allocation.of({"t1": ["n1", "n2"]})
+    for brokers, quantum, max_rounds in (
+        (["b1", "b2"], F(1, 4), 100),
+        (["b1", "b2", "b3"], F(1, 4), 100),
+        (["b1", "b2"], F(1, 16), 3),
+    ):
+        start = [Proposal(b, max_extraction_routing(figure1, both, truthful)) for b in brokers]
+        yield figure1, truthful, start, brokers, quantum, max_rounds
+    rng = random.Random(seed)
+    for _ in range(count):
+        instance = random_instance(rng, max_txs=3, max_nodes=2)
+        reports, _ = random_reports(rng, instance, liar_prob=0.3)
+        allocations = enumerate_valid(instance)
+        brokers = [f"b{j + 1}" for j in range(rng.randint(2, 3))]
+        start = [
+            Proposal(b, random_routing(rng, instance, rng.choice(allocations), reports))
+            for b in brokers
+        ]
+        order = list(brokers)
+        rng.shuffle(order)
+        best = welfare_max_allocation(instance, instance.validity, reports).welfare
+        quantum = best / 8 if best > 0 else F(1, 4)
+        yield instance, reports, start, order, quantum, 12
+
+
+def dynamics_trace(instance, reports, start, order, quantum, max_rounds):
+    return best_response_dynamics(
+        instance, instance.validity, reports, start, order, quantum, max_rounds
+    )
+
+
+class TestDynamicsTraces:
+    def test_golden_traces(self):
+        # whole traces: every step's proposal and utility, then the summary
+        # with the terminal profile, rounds and convergence
+        traces = []
+        for run_args in dynamics_runs(2718, 24):
+            trace = dynamics_trace(*run_args)
+            steps = [dynamics_step_to_json(s.broker, s.proposal, s.utility) for s in trace.steps]
+            traces.append([steps, dynamics_summary_to_json(trace)])
+        assert {t[1]["converged"] for t in traces} == {True, False}
+        assert sum(t[1]["steps"] for t in traces) > 100
+        digest = hashlib.sha256(json.dumps(traces, sort_keys=True).encode()).hexdigest()
+        assert digest == "fa563e9853732fca8d3a03611b1b2282b800aa2836172a338fe7ca49442db4ed"
+
+    def test_one_round_per_turn_and_one_search_per_market(self, monkeypatch):
+        runs = []
+        searches = []
+
+        def counted_run(*args):
+            runs.append(args)
+            return mechanism.run(*args)
+
+        def counted_search(instance, spec, cap):
+            searches.append((instance, spec, cap))
+            return search(instance, spec, cap)
+
+        search = validity._search_valid
+        monkeypatch.setattr(strategy, "run", counted_run)
+        monkeypatch.setattr(validity, "_search_valid", counted_search)
+        for run_args in dynamics_runs(2718, 24):
+            instance, order = run_args[0], run_args[3]
+            runs.clear()
+            searches.clear()
+            monkeypatch.setattr(validity, "_last", None)
+            trace = dynamics_trace(*run_args)
+            assert len(runs) == 1 + trace.rounds * len(order)
+            assert len(searches) == 1
+            searched_instance, searched_spec, cap = searches[0]
+            assert searched_instance is instance and searched_spec is instance.validity
+            assert cap == validity.DEFAULT_ENUM_CAP
 
 
 class TestDynamics:

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from brokerlab import validity
 from brokerlab.core import (
     Allocation,
     EMPTY_ALLOCATION,
@@ -237,3 +238,61 @@ class TestEnumerateValid:
             instance = random_instance(rng)
             for allocation in enumerate_valid(instance):
                 assert is_valid(allocation, instance.validity, instance)
+
+
+class TestValidSetCache:
+    def test_calls_return_equal_but_distinct_lists(self):
+        instance = collusion_example_instance()
+        first = enumerate_valid(instance)
+        expected = list(first)
+        second = enumerate_valid(instance)
+        assert second == expected and second is not first
+        first.clear()
+        second.reverse()
+        assert enumerate_valid(instance) == expected
+
+    def test_a_smaller_cap_is_still_refused(self):
+        # 1 + 3 node sets per transaction: 4^3 leaves, all valid
+        instance = simple_instance(n_txs=3, n_nodes=2)
+        assert len(enumerate_valid(instance, cap=64)) == 64
+        with pytest.raises(InstanceTooLarge, match="exceeds cap 63"):
+            enumerate_valid(instance, cap=63)
+        assert len(enumerate_valid(instance, cap=64)) == 64
+        with pytest.raises(InstanceTooLarge, match="exceeds cap 10"):
+            enumerate_valid(instance, cap=10)
+
+    def test_each_spec_object_gets_its_own_valid_set(self):
+        member = Allocation.of({"t1": ["n1"]})
+        single = Constraints((SingleAssignment(),))
+        instance = simple_instance(validity=single)
+        listed = Extensional.of([member])
+        unconstrained = Constraints(())
+        for _ in range(2):
+            assert enumerate_valid(instance, listed) == [EMPTY_ALLOCATION, member]
+            assert len(enumerate_valid(instance, single)) == 3**2
+            assert len(enumerate_valid(instance, unconstrained)) == 4**2
+            # None reads the instance's own spec
+            assert len(enumerate_valid(instance)) == 3**2
+            assert len(enumerate_valid(instance, unconstrained)) == 4**2
+
+    def test_only_the_same_objects_reuse_the_search(self, monkeypatch):
+        searched = []
+        search = validity._search_valid
+
+        def counted(instance, spec, cap):
+            searched.append((instance, spec, cap))
+            return search(instance, spec, cap)
+
+        monkeypatch.setattr(validity, "_search_valid", counted)
+        first, twin = collusion_example_instance(), collusion_example_instance()
+        assert first == twin and first is not twin
+        equal_spec = Constraints(first.validity.constraints)
+        for instance, spec in [(first, None), (first, None), (twin, None), (twin, None)]:
+            assert len(enumerate_valid(instance, spec)) == 4
+        for spec in [first.validity, equal_spec, equal_spec]:
+            assert len(enumerate_valid(first, spec)) == 4
+        assert len(searched) == 4
+        assert [s[0] for s in searched] == [first, twin, first, first]
+        assert searched[1][0] is twin
+        assert [s[1] for s in searched][2:] == [first.validity, equal_spec]
+        assert searched[3][1] is equal_spec
