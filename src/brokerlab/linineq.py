@@ -7,6 +7,18 @@ anything stays strict.  Variables are eliminated in a greedy minimum-fill
 order and witness points are recovered by back-substitution, preferring
 simple values (0, then a closed endpoint, then the midpoint).
 
+Elimination runs on primitive integer rows.  Each ``Constraint`` clears its
+denominators and divides out the gcd of its entries once, when it is built,
+and every row an elimination step combines is made primitive again.  A
+primitive row is the one integer representative of a constraint's positive
+multiples, so rows deduplicate exactly as rows scaled to a leading
+coefficient of +-1 would; the elimination order reads only coefficient
+signs; and each back-substitution bound ``(bound - sum a_j x_j) / a`` is
+unchanged by positive scaling.  The witness points are therefore those of
+an elimination over rationals, while the inner loop multiplies small
+integers.  Back-substitution sums each row in integers and makes one exact
+``Fraction`` per bound.
+
 Also provided: enumeration of the feasible sign cells of a hyperplane
 arrangement restricted to a base system, used to split price space by
 willingness and participation predicates.  The walk re-tests the parent
@@ -16,11 +28,36 @@ one elimination per emitted cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
 from .rationals import ZERO
+
+# an integer row coeffs . x <= bound (strictly when flagged), kept primitive:
+# the gcd of its coeffs and bound is 1, or every entry is 0
+_Row = tuple[tuple[int, ...], int, bool]
+
+
+def _primitive(coeffs: tuple[int, ...], bound: int) -> tuple[tuple[int, ...], int]:
+    g = gcd(*coeffs, bound)
+    if g > 1:
+        return tuple(c // g for c in coeffs), bound // g
+    return coeffs, bound
+
+
+def _dot(coeffs: tuple[int, ...], point: Sequence[Fraction], skip: int = -1) -> tuple[int, int]:
+    """The sum of coeffs[j] * point[j] over j != skip, as a numerator and a
+    positive denominator, accumulated in integers rather than Fractions."""
+    num, den = 0, 1
+    for j, a in enumerate(coeffs):
+        if a and j != skip:
+            x = point[j]
+            if x:
+                num = num * x.denominator + a * x.numerator * den
+                den *= x.denominator
+    return num, den
 
 
 @dataclass(frozen=True)
@@ -30,18 +67,19 @@ class Constraint:
     coeffs: tuple[Fraction, ...]
     bound: Fraction
     strict: bool = False
+    # the primitive integer row of this constraint, made once here
+    _row: _Row = field(init=False, repr=False, compare=False)
 
-    def normalized(self) -> "Constraint":
-        scale = next((abs(c) for c in self.coeffs if c != 0), None)
-        if scale is None or scale == 1:
-            return self
-        return Constraint(
-            tuple(c / scale for c in self.coeffs), self.bound / scale, self.strict
-        )
+    def __post_init__(self) -> None:
+        scale = lcm(*(c.denominator for c in self.coeffs), self.bound.denominator)
+        coeffs = tuple(c.numerator * (scale // c.denominator) for c in self.coeffs)
+        bound = self.bound.numerator * (scale // self.bound.denominator)
+        object.__setattr__(self, "_row", (*_primitive(coeffs, bound), self.strict))
 
     def admits(self, point: Sequence[Fraction]) -> bool:
-        total = sum((c * x for c, x in zip(self.coeffs, point) if c != 0), ZERO)
-        return total < self.bound or (total == self.bound and not self.strict)
+        coeffs, bound, strict = self._row
+        num, den = _dot(coeffs, point)
+        return num < bound * den or (num == bound * den and not strict)
 
 
 def nonneg_orthant(n: int) -> list[Constraint]:
@@ -54,46 +92,42 @@ def nonneg_orthant(n: int) -> list[Constraint]:
     return out
 
 
-def _constant_holds(c: Constraint) -> bool:
-    return c.bound > 0 or (c.bound == 0 and not c.strict)
+def _constant_holds(bound: int, strict: bool) -> bool:
+    return bound > 0 or (bound == 0 and not strict)
 
 
-def _eliminate(constraints: list[Constraint], var: int) -> list[Constraint] | None:
+def _eliminate(system: list[_Row], var: int) -> list[_Row] | None:
     """Remove one variable; None signals detected infeasibility."""
-    uppers: list[Constraint] = []  # positive coefficient on var
-    lowers: list[Constraint] = []  # negative coefficient on var
-    rest: list[Constraint] = []
-    for c in constraints:
-        a = c.coeffs[var]
+    uppers: list[_Row] = []  # positive coefficient on var
+    lowers: list[_Row] = []  # negative coefficient on var
+    reduced: dict[tuple[tuple[int, ...], int], bool] = {}
+    for row in system:
+        a = row[0][var]
         if a > 0:
-            uppers.append(c)
+            uppers.append(row)
         elif a < 0:
-            lowers.append(c)
+            lowers.append(row)
         else:
-            rest.append(c)
+            coeffs, bound, strict = row
+            reduced[coeffs, bound] = reduced.get((coeffs, bound), False) or strict
 
-    combined: list[Constraint] = []
-    for up in uppers:
-        au = up.coeffs[var]
-        for lo in lowers:
-            al = lo.coeffs[var]
-            # (-al) * up + au * lo cancels var; both multipliers are positive
-            coeffs = tuple(-al * cu + au * cl for cu, cl in zip(up.coeffs, lo.coeffs))
-            bound = -al * up.bound + au * lo.bound
-            combined.append(Constraint(coeffs, bound, up.strict or lo.strict))
-
-    reduced: dict[tuple, Constraint] = {}
-    for c in rest + combined:
-        if all(x == 0 for x in c.coeffs):
-            if not _constant_holds(c):
-                return None
-            continue
-        c = c.normalized()
-        key = (c.coeffs, c.bound)
-        prior = reduced.get(key)
-        if prior is None or (c.strict and not prior.strict):
-            reduced[key] = c
-    return list(reduced.values())
+    for cu, bu, su in uppers:
+        au = cu[var]
+        for cl, bl, sl in lowers:
+            al = -cl[var]
+            g = gcd(au, al)
+            # (al/g) * up + (au/g) * lo cancels var; both multipliers are positive
+            mu, ml = al // g, au // g
+            coeffs = tuple(mu * u + ml * l for u, l in zip(cu, cl))
+            bound = mu * bu + ml * bl
+            strict = su or sl
+            if not any(coeffs):
+                if not _constant_holds(bound, strict):
+                    return None
+                continue
+            key = _primitive(coeffs, bound)
+            reduced[key] = reduced.get(key, False) or strict
+    return [(coeffs, bound, strict) for (coeffs, bound), strict in reduced.items()]
 
 
 def _pick_in_interval(
@@ -123,28 +157,31 @@ def _pick_in_interval(
 
 def find_point(constraints: Iterable[Constraint], n_vars: int) -> tuple[Fraction, ...] | None:
     """A rational solution of the system, or None when it is infeasible."""
-    system: list[Constraint] = []
+    system: list[_Row] = []
     for c in constraints:
         if len(c.coeffs) != n_vars:
             raise ValueError(f"constraint arity {len(c.coeffs)} != {n_vars}")
-        if all(x == 0 for x in c.coeffs):
-            if not _constant_holds(c):
+        row = c._row
+        if not any(row[0]):
+            if not _constant_holds(row[1], row[2]):
                 return None
             continue
-        system.append(c.normalized())
+        system.append(row)
 
     if n_vars == 0:
         return ()
 
-    levels: list[tuple[int, list[Constraint]]] = []
+    levels: list[tuple[int, list[_Row]]] = []
     remaining = list(range(n_vars))
     while len(remaining) > 1:
-        def fill_cost(v: int) -> tuple[int, int]:
-            ups = sum(1 for c in system if c.coeffs[v] > 0)
-            los = sum(1 for c in system if c.coeffs[v] < 0)
-            return (ups * los - ups - los, v)
-
-        var = min(remaining, key=fill_cost)
+        ups, los = [0] * n_vars, [0] * n_vars
+        for coeffs, _, _ in system:
+            for v, a in enumerate(coeffs):
+                if a > 0:
+                    ups[v] += 1
+                elif a < 0:
+                    los[v] += 1
+        var = min(remaining, key=lambda v: (ups[v] * los[v] - ups[v] - los[v], v))
         levels.append((var, system))
         reduced = _eliminate(system, var)
         if reduced is None:
@@ -157,21 +194,18 @@ def find_point(constraints: Iterable[Constraint], n_vars: int) -> tuple[Fraction
     for var, level in reversed(levels):
         lo: tuple[Fraction, bool] | None = None
         hi: tuple[Fraction, bool] | None = None
-        for c in level:
-            a = c.coeffs[var]
+        for coeffs, bound, strict in level:
+            a = coeffs[var]
             if a == 0:
                 continue
-            rest = sum(
-                (c.coeffs[j] * point[j] for j in range(n_vars) if j != var and c.coeffs[j] != 0),
-                ZERO,
-            )
-            value = (c.bound - rest) / a
+            num, den = _dot(coeffs, point, var)
+            value = Fraction(bound * den - num, den * a)
             if a > 0:
-                if hi is None or value < hi[0] or (value == hi[0] and c.strict):
-                    hi = (value, c.strict)
+                if hi is None or value < hi[0] or (value == hi[0] and strict):
+                    hi = (value, strict)
             else:
-                if lo is None or value > lo[0] or (value == lo[0] and c.strict):
-                    lo = (value, c.strict)
+                if lo is None or value > lo[0] or (value == lo[0] and strict):
+                    lo = (value, strict)
         if lo is not None and hi is not None:
             if lo[0] > hi[0] or (lo[0] == hi[0] and (lo[1] or hi[1])):
                 return None  # defensive; elimination should prevent this
@@ -212,6 +246,7 @@ def enumerate_cells(
     if root is None:
         return
 
+    branches = [((True, h.true_constraint()), (False, h.false_constraint())) for h in hyperplanes]
     stack: list[Constraint] = list(base)
     signs: list[bool] = []
 
@@ -219,8 +254,7 @@ def enumerate_cells(
         if index == len(hyperplanes):
             yield (tuple(signs), witness)
             return
-        h = hyperplanes[index]
-        for sign, constraint in ((True, h.true_constraint()), (False, h.false_constraint())):
+        for sign, constraint in branches[index]:
             if constraint.admits(witness):
                 next_witness = witness
             else:

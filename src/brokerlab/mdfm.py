@@ -260,8 +260,8 @@ def _enumerate_price_cells(
     include_zero_splits: bool,
 ) -> list[PriceCell]:
     """Cells cut by every transaction's willingness and by the participation
-    of every costly bundle in ``infos`` (none when it is empty)."""
-    _check_pattern_caps(market)
+    of every costly bundle in ``infos`` (none when it is empty).  Callers
+    check the pattern caps first."""
     d = market.dimensions
     will_h, will_members = _willingness_hyperplanes(market)
     part_h, part_members = _participation_hyperplanes(infos)
@@ -289,6 +289,7 @@ def feasible_patterns(market: ResourceMarket) -> list[WillingnessPattern]:
     A subset S is feasible when some p >= 0 makes exactly the transactions in
     S willing (fee <= value) and everything else strictly unwilling.
     """
+    _check_pattern_caps(market)
     patterns: dict[frozenset[str], tuple[Fraction, ...]] = {}
     for cell in _enumerate_price_cells(market, (), include_zero_splits=False):
         patterns.setdefault(cell.willing, cell.witness)
@@ -453,8 +454,11 @@ def run_benchmarks(market: ResourceMarket, cap: int = DEFAULT_ENUM_CAP) -> Bench
 
     Raises MalformedInput when a valid allocation places a transaction on
     several nodes, where posted prices pay every node the full fee, and
-    InstanceTooLarge when the valid-set search space exceeds ``cap``.
+    InstanceTooLarge when the market exceeds the pattern-search caps
+    (checked before the valid set is enumerated) or the valid-set search
+    space exceeds ``cap``.
     """
+    _check_pattern_caps(market)
     infos = _prepare(market, cap)
     _refuse_multi_node(infos)
     opt_info = max(infos, key=lambda info: info.welfare)

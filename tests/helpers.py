@@ -6,7 +6,7 @@ import random
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from brokerlab.core import (
     Allocation,
@@ -28,7 +28,7 @@ from brokerlab.core import (
     welfare,
 )
 from brokerlab.errors import InvalidProposal, MalformedInput, MarketError
-from brokerlab.linineq import Constraint, find_point, nonneg_orthant
+from brokerlab.linineq import Constraint, Hyperplane, find_point, nonneg_orthant
 from brokerlab.mdfm import (
     ResourceMarket,
     fee_maximal_allocations,
@@ -646,3 +646,206 @@ def broker_best_response_reference(
     return BrokerBestResponse(
         proposal, broker_utility(outcome, broker), outcome.winner == broker, examined
     )
+
+
+# ---------------------------------------------------------------------------
+# Linear-inequality oracle: Fourier-Motzkin over Fraction rows
+# ---------------------------------------------------------------------------
+
+# ``find_point_reference`` is the former ``linineq.find_point``, verbatim,
+# with its ``_eliminate``, ``Constraint.normalized`` (here ``normalized``)
+# and ``_pick_in_interval``: it scales every row to a leading coefficient of
+# +-1 and eliminates in ``Fraction``.  ``enumerate_cells_reference`` is the
+# former walk over it.  The integer-row kernel must return identical points.
+
+
+def normalized(c: Constraint) -> Constraint:
+    scale = next((abs(x) for x in c.coeffs if x != 0), None)
+    if scale is None or scale == 1:
+        return c
+    return Constraint(tuple(x / scale for x in c.coeffs), c.bound / scale, c.strict)
+
+
+def _constant_holds(c: Constraint) -> bool:
+    return c.bound > 0 or (c.bound == 0 and not c.strict)
+
+
+def _eliminate(constraints: list[Constraint], var: int) -> list[Constraint] | None:
+    """Remove one variable; None signals detected infeasibility."""
+    uppers: list[Constraint] = []  # positive coefficient on var
+    lowers: list[Constraint] = []  # negative coefficient on var
+    rest: list[Constraint] = []
+    for c in constraints:
+        a = c.coeffs[var]
+        if a > 0:
+            uppers.append(c)
+        elif a < 0:
+            lowers.append(c)
+        else:
+            rest.append(c)
+
+    combined: list[Constraint] = []
+    for up in uppers:
+        au = up.coeffs[var]
+        for lo in lowers:
+            al = lo.coeffs[var]
+            # (-al) * up + au * lo cancels var; both multipliers are positive
+            coeffs = tuple(-al * cu + au * cl for cu, cl in zip(up.coeffs, lo.coeffs))
+            bound = -al * up.bound + au * lo.bound
+            combined.append(Constraint(coeffs, bound, up.strict or lo.strict))
+
+    reduced: dict[tuple, Constraint] = {}
+    for c in rest + combined:
+        if all(x == 0 for x in c.coeffs):
+            if not _constant_holds(c):
+                return None
+            continue
+        c = normalized(c)
+        key = (c.coeffs, c.bound)
+        prior = reduced.get(key)
+        if prior is None or (c.strict and not prior.strict):
+            reduced[key] = c
+    return list(reduced.values())
+
+
+def _pick_in_interval(
+    lo: tuple[Fraction, bool] | None, hi: tuple[Fraction, bool] | None
+) -> Fraction:
+    """A rational inside the (guaranteed non-empty) interval."""
+
+    def lo_admits(x: Fraction) -> bool:
+        return lo is None or x > lo[0] or (x == lo[0] and not lo[1])
+
+    def hi_admits(x: Fraction) -> bool:
+        return hi is None or x < hi[0] or (x == hi[0] and not hi[1])
+
+    if lo_admits(ZERO) and hi_admits(ZERO):
+        return ZERO
+    if lo is not None and not lo[1] and hi_admits(lo[0]):
+        return lo[0]
+    if hi is not None and not hi[1] and lo_admits(hi[0]):
+        return hi[0]
+    if lo is not None and hi is not None:
+        return (lo[0] + hi[0]) / 2
+    if lo is not None:
+        return lo[0] + 1
+    assert hi is not None
+    return hi[0] - 1
+
+
+def find_point_reference(
+    constraints: Iterable[Constraint], n_vars: int
+) -> tuple[Fraction, ...] | None:
+    """A rational solution of the system, or None when it is infeasible."""
+    system: list[Constraint] = []
+    for c in constraints:
+        if len(c.coeffs) != n_vars:
+            raise ValueError(f"constraint arity {len(c.coeffs)} != {n_vars}")
+        if all(x == 0 for x in c.coeffs):
+            if not _constant_holds(c):
+                return None
+            continue
+        system.append(normalized(c))
+
+    if n_vars == 0:
+        return ()
+
+    levels: list[tuple[int, list[Constraint]]] = []
+    remaining = list(range(n_vars))
+    while len(remaining) > 1:
+        def fill_cost(v: int) -> tuple[int, int]:
+            ups = sum(1 for c in system if c.coeffs[v] > 0)
+            los = sum(1 for c in system if c.coeffs[v] < 0)
+            return (ups * los - ups - los, v)
+
+        var = min(remaining, key=fill_cost)
+        levels.append((var, system))
+        reduced = _eliminate(system, var)
+        if reduced is None:
+            return None
+        system = reduced
+        remaining.remove(var)
+    levels.append((remaining[0], system))
+
+    point: list[Fraction] = [ZERO] * n_vars
+    for var, level in reversed(levels):
+        lo: tuple[Fraction, bool] | None = None
+        hi: tuple[Fraction, bool] | None = None
+        for c in level:
+            a = c.coeffs[var]
+            if a == 0:
+                continue
+            rest = sum(
+                (c.coeffs[j] * point[j] for j in range(n_vars) if j != var and c.coeffs[j] != 0),
+                ZERO,
+            )
+            value = (c.bound - rest) / a
+            if a > 0:
+                if hi is None or value < hi[0] or (value == hi[0] and c.strict):
+                    hi = (value, c.strict)
+            else:
+                if lo is None or value > lo[0] or (value == lo[0] and c.strict):
+                    lo = (value, c.strict)
+        if lo is not None and hi is not None:
+            if lo[0] > hi[0] or (lo[0] == hi[0] and (lo[1] or hi[1])):
+                return None  # defensive; elimination should prevent this
+        point[var] = _pick_in_interval(lo, hi)
+    return tuple(point)
+
+
+def enumerate_cells_reference(
+    base: Sequence[Constraint],
+    hyperplanes: Sequence[Hyperplane],
+    n_vars: int,
+) -> Iterator[tuple[tuple[bool, ...], tuple[Fraction, ...]]]:
+    """Feasible sign vectors of the arrangement, with a witness point each."""
+    root = find_point_reference(base, n_vars)
+    if root is None:
+        return
+
+    stack: list[Constraint] = list(base)
+    signs: list[bool] = []
+
+    def walk(index: int, witness: tuple[Fraction, ...]):
+        if index == len(hyperplanes):
+            yield (tuple(signs), witness)
+            return
+        h = hyperplanes[index]
+        for sign, constraint in ((True, h.true_constraint()), (False, h.false_constraint())):
+            if constraint.admits(witness):
+                next_witness = witness
+            else:
+                next_witness = find_point_reference([*stack, constraint], n_vars)
+                if next_witness is None:
+                    continue
+            stack.append(constraint)
+            signs.append(sign)
+            yield from walk(index + 1, next_witness)
+            stack.pop()
+            signs.pop()
+
+    yield from walk(0, root)
+
+
+def random_linear_system(
+    rng: random.Random, n_vars: int, max_rows: int = 10
+) -> list[Constraint]:
+    """Rows with small rational entries, strict or not; some all-zero, some
+    exact duplicates of an earlier row and some positive rescalings of one."""
+    rows: list[Constraint] = []
+    for _ in range(rng.randint(0, max_rows)):
+        roll = rng.random()
+        if rows and roll < 0.1:
+            rows.append(rng.choice(rows))
+        elif rows and roll < 0.2:
+            c = rng.choice(rows)
+            k = Fraction(rng.randint(1, 12), rng.randint(1, 12))
+            rows.append(Constraint(tuple(x * k for x in c.coeffs), c.bound * k, c.strict))
+        else:
+            zero_row = roll < 0.25
+            coeffs = tuple(
+                ZERO if zero_row or rng.random() < 0.3 else frac(rng, -6, 6, (1, 1, 2, 3, 4, 7))
+                for _ in range(n_vars)
+            )
+            rows.append(Constraint(coeffs, frac(rng, -6, 6, (1, 1, 2, 3)), rng.random() < 0.3))
+    return rows

@@ -2,6 +2,9 @@ import random
 from fractions import Fraction as F
 from itertools import product
 
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
 from brokerlab.linineq import (
     Constraint,
     Hyperplane,
@@ -9,6 +12,13 @@ from brokerlab.linineq import (
     feasible,
     find_point,
     nonneg_orthant,
+)
+
+from helpers import (
+    enumerate_cells_reference,
+    find_point_reference,
+    frac,
+    random_linear_system,
 )
 
 
@@ -136,3 +146,90 @@ class TestCells:
             for h, s in zip(hyperplanes, signs):
                 c = h.true_constraint() if s else h.false_constraint()
                 assert c.admits(witness)
+
+
+class TestAgainstFractionElimination:
+    """The integer-row kernel against the Fraction elimination it replaced:
+    witnesses are reported, so the points must be identical, not merely
+    feasible."""
+
+    def test_find_point_matches_on_seeded_systems(self):
+        rng = random.Random(2024)
+        found = 0
+        for i in range(6000):
+            n = i % 6
+            cons = random_linear_system(rng, n)
+            point = find_point(cons, n)
+            assert point == find_point_reference(cons, n), (n, cons)
+            if point is not None:
+                assert all(type(x) is F for x in point)
+                found += 1
+        assert 1500 < found < 4500  # feasible and infeasible systems both common
+
+    def test_enumerate_cells_matches_reference_walk(self):
+        rng = random.Random(11)
+        cells = 0
+        for _ in range(300):
+            n = rng.randint(1, 3)
+            base = nonneg_orthant(n) + random_linear_system(rng, n, max_rows=2)
+            hyperplanes = [
+                Hyperplane(
+                    tuple(frac(rng, -3, 3, (1, 2, 3)) for _ in range(n)),
+                    frac(rng, -2, 6, (1, 2)),
+                )
+                for _ in range(rng.randint(1, 5))
+            ]
+            got = list(enumerate_cells(base, hyperplanes, n))
+            assert got == list(enumerate_cells_reference(base, hyperplanes, n))
+            cells += len(got)
+        assert cells > 600
+
+
+def holds(c, point):
+    """c.admits(point) in plain Fraction arithmetic."""
+    total = sum((a * x for a, x in zip(c.coeffs, point)), F(0))
+    return total < c.bound or (total == c.bound and not c.strict)
+
+
+# small entries, with some whose numerator and denominator reach 10^12
+RATIONALS = st.one_of(
+    st.builds(F, st.integers(-6, 6), st.integers(1, 6)),
+    st.builds(F, st.integers(-(10**12), 10**12), st.integers(1, 10**12)),
+)
+SYSTEMS = st.integers(0, 4).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.builds(Constraint, st.tuples(*[RATIONALS] * n), RATIONALS, st.booleans()),
+            max_size=7,
+        ),
+    )
+)
+
+
+@given(SYSTEMS)
+@settings(max_examples=300, deadline=None)
+def test_returned_points_admit_every_constraint(system):
+    n, cons = system
+    point = find_point(cons, n)
+    if point is not None:
+        assert len(point) == n
+        assert all(holds(c, point) for c in cons)
+
+
+@given(
+    SYSTEMS,
+    st.data(),
+    st.integers(1, 10**12),
+    st.integers(1, 10**12),
+)
+@settings(max_examples=300, deadline=None)
+def test_positive_rescaling_of_one_constraint_changes_nothing(system, data, num, den):
+    n, cons = system
+    assume(cons)
+    i = data.draw(st.integers(0, len(cons) - 1))
+    k = F(num, den)
+    c = cons[i]
+    scaled = list(cons)
+    scaled[i] = Constraint(tuple(a * k for a in c.coeffs), c.bound * k, c.strict)
+    assert find_point(scaled, n) == find_point(cons, n)

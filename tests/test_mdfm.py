@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from brokerlab.core import Allocation, NodeSpec, TransactionSpec, Zero, welfare
+from brokerlab import mdfm
 from brokerlab.errors import InstanceTooLarge, MalformedInput
 from brokerlab.mdfm import (
     ResourceMarket,
@@ -115,6 +116,22 @@ class TestFeasiblePatterns:
         market = ResourceMarket(1, txs, (NodeSpec("n", Zero(), (F(1),)),))
         with pytest.raises(InstanceTooLarge):
             feasible_patterns(market)
+
+    @pytest.mark.parametrize(
+        "market, message",
+        [
+            (fee_gap_market(16), "at most 16 transactions, got 17"),
+            (inclusion_gap_market(9), "at most 8 dimensions, got 9"),
+        ],
+        ids=["17-transactions", "9-dimensions"],
+    )
+    def test_caps_refuse_before_the_valid_set_is_enumerated(self, monkeypatch, market, message):
+        def enumerate_valid(*args, **kwargs):
+            raise AssertionError("enumerate_valid called on an oversized market")
+
+        monkeypatch.setattr(mdfm, "enumerate_valid", enumerate_valid)
+        with pytest.raises(InstanceTooLarge, match=message):
+            run_benchmarks(market)
 
 
 class TestConstructions:

@@ -1,5 +1,6 @@
 import json
 from dataclasses import fields
+from itertools import combinations
 from fractions import Fraction as F
 from typing import get_type_hints
 
@@ -11,12 +12,15 @@ from brokerlab.core import (
     Allocation,
     ConstantNonempty,
     LinearResources,
+    NodeSpec,
     PerTransaction,
     SubsetTable,
+    TransactionSpec,
     Zero,
 )
 from brokerlab.errors import MalformedInput
 from brokerlab.mdfm import (
+    ResourceMarket,
     collusion_example_instance,
     fee_gap_market,
     inclusion_gap_market,
@@ -31,7 +35,7 @@ from brokerlab.scenario import (
     parse_scenario,
     resource_market_to_scenario_json,
 )
-from brokerlab.validity import Constraint
+from brokerlab.validity import Constraint, MutualExclusion
 
 
 MARKET_SCENARIO = {
@@ -197,3 +201,40 @@ class TestGeneratedScenarios:
         payload = resource_market_to_scenario_json(oracle_gap_market(2, [F(1), F(2)]))
         text = json.dumps(payload, sort_keys=True)
         assert parse_scenario(json.loads(text)).market == oracle_gap_market(2, [F(1), F(2)])
+
+
+@st.composite
+def resource_markets(draw):
+    """d = 1-3; zero or linear costs; capacities absent, partial or full;
+    single_assignment on or off; any set of pairwise exclusions."""
+    d = draw(st.integers(1, 3))
+    number = st.builds(F, st.integers(0, 40), st.integers(1, 6))
+    vector = st.tuples(*[number] * d)
+    txs = tuple(
+        TransactionSpec(f"t{i + 1}", draw(number), draw(vector))
+        for i in range(draw(st.integers(1, 4)))
+    )
+    nodes = tuple(
+        NodeSpec(
+            f"n{j + 1}",
+            draw(st.one_of(st.just(Zero()), vector.map(LinearResources))),
+            draw(st.one_of(st.none(), st.tuples(*[st.one_of(st.none(), number)] * d))),
+        )
+        for j in range(draw(st.integers(1, 3)))
+    )
+    pairs = [MutualExclusion(a, b) for a, b in combinations([t.id for t in txs], 2)]
+    exclusions = tuple(draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else ()
+    return ResourceMarket(d, txs, nodes, draw(st.booleans()), exclusions)
+
+
+def canonical(payload: dict) -> bytes:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+
+
+@given(resource_markets())
+@settings(max_examples=200, deadline=None)
+def test_whole_resource_market_round_trip(market):
+    payload = resource_market_to_scenario_json(market)
+    parsed = parse_scenario(json.loads(canonical(payload))).market
+    assert parsed == market
+    assert canonical(resource_market_to_scenario_json(parsed)) == canonical(payload)
