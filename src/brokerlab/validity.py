@@ -16,17 +16,21 @@ conjunction of constraint primitives:
 
 Each constraint must be closed under dropping a transaction (see
 ``Constraint``), so the empty allocation always satisfies every
-specification.  Enumeration returns the full valid set in canonical
-allocation order and refuses instances whose search space exceeds a
-configurable cap.  The cap counts the effective space, the product over
-transactions of the node sets each may take once the constraints' node-count
-bounds are applied, not the raw ``(2^|N|)^|T|``.  ``is_valid`` tests the
-same bounds before any ``holds``, so its answer does not depend on the
-order of the constraints.
+specification, and an allocation satisfies a constraint exactly when each
+of its ``(tx, nodes)`` pairs, in canonical order, is admitted by the prefix
+before it.  A constraint therefore states one incremental test,
+``admits``, or bounds only node-set sizes through ``node_counts``.
+Enumeration grows allocations one admitted pair at a time, returns the full
+valid set in canonical allocation order and refuses instances whose search
+space exceeds a configurable cap.  The cap counts the effective space, the
+product over transactions of the node sets each may take once the
+constraints' node-count bounds are applied, not the raw ``(2^|N|)^|T|``.
+``is_valid`` tests the same bounds before folding ``admits`` over the pairs.
 
 ``enumerate_valid`` remembers its last result: the same instance and spec
 objects (compared by identity, as ``mechanism.prepare_round`` compares
-them) with an equal cap get a fresh copy of it without a second search.
+them) with an equal cap get a fresh copy of it without a second search, and
+``is_valid`` accepts a member of it without testing it again.
 """
 
 from __future__ import annotations
@@ -49,15 +53,28 @@ class Constraint:
 
     A constraint must be closed under dropping a transaction: if an
     allocation satisfies it, so does the same allocation with any one
-    transaction unassigned.  ``enumerate_valid`` relies on this to cut a
-    search branch as soon as a partial allocation fails ``holds``.
+    transaction unassigned.  Then an allocation satisfies the constraint
+    exactly when each of its ``(tx, nodes)`` pairs, taken in canonical
+    order, is admitted by the prefix before it; ``is_valid`` folds
+    ``admits`` over the pairs and ``enumerate_valid`` grows partial
+    allocations one admitted pair at a time.
+
+    ``admits(instance, partial, tx, nodes)`` answers whether ``tx`` may run
+    on ``nodes`` when added to ``partial``, where ``partial`` satisfies the
+    constraint and ``tx`` sorts after every transaction in it.  A
+    constraint that only bounds node-set sizes says so through
+    ``node_counts`` and keeps the default ``admits``, which admits
+    everything: the enumerator never builds a node set outside those
+    bounds and ``is_valid`` tests them before any ``admits``.
     """
 
     def check_ids(self, txs: Set[str], nodes: Set[str]) -> None:
         """Refuse unknown transaction or node ids and out-of-range parameters."""
 
-    def holds(self, instance: MarketInstance, allocation: Allocation) -> bool:
-        raise NotImplementedError
+    def admits(
+        self, instance: MarketInstance, partial: Allocation, tx: str, nodes: tuple[str, ...]
+    ) -> bool:
+        return True
 
     def node_counts(self, tx: str) -> tuple[int, float]:
         """Bounds on the number of nodes an allocated ``tx`` may run on."""
@@ -74,21 +91,24 @@ def _check_txs(listed: Iterable[str], txs: Set[str]) -> None:
 class NodeCapacity(Constraint):
     """Per node and dimension, total resource usage must fit the node's capacity."""
 
-    def holds(self, instance: MarketInstance, allocation: Allocation) -> bool:
-        for node, bundle in allocation.bundles:
+    def admits(
+        self, instance: MarketInstance, partial: Allocation, tx: str, nodes: tuple[str, ...]
+    ) -> bool:
+        for node in nodes:
             capacity = instance.node(node).capacity
             if capacity is None:
                 continue
             usage = [ZERO] * len(capacity)
-            for tx in bundle:
-                vector = instance.resources.get(tx)
+            # the bundle already fits, so only ``tx`` can lack a vector
+            for placed in (tx, *partial.inverse(node)):
+                vector = instance.resources.get(placed)
                 if vector is None:
                     raise MalformedInput(
-                        f"transaction {tx!r} has no resource vector for capacity checks"
+                        f"transaction {placed!r} has no resource vector for capacity checks"
                     )
                 if len(vector) != len(capacity):
                     raise MalformedInput(
-                        f"resource vector of {tx!r} has wrong length for node {node!r}"
+                        f"resource vector of {placed!r} has wrong length for node {node!r}"
                     )
                 usage = [u + g for u, g in zip(usage, vector)]
             if any(cap is not None and used > cap for used, cap in zip(usage, capacity)):
@@ -107,8 +127,10 @@ class MaxTxPerNode(Constraint):
         if self.limit < 0:
             raise MalformedInput(f"negative transaction limit {self.limit} for node {self.node!r}")
 
-    def holds(self, instance: MarketInstance, allocation: Allocation) -> bool:
-        return len(allocation.inverse(self.node)) <= self.limit
+    def admits(
+        self, instance: MarketInstance, partial: Allocation, tx: str, nodes: tuple[str, ...]
+    ) -> bool:
+        return self.node not in nodes or len(partial.inverse(self.node)) < self.limit
 
 
 @dataclass(frozen=True)
@@ -129,10 +151,6 @@ class RequiredNodeCount(Constraint):
         if not (0 <= self.min_nodes <= self.max_nodes):
             raise MalformedInput(f"bad node count range for {self.tx!r}")
 
-    def holds(self, instance: MarketInstance, allocation: Allocation) -> bool:
-        nodes = allocation.nodes_for(self.tx)
-        return not nodes or self.min_nodes <= len(nodes) <= self.max_nodes
-
     def node_counts(self, tx: str) -> tuple[int, float]:
         return (self.min_nodes, self.max_nodes) if tx == self.tx else (0, inf)
 
@@ -146,14 +164,19 @@ class MustShareNode(Constraint):
     def check_ids(self, txs: Set[str], nodes: Set[str]) -> None:
         _check_txs(self.txs, txs)
 
-    def holds(self, instance: MarketInstance, allocation: Allocation) -> bool:
-        node_sets = []
-        for tx in self.txs:
-            nodes = allocation.nodes_for(tx)
-            if not nodes:
-                return True
-            node_sets.append(set(nodes))
-        return not node_sets or bool(set.intersection(*node_sets))
+    def admits(
+        self, instance: MarketInstance, partial: Allocation, tx: str, nodes: tuple[str, ...]
+    ) -> bool:
+        if tx not in self.txs:
+            return True
+        shared = set(nodes)
+        for other in self.txs:
+            if other != tx:
+                placed = partial.nodes_for(other)
+                if not placed:
+                    return True
+                shared.intersection_update(placed)
+        return bool(shared)
 
 
 @dataclass(frozen=True)
@@ -164,16 +187,18 @@ class MutualExclusion(Constraint):
     def check_ids(self, txs: Set[str], nodes: Set[str]) -> None:
         _check_txs([self.first, self.second], txs)
 
-    def holds(self, instance: MarketInstance, allocation: Allocation) -> bool:
-        return not (allocation.nodes_for(self.first) and allocation.nodes_for(self.second))
+    def admits(
+        self, instance: MarketInstance, partial: Allocation, tx: str, nodes: tuple[str, ...]
+    ) -> bool:
+        if tx == self.first:
+            # a transaction excluded from itself is never allocated
+            return tx != self.second and not partial.nodes_for(self.second)
+        return tx != self.second or not partial.nodes_for(self.first)
 
 
 @dataclass(frozen=True)
 class SingleAssignment(Constraint):
     """Every allocated transaction runs on exactly one node."""
-
-    def holds(self, instance: MarketInstance, allocation: Allocation) -> bool:
-        return all(len(nodes) == 1 for _, nodes in allocation.pairs)
 
     def node_counts(self, tx: str) -> tuple[int, float]:
         return 0, 1
@@ -206,18 +231,44 @@ def _check_constraint_ids(spec: Constraints, instance: MarketInstance) -> None:
         c.check_ids(txs, nodes)
 
 
+def _consulted(constraints: Iterable[Constraint]) -> list[Constraint]:
+    """The constraints whose ``admits`` can refuse a step."""
+    return [c for c in constraints if type(c).admits is not Constraint.admits]
+
+
+# (instance, spec, cap, valid set, the same as a frozenset) of the last
+# enumeration.  Strong references, so the ids compared below cannot be reused
+# by other objects; one tuple, replaced whole, so a concurrent caller at worst
+# searches again.
+_last: (
+    tuple[
+        MarketInstance, ValiditySpec | None, int, tuple[Allocation, ...], frozenset[Allocation]
+    ]
+    | None
+) = None
+
+
 def is_valid(
     allocation: Allocation,
     spec: ValiditySpec | None,
     instance: MarketInstance,
 ) -> bool:
-    """Exact membership test for the valid set."""
+    """Exact membership test for the valid set.
+
+    An allocation in the last enumeration of the same instance and spec
+    objects is valid without a second test.  Any other allocation is tested
+    against every constraint's node-count bounds and then by folding
+    ``admits`` over its pairs in canonical order.
+    """
     unknown_txs = allocation.transactions - set(instance.tx_ids)
     unknown_nodes = allocation.nodes - set(instance.node_ids)
     if unknown_txs or unknown_nodes:
         raise MalformedInput(
             f"allocation references unknown ids {sorted(unknown_txs | unknown_nodes)}"
         )
+    last = _last
+    if last is not None and last[0] is instance and last[1] is spec and allocation in last[4]:
+        return True
     if spec is None:
         spec = instance.validity
     if spec is None:
@@ -225,20 +276,20 @@ def is_valid(
     if isinstance(spec, Extensional):
         return allocation.is_empty() or allocation in set(spec.allocations)
     _check_constraint_ids(spec, instance)
-    # every node_counts bound first, so that no ``holds`` sees a node set the
+    # every node_counts bound first, so that no ``admits`` sees a node set the
     # enumerator would never build, whatever the constraint order
     for tx, nodes in allocation.pairs:
         for c in spec.constraints:
             lo, hi = c.node_counts(tx)
             if not lo <= len(nodes) <= hi:
                 return False
-    return all(c.holds(instance, allocation) for c in spec.constraints)
-
-
-# (instance, spec, cap, valid set) of the last enumeration.  Strong references,
-# so the ids compared below cannot be reused by other objects; one tuple,
-# replaced whole, so a concurrent caller at worst searches again.
-_last: tuple[MarketInstance, ValiditySpec | None, int, tuple[Allocation, ...]] | None = None
+    consulted = _consulted(spec.constraints)
+    pairs = allocation.pairs
+    for i, (tx, nodes) in enumerate(pairs):
+        partial = Allocation(pairs[:i])
+        if not all(c.admits(instance, partial, tx, nodes) for c in consulted):
+            return False
+    return True
 
 
 def enumerate_valid(
@@ -248,23 +299,27 @@ def enumerate_valid(
 ) -> list[Allocation]:
     """Every valid allocation exactly once, in canonical order.
 
-    Constraint specs are enumerated by a depth-first search over
-    per-transaction node subsets of the sizes the constraints allow.  Each
-    partial allocation is tested with every constraint's ``holds`` and a
-    failing branch is cut, which is exact because constraints are closed
-    under dropping a transaction.
+    Constraint specs are enumerated by a depth-first search that extends a
+    partial allocation by one ``(tx, nodes)`` step at a time, over
+    transactions in id order and each transaction's node sets of the sizes
+    the constraints allow, sorted as tuples.  A step is taken only if every
+    constraint admits it, which is exact because constraints are closed
+    under dropping a transaction, and each allocation is emitted when it is
+    reached: preorder over canonically ordered steps is canonical
+    allocation order, so nothing is sorted afterwards.
 
     The last result is remembered: a call with the very same instance and
     spec objects (by identity; both are immutable) and an equal cap returns
-    it without searching again.  Every call returns a fresh list, so a
-    caller may mutate it; the ``Allocation`` objects in it are shared.
+    it without searching again, and ``is_valid`` reads it.  Every call
+    returns a fresh list, so a caller may mutate it; the ``Allocation``
+    objects in it are shared.
     """
     global _last
     last = _last
     if last is not None and last[0] is instance and last[1] is spec and last[2] == cap:
         return list(last[3])
     found = _search_valid(instance, spec, cap)
-    _last = (instance, spec, cap, tuple(found))
+    _last = (instance, spec, cap, tuple(found), frozenset(found))
     return found
 
 
@@ -293,21 +348,23 @@ def _search_valid(
             f"search space of {len(txs)} transactions x {len(nodes)} nodes "
             f"has {space} leaves, which exceeds cap {cap}"
         )
-    subsets = {tx: [s for k in sizes_for(tx) for s in combinations(nodes, k)] for tx in txs}
-    found: list[Allocation] = []
+    # node ids are sorted, so every combination is a sorted tuple
+    subsets = [sorted(s for k in sizes_for(tx) for s in combinations(nodes, k)) for tx in txs]
+    consulted = _consulted(constraints)
+    found = [EMPTY_ALLOCATION]
 
-    def search(index: int, partial: Allocation) -> None:
-        if index == len(txs):
-            found.append(partial)
-            return
-        search(index + 1, partial)
-        tx = txs[index]
-        for subset in subsets[tx]:
-            # tx_ids and combinations are sorted, so the pairs stay canonical
-            extended = Allocation(partial.pairs + ((tx, subset),))
-            if all(c.holds(instance, extended) for c in constraints):
-                search(index + 1, extended)
+    def search(start: int, partial: Allocation) -> None:
+        for index in range(start, len(txs)):
+            tx = txs[index]
+            for subset in subsets[index]:
+                # a plain loop rather than all(): no generator per step
+                for c in consulted:
+                    if not c.admits(instance, partial, tx, subset):
+                        break
+                else:
+                    extended = Allocation(partial.pairs + ((tx, subset),))
+                    found.append(extended)
+                    search(index + 1, extended)
 
     search(0, EMPTY_ALLOCATION)
-    found.sort()
     return found

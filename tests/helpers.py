@@ -183,16 +183,7 @@ def random_proposals(
 
 def naive_enumerate(instance: MarketInstance, spec=None) -> list[Allocation]:
     """All (2^|N|)^|T| assignment maps filtered by the validity test."""
-    node_subsets = []
-    nodes = list(instance.node_ids)
-    for mask in range(1 << len(nodes)):
-        node_subsets.append([nodes[i] for i in range(len(nodes)) if mask >> i & 1])
-    out = []
-    for assignment in product(node_subsets, repeat=len(instance.tx_ids)):
-        allocation = Allocation.of(dict(zip(instance.tx_ids, assignment)))
-        if is_valid(allocation, spec, instance):
-            out.append(allocation)
-    return sorted(set(out))
+    return sorted(a for a in raw_space(instance) if is_valid(a, spec, instance))
 
 
 def random_constrained_instance(
@@ -267,8 +258,8 @@ def _node_usage_by_ladder(instance: MarketInstance, allocation: Allocation, node
 
 
 def satisfies_by_ladder(instance: MarketInstance, allocation: Allocation, constraint) -> bool:
-    """One constraint decided by a type switch, as before each constraint
-    class owned its own ``holds``."""
+    """One constraint decided on a whole allocation by a type switch, as
+    before each constraint class owned its own test."""
     if isinstance(constraint, NodeCapacity):
         for node in allocation.nodes:
             capacity = instance.node(node).capacity
@@ -304,8 +295,20 @@ def satisfies_by_ladder(instance: MarketInstance, allocation: Allocation, constr
     raise MalformedInput(f"unknown constraint {constraint!r}")
 
 
-def ladder_enumerate(instance: MarketInstance) -> list[Allocation]:
-    """The raw (2^|N|)^|T| space filtered by ``satisfies_by_ladder``.
+def raw_space(instance: MarketInstance) -> list[Allocation]:
+    """Every allocation of the raw (2^|N|)^|T| space."""
+    nodes = list(instance.node_ids)
+    node_subsets = [
+        [nodes[i] for i in range(len(nodes)) if mask >> i & 1] for mask in range(1 << len(nodes))
+    ]
+    return [
+        Allocation.of(dict(zip(instance.tx_ids, assignment)))
+        for assignment in product(node_subsets, repeat=len(instance.tx_ids))
+    ]
+
+
+def valid_by_ladder(instance: MarketInstance, allocation: Allocation) -> bool:
+    """Every constraint of the instance decided by ``satisfies_by_ladder``.
 
     The node-count constraints are tested first.  ``enumerate_valid`` never
     builds a node set outside their bounds, so without this a transaction
@@ -313,20 +316,16 @@ def ladder_enumerate(instance: MarketInstance) -> list[Allocation]:
     listed earlier, which raises for a missing resource vector on an
     allocation the count constraints reject anyway.
     """
-    nodes = list(instance.node_ids)
-    node_subsets = [
-        [nodes[i] for i in range(len(nodes)) if mask >> i & 1] for mask in range(1 << len(nodes))
-    ]
     constraints = sorted(
         instance.validity.constraints,
         key=lambda c: not isinstance(c, (SingleAssignment, RequiredNodeCount)),
     )
-    out = []
-    for assignment in product(node_subsets, repeat=len(instance.tx_ids)):
-        allocation = Allocation.of(dict(zip(instance.tx_ids, assignment)))
-        if all(satisfies_by_ladder(instance, allocation, c) for c in constraints):
-            out.append(allocation)
-    return sorted(out)
+    return all(satisfies_by_ladder(instance, allocation, c) for c in constraints)
+
+
+def ladder_enumerate(instance: MarketInstance) -> list[Allocation]:
+    """The raw space filtered by ``valid_by_ladder``."""
+    return sorted(a for a in raw_space(instance) if valid_by_ladder(instance, a))
 
 
 # ---------------------------------------------------------------------------

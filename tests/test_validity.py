@@ -1,5 +1,8 @@
 import random
+from dataclasses import fields
 from fractions import Fraction as F
+from math import inf
+from typing import get_type_hints
 
 import pytest
 
@@ -18,6 +21,7 @@ from brokerlab.mdfm import collusion_example_instance
 from brokerlab.mechanism import Proposal, run
 from brokerlab.scenario import parse_scenario
 from brokerlab.validity import (
+    Constraint,
     Constraints,
     Extensional,
     MaxTxPerNode,
@@ -35,6 +39,8 @@ from helpers import (
     naive_enumerate,
     random_constrained_instance,
     random_instance,
+    raw_space,
+    valid_by_ladder,
 )
 
 
@@ -101,7 +107,7 @@ class TestIsValid:
 
     def test_node_count_bounds_decide_before_any_holds(self):
         # t1 has no resource vector and n1 declares a capacity, so
-        # NodeCapacity.holds raises on {t1: [n1]}; the node-count bound
+        # NodeCapacity.admits raises on {t1: [n1]}; the node-count bound
         # refuses that node set first, in either constraint order
         instance = MarketInstance(
             (TransactionSpec("t1", F(1)),), (NodeSpec("n1", Zero(), (F(1),)),)
@@ -117,6 +123,46 @@ class TestIsValid:
             with pytest.raises(InvalidProposal):
                 run(instance, spec, instance.truthful_reports(), [Proposal("b1", routing)], ["b1"])
 
+    def test_matches_the_ladder_over_the_raw_space(self, monkeypatch):
+        # the prefix fold against whole-allocation tests, on the corpus of
+        # the enumeration test below, with no enumeration to read from
+        monkeypatch.setattr(validity, "_last", None)
+
+        def verdict(decide, *args):
+            try:
+                return decide(*args)
+            except MalformedInput:
+                return None
+
+        rng = random.Random(29)
+        checked = one_raised = 0
+        for _ in range(400):
+            instance = random_constrained_instance(rng)
+            for allocation in raw_space(instance):
+                checked += 1
+                fold = verdict(is_valid, allocation, instance.validity, instance)
+                ladder = verdict(valid_by_ladder, instance, allocation)
+                if fold is None or ladder is None:
+                    # which violation is met first decides raise or False,
+                    # but a malformed input never stands against True
+                    assert True not in (fold, ladder)
+                    one_raised += (fold is None) != (ladder is None)
+                else:
+                    assert fold == ladder
+        assert checked == 152_340
+        assert one_raised > 0
+
+    def test_a_transaction_excluded_from_itself_is_never_allocated(self):
+        spec = Constraints((MutualExclusion("t1", "t1"),))
+        instance = simple_instance(validity=spec)
+        assert enumerate_valid(instance) == [
+            EMPTY_ALLOCATION,
+            Allocation.of({"t2": ["n1"]}),
+            Allocation.of({"t2": ["n1", "n2"]}),
+            Allocation.of({"t2": ["n2"]}),
+        ]
+        assert not is_valid(Allocation.of({"t1": ["n1"]}), spec, instance)
+
     def test_unknown_allocation_id_raises(self):
         instance = simple_instance()
         with pytest.raises(MalformedInput):
@@ -129,6 +175,20 @@ class TestIsValid:
         assert is_valid(member, spec, instance)
         assert is_valid(EMPTY_ALLOCATION, spec, instance)
         assert not is_valid(Allocation.of({"t2": ["n1"]}), spec, instance)
+
+
+# a value of each constraint field type, to build any constraint class
+SAMPLE_FIELDS = {str: "t1", int: 1, tuple[str, ...]: ("t1",)}
+
+
+@pytest.mark.parametrize("cls", Constraint.__subclasses__(), ids=lambda cls: cls.__name__)
+def test_every_constraint_type_can_refuse(cls):
+    # the base ``admits`` admits everything, so a type that keeps it must
+    # bound node counts, or it would silently allow every allocation
+    if cls.admits is Constraint.admits:
+        hints = get_type_hints(cls)
+        constraint = cls(**{f.name: SAMPLE_FIELDS[hints[f.name]] for f in fields(cls)})
+        assert constraint.node_counts("t1") != (0, inf)
 
 
 class TestEnumerateValid:
@@ -296,3 +356,39 @@ class TestValidSetCache:
         assert searched[1][0] is twin
         assert [s[1] for s in searched][2:] == [first.validity, equal_spec]
         assert searched[3][1] is equal_spec
+
+    def test_is_valid_reads_the_last_enumeration(self, monkeypatch):
+        tested = []
+        admits = MaxTxPerNode.admits
+
+        def counted(self, *args):
+            tested.append(args)
+            return admits(self, *args)
+
+        monkeypatch.setattr(MaxTxPerNode, "admits", counted)
+        spec = Constraints((MaxTxPerNode("n1", 1),))
+        instance = simple_instance(validity=spec)
+        members = enumerate_valid(instance)
+        # 16 raw allocations less the 2 x 2 in which both run on n1
+        assert len(members) == 12
+        tested.clear()
+        assert all(is_valid(member, None, instance) for member in members)
+        assert tested == []
+        shared = Allocation.of({"t1": ["n1"], "t2": ["n1", "n2"]})
+        assert is_valid(shared, None, instance) is False
+        assert tested
+        with pytest.raises(MalformedInput, match="ghost"):
+            is_valid(Allocation.of({"ghost": ["n1"]}), None, instance)
+        # keyed by the spec as passed: the instance's own spec passed
+        # explicitly, an equal spec and an equal instance are tested again
+        member = Allocation.of({"t1": ["n1", "n2"]})
+        for spec_arg, instance_arg in [
+            (spec, instance),
+            (Constraints(spec.constraints), instance),
+            (None, simple_instance(validity=spec)),
+        ]:
+            tested.clear()
+            assert is_valid(member, spec_arg, instance_arg) is True
+            assert tested
+        single = Constraints((SingleAssignment(),))
+        assert is_valid(member, single, instance) is False
