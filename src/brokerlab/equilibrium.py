@@ -286,7 +286,7 @@ def check_pne(
         if broker not in by_broker:
             continue
         before = broker_utility(base, broker)
-        rivals = [p for p in proposals if p.broker != broker]
+        rivals = proposals.without(broker)
         response = broker_best_response(
             broker, instance, spec, reports, rivals, broker_order, quantum, cap=cap
         )

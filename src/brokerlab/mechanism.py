@@ -14,7 +14,9 @@ margin and its broker's position.  Settling one report profile then ranks
 the proposals by reported surplus, their allocation's reported welfare
 (``core.welfare``) minus the cached margin, which is ``core.surplus``.
 Deviation search changes one report at a time, so it prepares once and
-passes the prepared sequence to ``run``.
+passes the prepared sequence to ``run``.  A best response changes one
+proposal: ``PreparedRound.without`` drops a broker's proposal and
+``with_proposal`` swaps one in, checking only the new proposal.
 """
 
 from __future__ import annotations
@@ -94,6 +96,49 @@ class PreparedRound(Sequence):
     def __iter__(self):
         return iter(self.proposals)
 
+    def prepared_for(
+        self, instance: MarketInstance, spec: ValiditySpec | None, broker_order: Sequence[str]
+    ) -> bool:
+        """Whether this round was prepared for this very instance and spec (by
+        identity) and an equal broker order, so that it needs no check again."""
+        same = self.instance is instance and self.spec is spec
+        return same and self.broker_order == tuple(broker_order)
+
+    def without(self, broker: str) -> "PreparedRound":
+        """This round without ``broker``'s proposal; nothing is checked again."""
+        proposals = tuple(p for p in self.proposals if p.broker != broker)
+        terms = tuple(t for t in self.terms if t.proposal.broker != broker)
+        return PreparedRound(proposals, self.instance, self.spec, self.broker_order, terms)
+
+    def with_proposal(self, proposal: Proposal) -> "PreparedRound":
+        """This round with ``proposal`` in place of its broker's proposal, or
+        added when that broker has none, in broker order.
+
+        Only ``proposal`` is checked, as ``prepare_round`` checks each one;
+        the other proposals keep their cached terms.
+        """
+        order = self.broker_order
+        if proposal.broker not in order:
+            raise MalformedInput(
+                "broker order must be a permutation covering the proposing brokers"
+            )
+        _check_proposal(self.instance, self.spec, proposal)
+        kept = self.without(proposal.broker)
+        proposals = sorted([*kept.proposals, proposal], key=lambda p: order.index(p.broker))
+        terms = kept.terms
+        proposal_margin = margin(proposal.routing)
+        if proposal_margin >= 0:
+            terms += (_Terms(proposal, proposal_margin, order.index(proposal.broker)),)
+        return PreparedRound(tuple(proposals), self.instance, self.spec, order, terms)
+
+
+def _check_proposal(
+    instance: MarketInstance, spec: ValiditySpec | None, proposal: Proposal
+) -> None:
+    instance.validate_routing(proposal.routing)
+    if not is_valid(proposal.routing.allocation, spec, instance):
+        raise InvalidProposal(f"proposal from {proposal.broker!r} carries an invalid allocation")
+
 
 def prepare_round(
     instance: MarketInstance,
@@ -111,12 +156,7 @@ def prepare_round(
     equal broker order; any other sequence is validated from scratch.
     """
     order = tuple(broker_order)
-    if (
-        isinstance(proposals, PreparedRound)
-        and proposals.instance is instance
-        and proposals.spec is spec
-        and proposals.broker_order == order
-    ):
+    if isinstance(proposals, PreparedRound) and proposals.prepared_for(instance, spec, order):
         return proposals
     brokers = [p.broker for p in proposals]
     if len(set(brokers)) != len(brokers):
@@ -124,11 +164,7 @@ def prepare_round(
     if sorted(order) != sorted(set(order)) or set(brokers) - set(order):
         raise MalformedInput("broker order must be a permutation covering the proposing brokers")
     for proposal in proposals:
-        instance.validate_routing(proposal.routing)
-        if not is_valid(proposal.routing.allocation, spec, instance):
-            raise InvalidProposal(
-                f"proposal from {proposal.broker!r} carries an invalid allocation"
-            )
+        _check_proposal(instance, spec, proposal)
 
     position = {b: i for i, b in enumerate(order)}
     terms = []

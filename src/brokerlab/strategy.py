@@ -8,9 +8,10 @@ responses range over all valid allocations; where a rival's surplus must be
 beaten strictly, margins live on a configurable lattice ``{k * quantum}``
 because the continuous problem has no maximizer on an open set.  The best
 winning margin never falls as welfare rises, so one welfare pass over the
-valid set finds the best response (see ``broker_best_response``).
-Best-response dynamics settle the starting profile once and then one round
-per broker turn: the round a best response settles is the next profile's.
+valid set finds the best response (see ``broker_best_response``), and
+its argmax is remembered for the last market and reports.  Best-response
+dynamics check and settle the starting profile once; then each broker turn
+checks only its response and settles one round, the next profile's.
 """
 
 from __future__ import annotations
@@ -19,17 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import (
-    Allocation,
-    MarketInstance,
-    ReportProfile,
-    Routing,
-    margin,
-    surplus,
-    welfare,
-)
+from .core import Allocation, MarketInstance, ReportProfile, Routing, margin, welfare
 from .errors import InfeasibleTarget, MalformedInput
-from .mechanism import MechanismOutcome, Proposal, broker_utility, run
+from .mechanism import MechanismOutcome, PreparedRound, Proposal, broker_utility, prepare_round, run
 from .rationals import ZERO
 from .validity import DEFAULT_ENUM_CAP, ValiditySpec, enumerate_valid
 
@@ -70,7 +63,31 @@ def welfare_max_allocation(
     cap: int = DEFAULT_ENUM_CAP,
 ) -> WelfareMax:
     """Argmax of reported welfare over the valid set, canonical tie-break."""
-    return _welfare_argmax(instance, enumerate_valid(instance, spec, cap), reports)
+    return _welfare_max(instance, spec, reports, enumerate_valid(instance, spec, cap))
+
+
+# (instance, spec, tx reports, node reports, argmax) of the last welfare pass.
+# Strong references, as in ``validity``; one tuple, replaced whole.
+_last_argmax: tuple[MarketInstance, ValiditySpec | None, dict, dict, WelfareMax] | None = None
+
+
+def _welfare_max(
+    instance: MarketInstance, spec: ValiditySpec | None, reports: ReportProfile,
+    allocations: Sequence[Allocation],
+) -> WelfareMax:
+    """``_welfare_argmax`` over ``allocations``, the valid set of ``(instance,
+    spec)``, remembered for the last instance and spec (by identity, as in
+    ``enumerate_valid``; every cap that lets it finish gives the same set)
+    and reports (by value, through copies of both mappings, so a profile
+    mutated in place since is scored again)."""
+    global _last_argmax
+    tx_reports, node_reports = dict(reports.tx_reports), dict(reports.node_reports)
+    last = _last_argmax
+    if last and last[0] is instance and last[1] is spec and last[2:4] == (tx_reports, node_reports):
+        return last[4]
+    best = _welfare_argmax(instance, allocations, reports)
+    _last_argmax = (instance, spec, tx_reports, node_reports, best)
+    return best
 
 
 def _welfare_argmax(
@@ -130,13 +147,15 @@ def scaled_rebate_routing(
 
 @dataclass(frozen=True)
 class BrokerBestResponse:
-    """A best response and the round it settles against the fixed rivals."""
+    """A best response and the round it settles against the fixed rivals:
+    ``outcome`` settles ``prepared``, the rivals plus the response."""
 
     proposal: Proposal
     utility: Fraction
     wins: bool
     allocations_examined: int
     outcome: MechanismOutcome
+    prepared: PreparedRound
 
 
 def _max_winning_margin(
@@ -207,6 +226,10 @@ def broker_best_response(
     with that welfare's margin; if this margin is None or not positive, no
     allocation's is.  ``outcome`` is the round settled on the rivals plus
     the response, in broker order.
+
+    ``rivals`` may be a ``PreparedRound``: its cached margins are used, and
+    when it was prepared for this instance, spec and broker order only the
+    response is checked before the round is settled.
     """
     if quantum <= 0:
         raise MalformedInput(f"quantum must be positive, got {quantum}")
@@ -219,10 +242,15 @@ def broker_best_response(
             raise MalformedInput(f"rival broker {rival.broker!r} missing from broker order")
 
     position = {b: i for i, b in enumerate(broker_order)}
+    if isinstance(rivals, PreparedRound):
+        balanced = [(t.proposal, t.margin) for t in rivals.terms]
+    else:
+        # checked in broker order once the response is found, as run checks them
+        rivals = sorted(rivals, key=lambda p: position[p.broker])
+        balanced = [(p, m) for p in rivals if (m := margin(p.routing)) >= 0]
+    # reported surplus, welfare minus margin (``core.surplus``)
     rival_surpluses = [
-        (surplus(instance, p.routing, reports), p.broker)
-        for p in rivals
-        if margin(p.routing) >= 0
+        (welfare(instance, p.routing.allocation, reports) - m, p.broker) for p, m in balanced
     ]
     if rival_surpluses:
         rival_best = max(s for s, _ in rival_surpluses)
@@ -233,7 +261,7 @@ def broker_best_response(
         rival_best, wins_ties = None, True
 
     allocations = enumerate_valid(instance, spec, cap)
-    best = _welfare_argmax(instance, allocations, reports)
+    best = _welfare_max(instance, spec, reports, allocations)
     best_margin = _max_winning_margin(
         best.welfare, rival_best, wins_ties, quantum, lattice_margins
     )
@@ -242,26 +270,20 @@ def broker_best_response(
     else:
         routing = scaled_rebate_routing(instance, best.allocation, reports, best_margin)
     proposal = Proposal(broker, routing)
-    outcome = _outcome_with(instance, spec, reports, rivals, proposal, broker_order)
+    reused = isinstance(rivals, PreparedRound) and rivals.prepared_for(instance, spec, broker_order)
+    if not reused:
+        # the rivals are checked next; reports are refused before proposals, as in run
+        instance.validate_reports(reports)
+    prepared = prepare_round(instance, spec, rivals, broker_order).with_proposal(proposal)
+    outcome = run(instance, spec, reports, prepared, broker_order)
     return BrokerBestResponse(
         proposal,
         broker_utility(outcome, broker),
         outcome.winner == broker,
         len(allocations),
         outcome,
+        prepared,
     )
-
-
-def _outcome_with(
-    instance: MarketInstance,
-    spec: ValiditySpec | None,
-    reports: ReportProfile,
-    rivals: Sequence[Proposal],
-    proposal: Proposal,
-    broker_order: Sequence[str],
-) -> MechanismOutcome:
-    ordered = sorted([*rivals, proposal], key=lambda p: broker_order.index(p.broker))
-    return run(instance, spec, reports, ordered, broker_order)
 
 
 @dataclass(frozen=True)
@@ -293,9 +315,10 @@ def best_response_dynamics(
 
     Each recorded step strictly improves the moving broker's utility; the
     dynamics stop after a full round with no improvement (converged) or when
-    the round budget runs out.  The initial profile's round is settled once;
-    after that the current round is the last adopted response's ``outcome``,
-    so each broker turn settles one round.
+    the round budget runs out.  The initial profile is checked and its round
+    settled once.  After that the current round is the last adopted
+    response's, prepared and settled, and each broker turn checks only its
+    response and settles one round.
     """
     if quantum <= 0:
         raise MalformedInput(f"quantum must be positive, got {quantum}")
@@ -307,10 +330,13 @@ def best_response_dynamics(
     if sorted(brokers) != sorted(broker_order):
         raise MalformedInput("initial proposals must cover the broker order exactly")
 
-    profile = {p.broker: p for p in initial}
     for p in initial:
         instance.validate_routing(p.routing)
-    current = run(instance, spec, reports, [profile[b] for b in broker_order], broker_order)
+    # reports are refused before proposals, as in run
+    instance.validate_reports(reports)
+    by_broker = {p.broker: p for p in initial}
+    prepared = prepare_round(instance, spec, [by_broker[b] for b in broker_order], broker_order)
+    current = run(instance, spec, reports, prepared, broker_order)
     steps: list[DynamicsStep] = []
     converged = False
     rounds = 0
@@ -318,26 +344,23 @@ def best_response_dynamics(
         rounds += 1
         improved = False
         for broker in broker_order:
-            rivals = [profile[b] for b in broker_order if b != broker]
             response = broker_best_response(
                 broker,
                 instance,
                 spec,
                 reports,
-                rivals,
+                prepared.without(broker),
                 broker_order,
                 quantum,
                 lattice_margins=True,
                 cap=cap,
             )
             if response.utility > broker_utility(current, broker):
-                # the response's round is the new profile's, in broker order
-                profile[broker] = response.proposal
-                current = response.outcome
+                # the response's round is the new profile's
+                prepared, current = response.prepared, response.outcome
                 steps.append(DynamicsStep(broker, response.proposal, response.utility))
                 improved = True
         if not improved:
             converged = True
             break
-    terminal = tuple(profile[b] for b in broker_order)
-    return DynamicsTrace(tuple(steps), terminal, converged, rounds)
+    return DynamicsTrace(tuple(steps), tuple(prepared), converged, rounds)

@@ -35,11 +35,10 @@ from brokerlab.mdfm import (
     inclusion_maximal_allocations,
     pools_at_price,
 )
-from brokerlab.mechanism import MechanismOutcome, Proposal, RejectionReason, broker_utility
+from brokerlab.mechanism import MechanismOutcome, Proposal, RejectionReason, broker_utility, run
 from brokerlab.strategy import (
     DEFAULT_QUANTUM,
     _max_winning_margin,
-    _outcome_with,
     max_extraction_routing,
     scaled_rebate_routing,
 )
@@ -52,6 +51,7 @@ from brokerlab.validity import (
     NodeCapacity,
     RequiredNodeCount,
     SingleAssignment,
+    ValiditySpec,
     enumerate_valid,
     is_valid,
 )
@@ -261,7 +261,7 @@ def satisfies_by_ladder(instance: MarketInstance, allocation: Allocation, constr
     """One constraint decided on a whole allocation by a type switch, as
     before each constraint class owned its own test."""
     if isinstance(constraint, NodeCapacity):
-        for node in allocation.nodes:
+        for node in sorted(allocation.nodes):
             capacity = instance.node(node).capacity
             if capacity is None:
                 continue
@@ -562,9 +562,10 @@ def outcome_or_error(settle, *args):
 
 # ``broker_best_response_reference`` is the former
 # ``strategy.broker_best_response``, verbatim, with the four-field record it
-# returned: it scores every valid allocation with ``_max_winning_margin``
-# and keeps the lexicographic maximum of (margin, welfare).  The one welfare
-# pass must match its proposal, utility, wins and allocations examined.
+# returned and the ``_outcome_with`` it settled through: it scores every
+# valid allocation with ``_max_winning_margin`` and keeps the lexicographic
+# maximum of (margin, welfare).  The one welfare pass must match its
+# proposal, utility, wins and allocations examined.
 
 
 @dataclass(frozen=True)
@@ -645,6 +646,18 @@ def broker_best_response_reference(
     return BrokerBestResponse(
         proposal, broker_utility(outcome, broker), outcome.winner == broker, examined
     )
+
+
+def _outcome_with(
+    instance: MarketInstance,
+    spec: ValiditySpec | None,
+    reports: ReportProfile,
+    rivals: Sequence[Proposal],
+    proposal: Proposal,
+    broker_order: Sequence[str],
+) -> MechanismOutcome:
+    ordered = sorted([*rivals, proposal], key=lambda p: broker_order.index(p.broker))
+    return run(instance, spec, reports, ordered, broker_order)
 
 
 # ---------------------------------------------------------------------------

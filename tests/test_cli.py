@@ -179,6 +179,20 @@ class TestDynamics:
         first = json.loads(lines[0])
         assert {"broker", "proposal", "utility"} <= set(first)
 
+    def test_no_state_leaks_between_runs_in_one_process(self, tmp_path, fig1_path, capsys):
+        # figure 1's ids with other values: a result remembered by anything
+        # but the parsed market itself would leak into the third run
+        payload = json.loads(open(fig1_path).read())
+        for tx in payload["transactions"]:
+            tx["value"] = str(2 * int(tx["value"]) + 1)
+        other = write(tmp_path, "other.json", payload)
+        outputs = []
+        for path in (fig1_path, other, fig1_path):
+            assert main(["dynamics", path]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[2]
+        assert outputs[1] != outputs[0]
+
     def test_max_rounds_below_one_exits_one(self, tmp_path, fig1_path, capsys):
         payload = json.loads(open(fig1_path).read())
         payload["max_rounds"] = -2

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from brokerlab import mechanism
 from brokerlab.core import (
     Allocation,
     ReportProfile,
@@ -33,6 +34,8 @@ from helpers import (
     random_instance,
     random_proposals,
     random_reports,
+    random_routing,
+    raw_space,
     run_reference,
 )
 
@@ -222,6 +225,59 @@ class TestPreparedRound:
                 ) == outcome_or_error(run_reference, instance, spec, profile, proposals, order)
                 settled += 1
         assert settled > 600 and refused > 10
+
+    def test_one_swapped_proposal_matches_a_fresh_preparation(self, monkeypatch):
+        checks = []
+
+        def counted_is_valid(*args):
+            checks.append(args)
+            return is_valid(*args)
+
+        is_valid = mechanism.is_valid
+        monkeypatch.setattr(mechanism, "is_valid", counted_is_valid)
+        rng = random.Random(2468)
+        swapped = refused = 0
+        for _ in range(300):
+            instance = random_instance(rng, max_txs=3, max_nodes=2)
+            spec = instance.validity
+            reports, _ = random_reports(rng, instance)
+            valid = naive_enumerate(instance, spec)
+            proposals, order = random_proposals(rng, instance, reports, valid)
+            if not proposals:
+                continue
+            prepared = prepare_round(instance, spec, proposals, order)
+            broker = rng.choice(order)
+            rest = [p for p in proposals if p.broker != broker]
+            kept = prepared.without(broker)
+            assert list(kept) == rest
+            assert outcome_or_error(run, instance, spec, reports, kept, order) == outcome_or_error(
+                run_reference, instance, spec, reports, rest, order
+            )
+            # a fifth of the new proposals draw from the raw space, so some are invalid
+            pool = valid if rng.random() < 0.8 else raw_space(instance)
+            new = Proposal(broker, random_routing(rng, instance, rng.choice(pool), reports))
+            swapped_in = sorted([*rest, new], key=lambda p: order.index(p.broker))
+            expected = outcome_or_error(run_reference, instance, spec, reports, swapped_in, order)
+            for base in (prepared, kept):
+                checks.clear()
+                try:
+                    result = base.with_proposal(new)
+                except MarketError as exc:
+                    assert (type(exc), str(exc)) == expected
+                    refused += 1
+                    continue
+                # only the new proposal is checked
+                assert len(checks) == 1
+                assert list(result) == swapped_in
+                assert outcome_or_error(run, instance, spec, reports, result, order) == expected
+                swapped += 1
+        assert swapped > 300 and refused > 10
+
+    def test_a_broker_outside_the_order_cannot_be_swapped_in(self, collusion_market):
+        spec = collusion_market.validity
+        prepared = prepare_round(collusion_market, spec, demo_proposals(collusion_market), ["b1", "b2"])
+        with pytest.raises(MalformedInput, match="permutation"):
+            prepared.with_proposal(Proposal("b3", collusion_market.empty_routing()))
 
     def test_same_key_returns_the_prepared_round(self, collusion_market):
         spec = collusion_market.validity

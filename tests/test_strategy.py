@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -13,15 +14,17 @@ from brokerlab.core import (
     ConstantNonempty,
     EMPTY_ALLOCATION,
     ReportProfile,
+    Routing,
     margin,
     surplus,
     welfare,
 )
-from brokerlab.errors import InfeasibleTarget, MalformedInput
+from brokerlab.errors import InfeasibleTarget, MalformedInput, MarketError
 from brokerlab.mdfm import collusion_example_instance, oracle_gap_market
-from brokerlab.mechanism import Proposal, run
+from brokerlab.mechanism import Proposal, prepare_round, run
 from brokerlab.scenario import dynamics_step_to_json, dynamics_summary_to_json
 from brokerlab.strategy import (
+    WelfareMax,
     _max_winning_margin,
     best_response_dynamics,
     broker_best_response,
@@ -29,11 +32,12 @@ from brokerlab.strategy import (
     scaled_rebate_routing,
     welfare_max_allocation,
 )
-from brokerlab.validity import enumerate_valid
+from brokerlab.validity import Constraints, enumerate_valid
 
 from helpers import (
     broker_best_response_reference,
     frac,
+    naive_enumerate,
     random_instance,
     random_reports,
     random_routing,
@@ -150,6 +154,33 @@ class TestScaledRebate:
 
 
 class TestBrokerBestResponse:
+    def test_malformed_rivals_are_refused_as_the_reference_refuses_them(self, collusion_market):
+        truthful = collusion_market.truthful_reports()
+        # figure 1 runs t1 on exactly two nodes
+        invalid = Routing(
+            Allocation.of({"t1": ["n1"]}), {"t1": F(0), "t2": F(0)}, {"n1": F(0), "n2": F(0)}
+        )
+        negative = Routing(EMPTY_ALLOCATION, {"t1": F(-1), "t2": F(0)}, {"n1": F(0), "n2": F(0)})
+        lying = ReportProfile({**truthful.tx_reports, "t2": F(-1)}, truthful.node_reports)
+        cases = [
+            (truthful, [Proposal("b2", invalid)], ["b1", "b2"]),
+            (truthful, [Proposal("b2", negative)], ["b1", "b2"]),
+            # the first refused rival in broker order is named
+            (truthful, [Proposal("b3", negative), Proposal("b2", invalid)], ["b1", "b2", "b3"]),
+            # reports are refused before proposals
+            (lying, [Proposal("b2", invalid)], ["b1", "b2"]),
+        ]
+        # rivals prepared for another spec are checked again, as a list is
+        elsewhere = prepare_round(collusion_market, Constraints(()), [Proposal("b2", invalid)], ["b1", "b2"])
+        cases += [(truthful, elsewhere, ["b1", "b2"]), (lying, elsewhere, ["b1", "b2"])]
+        for reports, rivals, order in cases:
+            refusals = []
+            for respond in (broker_best_response, broker_best_response_reference):
+                with pytest.raises(MarketError) as refused:
+                    respond("b1", collusion_market, collusion_market.validity, reports, rivals, order)
+                refusals.append((type(refused.value), str(refused.value)))
+            assert refusals[0] == refusals[1]
+
     def test_monopolist_extracts_everything(self, collusion_market):
         truthful = collusion_market.truthful_reports()
         response = broker_best_response("b1", collusion_market, collusion_market.validity, truthful, [], ["b1"])
@@ -341,6 +372,89 @@ class TestBestResponseOracle:
         assert responses == {"empty", "non-empty"}
 
 
+def brute_force_argmax(instance, spec, reports):
+    """First allocation of maximal reported welfare in canonical order, over
+    the raw allocation space filtered by the validity test."""
+    scored = [(welfare(instance, a, reports), a) for a in naive_enumerate(instance, spec)]
+    top = max(w for w, _ in scored)
+    winners = [a for w, a in scored if w == top]
+    return WelfareMax(winners[0], top, len(winners) == 1)
+
+
+class TestArgmaxMemo:
+    def test_interleaved_profiles_match_the_reference(self, monkeypatch):
+        # one instance under changing report profiles: every answer must be
+        # the reference's, whatever the remembered argmax was computed for
+        passes = []
+
+        def counted_argmax(*args):
+            passes.append(args)
+            return argmax(*args)
+
+        argmax = strategy._welfare_argmax
+        monkeypatch.setattr(strategy, "_welfare_argmax", counted_argmax)
+        monkeypatch.setattr(strategy, "_last_argmax", None)
+        rng = random.Random(6174)
+        lookups = 0
+        changed = set()
+
+        def check(instance, spec, reports, rivals, quantum, lattice):
+            nonlocal lookups
+            args = (broker, instance, spec, reports, rivals, order, quantum, lattice)
+            got = broker_best_response(*args)
+            want = broker_best_response_reference(*args)
+            assert (got.proposal, got.utility, got.wins, got.allocations_examined) == (
+                want.proposal,
+                want.utility,
+                want.wins,
+                want.allocations_examined,
+            )
+            ordered = sorted([*rivals, got.proposal], key=lambda p: order.index(p.broker))
+            assert got.outcome == run_reference(instance, spec, reports, ordered, order)
+            maximum = welfare_max_allocation(instance, spec, reports)
+            assert maximum == brute_force_argmax(instance, spec, reports)
+            lookups += 2
+            return maximum
+
+        for i, (broker, instance, reports, rivals, order) in enumerate(best_response_cases(6174, 80)):
+            quantum, lattice = QUANTA[i % len(QUANTA)]
+            spec = instance.validity
+            mutable = ReportProfile(dict(reports.tx_reports), dict(reports.node_reports))
+            other, _ = random_reports(rng, instance, liar_prob=0.8)
+            first = check(instance, spec, mutable, rivals, quantum, lattice)
+            check(instance, spec, other, rivals, quantum, lattice)
+            check(instance, spec, mutable, rivals, quantum, lattice)
+            # the same profile object, mutated in place between calls
+            tx = rng.choice(instance.tx_ids)
+            mutable.tx_reports[tx] = mutable.tx_reports[tx] + 8
+            if check(instance, spec, mutable, rivals, quantum, lattice) != first:
+                changed.add("tx report mutated")
+            node = rng.choice(instance.node_ids)
+            mutable.node_reports[node] = ConstantNonempty(F(9))
+            if check(instance, spec, mutable, rivals, quantum, lattice) != first:
+                changed.add("node report mutated")
+            # an equal profile built anew, then another spec for the same instance
+            rebuilt = ReportProfile(dict(mutable.tx_reports), dict(mutable.node_reports))
+            constrained = check(instance, spec, rebuilt, rivals, quantum, lattice)
+            if check(instance, Constraints(()), rebuilt, rivals, quantum, lattice) != constrained:
+                changed.add("spec replaced")
+            # replaced instances: an equal copy, then one without constraints
+            # read through ``spec=None``, whose valid set is larger
+            check(replace(instance), spec, rebuilt, rivals, quantum, lattice)
+            constrained = check(instance, None, rebuilt, rivals, quantum, lattice)
+            free = replace(instance, validity=Constraints(()))
+            if check(free, None, rebuilt, rivals, quantum, lattice) != constrained:
+                changed.add("instance replaced")
+        assert changed == {
+            "tx report mutated",
+            "node report mutated",
+            "spec replaced",
+            "instance replaced",
+        }
+        # the memo answered some lookups and missed on every change above
+        assert 0 < len(passes) < lookups
+
+
 def dynamics_runs(seed, count):
     """Figure 1 with two and three brokers, and cut off after three rounds,
     then ``count`` random 2-3 broker dynamics on up to 3 transactions x 2
@@ -405,17 +519,36 @@ class TestDynamicsTraces:
             searches.append((instance, spec, cap))
             return search(instance, spec, cap)
 
+        def counted_argmax(*args):
+            passes.append(args)
+            return argmax(*args)
+
+        def counted_is_valid(*args):
+            checks.append(args)
+            return is_valid(*args)
+
+        passes = []
+        checks = []
         search = validity._search_valid
+        argmax = strategy._welfare_argmax
+        is_valid = mechanism.is_valid
         monkeypatch.setattr(strategy, "run", counted_run)
         monkeypatch.setattr(validity, "_search_valid", counted_search)
+        monkeypatch.setattr(strategy, "_welfare_argmax", counted_argmax)
+        monkeypatch.setattr(mechanism, "is_valid", counted_is_valid)
         for run_args in dynamics_runs(2718, 24):
             instance, order = run_args[0], run_args[3]
-            runs.clear()
-            searches.clear()
+            for calls in (runs, searches, passes, checks):
+                calls.clear()
             monkeypatch.setattr(validity, "_last", None)
+            monkeypatch.setattr(strategy, "_last_argmax", None)
             trace = dynamics_trace(*run_args)
             assert len(runs) == 1 + trace.rounds * len(order)
             assert len(searches) == 1
+            # one welfare pass over the valid set per run
+            assert len(passes) == 1
+            # the starting profile, then one response per broker turn
+            assert len(checks) == len(order) + trace.rounds * len(order)
             searched_instance, searched_spec, cap = searches[0]
             assert searched_instance is instance and searched_spec is instance.validity
             assert cap == validity.DEFAULT_ENUM_CAP
