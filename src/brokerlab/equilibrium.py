@@ -20,19 +20,20 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import prod
 from typing import Sequence
 
 from .core import (
+    MAX_SUBSET_TABLE_TXS,
     CostFunction,
     MarketInstance,
     ReportProfile,
     SubsetTable,
     Zero,
     agent_utility,
-    surplus,
 )
 from .errors import InstanceTooLarge, MalformedInput
-from .mechanism import Proposal, broker_utility, prepare_round, run
+from .mechanism import Proposal, broker_utility, prepare_round, run, surplus_reader
 from .rationals import ZERO
 from .strategy import (
     DEFAULT_QUANTUM,
@@ -44,6 +45,7 @@ from .validity import DEFAULT_ENUM_CAP, ValiditySpec
 
 DEFAULT_BUNDLE_CAP = 6
 DEFAULT_OTHERS_CAP = 2048
+MAX_NODE_CANDIDATES = 4096
 
 
 def _interval_representatives(breakpoints: set[Fraction]) -> list[Fraction]:
@@ -77,15 +79,18 @@ def tx_deviation_candidates(
     if tx not in reports.tx_reports:
         raise MalformedInput(f"unknown transaction {tx!r}")
     breakpoints: set[Fraction] = {ZERO}
-    at_zero = reports.replace_tx(tx, ZERO)
+    surplus_of = surplus_reader(instance, proposals, reports)
+    value = reports.tx_reports[tx]
     intercepts: list[Fraction] = []
     slopes: list[int] = []
     for proposal in proposals:
         if tx not in proposal.routing.tx_payments:
             raise MalformedInput(f"proposal payment rule is missing transaction {tx!r}")
         breakpoints.add(proposal.routing.tx_payments[tx])
-        intercepts.append(surplus(instance, proposal.routing, at_zero))
-        slopes.append(1 if tx in proposal.routing.allocation.transactions else 0)
+        slope = 1 if tx in proposal.routing.allocation.transactions else 0
+        slopes.append(slope)
+        # the surplus with the transaction's report at zero
+        intercepts.append(surplus_of(proposal) - value if slope else surplus_of(proposal))
     for i in range(len(proposals)):
         for j in range(len(proposals)):
             if slopes[i] == 1 and slopes[j] == 0:
@@ -122,12 +127,16 @@ def node_deviation_candidates(
         return [Zero()]
     if len(assigned) > bundle_cap:
         raise InstanceTooLarge(
-            f"node {node!r} is assigned {len(assigned)} distinct bundles, cap is {bundle_cap}"
+            f"node_deviation_candidates: node {node!r} is assigned {len(assigned)} "
+            f"distinct bundles, cap is {bundle_cap}"
         )
-    if len(instance.tx_ids) > 16:
-        raise InstanceTooLarge("cost tables support at most 16 transactions")
+    if len(instance.tx_ids) > MAX_SUBSET_TABLE_TXS:
+        raise InstanceTooLarge(
+            f"node_deviation_candidates: cost tables support at most "
+            f"{MAX_SUBSET_TABLE_TXS} transactions, got {len(instance.tx_ids)}"
+        )
 
-    base_surpluses = [surplus(instance, p.routing, reports) for p in proposals]
+    base_surpluses = list(map(surplus_reader(instance, proposals, reports), proposals))
     current_costs = {
         bundle: current.cost(bundle, instance.resources) for bundle in assigned
     }
@@ -151,16 +160,24 @@ def node_deviation_candidates(
                     breakpoints.add(x)
         scalar_candidates.append(_interval_representatives(breakpoints))
 
+    count = prod(len(c) for c in scalar_candidates)
+    if count > MAX_NODE_CANDIDATES:
+        raise InstanceTooLarge(
+            f"node_deviation_candidates: node {node!r} has {count} candidate cost "
+            f"tables, cap is {MAX_NODE_CANDIDATES}"
+        )
     all_txs = frozenset(instance.tx_ids)
-    all_subsets = [frozenset(s) for s in _powerset(sorted(all_txs))]
+    # the current report's table, with the assigned bundles overridden per candidate
+    current_table = {
+        subset: current_costs[subset]
+        if subset in current_costs
+        else current.cost(subset, instance.resources)
+        for subset in map(frozenset, _powerset(sorted(all_txs)))
+    }
     candidates: list[CostFunction] = []
     for combo in product(*scalar_candidates):
-        table = {}
-        for subset in all_subsets:
-            if subset in assigned:
-                table[subset] = combo[assigned.index(subset)]
-            else:
-                table[subset] = current.cost(subset, instance.resources)
+        table = dict(current_table)
+        table.update(zip(assigned, combo))
         candidates.append(SubsetTable(all_txs, table))
     return candidates
 

@@ -12,22 +12,44 @@ every check on the proposals and the broker order and caches, for each
 budget-balanced proposal, the terms that do not depend on the reports: its
 margin and its broker's position.  Settling one report profile then ranks
 the proposals by reported surplus, their allocation's reported welfare
-(``core.welfare``) minus the cached margin, which is ``core.surplus``.
-Deviation search changes one report at a time, so it prepares once and
-passes the prepared sequence to ``run``.  A best response changes one
-proposal: ``PreparedRound.without`` drops a broker's proposal and
-``with_proposal`` swaps one in, checking only the new proposal.
+minus the cached margin, which is ``core.surplus``.
+
+Each term also keeps a one-entry memo, written only by ``run``: the report
+objects of the profile it was last settled at, copied out of the mappings
+in canonical agent order, its reported surplus there, and, once it has won,
+every agent's reported utility.  ``run`` compares the incoming profile's
+report objects with a memo's by identity, agent by agent, once per memo
+profile, so a report replaced, rebuilt equal or edited in place counts as
+changed.  It then re-validates only the changed agents' reports, moves each
+term's surplus by the changed agents alone (a transaction by its new minus
+old report where it is allocated, a node by its old minus new cost on its
+bundle), and recomputes only their utilities for the IR gate; a term is
+scored with ``core.welfare`` only the first time.  Deviation search changes
+one report at a time, so it prepares once and passes the prepared sequence
+to ``run``.  A best response changes one proposal:
+``PreparedRound.without`` drops a broker's proposal and ``with_proposal``
+swaps one in, checking only the new proposal; both keep the other terms and
+their memos, so a turn scores only the new proposal.  ``surplus_reader``
+reads reported surpluses from the memos without writing them.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Mapping
 
-from .core import MarketInstance, ReportProfile, Routing, agent_utility, margin, welfare
+from .core import (
+    MarketInstance,
+    ReportProfile,
+    Routing,
+    agent_utility,
+    margin,
+    surplus,
+    welfare,
+)
 from .errors import InvalidProposal, MalformedInput
 from .rationals import ZERO
 from .validity import ValiditySpec, is_valid
@@ -63,13 +85,113 @@ class MechanismOutcome:
     ir_violator: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, slots=True)
 class _Terms:
-    """The report-independent terms of one budget-balanced proposal."""
+    """The report-independent terms of one budget-balanced proposal, and its
+    memo (see the module docstring).
+
+    ``scored_at`` and ``utilities_at`` hold the report objects of the
+    profile ``surplus`` and ``utilities`` were settled at, in canonical
+    agent order; ``utilities`` is in that order too.
+    """
 
     proposal: Proposal
     margin: Fraction
     position: int
+    scored_at: tuple | None = None
+    surplus: Fraction = ZERO
+    utilities_at: tuple | None = None
+    utilities: tuple[Fraction, ...] = ()
+
+
+class _Settlement:
+    """One report profile settled against terms' memos.
+
+    ``reports`` holds the profile's report objects in canonical agent order,
+    or None when its mappings are not total over the instance.  The agents
+    whose report object differs from a memo's are found once per memo
+    profile.
+    """
+
+    def __init__(self, instance: MarketInstance, profile: ReportProfile):
+        self.instance = instance
+        self.profile = profile
+        self.reports = _report_objects(instance, profile)
+        self._changed: dict[int, tuple[tuple, tuple[int, ...]]] = {}
+
+    def changed(self, at: tuple) -> tuple[int, ...]:
+        """Indices, in canonical agent order, of the agents whose report
+        object is not the one in ``at``."""
+        hit = self._changed.get(id(at))
+        if hit is None:
+            new = self.reports
+            changed = tuple(i for i, r in enumerate(at) if r is not new[i])
+            # ``at`` is kept with its entry so that its id is not reused
+            hit = self._changed[id(at)] = (at, changed)
+        return hit[1]
+
+    def validated(self, terms: Sequence[_Terms]) -> bool:
+        """Whether ``instance.validate_reports`` would pass, known without
+        calling it: the profile is total and differs from a memo profile,
+        which ``run`` validated, only in non-negative transaction reports."""
+        if self.reports is None:
+            return False
+        at = next((t.scored_at for t in terms if t.scored_at is not None), None)
+        if at is None:
+            return False
+        n_txs = len(self.instance.tx_ids)
+        return not any(self.reports[i] < 0 for i in self.changed(at) if i < n_txs)
+
+    def surplus(self, term: _Terms) -> Fraction:
+        """``term``'s reported surplus at this profile, its memo moved by the
+        changed agents' reports; ``core.welfare`` when it has none."""
+        allocation = term.proposal.routing.allocation
+        at = term.scored_at
+        if at is None:
+            return welfare(self.instance, allocation, self.profile) - term.margin
+        value = term.surplus
+        agents, new = self.instance.agent_ids, self.reports
+        n_txs = len(self.instance.tx_ids)
+        for i in self.changed(at):
+            if i < n_txs:
+                if agents[i] in allocation.transactions:
+                    value += new[i] - at[i]
+            elif bundle := allocation.inverse(agents[i]):
+                resources = self.instance.resources
+                value += at[i].cost(bundle, resources) - new[i].cost(bundle, resources)
+        return value
+
+    def settle(self, term: _Terms) -> Fraction:
+        """``surplus``, written to ``term``'s memo."""
+        term.surplus = self.surplus(term)
+        term.scored_at = self.reports
+        return term.surplus
+
+    def utilities(self, term: _Terms) -> tuple[Fraction, ...]:
+        """Every agent's reported utility under ``term``'s routing, in
+        canonical agent order, from its memo; written back to the memo."""
+        agents = self.instance.agent_ids
+        if term.utilities_at is None:
+            changed, values = range(len(agents)), [ZERO] * len(agents)
+        else:
+            changed, values = self.changed(term.utilities_at), list(term.utilities)
+        routing = term.proposal.routing
+        for i in changed:
+            values[i] = agent_utility(self.instance, agents[i], routing, self.profile)
+        term.utilities, term.utilities_at = tuple(values), self.reports
+        return term.utilities
+
+
+def _report_objects(instance: MarketInstance, reports: ReportProfile) -> tuple | None:
+    """The profile's report objects in canonical agent order, or None when
+    its mappings are not total over the instance."""
+    txs, nodes = reports.tx_reports, reports.node_reports
+    if len(txs) != len(instance.tx_ids) or len(nodes) != len(instance.node_ids):
+        return None
+    try:
+        return tuple([txs[t] for t in instance.tx_ids] + [nodes[n] for n in instance.node_ids])
+    except KeyError:
+        return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,11 +247,13 @@ class PreparedRound(Sequence):
         _check_proposal(self.instance, self.spec, proposal)
         kept = self.without(proposal.broker)
         proposals = sorted([*kept.proposals, proposal], key=lambda p: order.index(p.broker))
-        terms = kept.terms
+        terms = list(kept.terms)
         proposal_margin = margin(proposal.routing)
         if proposal_margin >= 0:
-            terms += (_Terms(proposal, proposal_margin, order.index(proposal.broker)),)
-        return PreparedRound(tuple(proposals), self.instance, self.spec, order, terms)
+            terms.append(_Terms(proposal, proposal_margin, order.index(proposal.broker)))
+        # in the proposals' order, which is the order run scores them in
+        terms.sort(key=lambda t: t.position)
+        return PreparedRound(tuple(proposals), self.instance, self.spec, order, tuple(terms))
 
 
 def _check_proposal(
@@ -175,10 +299,30 @@ def prepare_round(
     return PreparedRound(tuple(proposals), instance, spec, order, tuple(terms))
 
 
-def _reported_utilities(
-    instance: MarketInstance, routing: Routing, reports: ReportProfile
-) -> dict[str, Fraction]:
-    return {a: agent_utility(instance, a, routing, reports) for a in instance.agent_ids}
+def surplus_reader(
+    instance: MarketInstance, proposals: Sequence[Proposal], reports: ReportProfile
+) -> Callable[[Proposal], Fraction]:
+    """A function giving a proposal of ``proposals`` its reported surplus at
+    ``reports`` (``core.surplus``).
+
+    When ``proposals`` is a round prepared for ``instance`` and ``reports``
+    is total, a budget-balanced proposal's is read from its memo and the
+    changed agents' reports (``core.welfare`` when it has no memo); no memo
+    is written.
+    """
+    if isinstance(proposals, PreparedRound) and proposals.instance is instance:
+        settlement = _Settlement(instance, reports)
+        if settlement.reports is not None:
+            terms = {t.proposal.broker: t for t in proposals.terms}
+
+            def read(proposal: Proposal) -> Fraction:
+                term = terms.get(proposal.broker)
+                if term is not None and term.proposal is proposal:
+                    return settlement.surplus(term)
+                return surplus(instance, proposal.routing, reports)
+
+            return read
+    return lambda proposal: surplus(instance, proposal.routing, reports)
 
 
 def _rejection(
@@ -205,35 +349,38 @@ def run(
 ) -> MechanismOutcome:
     """Execute one round.
 
-    Raises ``MalformedInput`` for non-total reports, checked first, and
+    Raises ``MalformedInput`` for malformed reports, checked first, and
     otherwise refuses the proposals as ``prepare_round`` does.  ``proposals``
-    may be a ``PreparedRound``; its validation is reused only when it was
-    prepared for this very instance and spec (by identity) and an equal
-    broker order, and is redone otherwise.
+    may be a ``PreparedRound``; its validation and its terms' memos are
+    reused only when it was prepared for this very instance and spec (by
+    identity) and an equal broker order, and the round is prepared afresh
+    otherwise.  With the memos, only the reports that changed since a term
+    was last settled are validated and scored.
     """
-    instance.validate_reports(reports)
+    reused = isinstance(proposals, PreparedRound) and proposals.prepared_for(
+        instance, spec, broker_order
+    )
+    if not reused:
+        instance.validate_reports(reports)
     prepared = prepare_round(instance, spec, proposals, broker_order)
+    settlement = _Settlement(instance, reports)
+    if reused and not settlement.validated(prepared.terms):
+        instance.validate_reports(reports)
     if not prepared.terms:
         return _rejection(instance, RejectionReason.NO_BUDGET_BALANCED_PROPOSAL)
 
-    best = max(
-        prepared.terms,
-        key=lambda t: (
-            welfare(instance, t.proposal.routing.allocation, reports) - t.margin,
-            -t.position,
-        ),
-    )
+    best = max(prepared.terms, key=lambda t: (settlement.settle(t), -t.position))
 
-    utilities = _reported_utilities(instance, best.proposal.routing, reports)
-    for agent in instance.agent_ids:
-        if utilities[agent] < 0:
+    utilities = settlement.utilities(best)
+    for agent, utility in zip(instance.agent_ids, utilities):
+        if utility < 0:
             return _rejection(instance, RejectionReason.IR_VIOLATION, agent)
 
     return MechanismOutcome(
         routing=best.proposal.routing,
         winner=best.proposal.broker,
         broker_payment=best.margin,
-        agent_utilities=utilities,
+        agent_utilities=dict(zip(instance.agent_ids, utilities)),
     )
 
 

@@ -290,6 +290,14 @@ def parse_reports(obj: Any, instance: MarketInstance, where: str) -> ReportProfi
     return ReportProfile(tx_reports, node_reports)
 
 
+def reports_to_json(reports: ReportProfile) -> dict:
+    """Every agent's report, in the form ``parse_reports`` reads."""
+    return {
+        "transactions": {tx: format_number(v) for tx, v in sorted(reports.tx_reports.items())},
+        "nodes": {n: cost_function_to_json(fn) for n, fn in sorted(reports.node_reports.items())},
+    }
+
+
 def _parse_market_instance(obj: Mapping[str, Any]) -> MarketInstance:
     raw_txs = _expect(obj.get("transactions"), list, "transactions")
     txs = []
@@ -421,6 +429,7 @@ def instance_to_scenario_json(
     instance: MarketInstance,
     proposals: list[Proposal] | None = None,
     broker_order: list[str] | None = None,
+    reports: ReportProfile | None = None,
 ) -> dict:
     payload: dict[str, Any] = {
         "kind": "market",
@@ -460,6 +469,8 @@ def instance_to_scenario_json(
         ]
     if broker_order:
         payload["broker_order"] = broker_order
+    if reports is not None:
+        payload["reports"] = reports_to_json(reports)
     return payload
 
 

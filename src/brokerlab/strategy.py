@@ -22,7 +22,15 @@ from typing import Sequence
 
 from .core import Allocation, MarketInstance, ReportProfile, Routing, margin, welfare
 from .errors import InfeasibleTarget, MalformedInput
-from .mechanism import MechanismOutcome, PreparedRound, Proposal, broker_utility, prepare_round, run
+from .mechanism import (
+    MechanismOutcome,
+    PreparedRound,
+    Proposal,
+    broker_utility,
+    prepare_round,
+    run,
+    surplus_reader,
+)
 from .rationals import ZERO
 from .validity import DEFAULT_ENUM_CAP, ValiditySpec, enumerate_valid
 
@@ -227,9 +235,10 @@ def broker_best_response(
     allocation's is.  ``outcome`` is the round settled on the rivals plus
     the response, in broker order.
 
-    ``rivals`` may be a ``PreparedRound``: its cached margins are used, and
-    when it was prepared for this instance, spec and broker order only the
-    response is checked before the round is settled.
+    ``rivals`` may be a ``PreparedRound``: its cached margins are used, its
+    surpluses are read from its memos when it was prepared for this
+    instance, and when it was prepared for this instance, spec and broker
+    order only the response is checked and scored as the round is settled.
     """
     if quantum <= 0:
         raise MalformedInput(f"quantum must be positive, got {quantum}")
@@ -243,15 +252,13 @@ def broker_best_response(
 
     position = {b: i for i, b in enumerate(broker_order)}
     if isinstance(rivals, PreparedRound):
-        balanced = [(t.proposal, t.margin) for t in rivals.terms]
+        balanced = [t.proposal for t in rivals.terms]
     else:
         # checked in broker order once the response is found, as run checks them
         rivals = sorted(rivals, key=lambda p: position[p.broker])
-        balanced = [(p, m) for p in rivals if (m := margin(p.routing)) >= 0]
-    # reported surplus, welfare minus margin (``core.surplus``)
-    rival_surpluses = [
-        (welfare(instance, p.routing.allocation, reports) - m, p.broker) for p, m in balanced
-    ]
+        balanced = [p for p in rivals if margin(p.routing) >= 0]
+    surplus_of = surplus_reader(instance, rivals, reports)
+    rival_surpluses = [(surplus_of(p), p.broker) for p in balanced]
     if rival_surpluses:
         rival_best = max(s for s, _ in rival_surpluses)
         wins_ties = all(

@@ -7,7 +7,16 @@ import pytest
 
 from brokerlab import equilibrium, mechanism, strategy
 from brokerlab.cli import _figure1_proposals
-from brokerlab.core import Allocation, SubsetTable, Zero
+from brokerlab.core import (
+    Allocation,
+    MarketInstance,
+    NodeSpec,
+    PerTransaction,
+    Routing,
+    SubsetTable,
+    TransactionSpec,
+    Zero,
+)
 from brokerlab.equilibrium import (
     check_dsic_barring_b,
     check_pne,
@@ -15,7 +24,7 @@ from brokerlab.equilibrium import (
     node_deviation_candidates,
     tx_deviation_candidates,
 )
-from brokerlab.errors import MalformedInput
+from brokerlab.errors import InstanceTooLarge, MalformedInput
 from brokerlab.mdfm import collusion_example_instance, oracle_gap_market
 from brokerlab.mechanism import PreparedRound, Proposal, run
 from brokerlab.scenario import equilibrium_report_to_json, truthfulness_report_to_json
@@ -112,6 +121,54 @@ class TestNodeCandidates:
         }
         assert len(seen) == len(candidates)  # a full grid over both scalars
         assert len({a for a, _ in seen}) > 1 and len({b for _, b in seen}) > 1
+
+
+def one_node_market(n_txs, bundles):
+    """Transactions t1.. and one node n1; proposal k runs bundle k on n1, each
+    at its own payments: (instance, proposals, truthful reports)."""
+    txs = tuple(TransactionSpec(f"t{i}", F(10 + i)) for i in range(1, n_txs + 1))
+    rates = {t.id: F(i + 1) for i, t in enumerate(txs)}
+    instance = MarketInstance(txs, (NodeSpec("n1", PerTransaction(rates)),))
+    proposals = []
+    for k, bundle in enumerate(bundles):
+        tx_payments = {t: F(k + 1) if t in bundle else F(0) for t in instance.tx_ids}
+        allocation = Allocation.of({t: ["n1"] for t in bundle})
+        proposals.append(Proposal(f"b{k}", Routing(allocation, tx_payments, {"n1": F(k, 2)})))
+    return instance, proposals, instance.truthful_reports()
+
+
+class TestNodeCandidateBudgets:
+    def test_distinct_bundles_over_the_cap_are_refused(self):
+        instance, proposals, truthful = one_node_market(2, [["t1"], ["t2"], ["t1", "t2"]])
+        assert len(node_deviation_candidates(instance, "n1", proposals, truthful, bundle_cap=3)) > 1
+        message = "node_deviation_candidates: node 'n1' is assigned 3 distinct bundles, cap is 2"
+        with pytest.raises(InstanceTooLarge, match=message):
+            node_deviation_candidates(instance, "n1", proposals, truthful, bundle_cap=2)
+
+    def test_cost_tables_over_sixteen_transactions_are_refused(self):
+        instance, proposals, truthful = one_node_market(17, [["t1"]])
+        message = "node_deviation_candidates: cost tables support at most 16 transactions, got 17"
+        with pytest.raises(InstanceTooLarge, match=message):
+            node_deviation_candidates(instance, "n1", proposals, truthful)
+
+    def test_candidate_products_over_the_cap_are_refused_before_any_table(self, monkeypatch):
+        bundles = [["t1"], ["t2"], ["t3"], ["t4"], ["t1", "t2"], ["t3", "t4"]]
+        instance, proposals, truthful = one_node_market(4, bundles)
+        built = []
+        monkeypatch.setattr(equilibrium, "SubsetTable", lambda *args: built.append(args))
+        message = r"node_deviation_candidates: node 'n1' has \d+ candidate cost tables, cap is 4096"
+        with pytest.raises(InstanceTooLarge, match=message):
+            node_deviation_candidates(instance, "n1", proposals, truthful)
+        assert not built
+
+    def test_the_named_product_is_the_candidate_count(self, monkeypatch):
+        instance, proposals, truthful = one_node_market(2, [["t1"], ["t2"], ["t1", "t2"]])
+        count = len(node_deviation_candidates(instance, "n1", proposals, truthful))
+        monkeypatch.setattr(equilibrium, "MAX_NODE_CANDIDATES", count - 1)
+        with pytest.raises(InstanceTooLarge, match=f"has {count} candidate cost tables, cap is {count - 1}"):
+            node_deviation_candidates(instance, "n1", proposals, truthful)
+        monkeypatch.setattr(equilibrium, "MAX_NODE_CANDIDATES", count)
+        assert len(node_deviation_candidates(instance, "n1", proposals, truthful)) == count
 
 
 class TestCheckPne:

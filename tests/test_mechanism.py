@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -7,8 +8,10 @@ import pytest
 from brokerlab import mechanism
 from brokerlab.core import (
     Allocation,
+    MarketInstance,
     ReportProfile,
     Routing,
+    SubsetTable,
     margin,
     node_utility,
     surplus,
@@ -29,9 +32,11 @@ from brokerlab.strategy import max_extraction_routing, scaled_rebate_routing
 from brokerlab.validity import Constraints, Extensional
 
 from helpers import (
+    frac,
     naive_enumerate,
     outcome_or_error,
     random_instance,
+    random_cost,
     random_proposals,
     random_reports,
     random_routing,
@@ -333,3 +338,151 @@ class TestPreparedRound:
         with pytest.raises(MalformedInput, match="transaction reports"):
             check_dsic_barring_b(collusion_market, spec, partial, [bad], ["b1"])
 
+
+
+def changed_profile(rng, instance, profile, count):
+    """``profile`` with ``count`` distinct agents' reports redrawn."""
+    tx_reports, node_reports = dict(profile.tx_reports), dict(profile.node_reports)
+    for agent in rng.sample(instance.agent_ids, count):
+        if agent in tx_reports:
+            tx_reports[agent] = frac(rng)
+        else:
+            node_reports[agent] = random_cost(rng, list(instance.tx_ids))
+    return ReportProfile(tx_reports, node_reports)
+
+
+def rebuilt_profile(profile):
+    """A profile equal to ``profile`` whose every report is a new object."""
+    rebuilt = ReportProfile(
+        {t: F(v.numerator, v.denominator) for t, v in profile.tx_reports.items()},
+        {n: replace(cost) for n, cost in profile.node_reports.items()},
+    )
+    assert rebuilt == profile
+    assert all(rebuilt.tx_reports[t] is not v for t, v in profile.tx_reports.items())
+    return rebuilt
+
+
+def memo_rounds(rng, count):
+    """Random rounds, each prepared with a round derived from it by ``without``
+    and one by ``with_proposal``: (instance, reports, rounds, order)."""
+    while count:
+        instance = random_instance(rng, max_txs=3, max_nodes=2)
+        reports, _ = random_reports(rng, instance)
+        valid = naive_enumerate(instance, instance.validity)
+        proposals, order = random_proposals(rng, instance, reports, valid)
+        if not proposals:
+            continue
+        prepared = prepare_round(instance, instance.validity, proposals, order)
+        broker = rng.choice(order)
+        new = Proposal(broker, random_routing(rng, instance, rng.choice(valid), reports))
+        count -= 1
+        yield instance, reports, [prepared, prepared.without(broker), prepared.with_proposal(new)], order
+
+
+def settles_as_reference(instance, reports, prepared, order):
+    """``run`` on ``prepared`` gives the reference's outcome or error on a
+    fresh list of its proposals; returns that outcome or error."""
+    spec = instance.validity
+    expected = outcome_or_error(run_reference, instance, spec, reports, list(prepared), order)
+    assert outcome_or_error(run, instance, spec, reports, prepared, order) == expected
+    return expected
+
+
+class TestSettlementMemo:
+    def test_settlement_sequences_match_the_reference(self, monkeypatch):
+        scored = Counter()
+
+        def counted_welfare(instance, allocation, reports):
+            scored[allocation] += 1
+            return welfare(instance, allocation, reports)
+
+        welfare = mechanism.welfare
+        monkeypatch.setattr(mechanism, "welfare", counted_welfare)
+        rng = random.Random(7331)
+        kinds = Counter()
+        for instance, reports, rounds, order in memo_rounds(rng, 150):
+            scored.clear()
+            profile = reports
+            for _ in range(12):
+                count = rng.choice([0, 1, 2, len(instance.agent_ids)])
+                profile = changed_profile(rng, instance, profile, count)
+                if rng.random() < 0.25:
+                    profile = rebuilt_profile(profile)
+                    count = "rebuilt"
+                kinds[count] += 1
+                settles_as_reference(instance, profile, rng.choice(rounds), order)
+            # every term is scored with welfare at most once, however the
+            # rounds that share it are settled
+            terms = {id(t): t for r in rounds for t in r.terms}.values()
+            assert sum(scored.values()) <= len(terms)
+        assert min(kinds[k] for k in (0, 1, 2, "rebuilt")) > 100
+
+    def test_only_changed_reports_are_validated_and_scored(self, collusion_market, monkeypatch):
+        calls = Counter()
+
+        def counted(name, original):
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(mechanism, "welfare", counted("welfare", mechanism.welfare))
+        monkeypatch.setattr(
+            MarketInstance,
+            "validate_reports",
+            counted("validate", MarketInstance.validate_reports),
+        )
+        spec = collusion_market.validity
+        truthful = collusion_market.truthful_reports()
+        prepared = prepare_round(collusion_market, spec, demo_proposals(collusion_market), ["b1", "b2"])
+        run(collusion_market, spec, truthful, prepared, ["b1", "b2"])
+        assert calls == {"welfare": 2, "validate": 1}
+        for value in (F(7), F(1, 3), F(0)):
+            run(collusion_market, spec, truthful.replace_tx("t1", value), prepared, ["b1", "b2"])
+        run(collusion_market, spec, truthful, prepared.without("b2"), ["b1", "b2"])
+        assert calls == {"welfare": 2, "validate": 1}
+        negative = ReportProfile({**truthful.tx_reports, "t2": F(-1)}, truthful.node_reports)
+        with pytest.raises(MalformedInput, match="report of 't2' must be non-negative"):
+            run(collusion_market, spec, negative, prepared, ["b1", "b2"])
+        assert calls == {"welfare": 2, "validate": 2}
+
+    def test_malformed_reports_give_the_reference_error(self):
+        rng = random.Random(5150)
+        errors = Counter()
+        for instance, reports, rounds, order in memo_rounds(rng, 120):
+            prepared = rng.choice(rounds)
+            settles_as_reference(instance, reports, prepared, order)
+            tx, node = rng.choice(instance.tx_ids), rng.choice(instance.node_ids)
+            negative = ReportProfile({**reports.tx_reports, tx: F(-1)}, reports.node_reports)
+            # a table over no transaction has no entry for any bundle the node runs
+            empty_table = SubsetTable(frozenset(), {frozenset(): F(0)})
+            lacking = ReportProfile(reports.tx_reports, {**reports.node_reports, node: empty_table})
+            for bad in (negative, lacking, changed_profile(rng, instance, reports, 1)):
+                result = settles_as_reference(instance, bad, prepared, order)
+                errors[result[1] if isinstance(result, tuple) else "settled"] += 1
+            # an error leaves the memos as they were
+            settles_as_reference(instance, reports, prepared, order)
+        assert sum(n for message, n in errors.items() if "must be non-negative" in message) == 120
+        assert sum(n for message, n in errors.items() if "has no entry for bundle" in message) > 30
+        assert errors["settled"] > 150
+
+    def test_in_place_edits_are_seen_and_outcomes_do_not_share_the_memo(self):
+        rng = random.Random(6021)
+        edited = 0
+        for instance, reports, rounds, order in memo_rounds(rng, 150):
+            prepared = rng.choice(rounds)
+            profile = ReportProfile(dict(reports.tx_reports), dict(reports.node_reports))
+            first = run(instance, instance.validity, profile, prepared, order)
+            for agent in first.agent_utilities:
+                first.agent_utilities[agent] = F(-99)
+            settles_as_reference(instance, profile, prepared, order)
+            # the same profile object, one report replaced in its mapping
+            agent = rng.choice(instance.agent_ids)
+            if agent in profile.tx_reports:
+                profile.tx_reports[agent] = profile.tx_reports[agent] + frac(rng, 1, 4)
+            else:
+                profile.node_reports[agent] = random_cost(rng, list(instance.tx_ids))
+            outcome = settles_as_reference(instance, profile, prepared, order)
+            edited += outcome != settles_as_reference(instance, reports, prepared, order)
+        assert edited > 30

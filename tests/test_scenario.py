@@ -37,6 +37,8 @@ from brokerlab.scenario import (
 )
 from brokerlab.validity import Constraint, MutualExclusion
 
+from helpers import naive_enumerate, random_instance, random_proposals, random_reports
+
 
 MARKET_SCENARIO = {
     "kind": "market",
@@ -238,3 +240,22 @@ def test_whole_resource_market_round_trip(market):
     parsed = parse_scenario(json.loads(canonical(payload))).market
     assert parsed == market
     assert canonical(resource_market_to_scenario_json(parsed)) == canonical(payload)
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_market_scenario_with_proposals_and_reports_round_trip(rng):
+    instance = random_instance(rng, max_txs=3, max_nodes=2)
+    reports, _ = random_reports(rng, instance)
+    valid = naive_enumerate(instance, instance.validity)
+    proposals, order = random_proposals(rng, instance, reports, valid)
+    payload = instance_to_scenario_json(instance, proposals, order, reports)
+    parsed = parse_scenario(json.loads(canonical(payload)))
+    assert parsed.instance == instance
+    assert parsed.proposals == proposals
+    assert parsed.broker_order == order
+    assert parsed.reports == reports
+    again = instance_to_scenario_json(
+        parsed.instance, parsed.proposals, parsed.broker_order, parsed.reports
+    )
+    assert canonical(again) == canonical(payload)
