@@ -51,6 +51,8 @@ def _load_scenario(path: str) -> Scenario:
         raise MarketError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise MarketError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:  # e.g. an integer literal over Python's digit limit
+        raise MarketError(f"cannot read {path}: {exc}") from exc
     return parse_scenario(payload)
 
 

@@ -256,9 +256,6 @@ class Allocation:
     def is_empty(self) -> bool:
         return not self.pairs
 
-    def as_dict(self) -> dict[str, list[str]]:
-        return {tx: list(nodes) for tx, nodes in self.pairs}
-
 
 EMPTY_ALLOCATION = Allocation()
 

@@ -8,7 +8,10 @@ finitely many breakpoints.  Checking one representative per interval of
 constancy plus every breakpoint is therefore a complete search over the
 agent's infinite action space.  Node reports are read only at the finitely
 many bundles the proposals assign, which bounds them the same way,
-coordinate by coordinate.
+coordinate by coordinate.  A node candidate is therefore the node's current
+report with the costs of its assigned bundles replaced; it is written out
+as a ``SubsetTable`` only when it becomes a witness.  The product of a
+node's per-bundle candidates is its one budget (``MAX_NODE_CANDIDATES``).
 
 Broker deviations are checked through the exact best-response search, with
 margins on the configured lattice where a rival must be beaten strictly.
@@ -43,7 +46,6 @@ from .strategy import (
 )
 from .validity import DEFAULT_ENUM_CAP, ValiditySpec
 
-DEFAULT_BUNDLE_CAP = 6
 DEFAULT_OTHERS_CAP = 2048
 MAX_NODE_CANDIDATES = 4096
 
@@ -100,36 +102,42 @@ def tx_deviation_candidates(
     return _interval_representatives(breakpoints)
 
 
+class _BundleCosts(CostFunction):
+    """A node's ``report`` with the costs of some bundles replaced."""
+
+    __slots__ = ("report", "costs")
+
+    def __init__(self, report: CostFunction, costs: dict[frozenset[str], Fraction]):
+        self.report = report
+        self.costs = costs
+
+    def cost(self, bundle, resources=None):
+        key = frozenset(bundle)
+        value = self.costs.get(key)
+        return self.report.cost(key, resources) if value is None else value
+
+
 def node_deviation_candidates(
     instance: MarketInstance,
     node: str,
     proposals: Sequence[Proposal],
     reports: ReportProfile,
-    bundle_cap: int = DEFAULT_BUNDLE_CAP,
 ) -> list[CostFunction]:
     """Candidate cost reports covering every outcome the node can force.
 
     The mechanism reads a node's report only at the bundles the proposals
-    assign it, so candidates are cost tables that vary on those bundles and
-    agree with the current report everywhere else.  Per-bundle scalars run
-    over breakpoint-interval representatives (quoted payments, surplus
-    equalizers against the other proposals, zero).
+    assign it, so a candidate is the current report with the costs of those
+    bundles replaced.  Per-bundle scalars run over breakpoint-interval
+    representatives (quoted payments, surplus equalizers against the other
+    proposals, zero).
     """
     if node not in reports.node_reports:
         raise MalformedInput(f"unknown node {node!r}")
     current = reports.node_reports[node]
-    assigned: list[frozenset[str]] = []
-    for proposal in proposals:
-        bundle = proposal.routing.allocation.inverse(node)
-        if bundle and bundle not in assigned:
-            assigned.append(bundle)
+    held = [p.routing.allocation.inverse(node) for p in proposals]
+    assigned = list(dict.fromkeys(bundle for bundle in held if bundle))
     if not assigned:
         return [Zero()]
-    if len(assigned) > bundle_cap:
-        raise InstanceTooLarge(
-            f"node_deviation_candidates: node {node!r} is assigned {len(assigned)} "
-            f"distinct bundles, cap is {bundle_cap}"
-        )
     if len(instance.tx_ids) > MAX_SUBSET_TABLE_TXS:
         raise InstanceTooLarge(
             f"node_deviation_candidates: cost tables support at most "
@@ -137,26 +145,19 @@ def node_deviation_candidates(
         )
 
     base_surpluses = list(map(surplus_reader(instance, proposals, reports), proposals))
-    current_costs = {
-        bundle: current.cost(bundle, instance.resources) for bundle in assigned
-    }
     scalar_candidates: list[list[Fraction]] = []
     for bundle in assigned:
+        current_cost = current.cost(bundle, instance.resources)
         breakpoints: set[Fraction] = {ZERO}
-        for idx, proposal in enumerate(proposals):
-            if proposal.routing.allocation.inverse(node) != bundle:
+        for proposal, bundle_here, base in zip(proposals, held, base_surpluses):
+            if bundle_here != bundle:
                 continue
             breakpoints.add(proposal.routing.node_payments[node])
-            # cost x on this bundle shifts proposal idx's surplus by
-            # current_cost - x; equalize against every other proposal's
-            # surplus at the current reports
-            for jdx in range(len(proposals)):
-                if proposal.routing.allocation.inverse(node) == proposals[
-                    jdx
-                ].routing.allocation.inverse(node):
-                    continue
-                x = base_surpluses[idx] + current_costs[bundle] - base_surpluses[jdx]
-                if x >= 0:
+            # cost x on this bundle shifts this proposal's surplus by
+            # current_cost - x; equalize against every proposal that assigns
+            # the node another bundle, at the current reports
+            for other, other_base in zip(held, base_surpluses):
+                if other != bundle and (x := base + current_cost - other_base) >= 0:
                     breakpoints.add(x)
         scalar_candidates.append(_interval_representatives(breakpoints))
 
@@ -166,26 +167,9 @@ def node_deviation_candidates(
             f"node_deviation_candidates: node {node!r} has {count} candidate cost "
             f"tables, cap is {MAX_NODE_CANDIDATES}"
         )
-    all_txs = frozenset(instance.tx_ids)
-    # the current report's table, with the assigned bundles overridden per candidate
-    current_table = {
-        subset: current_costs[subset]
-        if subset in current_costs
-        else current.cost(subset, instance.resources)
-        for subset in map(frozenset, _powerset(sorted(all_txs)))
-    }
-    candidates: list[CostFunction] = []
-    for combo in product(*scalar_candidates):
-        table = dict(current_table)
-        table.update(zip(assigned, combo))
-        candidates.append(SubsetTable(all_txs, table))
-    return candidates
-
-
-def _powerset(items: Sequence[str]):
-    n = len(items)
-    for mask in range(1 << n):
-        yield {items[i] for i in range(n) if mask >> i & 1}
+    return [
+        _BundleCosts(current, dict(zip(assigned, combo))) for combo in product(*scalar_candidates)
+    ]
 
 
 @dataclass(frozen=True)
@@ -212,12 +196,11 @@ def _candidates(
     agent: str,
     proposals: Sequence[Proposal],
     reports: ReportProfile,
-    bundle_cap: int,
 ) -> list:
     """The deviation candidates of a transaction or a node."""
     if agent in reports.tx_reports:
         return tx_deviation_candidates(instance, agent, proposals, reports)
-    return node_deviation_candidates(instance, agent, proposals, reports, bundle_cap)
+    return node_deviation_candidates(instance, agent, proposals, reports)
 
 
 def _with_report(reports: ReportProfile, agent: str, report) -> ReportProfile:
@@ -227,6 +210,15 @@ def _with_report(reports: ReportProfile, agent: str, report) -> ReportProfile:
     return reports.replace_node(agent, report)
 
 
+def _subset_table(instance: MarketInstance, costs: CostFunction) -> SubsetTable:
+    """``costs`` written out over every subset of the instance's transactions."""
+    txs = sorted(instance.tx_ids)
+    subsets = (
+        frozenset(t for i, t in enumerate(txs) if mask >> i & 1) for mask in range(1 << len(txs))
+    )
+    return SubsetTable(frozenset(txs), {s: costs.cost(s, instance.resources) for s in subsets})
+
+
 def _deviation_witnesses(
     instance: MarketInstance,
     spec: ValiditySpec | None,
@@ -234,7 +226,6 @@ def _deviation_witnesses(
     reports: ReportProfile,
     proposals: Sequence[Proposal],
     broker_order: Sequence[str],
-    bundle_cap: int,
     agent: str,
     before: Fraction,
     kind: str,
@@ -245,12 +236,14 @@ def _deviation_witnesses(
     Returns the number of candidates settled and, as witnesses of ``kind``,
     those that raise the agent's true utility above ``before``.  A
     transaction's candidate equal to its current report is skipped, since it
-    settles the round ``reports`` already gives; node candidates never are.
+    settles the round ``reports`` already gives; node candidates never are.  A
+    node's witness is its candidate written out as a ``SubsetTable`` over the
+    instance's transactions.
     """
     current = reports.tx_reports.get(agent)
     checked = 0
     witnesses = []
-    for candidate in _candidates(instance, agent, proposals, reports, bundle_cap):
+    for candidate in _candidates(instance, agent, proposals, reports):
         if candidate == current:
             continue
         checked += 1
@@ -258,6 +251,8 @@ def _deviation_witnesses(
         outcome = run(instance, spec, deviated, proposals, broker_order)
         after = agent_utility(instance, agent, outcome.routing, true_types)
         if after > before:
+            if isinstance(candidate, _BundleCosts):
+                candidate = _subset_table(instance, candidate)
             witnesses.append(DeviationWitness(agent, kind, candidate, before, after))
     return checked, witnesses
 
@@ -270,7 +265,6 @@ def check_pne(
     proposals: Sequence[Proposal],
     broker_order: Sequence[str],
     quantum: Fraction = DEFAULT_QUANTUM,
-    bundle_cap: int = DEFAULT_BUNDLE_CAP,
     cap: int = DEFAULT_ENUM_CAP,
 ) -> EquilibriumReport:
     """Complete unilateral-deviation search at the given action profile.
@@ -291,8 +285,7 @@ def check_pne(
         kind = "tx_report" if agent in reports.tx_reports else "node_report"
         before = agent_utility(instance, agent, base.routing, true_types)
         checked, found = _deviation_witnesses(
-            instance, spec, true_types, reports, proposals, broker_order, bundle_cap,
-            agent, before, kind,
+            instance, spec, true_types, reports, proposals, broker_order, agent, before, kind
         )
         agent_checks += checked
         witnesses += found
@@ -348,7 +341,6 @@ def check_dsic_barring_b(
     others_cap: int = DEFAULT_OTHERS_CAP,
     seed: int | None = None,
     quantum: Fraction = DEFAULT_QUANTUM,
-    bundle_cap: int = DEFAULT_BUNDLE_CAP,
     cap: int = DEFAULT_ENUM_CAP,
 ) -> TruthfulnessReport:
     """Check both requirements for truthfulness with brokers pinned to sigma.
@@ -373,9 +365,7 @@ def check_dsic_barring_b(
 
     instance.validate_reports(true_types)
     sigma = prepare_round(instance, spec, sigma, broker_order)
-    pne = check_pne(
-        instance, spec, true_types, true_types, sigma, broker_order, quantum, bundle_cap, cap
-    )
+    pne = check_pne(instance, spec, true_types, true_types, sigma, broker_order, quantum, cap)
 
     agents = list(instance.agent_ids)
     witnesses: list[DeviationWitness] = []
@@ -384,12 +374,8 @@ def check_dsic_barring_b(
 
     for agent in agents:
         others = [a for a in agents if a != agent]
-        other_candidates = [
-            _candidates(instance, other, sigma, true_types, bundle_cap) for other in others
-        ]
-        total = 1
-        for cands in other_candidates:
-            total *= len(cands)
+        other_candidates = [_candidates(instance, other, sigma, true_types) for other in others]
+        total = prod(len(cands) for cands in other_candidates)
         if total <= others_cap:
             profiles = product(*other_candidates)
         else:
@@ -415,8 +401,8 @@ def check_dsic_barring_b(
                 instance, agent, truthful_outcome.routing, true_types
             )
             _, found = _deviation_witnesses(
-                instance, spec, true_types, shifted, sigma, broker_order, bundle_cap,
-                agent, truthful_utility, "against_rival_profile",
+                instance, spec, true_types, shifted, sigma, broker_order, agent,
+                truthful_utility, "against_rival_profile",
             )
             witnesses += found
 

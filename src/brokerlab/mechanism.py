@@ -14,23 +14,26 @@ margin and its broker's position.  Settling one report profile then ranks
 the proposals by reported surplus, their allocation's reported welfare
 minus the cached margin, which is ``core.surplus``.
 
-Each term also keeps a one-entry memo, written only by ``run``: the report
-objects of the profile it was last settled at, copied out of the mappings
-in canonical agent order, its reported surplus there, and, once it has won,
-every agent's reported utility.  ``run`` compares the incoming profile's
-report objects with a memo's by identity, agent by agent, once per memo
-profile, so a report replaced, rebuilt equal or edited in place counts as
-changed.  It then re-validates only the changed agents' reports, moves each
-term's surplus by the changed agents alone (a transaction by its new minus
-old report where it is allocated, a node by its old minus new cost on its
-bundle), and recomputes only their utilities for the IR gate; a term is
-scored with ``core.welfare`` only the first time.  Deviation search changes
-one report at a time, so it prepares once and passes the prepared sequence
-to ``run``.  A best response changes one proposal:
-``PreparedRound.without`` drops a broker's proposal and ``with_proposal``
-swaps one in, checking only the new proposal; both keep the other terms and
-their memos, so a turn scores only the new proposal.  ``surplus_reader``
-reads reported surpluses from the memos without writing them.
+``run`` first copies the profile's report objects out of its mappings in
+canonical agent order and checks them in one pass: the mappings must be
+total and every transaction report non-negative, or
+``MarketInstance.validate_reports`` raises its error.  Each term also keeps
+a one-entry memo, written only by ``run``: the report objects of the
+profile it was last settled at, its reported surplus there, and, once it
+has won, every agent's reported utility.  ``run`` compares the incoming
+profile's report objects with a memo's by identity, agent by agent, once
+per memo profile, so a report replaced, rebuilt equal or edited in place
+counts as changed.  It then moves each term's surplus by the changed agents
+alone (a transaction by its new minus old report where it is allocated, a
+node by its old minus new cost on its bundle), and recomputes only their
+utilities for the IR gate; a term is scored with ``core.welfare`` only the
+first time.  Deviation search changes one report at a time, so it prepares
+once and passes the prepared sequence to ``run``.  A best response changes
+one proposal: ``PreparedRound.without`` drops a broker's proposal and
+``with_proposal`` swaps one in, checking only the new proposal; both keep
+the other terms and their memos, so a turn scores only the new proposal.
+``surplus_reader`` reads reported surpluses from the memos without writing
+them.
 """
 
 from __future__ import annotations
@@ -129,18 +132,6 @@ class _Settlement:
             # ``at`` is kept with its entry so that its id is not reused
             hit = self._changed[id(at)] = (at, changed)
         return hit[1]
-
-    def validated(self, terms: Sequence[_Terms]) -> bool:
-        """Whether ``instance.validate_reports`` would pass, known without
-        calling it: the profile is total and differs from a memo profile,
-        which ``run`` validated, only in non-negative transaction reports."""
-        if self.reports is None:
-            return False
-        at = next((t.scored_at for t in terms if t.scored_at is not None), None)
-        if at is None:
-            return False
-        n_txs = len(self.instance.tx_ids)
-        return not any(self.reports[i] < 0 for i in self.changed(at) if i < n_txs)
 
     def surplus(self, term: _Terms) -> Fraction:
         """``term``'s reported surplus at this profile, its memo moved by the
@@ -355,17 +346,14 @@ def run(
     reused only when it was prepared for this very instance and spec (by
     identity) and an equal broker order, and the round is prepared afresh
     otherwise.  With the memos, only the reports that changed since a term
-    was last settled are validated and scored.
+    was last settled are scored.
     """
-    reused = isinstance(proposals, PreparedRound) and proposals.prepared_for(
-        instance, spec, broker_order
-    )
-    if not reused:
+    settlement = _Settlement(instance, reports)
+    n_txs = len(instance.tx_ids)
+    if settlement.reports is None or any(v < 0 for v in settlement.reports[:n_txs]):
+        # raises, naming what is wrong
         instance.validate_reports(reports)
     prepared = prepare_round(instance, spec, proposals, broker_order)
-    settlement = _Settlement(instance, reports)
-    if reused and not settlement.validated(prepared.terms):
-        instance.validate_reports(reports)
     if not prepared.terms:
         return _rejection(instance, RejectionReason.NO_BUDGET_BALANCED_PROPOSAL)
 

@@ -16,6 +16,10 @@ from .errors import MalformedInput
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+# Python's default limit on the digits of an int read from or written as a
+# string; a decimal string whose value could exceed it is refused unexpanded
+MAX_NUMBER_DIGITS = 4300
+
 
 def parse_number(value: object, where: str = "number") -> Fraction:
     """Parse a scenario number exactly, rejecting anything lossy."""
@@ -28,6 +32,15 @@ def parse_number(value: object, where: str = "number") -> Fraction:
             f"{where}: floats are not exact; write the value as a string or as {{num, den}}"
         )
     if isinstance(value, str):
+        mantissa, e, exponent = value.lower().partition("e")
+        try:
+            digits = abs(int(exponent)) + sum(c.isdigit() for c in mantissa) if e else 0
+        except ValueError:
+            digits = 0  # not a decimal exponent: Fraction refuses it below
+        if digits > MAX_NUMBER_DIGITS:
+            raise MalformedInput(
+                f"{where}: {value!r} would have more than {MAX_NUMBER_DIGITS} digits"
+            )
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -50,8 +63,3 @@ def format_number(x: Fraction) -> object:
     if x.denominator == 1:
         return str(x.numerator)
     return {"num": x.numerator, "den": x.denominator}
-
-
-def format_number_str(x: Fraction) -> str:
-    """Plain-text rendering, e.g. for CSV output and log lines."""
-    return str(x)

@@ -29,7 +29,12 @@ from .core import (
     TransactionSpec,
     Zero,
 )
-from .equilibrium import DeviationWitness, EquilibriumReport, TruthfulnessReport
+from .equilibrium import (
+    DEFAULT_OTHERS_CAP,
+    DeviationWitness,
+    EquilibriumReport,
+    TruthfulnessReport,
+)
 from .errors import MalformedInput
 from .mdfm import BenchmarkResult, ResourceMarket
 from .mechanism import MechanismOutcome, Proposal
@@ -61,7 +66,7 @@ class Scenario:
     quantum: Fraction = DEFAULT_QUANTUM
     enum_cap: int = DEFAULT_ENUM_CAP
     seed: int | None = None
-    others_cap: int = 2048
+    others_cap: int = DEFAULT_OTHERS_CAP
     max_rounds: int = 1000
 
 
@@ -270,6 +275,10 @@ def routing_to_json(routing: Routing) -> dict:
     }
 
 
+def proposal_to_json(proposal: Proposal) -> dict:
+    return {"broker": proposal.broker, "routing": routing_to_json(proposal.routing)}
+
+
 def parse_reports(obj: Any, instance: MarketInstance, where: str) -> ReportProfile:
     _expect(obj, dict, where)
     truthful = instance.truthful_reports()
@@ -464,9 +473,7 @@ def instance_to_scenario_json(
         "validity": validity_to_json(instance.validity),
     }
     if proposals:
-        payload["proposals"] = [
-            {"broker": p.broker, "routing": routing_to_json(p.routing)} for p in proposals
-        ]
+        payload["proposals"] = [proposal_to_json(p) for p in proposals]
     if broker_order:
         payload["broker_order"] = broker_order
     if reports is not None:
@@ -526,10 +533,7 @@ def _witness_to_json(witness: DeviationWitness) -> dict:
     elif isinstance(witness.deviation, CostFunction):
         deviation = cost_function_to_json(witness.deviation)
     elif isinstance(witness.deviation, Proposal):
-        deviation = {
-            "broker": witness.deviation.broker,
-            "routing": routing_to_json(witness.deviation.routing),
-        }
+        deviation = proposal_to_json(witness.deviation)
     else:
         deviation = str(witness.deviation)
     return {
@@ -563,7 +567,7 @@ def truthfulness_report_to_json(report: TruthfulnessReport) -> dict:
 def dynamics_step_to_json(broker: str, proposal: Proposal, utility: Fraction) -> dict:
     return {
         "broker": broker,
-        "proposal": {"broker": proposal.broker, "routing": routing_to_json(proposal.routing)},
+        "proposal": proposal_to_json(proposal),
         "utility": format_number(utility),
     }
 
@@ -573,9 +577,7 @@ def dynamics_summary_to_json(trace: DynamicsTrace) -> dict:
         "converged": trace.converged,
         "rounds": trace.rounds,
         "steps": len(trace.steps),
-        "terminal": [
-            {"broker": p.broker, "routing": routing_to_json(p.routing)} for p in trace.terminal
-        ],
+        "terminal": [proposal_to_json(p) for p in trace.terminal],
     }
 
 

@@ -6,9 +6,11 @@ import random
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import combinations, product
+from math import prod
 from typing import Iterable, Iterator, Sequence
 
 from brokerlab.core import (
+    MAX_SUBSET_TABLE_TXS,
     Allocation,
     ConstantNonempty,
     LinearResources,
@@ -27,7 +29,8 @@ from brokerlab.core import (
     tx_utility,
     welfare,
 )
-from brokerlab.errors import InvalidProposal, MalformedInput, MarketError
+from brokerlab.equilibrium import MAX_NODE_CANDIDATES, _interval_representatives
+from brokerlab.errors import InstanceTooLarge, InvalidProposal, MalformedInput, MarketError
 from brokerlab.linineq import Constraint, Hyperplane, find_point, nonneg_orthant
 from brokerlab.mdfm import (
     ResourceMarket,
@@ -35,7 +38,14 @@ from brokerlab.mdfm import (
     inclusion_maximal_allocations,
     pools_at_price,
 )
-from brokerlab.mechanism import MechanismOutcome, Proposal, RejectionReason, broker_utility, run
+from brokerlab.mechanism import (
+    MechanismOutcome,
+    Proposal,
+    RejectionReason,
+    broker_utility,
+    run,
+    surplus_reader,
+)
 from brokerlab.strategy import (
     DEFAULT_QUANTUM,
     _max_winning_margin,
@@ -669,6 +679,83 @@ def _outcome_with(
 # and ``_pick_in_interval``: it scales every row to a leading coefficient of
 # +-1 and eliminates in ``Fraction``.  ``enumerate_cells_reference`` is the
 # former walk over it.  The integer-row kernel must return identical points.
+
+
+def node_candidate_tables_reference(
+    instance: MarketInstance,
+    node: str,
+    proposals: Sequence[Proposal],
+    reports: ReportProfile,
+) -> list:
+    """``equilibrium.node_deviation_candidates`` as it was before candidates
+    became bundle overrides: every candidate a full ``SubsetTable`` over the
+    instance's transactions (the former six-bundle cap left out)."""
+    if node not in reports.node_reports:
+        raise MalformedInput(f"unknown node {node!r}")
+    current = reports.node_reports[node]
+    assigned: list[frozenset[str]] = []
+    for proposal in proposals:
+        bundle = proposal.routing.allocation.inverse(node)
+        if bundle and bundle not in assigned:
+            assigned.append(bundle)
+    if not assigned:
+        return [Zero()]
+    if len(instance.tx_ids) > MAX_SUBSET_TABLE_TXS:
+        raise InstanceTooLarge(
+            f"node_deviation_candidates: cost tables support at most "
+            f"{MAX_SUBSET_TABLE_TXS} transactions, got {len(instance.tx_ids)}"
+        )
+
+    base_surpluses = list(map(surplus_reader(instance, proposals, reports), proposals))
+    current_costs = {
+        bundle: current.cost(bundle, instance.resources) for bundle in assigned
+    }
+    scalar_candidates: list[list[Fraction]] = []
+    for bundle in assigned:
+        breakpoints: set[Fraction] = {ZERO}
+        for idx, proposal in enumerate(proposals):
+            if proposal.routing.allocation.inverse(node) != bundle:
+                continue
+            breakpoints.add(proposal.routing.node_payments[node])
+            # cost x on this bundle shifts proposal idx's surplus by
+            # current_cost - x; equalize against every other proposal's
+            # surplus at the current reports
+            for jdx in range(len(proposals)):
+                if proposal.routing.allocation.inverse(node) == proposals[
+                    jdx
+                ].routing.allocation.inverse(node):
+                    continue
+                x = base_surpluses[idx] + current_costs[bundle] - base_surpluses[jdx]
+                if x >= 0:
+                    breakpoints.add(x)
+        scalar_candidates.append(_interval_representatives(breakpoints))
+
+    count = prod(len(c) for c in scalar_candidates)
+    if count > MAX_NODE_CANDIDATES:
+        raise InstanceTooLarge(
+            f"node_deviation_candidates: node {node!r} has {count} candidate cost "
+            f"tables, cap is {MAX_NODE_CANDIDATES}"
+        )
+    all_txs = frozenset(instance.tx_ids)
+    # the current report's table, with the assigned bundles overridden per candidate
+    current_table = {
+        subset: current_costs[subset]
+        if subset in current_costs
+        else current.cost(subset, instance.resources)
+        for subset in map(frozenset, _powerset(sorted(all_txs)))
+    }
+    candidates: list = []
+    for combo in product(*scalar_candidates):
+        table = dict(current_table)
+        table.update(zip(assigned, combo))
+        candidates.append(SubsetTable(all_txs, table))
+    return candidates
+
+
+def _powerset(items: Sequence[str]):
+    n = len(items)
+    for mask in range(1 << n):
+        yield {items[i] for i in range(n) if mask >> i & 1}
 
 
 def normalized(c: Constraint) -> Constraint:

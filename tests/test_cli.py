@@ -62,6 +62,21 @@ class TestRun:
         assert main(["run", path]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "value", ['"1e999999999"', "1" * 4301], ids=["huge-exponent", "long-integer"]
+    )
+    def test_oversized_numbers_exit_one(self, tmp_path, capsys, value):
+        # a huge exponent is refused before it is expanded; an integer literal
+        # past Python's digit limit is refused by the JSON reader
+        path = tmp_path / "huge.json"
+        path.write_text(
+            '{"kind": "market", "transactions": [{"id": "t1", "value": %s}], '
+            '"nodes": [{"id": "n1", "cost": {"type": "Zero"}}]}' % value
+        )
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "4300" in err and "Traceback" not in err
+
     def test_missing_file_exits_one(self, capsys):
         assert main(["run", "/nonexistent/path.json"]) == 1
         assert "error:" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction as F
@@ -9,6 +10,7 @@ from brokerlab import equilibrium, mechanism, strategy
 from brokerlab.cli import _figure1_proposals
 from brokerlab.core import (
     Allocation,
+    CostFunction,
     MarketInstance,
     NodeSpec,
     PerTransaction,
@@ -16,6 +18,7 @@ from brokerlab.core import (
     SubsetTable,
     TransactionSpec,
     Zero,
+    agent_utility,
 )
 from brokerlab.equilibrium import (
     check_dsic_barring_b,
@@ -35,6 +38,7 @@ from brokerlab.strategy import (
 from brokerlab.validity import enumerate_valid
 
 from helpers import (
+    node_candidate_tables_reference,
     outcome_or_error,
     random_instance,
     random_proposals,
@@ -100,7 +104,9 @@ class TestNodeCandidates:
         allocation = Allocation.of({"t1": ["n1", "n2"]})
         proposal = Proposal("b1", scaled_rebate_routing(collusion_market, allocation, truthful, F(0)))
         candidates = node_deviation_candidates(collusion_market, "n1", [proposal], truthful)
-        assert all(isinstance(c, SubsetTable) for c in candidates)
+        # the current report with the bundle's cost replaced, not a table
+        assert all(isinstance(c, CostFunction) for c in candidates)
+        assert not any(isinstance(c, SubsetTable) for c in candidates)
         quoted = {c.cost(frozenset({"t1"}), collusion_market.resources) for c in candidates}
         assert F(0) in quoted and F(1) in quoted and F(2) in quoted
 
@@ -138,12 +144,29 @@ def one_node_market(n_txs, bundles):
 
 
 class TestNodeCandidateBudgets:
-    def test_distinct_bundles_over_the_cap_are_refused(self):
-        instance, proposals, truthful = one_node_market(2, [["t1"], ["t2"], ["t1", "t2"]])
-        assert len(node_deviation_candidates(instance, "n1", proposals, truthful, bundle_cap=3)) > 1
-        message = "node_deviation_candidates: node 'n1' is assigned 3 distinct bundles, cap is 2"
+    def test_distinct_bundles_are_bounded_only_by_the_candidate_product(self):
+        txs = ("t1", "t2", "t3")
+        seven = [list(c) for k in (1, 2, 3) for c in itertools.combinations(txs, k)]
+        # a costless node paid nothing, each proposal at zero surplus: only the
+        # breakpoint 0 on every bundle, so 2 ** 7 candidates
+        instance = MarketInstance(
+            tuple(TransactionSpec(t, F(2)) for t in txs), (NodeSpec("n1", Zero()),)
+        )
+        truthful = instance.truthful_reports()
+        proposals = []
+        for k, bundle in enumerate(seven):
+            allocation = Allocation.of({t: ["n1"] for t in bundle})
+            routing = max_extraction_routing(instance, allocation, truthful)
+            proposals.append(Proposal(f"b{k}", routing))
+        assert len(node_deviation_candidates(instance, "n1", proposals, truthful)) == 2**7
+        order = [p.broker for p in proposals]
+        report = check_pne(instance, None, truthful, truthful, proposals, order)
+        assert report.checked_agent_deviations > 2**7
+        # the same seven bundles at distinct payments and costs
+        instance, proposals, truthful = one_node_market(3, seven)
+        message = r"node_deviation_candidates: node 'n1' has \d+ candidate cost tables, cap is 4096"
         with pytest.raises(InstanceTooLarge, match=message):
-            node_deviation_candidates(instance, "n1", proposals, truthful, bundle_cap=2)
+            node_deviation_candidates(instance, "n1", proposals, truthful)
 
     def test_cost_tables_over_sixteen_transactions_are_refused(self):
         instance, proposals, truthful = one_node_market(17, [["t1"]])
@@ -172,6 +195,26 @@ class TestNodeCandidateBudgets:
 
 
 class TestCheckPne:
+    def test_no_table_is_built_without_a_node_witness(self, collusion_market, monkeypatch):
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return SubsetTable(*args)
+
+        monkeypatch.setattr(equilibrium, "SubsetTable", counted)
+        truthful = collusion_market.truthful_reports()
+        report = check_pne(
+            collusion_market,
+            collusion_market.validity,
+            truthful,
+            truthful,
+            consensus(collusion_market),
+            ["b1", "b2"],
+        )
+        assert report.is_pne and report.checked_agent_deviations > 0
+        assert not built
+
     def test_consensus_profile_is_equilibrium(self, collusion_market):
         truthful = collusion_market.truthful_reports()
         report = check_pne(
@@ -223,6 +266,39 @@ class TestCheckPne:
         assert not report.is_pne
         tx_witnesses = [w for w in report.witnesses if w.agent == "t1"]
         assert tx_witnesses and max(w.utility_after for w in tx_witnesses) == 4
+
+
+class TestNodeCandidateOracle:
+    def test_candidates_and_witnesses_match_the_table_construction(self):
+        node_witnesses = 0
+        for instance, reports, proposals, order in pne_profiles(4099, 200):
+            truthful = instance.truthful_reports()
+            txs = instance.tx_ids
+            subsets = [
+                frozenset(c) for k in range(len(txs) + 1) for c in itertools.combinations(txs, k)
+            ]
+            report = check_pne(instance, instance.validity, truthful, reports, proposals, order)
+            base = run(instance, instance.validity, reports, proposals, order)
+            for node in instance.node_ids:
+                candidates = node_deviation_candidates(instance, node, proposals, reports)
+                tables = node_candidate_tables_reference(instance, node, proposals, reports)
+                assert len(candidates) == len(tables)
+                for candidate, table in zip(candidates, tables):
+                    for subset in subsets:
+                        assert candidate.cost(subset, instance.resources) == table.cost(subset)
+                # the reference's profitable tables, in candidate order
+                before = agent_utility(instance, node, base.routing, truthful)
+                profitable = []
+                for table in tables:
+                    deviated = reports.replace_node(node, table)
+                    outcome = run(instance, instance.validity, deviated, proposals, order)
+                    if agent_utility(instance, node, outcome.routing, truthful) > before:
+                        profitable.append(table)
+                found = [w.deviation for w in report.witnesses if w.agent == node]
+                assert all(type(d) is SubsetTable for d in found)
+                assert found == profitable
+                node_witnesses += len(found)
+        assert node_witnesses > 20, node_witnesses
 
 
 class TestConsensusProfile:

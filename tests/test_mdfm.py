@@ -6,6 +6,7 @@ import pytest
 from brokerlab.core import Allocation, NodeSpec, TransactionSpec, Zero, welfare
 from brokerlab import mdfm
 from brokerlab.errors import InstanceTooLarge, MalformedInput
+from brokerlab.scenario import allocation_to_json
 from brokerlab.mdfm import (
     ResourceMarket,
     base_fee,
@@ -204,7 +205,7 @@ class TestConstructions:
         willing, pool = pools_at_price(priced, isolating)
         assert willing == {"t04"}
         maximal = inclusion_maximal_allocations(pool)
-        assert [a.as_dict() for a in maximal] == [{"t04": ["n"]}]
+        assert [allocation_to_json(a) for a in maximal] == [{"t04": ["n"]}]
         assert inc_benchmark(priced) == 1
 
         # The construction makes them conflict through state instead, so the
