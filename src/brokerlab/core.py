@@ -158,6 +158,12 @@ class SubsetTable(CostFunction):
         return value
 
 
+def require_table_over(cost: CostFunction, tx_ids: Iterable[str], what: str) -> None:
+    """Refuse a ``SubsetTable`` cost that is not over exactly ``tx_ids``."""
+    if isinstance(cost, SubsetTable) and cost.transactions != frozenset(tx_ids):
+        raise MalformedInput(f"{what} must cover exactly the instance transactions")
+
+
 # ---------------------------------------------------------------------------
 # Agents and instances
 # ---------------------------------------------------------------------------
@@ -304,12 +310,7 @@ class MarketInstance:
         if len(set(ids)) != len(ids):
             raise MalformedInput("agent ids must be unique across transactions and nodes")
         for node in self.nodes:
-            if isinstance(node.cost, SubsetTable) and node.cost.transactions != frozenset(
-                t.id for t in self.transactions
-            ):
-                raise MalformedInput(
-                    f"SubsetTable of node {node.id!r} must cover exactly the instance transactions"
-                )
+            require_table_over(node.cost, self.tx_ids, f"SubsetTable of node {node.id!r}")
 
     @cached_property
     def tx_ids(self) -> tuple[str, ...]:

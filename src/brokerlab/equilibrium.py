@@ -36,7 +36,7 @@ from .core import (
     agent_utility,
 )
 from .errors import InstanceTooLarge, MalformedInput
-from .mechanism import Proposal, broker_utility, prepare_round, run, surplus_reader
+from .mechanism import Proposal, broker_utility, prepare_round, run, surpluses
 from .rationals import ZERO
 from .strategy import (
     DEFAULT_QUANTUM,
@@ -81,18 +81,17 @@ def tx_deviation_candidates(
     if tx not in reports.tx_reports:
         raise MalformedInput(f"unknown transaction {tx!r}")
     breakpoints: set[Fraction] = {ZERO}
-    surplus_of = surplus_reader(instance, proposals, reports)
     value = reports.tx_reports[tx]
     intercepts: list[Fraction] = []
     slopes: list[int] = []
-    for proposal in proposals:
+    for proposal, base in zip(proposals, surpluses(instance, proposals, reports)):
         if tx not in proposal.routing.tx_payments:
             raise MalformedInput(f"proposal payment rule is missing transaction {tx!r}")
         breakpoints.add(proposal.routing.tx_payments[tx])
         slope = 1 if tx in proposal.routing.allocation.transactions else 0
         slopes.append(slope)
         # the surplus with the transaction's report at zero
-        intercepts.append(surplus_of(proposal) - value if slope else surplus_of(proposal))
+        intercepts.append(base - value if slope else base)
     for i in range(len(proposals)):
         for j in range(len(proposals)):
             if slopes[i] == 1 and slopes[j] == 0:
@@ -144,7 +143,7 @@ def node_deviation_candidates(
             f"{MAX_SUBSET_TABLE_TXS} transactions, got {len(instance.tx_ids)}"
         )
 
-    base_surpluses = list(map(surplus_reader(instance, proposals, reports), proposals))
+    base_surpluses = surpluses(instance, proposals, reports)
     scalar_candidates: list[list[Fraction]] = []
     for bundle in assigned:
         current_cost = current.cost(bundle, instance.resources)

@@ -9,37 +9,38 @@ id) is named.
 
 A round is prepared once and settled many times.  ``prepare_round`` makes
 every check on the proposals and the broker order and caches, for each
-budget-balanced proposal, the terms that do not depend on the reports: its
-margin and its broker's position.  Settling one report profile then ranks
-the proposals by reported surplus, their allocation's reported welfare
-minus the cached margin, which is ``core.surplus``.
+proposal, the terms that do not depend on the reports: its margin, whether
+it is budget-balanced, and its broker's position.  Settling one report
+profile then ranks the budget-balanced proposals by reported surplus, their
+allocation's reported welfare minus the cached margin, which is
+``core.surplus``.
 
 ``run`` first copies the profile's report objects out of its mappings in
 canonical agent order and checks them in one pass: the mappings must be
 total and every transaction report non-negative, or
 ``MarketInstance.validate_reports`` raises its error.  Each term also keeps
-a one-entry memo, written only by ``run``: the report objects of the
-profile it was last settled at, its reported surplus there, and, once it
-has won, every agent's reported utility.  ``run`` compares the incoming
-profile's report objects with a memo's by identity, agent by agent, once
-per memo profile, so a report replaced, rebuilt equal or edited in place
-counts as changed.  It then moves each term's surplus by the changed agents
-alone (a transaction by its new minus old report where it is allocated, a
-node by its old minus new cost on its bundle), and recomputes only their
-utilities for the IR gate; a term is scored with ``core.welfare`` only the
-first time.  Deviation search changes one report at a time, so it prepares
-once and passes the prepared sequence to ``run``.  A best response changes
-one proposal: ``PreparedRound.without`` drops a broker's proposal and
-``with_proposal`` swaps one in, checking only the new proposal; both keep
-the other terms and their memos, so a turn scores only the new proposal.
-``surplus_reader`` reads reported surpluses from the memos without writing
-them.
+a one-entry memo, written only by ``run`` and only for budget-balanced
+proposals: the report objects of the profile it was last settled at, its
+reported surplus there, and, once it has won, every agent's reported
+utility.  ``run`` compares the incoming profile's report objects with a
+memo's by identity, agent by agent, once per memo profile, so a report
+replaced, rebuilt equal or edited in place counts as changed.  It then
+moves each term's surplus by the changed agents alone (a transaction by its
+new minus old report where it is allocated, a node by its old minus new
+cost on its bundle), and recomputes only their utilities for the IR gate; a
+term is scored with ``core.welfare`` only the first time.  Deviation search
+changes one report at a time, so it prepares once and passes the prepared
+sequence to ``run``.  A best response changes one proposal:
+``PreparedRound.without`` drops a broker's proposal and ``with_proposal``
+swaps one in, checking only the new proposal; both keep the other terms and
+their memos, so a turn scores only the new proposal.  ``surpluses`` reads
+every proposal's reported surplus from the memos without writing them.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Mapping
@@ -90,21 +91,26 @@ class MechanismOutcome:
 
 @dataclass(eq=False, slots=True)
 class _Terms:
-    """The report-independent terms of one budget-balanced proposal, and its
-    memo (see the module docstring).
+    """The report-independent terms of one proposal, and its memo (see the
+    module docstring).
 
-    ``scored_at`` and ``utilities_at`` hold the report objects of the
-    profile ``surplus`` and ``utilities`` were settled at, in canonical
-    agent order; ``utilities`` is in that order too.
+    ``balanced`` says whether the margin is non-negative.  ``scored_at`` and
+    ``utilities_at`` hold the report objects of the profile ``surplus`` and
+    ``utilities`` were settled at, in canonical agent order; ``utilities``
+    is in that order too.
     """
 
     proposal: Proposal
     margin: Fraction
     position: int
+    balanced: bool = field(init=False)
     scored_at: tuple | None = None
     surplus: Fraction = ZERO
     utilities_at: tuple | None = None
     utilities: tuple[Fraction, ...] = ()
+
+    def __post_init__(self):
+        self.balanced = self.margin >= 0
 
 
 class _Settlement:
@@ -190,15 +196,22 @@ class PreparedRound(Sequence):
     """The proposals of one round, validated for one instance, validity spec
     and broker order; built by ``prepare_round``.
 
-    It reads as the immutable sequence of the proposals.  The proposals'
-    routings must not be mutated after preparation.
+    ``terms`` holds one ``_Terms`` per proposal; ``proposals`` and
+    ``balanced`` (the budget-balanced terms, which ``run`` ranks) are read
+    off it.  It reads as the immutable sequence of the proposals.  The
+    proposals' routings must not be mutated after preparation.
     """
 
-    proposals: tuple[Proposal, ...]
+    terms: tuple[_Terms, ...]
     instance: MarketInstance
     spec: ValiditySpec | None
     broker_order: tuple[str, ...]
-    terms: tuple[_Terms, ...]
+    proposals: tuple[Proposal, ...] = field(init=False, repr=False)
+    balanced: tuple[_Terms, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "proposals", tuple(t.proposal for t in self.terms))
+        object.__setattr__(self, "balanced", tuple(t for t in self.terms if t.balanced))
 
     def __getitem__(self, index):
         return self.proposals[index]
@@ -219,9 +232,8 @@ class PreparedRound(Sequence):
 
     def without(self, broker: str) -> "PreparedRound":
         """This round without ``broker``'s proposal; nothing is checked again."""
-        proposals = tuple(p for p in self.proposals if p.broker != broker)
         terms = tuple(t for t in self.terms if t.proposal.broker != broker)
-        return PreparedRound(proposals, self.instance, self.spec, self.broker_order, terms)
+        return PreparedRound(terms, self.instance, self.spec, self.broker_order)
 
     def with_proposal(self, proposal: Proposal) -> "PreparedRound":
         """This round with ``proposal`` in place of its broker's proposal, or
@@ -236,15 +248,10 @@ class PreparedRound(Sequence):
                 "broker order must be a permutation covering the proposing brokers"
             )
         _check_proposal(self.instance, self.spec, proposal)
-        kept = self.without(proposal.broker)
-        proposals = sorted([*kept.proposals, proposal], key=lambda p: order.index(p.broker))
-        terms = list(kept.terms)
-        proposal_margin = margin(proposal.routing)
-        if proposal_margin >= 0:
-            terms.append(_Terms(proposal, proposal_margin, order.index(proposal.broker)))
-        # in the proposals' order, which is the order run scores them in
+        terms = [t for t in self.terms if t.proposal.broker != proposal.broker]
+        terms.append(_Terms(proposal, margin(proposal.routing), order.index(proposal.broker)))
         terms.sort(key=lambda t: t.position)
-        return PreparedRound(tuple(proposals), self.instance, self.spec, order, tuple(terms))
+        return PreparedRound(tuple(terms), self.instance, self.spec, order)
 
 
 def _check_proposal(
@@ -282,38 +289,26 @@ def prepare_round(
         _check_proposal(instance, spec, proposal)
 
     position = {b: i for i, b in enumerate(order)}
-    terms = []
-    for proposal in proposals:
-        proposal_margin = margin(proposal.routing)
-        if proposal_margin >= 0:
-            terms.append(_Terms(proposal, proposal_margin, position[proposal.broker]))
-    return PreparedRound(tuple(proposals), instance, spec, order, tuple(terms))
+    terms = tuple([_Terms(p, margin(p.routing), position[p.broker]) for p in proposals])
+    return PreparedRound(terms, instance, spec, order)
 
 
-def surplus_reader(
+def surpluses(
     instance: MarketInstance, proposals: Sequence[Proposal], reports: ReportProfile
-) -> Callable[[Proposal], Fraction]:
-    """A function giving a proposal of ``proposals`` its reported surplus at
-    ``reports`` (``core.surplus``).
+) -> list[Fraction]:
+    """Each proposal's reported surplus at ``reports`` (``core.surplus``), in
+    the order of ``proposals``.
 
     When ``proposals`` is a round prepared for ``instance`` and ``reports``
-    is total, a budget-balanced proposal's is read from its memo and the
-    changed agents' reports (``core.welfare`` when it has no memo); no memo
-    is written.
+    is total, each is read from its term's memo and the changed agents'
+    reports (``core.welfare`` minus the cached margin when it has no memo);
+    no memo is written.
     """
     if isinstance(proposals, PreparedRound) and proposals.instance is instance:
         settlement = _Settlement(instance, reports)
         if settlement.reports is not None:
-            terms = {t.proposal.broker: t for t in proposals.terms}
-
-            def read(proposal: Proposal) -> Fraction:
-                term = terms.get(proposal.broker)
-                if term is not None and term.proposal is proposal:
-                    return settlement.surplus(term)
-                return surplus(instance, proposal.routing, reports)
-
-            return read
-    return lambda proposal: surplus(instance, proposal.routing, reports)
+            return [settlement.surplus(t) for t in proposals.terms]
+    return [surplus(instance, p.routing, reports) for p in proposals]
 
 
 def _rejection(
@@ -354,10 +349,10 @@ def run(
         # raises, naming what is wrong
         instance.validate_reports(reports)
     prepared = prepare_round(instance, spec, proposals, broker_order)
-    if not prepared.terms:
+    if not prepared.balanced:
         return _rejection(instance, RejectionReason.NO_BUDGET_BALANCED_PROPOSAL)
 
-    best = max(prepared.terms, key=lambda t: (settlement.settle(t), -t.position))
+    best = max(prepared.balanced, key=lambda t: (settlement.settle(t), -t.position))
 
     utilities = settlement.utilities(best)
     for agent, utility in zip(instance.agent_ids, utilities):

@@ -28,6 +28,7 @@ from .core import (
     SubsetTable,
     TransactionSpec,
     Zero,
+    require_table_over,
 )
 from .equilibrium import (
     DEFAULT_OTHERS_CAP,
@@ -295,7 +296,9 @@ def parse_reports(obj: Any, instance: MarketInstance, where: str) -> ReportProfi
     for node, fn in raw_nodes.items():
         if node not in node_reports:
             raise MalformedInput(f"{where}.nodes[{node}]: unknown node")
-        node_reports[node] = parse_cost_function(fn, f"{where}.nodes[{node}]")
+        cost = parse_cost_function(fn, f"{where}.nodes[{node}]")
+        require_table_over(cost, instance.tx_ids, f"{where}.nodes[{node}]: SubsetTable")
+        node_reports[node] = cost
     return ReportProfile(tx_reports, node_reports)
 
 

@@ -9,9 +9,11 @@ beaten strictly, margins live on a configurable lattice ``{k * quantum}``
 because the continuous problem has no maximizer on an open set.  The best
 winning margin never falls as welfare rises, so one welfare pass over the
 valid set finds the best response (see ``broker_best_response``), and
-its argmax is remembered for the last market and reports.  Best-response
-dynamics check and settle the starting profile once; then each broker turn
-checks only its response and settles one round, the next profile's.
+its argmax is remembered for the last market and reports.  A best response
+always settles one prepared round, the rivals' plus the response.
+Best-response dynamics check and settle the starting profile once; then
+each broker turn checks only its response and settles one round, the next
+profile's.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import Allocation, MarketInstance, ReportProfile, Routing, margin, welfare
+from .core import Allocation, MarketInstance, ReportProfile, Routing, welfare
 from .errors import InfeasibleTarget, MalformedInput
 from .mechanism import (
     MechanismOutcome,
@@ -29,7 +31,7 @@ from .mechanism import (
     broker_utility,
     prepare_round,
     run,
-    surplus_reader,
+    surpluses,
 )
 from .rationals import ZERO
 from .validity import DEFAULT_ENUM_CAP, ValiditySpec, enumerate_valid
@@ -87,12 +89,14 @@ def _welfare_max(
     spec)``, remembered for the last instance and spec (by identity, as in
     ``enumerate_valid``; every cap that lets it finish gives the same set)
     and reports (by value, through copies of both mappings, so a profile
-    mutated in place since is scored again)."""
+    mutated in place since is scored again).  Reports are checked before
+    they are first scored, so a malformed profile raises ``MalformedInput``."""
     global _last_argmax
     tx_reports, node_reports = dict(reports.tx_reports), dict(reports.node_reports)
     last = _last_argmax
     if last and last[0] is instance and last[1] is spec and last[2:4] == (tx_reports, node_reports):
         return last[4]
+    instance.validate_reports(reports)
     best = _welfare_argmax(instance, allocations, reports)
     _last_argmax = (instance, spec, tx_reports, node_reports, best)
     return best
@@ -235,10 +239,12 @@ def broker_best_response(
     allocation's is.  ``outcome`` is the round settled on the rivals plus
     the response, in broker order.
 
-    ``rivals`` may be a ``PreparedRound``: its cached margins are used, its
-    surpluses are read from its memos when it was prepared for this
-    instance, and when it was prepared for this instance, spec and broker
-    order only the response is checked and scored as the round is settled.
+    Reports are checked before the rivals, as ``run`` checks them.
+    ``rivals`` may be a ``PreparedRound``: when it was prepared for this
+    instance, spec and broker order, its cached terms are used, its
+    surpluses are read from its memos, and only the response is checked and
+    scored as the round is settled; any other rivals are prepared afresh,
+    in broker order.
     """
     if quantum <= 0:
         raise MalformedInput(f"quantum must be positive, got {quantum}")
@@ -250,25 +256,24 @@ def broker_best_response(
         if rival.broker not in broker_order:
             raise MalformedInput(f"rival broker {rival.broker!r} missing from broker order")
 
+    allocations = enumerate_valid(instance, spec, cap)
+    best = _welfare_max(instance, spec, reports, allocations)
     position = {b: i for i, b in enumerate(broker_order)}
-    if isinstance(rivals, PreparedRound):
-        balanced = [t.proposal for t in rivals.terms]
-    else:
-        # checked in broker order once the response is found, as run checks them
-        rivals = sorted(rivals, key=lambda p: position[p.broker])
-        balanced = [p for p in rivals if margin(p.routing) >= 0]
-    surplus_of = surplus_reader(instance, rivals, reports)
-    rival_surpluses = [(surplus_of(p), p.broker) for p in balanced]
+    if not (isinstance(rivals, PreparedRound) and rivals.prepared_for(instance, spec, broker_order)):
+        rivals = prepare_round(
+            instance, spec, sorted(rivals, key=lambda p: position[p.broker]), broker_order
+        )
+    rival_surpluses = [
+        (s, t.position)
+        for s, t in zip(surpluses(instance, rivals, reports), rivals.terms)
+        if t.balanced
+    ]
     if rival_surpluses:
         rival_best = max(s for s, _ in rival_surpluses)
-        wins_ties = all(
-            position[broker] < position[b] for s, b in rival_surpluses if s == rival_best
-        )
+        wins_ties = all(position[broker] < p for s, p in rival_surpluses if s == rival_best)
     else:
         rival_best, wins_ties = None, True
 
-    allocations = enumerate_valid(instance, spec, cap)
-    best = _welfare_max(instance, spec, reports, allocations)
     best_margin = _max_winning_margin(
         best.welfare, rival_best, wins_ties, quantum, lattice_margins
     )
@@ -277,11 +282,7 @@ def broker_best_response(
     else:
         routing = scaled_rebate_routing(instance, best.allocation, reports, best_margin)
     proposal = Proposal(broker, routing)
-    reused = isinstance(rivals, PreparedRound) and rivals.prepared_for(instance, spec, broker_order)
-    if not reused:
-        # the rivals are checked next; reports are refused before proposals, as in run
-        instance.validate_reports(reports)
-    prepared = prepare_round(instance, spec, rivals, broker_order).with_proposal(proposal)
+    prepared = rivals.with_proposal(proposal)
     outcome = run(instance, spec, reports, prepared, broker_order)
     return BrokerBestResponse(
         proposal,
@@ -337,8 +338,6 @@ def best_response_dynamics(
     if sorted(brokers) != sorted(broker_order):
         raise MalformedInput("initial proposals must cover the broker order exactly")
 
-    for p in initial:
-        instance.validate_routing(p.routing)
     # reports are refused before proposals, as in run
     instance.validate_reports(reports)
     by_broker = {p.broker: p for p in initial}

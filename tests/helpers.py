@@ -44,7 +44,6 @@ from brokerlab.mechanism import (
     RejectionReason,
     broker_utility,
     run,
-    surplus_reader,
 )
 from brokerlab.strategy import (
     DEFAULT_QUANTUM,
@@ -247,6 +246,35 @@ def random_constrained_instance(
         constraints.append(MutualExclusion(*rng.sample(tx_ids, 2)))
     rng.shuffle(constraints)
     return MarketInstance(txs, nodes, Constraints(tuple(constraints)))
+
+
+def capacitated_instance() -> MarketInstance:
+    """Resource vectors, a ``LinearResources`` cost and capacities with an
+    unconstrained dimension, under ``NodeCapacity`` and ``SingleAssignment``:
+    either node is over capacity with both transactions on it, so 7 of the
+    9 single-assignment allocations are valid."""
+    return MarketInstance(
+        (
+            TransactionSpec("t1", Fraction(5), (Fraction(1), Fraction(2))),
+            TransactionSpec("t2", Fraction(3), (Fraction(2), Fraction(1))),
+        ),
+        (
+            NodeSpec("n1", LinearResources((Fraction(1), Fraction(1))), (Fraction(2), None)),
+            NodeSpec("n2", ConstantNonempty(Fraction(1)), (None, Fraction(2))),
+        ),
+        Constraints((NodeCapacity(), SingleAssignment())),
+    )
+
+
+# b1 runs t1 on n2 and t2 on n1, each node paid its cost, at margin 0
+CAPACITATED_PROPOSAL = Proposal(
+    "b1",
+    Routing(
+        Allocation.of({"t1": ["n2"], "t2": ["n1"]}),
+        {"t1": Fraction(1), "t2": Fraction(3)},
+        {"n1": Fraction(3), "n2": Fraction(1)},
+    ),
+)
 
 
 def _node_usage_by_ladder(instance: MarketInstance, allocation: Allocation, node: str) -> list[Fraction]:
@@ -706,7 +734,7 @@ def node_candidate_tables_reference(
             f"{MAX_SUBSET_TABLE_TXS} transactions, got {len(instance.tx_ids)}"
         )
 
-    base_surpluses = list(map(surplus_reader(instance, proposals, reports), proposals))
+    base_surpluses = [surplus(instance, p.routing, reports) for p in proposals]
     current_costs = {
         bundle: current.cost(bundle, instance.resources) for bundle in assigned
     }

@@ -77,6 +77,35 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "4300" in err and "Traceback" not in err
 
+    def test_capacitated_market_settles(self, tmp_path, capsys):
+        from brokerlab.scenario import instance_to_scenario_json
+        from helpers import CAPACITATED_PROPOSAL, capacitated_instance
+
+        payload = instance_to_scenario_json(capacitated_instance(), [CAPACITATED_PROPOSAL], ["b1"])
+        assert main(["run", write(tmp_path, "capacitated.json", payload)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["winner"] == "b1"
+        assert out["routing"]["allocation"] == {"t1": ["n2"], "t2": ["n1"]}
+
+    @pytest.mark.parametrize(
+        "command, brokers",
+        [("run", 2), ("run", 1), ("equilibrium", 2), ("dynamics", 2)],
+        ids=["run", "run-b1-only", "equilibrium", "dynamics"],
+    )
+    def test_node_report_table_over_other_transactions_exits_one(
+        self, tmp_path, fig1_path, capsys, command, brokers
+    ):
+        payload = json.loads(open(fig1_path).read())
+        payload["proposals"] = payload["proposals"][:brokers]
+        payload["broker_order"] = payload["broker_order"][:brokers]
+        payload["reports"] = {
+            "nodes": {
+                "n1": {"type": "SubsetTable", "transactions": ["t1"], "table": {"": "0", "t1": "1"}}
+            }
+        }
+        assert main([command, write(tmp_path, "table.json", payload)]) == 1
+        assert capsys.readouterr().err.startswith("error: reports.nodes[n1]: SubsetTable")
+
     def test_missing_file_exits_one(self, capsys):
         assert main(["run", "/nonexistent/path.json"]) == 1
         assert "error:" in capsys.readouterr().err

@@ -413,7 +413,7 @@ class TestSettlementMemo:
                 settles_as_reference(instance, profile, rng.choice(rounds), order)
             # every term is scored with welfare at most once, however the
             # rounds that share it are settled
-            terms = {id(t): t for r in rounds for t in r.terms}.values()
+            terms = {id(t): t for r in rounds for t in r.balanced}.values()
             assert sum(scored.values()) <= len(terms)
         assert min(kinds[k] for k in (0, 1, 2, "rebuilt")) > 100
 

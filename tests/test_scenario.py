@@ -12,6 +12,7 @@ from brokerlab.core import (
     Allocation,
     ConstantNonempty,
     LinearResources,
+    MarketInstance,
     NodeSpec,
     PerTransaction,
     SubsetTable,
@@ -35,9 +36,15 @@ from brokerlab.scenario import (
     parse_scenario,
     resource_market_to_scenario_json,
 )
-from brokerlab.validity import Constraint, MutualExclusion
+from brokerlab.validity import Constraint, Extensional, MutualExclusion, enumerate_valid
 
-from helpers import naive_enumerate, random_instance, random_proposals, random_reports
+from helpers import (
+    capacitated_instance,
+    naive_enumerate,
+    random_instance,
+    random_proposals,
+    random_reports,
+)
 
 
 MARKET_SCENARIO = {
@@ -124,6 +131,18 @@ class TestMarketParsing:
         assert getattr(parse_scenario(dict(MARKET_SCENARIO, **{field: 1})), field) == 1
 
 
+class TestReportParsing:
+    def test_node_table_over_other_transactions_is_refused(self):
+        payload = json.loads(json.dumps(MARKET_SCENARIO))
+        table = {"type": "SubsetTable", "transactions": ["t1"], "table": {"": "0", "t1": "1"}}
+        payload["reports"] = {"nodes": {"n1": table}}
+        with pytest.raises(
+            MalformedInput,
+            match=r"^reports\.nodes\[n1\]: SubsetTable must cover exactly the instance transactions",
+        ):
+            parse_scenario(payload)
+
+
 class TestCostFunctionRoundTrip:
     @pytest.mark.parametrize(
         "fn",
@@ -203,6 +222,30 @@ class TestGeneratedScenarios:
         payload = resource_market_to_scenario_json(oracle_gap_market(2, [F(1), F(2)]))
         text = json.dumps(payload, sort_keys=True)
         assert parse_scenario(json.loads(text)).market == oracle_gap_market(2, [F(1), F(2)])
+
+
+def extensional_instance() -> MarketInstance:
+    return MarketInstance(
+        (TransactionSpec("t1", F(4)), TransactionSpec("t2", F(2))),
+        (NodeSpec("n1", ConstantNonempty(F(1))), NodeSpec("n2", Zero())),
+        Extensional.of(
+            [Allocation.of({"t1": ["n1"]}), Allocation.of({"t1": ["n1", "n2"], "t2": ["n2"]})]
+        ),
+    )
+
+
+@pytest.mark.parametrize(
+    "instance, valid",
+    [(capacitated_instance(), 7), (extensional_instance(), 3)],
+    ids=["capacitated", "extensional"],
+)
+def test_instance_round_trips_with_its_valid_set(instance, valid):
+    payload = instance_to_scenario_json(instance)
+    parsed = parse_scenario(json.loads(json.dumps(payload))).instance
+    assert parsed == instance
+    valid_set = enumerate_valid(parsed, parsed.validity)
+    assert valid_set == enumerate_valid(instance, instance.validity)
+    assert len(valid_set) == valid
 
 
 @st.composite

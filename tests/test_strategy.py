@@ -19,6 +19,7 @@ from brokerlab.core import (
     surplus,
     welfare,
 )
+from brokerlab.equilibrium import construct_consensus_equilibrium
 from brokerlab.errors import InfeasibleTarget, MalformedInput, MarketError
 from brokerlab.mdfm import collusion_example_instance, oracle_gap_market
 from brokerlab.mechanism import Proposal, prepare_round, run
@@ -180,6 +181,29 @@ class TestBrokerBestResponse:
                     respond("b1", collusion_market, collusion_market.validity, reports, rivals, order)
                 refusals.append((type(refused.value), str(refused.value)))
             assert refusals[0] == refusals[1]
+
+    @pytest.mark.parametrize("missing", ["transaction", "node"])
+    def test_reports_that_are_not_total_are_refused_with_a_typed_error(
+        self, collusion_market, missing
+    ):
+        truthful = collusion_market.truthful_reports()
+        if missing == "transaction":
+            reports = ReportProfile({"t1": F(6)}, truthful.node_reports)
+        else:
+            reports = ReportProfile(truthful.tx_reports, {"n1": truthful.node_reports["n1"]})
+        spec, order = collusion_market.validity, ["b1", "b2"]
+        allocation = Allocation.of({"t1": ["n1", "n2"]})
+        rivals = [Proposal("b2", scaled_rebate_routing(collusion_market, allocation, truthful, F(0)))]
+        prepared = prepare_round(collusion_market, spec, rivals, order)
+        entry_points = [
+            lambda: broker_best_response("b1", collusion_market, spec, reports, rivals, order),
+            lambda: broker_best_response("b1", collusion_market, spec, reports, prepared, order),
+            lambda: welfare_max_allocation(collusion_market, spec, reports),
+            lambda: construct_consensus_equilibrium(collusion_market, spec, reports, order),
+        ]
+        for call in entry_points:
+            with pytest.raises(MalformedInput, match=f"^{missing} reports must be total"):
+                call()
 
     def test_monopolist_extracts_everything(self, collusion_market):
         truthful = collusion_market.truthful_reports()
