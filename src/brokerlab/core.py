@@ -373,8 +373,12 @@ class MarketInstance:
             _require_nonneg(p, f"payment of {tx!r}")
         for n, p in routing.node_payments.items():
             _require_nonneg(p, f"payment to {n!r}")
-        unknown_txs = routing.allocation.transactions - set(self.tx_ids)
-        unknown_nodes = routing.allocation.nodes - set(self.node_ids)
+        self.check_allocation_ids(routing.allocation)
+
+    def check_allocation_ids(self, allocation: Allocation) -> None:
+        """Refuse an allocation that names a transaction or node not in the market."""
+        unknown_txs = allocation.transactions - set(self.tx_ids)
+        unknown_nodes = allocation.nodes - set(self.node_ids)
         if unknown_txs or unknown_nodes:
             raise MalformedInput(
                 f"allocation references unknown ids {sorted(unknown_txs | unknown_nodes)}"

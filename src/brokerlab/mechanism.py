@@ -302,12 +302,14 @@ def surpluses(
     When ``proposals`` is a round prepared for ``instance`` and ``reports``
     is total, each is read from its term's memo and the changed agents'
     reports (``core.welfare`` minus the cached margin when it has no memo);
-    no memo is written.
+    no memo is written.  Otherwise the reports are checked first, so
+    reports that are not total raise ``MalformedInput``.
     """
     if isinstance(proposals, PreparedRound) and proposals.instance is instance:
         settlement = _Settlement(instance, reports)
         if settlement.reports is not None:
             return [settlement.surplus(t) for t in proposals.terms]
+    instance.validate_reports(reports)
     return [surplus(instance, p.routing, reports) for p in proposals]
 
 

@@ -224,8 +224,8 @@ def parse_validity(obj: Any, where: str) -> ValiditySpec:
         )
     if kind == "extensional":
         raw = _expect(obj.get("allocations"), list, f"{where}.allocations")
-        return Extensional.of(
-            parse_allocation(a, f"{where}.allocations[{i}]") for i, a in enumerate(raw)
+        return Extensional(
+            tuple(parse_allocation(a, f"{where}.allocations[{i}]") for i, a in enumerate(raw))
         )
     raise MalformedInput(f"{where}.type: unknown validity kind {kind!r}")
 

@@ -4,8 +4,8 @@ A validity specification is either an explicit list of allocations or a
 conjunction of constraint primitives:
 
 - ``NodeCapacity``: on every node that declares a capacity, each bounded
-  dimension's total usage fits; nodes without one are not checked, and a
-  transaction needs a resource vector only to run on a node that has one.
+  dimension's total usage fits, so every transaction needs a resource
+  vector of that length; nodes without a capacity are not checked.
 - ``MaxTxPerNode``: the node executes at most ``limit`` transactions.
 - ``RequiredNodeCount``: an allocated transaction runs on between
   ``min_nodes`` and ``max_nodes`` nodes.
@@ -20,12 +20,14 @@ specification, and an allocation satisfies a constraint exactly when each
 of its ``(tx, nodes)`` pairs, in canonical order, is admitted by the prefix
 before it.  A constraint therefore states one incremental test,
 ``admits``, or bounds only node-set sizes through ``node_counts``.
-Enumeration grows allocations one admitted pair at a time, returns the full
-valid set in canonical allocation order and refuses instances whose search
-space exceeds a configurable cap.  The cap counts the effective space, the
-product over transactions of the node sets each may take once the
-constraints' node-count bounds are applied, not the raw ``(2^|N|)^|T|``.
-``is_valid`` tests the same bounds before folding ``admits`` over the pairs.
+Inputs are checked once per call, so a step is a pure test that
+``is_valid`` and the search share: a node-set size the constraints allow,
+then every ``admits``.  Enumeration grows allocations one admitted pair at
+a time, returns the full valid set in canonical allocation order and
+refuses instances whose search space exceeds a configurable cap.  The cap
+counts the effective space, the product over transactions of the node
+sets each may take once the constraints' node-count bounds are applied,
+not the raw ``(2^|N|)^|T|``.
 
 ``enumerate_valid`` remembers its last result: the same instance and spec
 objects (compared by identity, as ``mechanism.prepare_round`` compares
@@ -35,15 +37,13 @@ them) with an equal cap get a fresh copy of it without a second search, and
 
 from __future__ import annotations
 
-from collections.abc import Set
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, inf, prod
 from typing import Iterable, Union
 
 from .core import EMPTY_ALLOCATION, Allocation, MarketInstance
 from .errors import InstanceTooLarge, MalformedInput
-from .rationals import ZERO
 
 DEFAULT_ENUM_CAP = 1 << 24
 
@@ -59,17 +59,17 @@ class Constraint:
     ``admits`` over the pairs and ``enumerate_valid`` grows partial
     allocations one admitted pair at a time.
 
-    ``admits(instance, partial, tx, nodes)`` answers whether ``tx`` may run
-    on ``nodes`` when added to ``partial``, where ``partial`` satisfies the
-    constraint and ``tx`` sorts after every transaction in it.  A
-    constraint that only bounds node-set sizes says so through
-    ``node_counts`` and keeps the default ``admits``, which admits
-    everything: the enumerator never builds a node set outside those
-    bounds and ``is_valid`` tests them before any ``admits``.
+    ``check(instance)`` runs once per call and refuses every input the
+    constraint cannot judge, so ``admits(instance, partial, tx, nodes)``
+    never raises: may ``tx`` run on ``nodes`` when added to ``partial``,
+    which satisfies the constraint and holds only transactions sorting
+    before ``tx``?  A constraint that only bounds node-set sizes says so
+    through ``node_counts`` and keeps the default ``admits``, which admits
+    everything: no step takes a node set outside those bounds.
     """
 
-    def check_ids(self, txs: Set[str], nodes: Set[str]) -> None:
-        """Refuse unknown transaction or node ids and out-of-range parameters."""
+    def check(self, instance: MarketInstance) -> None:
+        """Refuse unknown ids, out-of-range parameters and malformed inputs."""
 
     def admits(
         self, instance: MarketInstance, partial: Allocation, tx: str, nodes: tuple[str, ...]
@@ -81,8 +81,8 @@ class Constraint:
         return 0, inf
 
 
-def _check_txs(listed: Iterable[str], txs: Set[str]) -> None:
-    unknown = set(listed) - txs
+def _check_txs(listed: Iterable[str], instance: MarketInstance) -> None:
+    unknown = set(listed) - set(instance.tx_ids)
     if unknown:
         raise MalformedInput(f"constraint references unknown transactions {sorted(unknown)}")
 
@@ -91,26 +91,30 @@ def _check_txs(listed: Iterable[str], txs: Set[str]) -> None:
 class NodeCapacity(Constraint):
     """Per node and dimension, total resource usage must fit the node's capacity."""
 
+    def check(self, instance: MarketInstance) -> None:
+        capacitated = [n for n in instance.node_ids if instance.node(n).capacity is not None]
+        for node, tx in product(capacitated, instance.tx_ids):
+            vector = instance.resources.get(tx)
+            if vector is None:
+                raise MalformedInput(
+                    f"transaction {tx!r} has no resource vector for capacity checks"
+                )
+            if len(vector) != len(instance.node(node).capacity):
+                raise MalformedInput(
+                    f"resource vector of {tx!r} has wrong length for node {node!r}"
+                )
+
     def admits(
         self, instance: MarketInstance, partial: Allocation, tx: str, nodes: tuple[str, ...]
     ) -> bool:
+        resources = instance.resources
         for node in nodes:
             capacity = instance.node(node).capacity
             if capacity is None:
                 continue
-            usage = [ZERO] * len(capacity)
-            # the bundle already fits, so only ``tx`` can lack a vector
-            for placed in (tx, *partial.inverse(node)):
-                vector = instance.resources.get(placed)
-                if vector is None:
-                    raise MalformedInput(
-                        f"transaction {placed!r} has no resource vector for capacity checks"
-                    )
-                if len(vector) != len(capacity):
-                    raise MalformedInput(
-                        f"resource vector of {placed!r} has wrong length for node {node!r}"
-                    )
-                usage = [u + g for u, g in zip(usage, vector)]
+            usage = resources[tx]
+            for placed in partial.inverse(node):
+                usage = [u + g for u, g in zip(usage, resources[placed])]
             if any(cap is not None and used > cap for used, cap in zip(usage, capacity)):
                 return False
         return True
@@ -121,8 +125,8 @@ class MaxTxPerNode(Constraint):
     node: str
     limit: int
 
-    def check_ids(self, txs: Set[str], nodes: Set[str]) -> None:
-        if self.node not in nodes:
+    def check(self, instance: MarketInstance) -> None:
+        if self.node not in instance.node_ids:
             raise MalformedInput(f"constraint references unknown node {self.node!r}")
         if self.limit < 0:
             raise MalformedInput(f"negative transaction limit {self.limit} for node {self.node!r}")
@@ -145,8 +149,8 @@ class RequiredNodeCount(Constraint):
     def exactly(tx: str, count: int) -> "RequiredNodeCount":
         return RequiredNodeCount(tx, count, count)
 
-    def check_ids(self, txs: Set[str], nodes: Set[str]) -> None:
-        if self.tx not in txs:
+    def check(self, instance: MarketInstance) -> None:
+        if self.tx not in instance.tx_ids:
             raise MalformedInput(f"constraint references unknown transaction {self.tx!r}")
         if not (0 <= self.min_nodes <= self.max_nodes):
             raise MalformedInput(f"bad node count range for {self.tx!r}")
@@ -161,8 +165,8 @@ class MustShareNode(Constraint):
 
     txs: tuple[str, ...]
 
-    def check_ids(self, txs: Set[str], nodes: Set[str]) -> None:
-        _check_txs(self.txs, txs)
+    def check(self, instance: MarketInstance) -> None:
+        _check_txs(self.txs, instance)
 
     def admits(
         self, instance: MarketInstance, partial: Allocation, tx: str, nodes: tuple[str, ...]
@@ -184,8 +188,8 @@ class MutualExclusion(Constraint):
     first: str
     second: str
 
-    def check_ids(self, txs: Set[str], nodes: Set[str]) -> None:
-        _check_txs([self.first, self.second], txs)
+    def check(self, instance: MarketInstance) -> None:
+        _check_txs([self.first, self.second], instance)
 
     def admits(
         self, instance: MarketInstance, partial: Allocation, tx: str, nodes: tuple[str, ...]
@@ -211,24 +215,36 @@ class Constraints:
 
 @dataclass(frozen=True)
 class Extensional:
-    """An explicit valid set; the empty allocation is added if missing."""
+    """An explicit valid set, kept deduplicated and sorted, with the empty allocation."""
 
     allocations: tuple[Allocation, ...]
 
-    @staticmethod
-    def of(allocations: Iterable[Allocation]) -> "Extensional":
-        seen = sorted(set(allocations) | {EMPTY_ALLOCATION})
-        return Extensional(tuple(seen))
+    def __post_init__(self):
+        canonical = tuple(sorted(set(self.allocations) | {EMPTY_ALLOCATION}))
+        object.__setattr__(self, "allocations", canonical)
 
 
 ValiditySpec = Union[Constraints, Extensional]
 
 
-def _check_constraint_ids(spec: Constraints, instance: MarketInstance) -> None:
-    txs = set(instance.tx_ids)
-    nodes = set(instance.node_ids)
-    for c in spec.constraints:
-        c.check_ids(txs, nodes)
+def _resolve(spec: ValiditySpec | None, instance: MarketInstance) -> ValiditySpec:
+    """The spec a call reads, ``None`` being the instance's own (or no
+    constraints), once every input check on it has passed."""
+    if spec is None:
+        spec = instance.validity if instance.validity is not None else Constraints()
+    if isinstance(spec, Extensional):
+        for allocation in spec.allocations:
+            instance.check_allocation_ids(allocation)
+    else:
+        for c in spec.constraints:
+            c.check(instance)
+    return spec
+
+
+def _sizes(constraints: Iterable[Constraint], tx: str, n_nodes: int) -> range:
+    """Node-set sizes an allocated ``tx`` may take (unallocated is size 0)."""
+    bounds = [(1, n_nodes)] + [c.node_counts(tx) for c in constraints]
+    return range(max(lo for lo, _ in bounds), min(hi for _, hi in bounds) + 1)
 
 
 def _consulted(constraints: Iterable[Constraint]) -> list[Constraint]:
@@ -256,36 +272,24 @@ def is_valid(
     """Exact membership test for the valid set.
 
     An allocation in the last enumeration of the same instance and spec
-    objects is valid without a second test.  Any other allocation is tested
-    against every constraint's node-count bounds and then by folding
-    ``admits`` over its pairs in canonical order.
+    objects is valid without a second test.  Any other allocation is
+    tested, once the spec's inputs are checked, by the search's step rule
+    folded over its pairs in canonical order.
     """
-    unknown_txs = allocation.transactions - set(instance.tx_ids)
-    unknown_nodes = allocation.nodes - set(instance.node_ids)
-    if unknown_txs or unknown_nodes:
-        raise MalformedInput(
-            f"allocation references unknown ids {sorted(unknown_txs | unknown_nodes)}"
-        )
+    instance.check_allocation_ids(allocation)
     last = _last
     if last is not None and last[0] is instance and last[1] is spec and allocation in last[4]:
         return True
-    if spec is None:
-        spec = instance.validity
-    if spec is None:
-        return True
+    spec = _resolve(spec, instance)
     if isinstance(spec, Extensional):
-        return allocation.is_empty() or allocation in set(spec.allocations)
-    _check_constraint_ids(spec, instance)
-    # every node_counts bound first, so that no ``admits`` sees a node set the
-    # enumerator would never build, whatever the constraint order
-    for tx, nodes in allocation.pairs:
-        for c in spec.constraints:
-            lo, hi = c.node_counts(tx)
-            if not lo <= len(nodes) <= hi:
-                return False
-    consulted = _consulted(spec.constraints)
+        return allocation in spec.allocations
+    constraints = spec.constraints
+    consulted = _consulted(constraints)
+    n_nodes = len(instance.node_ids)
     pairs = allocation.pairs
     for i, (tx, nodes) in enumerate(pairs):
+        if len(nodes) not in _sizes(constraints, tx, n_nodes):
+            return False
         partial = Allocation(pairs[:i])
         if not all(c.admits(instance, partial, tx, nodes) for c in consulted):
             return False
@@ -326,30 +330,21 @@ def enumerate_valid(
 def _search_valid(
     instance: MarketInstance, spec: ValiditySpec | None, cap: int
 ) -> list[Allocation]:
-    if spec is None:
-        spec = instance.validity
+    spec = _resolve(spec, instance)
     if isinstance(spec, Extensional):
-        return sorted(set(spec.allocations) | {EMPTY_ALLOCATION})
-    if spec is None:
-        spec = Constraints(())
-    _check_constraint_ids(spec, instance)
+        return list(spec.allocations)
     constraints = spec.constraints
     txs = instance.tx_ids
     nodes = instance.node_ids
-
-    def sizes_for(tx: str) -> range:
-        """Node-set sizes a placed transaction may take (unplaced is size 0)."""
-        bounds = [(1, len(nodes))] + [c.node_counts(tx) for c in constraints]
-        return range(max(lo for lo, _ in bounds), min(hi for _, hi in bounds) + 1)
-
-    space = prod(1 + sum(comb(len(nodes), k) for k in sizes_for(tx)) for tx in txs)
+    sizes = [_sizes(constraints, tx, len(nodes)) for tx in txs]
+    space = prod(1 + sum(comb(len(nodes), k) for k in sized) for sized in sizes)
     if space > cap:
         raise InstanceTooLarge(
             f"search space of {len(txs)} transactions x {len(nodes)} nodes "
             f"has {space} leaves, which exceeds cap {cap}"
         )
     # node ids are sorted, so every combination is a sorted tuple
-    subsets = [sorted(s for k in sizes_for(tx) for s in combinations(nodes, k)) for tx in txs]
+    subsets = [sorted(s for k in sized for s in combinations(nodes, k)) for sized in sizes]
     consulted = _consulted(constraints)
     found = [EMPTY_ALLOCATION]
 

@@ -345,20 +345,27 @@ def raw_space(instance: MarketInstance) -> list[Allocation]:
     ]
 
 
-def valid_by_ladder(instance: MarketInstance, allocation: Allocation) -> bool:
-    """Every constraint of the instance decided by ``satisfies_by_ladder``.
+def check_vectors_by_ladder(instance: MarketInstance) -> None:
+    """Refuse, before any allocation is judged, a ``NodeCapacity`` spec with a
+    capacitated node and a transaction lacking a vector of its length."""
+    if not any(isinstance(c, NodeCapacity) for c in instance.validity.constraints):
+        return
+    for node in instance.nodes:
+        if node.capacity is None:
+            continue
+        for tx in instance.transactions:
+            if tx.resources is None:
+                raise MalformedInput(f"transaction {tx.id!r} has no resource vector")
+            if len(tx.resources) != len(node.capacity):
+                raise MalformedInput(f"resource vector of {tx.id!r} has wrong length")
 
-    The node-count constraints are tested first.  ``enumerate_valid`` never
-    builds a node set outside their bounds, so without this a transaction
-    that may take no node set at all would still reach a ``NodeCapacity``
-    listed earlier, which raises for a missing resource vector on an
-    allocation the count constraints reject anyway.
-    """
-    constraints = sorted(
-        instance.validity.constraints,
-        key=lambda c: not isinstance(c, (SingleAssignment, RequiredNodeCount)),
-    )
-    return all(satisfies_by_ladder(instance, allocation, c) for c in constraints)
+
+def valid_by_ladder(instance: MarketInstance, allocation: Allocation) -> bool:
+    """Every constraint of the instance decided by ``satisfies_by_ladder``,
+    once ``check_vectors_by_ladder`` has passed, so no constraint can raise
+    and their order cannot change the verdict."""
+    check_vectors_by_ladder(instance)
+    return all(satisfies_by_ladder(instance, allocation, c) for c in instance.validity.constraints)
 
 
 def ladder_enumerate(instance: MarketInstance) -> list[Allocation]:

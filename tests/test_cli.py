@@ -106,6 +106,50 @@ class TestRun:
         assert main([command, write(tmp_path, "table.json", payload)]) == 1
         assert capsys.readouterr().err.startswith("error: reports.nodes[n1]: SubsetTable")
 
+    @pytest.mark.parametrize(
+        "command, capacity_first",
+        [("run", True), ("run", False), ("dynamics", False)],
+        ids=["run-capacity-first", "run-limit-first", "dynamics-limit-first"],
+    )
+    def test_a_missing_vector_is_refused_in_either_order(
+        self, tmp_path, capsys, command, capacity_first
+    ):
+        # t1 has no resources and n1 declares a capacity; MaxTxPerNode(n1, 0)
+        # alone would reject b1's proposal
+        constraints = [{"type": "NodeCapacity"}, {"type": "MaxTxPerNode", "node": "n1", "limit": 0}]
+        payload = {
+            "kind": "market",
+            "transactions": [{"id": "t1", "value": "4"}],
+            "nodes": [{"id": "n1", "cost": {"type": "Zero"}, "capacity": ["1"]}],
+            "validity": {
+                "type": "constraints",
+                "constraints": constraints if capacity_first else constraints[::-1],
+            },
+            "proposals": [
+                {"broker": broker, "routing": {"allocation": allocation, "tx_payments": {"t1": "0"}}}
+                for broker, allocation in (("b1", {"t1": ["n1"]}), ("b2", {}))
+            ],
+        }
+        assert main([command, write(tmp_path, "vectors.json", payload)]) == 1
+        assert capsys.readouterr().err == (
+            "error: transaction 't1' has no resource vector for capacity checks\n"
+        )
+
+    @pytest.mark.parametrize("command", ["run", "dynamics", "equilibrium"])
+    def test_extensional_set_naming_unknown_ids_exits_one(self, tmp_path, capsys, command):
+        payload = {
+            "kind": "market",
+            "transactions": [{"id": "t1", "value": "4"}],
+            "nodes": [{"id": "n1", "cost": {"type": "Zero"}}],
+            "validity": {"type": "extensional", "allocations": [{"t1": ["n1"]}, {"t1": ["n9"]}]},
+            "proposals": [
+                {"broker": broker, "routing": {"allocation": {}, "tx_payments": {"t1": "0"}}}
+                for broker in ("b1", "b2")
+            ],
+        }
+        assert main([command, write(tmp_path, "extensional.json", payload)]) == 1
+        assert capsys.readouterr().err == "error: allocation references unknown ids ['n9']\n"
+
     def test_missing_file_exits_one(self, capsys):
         assert main(["run", "/nonexistent/path.json"]) == 1
         assert "error:" in capsys.readouterr().err

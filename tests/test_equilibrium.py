@@ -14,6 +14,7 @@ from brokerlab.core import (
     MarketInstance,
     NodeSpec,
     PerTransaction,
+    ReportProfile,
     Routing,
     SubsetTable,
     TransactionSpec,
@@ -29,7 +30,7 @@ from brokerlab.equilibrium import (
 )
 from brokerlab.errors import InstanceTooLarge, MalformedInput
 from brokerlab.mdfm import collusion_example_instance, oracle_gap_market
-from brokerlab.mechanism import PreparedRound, Proposal, run
+from brokerlab.mechanism import PreparedRound, Proposal, prepare_round, run
 from brokerlab.scenario import equilibrium_report_to_json, truthfulness_report_to_json
 from brokerlab.strategy import (
     max_extraction_routing,
@@ -91,6 +92,18 @@ class TestTxCandidates:
     def test_unknown_tx(self, collusion_market):
         with pytest.raises(MalformedInput):
             tx_deviation_candidates(collusion_market, "ghost", [], collusion_market.truthful_reports())
+
+
+def test_reports_that_are_not_total_are_refused_with_a_typed_error(collusion_market):
+    # t2 and both nodes have reports, t1 has none: a surplus would read it
+    truthful = collusion_market.truthful_reports()
+    reports = ReportProfile({"t2": F(4)}, truthful.node_reports)
+    proposals = consensus(collusion_market)
+    prepared = prepare_round(collusion_market, collusion_market.validity, proposals, ["b1", "b2"])
+    for rivals in (proposals, prepared):
+        for candidates, agent in ((tx_deviation_candidates, "t2"), (node_deviation_candidates, "n1")):
+            with pytest.raises(MalformedInput, match="^transaction reports must be total"):
+                candidates(collusion_market, agent, rivals, reports)
 
 
 class TestNodeCandidates:

@@ -297,7 +297,7 @@ class TestPreparedRound:
     def test_another_instance_is_revalidated(self, collusion_market):
         truthful = collusion_market.truthful_reports()
         prepared = prepare_round(collusion_market, None, demo_proposals(collusion_market), ["b1", "b2"])
-        only_empty = replace(collusion_market, validity=Extensional.of([]))
+        only_empty = replace(collusion_market, validity=Extensional(()))
         with pytest.raises(InvalidProposal):
             run(only_empty, None, truthful, prepared, ["b1", "b2"])
 
@@ -306,7 +306,7 @@ class TestPreparedRound:
         spec = collusion_market.validity
         prepared = prepare_round(collusion_market, spec, demo_proposals(collusion_market), ["b1", "b2"])
         with pytest.raises(InvalidProposal):
-            run(collusion_market, Extensional.of([]), truthful, prepared, ["b1", "b2"])
+            run(collusion_market, Extensional(()), truthful, prepared, ["b1", "b2"])
 
     def test_another_broker_order_is_revalidated(self, collusion_market):
         truthful = collusion_market.truthful_reports()

@@ -228,8 +228,8 @@ def extensional_instance() -> MarketInstance:
     return MarketInstance(
         (TransactionSpec("t1", F(4)), TransactionSpec("t2", F(2))),
         (NodeSpec("n1", ConstantNonempty(F(1))), NodeSpec("n2", Zero())),
-        Extensional.of(
-            [Allocation.of({"t1": ["n1"]}), Allocation.of({"t1": ["n1", "n2"], "t2": ["n2"]})]
+        Extensional(
+            (Allocation.of({"t1": ["n1"]}), Allocation.of({"t1": ["n1", "n2"], "t2": ["n2"]}))
         ),
     )
 

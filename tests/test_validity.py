@@ -16,7 +16,7 @@ from brokerlab.core import (
     TransactionSpec,
     Zero,
 )
-from brokerlab.errors import InstanceTooLarge, InvalidProposal, MalformedInput
+from brokerlab.errors import InstanceTooLarge, MalformedInput
 from brokerlab.mdfm import collusion_example_instance
 from brokerlab.mechanism import Proposal, run
 from brokerlab.scenario import parse_scenario
@@ -100,15 +100,15 @@ class TestIsValid:
 
     def test_negative_tx_limit_raises(self):
         with pytest.raises(MalformedInput, match="'n1'"):
-            MaxTxPerNode("n1", -3).check_ids({"t1"}, {"n1"})
+            MaxTxPerNode("n1", -3).check(simple_instance(n_txs=1, n_nodes=1))
         spec = Constraints((MaxTxPerNode("n1", -3),))
         with pytest.raises(MalformedInput, match="'n1'"):
             is_valid(EMPTY_ALLOCATION, spec, simple_instance(validity=spec))
 
-    def test_node_count_bounds_decide_before_any_holds(self):
-        # t1 has no resource vector and n1 declares a capacity, so
-        # NodeCapacity.admits raises on {t1: [n1]}; the node-count bound
-        # refuses that node set first, in either constraint order
+    def test_a_missing_vector_is_refused_in_either_order(self):
+        # t1 has no resource vector and n1 declares a capacity: the spec is
+        # refused up front, whatever the allocation and the constraint
+        # order, although the node-count bound alone would reject {t1: [n1]}
         instance = MarketInstance(
             (TransactionSpec("t1", F(1)),), (NodeSpec("n1", Zero(), (F(1),)),)
         )
@@ -119,9 +119,13 @@ class TestIsValid:
             (RequiredNodeCount("t1", 0, 0), NodeCapacity()),
         ]:
             spec = Constraints(constraints)
-            assert is_valid(allocation, spec, instance) is False
-            with pytest.raises(InvalidProposal):
+            for checked in (allocation, EMPTY_ALLOCATION):
+                with pytest.raises(MalformedInput, match="'t1' has no resource vector"):
+                    is_valid(checked, spec, instance)
+            with pytest.raises(MalformedInput, match="'t1' has no resource vector"):
                 run(instance, spec, instance.truthful_reports(), [Proposal("b1", routing)], ["b1"])
+            with pytest.raises(MalformedInput, match="'t1' has no resource vector"):
+                enumerate_valid(instance, spec)
 
     def test_matches_the_ladder_over_the_raw_space(self, monkeypatch):
         # the prefix fold against whole-allocation tests, on the corpus of
@@ -135,22 +139,18 @@ class TestIsValid:
                 return None
 
         rng = random.Random(29)
-        checked = one_raised = 0
+        checked = refused = 0
         for _ in range(400):
             instance = random_constrained_instance(rng)
             for allocation in raw_space(instance):
                 checked += 1
                 fold = verdict(is_valid, allocation, instance.validity, instance)
-                ladder = verdict(valid_by_ladder, instance, allocation)
-                if fold is None or ladder is None:
-                    # which violation is met first decides raise or False,
-                    # but a malformed input never stands against True
-                    assert True not in (fold, ladder)
-                    one_raised += (fold is None) != (ladder is None)
-                else:
-                    assert fold == ladder
+                # a refusal is a verdict too: inputs are checked before any
+                # step, so the constraint order cannot turn one into False
+                assert fold == verdict(valid_by_ladder, instance, allocation)
+                refused += fold is None
         assert checked == 152_340
-        assert one_raised > 0
+        assert refused > 0
 
     def test_a_transaction_excluded_from_itself_is_never_allocated(self):
         spec = Constraints((MutualExclusion("t1", "t1"),))
@@ -168,9 +168,20 @@ class TestIsValid:
         with pytest.raises(MalformedInput):
             is_valid(Allocation.of({"ghost": ["n1"]}), None, instance)
 
+    def test_extensional_set_naming_unknown_ids_is_refused(self):
+        spec = Extensional((Allocation.of({"t1": ["n1"]}), Allocation.of({"t1": ["n9"]})))
+        instance = simple_instance(n_txs=1, n_nodes=1, validity=spec)
+        for call in (
+            lambda: is_valid(EMPTY_ALLOCATION, spec, instance),
+            lambda: is_valid(Allocation.of({"t1": ["n1"]}), None, instance),
+            lambda: enumerate_valid(instance),
+        ):
+            with pytest.raises(MalformedInput, match=r"unknown ids \['n9'\]"):
+                call()
+
     def test_extensional_membership(self):
         member = Allocation.of({"t1": ["n1"]})
-        spec = Extensional.of([member])
+        spec = Extensional((member,))
         instance = simple_instance(validity=spec)
         assert is_valid(member, spec, instance)
         assert is_valid(EMPTY_ALLOCATION, spec, instance)
@@ -325,7 +336,7 @@ class TestValidSetCache:
         member = Allocation.of({"t1": ["n1"]})
         single = Constraints((SingleAssignment(),))
         instance = simple_instance(validity=single)
-        listed = Extensional.of([member])
+        listed = Extensional((member,))
         unconstrained = Constraints(())
         for _ in range(2):
             assert enumerate_valid(instance, listed) == [EMPTY_ALLOCATION, member]
