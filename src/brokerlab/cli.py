@@ -202,8 +202,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     if args.out is None:
         print(text)
     else:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        except OSError as exc:
+            raise MarketError(f"cannot write {args.out}: {exc}") from exc
     return 0
 
 

@@ -6,18 +6,19 @@ best surplus attainable when the allocation step is, respectively,
 inclusion-maximal (INC), fee-maximal (FEE), surplus-maximal given full type
 knowledge (ORA), or unconstrained (OPT).
 
-The continuous maximum over p is computed exactly by enumerating the
-feasible cells of the price-space arrangement cut by two predicate families:
+The continuous maximum over p is computed exactly by enumerating the feasible
+cells of the price-space arrangement cut by two predicate families:
 *willingness* (g(t) . p <= v_t) and *participation* (a node's fee income on
-its bundle covers the bundle's cost).  One list of cells serves INC, FEE and
-ORA: each cell's admissible pool is filtered once, and ORA is the best
-welfare admitted by any cell.  Surplus equals allocation welfare because
-base-fee payments are internal transfers, which holds only when each
-transaction runs on at most one node, so markets whose valid set places a
-transaction on several nodes are refused.  Within a cell the inner min/max
-over allocations is then price-free; only FEE's objective depends on price
-magnitudes, which keeps it exact for d = 1 and a certified lower bound for
-d >= 2.
+its bundle covers the bundle's cost).  A cell is its sign vector, and its
+admissible pool is every valid allocation whose mask of needed TRUE sides
+lies inside the cell's.  One list of cells serves INC, FEE and ORA: each pool
+is filtered once, and ORA is the best welfare admitted by any cell.  Surplus
+equals allocation welfare because base-fee payments are internal transfers,
+which holds only when each transaction runs on at most one node, so markets
+whose valid set places a transaction on several nodes are refused.  Within a
+cell the inner min/max over allocations is then price-free; only FEE's
+objective depends on price magnitudes, which keeps it exact for d = 1 and a
+certified lower bound for d >= 2.
 
 Participation is what separates ORA from OPT under heterogeneous node costs:
 posted per-dimension prices cannot pay different nodes different unit rates,
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Mapping, Sequence
 
 from .core import (
@@ -150,22 +151,17 @@ class WillingnessPattern:
     witness_price: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class PriceCell:
-    willing: frozenset[str]
-    participating: frozenset[tuple[str, frozenset[str]]]
-    witness: tuple[Fraction, ...]
+_Bundle = tuple[str, frozenset[str], Fraction, tuple[Fraction, ...]]  # node, bundle, cost, usage
 
 
 @dataclass(frozen=True)
 class _AllocationInfo:
     allocation: Allocation
-    txs: frozenset[str]
     welfare: Fraction
-    # node, bundle, cost, bundle usage: only nodes with a non-zero bundle
-    # cost, since participation holds for the rest at every price p >= 0
-    bundles: tuple[tuple[str, frozenset[str], Fraction, tuple[Fraction, ...]], ...]
+    bundles: tuple[_Bundle, ...]  # costly ones only: the rest participate at every p >= 0
     fee_vector: tuple[Fraction, ...]  # sum of g(t) over included transactions
+    fee_class: int  # equal exactly when the fee vectors are
+    mask: int  # bit i: needs hyperplane i on its TRUE side
 
 
 def _usage(instance: MarketInstance, txs: Iterable[str], d: int) -> tuple[Fraction, ...]:
@@ -176,27 +172,75 @@ def _usage(instance: MarketInstance, txs: Iterable[str], d: int) -> tuple[Fracti
     return tuple(total)
 
 
-def _prepare(market: ResourceMarket, cap: int = DEFAULT_ENUM_CAP) -> list[_AllocationInfo]:
+def _arrangement(
+    market: ResourceMarket, bundles: Iterable[_Bundle], zero_splits: bool
+) -> tuple[list[Hyperplane], dict[object, int]]:
+    """The hyperplanes that cut price space, and each member's hyperplane index.
+
+    Transaction ids of equal usage and value share a willingness hyperplane,
+    costly ``(node, bundle)`` pairs of equal usage and cost a participation
+    one.  The order fixes the cell order and so every witness: willingness
+    groups by sorted ids, then participation groups by sorted members, then,
+    when asked, one split p_i <= 0 per dimension (TRUE: a zero price).
+    """
+    willingness: dict[Hyperplane, list[str]] = {}
+    for t in market.transactions:
+        willingness.setdefault(Hyperplane(t.resources, t.value), []).append(t.id)
+    participation: dict[Hyperplane, set[tuple[str, frozenset[str]]]] = {}
+    for node, bundle, cost, usage in bundles:
+        key = Hyperplane(tuple(-g for g in usage), -cost)
+        participation.setdefault(key, set()).add((node, bundle))
+    groups: list[tuple[Hyperplane, Iterable[object]]] = [
+        *sorted(willingness.items(), key=lambda kv: sorted(kv[1])),
+        *sorted(participation.items(), key=lambda kv: sorted((n, sorted(b)) for n, b in kv[1])),
+    ]
+    hyperplanes = [h for h, _ in groups]
+    index = {member: i for i, (_, members) in enumerate(groups) for member in members}
+    if zero_splits:
+        d = market.dimensions
+        hyperplanes += [
+            Hyperplane(tuple(ONE if j == i else ZERO for j in range(d)), ZERO) for i in range(d)
+        ]
+    return hyperplanes, index
+
+
+def _willing(
+    market: ResourceMarket, index: dict[object, int], signs: Sequence[bool]
+) -> frozenset[str]:
+    """The transactions on the TRUE side of their willingness hyperplane."""
+    return frozenset(t.id for t in market.transactions if signs[index[t.id]])
+
+
+def _prepare(
+    market: ResourceMarket, cap: int = DEFAULT_ENUM_CAP, zero_splits: bool = False
+) -> tuple[list[_AllocationInfo], list[Hyperplane], dict[object, int]]:
+    """The valid allocations, and the arrangement that admits them: an
+    allocation's mask holds the willingness of its transactions and the
+    participation of its costly bundles."""
     instance = market.instance()
     truthful = instance.truthful_reports()
     d = market.dimensions
-    infos = []
-    for allocation in enumerate_valid(instance, cap=cap):
+    allocations = enumerate_valid(instance, cap=cap)
+    costly = []
+    for allocation in allocations:
         bundles = []
         for node, bundle in allocation.bundles:
             cost = instance.node(node).cost.cost(bundle, instance.resources)
             if cost != 0:
                 bundles.append((node, bundle, cost, _usage(instance, bundle, d)))
-        infos.append(
-            _AllocationInfo(
-                allocation,
-                allocation.transactions,
-                welfare(instance, allocation, truthful),
-                tuple(bundles),
-                _usage(instance, allocation.transactions, d),
-            )
-        )
-    return infos
+        costly.append(tuple(bundles))
+    hyperplanes, index = _arrangement(market, chain.from_iterable(costly), zero_splits)
+    infos = []
+    classes: dict[tuple[Fraction, ...], int] = {}
+    for allocation, bundles in zip(allocations, costly):
+        mask = 0
+        for member in chain(allocation.transactions, ((n, b) for n, b, _, _ in bundles)):
+            mask |= 1 << index[member]
+        value = welfare(instance, allocation, truthful)
+        fee_vector = _usage(instance, allocation.transactions, d)
+        fee_class = classes.setdefault(fee_vector, len(classes))
+        infos.append(_AllocationInfo(allocation, value, bundles, fee_vector, fee_class, mask))
+    return infos, hyperplanes, index
 
 
 def _check_pattern_caps(market: ResourceMarket) -> None:
@@ -212,77 +256,6 @@ def _check_pattern_caps(market: ResourceMarket) -> None:
         )
 
 
-def _willingness_hyperplanes(
-    market: ResourceMarket,
-) -> tuple[list[Hyperplane], list[tuple[str, ...]]]:
-    groups: dict[tuple, list[str]] = {}
-    for t in market.transactions:
-        assert t.resources is not None
-        groups.setdefault((t.resources, t.value), []).append(t.id)
-    hyperplanes, members = [], []
-    for (resources, value), ids in sorted(groups.items(), key=lambda kv: sorted(kv[1])):
-        hyperplanes.append(Hyperplane(resources, value))
-        members.append(tuple(sorted(ids)))
-    return hyperplanes, members
-
-
-def _participation_hyperplanes(
-    infos: Iterable[_AllocationInfo],
-) -> tuple[list[Hyperplane], list[tuple[tuple[str, frozenset[str]], ...]]]:
-    groups: dict[tuple, set[tuple[str, frozenset[str]]]] = {}
-    for info in infos:
-        for node, bundle, cost, usage in info.bundles:
-            # participating (TRUE branch): fee income >= cost
-            key = (tuple(-g for g in usage), -cost)
-            groups.setdefault(key, set()).add((node, bundle))
-    hyperplanes, members = [], []
-    for (coeffs, bound), pairs in sorted(
-        groups.items(),
-        key=lambda kv: sorted((n, tuple(sorted(b))) for n, b in kv[1]),
-    ):
-        hyperplanes.append(Hyperplane(coeffs, bound))
-        members.append(tuple(sorted(pairs, key=lambda nb: (nb[0], tuple(sorted(nb[1]))))))
-    return hyperplanes, members
-
-
-def _zero_split_hyperplanes(dimensions: int) -> list[Hyperplane]:
-    out = []
-    for i in range(dimensions):
-        coeffs = [ZERO] * dimensions
-        coeffs[i] = ONE
-        out.append(Hyperplane(tuple(coeffs), ZERO))  # TRUE: p_i <= 0, i.e. exactly 0
-    return out
-
-
-def _enumerate_price_cells(
-    market: ResourceMarket,
-    infos: Iterable[_AllocationInfo],
-    include_zero_splits: bool,
-) -> list[PriceCell]:
-    """Cells cut by every transaction's willingness and by the participation
-    of every costly bundle in ``infos`` (none when it is empty).  Callers
-    check the pattern caps first."""
-    d = market.dimensions
-    will_h, will_members = _willingness_hyperplanes(market)
-    part_h, part_members = _participation_hyperplanes(infos)
-    zero_h = _zero_split_hyperplanes(d) if include_zero_splits else []
-
-    hyperplanes = will_h + part_h + zero_h
-    cells = []
-    for signs, witness in enumerate_cells(nonneg_orthant(d), hyperplanes, d):
-        willing: set[str] = set()
-        for i, member in enumerate(will_members):
-            if signs[i]:
-                willing.update(member)
-        offset = len(will_h)
-        participating: set[tuple[str, frozenset[str]]] = set()
-        for i, pairs in enumerate(part_members):
-            if signs[offset + i]:
-                participating.update(pairs)
-        cells.append(PriceCell(frozenset(willing), frozenset(participating), witness))
-    return cells
-
-
 def feasible_patterns(market: ResourceMarket) -> list[WillingnessPattern]:
     """Every realizable willingness pattern with a certifying price.
 
@@ -290,13 +263,14 @@ def feasible_patterns(market: ResourceMarket) -> list[WillingnessPattern]:
     S willing (fee <= value) and everything else strictly unwilling.
     """
     _check_pattern_caps(market)
-    patterns: dict[frozenset[str], tuple[Fraction, ...]] = {}
-    for cell in _enumerate_price_cells(market, (), include_zero_splits=False):
-        patterns.setdefault(cell.willing, cell.witness)
-    return [
-        WillingnessPattern(willing, witness)
-        for willing, witness in sorted(patterns.items(), key=lambda kv: sorted(kv[0]))
+    d = market.dimensions
+    hyperplanes, index = _arrangement(market, (), zero_splits=False)
+    # willingness groups are disjoint and non-empty, so cells have distinct patterns
+    patterns = [
+        WillingnessPattern(_willing(market, index, signs), witness)
+        for signs, witness in enumerate_cells(nonneg_orthant(d), hyperplanes, d)
     ]
+    return sorted(patterns, key=lambda pattern: sorted(pattern.willing))
 
 
 def pools_at_price(
@@ -345,36 +319,26 @@ def fee_maximal_allocations(
     return [a for a in pool if total_fee(a) == top]
 
 
-def _allowed(info: _AllocationInfo, cell: PriceCell) -> bool:
-    return info.txs <= cell.willing and all(
-        (node, bundle) in cell.participating for node, bundle, _, _ in info.bundles
-    )
-
-
 def _maximal_infos(pool: list[_AllocationInfo], downward_closed: bool) -> list[_AllocationInfo]:
     """Pool members whose transaction set has no strict superset in the pool."""
-    tsets = {info.txs for info in pool}
+    tsets = {info.allocation.transactions for info in pool}
     if downward_closed:
         universe: frozenset[str] = frozenset().union(*tsets) if tsets else frozenset()
         maximal = {t for t in tsets if not any(t | {x} in tsets for x in universe - t)}
     else:
         maximal = {t for t in tsets if not any(other > t for other in tsets)}
-    return [info for info in pool if info.txs in maximal]
-
-
-def _zero_costs(market: ResourceMarket) -> bool:
-    return all(
-        isinstance(n.cost, Zero)
-        or (isinstance(n.cost, LinearResources) and all(c == 0 for c in n.cost.unit_costs))
-        for n in market.nodes
-    )
+    return [info for info in pool if info.allocation.transactions in maximal]
 
 
 def _fee_at_price(pool: list[_AllocationInfo], price: Sequence[Fraction]) -> Fraction:
-    """Worst welfare among the fee-maximizing members of the pool at a price."""
-    fees = [base_fee(info.fee_vector, price) for info in pool]
-    top = max(fees)
-    return min(info.welfare for info, fee in zip(pool, fees) if fee == top)
+    """Worst welfare among the fee-maximizing members of the pool at a price;
+    members with equal fee vectors share one dot product."""
+    fees: dict[int, Fraction] = {}
+    for info in pool:
+        if info.fee_class not in fees:
+            fees[info.fee_class] = base_fee(info.fee_vector, price)
+    top = max(fees.values())
+    return min(info.welfare for info in pool if fees[info.fee_class] == top)
 
 
 def _attainability_system(market: ResourceMarket, info: _AllocationInfo) -> list[Constraint]:
@@ -382,7 +346,7 @@ def _attainability_system(market: ResourceMarket, info: _AllocationInfo) -> list
     working node at least its bundle cost."""
     constraints = nonneg_orthant(market.dimensions)
     by_id = {t.id: t for t in market.transactions}
-    for tx in sorted(info.txs):
+    for tx in sorted(info.allocation.transactions):
         constraints.append(Constraint(by_id[tx].resources, by_id[tx].value))
     for _, _, cost, usage in info.bundles:
         constraints.append(Constraint(tuple(-g for g in usage), -cost))
@@ -419,7 +383,7 @@ class BenchmarkResult:
 
 def opt_benchmark(market: ResourceMarket) -> Fraction:
     """Highest welfare of any valid allocation (payments are free transfers)."""
-    return max((info.welfare for info in _prepare(market)), default=ZERO)
+    return max((info.welfare for info in _prepare(market)[0]), default=ZERO)
 
 
 def inc_benchmark(market: ResourceMarket) -> Fraction:
@@ -438,9 +402,10 @@ def ora_benchmark(market: ResourceMarket) -> Fraction:
 def run_benchmarks(market: ResourceMarket, cap: int = DEFAULT_ENUM_CAP) -> BenchmarkResult:
     """OPT, INC, FEE and ORA in one pass over one list of price cells.
 
-    Within a cell the admissible pool (willing transactions only, every
-    working node participating) is fixed, so each benchmark's inner min/max
-    over the pool is price-free and the outer max ranges over cells:
+    Within a cell, a sign vector, the admissible pool (each allocation whose
+    mask lies inside the cell's TRUE side) is fixed, so each benchmark's
+    inner min/max over the pool is price-free and the outer max ranges over
+    cells:
 
     - INC: best-case price, worst-case inclusion-maximal allocation.
     - FEE: best-case price, worst-case fee-maximal allocation at the cell's
@@ -459,26 +424,29 @@ def run_benchmarks(market: ResourceMarket, cap: int = DEFAULT_ENUM_CAP) -> Bench
     space exceeds ``cap``.
     """
     _check_pattern_caps(market)
-    infos = _prepare(market, cap)
+    d = market.dimensions
+    exact = d == 1
+    infos, hyperplanes, index = _prepare(market, cap, zero_splits=exact)
     _refuse_multi_node(infos)
     opt_info = max(infos, key=lambda info: info.welfare)
-    exact = market.dimensions == 1
-    downward = _zero_costs(market)  # participation never filters, so pools are subset-closed
-    # (cell, worst maximal member, FEE value) per cell; every pool holds the
-    # empty allocation, and max() keeps the first cell that attains the best
+    # with no costly bundle only willingness filters, so pools are subset-closed
+    downward = not any(info.bundles for info in infos)
+    # (signs, witness, worst maximal member, FEE value) per cell; every pool
+    # holds the empty allocation, and max() keeps the first cell that attains the best
     rows = []
     attainable: set[Allocation] = set()
-    for cell in _enumerate_price_cells(market, infos, include_zero_splits=exact):
-        pool = [info for info in infos if _allowed(info, cell)]
+    for signs, witness in enumerate_cells(nonneg_orthant(d), hyperplanes, d):
+        true = sum(1 << i for i, sign in enumerate(signs) if sign)
+        pool = [info for info in infos if info.mask & true == info.mask]
         worst = min(_maximal_infos(pool, downward), key=lambda info: info.welfare)
-        rows.append((cell, worst, _fee_at_price(pool, cell.witness)))
+        rows.append((signs, witness, worst, _fee_at_price(pool, witness)))
         attainable.update(info.allocation for info in pool)
-    inc_cell, inc_info, _ = max(rows, key=lambda row: row[1].welfare)
-    fee_cell, _, fee_value = max(rows, key=lambda row: row[2])
+    inc_signs, inc_price, inc_info, _ = max(rows, key=lambda row: row[2].welfare)
+    fee_signs, fee_price, _, fee_value = max(rows, key=lambda row: row[3])
     ora_info = max(
         (info for info in infos if info.allocation in attainable), key=lambda info: info.welfare
     )
-    ora_price = find_point(_attainability_system(market, ora_info), market.dimensions)
+    ora_price = find_point(_attainability_system(market, ora_info), d)
     inc_value, ora_value = inc_info.welfare, ora_info.welfare
     return BenchmarkResult(
         opt=opt_info.welfare,
@@ -488,8 +456,10 @@ def run_benchmarks(market: ResourceMarket, cap: int = DEFAULT_ENUM_CAP) -> Bench
         ora=ora_value,
         witnesses={
             "opt": BenchmarkWitness(opt_info.allocation, None, None),
-            "inc": BenchmarkWitness(inc_info.allocation, inc_cell.witness, inc_cell.willing),
-            "fee": BenchmarkWitness(None, fee_cell.witness, fee_cell.willing),
+            "inc": BenchmarkWitness(
+                inc_info.allocation, inc_price, _willing(market, index, inc_signs)
+            ),
+            "fee": BenchmarkWitness(None, fee_price, _willing(market, index, fee_signs)),
             "ora": BenchmarkWitness(ora_info.allocation, ora_price, None),
         },
         hierarchy_ok=inc_value <= fee_value <= ora_value <= opt_info.welfare if exact else None,

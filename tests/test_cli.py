@@ -426,6 +426,13 @@ class TestGen:
         assert main(["gen", "thm-fee"]) == 1
         capsys.readouterr()
 
+    def test_unwritable_out_exits_one(self, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "x.json")
+        assert main(["gen", "thm-fee", "--k", "3", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ")
+        assert "Traceback" not in err
+
     def test_stdout_default(self, capsys):
         assert main(["gen", "thm-fee", "--k", "2"]) == 0
         payload = json.loads(capsys.readouterr().out)

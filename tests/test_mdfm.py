@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from brokerlab.core import Allocation, NodeSpec, TransactionSpec, Zero, welfare
+from brokerlab.core import Allocation, LinearResources, NodeSpec, TransactionSpec, Zero, welfare
 from brokerlab import mdfm
 from brokerlab.errors import InstanceTooLarge, MalformedInput
 from brokerlab.scenario import allocation_to_json
@@ -255,8 +255,14 @@ def test_posted_price_surplus_equals_welfare_under_single_assignment():
 class TestHierarchyAndSweep:
     def test_benchmarks_match_dense_price_sweep(self):
         rng = random.Random(61)
-        for _ in range(60):
-            market = random_resource_market(rng, max_txs=4)
+        markets = [random_resource_market(rng, max_txs=4) for _ in range(60)]
+        # a costed node that fits no transaction: no valid allocation has a
+        # costly bundle, so the pools are subset-closed despite the cost
+        txs = tuple(TransactionSpec(f"t{i}", F(i), (F(1),)) for i in (1, 2, 3))
+        idle = NodeSpec("a", LinearResources((F(5),)), (F(1, 2),))
+        nodes = (idle, NodeSpec("b", Zero(), (F(2),)))
+        markets.append(ResourceMarket(1, txs, nodes, single_assignment=True))
+        for market in markets:
             result = run_benchmarks(market)
             swept = sweep_benchmarks(market)
             assert result.inc == swept["inc"]
@@ -368,21 +374,27 @@ class TestTwoDimensionalConsistency:
         from brokerlab.core import welfare
 
         rng = random.Random(66)
-        for _ in range(40):
-            market = self.two_dim_market(rng)
+        markets = [self.two_dim_market(rng) for _ in range(40)]
+        # costly nodes add participation hyperplanes to the arrangement
+        markets.extend(
+            random_resource_market(rng, dimensions=d, n_nodes=2) for d in (1, 2) for _ in range(40)
+        )
+        for market in markets:
             instance = market.instance()
             truthful = instance.truthful_reports()
             result = run_benchmarks(market)
             inc_witness = result.witnesses["inc"]
             if inc_witness.price is not None:
-                _, pool = pools_at_price(market, inc_witness.price)
+                willing, pool = pools_at_price(market, inc_witness.price)
+                assert inc_witness.willing == willing
                 value = min(
                     welfare(instance, a, truthful)
                     for a in inclusion_maximal_allocations(pool)
                 )
                 assert value == result.inc
             fee_witness = result.witnesses["fee"]
-            _, pool = pools_at_price(market, fee_witness.price)
+            willing, pool = pools_at_price(market, fee_witness.price)
+            assert fee_witness.willing == willing
             value = min(
                 welfare(instance, a, truthful)
                 for a in fee_maximal_allocations(market, pool, fee_witness.price)
