@@ -250,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_eq.add_argument("scenario")
     p_eq.add_argument("--mode", choices=["pne", "dsic-barring-b"], default="pne")
-    p_eq.add_argument("--seed", type=int, help="seed for sampled quantification")
+    p_eq.add_argument("--seed", type=int, help="accepted; changes no answer (the search is exhaustive)")
     p_eq.set_defaults(func=_cmd_equilibrium)
 
     p_dyn = sub.add_parser("dynamics", parents=[search], help="run best-response dynamics")

@@ -19,7 +19,6 @@ margins on the configured lattice where a rival must be beaten strictly.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -318,17 +317,17 @@ def check_pne(
 @dataclass(frozen=True)
 class TruthfulnessReport:
     """Result of checking that truthful reporting dominates for every agent,
-    quantified over the other agents' reports with brokers fixed."""
+    quantified over every report profile of the other agents with brokers
+    fixed.  The search is always complete: one rival profile per agent
+    stands for all of them (see ``check_dsic_barring_b``), and
+    ``profiles_checked`` counts the rival profiles settled."""
 
     holds: bool
     witnesses: tuple[DeviationWitness, ...]
-    exhaustive: bool
     profiles_checked: int
     pne: EquilibriumReport
-
-    @property
-    def coverage(self) -> str:
-        return "exhaustive" if self.exhaustive else "sound-but-incomplete"
+    exhaustive = True
+    coverage = "exhaustive"
 
 
 def check_dsic_barring_b(
@@ -346,13 +345,21 @@ def check_dsic_barring_b(
 
     First, with the broker profile fixed, truthful reporting must be a best
     response for every agent against *every* report profile of the other
-    agents; the quantification runs over the others' breakpoint candidates,
-    exhaustively when the product is within ``others_cap`` and by seeded
-    sampling (sound but incomplete) otherwise.  Second, truthful reports
-    plus sigma must form an equilibrium, delegated to the exact checker.
+    agents.  Second, truthful reports plus sigma must form an equilibrium,
+    delegated to the exact checker.
 
-    Every proposal in sigma must share one allocation; that is what makes
-    the induced subgame a take-it-or-leave-it offer.
+    Every proposal in sigma must share one allocation, so each one's reported
+    surplus is that allocation's reported welfare minus its margin, and for
+    any reports ``run`` picks the same winner: the budget-balanced proposal
+    of least margin, ties to the earlier broker position.  The IR gate tests
+    each agent against its own report, so agent i's true utility is
+    ``u_i * [i passes] * [every other agent passes]``, ``u_i`` read off the
+    winner's routing.  Neither i's candidates nor its truthful utility depend
+    on the others' reports, so one rival profile settles i: each other agent
+    at its first candidate that passes the gate.  If some other agent has no
+    such candidate, every profile rejects and i has no witness; with no
+    budget-balanced proposal no profile is settled.  ``others_cap`` (at
+    least 1) and ``seed`` are accepted and change no answer.
     """
     if others_cap < 1:
         raise MalformedInput(f"others_cap must be at least 1, got {others_cap}")
@@ -366,50 +373,36 @@ def check_dsic_barring_b(
     sigma = prepare_round(instance, spec, sigma, broker_order)
     pne = check_pne(instance, spec, true_types, true_types, sigma, broker_order, quantum, cap)
 
-    agents = list(instance.agent_ids)
+    agents = instance.agent_ids
     witnesses: list[DeviationWitness] = []
-    exhaustive = True
-    profiles_checked = 0
-
-    for agent in agents:
-        others = [a for a in agents if a != agent]
-        other_candidates = [_candidates(instance, other, sigma, true_types) for other in others]
-        total = prod(len(cands) for cands in other_candidates)
-        if total <= others_cap:
-            profiles = product(*other_candidates)
-        else:
-            exhaustive = False
-            if seed is None:
-                raise MalformedInput(
-                    f"quantifying over {total} rival profiles exceeds the cap of "
-                    f"{others_cap}; an explicit seed is required for sampling"
-                )
-            rng = random.Random(f"{seed}:{agent}")
-            profiles = (
-                tuple(rng.choice(cands) for cands in other_candidates)
-                for _ in range(others_cap)
-            )
-
-        for profile in profiles:
-            profiles_checked += 1
-            shifted = true_types
-            for other, report in zip(others, profile):
-                shifted = _with_report(shifted, other, report)
-            truthful_outcome = run(instance, spec, shifted, sigma, broker_order)
-            truthful_utility = agent_utility(
-                instance, agent, truthful_outcome.routing, true_types
-            )
-            _, found = _deviation_witnesses(
-                instance, spec, true_types, shifted, sigma, broker_order, agent,
-                truthful_utility, "against_rival_profile",
-            )
-            witnesses += found
+    passing: dict[str, object] = {}  # each agent's first candidate that passes
+    settled: list[str] = []
+    if sigma.balanced:
+        routing = min(sigma.balanced, key=lambda t: (t.margin, t.position)).proposal.routing
+        for agent in agents:
+            for candidate in _candidates(instance, agent, sigma, true_types):
+                deviated = _with_report(true_types, agent, candidate)
+                if agent_utility(instance, agent, routing, deviated) >= 0:
+                    passing[agent] = candidate
+                    break
+        settled = [a for a in agents if all(b in passing for b in agents if b != a)]
+    for agent in settled:
+        shifted = true_types
+        for other in agents:
+            if other != agent:
+                shifted = _with_report(shifted, other, passing[other])
+        truthful_outcome = run(instance, spec, shifted, sigma, broker_order)
+        truthful_utility = agent_utility(instance, agent, truthful_outcome.routing, true_types)
+        _, found = _deviation_witnesses(
+            instance, spec, true_types, shifted, sigma, broker_order, agent,
+            truthful_utility, "against_rival_profile",
+        )
+        witnesses += found
 
     return TruthfulnessReport(
         holds=not witnesses and pne.is_pne,
         witnesses=tuple(witnesses),
-        exhaustive=exhaustive,
-        profiles_checked=profiles_checked,
+        profiles_checked=len(settled),
         pne=pne,
     )
 

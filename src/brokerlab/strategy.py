@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import Allocation, MarketInstance, ReportProfile, Routing, welfare
-from .errors import InfeasibleTarget, MalformedInput
+from .errors import InfeasibleTarget, InstanceTooLarge, MalformedInput
 from .mechanism import (
     MechanismOutcome,
     PreparedRound,
@@ -37,6 +37,8 @@ from .rationals import ZERO
 from .validity import DEFAULT_ENUM_CAP, ValiditySpec, enumerate_valid
 
 DEFAULT_QUANTUM = Fraction(1, 1024)
+# broker turns one dynamics run may take, whatever ``max_rounds`` allows
+MAX_DYNAMICS_TURNS = 1 << 16
 
 
 def max_extraction_routing(
@@ -326,7 +328,8 @@ def best_response_dynamics(
     the round budget runs out.  The initial profile is checked and its round
     settled once.  After that the current round is the last adopted
     response's, prepared and settled, and each broker turn checks only its
-    response and settles one round.
+    response and settles one round.  A run that needs more than
+    ``MAX_DYNAMICS_TURNS`` broker turns raises ``InstanceTooLarge``.
     """
     if quantum <= 0:
         raise MalformedInput(f"quantum must be positive, got {quantum}")
@@ -345,11 +348,17 @@ def best_response_dynamics(
     current = run(instance, spec, reports, prepared, broker_order)
     steps: list[DynamicsStep] = []
     converged = False
-    rounds = 0
+    rounds = turns = 0
     for _ in range(max_rounds):
         rounds += 1
         improved = False
         for broker in broker_order:
+            if turns == MAX_DYNAMICS_TURNS:
+                raise InstanceTooLarge(
+                    f"best_response_dynamics: {turns} broker turns without converging, "
+                    f"cap is {MAX_DYNAMICS_TURNS}"
+                )
+            turns += 1
             response = broker_best_response(
                 broker,
                 instance,

@@ -29,7 +29,16 @@ from brokerlab.core import (
     tx_utility,
     welfare,
 )
-from brokerlab.equilibrium import MAX_NODE_CANDIDATES, _interval_representatives
+from brokerlab.equilibrium import (
+    MAX_NODE_CANDIDATES,
+    DeviationWitness,
+    TruthfulnessReport,
+    _candidates,
+    _deviation_witnesses,
+    _interval_representatives,
+    _with_report,
+    check_pne,
+)
 from brokerlab.errors import InstanceTooLarge, InvalidProposal, MalformedInput, MarketError
 from brokerlab.linineq import Constraint, Hyperplane, find_point, nonneg_orthant
 from brokerlab.mdfm import (
@@ -43,6 +52,7 @@ from brokerlab.mechanism import (
     Proposal,
     RejectionReason,
     broker_utility,
+    prepare_round,
     run,
 )
 from brokerlab.strategy import (
@@ -703,6 +713,61 @@ def _outcome_with(
 ) -> MechanismOutcome:
     ordered = sorted([*rivals, proposal], key=lambda p: broker_order.index(p.broker))
     return run(instance, spec, reports, ordered, broker_order)
+
+
+def dsic_product_oracle(
+    instance: MarketInstance,
+    spec: ValiditySpec | None,
+    true_types: ReportProfile,
+    sigma: Sequence[Proposal],
+    broker_order: Sequence[str],
+    quantum: Fraction = DEFAULT_QUANTUM,
+    cap: int = DEFAULT_ENUM_CAP,
+) -> TruthfulnessReport:
+    """``equilibrium.check_dsic_barring_b`` as it was before it settled one
+    rival profile per agent: for each agent, every profile in the product of
+    the other agents' breakpoint candidates is settled through ``run`` and a
+    full deviation search (its sampling branch above ``others_cap`` left
+    out).  A witness repeats once per rival profile that yields it, and
+    ``profiles_checked`` counts every profile of every product."""
+    if not sigma:
+        raise MalformedInput("sigma must contain at least one proposal")
+    allocations = {p.routing.allocation for p in sigma}
+    if len(allocations) != 1:
+        raise MalformedInput("all proposals in sigma must share one allocation")
+
+    instance.validate_reports(true_types)
+    sigma = prepare_round(instance, spec, sigma, broker_order)
+    pne = check_pne(instance, spec, true_types, true_types, sigma, broker_order, quantum, cap)
+
+    agents = list(instance.agent_ids)
+    witnesses: list[DeviationWitness] = []
+    profiles_checked = 0
+
+    for agent in agents:
+        others = [a for a in agents if a != agent]
+        other_candidates = [_candidates(instance, other, sigma, true_types) for other in others]
+        for profile in product(*other_candidates):
+            profiles_checked += 1
+            shifted = true_types
+            for other, report in zip(others, profile):
+                shifted = _with_report(shifted, other, report)
+            truthful_outcome = run(instance, spec, shifted, sigma, broker_order)
+            truthful_utility = agent_utility(
+                instance, agent, truthful_outcome.routing, true_types
+            )
+            _, found = _deviation_witnesses(
+                instance, spec, true_types, shifted, sigma, broker_order, agent,
+                truthful_utility, "against_rival_profile",
+            )
+            witnesses += found
+
+    return TruthfulnessReport(
+        holds=not witnesses and pne.is_pne,
+        witnesses=tuple(witnesses),
+        profiles_checked=profiles_checked,
+        pne=pne,
+    )
 
 
 # ---------------------------------------------------------------------------

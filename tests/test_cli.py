@@ -225,7 +225,7 @@ class TestEquilibrium:
         assert report["is_pne"] is False
         assert report["witnesses"]
 
-    def test_sampling_without_seed_errors(self, tmp_path, capsys):
+    def test_small_others_cap_without_seed_is_exhaustive(self, tmp_path, capsys):
         from brokerlab.equilibrium import construct_consensus_equilibrium
         from brokerlab.mdfm import collusion_example_instance
         from brokerlab.scenario import instance_to_scenario_json
@@ -236,9 +236,9 @@ class TestEquilibrium:
         )
         payload = instance_to_scenario_json(instance, sigma, ["b1", "b2"])
         payload["others_cap"] = 2
-        path = write(tmp_path, "needseed.json", payload)
-        assert main(["equilibrium", path, "--mode", "dsic-barring-b"]) == 1
-        assert "seed" in capsys.readouterr().err
+        path = write(tmp_path, "smallcap.json", payload)
+        assert main(["equilibrium", path, "--mode", "dsic-barring-b"]) == 0
+        assert json.loads(capsys.readouterr().out)["coverage"] == "exhaustive"
 
 
 class TestDynamics:

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 from fractions import Fraction as F
 
@@ -39,11 +40,13 @@ from brokerlab.strategy import (
 from brokerlab.validity import enumerate_valid
 
 from helpers import (
+    dsic_product_oracle,
     node_candidate_tables_reference,
     outcome_or_error,
     random_instance,
     random_proposals,
     random_reports,
+    random_routing,
     run_reference,
 )
 
@@ -387,12 +390,17 @@ class TestDsicBarringB:
         with pytest.raises(MalformedInput):
             check_dsic_barring_b(collusion_market, collusion_market.validity, truthful, sigma, ["b1", "b2"])
 
-    def test_sampling_requires_seed(self, collusion_market):
+    def test_small_others_cap_without_seed_changes_no_answer(self, collusion_market):
         truthful = collusion_market.truthful_reports()
-        with pytest.raises(MalformedInput):
-            check_dsic_barring_b(
-                collusion_market, collusion_market.validity, truthful, consensus(collusion_market), ["b1", "b2"], others_cap=2
-            )
+        sigma = consensus(collusion_market)
+        small = check_dsic_barring_b(
+            collusion_market, collusion_market.validity, truthful, sigma, ["b1", "b2"], others_cap=2
+        )
+        default = check_dsic_barring_b(
+            collusion_market, collusion_market.validity, truthful, sigma, ["b1", "b2"]
+        )
+        assert small == default
+        assert small.coverage == "exhaustive"
 
     @pytest.mark.parametrize("others_cap", [0, -1])
     def test_others_cap_below_one_is_refused(self, collusion_market, others_cap):
@@ -408,7 +416,7 @@ class TestDsicBarringB:
                 seed=3,
             )
 
-    def test_sampling_path_is_deterministic(self, collusion_market):
+    def test_seed_changes_no_answer(self, collusion_market):
         truthful = collusion_market.truthful_reports()
         first = check_dsic_barring_b(
             collusion_market,
@@ -428,9 +436,17 @@ class TestDsicBarringB:
             others_cap=10,
             seed=42,
         )
-        assert first == second
-        assert first.coverage == "sound-but-incomplete"
-        assert first.holds  # sampling finds no counterexample on a true property
+        unseeded = check_dsic_barring_b(
+            collusion_market,
+            collusion_market.validity,
+            truthful,
+            consensus(collusion_market),
+            ["b1", "b2"],
+            others_cap=10,
+        )
+        assert first == second == unseeded
+        assert first.coverage == "exhaustive"
+        assert first.holds
 
 
 class TestSharedAllocationTruthfulness:
@@ -458,6 +474,82 @@ class TestSharedAllocationTruthfulness:
             )
             assert report.exhaustive
             assert not report.witnesses  # bullet one never fails here
+
+
+def shared_allocation_sigmas(seed, count, max_profiles=None):
+    """Random sigmas on one shared allocation, 2-3 transactions x 1-2 nodes,
+    1-3 brokers quoting ``random_routing`` payments (above value, and on
+    excluded transactions) in a shuffled broker order: (instance, sigma,
+    order).  With ``max_profiles``, a sigma whose rival products hold more
+    profiles in all is skipped, which bounds the product oracle's time."""
+    rng = random.Random(seed)
+    made = 0
+    while made < count:
+        instance = random_instance(rng, max_txs=3, max_nodes=2)
+        if len(instance.tx_ids) < 2:
+            continue
+        truthful = instance.truthful_reports()
+        allocation = rng.choice(enumerate_valid(instance))
+        brokers = [f"b{i + 1}" for i in range(rng.randint(1, 3))]
+        sigma = [Proposal(b, random_routing(rng, instance, allocation, truthful)) for b in brokers]
+        order = rng.sample(brokers, len(brokers))
+        if max_profiles is not None:
+            sizes = {a: len(equilibrium._candidates(instance, a, sigma, truthful)) for a in instance.agent_ids}
+            profiles = sum(math.prod(n for b, n in sizes.items() if b != a) for a in sizes)
+            if profiles > max_profiles:
+                continue
+        made += 1
+        yield instance, sigma, order
+
+
+def first_occurrences(witnesses):
+    """``witnesses`` with each repeat dropped, kept where it first appears."""
+    kept = []
+    for w in witnesses:
+        if w not in kept:
+            kept.append(w)
+    return kept
+
+
+class TestDsicMatchesProductOracle:
+    """One rival profile per agent answers as the product over every rival
+    profile does; the product repeats each witness once per profile."""
+
+    def assert_matches(self, instance, sigma, order):
+        truthful = instance.truthful_reports()
+        report = check_dsic_barring_b(instance, instance.validity, truthful, sigma, order)
+        oracle = dsic_product_oracle(instance, instance.validity, truthful, sigma, order)
+        assert (report.holds, report.pne, report.exhaustive) == (oracle.holds, oracle.pne, oracle.exhaustive)
+        assert list(report.witnesses) == first_occurrences(oracle.witnesses)
+        return report
+
+    def test_random_shared_allocation_sigmas(self):
+        partial = 0
+        for instance, sigma, order in shared_allocation_sigmas(4242, 300, max_profiles=1000):
+            report = self.assert_matches(instance, sigma, order)
+            partial += report.profiles_checked < len(instance.agent_ids)
+        assert partial  # some sigma has a rival with no passing candidate
+
+    def test_all_margins_negative(self, collusion_market):
+        allocation = Allocation.of({"t1": ["n1", "n2"]})
+        nodes_paid = {"n1": F(1), "n2": F(1)}
+        sigma = [
+            Proposal("b1", Routing(allocation, {"t1": F(1), "t2": F(0)}, nodes_paid)),
+            Proposal("b2", Routing(allocation, {"t1": F(0), "t2": F(0)}, nodes_paid)),
+        ]
+        report = self.assert_matches(collusion_market, sigma, ["b1", "b2"])
+        assert report.profiles_checked == 0  # every round rejects
+
+    def test_a_rival_with_no_passing_candidate(self, collusion_market):
+        # t2 is charged while excluded, so it fails the IR gate at every report
+        allocation = Allocation.of({"t1": ["n1", "n2"]})
+        nodes_paid = {"n1": F(1), "n2": F(1)}
+        sigma = [
+            Proposal("b1", Routing(allocation, {"t1": F(4), "t2": F(1)}, nodes_paid)),
+            Proposal("b2", Routing(allocation, {"t1": F(2), "t2": F(1)}, nodes_paid)),
+        ]
+        report = self.assert_matches(collusion_market, sigma, ["b2", "b1"])
+        assert report.profiles_checked == 1  # only t2's rivals all pass
 
 
 class TestMonopolistEfficiency:
@@ -534,6 +626,8 @@ class TestPreparedDeviationSearch:
             truthful = instance.truthful_reports()
             sigma = construct_consensus_equilibrium(instance, instance.validity, truthful, ["b1", "b2"])
             check_dsic_barring_b(instance, instance.validity, truthful, sigma, ["b1", "b2"])
+        for instance, sigma, order in shared_allocation_sigmas(1618, 40):
+            check_dsic_barring_b(instance, instance.validity, instance.truthful_reports(), sigma, order)
         assert seen["brokerlab.equilibrium"] > 2000 and seen["brokerlab.strategy"] > 120
 
     def test_run_calls_are_one_per_round_checked(self, monkeypatch):
@@ -557,10 +651,10 @@ def _digest(reports) -> str:
 
 
 def dsic_profiles(seed, count):
-    """Figure 1's consensus profile, exhaustive and sampled with a small
-    ``others_cap``, a shared allocation at a positive margin (a broker can
-    undercut it), then consensus profiles on random markets:
-    (instance, sigma, keyword arguments)."""
+    """Figure 1's consensus profile, with the default ``others_cap`` and with
+    a small one and a seed (neither changes the answer), a shared allocation
+    at a positive margin (a broker can undercut it), then consensus profiles
+    on random markets: (instance, sigma, keyword arguments)."""
     figure1 = collusion_example_instance()
     yield figure1, consensus(figure1), {}
     yield figure1, consensus(figure1), {"others_cap": 10, "seed": 42}
@@ -593,14 +687,16 @@ class TestGoldenReports:
         assert _digest(reports) == "7b9df134aec9931e7e70caa994be16abd41259c2220011be501e710bc5ef768d"
 
     def test_check_dsic_barring_b_reports(self):
-        reports = [
-            truthfulness_report_to_json(
-                check_dsic_barring_b(
-                    instance, instance.validity, instance.truthful_reports(), sigma, ["b1", "b2"], **kwargs
-                )
+        reports = []
+        for instance, sigma, kwargs in dsic_profiles(5772, 10):
+            truthful = instance.truthful_reports()
+            report = check_dsic_barring_b(
+                instance, instance.validity, truthful, sigma, ["b1", "b2"], **kwargs
             )
-            for instance, sigma, kwargs in dsic_profiles(5772, 10)
-        ]
-        assert {r["coverage"] for r in reports} == {"exhaustive", "sound-but-incomplete"}
+            oracle = dsic_product_oracle(instance, instance.validity, truthful, sigma, ["b1", "b2"])
+            assert (report.holds, report.pne) == (oracle.holds, oracle.pne)
+            assert list(report.witnesses) == first_occurrences(oracle.witnesses)
+            reports.append(truthfulness_report_to_json(report))
+        assert {r["coverage"] for r in reports} == {"exhaustive"}
         assert any(r["pne"]["witnesses"] for r in reports)
-        assert _digest(reports) == "8d8e90023fea4e5f57eacfdeefa163257d7846c9494b35daee31657e0a039e14"
+        assert _digest(reports) == "306b721b5cfcd4f8d7b1f36b8db249caf877385c3e906d938da934d86af39a43"

@@ -20,7 +20,7 @@ from brokerlab.core import (
     welfare,
 )
 from brokerlab.equilibrium import construct_consensus_equilibrium
-from brokerlab.errors import InfeasibleTarget, MalformedInput, MarketError
+from brokerlab.errors import InfeasibleTarget, InstanceTooLarge, MalformedInput, MarketError
 from brokerlab.mdfm import collusion_example_instance, oracle_gap_market
 from brokerlab.mechanism import Proposal, prepare_round, run
 from brokerlab.scenario import dynamics_step_to_json, dynamics_summary_to_json
@@ -636,6 +636,24 @@ class TestDynamics:
         with pytest.raises(MalformedInput, match="max_rounds"):
             best_response_dynamics(
                 collusion_market, collusion_market.validity, truthful, start, ["b1", "b2"], F(1, 4), max_rounds
+            )
+
+    def test_turns_past_the_budget_are_refused(self, collusion_market, monkeypatch):
+        truthful = collusion_market.truthful_reports()
+        allocation = Allocation.of({"t1": ["n1", "n2"]})
+        zero = scaled_rebate_routing(collusion_market, allocation, truthful, F(0))
+        extracting = max_extraction_routing(collusion_market, allocation, truthful)
+        monkeypatch.setattr(strategy, "MAX_DYNAMICS_TURNS", 2)
+        # one round of two turns converges exactly at the budget
+        trace = best_response_dynamics(
+            collusion_market, collusion_market.validity, truthful,
+            [Proposal("b1", zero), Proposal("b2", zero)], ["b1", "b2"], F(1, 4), 10,
+        )
+        assert trace.converged and trace.rounds == 1
+        with pytest.raises(InstanceTooLarge, match=r"best_response_dynamics: 2 broker turns .* cap is 2"):
+            best_response_dynamics(
+                collusion_market, collusion_market.validity, truthful,
+                [Proposal("b1", extracting), Proposal("b2", extracting)], ["b1", "b2"], F(1, 4), 10,
             )
 
     def test_three_brokers_converge(self, collusion_market):
