@@ -131,6 +131,72 @@ class TestMarketParsing:
         assert getattr(parse_scenario(dict(MARKET_SCENARIO, **{field: 1})), field) == 1
 
 
+RECORD_BASE = {
+    "market": {
+        "kind": "market",
+        "transactions": [{"id": "t1", "value": "6"}],
+        "nodes": [{"id": "n1", "cost": {"type": "Zero"}}],
+    },
+    "resource_market": {
+        "kind": "resource_market",
+        "dimensions": 2,
+        "transactions": [{"id": "t1", "value": "6", "resources": ["1", "2"]}],
+        "nodes": [{"id": "n1", "unit_costs": ["1", "1"]}],
+    },
+}
+
+FLOAT = "floats are not exact; write the value as a string or as {num, den}"
+
+# (path, bad value, message), the same for both scenario kinds
+SHARED_RECORD_ERRORS = [
+    (("transactions",), {}, "transactions: expected list, got dict"),
+    (("nodes",), "n1", "nodes: expected list, got str"),
+    (("transactions", 0), ["t1"], "transactions[0]: expected dict, got list"),
+    (("nodes", 0), 3, "nodes[0]: expected dict, got int"),
+    (("transactions", 0, "id"), 1, "transactions[0].id: expected str, got int"),
+    (("nodes", 0, "id"), None, "nodes[0].id: expected str, got NoneType"),
+    (
+        ("transactions", 0, "value"),
+        "1.0.0",
+        "transactions[0].value: cannot parse '1.0.0' as an exact number",
+    ),
+    (("transactions", 0, "value"), None, "transactions[0].value: expected a number, got NoneType"),
+    (("transactions", 0, "resources"), ["1", 1.5], f"transactions[0].resources[1]: {FLOAT}"),
+    (("transactions", 0, "resources"), "1", "transactions[0].resources: expected list, got str"),
+    (
+        ("nodes", 0, "capacity"),
+        [None, "x"],
+        "nodes[0].capacity[1]: cannot parse 'x' as an exact number",
+    ),
+    (("nodes", 0, "capacity"), 2, "nodes[0].capacity: expected list, got int"),
+]
+
+RECORD_ERRORS = [
+    (kind, *case) for kind in RECORD_BASE for case in SHARED_RECORD_ERRORS
+] + [
+    ("market", ("nodes", 0, "cost"), {"type": "Nope"}, "nodes[0].cost.type: unknown cost function 'Nope'"),
+    ("resource_market", ("nodes", 0, "unit_costs"), [1.5, "1"], f"nodes[0].unit_costs[0]: {FLOAT}"),
+    (
+        "resource_market",
+        ("transactions", 0, "resources"),
+        None,
+        "transactions[0].resources: expected list, got NoneType",
+    ),
+]
+
+
+@pytest.mark.parametrize("kind, path, bad, message", RECORD_ERRORS)
+def test_record_errors_name_the_field(kind, path, bad, message):
+    payload = json.loads(json.dumps(RECORD_BASE[kind]))
+    target = payload
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = bad
+    with pytest.raises(MalformedInput) as excinfo:
+        parse_scenario(payload)
+    assert str(excinfo.value) == message
+
+
 class TestReportParsing:
     def test_node_table_over_other_transactions_is_refused(self):
         payload = json.loads(json.dumps(MARKET_SCENARIO))
