@@ -94,13 +94,13 @@ def _require_market(scenario: Scenario) -> None:
 def _cmd_run(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args.scenario)
     _require_market(scenario)
-    assert scenario.instance is not None and scenario.reports is not None
+    assert scenario.instance is not None
     outcome = run_mechanism(
         scenario.instance,
         scenario.instance.validity,
         scenario.reports,
         scenario.proposals,
-        scenario.broker_order or [],
+        scenario.broker_order,
     )
     _emit(outcome_to_json(outcome), args.output)
     return 0 if outcome.winner is not None else 2
@@ -112,7 +112,7 @@ def _cmd_equilibrium(args: argparse.Namespace) -> int:
     if args.seed is not None:
         scenario.seed = args.seed
     _require_market(scenario)
-    assert scenario.instance is not None and scenario.reports is not None
+    assert scenario.instance is not None
     instance = scenario.instance
     true_types = instance.truthful_reports()
     if args.mode == "pne":
@@ -122,7 +122,7 @@ def _cmd_equilibrium(args: argparse.Namespace) -> int:
             true_types,
             scenario.reports,
             scenario.proposals,
-            scenario.broker_order or [],
+            scenario.broker_order,
             quantum=scenario.quantum,
             cap=scenario.enum_cap,
         )
@@ -133,7 +133,7 @@ def _cmd_equilibrium(args: argparse.Namespace) -> int:
             instance.validity,
             true_types,
             scenario.proposals,
-            scenario.broker_order or [],
+            scenario.broker_order,
             others_cap=scenario.others_cap,
             seed=scenario.seed,
             quantum=scenario.quantum,
@@ -147,13 +147,13 @@ def _cmd_dynamics(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args.scenario)
     _apply_overrides(scenario, args)
     _require_market(scenario)
-    assert scenario.instance is not None and scenario.reports is not None
+    assert scenario.instance is not None
     trace = best_response_dynamics(
         scenario.instance,
         scenario.instance.validity,
         scenario.reports,
         scenario.proposals,
-        scenario.broker_order or [],
+        scenario.broker_order,
         scenario.quantum,
         scenario.max_rounds,
         cap=scenario.enum_cap,

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Mapping
+from functools import partial
+from typing import Any, Callable, Mapping
 
 from .core import (
     Allocation,
@@ -94,15 +95,14 @@ def _positive_int(obj: Any, where: str) -> int:
     return value
 
 
-def _vector(obj: Any, where: str, allow_none_entries: bool = False):
-    _expect(obj, list, where)
-    out = []
-    for i, entry in enumerate(obj):
-        if entry is None and allow_none_entries:
-            out.append(None)
-        else:
-            out.append(parse_number(entry, f"{where}[{i}]"))
-    return tuple(out)
+def _records(raw: Any, where: str, parse_one: Callable[[Any, str], Any]) -> tuple:
+    """A JSON list, each entry read by ``parse_one`` at its own path."""
+    _expect(raw, list, where)
+    return tuple([parse_one(entry, f"{where}[{i}]") for i, entry in enumerate(raw)])
+
+
+def _vector(obj: Any, where: str) -> tuple[Fraction, ...]:
+    return _records(obj, where, parse_number)
 
 
 def parse_cost_function(obj: Any, where: str) -> CostFunction:
@@ -218,15 +218,9 @@ def parse_validity(obj: Any, where: str) -> ValiditySpec:
     _expect(obj, dict, where)
     kind = _str(obj.get("type"), f"{where}.type")
     if kind == "constraints":
-        raw = _expect(obj.get("constraints"), list, f"{where}.constraints")
-        return Constraints(
-            tuple(parse_constraint(c, f"{where}.constraints[{i}]") for i, c in enumerate(raw))
-        )
+        return Constraints(_records(obj.get("constraints"), f"{where}.constraints", parse_constraint))
     if kind == "extensional":
-        raw = _expect(obj.get("allocations"), list, f"{where}.allocations")
-        return Extensional(
-            tuple(parse_allocation(a, f"{where}.allocations[{i}]") for i, a in enumerate(raw))
-        )
+        return Extensional(_records(obj.get("allocations"), f"{where}.allocations", parse_allocation))
     raise MalformedInput(f"{where}.type: unknown validity kind {kind!r}")
 
 
@@ -276,6 +270,14 @@ def routing_to_json(routing: Routing) -> dict:
     }
 
 
+def _proposal(raw: Any, where: str, instance: MarketInstance) -> Proposal:
+    _expect(raw, dict, where)
+    return Proposal(
+        _str(raw.get("broker"), f"{where}.broker"),
+        parse_routing(raw.get("routing"), instance, f"{where}.routing"),
+    )
+
+
 def proposal_to_json(proposal: Proposal) -> dict:
     return {"broker": proposal.broker, "routing": routing_to_json(proposal.routing)}
 
@@ -310,77 +312,79 @@ def reports_to_json(reports: ReportProfile) -> dict:
     }
 
 
+def _transaction(raw: Any, where: str) -> TransactionSpec:
+    """``resources`` is optional here; ``ResourceMarket`` refuses a transaction without one."""
+    _expect(raw, dict, where)
+    resources = raw.get("resources")
+    return TransactionSpec(
+        _str(raw.get("id"), f"{where}.id"),
+        parse_number(raw.get("value"), f"{where}.value"),
+        None if resources is None else _vector(resources, f"{where}.resources"),
+    )
+
+
+def _transaction_to_json(t: TransactionSpec) -> dict:
+    entry: dict[str, Any] = {"id": t.id, "value": format_number(t.value)}
+    if t.resources is not None:
+        entry["resources"] = [format_number(g) for g in t.resources]
+    return entry
+
+
+def _capacity_entry(obj: Any, where: str) -> Fraction | None:
+    return None if obj is None else parse_number(obj, where)
+
+
+def _node(raw: Any, where: str, cost: Callable[[Any, str], CostFunction]) -> NodeSpec:
+    """``id`` and ``capacity`` (null entries allowed); ``cost`` reads the kind's own cost field."""
+    _expect(raw, dict, where)
+    node_id = _str(raw.get("id"), f"{where}.id")
+    capacity = raw.get("capacity")
+    if capacity is not None:
+        capacity = _records(capacity, f"{where}.capacity", _capacity_entry)
+    return NodeSpec(node_id, cost(raw, where), capacity)
+
+
+def _node_to_json(n: NodeSpec, cost: dict[str, Any]) -> dict:
+    entry: dict[str, Any] = {"id": n.id, **cost}
+    if n.capacity is not None:
+        entry["capacity"] = [None if r is None else format_number(r) for r in n.capacity]
+    return entry
+
+
+def _market_cost(raw: Mapping[str, Any], where: str) -> CostFunction:
+    return parse_cost_function(raw.get("cost", {"type": "Zero"}), f"{where}.cost")
+
+
+def _unit_costs(raw: Mapping[str, Any], where: str) -> CostFunction:
+    if raw.get("unit_costs") is None:
+        return Zero()
+    return LinearResources(_vector(raw["unit_costs"], f"{where}.unit_costs"))
+
+
+def _unit_costs_to_json(fn: CostFunction) -> dict[str, Any]:
+    if isinstance(fn, LinearResources):
+        return {"unit_costs": [format_number(c) for c in fn.unit_costs]}
+    return {}
+
+
 def _parse_market_instance(obj: Mapping[str, Any]) -> MarketInstance:
-    raw_txs = _expect(obj.get("transactions"), list, "transactions")
-    txs = []
-    for i, raw in enumerate(raw_txs):
-        where = f"transactions[{i}]"
-        _expect(raw, dict, where)
-        resources = None
-        if raw.get("resources") is not None:
-            resources = _vector(raw["resources"], f"{where}.resources")
-        txs.append(
-            TransactionSpec(
-                _str(raw.get("id"), f"{where}.id"),
-                parse_number(raw.get("value"), f"{where}.value"),
-                resources,
-            )
-        )
-    raw_nodes = _expect(obj.get("nodes"), list, "nodes")
-    nodes = []
-    for i, raw in enumerate(raw_nodes):
-        where = f"nodes[{i}]"
-        _expect(raw, dict, where)
-        capacity = None
-        if raw.get("capacity") is not None:
-            capacity = _vector(raw["capacity"], f"{where}.capacity", allow_none_entries=True)
-        nodes.append(
-            NodeSpec(
-                _str(raw.get("id"), f"{where}.id"),
-                parse_cost_function(raw.get("cost", {"type": "Zero"}), f"{where}.cost"),
-                capacity,
-            )
-        )
-    validity = None
-    if obj.get("validity") is not None:
-        validity = parse_validity(obj["validity"], "validity")
-    return MarketInstance(tuple(txs), tuple(nodes), validity)
+    validity = obj.get("validity")
+    return MarketInstance(
+        _records(obj.get("transactions"), "transactions", _transaction),
+        _records(obj.get("nodes"), "nodes", partial(_node, cost=_market_cost)),
+        None if validity is None else parse_validity(validity, "validity"),
+    )
 
 
 def _parse_resource_market(obj: Mapping[str, Any]) -> ResourceMarket:
     d = _int(obj.get("dimensions"), "dimensions")
-    raw_txs = _expect(obj.get("transactions"), list, "transactions")
-    txs = []
-    for i, raw in enumerate(raw_txs):
-        where = f"transactions[{i}]"
-        _expect(raw, dict, where)
-        txs.append(
-            TransactionSpec(
-                _str(raw.get("id"), f"{where}.id"),
-                parse_number(raw.get("value"), f"{where}.value"),
-                _vector(raw.get("resources"), f"{where}.resources"),
-            )
-        )
-    raw_nodes = _expect(obj.get("nodes"), list, "nodes")
-    nodes = []
-    for i, raw in enumerate(raw_nodes):
-        where = f"nodes[{i}]"
-        _expect(raw, dict, where)
-        cost: CostFunction = Zero()
-        if raw.get("unit_costs") is not None:
-            cost = LinearResources(_vector(raw["unit_costs"], f"{where}.unit_costs"))
-        capacity = None
-        if raw.get("capacity") is not None:
-            capacity = _vector(raw["capacity"], f"{where}.capacity", allow_none_entries=True)
-        nodes.append(NodeSpec(_str(raw.get("id"), f"{where}.id"), cost, capacity))
+    txs = _records(obj.get("transactions"), "transactions", _transaction)
+    nodes = _records(obj.get("nodes"), "nodes", partial(_node, cost=_unit_costs))
     single = obj.get("single_assignment", False)
     if not isinstance(single, bool):
         raise MalformedInput("single_assignment: expected a boolean")
-    raw_exclusions = _expect(obj.get("exclusions", []), list, "exclusions")
-    exclusions = tuple(
-        parse_constraint(raw, f"exclusions[{i}]") for i, raw in enumerate(raw_exclusions)
-    )
-    return ResourceMarket(d, tuple(txs), tuple(nodes), single, exclusions)
+    exclusions = _records(obj.get("exclusions", []), "exclusions", parse_constraint)
+    return ResourceMarket(d, txs, nodes, single, exclusions)
 
 
 def parse_scenario(obj: Any) -> Scenario:
@@ -403,17 +407,9 @@ def parse_scenario(obj: Any) -> Scenario:
     if kind == "market":
         instance = _parse_market_instance(obj)
         scenario.instance = instance
-        raw_proposals = obj.get("proposals", [])
-        _expect(raw_proposals, list, "proposals")
-        for i, raw in enumerate(raw_proposals):
-            where = f"proposals[{i}]"
-            _expect(raw, dict, where)
-            scenario.proposals.append(
-                Proposal(
-                    _str(raw.get("broker"), f"{where}.broker"),
-                    parse_routing(raw.get("routing"), instance, f"{where}.routing"),
-                )
-            )
+        scenario.proposals = list(
+            _records(obj.get("proposals", []), "proposals", partial(_proposal, instance=instance))
+        )
         if obj.get("reports") is not None:
             scenario.reports = parse_reports(obj["reports"], instance, "reports")
         else:
@@ -445,33 +441,9 @@ def instance_to_scenario_json(
 ) -> dict:
     payload: dict[str, Any] = {
         "kind": "market",
-        "transactions": [
-            {
-                "id": t.id,
-                "value": format_number(t.value),
-                **(
-                    {"resources": [format_number(g) for g in t.resources]}
-                    if t.resources is not None
-                    else {}
-                ),
-            }
-            for t in instance.transactions
-        ],
+        "transactions": [_transaction_to_json(t) for t in instance.transactions],
         "nodes": [
-            {
-                "id": n.id,
-                "cost": cost_function_to_json(n.cost),
-                **(
-                    {
-                        "capacity": [
-                            None if r is None else format_number(r) for r in n.capacity
-                        ]
-                    }
-                    if n.capacity is not None
-                    else {}
-                ),
-            }
-            for n in instance.nodes
+            _node_to_json(n, {"cost": cost_function_to_json(n.cost)}) for n in instance.nodes
         ],
         "validity": validity_to_json(instance.validity),
     }
@@ -488,23 +460,9 @@ def resource_market_to_scenario_json(market: ResourceMarket) -> dict:
     payload: dict[str, Any] = {
         "kind": "resource_market",
         "dimensions": market.dimensions,
-        "transactions": [
-            {
-                "id": t.id,
-                "value": format_number(t.value),
-                "resources": [format_number(g) for g in t.resources or ()],
-            }
-            for t in market.transactions
-        ],
-        "nodes": [],
+        "transactions": [_transaction_to_json(t) for t in market.transactions],
+        "nodes": [_node_to_json(n, _unit_costs_to_json(n.cost)) for n in market.nodes],
     }
-    for n in market.nodes:
-        entry: dict[str, Any] = {"id": n.id}
-        if isinstance(n.cost, LinearResources):
-            entry["unit_costs"] = [format_number(c) for c in n.cost.unit_costs]
-        if n.capacity is not None:
-            entry["capacity"] = [None if r is None else format_number(r) for r in n.capacity]
-        payload["nodes"].append(entry)
     if market.single_assignment:
         payload["single_assignment"] = True
     if market.exclusions:
@@ -538,7 +496,7 @@ def _witness_to_json(witness: DeviationWitness) -> dict:
     elif isinstance(witness.deviation, Proposal):
         deviation = proposal_to_json(witness.deviation)
     else:
-        deviation = str(witness.deviation)
+        raise MalformedInput(f"cannot serialize deviation {witness.deviation!r}")
     return {
         "agent": witness.agent,
         "kind": witness.kind,

@@ -19,6 +19,7 @@ from brokerlab.core import (
     TransactionSpec,
     Zero,
 )
+from brokerlab.equilibrium import DeviationWitness, EquilibriumReport
 from brokerlab.errors import MalformedInput
 from brokerlab.mdfm import (
     ResourceMarket,
@@ -30,6 +31,7 @@ from brokerlab.mdfm import (
 from brokerlab.scenario import (
     constraint_to_json,
     cost_function_to_json,
+    equilibrium_report_to_json,
     instance_to_scenario_json,
     parse_constraint,
     parse_cost_function,
@@ -174,13 +176,18 @@ SHARED_RECORD_ERRORS = [
 RECORD_ERRORS = [
     (kind, *case) for kind in RECORD_BASE for case in SHARED_RECORD_ERRORS
 ] + [
-    ("market", ("nodes", 0, "cost"), {"type": "Nope"}, "nodes[0].cost.type: unknown cost function 'Nope'"),
+    (
+        "market",
+        ("nodes", 0, "cost"),
+        {"type": "Nope"},
+        "nodes[0].cost.type: unknown cost function 'Nope'",
+    ),
     ("resource_market", ("nodes", 0, "unit_costs"), [1.5, "1"], f"nodes[0].unit_costs[0]: {FLOAT}"),
     (
         "resource_market",
         ("transactions", 0, "resources"),
         None,
-        "transactions[0].resources: expected list, got NoneType",
+        "transaction 't1' needs a resource vector of length 2",
     ),
 ]
 
@@ -195,6 +202,12 @@ def test_record_errors_name_the_field(kind, path, bad, message):
     with pytest.raises(MalformedInput) as excinfo:
         parse_scenario(payload)
     assert str(excinfo.value) == message
+
+
+def test_a_deviation_of_unknown_type_is_refused():
+    witness = DeviationWitness("t1", "tx_report", 3, F(0), F(1))
+    with pytest.raises(MalformedInput, match="^cannot serialize deviation 3$"):
+        equilibrium_report_to_json(EquilibriumReport(False, (witness,), 1, 0))
 
 
 class TestReportParsing:
