@@ -1,22 +1,22 @@
 """Exact feasibility for systems of linear inequalities over the rationals.
 
-Constraints are ``coeffs . x <= bound`` (or strictly ``<`` when flagged).
-Feasibility goes through Fourier-Motzkin elimination, which handles mixed
-strict and non-strict inequalities exactly: a pairing of a strict bound with
-anything stays strict.  Variables are eliminated in a greedy minimum-fill
-order and witness points are recovered by back-substitution, preferring
-simple values (0, then a closed endpoint, then the midpoint).
+Constraints, the one row type, are ``coeffs . x <= bound`` (strictly ``<``
+when flagged).  Feasibility goes through Fourier-Motzkin elimination, which
+handles mixed strict and non-strict rows exactly: a pairing of a strict
+bound with anything stays strict.  Variables are eliminated in a greedy
+minimum-fill order and witness points are recovered by back-substitution,
+preferring simple values (0, then a closed endpoint, then the midpoint).
 
 Elimination runs on primitive integer rows.  Each ``Constraint`` clears its
 denominators and divides out the gcd of its entries once, when it is built,
 and every row an elimination step combines is made primitive again.  A
 primitive row is the one integer representative of a constraint's positive
-multiples, so rows deduplicate exactly as rows scaled to a leading
-coefficient of +-1 would; the elimination order reads only coefficient
-signs; and each back-substitution bound ``(bound - sum a_j x_j) / a`` is
-unchanged by positive scaling.  The witness points are therefore those of
-an elimination over rationals, while the inner loop multiplies small
-integers.  Back-substitution sums each row in integers and makes one exact
+multiples, so a constraint compares and hashes as the half-space it
+denotes; the elimination order reads only coefficient signs; and each
+back-substitution bound ``(bound - sum a_j x_j) / a`` is unchanged by
+positive scaling.  The witness points are therefore those of an elimination
+over rationals, while the inner loop multiplies small integers.
+Back-substitution sums each row in integers and makes one exact
 ``Fraction`` per bound.
 
 Also provided: enumeration of the feasible sign cells of a hyperplane
@@ -62,13 +62,14 @@ def _dot(coeffs: tuple[int, ...], point: Sequence[Fraction], skip: int = -1) -> 
 
 @dataclass(frozen=True)
 class Constraint:
-    """coeffs . x <= bound, strict when ``strict`` is set."""
+    """coeffs . x <= bound, strict when ``strict`` is set; equal to and hashed
+    as its positive multiples, through its primitive row."""
 
-    coeffs: tuple[Fraction, ...]
-    bound: Fraction
-    strict: bool = False
+    coeffs: tuple[Fraction, ...] = field(compare=False)
+    bound: Fraction = field(compare=False)
+    strict: bool = field(default=False, compare=False)
     # the primitive integer row of this constraint, made once here
-    _row: _Row = field(init=False, repr=False, compare=False)
+    _row: _Row = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         scale = lcm(*(c.denominator for c in self.coeffs), self.bound.denominator)
@@ -80,6 +81,10 @@ class Constraint:
         coeffs, bound, strict = self._row
         num, den = _dot(coeffs, point)
         return num < bound * den or (num == bound * den and not strict)
+
+    def complement(self) -> Constraint:
+        """The other side: the reverse inequality, strict exactly when this one is not."""
+        return Constraint(tuple(-c for c in self.coeffs), -self.bound, not self.strict)
 
 
 def nonneg_orthant(n: int) -> list[Constraint]:
@@ -217,27 +222,14 @@ def feasible(constraints: Iterable[Constraint], n_vars: int) -> bool:
     return find_point(constraints, n_vars) is not None
 
 
-@dataclass(frozen=True)
-class Hyperplane:
-    """Branching predicate: TRUE means coeffs . x <= bound, FALSE the strict reverse."""
-
-    coeffs: tuple[Fraction, ...]
-    bound: Fraction
-
-    def true_constraint(self) -> Constraint:
-        return Constraint(self.coeffs, self.bound)
-
-    def false_constraint(self) -> Constraint:
-        return Constraint(tuple(-c for c in self.coeffs), -self.bound, strict=True)
-
-
 def enumerate_cells(
     base: Sequence[Constraint],
-    hyperplanes: Sequence[Hyperplane],
+    hyperplanes: Sequence[Constraint],
     n_vars: int,
 ) -> Iterator[tuple[tuple[bool, ...], tuple[Fraction, ...]]]:
     """Feasible sign vectors of the arrangement, with a witness point each.
 
+    Each hyperplane is given by its TRUE side; FALSE is its complement.
     Branches depth-first over the hyperplanes, pruning branches whose
     accumulated system is infeasible, so the work is proportional to the
     number of non-empty cells rather than 2^len(hyperplanes).
@@ -246,7 +238,7 @@ def enumerate_cells(
     if root is None:
         return
 
-    branches = [((True, h.true_constraint()), (False, h.false_constraint())) for h in hyperplanes]
+    branches = [((True, h), (False, h.complement())) for h in hyperplanes]
     stack: list[Constraint] = list(base)
     signs: list[bool] = []
 

@@ -43,7 +43,7 @@ from .core import (
     welfare,
 )
 from .errors import InstanceTooLarge, MalformedInput
-from .linineq import Constraint, Hyperplane, enumerate_cells, find_point, nonneg_orthant
+from .linineq import Constraint, enumerate_cells, find_point, nonneg_orthant
 from .rationals import ONE, ZERO
 from .validity import (
     DEFAULT_ENUM_CAP,
@@ -158,10 +158,12 @@ _Bundle = tuple[str, frozenset[str], Fraction, tuple[Fraction, ...]]  # node, bu
 class _AllocationInfo:
     allocation: Allocation
     welfare: Fraction
-    bundles: tuple[_Bundle, ...]  # costly ones only: the rest participate at every p >= 0
     fee_vector: tuple[Fraction, ...]  # sum of g(t) over included transactions
     fee_class: int  # equal exactly when the fee vectors are
-    mask: int  # bit i: needs hyperplane i on its TRUE side
+    # hyperplanes needed on their TRUE side, repeats kept: each included
+    # transaction's (sorted), then each costly bundle's
+    rows: tuple[int, ...]
+    mask: int  # bit i: i is in rows
 
 
 def _usage(instance: MarketInstance, txs: Iterable[str], d: int) -> tuple[Fraction, ...]:
@@ -174,23 +176,24 @@ def _usage(instance: MarketInstance, txs: Iterable[str], d: int) -> tuple[Fracti
 
 def _arrangement(
     market: ResourceMarket, bundles: Iterable[_Bundle], zero_splits: bool
-) -> tuple[list[Hyperplane], dict[object, int]]:
-    """The hyperplanes that cut price space, and each member's hyperplane index.
+) -> tuple[list[Constraint], dict[object, int]]:
+    """The hyperplanes that cut price space, as TRUE sides, and each member's index.
 
-    Transaction ids of equal usage and value share a willingness hyperplane,
-    costly ``(node, bundle)`` pairs of equal usage and cost a participation
-    one.  The order fixes the cell order and so every witness: willingness
-    groups by sorted ids, then participation groups by sorted members, then,
-    when asked, one split p_i <= 0 per dimension (TRUE: a zero price).
+    Transactions of equal willingness half-spaces share a hyperplane, costly
+    ``(node, bundle)`` pairs of equal participation half-spaces another; a
+    dropped duplicate only ever had its sign forced, so no cell is lost.  The
+    order fixes the cell order and so every witness: willingness groups by
+    sorted ids, then participation groups by sorted members, then, when
+    asked, one split p_i <= 0 per dimension (TRUE: a zero price).
     """
-    willingness: dict[Hyperplane, list[str]] = {}
+    willingness: dict[Constraint, list[str]] = {}
     for t in market.transactions:
-        willingness.setdefault(Hyperplane(t.resources, t.value), []).append(t.id)
-    participation: dict[Hyperplane, set[tuple[str, frozenset[str]]]] = {}
+        willingness.setdefault(Constraint(t.resources, t.value), []).append(t.id)
+    participation: dict[Constraint, set[tuple[str, frozenset[str]]]] = {}
     for node, bundle, cost, usage in bundles:
-        key = Hyperplane(tuple(-g for g in usage), -cost)
+        key = Constraint(tuple(-g for g in usage), -cost)
         participation.setdefault(key, set()).add((node, bundle))
-    groups: list[tuple[Hyperplane, Iterable[object]]] = [
+    groups: list[tuple[Constraint, Iterable[object]]] = [
         *sorted(willingness.items(), key=lambda kv: sorted(kv[1])),
         *sorted(participation.items(), key=lambda kv: sorted((n, sorted(b)) for n, b in kv[1])),
     ]
@@ -199,7 +202,7 @@ def _arrangement(
     if zero_splits:
         d = market.dimensions
         hyperplanes += [
-            Hyperplane(tuple(ONE if j == i else ZERO for j in range(d)), ZERO) for i in range(d)
+            Constraint(tuple(ONE if j == i else ZERO for j in range(d)), ZERO) for i in range(d)
         ]
     return hyperplanes, index
 
@@ -213,12 +216,12 @@ def _willing(
 
 def _prepare(
     market: ResourceMarket, cap: int = DEFAULT_ENUM_CAP, zero_splits: bool = False
-) -> tuple[list[_AllocationInfo], list[Hyperplane], dict[object, int]]:
+) -> tuple[list[_AllocationInfo], list[Constraint], dict[object, int]]:
     """The valid allocations, and the arrangement that admits them: an
-    allocation's mask holds the willingness of its transactions and the
+    allocation's rows are the willingness of its transactions and the
     participation of its costly bundles."""
     instance = market.instance()
-    truthful = instance.truthful_reports()
+    values = {t.id: t.value for t in market.transactions}
     d = market.dimensions
     allocations = enumerate_valid(instance, cap=cap)
     costly = []
@@ -233,13 +236,14 @@ def _prepare(
     infos = []
     classes: dict[tuple[Fraction, ...], int] = {}
     for allocation, bundles in zip(allocations, costly):
-        mask = 0
-        for member in chain(allocation.transactions, ((n, b) for n, b, _, _ in bundles)):
-            mask |= 1 << index[member]
-        value = welfare(instance, allocation, truthful)
+        members = chain(sorted(allocation.transactions), ((n, b) for n, b, _, _ in bundles))
+        rows = tuple(index[member] for member in members)
+        value = sum((values[tx] for tx in allocation.transactions), ZERO)
+        value -= sum((cost for _, _, cost, _ in bundles), ZERO)
         fee_vector = _usage(instance, allocation.transactions, d)
         fee_class = classes.setdefault(fee_vector, len(classes))
-        infos.append(_AllocationInfo(allocation, value, bundles, fee_vector, fee_class, mask))
+        mask = sum(1 << i for i in set(rows))
+        infos.append(_AllocationInfo(allocation, value, fee_vector, fee_class, rows, mask))
     return infos, hyperplanes, index
 
 
@@ -341,18 +345,6 @@ def _fee_at_price(pool: list[_AllocationInfo], price: Sequence[Fraction]) -> Fra
     return min(info.welfare for info in pool if fees[info.fee_class] == top)
 
 
-def _attainability_system(market: ResourceMarket, info: _AllocationInfo) -> list[Constraint]:
-    """p >= 0 keeping every included transaction willing and paying every
-    working node at least its bundle cost."""
-    constraints = nonneg_orthant(market.dimensions)
-    by_id = {t.id: t for t in market.transactions}
-    for tx in sorted(info.allocation.transactions):
-        constraints.append(Constraint(by_id[tx].resources, by_id[tx].value))
-    for _, _, cost, usage in info.bundles:
-        constraints.append(Constraint(tuple(-g for g in usage), -cost))
-    return constraints
-
-
 def _refuse_multi_node(infos: Iterable[_AllocationInfo]) -> None:
     for info in infos:
         for tx, nodes in info.allocation.pairs:
@@ -429,24 +421,25 @@ def run_benchmarks(market: ResourceMarket, cap: int = DEFAULT_ENUM_CAP) -> Bench
     infos, hyperplanes, index = _prepare(market, cap, zero_splits=exact)
     _refuse_multi_node(infos)
     opt_info = max(infos, key=lambda info: info.welfare)
-    # with no costly bundle only willingness filters, so pools are subset-closed
-    downward = not any(info.bundles for info in infos)
+    # only willingness filters without a costly bundle, so pools are subset-closed;
+    # with one a pool can skip a size (test_mdfm pins one) and one-extension errs
+    downward = all(len(info.rows) == len(info.allocation.transactions) for info in infos)
     # (signs, witness, worst maximal member, FEE value) per cell; every pool
     # holds the empty allocation, and max() keeps the first cell that attains the best
-    rows = []
+    cells = []
     attainable: set[Allocation] = set()
     for signs, witness in enumerate_cells(nonneg_orthant(d), hyperplanes, d):
         true = sum(1 << i for i, sign in enumerate(signs) if sign)
         pool = [info for info in infos if info.mask & true == info.mask]
         worst = min(_maximal_infos(pool, downward), key=lambda info: info.welfare)
-        rows.append((signs, witness, worst, _fee_at_price(pool, witness)))
+        cells.append((signs, witness, worst, _fee_at_price(pool, witness)))
         attainable.update(info.allocation for info in pool)
-    inc_signs, inc_price, inc_info, _ = max(rows, key=lambda row: row[2].welfare)
-    fee_signs, fee_price, _, fee_value = max(rows, key=lambda row: row[3])
+    inc_signs, inc_price, inc_info, _ = max(cells, key=lambda cell: cell[2].welfare)
+    fee_signs, fee_price, _, fee_value = max(cells, key=lambda cell: cell[3])
     ora_info = max(
         (info for info in infos if info.allocation in attainable), key=lambda info: info.welfare
     )
-    ora_price = find_point(_attainability_system(market, ora_info), d)
+    ora_price = find_point(nonneg_orthant(d) + [hyperplanes[i] for i in ora_info.rows], d)
     inc_value, ora_value = inc_info.welfare, ora_info.welfare
     return BenchmarkResult(
         opt=opt_info.welfare,

@@ -120,8 +120,7 @@ def parse_cost_function(obj: Any, where: str) -> CostFunction:
     if kind == "LinearResources":
         return LinearResources(_vector(obj.get("unit_costs"), f"{where}.unit_costs"))
     if kind == "SubsetTable":
-        txs = _expect(obj.get("transactions"), list, f"{where}.transactions")
-        declared = frozenset(_str(t, f"{where}.transactions[]") for t in txs)
+        declared = frozenset(_records(obj.get("transactions"), f"{where}.transactions", _str))
         raw = _expect(obj.get("table"), dict, f"{where}.table")
         table = {}
         for key, value in raw.items():
@@ -171,8 +170,7 @@ def parse_constraint(obj: Any, where: str) -> Constraint:
             tx, _int(obj.get("min"), f"{where}.min"), _int(obj.get("max"), f"{where}.max")
         )
     if kind == "MustShareNode":
-        txs = _expect(obj.get("txs"), list, f"{where}.txs")
-        return MustShareNode(tuple(sorted(_str(t, f"{where}.txs[]") for t in txs)))
+        return MustShareNode(tuple(sorted(_records(obj.get("txs"), f"{where}.txs", _str))))
     if kind == "MutualExclusion":
         txs = _expect(obj.get("txs"), list, f"{where}.txs")
         if len(txs) != 2:
@@ -205,8 +203,7 @@ def parse_allocation(obj: Any, where: str) -> Allocation:
     _expect(obj, dict, where)
     assignment = {}
     for tx, nodes in obj.items():
-        _expect(nodes, list, f"{where}[{tx}]")
-        assignment[tx] = [_str(n, f"{where}[{tx}][]") for n in nodes]
+        assignment[tx] = _records(nodes, f"{where}[{tx}]", _str)
     return Allocation.of(assignment)
 
 
@@ -334,9 +331,15 @@ def _capacity_entry(obj: Any, where: str) -> Fraction | None:
     return None if obj is None else parse_number(obj, where)
 
 
-def _node(raw: Any, where: str, cost: Callable[[Any, str], CostFunction]) -> NodeSpec:
-    """``id`` and ``capacity`` (null entries allowed); ``cost`` reads the kind's own cost field."""
+def _node(
+    raw: Any, where: str, cost_field: str, cost: Callable[[Any, str], CostFunction]
+) -> NodeSpec:
+    """``id`` and ``capacity`` (null entries allowed); ``cost`` reads the kind's
+    own cost field, ``cost_field``, and any other field is refused."""
     _expect(raw, dict, where)
+    for key in raw:
+        if key not in ("id", "capacity", cost_field):
+            raise MalformedInput(f"{where}.{key}: unknown field")
     node_id = _str(raw.get("id"), f"{where}.id")
     capacity = raw.get("capacity")
     if capacity is not None:
@@ -371,7 +374,7 @@ def _parse_market_instance(obj: Mapping[str, Any]) -> MarketInstance:
     validity = obj.get("validity")
     return MarketInstance(
         _records(obj.get("transactions"), "transactions", _transaction),
-        _records(obj.get("nodes"), "nodes", partial(_node, cost=_market_cost)),
+        _records(obj.get("nodes"), "nodes", partial(_node, cost_field="cost", cost=_market_cost)),
         None if validity is None else parse_validity(validity, "validity"),
     )
 
@@ -379,7 +382,8 @@ def _parse_market_instance(obj: Mapping[str, Any]) -> MarketInstance:
 def _parse_resource_market(obj: Mapping[str, Any]) -> ResourceMarket:
     d = _int(obj.get("dimensions"), "dimensions")
     txs = _records(obj.get("transactions"), "transactions", _transaction)
-    nodes = _records(obj.get("nodes"), "nodes", partial(_node, cost=_unit_costs))
+    node = partial(_node, cost_field="unit_costs", cost=_unit_costs)
+    nodes = _records(obj.get("nodes"), "nodes", node)
     single = obj.get("single_assignment", False)
     if not isinstance(single, bool):
         raise MalformedInput("single_assignment: expected a boolean")
@@ -415,8 +419,7 @@ def parse_scenario(obj: Any) -> Scenario:
         else:
             scenario.reports = instance.truthful_reports()
         if obj.get("broker_order") is not None:
-            order = _expect(obj["broker_order"], list, "broker_order")
-            scenario.broker_order = [_str(b, "broker_order[]") for b in order]
+            scenario.broker_order = list(_records(obj["broker_order"], "broker_order", _str))
         else:
             scenario.broker_order = [p.broker for p in scenario.proposals]
         return scenario

@@ -40,7 +40,7 @@ from brokerlab.equilibrium import (
     check_pne,
 )
 from brokerlab.errors import InstanceTooLarge, InvalidProposal, MalformedInput, MarketError
-from brokerlab.linineq import Constraint, Hyperplane, find_point, nonneg_orthant
+from brokerlab.linineq import Constraint, find_point, nonneg_orthant
 from brokerlab.mdfm import (
     ResourceMarket,
     fee_maximal_allocations,
@@ -471,6 +471,25 @@ def sweep_benchmarks(market: ResourceMarket) -> dict[str, Fraction]:
     }
 
 
+def attainability_system(market: ResourceMarket, allocation: Allocation) -> list[Constraint]:
+    """p >= 0 keeping every included transaction willing and paying every
+    working node at least its bundle cost, built from the market data: one
+    row per included transaction in id order, then one per costly bundle in
+    node order."""
+    instance = market.instance()
+    d = market.dimensions
+    constraints = nonneg_orthant(d)
+    for tx in sorted(allocation.transactions):
+        t = instance.transaction(tx)
+        constraints.append(Constraint(t.resources, t.value))
+    for node, bundle in allocation.bundles:
+        cost = instance.node(node).cost.cost(bundle, instance.resources)
+        if cost != 0:
+            usage = [sum((instance.resources[tx][i] for tx in bundle), ZERO) for i in range(d)]
+            constraints.append(Constraint(tuple(-g for g in usage), -cost))
+    return constraints
+
+
 def ora_by_allocation(
     market: ResourceMarket,
 ) -> tuple[Fraction, Allocation, tuple[Fraction, ...]]:
@@ -483,21 +502,9 @@ def ora_by_allocation(
     """
     instance = market.instance()
     truthful = instance.truthful_reports()
-    d = market.dimensions
     best = None
     for allocation in enumerate_valid(instance):
-        constraints = nonneg_orthant(d)
-        for tx in sorted(allocation.transactions):
-            t = instance.transaction(tx)
-            constraints.append(Constraint(t.resources, t.value))
-        for node in sorted(allocation.nodes):
-            bundle = allocation.inverse(node)
-            cost = instance.node(node).cost.cost(bundle, instance.resources)
-            if cost == 0:
-                continue
-            usage = [sum((instance.resources[tx][i] for tx in bundle), ZERO) for i in range(d)]
-            constraints.append(Constraint(tuple(-g for g in usage), -cost))
-        point = find_point(constraints, d)
+        point = find_point(attainability_system(market, allocation), market.dimensions)
         if point is None:
             continue
         value = welfare(instance, allocation, truthful)
@@ -994,7 +1001,7 @@ def find_point_reference(
 
 def enumerate_cells_reference(
     base: Sequence[Constraint],
-    hyperplanes: Sequence[Hyperplane],
+    hyperplanes: Sequence[Constraint],
     n_vars: int,
 ) -> Iterator[tuple[tuple[bool, ...], tuple[Fraction, ...]]]:
     """Feasible sign vectors of the arrangement, with a witness point each."""
@@ -1010,7 +1017,7 @@ def enumerate_cells_reference(
             yield (tuple(signs), witness)
             return
         h = hyperplanes[index]
-        for sign, constraint in ((True, h.true_constraint()), (False, h.false_constraint())):
+        for sign, constraint in ((True, h), (False, h.complement())):
             if constraint.admits(witness):
                 next_witness = witness
             else:

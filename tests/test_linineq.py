@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from brokerlab.linineq import (
     Constraint,
-    Hyperplane,
     enumerate_cells,
     feasible,
     find_point,
@@ -106,9 +105,38 @@ class TestFindPoint:
                 assert feasible(cons, n)
 
 
+class TestConstraintIdentity:
+    """A constraint is the half-space it denotes."""
+
+    def test_positive_multiples_are_equal_and_hash_equal(self):
+        c = Constraint((F(1, 2), F(-3)), F(2))
+        for k in (F(1), F(2), F(2, 7), F(10**12, 3)):
+            scaled = Constraint(tuple(a * k for a in c.coeffs), c.bound * k)
+            assert scaled == c and hash(scaled) == hash(c)
+        assert len({c, Constraint((F(1), F(-6)), F(4)), Constraint((F(3), F(-18)), F(12))}) == 1
+
+    def test_strictness_direction_and_arity_tell_rows_apart(self):
+        c = Constraint((F(1), F(2)), F(3))
+        assert c != Constraint((F(1), F(2)), F(3), strict=True)
+        assert c != Constraint((F(-1), F(-2)), F(-3))
+        assert c != Constraint((F(1), F(2), F(0)), F(3))
+        assert Constraint((F(1),), F(1)) != Constraint((F(1), F(0)), F(1))
+
+    def test_complement_is_the_other_side(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            n = rng.randint(1, 3)
+            (c,) = random_linear_system(rng, n, max_rows=1) or [Constraint((F(1),) * n, F(0))]
+            other = c.complement()
+            assert other.strict is not c.strict
+            assert other.complement() == c
+            for point in product([F(-1), F(0), F(1, 2), F(2)], repeat=n):
+                assert c.admits(point) is not other.admits(point)
+
+
 class TestCells:
     def test_interval_cells_on_a_line(self):
-        hyperplanes = [Hyperplane((F(1),), F(1)), Hyperplane((F(1),), F(3))]
+        hyperplanes = [Constraint((F(1),), F(1)), Constraint((F(1),), F(3))]
         cells = list(enumerate_cells(nonneg_orthant(1), hyperplanes, 1))
         signs = {s for s, _ in cells}
         # x <= 1 implies x <= 3, so the (True, False) cell is empty
@@ -121,7 +149,7 @@ class TestCells:
         rng = random.Random(77)
         for _ in range(40):
             hyperplanes = [
-                Hyperplane(
+                Constraint(
                     (F(rng.randint(-2, 2)), F(rng.randint(-2, 2))), F(rng.randint(-2, 4))
                 )
                 for _ in range(rng.randint(1, 4))
@@ -132,19 +160,19 @@ class TestCells:
             for signs in product([True, False], repeat=len(hyperplanes)):
                 cons = list(base)
                 for h, s in zip(hyperplanes, signs):
-                    cons.append(h.true_constraint() if s else h.false_constraint())
+                    cons.append(h if s else h.complement())
                 if feasible(cons, 2):
                     brute.add(signs)
             assert found == brute
 
     def test_witnesses_lie_in_their_cells(self):
         hyperplanes = [
-            Hyperplane((F(1), F(1)), F(2)),
-            Hyperplane((F(1), F(-1)), F(0)),
+            Constraint((F(1), F(1)), F(2)),
+            Constraint((F(1), F(-1)), F(0)),
         ]
         for signs, witness in enumerate_cells(nonneg_orthant(2), hyperplanes, 2):
             for h, s in zip(hyperplanes, signs):
-                c = h.true_constraint() if s else h.false_constraint()
+                c = h if s else h.complement()
                 assert c.admits(witness)
 
 
@@ -173,7 +201,7 @@ class TestAgainstFractionElimination:
             n = rng.randint(1, 3)
             base = nonneg_orthant(n) + random_linear_system(rng, n, max_rows=2)
             hyperplanes = [
-                Hyperplane(
+                Constraint(
                     tuple(frac(rng, -3, 3, (1, 2, 3)) for _ in range(n)),
                     frac(rng, -2, 6, (1, 2)),
                 )
@@ -183,6 +211,69 @@ class TestAgainstFractionElimination:
             assert got == list(enumerate_cells_reference(base, hyperplanes, n))
             cells += len(got)
         assert cells > 600
+
+    @staticmethod
+    def with_duplicates(rng, rows):
+        """rows with positive multiples of some of them inserted after their
+        originals, and the indices of the rows no earlier row equals."""
+        rows = list(rows)
+        for _ in range(rng.randint(1, 3)):
+            c = rng.choice(rows)
+            k = F(rng.randint(1, 9), rng.randint(1, 9))
+            scaled = Constraint(tuple(a * k for a in c.coeffs), c.bound * k, c.strict)
+            rows.insert(rng.randint(rows.index(c) + 1, len(rows)), scaled)
+        return rows, [i for i, h in enumerate(rows) if h not in rows[:i]]
+
+    def test_merged_rows_keep_the_cells_of_duplicated_rows(self):
+        # a row equal to an earlier one has its sign forced, so dropping it
+        # drops its coordinate and loses no cell; a later find_point sees one
+        # row fewer, which can change its elimination order and so its point
+        rng = random.Random(18)
+        for _ in range(300):
+            n = rng.randint(1, 3)
+            base = nonneg_orthant(n) + random_linear_system(rng, n, max_rows=2)
+            rows, kept = self.with_duplicates(rng, [
+                Constraint(
+                    tuple(frac(rng, -3, 3, (1, 2, 3)) for _ in range(n)),
+                    frac(rng, -2, 6, (1, 2)),
+                    rng.random() < 0.2,
+                )
+                for _ in range(rng.randint(1, 4))
+            ])
+            merged = [rows[i] for i in kept]
+            got = list(enumerate_cells(base, merged, n))
+            expected = [
+                (tuple(signs[i] for i in kept), witness)
+                for signs, witness in enumerate_cells_reference(base, rows, n)
+            ]
+            assert [signs for signs, _ in got] == [signs for signs, _ in expected]
+            for signs, witness in got:
+                sides = [h if s else h.complement() for h, s in zip(merged, signs)]
+                assert check(base + sides, witness)
+
+    def test_merged_rows_keep_the_witnesses_of_price_space_rows(self):
+        # over p >= 0 with rows whose coefficients share one sign, as
+        # willingness (g . p <= v) and participation (-u . p <= -c) rows with
+        # positive usage do, every variable has the same sign counts, so
+        # find_point eliminates p_0 first with or without a duplicate row
+        rng = random.Random(19)
+        cells = 0
+        for _ in range(150):
+            n = rng.randint(1, 3)
+            signed = []
+            for _ in range(rng.randint(1, 5)):
+                sign = rng.choice((1, -1))
+                usage = tuple(sign * frac(rng, 1, 4, (1, 2)) for _ in range(n))
+                signed.append(Constraint(usage, sign * frac(rng, 0, 8, (1, 2))))
+            rows, kept = self.with_duplicates(rng, signed)
+            expected = [
+                (tuple(signs[i] for i in kept), witness)
+                for signs, witness in enumerate_cells_reference(nonneg_orthant(n), rows, n)
+            ]
+            got = list(enumerate_cells(nonneg_orthant(n), [rows[i] for i in kept], n))
+            assert got == expected
+            cells += len(got)
+        assert cells > 500
 
 
 def holds(c, point):

@@ -6,6 +6,7 @@ import pytest
 from brokerlab.core import Allocation, LinearResources, NodeSpec, TransactionSpec, Zero, welfare
 from brokerlab import mdfm
 from brokerlab.errors import InstanceTooLarge, MalformedInput
+from brokerlab.linineq import find_point
 from brokerlab.scenario import allocation_to_json
 from brokerlab.mdfm import (
     ResourceMarket,
@@ -28,7 +29,12 @@ from brokerlab.mdfm import (
 )
 from brokerlab.validity import MutualExclusion, enumerate_valid
 
-from helpers import ora_by_allocation, random_resource_market, sweep_benchmarks
+from helpers import (
+    attainability_system,
+    ora_by_allocation,
+    random_resource_market,
+    sweep_benchmarks,
+)
 
 
 class TestBaseFee:
@@ -268,6 +274,36 @@ class TestHierarchyAndSweep:
             assert result.inc == swept["inc"]
             assert result.fee == swept["fee"]
             assert result.ora == swept["ora"]
+            # ORA's rows read off the arrangement give the system built from market data
+            ora = result.witnesses["ora"]
+            system = attainability_system(market, ora.allocation)
+            assert ora.price == find_point(system, market.dimensions)
+
+    def test_maximality_needs_the_general_rule_once_bundles_cost(self):
+        # at p = (2, 3/2) the pool holds {t0,t2} and {t0,t1,t2,t3} but no
+        # three-transaction set between them, so the one-extension rule calls
+        # {t0,t2} maximal; value sweeps leave INC unchanged on this market
+        usage = [(2, 1), (1, 2), (1, 3), (1, 1)]
+        txs = tuple(
+            TransactionSpec(f"t{i}", F(100), tuple(map(F, g))) for i, g in enumerate(usage)
+        )
+        nodes = (
+            NodeSpec("n0", LinearResources((F(3), F(0))), (F(6), F(3))),
+            NodeSpec("n1", LinearResources((F(0), F(5, 2))), (F(2), F(6))),
+        )
+        market = ResourceMarket(2, txs, nodes, single_assignment=True)
+        price = (F(2), F(3, 2))
+        infos, hyperplanes, _ = mdfm._prepare(market)
+        true = sum(1 << i for i, h in enumerate(hyperplanes) if h.admits(price))
+        pool = [info for info in infos if info.mask & true == info.mask]
+        direct = pools_at_price(market, price)[1]
+        assert {info.allocation for info in pool} == set(direct)
+        tsets = {info.allocation.transactions for info in pool}
+        assert {frozenset({"t0", "t2"}), frozenset({"t0", "t1", "t2", "t3"})} <= tsets
+        assert not {frozenset({"t0", "t1", "t2"}), frozenset({"t0", "t2", "t3"})} & tsets
+        expected = inclusion_maximal_allocations(direct)
+        assert [info.allocation for info in mdfm._maximal_infos(pool, False)] == expected
+        assert [info.allocation for info in mdfm._maximal_infos(pool, True)] != expected
 
     def test_hierarchy_on_positive_markets(self):
         rng = random.Random(62)
@@ -315,6 +351,15 @@ class TestAssignment:
             fee_gap_market(4),
             inclusion_gap_market(3),
         ]
+        # t2's and t3's willingness rows are one hyperplane, and ORA's system
+        # needs a row for each: with sparse usage the copy moves the point
+        usage = [(2, 1), (0, 2), (1, 0), (2, 0)]
+        txs = tuple(
+            TransactionSpec(f"t{i}", F(v), tuple(map(F, g)))
+            for i, (v, g) in enumerate(zip((2, 4, 2, 4), usage))
+        )
+        node = NodeSpec("n0", LinearResources((F(1), F(2))), (F(4), F(5)))
+        markets.append(ResourceMarket(2, txs, (node,)))
         for dimensions in (1, 2, 3):
             for n_nodes in (1, 2):
                 markets.extend(

@@ -189,6 +189,42 @@ RECORD_ERRORS = [
         None,
         "transaction 't1' needs a resource vector of length 2",
     ),
+    # every list reader names the entry's index
+    ("market", ("broker_order",), ["b1", 2], "broker_order[1]: expected str, got int"),
+    ("market", ("broker_order",), "b1", "broker_order: expected list, got str"),
+    (
+        "market",
+        ("nodes", 0, "cost"),
+        {"type": "SubsetTable", "transactions": ["t1", 2], "table": {}},
+        "nodes[0].cost.transactions[1]: expected str, got int",
+    ),
+    (
+        "market",
+        ("validity",),
+        {"type": "constraints", "constraints": [{"type": "MustShareNode", "txs": ["t1", 3]}]},
+        "validity.constraints[0].txs[1]: expected str, got int",
+    ),
+    (
+        "market",
+        ("validity",),
+        {"type": "extensional", "allocations": [{"t1": ["n1", None]}]},
+        "validity.allocations[0][t1][1]: expected str, got NoneType",
+    ),
+    (
+        "market",
+        ("validity",),
+        {"type": "extensional", "allocations": [{"t1": "n1"}]},
+        "validity.allocations[0][t1]: expected list, got str",
+    ),
+    # a node record holds only id, capacity and its kind's cost field
+    ("market", ("nodes", 0, "unit_costs"), ["5"], "nodes[0].unit_costs: unknown field"),
+    ("resource_market", ("nodes", 0, "unit_cost"), ["5"], "nodes[0].unit_cost: unknown field"),
+    (
+        "resource_market",
+        ("nodes", 0, "cost"),
+        {"type": "Zero"},
+        "nodes[0].cost: unknown field",
+    ),
 ]
 
 
