@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import TYPE_CHECKING, ItemsView, Iterable, Mapping
 
 from .errors import MalformedInput
@@ -298,6 +299,23 @@ class ReportProfile:
 
 
 @dataclass(frozen=True)
+class ResourceImage:
+    """Resource data scaled to integers, one scale per dimension.
+
+    ``scales[i]`` is the lcm of the denominators of every usage entry and
+    every bounded capacity entry in dimension i.  ``usage`` (per
+    transaction) and ``capacity`` (per node that declares one, ``None``
+    entries kept) hold those entries times their dimension's scale, so sums
+    and comparisons within a dimension are exact in integers: the rational
+    entry is ``Fraction(x, scales[i])``.
+    """
+
+    scales: tuple[int, ...]
+    usage: Mapping[str, tuple[int, ...]]
+    capacity: Mapping[str, tuple[int | None, ...]]
+
+
+@dataclass(frozen=True)
 class MarketInstance:
     """A market: transactions, nodes, and the validity specification."""
 
@@ -349,6 +367,34 @@ class MarketInstance:
     def resources(self) -> dict[str, tuple[Fraction, ...]]:
         """Resource vectors for the transactions that declare them."""
         return {t.id: t.resources for t in self.transactions if t.resources is not None}
+
+    @cached_property
+    def resource_image(self) -> ResourceImage:
+        """The usage and capacity vectors as integers over per-dimension scales.
+
+        Built on first read, once per instance.  Read it only after
+        ``NodeCapacity.check`` or ``ResourceMarket``'s own checks have
+        passed: every transaction then has a resource vector, and every
+        vector and capacity has one length.
+        """
+        capacity = {n.id: n.capacity for n in self.nodes if n.capacity is not None}
+        vectors = [*self.resources.values(), *capacity.values()]
+        scales = tuple(
+            lcm(*(v[i].denominator for v in vectors if v[i] is not None))
+            for i in range(len(vectors[0]) if vectors else 0)
+        )
+
+        def scaled(vector):
+            return tuple(
+                None if x is None else x.numerator * (s // x.denominator)
+                for x, s in zip(vector, scales)
+            )
+
+        return ResourceImage(
+            scales,
+            {tx: scaled(v) for tx, v in self.resources.items()},
+            {n: scaled(v) for n, v in capacity.items()},
+        )
 
     def truthful_reports(self) -> ReportProfile:
         return ReportProfile(

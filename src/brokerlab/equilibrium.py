@@ -225,10 +225,11 @@ def _deviation_witnesses(
     proposals: Sequence[Proposal],
     broker_order: Sequence[str],
     agent: str,
+    candidates: Sequence,
     before: Fraction,
     kind: str,
 ) -> tuple[int, list[DeviationWitness]]:
-    """Settle each of one agent's candidate reports against the others'
+    """Settle each of one agent's ``candidates`` reports against the others'
     ``reports`` through ``run``.
 
     Returns the number of candidates settled and, as witnesses of ``kind``,
@@ -241,7 +242,7 @@ def _deviation_witnesses(
     current = reports.tx_reports.get(agent)
     checked = 0
     witnesses = []
-    for candidate in _candidates(instance, agent, proposals, reports):
+    for candidate in candidates:
         if candidate == current:
             continue
         checked += 1
@@ -282,8 +283,10 @@ def check_pne(
     for agent in instance.agent_ids:
         kind = "tx_report" if agent in reports.tx_reports else "node_report"
         before = agent_utility(instance, agent, base.routing, true_types)
+        candidates = _candidates(instance, agent, proposals, reports)
         checked, found = _deviation_witnesses(
-            instance, spec, true_types, reports, proposals, broker_order, agent, before, kind
+            instance, spec, true_types, reports, proposals, broker_order, agent, candidates,
+            before, kind,
         )
         agent_checks += checked
         witnesses += found
@@ -355,8 +358,9 @@ def check_dsic_barring_b(
     each agent against its own report, so agent i's true utility is
     ``u_i * [i passes] * [every other agent passes]``, ``u_i`` read off the
     winner's routing.  Neither i's candidates nor its truthful utility depend
-    on the others' reports, so one rival profile settles i: each other agent
-    at its first candidate that passes the gate.  If some other agent has no
+    on the others' reports, so each agent's candidates are built once, at
+    the true types, and one rival profile settles i: each other agent at its
+    first candidate that passes the gate.  If some other agent has no
     such candidate, every profile rejects and i has no witness; with no
     budget-balanced proposal no profile is settled.  ``others_cap`` (at
     least 1) and ``seed`` are accepted and change no answer.
@@ -375,12 +379,14 @@ def check_dsic_barring_b(
 
     agents = instance.agent_ids
     witnesses: list[DeviationWitness] = []
+    candidates: dict[str, list] = {}
     passing: dict[str, object] = {}  # each agent's first candidate that passes
     settled: list[str] = []
     if sigma.balanced:
         routing = min(sigma.balanced, key=lambda t: (t.margin, t.position)).proposal.routing
         for agent in agents:
-            for candidate in _candidates(instance, agent, sigma, true_types):
+            candidates[agent] = _candidates(instance, agent, sigma, true_types)
+            for candidate in candidates[agent]:
                 deviated = _with_report(true_types, agent, candidate)
                 if agent_utility(instance, agent, routing, deviated) >= 0:
                     passing[agent] = candidate
@@ -395,7 +401,7 @@ def check_dsic_barring_b(
         truthful_utility = agent_utility(instance, agent, truthful_outcome.routing, true_types)
         _, found = _deviation_witnesses(
             instance, spec, true_types, shifted, sigma, broker_order, agent,
-            truthful_utility, "against_rival_profile",
+            candidates[agent], truthful_utility, "against_rival_profile",
         )
         witnesses += found
 

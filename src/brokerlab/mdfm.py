@@ -20,6 +20,16 @@ cell the inner min/max over allocations is then price-free; only FEE's
 objective depends on price magnitudes, which keeps it exact for d = 1 and a
 certified lower bound for d >= 2.
 
+The resource data are read as integers: the instance's ``resource_image``
+scales each dimension by the lcm of its denominators.  Usage and fee vectors
+are integer sums, an allocation's welfare is summed over one common
+denominator of values and unit costs per scaled unit and made a ``Fraction``
+once, and inside a cell the witness price is scaled once to integers, so
+each distinct fee vector costs one integer dot product.  A participation
+row is built as an integer multiple of -usage . p <= -cost, which
+``Constraint`` reduces to the same primitive row, so the cells, witnesses
+and the ORA price are those of the rational rows.
+
 Participation is what separates ORA from OPT under heterogeneous node costs:
 posted per-dimension prices cannot pay different nodes different unit rates,
 so a node whose cost exceeds its fee income drops out.
@@ -30,6 +40,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
+from math import lcm
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .core import (
@@ -38,6 +50,7 @@ from .core import (
     LinearResources,
     MarketInstance,
     NodeSpec,
+    ResourceImage,
     TransactionSpec,
     Zero,
     welfare,
@@ -151,14 +164,12 @@ class WillingnessPattern:
     witness_price: tuple[Fraction, ...]
 
 
-_Bundle = tuple[str, frozenset[str], Fraction, tuple[Fraction, ...]]  # node, bundle, cost, usage
-
-
 @dataclass(frozen=True)
 class _AllocationInfo:
     allocation: Allocation
     welfare: Fraction
-    fee_vector: tuple[Fraction, ...]  # sum of g(t) over included transactions
+    # sum of g(t) over included transactions, in the instance's resource image
+    fee_vector: tuple[int, ...]
     fee_class: int  # equal exactly when the fee vectors are
     # hyperplanes needed on their TRUE side, repeats kept: each included
     # transaction's (sorted), then each costly bundle's
@@ -166,36 +177,36 @@ class _AllocationInfo:
     mask: int  # bit i: i is in rows
 
 
-def _usage(instance: MarketInstance, txs: Iterable[str], d: int) -> tuple[Fraction, ...]:
-    total = [ZERO] * d
-    for tx in txs:
-        for i, g in enumerate(instance.resources[tx]):
-            total[i] += g
-    return tuple(total)
+def _usage(image: ResourceImage, txs: Iterable[str], d: int) -> tuple[int, ...]:
+    vectors = [image.usage[tx] for tx in txs]
+    return tuple(map(sum, zip(*vectors))) if vectors else (0,) * d
 
 
 def _arrangement(
-    market: ResourceMarket, bundles: Iterable[_Bundle], zero_splits: bool
+    market: ResourceMarket,
+    participation: Mapping[tuple[str, frozenset[str]], Constraint],
+    zero_splits: bool,
 ) -> tuple[list[Constraint], dict[object, int]]:
     """The hyperplanes that cut price space, as TRUE sides, and each member's index.
 
-    Transactions of equal willingness half-spaces share a hyperplane, costly
-    ``(node, bundle)`` pairs of equal participation half-spaces another; a
-    dropped duplicate only ever had its sign forced, so no cell is lost.  The
-    order fixes the cell order and so every witness: willingness groups by
-    sorted ids, then participation groups by sorted members, then, when
-    asked, one split p_i <= 0 per dimension (TRUE: a zero price).
+    ``participation`` gives each costly ``(node, bundle)`` pair its TRUE
+    side, fee income covering cost.  Transactions of equal willingness
+    half-spaces share a hyperplane, costly pairs of equal participation
+    half-spaces another; a dropped duplicate only ever had its sign forced,
+    so no cell is lost.  The order fixes the cell order and so every
+    witness: willingness groups by sorted ids, then participation groups by
+    sorted members, then, when asked, one split p_i <= 0 per dimension
+    (TRUE: a zero price).
     """
     willingness: dict[Constraint, list[str]] = {}
     for t in market.transactions:
         willingness.setdefault(Constraint(t.resources, t.value), []).append(t.id)
-    participation: dict[Constraint, set[tuple[str, frozenset[str]]]] = {}
-    for node, bundle, cost, usage in bundles:
-        key = Constraint(tuple(-g for g in usage), -cost)
-        participation.setdefault(key, set()).add((node, bundle))
+    groups_of: dict[Constraint, set[tuple[str, frozenset[str]]]] = {}
+    for member, side in participation.items():
+        groups_of.setdefault(side, set()).add(member)
     groups: list[tuple[Constraint, Iterable[object]]] = [
         *sorted(willingness.items(), key=lambda kv: sorted(kv[1])),
-        *sorted(participation.items(), key=lambda kv: sorted((n, sorted(b)) for n, b in kv[1])),
+        *sorted(groups_of.items(), key=lambda kv: sorted((n, sorted(b)) for n, b in kv[1])),
     ]
     hyperplanes = [h for h, _ in groups]
     index = {member: i for i, (_, members) in enumerate(groups) for member in members}
@@ -214,37 +225,75 @@ def _willing(
     return frozenset(t.id for t in market.transactions if signs[index[t.id]])
 
 
+def _over(den: int, x: Fraction) -> int:
+    """``x * den``, for a ``den`` that ``x``'s denominator divides."""
+    return x.numerator * (den // x.denominator)
+
+
 def _prepare(
     market: ResourceMarket, cap: int = DEFAULT_ENUM_CAP, zero_splits: bool = False
-) -> tuple[list[_AllocationInfo], list[Constraint], dict[object, int]]:
-    """The valid allocations, and the arrangement that admits them: an
-    allocation's rows are the willingness of its transactions and the
-    participation of its costly bundles."""
+) -> tuple[list[_AllocationInfo], list[Constraint], dict[object, int], tuple[int, ...]]:
+    """The valid allocations, the arrangement that admits them, and the
+    resource image's scales: an allocation's rows are the willingness of its
+    transactions and the participation of its costly bundles.
+
+    Usage and fee vectors are integers in the instance's resource image.
+    Welfare is summed in integers over ``den``, one denominator for every
+    value and every unit cost per scaled unit, and made a ``Fraction`` once
+    per allocation.
+    """
     instance = market.instance()
-    values = {t.id: t.value for t in market.transactions}
     d = market.dimensions
     allocations = enumerate_valid(instance, cap=cap)
-    costly = []
-    for allocation in allocations:
-        bundles = []
-        for node, bundle in allocation.bundles:
-            cost = instance.node(node).cost.cost(bundle, instance.resources)
-            if cost != 0:
-                bundles.append((node, bundle, cost, _usage(instance, bundle, d)))
-        costly.append(tuple(bundles))
-    hyperplanes, index = _arrangement(market, chain.from_iterable(costly), zero_splits)
+    image = instance.resource_image
+    unit_costs = {
+        n.id: [Fraction(c, s) for c, s in zip(n.cost.unit_costs, image.scales)]
+        for n in market.nodes
+        if isinstance(n.cost, LinearResources)
+    }
+    den = lcm(
+        *(t.value.denominator for t in market.transactions),
+        *(c.denominator for costs in unit_costs.values() for c in costs),
+    )
+    values = {t.id: _over(den, t.value) for t in market.transactions}
+    weights = {n: [_over(den, c) for c in costs] for n, costs in unit_costs.items()}
+    # a participation row -usage . p <= -cost times lcm(scales) * den, in
+    # integers; a Constraint keeps only its primitive row
+    row_scale = lcm(*image.scales)
+    row_factors = [row_scale // s * den for s in image.scales]
+    # each (node, bundle) pair's cost over den, and each costly one's TRUE side
+    costs: dict[tuple[str, frozenset[str]], int] = {}
+    participation: dict[tuple[str, frozenset[str]], Constraint] = {}
     infos = []
-    classes: dict[tuple[Fraction, ...], int] = {}
-    for allocation, bundles in zip(allocations, costly):
-        members = chain(sorted(allocation.transactions), ((n, b) for n, b, _, _ in bundles))
-        rows = tuple(index[member] for member in members)
-        value = sum((values[tx] for tx in allocation.transactions), ZERO)
-        value -= sum((cost for _, _, cost, _ in bundles), ZERO)
-        fee_vector = _usage(instance, allocation.transactions, d)
+    classes: dict[tuple[int, ...], int] = {}
+    for allocation in allocations:
+        value = sum(values[tx] for tx in allocation.transactions)
+        costly = []
+        for pair in allocation.bundles:
+            cost = costs.get(pair)
+            if cost is None:
+                node, bundle = pair
+                cost = 0
+                if node in weights:
+                    usage = _usage(image, bundle, d)
+                    cost = sum(map(mul, usage, weights[node]))
+                    if cost:
+                        coeffs = tuple(-g * f for g, f in zip(usage, row_factors))
+                        participation[pair] = Constraint(coeffs, -cost * row_scale)
+                costs[pair] = cost
+            if cost:
+                value -= cost
+                costly.append(pair)
+        fee_vector = _usage(image, allocation.transactions, d)
         fee_class = classes.setdefault(fee_vector, len(classes))
+        infos.append((allocation, Fraction(value, den), fee_vector, fee_class, costly))
+    hyperplanes, index = _arrangement(market, participation, zero_splits)
+    prepared = []
+    for allocation, value, fee_vector, fee_class, costly in infos:
+        rows = tuple(index[member] for member in chain(sorted(allocation.transactions), costly))
         mask = sum(1 << i for i in set(rows))
-        infos.append(_AllocationInfo(allocation, value, fee_vector, fee_class, rows, mask))
-    return infos, hyperplanes, index
+        prepared.append(_AllocationInfo(allocation, value, fee_vector, fee_class, rows, mask))
+    return prepared, hyperplanes, index, image.scales
 
 
 def _check_pattern_caps(market: ResourceMarket) -> None:
@@ -268,7 +317,7 @@ def feasible_patterns(market: ResourceMarket) -> list[WillingnessPattern]:
     """
     _check_pattern_caps(market)
     d = market.dimensions
-    hyperplanes, index = _arrangement(market, (), zero_splits=False)
+    hyperplanes, index = _arrangement(market, {}, zero_splits=False)
     # willingness groups are disjoint and non-empty, so cells have distinct patterns
     patterns = [
         WillingnessPattern(_willing(market, index, signs), witness)
@@ -334,13 +383,23 @@ def _maximal_infos(pool: list[_AllocationInfo], downward_closed: bool) -> list[_
     return [info for info in pool if info.allocation.transactions in maximal]
 
 
-def _fee_at_price(pool: list[_AllocationInfo], price: Sequence[Fraction]) -> Fraction:
-    """Worst welfare among the fee-maximizing members of the pool at a price;
-    members with equal fee vectors share one dot product."""
-    fees: dict[int, Fraction] = {}
+def _fee_at_price(
+    pool: list[_AllocationInfo], price: Sequence[Fraction], scales: Sequence[int]
+) -> Fraction:
+    """Worst welfare among the fee-maximizing members of the pool at a price.
+
+    The price per scaled unit, ``price[i] / scales[i]``, is put over one
+    common denominator once, so each fee times that positive denominator is
+    an integer dot product with the fee vector, and members with equal fee
+    vectors share one.
+    """
+    dens = [p.denominator * s for p, s in zip(price, scales)]
+    den = lcm(*dens)
+    scaled = [p.numerator * (den // q) for p, q in zip(price, dens)]
+    fees: dict[int, int] = {}
     for info in pool:
         if info.fee_class not in fees:
-            fees[info.fee_class] = base_fee(info.fee_vector, price)
+            fees[info.fee_class] = sum(map(mul, info.fee_vector, scaled))
     top = max(fees.values())
     return min(info.welfare for info in pool if fees[info.fee_class] == top)
 
@@ -418,7 +477,7 @@ def run_benchmarks(market: ResourceMarket, cap: int = DEFAULT_ENUM_CAP) -> Bench
     _check_pattern_caps(market)
     d = market.dimensions
     exact = d == 1
-    infos, hyperplanes, index = _prepare(market, cap, zero_splits=exact)
+    infos, hyperplanes, index, scales = _prepare(market, cap, zero_splits=exact)
     _refuse_multi_node(infos)
     opt_info = max(infos, key=lambda info: info.welfare)
     # only willingness filters without a costly bundle, so pools are subset-closed;
@@ -432,7 +491,7 @@ def run_benchmarks(market: ResourceMarket, cap: int = DEFAULT_ENUM_CAP) -> Bench
         true = sum(1 << i for i, sign in enumerate(signs) if sign)
         pool = [info for info in infos if info.mask & true == info.mask]
         worst = min(_maximal_infos(pool, downward), key=lambda info: info.welfare)
-        cells.append((signs, witness, worst, _fee_at_price(pool, witness)))
+        cells.append((signs, witness, worst, _fee_at_price(pool, witness, scales)))
         attainable.update(info.allocation for info in pool)
     inc_signs, inc_price, inc_info, _ = max(cells, key=lambda cell: cell[2].welfare)
     fee_signs, fee_price, _, fee_value = max(cells, key=lambda cell: cell[3])

@@ -6,7 +6,9 @@ and a broker order; ``resource_market`` carries a d-dimensional market for
 the benchmark commands.  Numbers travel as integers, decimal strings, or
 ``{"num", "den"}`` pairs and are parsed exactly; floats are rejected.
 
-Parsing errors carry the JSON path of the offending field.
+Parsing errors carry the JSON path of the offending field.  Transaction and
+node records refuse a field they do not read, and the top-level object one
+that neither kind reads, so a misspelt field cannot silently change a market.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from .core import (
     Allocation,
@@ -93,6 +95,13 @@ def _positive_int(obj: Any, where: str) -> int:
     if value < 1:
         raise MalformedInput(f"{where}: must be at least 1, got {value}")
     return value
+
+
+def _known_fields(raw: Mapping[str, Any], where: str, fields: Iterable[str]) -> None:
+    """Refuse the first key of a JSON object that is not one of ``fields``."""
+    for key in raw:
+        if key not in fields:
+            raise MalformedInput(f"{where + '.' if where else ''}{key}: unknown field")
 
 
 def _records(raw: Any, where: str, parse_one: Callable[[Any, str], Any]) -> tuple:
@@ -310,8 +319,11 @@ def reports_to_json(reports: ReportProfile) -> dict:
 
 
 def _transaction(raw: Any, where: str) -> TransactionSpec:
-    """``resources`` is optional here; ``ResourceMarket`` refuses a transaction without one."""
+    """``id``, ``value`` and ``resources``, which is optional here;
+    ``ResourceMarket`` refuses a transaction without one.  Any other field
+    is refused."""
     _expect(raw, dict, where)
+    _known_fields(raw, where, ("id", "value", "resources"))
     resources = raw.get("resources")
     return TransactionSpec(
         _str(raw.get("id"), f"{where}.id"),
@@ -337,9 +349,7 @@ def _node(
     """``id`` and ``capacity`` (null entries allowed); ``cost`` reads the kind's
     own cost field, ``cost_field``, and any other field is refused."""
     _expect(raw, dict, where)
-    for key in raw:
-        if key not in ("id", "capacity", cost_field):
-            raise MalformedInput(f"{where}.{key}: unknown field")
+    _known_fields(raw, where, ("id", "capacity", cost_field))
     node_id = _str(raw.get("id"), f"{where}.id")
     capacity = raw.get("capacity")
     if capacity is not None:
@@ -391,8 +401,17 @@ def _parse_resource_market(obj: Mapping[str, Any]) -> ResourceMarket:
     return ResourceMarket(d, txs, nodes, single, exclusions)
 
 
+# the top-level fields parse_scenario reads: shared, then market, then resource_market
+_SCENARIO_FIELDS = frozenset(
+    {"kind", "quantum", "enum_cap", "seed", "others_cap", "max_rounds"}
+    | {"transactions", "nodes", "validity", "proposals", "reports", "broker_order"}
+    | {"dimensions", "single_assignment", "exclusions"}
+)
+
+
 def parse_scenario(obj: Any) -> Scenario:
     _expect(obj, dict, "scenario")
+    _known_fields(obj, "", _SCENARIO_FIELDS)
     kind = _str(obj.get("kind"), "kind")
     scenario = Scenario(kind=kind)
     if "quantum" in obj:

@@ -5,7 +5,10 @@ conjunction of constraint primitives:
 
 - ``NodeCapacity``: on every node that declares a capacity, each bounded
   dimension's total usage fits, so every transaction needs a resource
-  vector of that length; nodes without a capacity are not checked.
+  vector of that length; nodes without a capacity are not checked.  Once
+  those vectors are checked, a step sums and compares integers: the
+  instance's ``resource_image``, every usage and capacity entry scaled by
+  the lcm of its dimension's denominators.
 - ``MaxTxPerNode``: the node executes at most ``limit`` transactions.
 - ``RequiredNodeCount``: an allocated transaction runs on between
   ``min_nodes`` and ``max_nodes`` nodes.
@@ -89,7 +92,11 @@ def _check_txs(listed: Iterable[str], instance: MarketInstance) -> None:
 
 @dataclass(frozen=True)
 class NodeCapacity(Constraint):
-    """Per node and dimension, total resource usage must fit the node's capacity."""
+    """Per node and dimension, total resource usage must fit the node's capacity.
+
+    A step sums and compares the instance's integer ``resource_image``,
+    which ``check`` makes safe to read.
+    """
 
     def check(self, instance: MarketInstance) -> None:
         capacitated = [n for n in instance.node_ids if instance.node(n).capacity is not None]
@@ -107,15 +114,14 @@ class NodeCapacity(Constraint):
     def admits(
         self, instance: MarketInstance, partial: Allocation, tx: str, nodes: tuple[str, ...]
     ) -> bool:
-        resources = instance.resources
         for node in nodes:
-            capacity = instance.node(node).capacity
-            if capacity is None:
+            if instance.node(node).capacity is None:
                 continue
-            usage = resources[tx]
-            for placed in partial.inverse(node):
-                usage = [u + g for u, g in zip(usage, resources[placed])]
-            if any(cap is not None and used > cap for used, cap in zip(usage, capacity)):
+            image = instance.resource_image
+            usage = image.usage
+            placed = (usage[other] for other in partial.inverse(node))
+            totals = map(sum, zip(usage[tx], *placed))
+            if any(c is not None and u > c for u, c in zip(totals, image.capacity[node])):
                 return False
         return True
 

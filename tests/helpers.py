@@ -763,9 +763,11 @@ def dsic_product_oracle(
             truthful_utility = agent_utility(
                 instance, agent, truthful_outcome.routing, true_types
             )
+            # candidates built at the rival profile, as the product loop did
+            candidates = _candidates(instance, agent, sigma, shifted)
             _, found = _deviation_witnesses(
                 instance, spec, true_types, shifted, sigma, broker_order, agent,
-                truthful_utility, "against_rival_profile",
+                candidates, truthful_utility, "against_rival_profile",
             )
             witnesses += found
 

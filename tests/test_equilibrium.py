@@ -552,6 +552,34 @@ class TestDsicMatchesProductOracle:
         assert report.profiles_checked == 1  # only t2's rivals all pass
 
 
+class TestDsicCandidatesAtTrueTypes:
+    def test_rival_reports_leave_every_candidate_list_unchanged(self):
+        # with one shared allocation an agent's candidates are the same at
+        # every rival profile, so check_dsic_barring_b builds them once
+        def comparable(candidates):
+            return [
+                (c.report, c.costs) if isinstance(c, equilibrium._BundleCosts) else c
+                for c in candidates
+            ]
+
+        profiles = 0
+        for instance, sigma, order in shared_allocation_sigmas(2024, 150, max_profiles=1000):
+            truthful = instance.truthful_reports()
+            sigma = prepare_round(instance, instance.validity, sigma, order)
+            agents = instance.agent_ids
+            lists = {a: equilibrium._candidates(instance, a, sigma, truthful) for a in agents}
+            for agent in agents:
+                others = [a for a in agents if a != agent]
+                for profile in itertools.product(*(lists[other] for other in others)):
+                    shifted = truthful
+                    for other, report in zip(others, profile):
+                        shifted = equilibrium._with_report(shifted, other, report)
+                    at_rivals = equilibrium._candidates(instance, agent, sigma, shifted)
+                    assert comparable(at_rivals) == comparable(lists[agent])
+                    profiles += 1
+        assert profiles > 5000
+
+
 class TestMonopolistEfficiency:
     def test_monopolist_best_response_maximizes_welfare_with_zero_surplus(self):
         from brokerlab.core import surplus, welfare

@@ -6,7 +6,7 @@ import pytest
 from brokerlab.core import Allocation, LinearResources, NodeSpec, TransactionSpec, Zero, welfare
 from brokerlab import mdfm
 from brokerlab.errors import InstanceTooLarge, MalformedInput
-from brokerlab.linineq import find_point
+from brokerlab.linineq import enumerate_cells, find_point, nonneg_orthant
 from brokerlab.scenario import allocation_to_json
 from brokerlab.mdfm import (
     ResourceMarket,
@@ -293,7 +293,7 @@ class TestHierarchyAndSweep:
         )
         market = ResourceMarket(2, txs, nodes, single_assignment=True)
         price = (F(2), F(3, 2))
-        infos, hyperplanes, _ = mdfm._prepare(market)
+        infos, hyperplanes, _, _ = mdfm._prepare(market)
         true = sum(1 << i for i, h in enumerate(hyperplanes) if h.admits(price))
         pool = [info for info in infos if info.mask & true == info.mask]
         direct = pools_at_price(market, price)[1]
@@ -328,6 +328,66 @@ class TestHierarchyAndSweep:
                 assert set(fee_max) <= set(inc_max)
                 checked += 1
         assert checked > 50
+
+
+def mixed_denominator_market(rng: random.Random, d: int) -> ResourceMarket:
+    """A single-assignment market whose values, usage, unit costs and
+    capacities (some unbounded) sit over denominators 1, 2, 3, 5 and 6."""
+
+    def q(lo, hi):
+        den = rng.choice((1, 2, 3, 5, 6))
+        return F(rng.randint(lo * den, hi * den), den)
+
+    txs = tuple(
+        TransactionSpec(f"t{i + 1}", q(0, 8), tuple(q(0, 3) for _ in range(d)))
+        for i in range(rng.randint(1, 4))
+    )
+    nodes = []
+    for j in range(rng.randint(1, 2)):
+        cost = LinearResources(tuple(q(0, 2) for _ in range(d))) if rng.random() < 0.7 else Zero()
+        capacity = tuple(None if rng.random() < 0.2 else q(1, 6) for _ in range(d))
+        nodes.append(NodeSpec(f"n{j + 1}", cost, capacity))
+    return ResourceMarket(d, txs, tuple(nodes), single_assignment=True)
+
+
+class TestIntegerImage:
+    """``_prepare`` and ``_fee_at_price`` work in the resource image's
+    integers; ``core.welfare``, ``pools_at_price`` and
+    ``fee_maximal_allocations`` stay on ``Fraction`` as their oracles."""
+
+    def markets(self, seed, count):
+        rng = random.Random(seed)
+        return [mixed_denominator_market(rng, d) for d in (2, 3) for _ in range(count)]
+
+    def test_welfare_matches_core_welfare(self):
+        checked = 0
+        for market in self.markets(71, 100):
+            instance = market.instance()
+            truthful = instance.truthful_reports()
+            infos = mdfm._prepare(market)[0]
+            assert [info.allocation for info in infos] == enumerate_valid(instance)
+            for info in infos:
+                assert info.welfare == welfare(instance, info.allocation, truthful)
+                checked += 1
+        assert checked > 1500
+
+    def test_fee_at_every_cell_witness_matches_the_direct_evaluation(self):
+        cells = 0
+        for market in self.markets(72, 25):
+            instance = market.instance()
+            truthful = instance.truthful_reports()
+            d = market.dimensions
+            infos, hyperplanes, _, scales = mdfm._prepare(market)
+            for signs, witness in enumerate_cells(nonneg_orthant(d), hyperplanes, d):
+                true = sum(1 << i for i, sign in enumerate(signs) if sign)
+                pool = [info for info in infos if info.mask & true == info.mask]
+                direct = pools_at_price(market, witness)[1]
+                assert [info.allocation for info in pool] == direct
+                fee_max = fee_maximal_allocations(market, direct, witness)
+                expected = min(welfare(instance, a, truthful) for a in fee_max)
+                assert mdfm._fee_at_price(pool, witness, scales) == expected
+                cells += 1
+        assert cells > 600
 
 
 class TestAssignment:

@@ -225,6 +225,17 @@ RECORD_ERRORS = [
         {"type": "Zero"},
         "nodes[0].cost: unknown field",
     ),
+    # a transaction record holds only id, value and resources
+    ("market", ("transactions", 0, "resorces"), ["1"], "transactions[0].resorces: unknown field"),
+    (
+        "resource_market",
+        ("transactions", 0, "capacity"),
+        ["1", "1"],
+        "transactions[0].capacity: unknown field",
+    ),
+    # a top-level field that neither kind reads
+    ("resource_market", ("single_assigment",), True, "single_assigment: unknown field"),
+    ("market", ("resorces",), [], "resorces: unknown field"),
 ]
 
 

@@ -202,6 +202,88 @@ def test_every_constraint_type_can_refuse(cls):
         assert constraint.node_counts("t1") != (0, inf)
 
 
+def mixed_fraction(rng, lo, hi):
+    """A rational in [lo, hi] over a denominator drawn from 1, 2, 3, 5 and 6."""
+    den = rng.choice((1, 2, 3, 5, 6))
+    return F(rng.randint(lo * den, hi * den), den)
+
+
+class TestCapacityInIntegers:
+    """A ``NodeCapacity`` step sums and compares the instance's integer
+    resource image; the ladder oracle sums the rational vectors."""
+
+    def instance(self, usage, capacity):
+        txs = tuple(TransactionSpec(f"t{i + 1}", F(1), tuple(g)) for i, g in enumerate(usage))
+        nodes = (NodeSpec("n1", Zero(), capacity), NodeSpec("n2", Zero()))
+        return MarketInstance(txs, nodes, Constraints((NodeCapacity(),)))
+
+    def test_the_image_scales_each_dimension_by_its_own_lcm(self):
+        instance = self.instance([(F(1, 3), F(2)), (F(1, 6), F(5, 4))], (F(1, 2), None))
+        image = instance.resource_image
+        assert image.scales == (6, 4)
+        assert image.usage == {"t1": (2, 8), "t2": (1, 5)}
+        assert image.capacity == {"n1": (3, None)}
+
+    @pytest.mark.parametrize(
+        "usage, capacity, fits",
+        [
+            # 1/3 + 1/6 is exactly 1/2
+            ([(F(1, 3),), (F(1, 6),)], (F(1, 2),), True),
+            ([(F(1, 3),), (F(1, 6) + F(1, 1000),)], (F(1, 2),), False),
+            ([(F(1, 3),), (F(1, 6),), (F(0),)], (F(1, 2),), True),
+            # each dimension on its own denominators: 1/2 and 7/10 exactly
+            ([(F(1, 3), F(2, 5)), (F(1, 6), F(3, 10))], (F(1, 2), F(7, 10)), True),
+            ([(F(1, 3), F(2, 5)), (F(1, 6), F(3, 10) + F(1, 7))], (F(1, 2), F(7, 10)), False),
+            # a None entry leaves its dimension unbounded
+            ([(F(1, 3), F(7)), (F(1, 6), F(9, 2))], (F(1, 2), None), True),
+            ([(F(1, 3), F(7)), (F(1, 5), F(9, 2))], (F(1, 2), None), False),
+            ([(F(1, 3),), (F(1, 6),)], (None,), True),
+        ],
+    )
+    def test_the_boundary_matches_the_ladder(self, usage, capacity, fits):
+        instance = self.instance(usage, capacity)
+        together = Allocation.of({tx: ["n1"] for tx in instance.tx_ids})
+        assert valid_by_ladder(instance, together) is fits
+        assert is_valid(together, None, instance) is fits  # before any enumeration
+        valid = enumerate_valid(instance)
+        assert valid == ladder_enumerate(instance)
+        assert (together in valid) is fits
+
+    def test_random_mixed_denominators_match_the_ladder(self):
+        rng = random.Random(331)
+        boundary = 0
+        for _ in range(150):
+            d = rng.randint(1, 3)
+            usage = [
+                tuple(mixed_fraction(rng, 0, 2) for _ in range(d)) for _ in range(rng.randint(1, 3))
+            ]
+            txs = tuple(TransactionSpec(f"t{i + 1}", F(1), g) for i, g in enumerate(usage))
+            nodes = []
+            for j in range(2):
+                capacity = None
+                if rng.random() < 0.8:
+                    capacity = tuple(
+                        None if rng.random() < 0.2 else mixed_fraction(rng, 0, 3) for _ in range(d)
+                    )
+                nodes.append(NodeSpec(f"n{j + 1}", Zero(), capacity))
+            instance = MarketInstance(txs, tuple(nodes), Constraints((NodeCapacity(),)))
+            # is_valid first: after enumerate_valid it would accept members unfolded
+            for allocation in raw_space(instance):
+                verdict = valid_by_ladder(instance, allocation)
+                assert is_valid(allocation, None, instance) == verdict
+                boundary += verdict and any(
+                    cap is not None and cap > 0 and used == cap
+                    for node, bundle in allocation.bundles
+                    if instance.node(node).capacity is not None
+                    for used, cap in zip(
+                        map(sum, zip(*(instance.resources[tx] for tx in bundle))),
+                        instance.node(node).capacity,
+                    )
+                )
+            assert enumerate_valid(instance) == ladder_enumerate(instance)
+        assert boundary > 50  # valid allocations that fill some capacity exactly
+
+
 class TestEnumerateValid:
     def test_one_tx_one_node(self):
         instance = simple_instance(n_txs=1, n_nodes=1)
