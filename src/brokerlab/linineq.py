@@ -16,28 +16,49 @@ denotes; the elimination order reads only coefficient signs; and each
 back-substitution bound ``(bound - sum a_j x_j) / a`` is unchanged by
 positive scaling.  The witness points are therefore those of an elimination
 over rationals, while the inner loop multiplies small integers.
-Back-substitution sums each row in integers and makes one exact
-``Fraction`` per bound.
+
+Back-substitution is integer too.  The partial point is an integer vector
+over one common denominator, each row's bound on the next coordinate is a
+numerator over that denominator times the row's coefficient, and candidate
+bounds are compared by cross-multiplying, a strict row winning an equal
+bound.  The chosen value joins the vector (widening the denominator only
+when it must), and each coordinate becomes one ``Fraction`` at the end.
+
+FM can square its row count with each eliminated variable, so a level of
+more than ``MAX_FM_ROWS`` rows is refused with ``InstanceTooLarge``.
 
 Also provided: enumeration of the feasible sign cells of a hyperplane
 arrangement restricted to a base system, used to split price space by
 willingness and participation predicates.  The walk re-tests the parent
 cell's witness before re-running elimination, which keeps the work close to
-one elimination per emitted cell.
+one elimination per emitted cell.  Each witness is scaled to integers over
+a common denominator once, when ``find_point`` returns it, so a test
+against a hyperplane is one integer dot product of its primitive row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
+from .errors import InstanceTooLarge
 from .rationals import ZERO
+
+# the most rows one elimination level may hold; FM can square the row count
+# per eliminated variable, so past this a system is refused, not ground through
+MAX_FM_ROWS = 1 << 14
 
 # an integer row coeffs . x <= bound (strictly when flagged), kept primitive:
 # the gcd of its coeffs and bound is 1, or every entry is 0
 _Row = tuple[tuple[int, ...], int, bool]
+
+# a bound num / (den * mult) on one coordinate in back-substitution, with
+# den the point's common denominator and mult > 0, and whether it is strict
+_Bound = tuple[int, int, bool]
 
 
 def _primitive(coeffs: tuple[int, ...], bound: int) -> tuple[tuple[int, ...], int]:
@@ -47,17 +68,17 @@ def _primitive(coeffs: tuple[int, ...], bound: int) -> tuple[tuple[int, ...], in
     return coeffs, bound
 
 
-def _dot(coeffs: tuple[int, ...], point: Sequence[Fraction], skip: int = -1) -> tuple[int, int]:
-    """The sum of coeffs[j] * point[j] over j != skip, as a numerator and a
-    positive denominator, accumulated in integers rather than Fractions."""
-    num, den = 0, 1
-    for j, a in enumerate(coeffs):
-        if a and j != skip:
-            x = point[j]
-            if x:
-                num = num * x.denominator + a * x.numerator * den
-                den *= x.denominator
-    return num, den
+def _scaled(point: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """The point as integer numerators over one positive common denominator."""
+    den = lcm(*(x.denominator for x in point))
+    return tuple(x.numerator * (den // x.denominator) for x in point), den
+
+
+def _holds(row: _Row, nums: Sequence[int], den: int) -> bool:
+    """Whether the point ``nums / den`` satisfies the row."""
+    coeffs, bound, strict = row
+    total, limit = sum(map(mul, coeffs, nums)), bound * den
+    return total < limit or (total == limit and not strict)
 
 
 @dataclass(frozen=True)
@@ -78,23 +99,33 @@ class Constraint:
         object.__setattr__(self, "_row", (*_primitive(coeffs, bound), self.strict))
 
     def admits(self, point: Sequence[Fraction]) -> bool:
-        coeffs, bound, strict = self._row
-        num, den = _dot(coeffs, point)
-        return num < bound * den or (num == bound * den and not strict)
+        return _holds(self._row, *_scaled(point))
 
     def complement(self) -> Constraint:
         """The other side: the reverse inequality, strict exactly when this one is not."""
-        return Constraint(tuple(-c for c in self.coeffs), -self.bound, not self.strict)
+        # a negated primitive row is primitive: built without __post_init__
+        coeffs, bound, strict = self._row
+        other = object.__new__(Constraint)
+        vars(other).update(
+            coeffs=tuple(-c for c in self.coeffs),
+            bound=-self.bound,
+            strict=not self.strict,
+            _row=(tuple(-c for c in coeffs), -bound, not strict),
+        )
+        return other
+
+
+@lru_cache(maxsize=16)
+def _orthant(n: int) -> tuple[Constraint, ...]:
+    return tuple(
+        Constraint(tuple(Fraction(-1) if j == i else ZERO for j in range(n)), ZERO)
+        for i in range(n)
+    )
 
 
 def nonneg_orthant(n: int) -> list[Constraint]:
     """x_i >= 0 for every coordinate."""
-    out = []
-    for i in range(n):
-        coeffs = [ZERO] * n
-        coeffs[i] = Fraction(-1)
-        out.append(Constraint(tuple(coeffs), ZERO))
-    return out
+    return list(_orthant(n))
 
 
 def _constant_holds(bound: int, strict: bool) -> bool:
@@ -132,36 +163,50 @@ def _eliminate(system: list[_Row], var: int) -> list[_Row] | None:
                 continue
             key = _primitive(coeffs, bound)
             reduced[key] = reduced.get(key, False) or strict
+    if len(reduced) > MAX_FM_ROWS:
+        raise InstanceTooLarge(
+            f"find_point: elimination reached {len(reduced)} rows, cap is {MAX_FM_ROWS}"
+        )
     return [(coeffs, bound, strict) for (coeffs, bound), strict in reduced.items()]
 
 
-def _pick_in_interval(
-    lo: tuple[Fraction, bool] | None, hi: tuple[Fraction, bool] | None
-) -> Fraction:
-    """A rational inside the (guaranteed non-empty) interval."""
+def _pick_in_interval(lo: _Bound | None, hi: _Bound | None, den: int) -> tuple[int, int]:
+    """A rational ``p / q`` with ``q > 0`` inside the (guaranteed non-empty)
+    interval: 0, else a closed endpoint, else the midpoint, else one past
+    the only endpoint."""
 
-    def lo_admits(x: Fraction) -> bool:
-        return lo is None or x > lo[0] or (x == lo[0] and not lo[1])
+    def lo_admits(num: int, mult: int) -> bool:
+        if lo is None:
+            return True
+        c = num * lo[1] - lo[0] * mult
+        return c > 0 or (c == 0 and not lo[2])
 
-    def hi_admits(x: Fraction) -> bool:
-        return hi is None or x < hi[0] or (x == hi[0] and not hi[1])
+    def hi_admits(num: int, mult: int) -> bool:
+        if hi is None:
+            return True
+        c = num * hi[1] - hi[0] * mult
+        return c < 0 or (c == 0 and not hi[2])
 
-    if lo_admits(ZERO) and hi_admits(ZERO):
-        return ZERO
-    if lo is not None and not lo[1] and hi_admits(lo[0]):
-        return lo[0]
-    if hi is not None and not hi[1] and lo_admits(hi[0]):
-        return hi[0]
+    if lo_admits(0, 1) and hi_admits(0, 1):
+        return 0, 1
+    if lo is not None and not lo[2] and hi_admits(lo[0], lo[1]):
+        return lo[0], den * lo[1]
+    if hi is not None and not hi[2] and lo_admits(hi[0], hi[1]):
+        return hi[0], den * hi[1]
     if lo is not None and hi is not None:
-        return (lo[0] + hi[0]) / 2
+        return lo[0] * hi[1] + hi[0] * lo[1], 2 * den * lo[1] * hi[1]
     if lo is not None:
-        return lo[0] + 1
+        return lo[0] + den * lo[1], den * lo[1]
     assert hi is not None
-    return hi[0] - 1
+    return hi[0] - den * hi[1], den * hi[1]
 
 
 def find_point(constraints: Iterable[Constraint], n_vars: int) -> tuple[Fraction, ...] | None:
-    """A rational solution of the system, or None when it is infeasible."""
+    """A rational solution of the system, or None when it is infeasible.
+
+    Raises InstanceTooLarge when an elimination level holds more than
+    ``MAX_FM_ROWS`` rows.
+    """
     system: list[_Row] = []
     for c in constraints:
         if len(c.coeffs) != n_vars:
@@ -195,27 +240,39 @@ def find_point(constraints: Iterable[Constraint], n_vars: int) -> tuple[Fraction
         remaining.remove(var)
     levels.append((remaining[0], system))
 
-    point: list[Fraction] = [ZERO] * n_vars
+    # the point is nums / den; a coordinate not yet chosen is 0, and rows
+    # of a level are 0 on every variable eliminated before it
+    nums = [0] * n_vars
+    den = 1
     for var, level in reversed(levels):
-        lo: tuple[Fraction, bool] | None = None
-        hi: tuple[Fraction, bool] | None = None
+        lo: _Bound | None = None
+        hi: _Bound | None = None
         for coeffs, bound, strict in level:
             a = coeffs[var]
             if a == 0:
                 continue
-            num, den = _dot(coeffs, point, var)
-            value = Fraction(bound * den - num, den * a)
+            # coeffs . x <= bound bounds x[var] by num / (den * a)
+            num = bound * den - sum(map(mul, coeffs, nums))
             if a > 0:
-                if hi is None or value < hi[0] or (value == hi[0] and strict):
-                    hi = (value, strict)
+                if hi is None or (c := num * hi[1] - hi[0] * a) < 0 or (c == 0 and strict):
+                    hi = (num, a, strict)
             else:
-                if lo is None or value > lo[0] or (value == lo[0] and strict):
-                    lo = (value, strict)
+                num, a = -num, -a
+                if lo is None or (c := num * lo[1] - lo[0] * a) > 0 or (c == 0 and strict):
+                    lo = (num, a, strict)
         if lo is not None and hi is not None:
-            if lo[0] > hi[0] or (lo[0] == hi[0] and (lo[1] or hi[1])):
+            c = lo[0] * hi[1] - hi[0] * lo[1]
+            if c > 0 or (c == 0 and (lo[2] or hi[2])):
                 return None  # defensive; elimination should prevent this
-        point[var] = _pick_in_interval(lo, hi)
-    return tuple(point)
+        p, q = _pick_in_interval(lo, hi, den)
+        g = gcd(p, q)
+        p, q = p // g, q // g
+        grow = q // gcd(den, q)
+        if grow > 1:
+            nums = [x * grow for x in nums]
+            den *= grow
+        nums[var] = p * (den // q)
+    return tuple(Fraction(x, den) for x in nums)
 
 
 def feasible(constraints: Iterable[Constraint], n_vars: int) -> bool:
@@ -242,21 +299,24 @@ def enumerate_cells(
     stack: list[Constraint] = list(base)
     signs: list[bool] = []
 
-    def walk(index: int, witness: tuple[Fraction, ...]):
+    # a witness travels with its integer image, made once per find_point
+    # result, so each hyperplane test is one integer dot product
+    def walk(index: int, witness: tuple[Fraction, ...], image: tuple[tuple[int, ...], int]):
         if index == len(hyperplanes):
             yield (tuple(signs), witness)
             return
         for sign, constraint in branches[index]:
-            if constraint.admits(witness):
-                next_witness = witness
+            if _holds(constraint._row, *image):
+                next_witness, next_image = witness, image
             else:
                 next_witness = find_point([*stack, constraint], n_vars)
                 if next_witness is None:
                     continue
+                next_image = _scaled(next_witness)
             stack.append(constraint)
             signs.append(sign)
-            yield from walk(index + 1, next_witness)
+            yield from walk(index + 1, next_witness, next_image)
             stack.pop()
             signs.pop()
 
-    yield from walk(0, root)
+    yield from walk(0, root, _scaled(root))

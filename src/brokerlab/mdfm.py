@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, combinations
 from math import lcm
 from operator import mul
@@ -110,6 +111,12 @@ class ResourceMarket:
                 raise MalformedInput(f"exclusions: expected MutualExclusion, got {c!r}")
 
     def instance(self) -> MarketInstance:
+        """The market as a ``MarketInstance``, built once per market, so every
+        stage on one market shares its valid-set memo and resource image."""
+        return self._instance
+
+    @cached_property
+    def _instance(self) -> MarketInstance:
         constraints: list = [NodeCapacity()]
         if self.single_assignment:
             constraints.append(SingleAssignment())

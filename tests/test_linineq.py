@@ -2,9 +2,12 @@ import random
 from fractions import Fraction as F
 from itertools import product
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from brokerlab import linineq
+from brokerlab.errors import InstanceTooLarge
 from brokerlab.linineq import (
     Constraint,
     enumerate_cells,
@@ -72,6 +75,16 @@ class TestFindPoint:
         cons = [Constraint((F(-1), F(0)), F(-5))]  # x >= 5, y free
         point = find_point(cons, 2)
         assert point is not None and point[0] >= 5
+
+    def test_row_budget_refuses_a_level_past_the_cap(self, monkeypatch):
+        # eliminating y pairs -y <= 0 with each of six distinct rows
+        cons = [Constraint((F(s), F(1)), F(b)) for s in (1, -1) for b in (1, 2, 3)]
+        cons.append(Constraint((F(0), F(-1)), F(0)))
+        monkeypatch.setattr(linineq, "MAX_FM_ROWS", 6)
+        assert find_point(cons, 2) == (F(0), F(0))
+        monkeypatch.setattr(linineq, "MAX_FM_ROWS", 5)
+        with pytest.raises(InstanceTooLarge, match="^find_point: elimination reached 6 rows, cap is 5$"):
+            find_point(cons, 2)
 
     def test_random_systems_witnesses_always_verify(self):
         rng = random.Random(42)
@@ -274,6 +287,84 @@ class TestAgainstFractionElimination:
             assert got == expected
             cells += len(got)
         assert cells > 500
+
+    def test_find_point_matches_on_tie_prone_systems(self):
+        # back-substitution compares candidate bounds by cross-multiplying:
+        # rows through one anchor point give equal bounds, and a strict row
+        # must win an equal bound on either side, in either order
+        rng = random.Random(20)
+        kinds = set()
+        for i in range(3000):
+            n = 1 + i % 8
+            cons, kind = tie_prone_system(rng, n)
+            kinds.add(kind)
+            point = find_point(cons, n)
+            assert point == find_point_reference(cons, n), (n, cons)
+            if point is not None:
+                assert check(cons, point)
+        assert kinds == {"tie", "point", "half-open", "one-sided"}
+
+    @pytest.mark.parametrize("strict_first", [True, False])
+    @pytest.mark.parametrize("side", [1, -1])
+    def test_a_strict_row_wins_an_equal_bound(self, side, strict_first):
+        # side * x > 1, then side * x <= 3 twice, once strict: the open end
+        # at 1 sends the pick to the midpoint (x = 2 * side) only if the end
+        # at 3 is open too
+        closed = Constraint((F(side),), F(3))
+        open_ = Constraint((F(side),), F(3), strict=True)
+        ties = [open_, closed] if strict_first else [closed, open_]
+        cons = [Constraint((F(-side),), F(-1), strict=True), *ties]
+        assert find_point(cons, 1) == find_point_reference(cons, 1) == (F(2 * side),)
+
+
+def tie_prone_system(rng, n):
+    """Rows through one rational anchor point, some repeated, some rescaled
+    with the other strictness, plus per-coordinate intervals of one kind:
+    ties, closed points, half-open intervals that exclude 0, or one-sided."""
+    dens = (1, 1, 2, 3, 7) if rng.random() < 0.7 else (10**9 + 7, 10**12, 2**40 + 1)
+    anchor = [F(rng.randint(-4, 4), rng.choice(dens)) for _ in range(n)]
+    cons = []
+    for _ in range(rng.randint(1, n + 3)):
+        coeffs = [F(0)] * n
+        for j in rng.sample(range(n), min(n, rng.randint(1, 3))):
+            coeffs[j] = F(rng.choice((-3, -2, -1, 1, 2, 3)))
+        k = F(rng.randint(1, 10**12), rng.choice(dens))
+        bound = sum((a * x for a, x in zip(coeffs, anchor)), F(0)) + rng.choice((0, 0, 0, 1, -1))
+        strict = rng.random() < 0.4
+        cons.append(Constraint(tuple(a * k for a in coeffs), bound * k, strict))
+        roll = rng.random()
+        if roll < 0.4:  # the same half-space, other strictness, rescaled
+            k2 = F(rng.randint(1, 9), rng.randint(1, 9))
+            cons.insert(
+                rng.randint(len(cons) - 1, len(cons)),
+                Constraint(tuple(a * k2 for a in coeffs), bound * k2, not strict),
+            )
+        elif roll < 0.55:
+            cons.append(rng.choice(cons))
+    kind = rng.choice(("tie", "point", "half-open", "one-sided"))
+    for i in rng.sample(range(n), rng.randint(0, n)):
+        unit = tuple(F(1) if j == i else F(0) for j in range(n))
+        neg = tuple(-a for a in unit)
+        a = F(rng.randint(1, 6), rng.choice(dens))
+        b = a + F(rng.randint(1, 6), rng.choice(dens))
+        sign = rng.choice((1, -1))
+        if kind == "tie":  # x_i <= c or x_i >= c twice, once strict
+            c = anchor[i]
+            pair = [Constraint(unit, c), Constraint(unit, c, strict=True)]
+            if sign < 0:
+                pair = [Constraint(neg, -c), Constraint(neg, -c, strict=True)]
+            rng.shuffle(pair)
+            cons.extend(pair)
+        elif kind == "point":  # lo == hi
+            c = anchor[i] if rng.random() < 0.5 else F(0)
+            cons.extend([Constraint(unit, c), Constraint(neg, -c)])
+        elif kind == "half-open":  # (a, b] or [-b, -a), 0 outside
+            up, lo = (unit, neg) if sign > 0 else (neg, unit)
+            cons.extend([Constraint(lo, -a, strict=True), Constraint(up, b)])
+        else:  # x_i >= a, x_i > a, x_i <= -a or x_i < -a
+            cons.append(Constraint(neg if sign > 0 else unit, -a, rng.random() < 0.5))
+    rng.shuffle(cons)
+    return cons, kind
 
 
 def holds(c, point):

@@ -1,13 +1,15 @@
+import json
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
 
 from brokerlab.core import Allocation, LinearResources, NodeSpec, TransactionSpec, Zero, welfare
-from brokerlab import mdfm
+from brokerlab import mdfm, validity
 from brokerlab.errors import InstanceTooLarge, MalformedInput
 from brokerlab.linineq import enumerate_cells, find_point, nonneg_orthant
-from brokerlab.scenario import allocation_to_json
+from brokerlab.scenario import allocation_to_json, parse_scenario
 from brokerlab.mdfm import (
     ResourceMarket,
     base_fee,
@@ -35,6 +37,19 @@ from helpers import (
     random_resource_market,
     sweep_benchmarks,
 )
+
+X4720 = """{"kind": "resource_market", "dimensions": 4, "single_assignment": true,
+ "transactions": [
+  {"id": "t1", "value": 6, "resources": ["3/2", 2, 1, 2]},
+  {"id": "t2", "value": 2, "resources": [3, "3/2", 3, 3]},
+  {"id": "t3", "value": 4, "resources": [3, 2, "3/2", "1/2"]},
+  {"id": "t4", "value": 2, "resources": ["5/2", 2, "3/2", "5/2"]},
+  {"id": "t5", "value": 5, "resources": [3, "3/2", 3, "3/2"]},
+  {"id": "t6", "value": 2, "resources": ["3/2", "1/2", 1, 2]},
+  {"id": "t7", "value": 6, "resources": [2, "3/2", "1/2", "5/2"]}],
+ "nodes": [
+  {"id": "n1", "capacity": [2, 4, 2, 5], "unit_costs": ["1/2", 1, 0, 0]},
+  {"id": "n2", "capacity": [6, 7, 4, 7], "unit_costs": [0, 0, 0, 1]}]}"""
 
 
 class TestBaseFee:
@@ -139,6 +154,16 @@ class TestFeasiblePatterns:
         monkeypatch.setattr(mdfm, "enumerate_valid", enumerate_valid)
         with pytest.raises(InstanceTooLarge, match=message):
             run_benchmarks(market)
+
+    def test_fm_row_budget_refuses_a_runaway_elimination(self):
+        # perfbench/gen.py's random_resource_market(Random("x4720"), d=4,
+        # 7 txs, 2 nodes, slot 0): unbudgeted, its cell walk runs for over a
+        # minute; the budget stops it at the first level past MAX_FM_ROWS
+        scenario = parse_scenario(json.loads(X4720))
+        start = time.perf_counter()
+        with pytest.raises(InstanceTooLarge, match=r"find_point: elimination reached \d+ rows, cap is 16384"):
+            run_benchmarks(scenario.market)
+        assert time.perf_counter() - start < 2
 
 
 class TestConstructions:
@@ -388,6 +413,29 @@ class TestIntegerImage:
                 assert mdfm._fee_at_price(pool, witness, scales) == expected
                 cells += 1
         assert cells > 600
+
+    def test_pools_at_price_search_the_valid_set_once_per_market(self, monkeypatch):
+        # the market builds its instance once, so every call on one market
+        # reads the valid-set memo that _prepare filled
+        searched = []
+        search = validity._search_valid
+
+        def counting(instance, spec, cap):
+            searched.append(instance)
+            return search(instance, spec, cap)
+
+        monkeypatch.setattr(validity, "_search_valid", counting)
+        markets = self.markets(72, 5)
+        cells = 0
+        for market in markets:
+            d = market.dimensions
+            hyperplanes = mdfm._prepare(market)[1]
+            for _, witness in enumerate_cells(nonneg_orthant(d), hyperplanes, d):
+                pools_at_price(market, witness)
+                cells += 1
+        assert cells > 100
+        assert len(searched) == len(markets)
+        assert all(i is m.instance() for i, m in zip(searched, markets))
 
 
 class TestAssignment:
