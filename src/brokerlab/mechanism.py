@@ -18,12 +18,12 @@ allocation's reported welfare minus the cached margin, which is
 ``run`` first copies the profile's report objects out of its mappings in
 canonical agent order and checks them in one pass: the mappings must be
 total and every transaction report non-negative, or
-``MarketInstance.validate_reports`` raises its error.  Each term also keeps
-a one-entry memo, written only by ``run`` and only for budget-balanced
-proposals: the report objects of the profile it was last settled at, its
-reported surplus there, and, once it has won, every agent's reported
-utility.  ``run`` compares the incoming profile's report objects with a
-memo's by identity, agent by agent, once per memo profile, so a report
+``MarketInstance.validate_reports`` raises its error.  Each budget-balanced
+term also keeps a one-entry memo, written by ``run`` or handed in settled
+by a best response (below): the report objects of the profile it was last
+settled at, its reported surplus there, and, once it has won, every agent's
+reported utility.  ``run`` compares the incoming profile's report objects
+with a memo's by identity, agent by agent, once per memo profile, so a report
 replaced, rebuilt equal or edited in place counts as changed.  It then
 moves each term's surplus by the changed agents alone (a transaction by its
 new minus old report where it is allocated, a node by its old minus new
@@ -32,9 +32,15 @@ term is scored with ``core.welfare`` only the first time.  Deviation search
 changes one report at a time, so it prepares once and passes the prepared
 sequence to ``run``.  A best response changes one proposal:
 ``PreparedRound.without`` drops a broker's proposal and ``with_proposal``
-swaps one in, checking only the new proposal; both keep the other terms and
-their memos, so a turn scores only the new proposal.  ``surpluses`` reads
-every proposal's reported surplus from the memos without writing them.
+swaps in the response's terms, checking only the new proposal; both keep
+the other terms and their memos.  The best response built its proposal, so
+it already knows the margin, reported surplus and reported utilities, and
+hands them over as a memo stamped with the report objects of the profile it
+answered.  ``run`` then finds no changed agent in that memo and scores
+nothing for the response: once a dynamics run has settled its starting
+profile, ``core.welfare`` runs no more, and ``agent_utility`` only for a
+starting proposal that first wins later.  ``surpluses`` reads every
+proposal's reported surplus from the memos without writing them.
 """
 
 from __future__ import annotations
@@ -235,23 +241,27 @@ class PreparedRound(Sequence):
         terms = tuple(t for t in self.terms if t.proposal.broker != broker)
         return PreparedRound(terms, self.instance, self.spec, self.broker_order)
 
-    def with_proposal(self, proposal: Proposal) -> "PreparedRound":
-        """This round with ``proposal`` in place of its broker's proposal, or
-        added when that broker has none, in broker order.
+    def with_proposal(self, settled: _Terms) -> "PreparedRound":
+        """This round with the proposal of ``settled`` in place of its
+        broker's proposal, or added when that broker has none, in broker
+        order.
 
-        Only ``proposal`` is checked, as ``prepare_round`` checks each one;
-        the other proposals keep their cached terms.
+        ``settled`` comes already settled from the best response that built
+        the proposal: its margin, its broker's position in the broker order
+        and its memo are taken as they are.  Only the proposal is checked, as
+        ``prepare_round`` checks each one; the other proposals keep their
+        cached terms.
         """
-        order = self.broker_order
-        if proposal.broker not in order:
+        proposal = settled.proposal
+        if proposal.broker not in self.broker_order:
             raise MalformedInput(
                 "broker order must be a permutation covering the proposing brokers"
             )
         _check_proposal(self.instance, self.spec, proposal)
         terms = [t for t in self.terms if t.proposal.broker != proposal.broker]
-        terms.append(_Terms(proposal, margin(proposal.routing), order.index(proposal.broker)))
+        terms.append(settled)
         terms.sort(key=lambda t: t.position)
-        return PreparedRound(tuple(terms), self.instance, self.spec, order)
+        return PreparedRound(tuple(terms), self.instance, self.spec, self.broker_order)
 
 
 def _check_proposal(

@@ -6,9 +6,11 @@ and a broker order; ``resource_market`` carries a d-dimensional market for
 the benchmark commands.  Numbers travel as integers, decimal strings, or
 ``{"num", "den"}`` pairs and are parsed exactly; floats are rejected.
 
-Parsing errors carry the JSON path of the offending field.  Transaction and
-node records refuse a field they do not read, and the top-level object one
-that neither kind reads, so a misspelt field cannot silently change a market.
+Parsing errors carry the JSON path of the offending field.  Every record
+refuses a field it does not read, and the top-level object one that neither
+kind reads, so a misspelt field cannot silently change a market.  A typed
+record (cost function, constraint, validity spec) reads ``type`` and that
+type's own fields.
 """
 
 from __future__ import annotations
@@ -114,9 +116,29 @@ def _vector(obj: Any, where: str) -> tuple[Fraction, ...]:
     return _records(obj, where, parse_number)
 
 
-def parse_cost_function(obj: Any, where: str) -> CostFunction:
+def _kind(obj: Any, where: str, what: str, fields: Mapping[str, tuple[str, ...]]) -> str:
+    """The ``type`` of a JSON object, a key of ``fields``; any key not in
+    that kind's ``fields`` is refused."""
     _expect(obj, dict, where)
     kind = _str(obj.get("type"), f"{where}.type")
+    if kind not in fields:
+        raise MalformedInput(f"{where}.type: unknown {what} {kind!r}")
+    _known_fields(obj, where, fields[kind])
+    return kind
+
+
+# the fields of each cost-function type
+_COST_FIELDS = {
+    "Zero": ("type",),
+    "ConstantNonempty": ("type", "amount"),
+    "PerTransaction": ("type", "rates"),
+    "LinearResources": ("type", "unit_costs"),
+    "SubsetTable": ("type", "transactions", "table"),
+}
+
+
+def parse_cost_function(obj: Any, where: str) -> CostFunction:
+    kind = _kind(obj, where, "cost function", _COST_FIELDS)
     if kind == "Zero":
         return Zero()
     if kind == "ConstantNonempty":
@@ -128,15 +150,14 @@ def parse_cost_function(obj: Any, where: str) -> CostFunction:
         )
     if kind == "LinearResources":
         return LinearResources(_vector(obj.get("unit_costs"), f"{where}.unit_costs"))
-    if kind == "SubsetTable":
-        declared = frozenset(_records(obj.get("transactions"), f"{where}.transactions", _str))
-        raw = _expect(obj.get("table"), dict, f"{where}.table")
-        table = {}
-        for key, value in raw.items():
-            subset = frozenset(part for part in key.split(",") if part)
-            table[subset] = parse_number(value, f"{where}.table[{key!r}]")
-        return SubsetTable(declared, table)
-    raise MalformedInput(f"{where}.type: unknown cost function {kind!r}")
+    # SubsetTable
+    declared = frozenset(_records(obj.get("transactions"), f"{where}.transactions", _str))
+    raw = _expect(obj.get("table"), dict, f"{where}.table")
+    table = {}
+    for key, value in raw.items():
+        subset = frozenset(part for part in key.split(",") if part)
+        table[subset] = parse_number(value, f"{where}.table[{key!r}]")
+    return SubsetTable(declared, table)
 
 
 def cost_function_to_json(fn: CostFunction) -> dict:
@@ -163,9 +184,23 @@ def cost_function_to_json(fn: CostFunction) -> dict:
     raise MalformedInput(f"cannot serialize cost function {fn!r}")
 
 
+# the fields of each constraint type; RequiredNodeCount reads ``exactly`` or
+# ``min`` and ``max``
+_CONSTRAINT_FIELDS = {
+    "NodeCapacity": ("type",),
+    "MaxTxPerNode": ("type", "node", "limit"),
+    "RequiredNodeCount": ("type", "tx", "exactly", "min", "max"),
+    "MustShareNode": ("type", "txs"),
+    "MutualExclusion": ("type", "txs"),
+    "SingleAssignment": ("type",),
+}
+
+# the fields of each validity kind
+_VALIDITY_FIELDS = {"constraints": ("type", "constraints"), "extensional": ("type", "allocations")}
+
+
 def parse_constraint(obj: Any, where: str) -> Constraint:
-    _expect(obj, dict, where)
-    kind = _str(obj.get("type"), f"{where}.type")
+    kind = _kind(obj, where, "constraint", _CONSTRAINT_FIELDS)
     if kind == "NodeCapacity":
         return NodeCapacity()
     if kind == "MaxTxPerNode":
@@ -173,6 +208,8 @@ def parse_constraint(obj: Any, where: str) -> Constraint:
     if kind == "RequiredNodeCount":
         tx = _str(obj.get("tx"), f"{where}.tx")
         if "exactly" in obj:
+            if "min" in obj or "max" in obj:
+                raise MalformedInput(f"{where}: give either exactly or min and max, not both")
             count = _int(obj["exactly"], f"{where}.exactly")
             return RequiredNodeCount.exactly(tx, count)
         return RequiredNodeCount(
@@ -185,9 +222,7 @@ def parse_constraint(obj: Any, where: str) -> Constraint:
         if len(txs) != 2:
             raise MalformedInput(f"{where}.txs: mutual exclusion needs exactly two transactions")
         return MutualExclusion(_str(txs[0], f"{where}.txs[0]"), _str(txs[1], f"{where}.txs[1]"))
-    if kind == "SingleAssignment":
-        return SingleAssignment()
-    raise MalformedInput(f"{where}.type: unknown constraint {kind!r}")
+    return SingleAssignment()
 
 
 def constraint_to_json(c: Constraint) -> dict:
@@ -221,13 +256,10 @@ def allocation_to_json(allocation: Allocation) -> dict:
 
 
 def parse_validity(obj: Any, where: str) -> ValiditySpec:
-    _expect(obj, dict, where)
-    kind = _str(obj.get("type"), f"{where}.type")
+    kind = _kind(obj, where, "validity kind", _VALIDITY_FIELDS)
     if kind == "constraints":
         return Constraints(_records(obj.get("constraints"), f"{where}.constraints", parse_constraint))
-    if kind == "extensional":
-        return Extensional(_records(obj.get("allocations"), f"{where}.allocations", parse_allocation))
-    raise MalformedInput(f"{where}.type: unknown validity kind {kind!r}")
+    return Extensional(_records(obj.get("allocations"), f"{where}.allocations", parse_allocation))
 
 
 def validity_to_json(spec: ValiditySpec | None) -> dict:
@@ -258,6 +290,7 @@ def _parse_payments(obj: Any, ids: tuple[str, ...], where: str) -> dict[str, Fra
 
 def parse_routing(obj: Any, instance: MarketInstance, where: str) -> Routing:
     _expect(obj, dict, where)
+    _known_fields(obj, where, ("allocation", "tx_payments", "node_payments"))
     allocation = parse_allocation(obj.get("allocation", {}), f"{where}.allocation")
     tx_payments = _parse_payments(obj.get("tx_payments"), instance.tx_ids, f"{where}.tx_payments")
     node_payments = _parse_payments(
@@ -278,6 +311,7 @@ def routing_to_json(routing: Routing) -> dict:
 
 def _proposal(raw: Any, where: str, instance: MarketInstance) -> Proposal:
     _expect(raw, dict, where)
+    _known_fields(raw, where, ("broker", "routing"))
     return Proposal(
         _str(raw.get("broker"), f"{where}.broker"),
         parse_routing(raw.get("routing"), instance, f"{where}.routing"),
@@ -290,6 +324,7 @@ def proposal_to_json(proposal: Proposal) -> dict:
 
 def parse_reports(obj: Any, instance: MarketInstance, where: str) -> ReportProfile:
     _expect(obj, dict, where)
+    _known_fields(obj, where, ("transactions", "nodes"))
     truthful = instance.truthful_reports()
     tx_reports = dict(truthful.tx_reports)
     node_reports = dict(truthful.node_reports)

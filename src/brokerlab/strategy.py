@@ -10,10 +10,12 @@ because the continuous problem has no maximizer on an open set.  The best
 winning margin never falls as welfare rises, so one welfare pass over the
 valid set finds the best response (see ``broker_best_response``), and
 its argmax is remembered for the last market and reports.  A best response
-always settles one prepared round, the rivals' plus the response.
+always settles one prepared round, the rivals' plus the response.  It built
+the response, so it hands the round the response's terms already settled at
+the reports: its margin, reported surplus and reported utilities.
 Best-response dynamics check and settle the starting profile once; then
 each broker turn checks only its response and settles one round, the next
-profile's.
+profile's, without scoring the response.
 """
 
 from __future__ import annotations
@@ -28,10 +30,11 @@ from .mechanism import (
     MechanismOutcome,
     PreparedRound,
     Proposal,
+    _Settlement,
+    _Terms,
     broker_utility,
     prepare_round,
     run,
-    surpluses,
 )
 from .rationals import ZERO
 from .validity import DEFAULT_ENUM_CAP, ValiditySpec, enumerate_valid
@@ -162,7 +165,8 @@ def scaled_rebate_routing(
 @dataclass(frozen=True)
 class BrokerBestResponse:
     """A best response and the round it settles against the fixed rivals:
-    ``outcome`` settles ``prepared``, the rivals plus the response."""
+    ``outcome`` settles ``prepared``, the rivals plus the response, whose
+    terms arrive in ``prepared`` already settled at the reports."""
 
     proposal: Proposal
     utility: Fraction
@@ -196,14 +200,9 @@ def _max_winning_margin(
         if gap <= 0:
             return None
         # largest lattice point strictly below the gap, capped at w
-        steps = gap / quantum
-        k = steps.numerator // steps.denominator
-        if k * quantum == gap:
-            k -= 1
-        m = min(k * quantum, w)
+        m = min((-(-gap // quantum) - 1) * quantum, w)
     if lattice and m > 0:
-        steps = m / quantum
-        m = (steps.numerator // steps.denominator) * quantum
+        m = m // quantum * quantum
     if m < 0:
         return None
     return m
@@ -243,10 +242,14 @@ def broker_best_response(
 
     Reports are checked before the rivals, as ``run`` checks them.
     ``rivals`` may be a ``PreparedRound``: when it was prepared for this
-    instance, spec and broker order, its cached terms are used, its
-    surpluses are read from its memos, and only the response is checked and
-    scored as the round is settled; any other rivals are prepared afresh,
-    in broker order.
+    instance, spec and broker order, its cached terms are used and the
+    budget-balanced rivals' surpluses are read from its memos; any other
+    rivals are prepared afresh, in broker order.  Only the response is
+    checked.  Its terms are settled here, not scored by ``run``: the margin
+    is the one asked of ``scaled_rebate_routing`` (0 for the empty routing),
+    the reported surplus is the welfare maximum's minus that margin, and
+    every agent's reported utility is 0 but an included transaction's, its
+    value minus its payment, as nodes are paid their reported costs.
     """
     if quantum <= 0:
         raise MalformedInput(f"quantum must be positive, got {quantum}")
@@ -265,11 +268,8 @@ def broker_best_response(
         rivals = prepare_round(
             instance, spec, sorted(rivals, key=lambda p: position[p.broker]), broker_order
         )
-    rival_surpluses = [
-        (s, t.position)
-        for s, t in zip(surpluses(instance, rivals, reports), rivals.terms)
-        if t.balanced
-    ]
+    settlement = _Settlement(instance, reports)
+    rival_surpluses = [(settlement.surplus(t), t.position) for t in rivals.balanced]
     if rival_surpluses:
         rival_best = max(s for s, _ in rival_surpluses)
         wins_ties = all(position[broker] < p for s, p in rival_surpluses if s == rival_best)
@@ -280,14 +280,30 @@ def broker_best_response(
         best.welfare, rival_best, wins_ties, quantum, lattice_margins
     )
     if best_margin is None or best_margin <= 0:
-        routing = instance.empty_routing()
+        best_margin, response_surplus, routing = ZERO, ZERO, instance.empty_routing()
     else:
+        response_surplus = best.welfare - best_margin
         routing = scaled_rebate_routing(instance, best.allocation, reports, best_margin)
-    proposal = Proposal(broker, routing)
-    prepared = rivals.with_proposal(proposal)
+    included = routing.allocation.transactions
+    utilities = [
+        reports.tx_reports[t] - routing.tx_payments[t] if t in included else ZERO
+        for t in instance.tx_ids
+    ]
+    utilities += [ZERO] * len(instance.node_ids)
+    at = settlement.reports
+    settled = _Terms(
+        Proposal(broker, routing),
+        best_margin,
+        position[broker],
+        scored_at=at,
+        surplus=response_surplus,
+        utilities_at=at,
+        utilities=tuple(utilities),
+    )
+    prepared = rivals.with_proposal(settled)
     outcome = run(instance, spec, reports, prepared, broker_order)
     return BrokerBestResponse(
-        proposal,
+        settled.proposal,
         broker_utility(outcome, broker),
         outcome.winner == broker,
         len(allocations),

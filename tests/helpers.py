@@ -51,13 +51,16 @@ from brokerlab.mechanism import (
     MechanismOutcome,
     Proposal,
     RejectionReason,
+    _report_objects,
+    _Terms,
     broker_utility,
     prepare_round,
     run,
 )
 from brokerlab.strategy import (
     DEFAULT_QUANTUM,
-    _max_winning_margin,
+    DynamicsStep,
+    DynamicsTrace,
     max_extraction_routing,
     scaled_rebate_routing,
 )
@@ -638,6 +641,39 @@ class BrokerBestResponse:
     allocations_examined: int = 0
 
 
+def max_winning_margin_by_division(
+    w: Fraction,
+    rival_best: Fraction | None,
+    wins_ties: bool,
+    quantum: Fraction,
+    lattice: bool,
+) -> Fraction | None:
+    """The former ``strategy._max_winning_margin``, verbatim: each lattice
+    floor is a ``Fraction`` division followed by a floor."""
+    if w < 0:
+        return None
+    if rival_best is None:
+        m = w
+    elif wins_ties:
+        m = min(w, w - rival_best)
+    else:
+        gap = w - rival_best
+        if gap <= 0:
+            return None
+        # largest lattice point strictly below the gap, capped at w
+        steps = gap / quantum
+        k = steps.numerator // steps.denominator
+        if k * quantum == gap:
+            k -= 1
+        m = min(k * quantum, w)
+    if lattice and m > 0:
+        steps = m / quantum
+        m = (steps.numerator // steps.denominator) * quantum
+    if m < 0:
+        return None
+    return m
+
+
 def broker_best_response_reference(
     broker: str,
     instance: MarketInstance,
@@ -689,7 +725,7 @@ def broker_best_response_reference(
     for allocation in enumerate_valid(instance, spec, cap):
         examined += 1
         w = welfare(instance, allocation, reports)
-        m = _max_winning_margin(w, rival_best, wins_ties, quantum, lattice_margins)
+        m = max_winning_margin_by_division(w, rival_best, wins_ties, quantum, lattice_margins)
         if m is None or m <= 0:
             continue
         # at equal margin prefer the higher-welfare allocation: the payoff is
@@ -720,6 +756,70 @@ def _outcome_with(
 ) -> MechanismOutcome:
     ordered = sorted([*rivals, proposal], key=lambda p: broker_order.index(p.broker))
     return run(instance, spec, reports, ordered, broker_order)
+
+
+def settled_terms(
+    instance: MarketInstance, reports: ReportProfile, proposal: Proposal, broker_order: Sequence[str]
+) -> _Terms:
+    """``proposal``'s terms settled at ``reports`` from scratch, as a best
+    response hands them to ``PreparedRound.with_proposal``: the margin,
+    ``core.surplus`` and every agent's ``agent_utility``, stamped with the
+    profile's report objects.  A broker outside the order gets position -1."""
+    routing = proposal.routing
+    at = _report_objects(instance, reports)
+    return _Terms(
+        proposal,
+        margin(routing),
+        list(broker_order).index(proposal.broker) if proposal.broker in broker_order else -1,
+        scored_at=at,
+        surplus=surplus(instance, routing, reports),
+        utilities_at=at,
+        utilities=tuple(agent_utility(instance, a, routing, reports) for a in instance.agent_ids),
+    )
+
+
+# ``best_response_dynamics_reference`` is the dynamics loop with nothing
+# carried between turns: every turn's rivals are a plain proposal list, the
+# response is ``broker_best_response_reference``'s, and the round it makes is
+# prepared from scratch and settled by ``run``.
+
+
+def best_response_dynamics_reference(
+    instance: MarketInstance,
+    spec: ValiditySpec | None,
+    reports: ReportProfile,
+    initial: Sequence[Proposal],
+    broker_order: Sequence[str],
+    quantum: Fraction,
+    max_rounds: int,
+    cap: int = DEFAULT_ENUM_CAP,
+) -> DynamicsTrace:
+    """Round-robin lattice best responses until a full round improves no
+    broker (converged) or ``max_rounds`` rounds have run."""
+    current = {p.broker: p for p in initial}
+
+    def settle(proposals: dict[str, Proposal]) -> MechanismOutcome:
+        ordered = [proposals[b] for b in broker_order]
+        return run(instance, spec, reports, prepare_round(instance, spec, ordered, broker_order), broker_order)
+
+    outcome = settle(current)
+    steps: list[DynamicsStep] = []
+    for rounds in range(1, max_rounds + 1):
+        improved = False
+        for broker in broker_order:
+            rivals = [current[b] for b in broker_order if b != broker]
+            response = broker_best_response_reference(
+                broker, instance, spec, reports, rivals, broker_order, quantum, True, cap
+            )
+            candidate = settle({**current, broker: response.proposal})
+            utility = broker_utility(candidate, broker)
+            if utility > broker_utility(outcome, broker):
+                current[broker], outcome = response.proposal, candidate
+                steps.append(DynamicsStep(broker, response.proposal, utility))
+                improved = True
+        if not improved:
+            return DynamicsTrace(tuple(steps), tuple(current[b] for b in broker_order), True, rounds)
+    return DynamicsTrace(tuple(steps), tuple(current[b] for b in broker_order), False, max_rounds)
 
 
 def dsic_product_oracle(

@@ -42,6 +42,7 @@ from helpers import (
     random_routing,
     raw_space,
     run_reference,
+    settled_terms,
 )
 
 
@@ -266,7 +267,7 @@ class TestPreparedRound:
             for base in (prepared, kept):
                 checks.clear()
                 try:
-                    result = base.with_proposal(new)
+                    result = base.with_proposal(settled_terms(instance, reports, new, order))
                 except MarketError as exc:
                     assert (type(exc), str(exc)) == expected
                     refused += 1
@@ -282,7 +283,14 @@ class TestPreparedRound:
         spec = collusion_market.validity
         prepared = prepare_round(collusion_market, spec, demo_proposals(collusion_market), ["b1", "b2"])
         with pytest.raises(MalformedInput, match="permutation"):
-            prepared.with_proposal(Proposal("b3", collusion_market.empty_routing()))
+            prepared.with_proposal(
+                settled_terms(
+                    collusion_market,
+                    collusion_market.truthful_reports(),
+                    Proposal("b3", collusion_market.empty_routing()),
+                    ["b1", "b2"],
+                )
+            )
 
     def test_same_key_returns_the_prepared_round(self, collusion_market):
         spec = collusion_market.validity
@@ -376,7 +384,8 @@ def memo_rounds(rng, count):
         broker = rng.choice(order)
         new = Proposal(broker, random_routing(rng, instance, rng.choice(valid), reports))
         count -= 1
-        yield instance, reports, [prepared, prepared.without(broker), prepared.with_proposal(new)], order
+        swapped = prepared.with_proposal(settled_terms(instance, reports, new, order))
+        yield instance, reports, [prepared, prepared.without(broker), swapped], order
 
 
 def settles_as_reference(instance, reports, prepared, order):

@@ -236,6 +236,74 @@ RECORD_ERRORS = [
     # a top-level field that neither kind reads
     ("resource_market", ("single_assigment",), True, "single_assigment: unknown field"),
     ("market", ("resorces",), [], "resorces: unknown field"),
+    # nested records: a proposal, its routing and the reports
+    (
+        "market",
+        ("proposals",),
+        [{"brokr": "b1", "broker": "b1", "routing": {}}],
+        "proposals[0].brokr: unknown field",
+    ),
+    (
+        "market",
+        ("proposals",),
+        [{"broker": "b1", "routing": {"allocation": {"t1": ["n1"]}, "node_payment": {"n1": "1"}}}],
+        "proposals[0].routing.node_payment: unknown field",
+    ),
+    ("market", ("reports",), {"transactions": {"t1": "1"}, "node": {}}, "reports.node: unknown field"),
+    # each validity kind
+    (
+        "market",
+        ("validity",),
+        {"type": "constraints", "constraint": []},
+        "validity.constraint: unknown field",
+    ),
+    (
+        "market",
+        ("validity",),
+        {"type": "extensional", "allocations": [], "constraints": []},
+        "validity.constraints: unknown field",
+    ),
+    # a reported cost function is read as a node's own
+    (
+        "market",
+        ("reports",),
+        {"nodes": {"n1": {"type": "Zero", "amount": "2"}}},
+        "reports.nodes[n1].amount: unknown field",
+    ),
+]
+
+# (a record, a stray field, the message); RequiredNodeCount's two forms at once
+# are refused too
+CONSTRAINT_FIELD_ERRORS = [
+    ({"type": "NodeCapacity"}, {"limit": 1}, "c.limit: unknown field"),
+    ({"type": "MaxTxPerNode", "node": "n1", "limit": 1}, {"limt": 1}, "c.limt: unknown field"),
+    ({"type": "RequiredNodeCount", "tx": "t1", "exactly": 1}, {"node": "n1"}, "c.node: unknown field"),
+    (
+        {"type": "RequiredNodeCount", "tx": "t1", "exactly": 1},
+        {"max": 2},
+        "c: give either exactly or min and max, not both",
+    ),
+    (
+        {"type": "RequiredNodeCount", "tx": "t1", "min": 1, "max": 2},
+        {"exactly": 1},
+        "c: give either exactly or min and max, not both",
+    ),
+    ({"type": "MustShareNode", "txs": ["t1"]}, {"tx": "t1"}, "c.tx: unknown field"),
+    ({"type": "MutualExclusion", "txs": ["t1", "t2"]}, {"tx": "t1"}, "c.tx: unknown field"),
+    ({"type": "SingleAssignment"}, {"node": "n1"}, "c.node: unknown field"),
+]
+
+# (a record, a stray field, the message) per cost-function type
+COST_FIELD_ERRORS = [
+    ({"type": "Zero"}, {"amount": "1"}, "f.amount: unknown field"),
+    ({"type": "ConstantNonempty", "amount": "1"}, {"rates": {}}, "f.rates: unknown field"),
+    ({"type": "PerTransaction", "rates": {"t1": "1"}}, {"amount": "1"}, "f.amount: unknown field"),
+    ({"type": "LinearResources", "unit_costs": ["1"]}, {"unit_cost": ["1"]}, "f.unit_cost: unknown field"),
+    (
+        {"type": "SubsetTable", "transactions": [], "table": {"": "0"}},
+        {"rows": {}},
+        "f.rows: unknown field",
+    ),
 ]
 
 
@@ -249,6 +317,32 @@ def test_record_errors_name_the_field(kind, path, bad, message):
     with pytest.raises(MalformedInput) as excinfo:
         parse_scenario(payload)
     assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("record, stray, message", CONSTRAINT_FIELD_ERRORS)
+def test_constraint_records_refuse_fields_they_do_not_read(record, stray, message):
+    parse_constraint(record, "c")
+    with pytest.raises(MalformedInput) as excinfo:
+        parse_constraint({**record, **stray}, "c")
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("record, stray, message", COST_FIELD_ERRORS)
+def test_cost_function_records_refuse_fields_they_do_not_read(record, stray, message):
+    parse_cost_function(record, "f")
+    with pytest.raises(MalformedInput) as excinfo:
+        parse_cost_function({**record, **stray}, "f")
+    assert str(excinfo.value) == message
+
+
+def test_a_misspelt_node_payment_no_longer_pays_every_node_zero():
+    payload = json.loads(json.dumps(RECORD_BASE["market"]))
+    routing = {"allocation": {"t1": ["n1"]}, "tx_payments": {"t1": "2"}, "node_payments": {"n1": "1"}}
+    payload["proposals"] = [{"broker": "b1", "routing": routing}]
+    assert parse_scenario(payload).proposals[0].routing.node_payments == {"n1": 1}
+    routing["node_payment"] = routing.pop("node_payments")
+    with pytest.raises(MalformedInput, match=r"^proposals\[0\]\.routing\.node_payment: unknown field$"):
+        parse_scenario(payload)
 
 
 def test_a_deviation_of_unknown_type_is_refused():

@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brokerlab import mechanism, strategy, validity
+from brokerlab.cli import _figure1_proposals
 from brokerlab.core import (
     Allocation,
     ConstantNonempty,
     EMPTY_ALLOCATION,
     ReportProfile,
     Routing,
+    agent_utility,
     margin,
     surplus,
     welfare,
@@ -36,8 +38,10 @@ from brokerlab.strategy import (
 from brokerlab.validity import Constraints, enumerate_valid
 
 from helpers import (
+    best_response_dynamics_reference,
     broker_best_response_reference,
     frac,
+    max_winning_margin_by_division,
     naive_enumerate,
     random_instance,
     random_reports,
@@ -363,6 +367,36 @@ def test_max_winning_margin_is_monotone_in_welfare(w, dw, rival_best, wins_ties,
     low = _max_winning_margin(w, rival_best, wins_ties, quantum, lattice)
     high = _max_winning_margin(w + dw, rival_best, wins_ties, quantum, lattice)
     assert low is None or (high is not None and low <= high)
+
+
+@given(
+    w=st.fractions(min_value=-6, max_value=12, max_denominator=16),
+    rival_best=st.none() | st.fractions(min_value=-6, max_value=12, max_denominator=16),
+    wins_ties=st.booleans(),
+    quantum=st.fractions(min_value=F(1, 16), max_value=4, max_denominator=16),
+    lattice=st.booleans(),
+)
+@settings(max_examples=400, deadline=None)
+def test_max_winning_margin_floors_match_the_fraction_divisions(w, rival_best, wins_ties, quantum, lattice):
+    # integer floor divisions against the Fraction division and floor they replaced
+    args = (w, rival_best, wins_ties, quantum, lattice)
+    assert _max_winning_margin(*args) == max_winning_margin_by_division(*args)
+
+
+@pytest.mark.parametrize(
+    "w, rival_best, quantum, lattice, want",
+    [
+        # a gap on the lattice: the margin is one quantum below it
+        (F(3), F(1), F(1, 2), False, F(3, 2)),
+        # a gap off the lattice: the margin is the lattice point below it
+        (F(3), F(3, 4), F(1, 2), False, F(2)),
+        # a margin capped at w, then floored onto the lattice
+        (F(5, 4), F(-1), F(1, 2), True, F(1)),
+        (F(1, 8), F(0), F(1, 4), False, F(0)),
+    ],
+)
+def test_max_winning_margin_floors_on_pinned_gaps(w, rival_best, quantum, lattice, want):
+    assert _max_winning_margin(w, rival_best, False, quantum, lattice) == want
 
 
 class TestBestResponseOracle:
@@ -694,3 +728,87 @@ class TestDynamics:
             collusion_market, collusion_market.validity, truthful, start, ["b1", "b2"], F(1, 4), 100
         )
         assert all(step.utility > 0 for step in trace.steps)
+
+
+def figure1_generated():
+    """Figure 1 with the proposals ``brokerlab gen figure1`` writes, run at
+    quantum 1/4: (instance, reports, initial proposals, broker order,
+    quantum, max_rounds)."""
+    figure1 = collusion_example_instance()
+    start = _figure1_proposals(figure1)
+    return figure1, figure1.truthful_reports(), start, ["b1", "b2"], F(1, 4), 100
+
+
+class TestDynamicsOracle:
+    def test_traces_match_the_fresh_round_loop(self, monkeypatch):
+        settled_terms = []
+        with_proposal = mechanism.PreparedRound.with_proposal
+
+        def checked_with_proposal(prepared, settled):
+            # the response's terms as its best response settled them, against
+            # core recomputed at the profile of the dynamics run
+            instance, routing = prepared.instance, settled.proposal.routing
+            assert settled.margin == margin(routing)
+            assert settled.surplus == surplus(instance, routing, reports)
+            assert settled.utilities == tuple(
+                agent_utility(instance, a, routing, reports) for a in instance.agent_ids
+            )
+            objects = [reports.tx_reports[t] for t in instance.tx_ids]
+            objects += [reports.node_reports[n] for n in instance.node_ids]
+            assert settled.scored_at is settled.utilities_at
+            assert all(a is b for a, b in zip(settled.scored_at, objects, strict=True))
+            assert settled.position == prepared.broker_order.index(settled.proposal.broker)
+            settled_terms.append(settled)
+            return with_proposal(prepared, settled)
+
+        monkeypatch.setattr(mechanism.PreparedRound, "with_proposal", checked_with_proposal)
+        traces = []
+        for run_args in [figure1_generated(), *dynamics_runs(1618, 60)]:
+            instance, reports = run_args[0], run_args[1]
+            got = dynamics_trace(*run_args)
+            want = best_response_dynamics_reference(instance, instance.validity, *run_args[1:])
+            assert (got.steps, got.terminal, got.converged, got.rounds) == (
+                want.steps,
+                want.terminal,
+                want.converged,
+                want.rounds,
+            )
+            traces.append(got)
+        assert traces[0].converged and traces[0].rounds == 17
+        assert {t.converged for t in traces} == {True, False}
+        assert sum(len(t.steps) for t in traces) > 150
+        # one settled term per broker turn, empty and not
+        assert len(settled_terms) == sum(t.rounds * len(t.terminal) for t in traces)
+        assert {s.proposal.routing.allocation.is_empty() for s in settled_terms} == {True, False}
+
+    def test_no_welfare_after_the_starting_profile_is_settled(self, monkeypatch):
+        scored = []
+        settled = []
+
+        def counted_welfare(*args):
+            scored.append(("welfare", args))
+            return welfare_of(*args)
+
+        def counted_utility(*args):
+            scored.append(("agent_utility", args))
+            return utility_of(*args)
+
+        def counted_run(*args):
+            outcome = run_round(*args)
+            settled.append(len(scored))
+            return outcome
+
+        welfare_of, utility_of, run_round = mechanism.welfare, mechanism.agent_utility, strategy.run
+        monkeypatch.setattr(mechanism, "welfare", counted_welfare)
+        monkeypatch.setattr(mechanism, "agent_utility", counted_utility)
+        monkeypatch.setattr(strategy, "run", counted_run)
+        run_args = figure1_generated()
+        trace = dynamics_trace(*run_args)
+        assert trace.converged and len(trace.steps) > 10
+        assert len(settled) == 1 + trace.rounds * 2
+        # the starting round scores both proposals and its winner's utilities
+        kinds = [kind for kind, _ in scored]
+        assert kinds.count("welfare") == 2
+        assert kinds.count("agent_utility") == len(run_args[0].agent_ids)
+        # and no turn scores anything after it
+        assert settled[0] == len(scored) == settled[-1]
