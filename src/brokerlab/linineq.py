@@ -275,10 +275,6 @@ def find_point(constraints: Iterable[Constraint], n_vars: int) -> tuple[Fraction
     return tuple(Fraction(x, den) for x in nums)
 
 
-def feasible(constraints: Iterable[Constraint], n_vars: int) -> bool:
-    return find_point(constraints, n_vars) is not None
-
-
 def enumerate_cells(
     base: Sequence[Constraint],
     hyperplanes: Sequence[Constraint],

@@ -175,6 +175,7 @@ class WillingnessPattern:
 class _AllocationInfo:
     allocation: Allocation
     welfare: Fraction
+    welfare_num: int  # welfare times _prepare's den, which ranks as welfare does
     # sum of g(t) over included transactions, in the instance's resource image
     fee_vector: tuple[int, ...]
     fee_class: int  # equal exactly when the fee vectors are
@@ -247,7 +248,8 @@ def _prepare(
     Usage and fee vectors are integers in the instance's resource image.
     Welfare is summed in integers over ``den``, one denominator for every
     value and every unit cost per scaled unit, and made a ``Fraction`` once
-    per allocation.
+    per allocation; the integer is kept too, and ``run_benchmarks`` ranks by
+    it.
     """
     instance = market.instance()
     d = market.dimensions
@@ -293,13 +295,17 @@ def _prepare(
                 costly.append(pair)
         fee_vector = _usage(image, allocation.transactions, d)
         fee_class = classes.setdefault(fee_vector, len(classes))
-        infos.append((allocation, Fraction(value, den), fee_vector, fee_class, costly))
+        infos.append((allocation, value, fee_vector, fee_class, costly))
     hyperplanes, index = _arrangement(market, participation, zero_splits)
     prepared = []
     for allocation, value, fee_vector, fee_class, costly in infos:
         rows = tuple(index[member] for member in chain(sorted(allocation.transactions), costly))
         mask = sum(1 << i for i in set(rows))
-        prepared.append(_AllocationInfo(allocation, value, fee_vector, fee_class, rows, mask))
+        prepared.append(
+            _AllocationInfo(
+                allocation, Fraction(value, den), value, fee_vector, fee_class, rows, mask
+            )
+        )
     return prepared, hyperplanes, index, image.scales
 
 
@@ -392,8 +398,8 @@ def _maximal_infos(pool: list[_AllocationInfo], downward_closed: bool) -> list[_
 
 def _fee_at_price(
     pool: list[_AllocationInfo], price: Sequence[Fraction], scales: Sequence[int]
-) -> Fraction:
-    """Worst welfare among the fee-maximizing members of the pool at a price.
+) -> _AllocationInfo:
+    """The first fee-maximizing member of the pool at a price of worst welfare.
 
     The price per scaled unit, ``price[i] / scales[i]``, is put over one
     common denominator once, so each fee times that positive denominator is
@@ -408,7 +414,8 @@ def _fee_at_price(
         if info.fee_class not in fees:
             fees[info.fee_class] = sum(map(mul, info.fee_vector, scaled))
     top = max(fees.values())
-    return min(info.welfare for info in pool if fees[info.fee_class] == top)
+    maximizers = (info for info in pool if fees[info.fee_class] == top)
+    return min(maximizers, key=lambda info: info.welfare_num)
 
 
 def _refuse_multi_node(infos: Iterable[_AllocationInfo]) -> None:
@@ -486,27 +493,29 @@ def run_benchmarks(market: ResourceMarket, cap: int = DEFAULT_ENUM_CAP) -> Bench
     exact = d == 1
     infos, hyperplanes, index, scales = _prepare(market, cap, zero_splits=exact)
     _refuse_multi_node(infos)
-    opt_info = max(infos, key=lambda info: info.welfare)
+    opt_info = max(infos, key=lambda info: info.welfare_num)
     # only willingness filters without a costly bundle, so pools are subset-closed;
     # with one a pool can skip a size (test_mdfm pins one) and one-extension errs
     downward = all(len(info.rows) == len(info.allocation.transactions) for info in infos)
-    # (signs, witness, worst maximal member, FEE value) per cell; every pool
-    # holds the empty allocation, and max() keeps the first cell that attains the best
+    # (signs, witness, worst maximal member, worst fee-maximal member) per
+    # cell; every pool holds the empty allocation, and max() keeps the first
+    # cell that attains the best.  All welfare is ranked by its integer over
+    # one denominator.
     cells = []
     attainable: set[Allocation] = set()
     for signs, witness in enumerate_cells(nonneg_orthant(d), hyperplanes, d):
         true = sum(1 << i for i, sign in enumerate(signs) if sign)
         pool = [info for info in infos if info.mask & true == info.mask]
-        worst = min(_maximal_infos(pool, downward), key=lambda info: info.welfare)
+        worst = min(_maximal_infos(pool, downward), key=lambda info: info.welfare_num)
         cells.append((signs, witness, worst, _fee_at_price(pool, witness, scales)))
         attainable.update(info.allocation for info in pool)
-    inc_signs, inc_price, inc_info, _ = max(cells, key=lambda cell: cell[2].welfare)
-    fee_signs, fee_price, _, fee_value = max(cells, key=lambda cell: cell[3])
+    inc_signs, inc_price, inc_info, _ = max(cells, key=lambda cell: cell[2].welfare_num)
+    fee_signs, fee_price, _, fee_info = max(cells, key=lambda cell: cell[3].welfare_num)
     ora_info = max(
-        (info for info in infos if info.allocation in attainable), key=lambda info: info.welfare
+        (info for info in infos if info.allocation in attainable), key=lambda info: info.welfare_num
     )
     ora_price = find_point(nonneg_orthant(d) + [hyperplanes[i] for i in ora_info.rows], d)
-    inc_value, ora_value = inc_info.welfare, ora_info.welfare
+    inc_value, fee_value, ora_value = inc_info.welfare, fee_info.welfare, ora_info.welfare
     return BenchmarkResult(
         opt=opt_info.welfare,
         inc=inc_value,

@@ -28,7 +28,11 @@ replaced, rebuilt equal or edited in place counts as changed.  It then
 moves each term's surplus by the changed agents alone (a transaction by its
 new minus old report where it is allocated, a node by its old minus new
 cost on its bundle), and recomputes only their utilities for the IR gate; a
-term is scored with ``core.welfare`` only the first time.  Deviation search
+term is scored with ``core.welfare`` only the first time.  The memo keeps
+the agents whose reported utility is negative as an int bit mask (bit i for
+agent i in canonical order), derived from the utilities when the term is
+made and updated only for the changed agents, so the IR gate reads the
+first violator off the mask's lowest set bit.  Deviation search
 changes one report at a time, so it prepares once and passes the prepared
 sequence to ``run``.  A best response changes one proposal:
 ``PreparedRound.without`` drops a broker's proposal and ``with_proposal``
@@ -103,7 +107,8 @@ class _Terms:
     ``balanced`` says whether the margin is non-negative.  ``scored_at`` and
     ``utilities_at`` hold the report objects of the profile ``surplus`` and
     ``utilities`` were settled at, in canonical agent order; ``utilities``
-    is in that order too.
+    is in that order too, and bit i of ``negative`` is set when its entry i
+    is negative.
     """
 
     proposal: Proposal
@@ -114,9 +119,12 @@ class _Terms:
     surplus: Fraction = ZERO
     utilities_at: tuple | None = None
     utilities: tuple[Fraction, ...] = ()
+    negative: int = field(init=False)
 
     def __post_init__(self):
         self.balanced = self.margin >= 0
+        # a Fraction has the sign of its numerator, read without a comparison
+        self.negative = sum(1 << i for i, u in enumerate(self.utilities) if u.numerator < 0)
 
 
 class _Settlement:
@@ -172,16 +180,21 @@ class _Settlement:
 
     def utilities(self, term: _Terms) -> tuple[Fraction, ...]:
         """Every agent's reported utility under ``term``'s routing, in
-        canonical agent order, from its memo; written back to the memo."""
+        canonical agent order, from its memo; written back to the memo with
+        the changed agents' bits of ``negative``."""
         agents = self.instance.agent_ids
         if term.utilities_at is None:
             changed, values = range(len(agents)), [ZERO] * len(agents)
         else:
             changed, values = self.changed(term.utilities_at), list(term.utilities)
-        routing = term.proposal.routing
+        routing, negative = term.proposal.routing, term.negative
         for i in changed:
-            values[i] = agent_utility(self.instance, agents[i], routing, self.profile)
-        term.utilities, term.utilities_at = tuple(values), self.reports
+            values[i] = utility = agent_utility(self.instance, agents[i], routing, self.profile)
+            if utility.numerator < 0:
+                negative |= 1 << i
+            else:
+                negative &= ~(1 << i)
+        term.utilities, term.utilities_at, term.negative = tuple(values), self.reports, negative
         return term.utilities
 
 
@@ -367,9 +380,10 @@ def run(
     best = max(prepared.balanced, key=lambda t: (settlement.settle(t), -t.position))
 
     utilities = settlement.utilities(best)
-    for agent, utility in zip(instance.agent_ids, utilities):
-        if utility < 0:
-            return _rejection(instance, RejectionReason.IR_VIOLATION, agent)
+    if best.negative:
+        # the lowest set bit is the first violator in canonical order
+        first = (best.negative & -best.negative).bit_length() - 1
+        return _rejection(instance, RejectionReason.IR_VIOLATION, instance.agent_ids[first])
 
     return MechanismOutcome(
         routing=best.proposal.routing,

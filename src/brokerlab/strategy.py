@@ -9,10 +9,16 @@ beaten strictly, margins live on a configurable lattice ``{k * quantum}``
 because the continuous problem has no maximizer on an open set.  The best
 winning margin never falls as welfare rises, so one welfare pass over the
 valid set finds the best response (see ``broker_best_response``), and
-its argmax is remembered for the last market and reports.  A best response
-always settles one prepared round, the rivals' plus the response.  It built
-the response, so it hands the round the response's terms already settled at
-the reports: its margin, reported surplus and reported utilities.
+its argmax is remembered for the last market and reports, together with its
+rebate plan: each node's reported cost on its bundle, the included
+transactions' reported values, their totals and the welfare.  A rebate
+routing is a plan read at one scale of the values (scale 1 is
+``max_extraction_routing``), so a best response on a remembered argmax
+computes one scale and one product per included transaction, and prices
+no bundle.  A best response always settles one prepared round, the
+rivals' plus the response.  It built the response, so it hands the round
+the response's terms already settled at the reports: its margin, reported
+surplus and reported utilities.
 Best-response dynamics check and settle the starting profile once; then
 each broker turn checks only its response and settles one round, the next
 profile's, without scoring the response.
@@ -36,12 +42,58 @@ from .mechanism import (
     prepare_round,
     run,
 )
-from .rationals import ZERO
+from .rationals import ONE, ZERO
 from .validity import DEFAULT_ENUM_CAP, ValiditySpec, enumerate_valid
 
 DEFAULT_QUANTUM = Fraction(1, 1024)
 # broker turns one dynamics run may take, whatever ``max_rounds`` allows
 MAX_DYNAMICS_TURNS = 1 << 16
+
+
+class _RebatePlan:
+    """What every rebate routing on one allocation shares at one report
+    profile: each node's payment, its reported cost on its bundle, and their
+    total; the included transactions' reported values and their total; and
+    the allocation's reported welfare.  Only the scale of the transaction
+    payments depends on the target margin."""
+
+    __slots__ = (
+        "instance", "allocation", "node_payments", "total_cost", "values", "total_value", "welfare"
+    )
+
+    def __init__(self, instance: MarketInstance, allocation: Allocation, reports: ReportProfile):
+        self.instance, self.allocation = instance, allocation
+        self.node_payments = {
+            n: reports.node_reports[n].cost(allocation.inverse(n), instance.resources)
+            for n in instance.node_ids
+        }
+        self.total_cost = sum(self.node_payments.values(), ZERO)
+        self.values = {
+            tx: reports.tx_reports[tx] for tx in instance.tx_ids if tx in allocation.transactions
+        }
+        self.total_value = sum(self.values.values(), ZERO)
+        self.welfare = self.total_value - self.total_cost
+
+    def scaled(self, scale: Fraction) -> Routing:
+        """Nodes paid their reported costs, included transactions ``scale``
+        times their reported values, in fresh dicts."""
+        tx_payments = dict.fromkeys(self.instance.tx_ids, ZERO)
+        for tx, value in self.values.items():
+            tx_payments[tx] = scale * value
+        return Routing(self.allocation, tx_payments, dict(self.node_payments))
+
+    def routing(self, target_margin: Fraction) -> Routing:
+        """``scaled`` at the scale whose margin is ``target_margin``."""
+        if target_margin < 0:
+            raise InfeasibleTarget(f"target margin must be non-negative, got {target_margin}")
+        if target_margin > self.welfare:
+            raise InfeasibleTarget(
+                f"target margin {target_margin} exceeds reported welfare {self.welfare}"
+            )
+        if self.total_value == 0:
+            # welfare <= 0 here, so the target must be exactly the (zero) welfare
+            return self.scaled(ZERO)
+        return self.scaled((self.total_cost + target_margin) / self.total_value)
 
 
 def max_extraction_routing(
@@ -53,15 +105,7 @@ def max_extraction_routing(
     working node is paid exactly its reported bundle cost, so reported
     surplus is zero.
     """
-    tx_payments = {
-        tx: (reports.tx_reports[tx] if tx in allocation.transactions else ZERO)
-        for tx in instance.tx_ids
-    }
-    node_payments = {
-        n: reports.node_reports[n].cost(allocation.inverse(n), instance.resources)
-        for n in instance.node_ids
-    }
-    return Routing(allocation, tx_payments, node_payments)
+    return _RebatePlan(instance, allocation, reports).scaled(ONE)
 
 
 @dataclass(frozen=True)
@@ -78,33 +122,38 @@ def welfare_max_allocation(
     cap: int = DEFAULT_ENUM_CAP,
 ) -> WelfareMax:
     """Argmax of reported welfare over the valid set, canonical tie-break."""
-    return _welfare_max(instance, spec, reports, enumerate_valid(instance, spec, cap))
+    return _welfare_max(instance, spec, reports, enumerate_valid(instance, spec, cap))[0]
 
 
-# (instance, spec, tx reports, node reports, argmax) of the last welfare pass.
-# Strong references, as in ``validity``; one tuple, replaced whole.
-_last_argmax: tuple[MarketInstance, ValiditySpec | None, dict, dict, WelfareMax] | None = None
+# (instance, spec, tx reports, node reports, argmax, the argmax's rebate plan)
+# of the last welfare pass.  Strong references, as in ``validity``; one
+# tuple, replaced whole.
+_last_argmax: (
+    tuple[MarketInstance, ValiditySpec | None, dict, dict, WelfareMax, _RebatePlan] | None
+) = None
 
 
 def _welfare_max(
     instance: MarketInstance, spec: ValiditySpec | None, reports: ReportProfile,
     allocations: Sequence[Allocation],
-) -> WelfareMax:
+) -> tuple[WelfareMax, _RebatePlan]:
     """``_welfare_argmax`` over ``allocations``, the valid set of ``(instance,
-    spec)``, remembered for the last instance and spec (by identity, as in
-    ``enumerate_valid``; every cap that lets it finish gives the same set)
-    and reports (by value, through copies of both mappings, so a profile
-    mutated in place since is scored again).  Reports are checked before
-    they are first scored, so a malformed profile raises ``MalformedInput``."""
+    spec)``, and the argmax's rebate plan at ``reports``, remembered for the
+    last instance and spec (by identity, as in ``enumerate_valid``; every
+    cap that lets it finish gives the same set) and reports (by value,
+    through copies of both mappings, so a profile mutated in place since is
+    scored again).  Reports are checked before they are first scored, so a
+    malformed profile raises ``MalformedInput``."""
     global _last_argmax
     tx_reports, node_reports = dict(reports.tx_reports), dict(reports.node_reports)
     last = _last_argmax
     if last and last[0] is instance and last[1] is spec and last[2:4] == (tx_reports, node_reports):
-        return last[4]
+        return last[4], last[5]
     instance.validate_reports(reports)
     best = _welfare_argmax(instance, allocations, reports)
-    _last_argmax = (instance, spec, tx_reports, node_reports, best)
-    return best
+    plan = _RebatePlan(instance, best.allocation, reports)
+    _last_argmax = (instance, spec, tx_reports, node_reports, best, plan)
+    return best, plan
 
 
 def _welfare_argmax(
@@ -137,29 +186,7 @@ def scaled_rebate_routing(
     reported utility stays non-negative.  Feasible whenever
     ``0 <= target_margin <= welfare(allocation)``.
     """
-    if target_margin < 0:
-        raise InfeasibleTarget(f"target margin must be non-negative, got {target_margin}")
-    node_payments = {
-        n: reports.node_reports[n].cost(allocation.inverse(n), instance.resources)
-        for n in instance.node_ids
-    }
-    total_cost = sum(node_payments.values(), ZERO)
-    total_value = sum((reports.tx_reports[tx] for tx in allocation.transactions), ZERO)
-    w = total_value - total_cost
-    if target_margin > w:
-        raise InfeasibleTarget(
-            f"target margin {target_margin} exceeds reported welfare {w}"
-        )
-    if total_value == 0:
-        # welfare <= 0 here, so the target must be exactly the (zero) welfare
-        scale = ZERO
-    else:
-        scale = (total_cost + target_margin) / total_value
-    tx_payments = {
-        tx: (scale * reports.tx_reports[tx] if tx in allocation.transactions else ZERO)
-        for tx in instance.tx_ids
-    }
-    return Routing(allocation, tx_payments, node_payments)
+    return _RebatePlan(instance, allocation, reports).routing(target_margin)
 
 
 @dataclass(frozen=True)
@@ -191,6 +218,8 @@ def _max_winning_margin(
     """
     if w < 0:
         return None
+    # the lattice floors run on numerators and denominators
+    qn, qd = quantum.numerator, quantum.denominator
     if rival_best is None:
         m = w
     elif wins_ties:
@@ -200,9 +229,10 @@ def _max_winning_margin(
         if gap <= 0:
             return None
         # largest lattice point strictly below the gap, capped at w
-        m = min((-(-gap // quantum) - 1) * quantum, w)
+        k = -(-(gap.numerator * qd) // (gap.denominator * qn)) - 1
+        m = min(Fraction(k * qn, qd), w)
     if lattice and m > 0:
-        m = m // quantum * quantum
+        m = Fraction(m.numerator * qd // (m.denominator * qn) * qn, qd)
     if m < 0:
         return None
     return m
@@ -245,9 +275,10 @@ def broker_best_response(
     instance, spec and broker order, its cached terms are used and the
     budget-balanced rivals' surpluses are read from its memos; any other
     rivals are prepared afresh, in broker order.  Only the response is
-    checked.  Its terms are settled here, not scored by ``run``: the margin
-    is the one asked of ``scaled_rebate_routing`` (0 for the empty routing),
-    the reported surplus is the welfare maximum's minus that margin, and
+    checked.  Its routing is the remembered argmax's rebate plan read at the
+    winning margin.  Its terms are settled here, not scored by ``run``: the
+    margin is the one asked of the plan (0 for the empty routing), the
+    reported surplus is the welfare maximum's minus that margin, and
     every agent's reported utility is 0 but an included transaction's, its
     value minus its payment, as nodes are paid their reported costs.
     """
@@ -262,7 +293,7 @@ def broker_best_response(
             raise MalformedInput(f"rival broker {rival.broker!r} missing from broker order")
 
     allocations = enumerate_valid(instance, spec, cap)
-    best = _welfare_max(instance, spec, reports, allocations)
+    best, plan = _welfare_max(instance, spec, reports, allocations)
     position = {b: i for i, b in enumerate(broker_order)}
     if not (isinstance(rivals, PreparedRound) and rivals.prepared_for(instance, spec, broker_order)):
         rivals = prepare_round(
@@ -281,14 +312,12 @@ def broker_best_response(
     )
     if best_margin is None or best_margin <= 0:
         best_margin, response_surplus, routing = ZERO, ZERO, instance.empty_routing()
+        values = {}
     else:
         response_surplus = best.welfare - best_margin
-        routing = scaled_rebate_routing(instance, best.allocation, reports, best_margin)
-    included = routing.allocation.transactions
-    utilities = [
-        reports.tx_reports[t] - routing.tx_payments[t] if t in included else ZERO
-        for t in instance.tx_ids
-    ]
+        routing, values = plan.routing(best_margin), plan.values
+    payments = routing.tx_payments
+    utilities = [values[t] - payments[t] if t in values else ZERO for t in instance.tx_ids]
     utilities += [ZERO] * len(instance.node_ids)
     at = settlement.reports
     settled = _Terms(

@@ -39,7 +39,13 @@ from brokerlab.equilibrium import (
     _with_report,
     check_pne,
 )
-from brokerlab.errors import InstanceTooLarge, InvalidProposal, MalformedInput, MarketError
+from brokerlab.errors import (
+    InfeasibleTarget,
+    InstanceTooLarge,
+    InvalidProposal,
+    MalformedInput,
+    MarketError,
+)
 from brokerlab.linineq import Constraint, find_point, nonneg_orthant
 from brokerlab.mdfm import (
     ResourceMarket,
@@ -629,8 +635,10 @@ def outcome_or_error(settle, *args):
 # ``strategy.broker_best_response``, verbatim, with the four-field record it
 # returned and the ``_outcome_with`` it settled through: it scores every
 # valid allocation with ``_max_winning_margin`` and keeps the lexicographic
-# maximum of (margin, welfare).  The one welfare pass must match its
-# proposal, utility, wins and allocations examined.
+# maximum of (margin, welfare).  Its routing comes from
+# ``scaled_rebate_routing_reference``, the from-scratch formula the rebate
+# plan replaced.  The one welfare pass must match its proposal, utility,
+# wins and allocations examined.
 
 
 @dataclass(frozen=True)
@@ -672,6 +680,40 @@ def max_winning_margin_by_division(
     if m < 0:
         return None
     return m
+
+
+def scaled_rebate_routing_reference(
+    instance: MarketInstance,
+    allocation: Allocation,
+    reports: ReportProfile,
+    target_margin: Fraction,
+) -> Routing:
+    """The former ``strategy.scaled_rebate_routing``, verbatim: every call
+    prices each node's bundle, totals costs and values, and checks the target
+    against that welfare before scaling the transaction payments."""
+    if target_margin < 0:
+        raise InfeasibleTarget(f"target margin must be non-negative, got {target_margin}")
+    node_payments = {
+        n: reports.node_reports[n].cost(allocation.inverse(n), instance.resources)
+        for n in instance.node_ids
+    }
+    total_cost = sum(node_payments.values(), ZERO)
+    total_value = sum((reports.tx_reports[tx] for tx in allocation.transactions), ZERO)
+    w = total_value - total_cost
+    if target_margin > w:
+        raise InfeasibleTarget(
+            f"target margin {target_margin} exceeds reported welfare {w}"
+        )
+    if total_value == 0:
+        # welfare <= 0 here, so the target must be exactly the (zero) welfare
+        scale = ZERO
+    else:
+        scale = (total_cost + target_margin) / total_value
+    tx_payments = {
+        tx: (scale * reports.tx_reports[tx] if tx in allocation.transactions else ZERO)
+        for tx in instance.tx_ids
+    }
+    return Routing(allocation, tx_payments, node_payments)
 
 
 def broker_best_response_reference(
@@ -738,7 +780,7 @@ def broker_best_response_reference(
         outcome = _outcome_with(instance, spec, reports, rivals, proposal, broker_order)
         return BrokerBestResponse(proposal, ZERO, outcome.winner == broker, examined)
 
-    routing = scaled_rebate_routing(instance, best_allocation, reports, best_margin)
+    routing = scaled_rebate_routing_reference(instance, best_allocation, reports, best_margin)
     proposal = Proposal(broker, routing)
     outcome = _outcome_with(instance, spec, reports, rivals, proposal, broker_order)
     return BrokerBestResponse(

@@ -11,7 +11,6 @@ from brokerlab.errors import InstanceTooLarge
 from brokerlab.linineq import (
     Constraint,
     enumerate_cells,
-    feasible,
     find_point,
     nonneg_orthant,
 )
@@ -115,7 +114,7 @@ class TestFindPoint:
                 check(cons, pt) for pt in product(grid, repeat=n)
             )
             if grid_hit:
-                assert feasible(cons, n)
+                assert find_point(cons, n) is not None
 
 
 class TestConstraintIdentity:
@@ -174,7 +173,7 @@ class TestCells:
                 cons = list(base)
                 for h, s in zip(hyperplanes, signs):
                     cons.append(h if s else h.complement())
-                if feasible(cons, 2):
+                if find_point(cons, 2) is not None:
                     brute.add(signs)
             assert found == brute
 

@@ -8,6 +8,7 @@ import pytest
 from brokerlab import mechanism
 from brokerlab.core import (
     Allocation,
+    ConstantNonempty,
     MarketInstance,
     ReportProfile,
     Routing,
@@ -499,3 +500,61 @@ class TestSettlementMemo:
             outcome = settles_as_reference(instance, profile, prepared, order)
             edited += outcome != settles_as_reference(instance, reports, prepared, order)
         assert edited > 30
+
+
+def ir_deviation(rng, instance, reports, profile, agent):
+    """``profile`` with ``agent``'s report moved: back to its ``reports``
+    one, or to one that tends to leave it a negative reported utility (a
+    transaction reporting 0, a node a large constant cost), or redrawn."""
+    tx_reports, node_reports = dict(profile.tx_reports), dict(profile.node_reports)
+    move = rng.choice(["back", "negative", "redrawn"])
+    if agent in tx_reports:
+        tx_reports[agent] = {
+            "back": reports.tx_reports[agent], "negative": F(0), "redrawn": frac(rng)
+        }[move]
+    else:
+        node_reports[agent] = {
+            "back": reports.node_reports[agent],
+            "negative": ConstantNonempty(F(40)),
+            "redrawn": random_cost(rng, list(instance.tx_ids)),
+        }[move]
+    return ReportProfile(tx_reports, node_reports)
+
+
+class TestViolatorMask:
+    def test_one_agent_deviations_in_and_out_of_violation_match_the_reference(self):
+        # one prepared round per market settles a sequence of one-agent
+        # deviations; the winner's violator mask moves with the changed agent
+        rng = random.Random(4099)
+        kinds = Counter()
+        for instance, reports, rounds, order in memo_rounds(rng, 150):
+            prepared = rng.choice(rounds)
+            profile, last = reports, None
+            for _ in range(12):
+                agent = rng.choice(instance.agent_ids)
+                profile = ir_deviation(rng, instance, reports, profile, agent)
+                result = settles_as_reference(instance, profile, prepared, order)
+                if isinstance(result[0], type):
+                    continue
+                fields = dict(result[:-1])
+                violator = fields["ir_violator"]
+                if violator is not None:
+                    kinds["transaction violates" if violator in instance.tx_ids else "node violates"] += 1
+                    if last is not None and last != violator:
+                        kinds["violator moved"] += 1
+                elif fields["winner"] is not None:
+                    kinds["cleared" if last is not None else "accepted"] += 1
+                last = violator
+        assert min(kinds[k] for k in ("transaction violates", "node violates", "accepted")) > 100
+        assert min(kinds[k] for k in ("violator moved", "cleared")) > 30
+
+    def test_the_mask_is_read_off_the_utilities(self, collusion_market):
+        truthful = collusion_market.truthful_reports()
+        proposal = demo_proposals(collusion_market)[0]
+        terms = settled_terms(collusion_market, truthful, proposal, ["b1", "b2"])
+        assert terms.negative == 0
+        lying = truthful.replace_tx("t1", F(1))
+        terms = settled_terms(collusion_market, lying, proposal, ["b1", "b2"])
+        # t1 pays 2 but reports 1
+        assert terms.utilities[0] < 0 and terms.negative == 1
+

@@ -1,7 +1,8 @@
 import hashlib
 import json
 import random
-from dataclasses import replace
+from collections import Counter
+from dataclasses import dataclass, field, replace
 from fractions import Fraction as F
 
 import pytest
@@ -13,6 +14,7 @@ from brokerlab.cli import _figure1_proposals
 from brokerlab.core import (
     Allocation,
     ConstantNonempty,
+    CostFunction,
     EMPTY_ALLOCATION,
     ReportProfile,
     Routing,
@@ -47,6 +49,7 @@ from helpers import (
     random_reports,
     random_routing,
     run_reference,
+    scaled_rebate_routing_reference,
 )
 
 
@@ -156,6 +159,71 @@ class TestScaledRebate:
                     for tx in allocation.transactions
                 ]
                 assert all(u >= 0 for u in outcome_utils)
+
+
+def routing_or_error(make, *args):
+    """The routing and its margin, or the type and message of the error raised."""
+    try:
+        routing = make(*args)
+    except MarketError as exc:
+        return type(exc), str(exc)
+    return routing, margin(routing)
+
+
+class TestRebatePlan:
+    """``scaled_rebate_routing`` and ``max_extraction_routing`` read one
+    rebate plan; ``scaled_rebate_routing_reference`` is the from-scratch
+    formula it replaced."""
+
+    def test_plan_routings_match_the_reference(self):
+        rng = random.Random(3167)
+        kinds = Counter()
+        for i in range(150):
+            instance = random_instance(rng, max_txs=3, max_nodes=2)
+            reports, _ = random_reports(rng, instance, liar_prob=0.5)
+            if i % 5 == 0:
+                # zero values: every allocation has total value 0
+                reports = ReportProfile(dict.fromkeys(instance.tx_ids, F(0)), reports.node_reports)
+            for allocation in enumerate_valid(instance):
+                args = (instance, allocation, reports)
+                w = welfare(*args)
+                total_value = sum((reports.tx_reports[t] for t in allocation.transactions), F(0))
+                kinds["total value 0" if total_value == 0 else "positive total value"] += 1
+                kinds["negative welfare" if w < 0 else "non-negative welfare"] += 1
+                targets = [F(0), w, w / 2, w + F(1, 3), F(-1), w * F(rng.randint(0, 4), 4)]
+                for target in targets:
+                    got = routing_or_error(scaled_rebate_routing, *args, target)
+                    want = routing_or_error(scaled_rebate_routing_reference, *args, target)
+                    assert got == want
+                    kinds["refused" if isinstance(got[0], type) else "routed"] += 1
+                # full value, nodes at cost: the plan at scale 1, also below welfare 0
+                routing = max_extraction_routing(*args)
+                included = allocation.transactions
+                assert routing.tx_payments == {
+                    t: (reports.tx_reports[t] if t in included else F(0)) for t in instance.tx_ids
+                }
+                assert margin(routing) == w
+                if w >= 0:
+                    assert routing == scaled_rebate_routing_reference(*args, w)
+        assert min(kinds.values()) > 100
+
+    def test_routings_of_one_plan_share_no_mapping(self, collusion_market, monkeypatch):
+        monkeypatch.setattr(strategy, "_last_argmax", None)
+        truthful = collusion_market.truthful_reports()
+        spec, order = collusion_market.validity, ["b1", "b2"]
+        both = Allocation.of({"t1": ["n1", "n2"]})
+        rival = Proposal("b2", scaled_rebate_routing(collusion_market, both, truthful, F(3)))
+        first = broker_best_response("b1", collusion_market, spec, truthful, [rival], order)
+        routing = first.proposal.routing
+        want = (dict(routing.tx_payments), dict(routing.node_payments))
+        routing.tx_payments["t1"] = F(99)
+        routing.node_payments["n1"] = F(99)
+        # the second response reads the remembered plan
+        again = broker_best_response("b1", collusion_market, spec, truthful, [rival], order)
+        other = again.proposal.routing
+        assert (other.tx_payments, other.node_payments) == want
+        assert other.tx_payments is not routing.tx_payments
+        assert other.node_payments is not routing.node_payments
 
 
 class TestBrokerBestResponse:
@@ -739,6 +807,19 @@ def figure1_generated():
     return figure1, figure1.truthful_reports(), start, ["b1", "b2"], F(1, 4), 100
 
 
+@dataclass(frozen=True)
+class CountedCost(CostFunction):
+    """``inner``, logging ``(node, bundle)`` for every evaluation."""
+
+    inner: CostFunction
+    node: str
+    log: list = field(compare=False)
+
+    def cost(self, bundle, resources=None):
+        self.log.append((self.node, frozenset(bundle)))
+        return self.inner.cost(bundle, resources)
+
+
 class TestDynamicsOracle:
     def test_traces_match_the_fresh_round_loop(self, monkeypatch):
         settled_terms = []
@@ -812,3 +893,35 @@ class TestDynamicsOracle:
         assert kinds.count("agent_utility") == len(run_args[0].agent_ids)
         # and no turn scores anything after it
         assert settled[0] == len(scored) == settled[-1]
+
+    def test_node_costs_on_the_argmax_bundle_are_evaluated_once_per_run(self, monkeypatch):
+        log = []
+        settled = []
+
+        def counted_run(*args):
+            outcome = run_round(*args)
+            settled.append(len(log))
+            return outcome
+
+        run_round = strategy.run
+        monkeypatch.setattr(strategy, "run", counted_run)
+        monkeypatch.setattr(strategy, "_last_argmax", None)
+        instance, truthful, start, order, quantum, max_rounds = figure1_generated()
+        nodes = {n: CountedCost(c, n, log) for n, c in truthful.node_reports.items()}
+        reports = ReportProfile(truthful.tx_reports, nodes)
+        trace = best_response_dynamics(
+            instance, instance.validity, reports, start, order, quantum, max_rounds
+        )
+        assert trace.converged and len(trace.steps) > 10
+        assert len(settled) == 1 + trace.rounds * len(order)
+        # the first turn prices every valid allocation's bundles in the
+        # welfare pass, then each node's argmax bundle once more for the plan
+        argmax = welfare_max_allocation(instance, instance.validity, reports).allocation
+        first_turn = Counter(log[settled[0] : settled[1]])
+        valid = enumerate_valid(instance, instance.validity)
+        for node in instance.node_ids:
+            pair = (node, argmax.inverse(node))
+            in_pass = sum(pair in allocation.bundles for allocation in valid)
+            assert first_turn[pair] == in_pass + 1
+        # and no later turn evaluates any cost, on the argmax bundle or another
+        assert settled[1] == settled[-1] == len(log)
