@@ -23,12 +23,13 @@ certified lower bound for d >= 2.
 The resource data are read as integers: the instance's ``resource_image``
 scales each dimension by the lcm of its denominators.  Usage and fee vectors
 are integer sums, an allocation's welfare is summed over one common
-denominator of values and unit costs per scaled unit and made a ``Fraction``
-once, and inside a cell the witness price is scaled once to integers, so
-each distinct fee vector costs one integer dot product.  A participation
-row is built as an integer multiple of -usage . p <= -cost, which
-``Constraint`` reduces to the same primitive row, so the cells, witnesses
-and the ORA price are those of the rational rows.
+denominator of values and unit costs per scaled unit and ranked as that
+integer (only the reported values become ``Fraction``s), transaction sets
+are bit masks, and inside a cell the witness price is scaled once to
+integers, so each distinct fee vector costs one integer dot product.  A
+participation row is built as an integer multiple of -usage . p <= -cost,
+which ``Constraint`` reduces to the same primitive row, so the cells,
+witnesses and the ORA price are those of the rational rows.
 
 Participation is what separates ORA from OPT under heterogeneous node costs:
 posted per-dimension prices cannot pay different nodes different unit rates,
@@ -174,8 +175,8 @@ class WillingnessPattern:
 @dataclass(frozen=True)
 class _AllocationInfo:
     allocation: Allocation
-    welfare: Fraction
     welfare_num: int  # welfare times _prepare's den, which ranks as welfare does
+    txs: int  # bit i: the instance's i-th transaction is included
     # sum of g(t) over included transactions, in the instance's resource image
     fee_vector: tuple[int, ...]
     fee_class: int  # equal exactly when the fee vectors are
@@ -240,16 +241,16 @@ def _over(den: int, x: Fraction) -> int:
 
 def _prepare(
     market: ResourceMarket, cap: int = DEFAULT_ENUM_CAP, zero_splits: bool = False
-) -> tuple[list[_AllocationInfo], list[Constraint], dict[object, int], tuple[int, ...]]:
-    """The valid allocations, the arrangement that admits them, and the
-    resource image's scales: an allocation's rows are the willingness of its
-    transactions and the participation of its costly bundles.
+) -> tuple[list[_AllocationInfo], list[Constraint], dict[object, int], tuple[int, ...], int]:
+    """The valid allocations, the arrangement that admits them, the resource
+    image's scales and the welfare denominator: an allocation's rows are the
+    willingness of its transactions and the participation of its costly
+    bundles.
 
     Usage and fee vectors are integers in the instance's resource image.
     Welfare is summed in integers over ``den``, one denominator for every
-    value and every unit cost per scaled unit, and made a ``Fraction`` once
-    per allocation; the integer is kept too, and ``run_benchmarks`` ranks by
-    it.
+    value and every unit cost per scaled unit; ``run_benchmarks`` ranks by
+    that integer and makes a ``Fraction`` only of the values it reports.
     """
     instance = market.instance()
     d = market.dimensions
@@ -270,6 +271,7 @@ def _prepare(
     # integers; a Constraint keeps only its primitive row
     row_scale = lcm(*image.scales)
     row_factors = [row_scale // s * den for s in image.scales]
+    bits = {tx: 1 << i for i, tx in enumerate(instance.tx_ids)}
     # each (node, bundle) pair's cost over den, and each costly one's TRUE side
     costs: dict[tuple[str, frozenset[str]], int] = {}
     participation: dict[tuple[str, frozenset[str]], Constraint] = {}
@@ -301,12 +303,9 @@ def _prepare(
     for allocation, value, fee_vector, fee_class, costly in infos:
         rows = tuple(index[member] for member in chain(sorted(allocation.transactions), costly))
         mask = sum(1 << i for i in set(rows))
-        prepared.append(
-            _AllocationInfo(
-                allocation, Fraction(value, den), value, fee_vector, fee_class, rows, mask
-            )
-        )
-    return prepared, hyperplanes, index, image.scales
+        txs = sum(bits[tx] for tx in allocation.transactions)
+        prepared.append(_AllocationInfo(allocation, value, txs, fee_vector, fee_class, rows, mask))
+    return prepared, hyperplanes, index, image.scales, den
 
 
 def _check_pattern_caps(market: ResourceMarket) -> None:
@@ -385,15 +384,19 @@ def fee_maximal_allocations(
     return [a for a in pool if total_fee(a) == top]
 
 
-def _maximal_infos(pool: list[_AllocationInfo], downward_closed: bool) -> list[_AllocationInfo]:
-    """Pool members whose transaction set has no strict superset in the pool."""
-    tsets = {info.allocation.transactions for info in pool}
-    if downward_closed:
-        universe: frozenset[str] = frozenset().union(*tsets) if tsets else frozenset()
-        maximal = {t for t in tsets if not any(t | {x} in tsets for x in universe - t)}
-    else:
-        maximal = {t for t in tsets if not any(other > t for other in tsets)}
-    return [info for info in pool if info.allocation.transactions in maximal]
+def _maximal_infos(pool: list[_AllocationInfo]) -> list[_AllocationInfo]:
+    """Pool members whose transaction set has no strict superset in the pool.
+
+    The distinct sets are taken largest first, and a set is kept unless a
+    kept set contains it: a set with a strict superset in the pool has a
+    maximal one, which is larger, so it was kept before.
+    """
+    kept: list[int] = []
+    for txs in sorted({info.txs for info in pool}, key=int.bit_count, reverse=True):
+        if all(txs & other != txs for other in kept):
+            kept.append(txs)
+    maximal = set(kept)
+    return [info for info in pool if info.txs in maximal]
 
 
 def _fee_at_price(
@@ -448,7 +451,8 @@ class BenchmarkResult:
 
 def opt_benchmark(market: ResourceMarket) -> Fraction:
     """Highest welfare of any valid allocation (payments are free transfers)."""
-    return max((info.welfare for info in _prepare(market)[0]), default=ZERO)
+    infos, *_, den = _prepare(market)
+    return max((Fraction(info.welfare_num, den) for info in infos), default=ZERO)
 
 
 def inc_benchmark(market: ResourceMarket) -> Fraction:
@@ -491,12 +495,9 @@ def run_benchmarks(market: ResourceMarket, cap: int = DEFAULT_ENUM_CAP) -> Bench
     _check_pattern_caps(market)
     d = market.dimensions
     exact = d == 1
-    infos, hyperplanes, index, scales = _prepare(market, cap, zero_splits=exact)
+    infos, hyperplanes, index, scales, den = _prepare(market, cap, zero_splits=exact)
     _refuse_multi_node(infos)
     opt_info = max(infos, key=lambda info: info.welfare_num)
-    # only willingness filters without a costly bundle, so pools are subset-closed;
-    # with one a pool can skip a size (test_mdfm pins one) and one-extension errs
-    downward = all(len(info.rows) == len(info.allocation.transactions) for info in infos)
     # (signs, witness, worst maximal member, worst fee-maximal member) per
     # cell; every pool holds the empty allocation, and max() keeps the first
     # cell that attains the best.  All welfare is ranked by its integer over
@@ -506,7 +507,7 @@ def run_benchmarks(market: ResourceMarket, cap: int = DEFAULT_ENUM_CAP) -> Bench
     for signs, witness in enumerate_cells(nonneg_orthant(d), hyperplanes, d):
         true = sum(1 << i for i, sign in enumerate(signs) if sign)
         pool = [info for info in infos if info.mask & true == info.mask]
-        worst = min(_maximal_infos(pool, downward), key=lambda info: info.welfare_num)
+        worst = min(_maximal_infos(pool), key=lambda info: info.welfare_num)
         cells.append((signs, witness, worst, _fee_at_price(pool, witness, scales)))
         attainable.update(info.allocation for info in pool)
     inc_signs, inc_price, inc_info, _ = max(cells, key=lambda cell: cell[2].welfare_num)
@@ -515,9 +516,11 @@ def run_benchmarks(market: ResourceMarket, cap: int = DEFAULT_ENUM_CAP) -> Bench
         (info for info in infos if info.allocation in attainable), key=lambda info: info.welfare_num
     )
     ora_price = find_point(nonneg_orthant(d) + [hyperplanes[i] for i in ora_info.rows], d)
-    inc_value, fee_value, ora_value = inc_info.welfare, fee_info.welfare, ora_info.welfare
+    opt_value, inc_value, fee_value, ora_value = (
+        Fraction(info.welfare_num, den) for info in (opt_info, inc_info, fee_info, ora_info)
+    )
     return BenchmarkResult(
-        opt=opt_info.welfare,
+        opt=opt_value,
         inc=inc_value,
         fee=fee_value,
         fee_exact=exact,
@@ -530,7 +533,7 @@ def run_benchmarks(market: ResourceMarket, cap: int = DEFAULT_ENUM_CAP) -> Bench
             "fee": BenchmarkWitness(None, fee_price, _willing(market, index, fee_signs)),
             "ora": BenchmarkWitness(ora_info.allocation, ora_price, None),
         },
-        hierarchy_ok=inc_value <= fee_value <= ora_value <= opt_info.welfare if exact else None,
+        hierarchy_ok=inc_value <= fee_value <= ora_value <= opt_value if exact else None,
     )
 
 

@@ -10,41 +10,31 @@ id) is named.
 A round is prepared once and settled many times.  ``prepare_round`` makes
 every check on the proposals and the broker order and caches, for each
 proposal, the terms that do not depend on the reports: its margin, whether
-it is budget-balanced, and its broker's position.  Settling one report
-profile then ranks the budget-balanced proposals by reported surplus, their
-allocation's reported welfare minus the cached margin, which is
-``core.surplus``.
+it is budget-balanced, and its broker's position.  Each term also keeps one
+memo: the report objects of the profile it was last settled at, every
+agent's reported utility there in canonical order, their sum, which is the
+reported surplus (``core.surplus``: payments cancel down to the margin), and
+the agents with a negative utility as an int bit mask (bit i for agent i).
 
-``run`` first copies the profile's report objects out of its mappings in
-canonical agent order and checks them in one pass: the mappings must be
-total and every transaction report non-negative, or
-``MarketInstance.validate_reports`` raises its error.  Each budget-balanced
-term also keeps a one-entry memo, written by ``run`` or handed in settled
-by a best response (below): the report objects of the profile it was last
-settled at, its reported surplus there, and, once it has won, every agent's
-reported utility.  ``run`` compares the incoming profile's report objects
-with a memo's by identity, agent by agent, once per memo profile, so a report
-replaced, rebuilt equal or edited in place counts as changed.  It then
-moves each term's surplus by the changed agents alone (a transaction by its
-new minus old report where it is allocated, a node by its old minus new
-cost on its bundle), and recomputes only their utilities for the IR gate; a
-term is scored with ``core.welfare`` only the first time.  The memo keeps
-the agents whose reported utility is negative as an int bit mask (bit i for
-agent i in canonical order), derived from the utilities when the term is
-made and updated only for the changed agents, so the IR gate reads the
-first violator off the mask's lowest set bit.  Deviation search
-changes one report at a time, so it prepares once and passes the prepared
-sequence to ``run``.  A best response changes one proposal:
-``PreparedRound.without`` drops a broker's proposal and ``with_proposal``
-swaps in the response's terms, checking only the new proposal; both keep
-the other terms and their memos.  The best response built its proposal, so
-it already knows the margin, reported surplus and reported utilities, and
-hands them over as a memo stamped with the report objects of the profile it
-answered.  ``run`` then finds no changed agent in that memo and scores
-nothing for the response: once a dynamics run has settled its starting
-profile, ``core.welfare`` runs no more, and ``agent_utility`` only for a
-starting proposal that first wins later.  ``surpluses`` reads every
-proposal's reported surplus from the memos without writing them.
+A term is first settled from its report-free utilities: each transaction
+pays, each node is paid, and their sum is minus the margin.  Only an
+allocated transaction's utility and the utility of a node with a bundle read
+a report, so only those agents are then scored.  Later settles compare the
+profile's report objects with the memo's by identity, once per memo profile,
+so a report replaced, rebuilt equal or edited in place counts as changed,
+and rescore only the changed agents among those.  ``run`` checks the
+reports in one pass over their objects, ranks the balanced terms by
+surplus, and reads the winner's IR gate off the mask's lowest set bit and
+its utilities off the memo.
+
+Deviation search changes one report at a time, so it prepares once and
+passes the prepared sequence to ``run``.  A best response changes one
+proposal: ``PreparedRound.without`` drops a broker's proposal and
+``with_proposal`` swaps in the response's terms, checking only the new
+proposal; both keep the other terms and their memos.  The best response
+built its proposal, so it hands over its memo already settled at the
+profile it answered, and ``run`` scores nothing for it.  ``surpluses``
+settles every proposal's terms, a plain list's through temporary ones.
 """
 
 from __future__ import annotations
@@ -55,15 +45,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping
 
-from .core import (
-    MarketInstance,
-    ReportProfile,
-    Routing,
-    agent_utility,
-    margin,
-    surplus,
-    welfare,
-)
+from .core import MarketInstance, ReportProfile, Routing, margin
 from .errors import InvalidProposal, MalformedInput
 from .rationals import ZERO
 from .validity import ValiditySpec, is_valid
@@ -104,42 +86,48 @@ class _Terms:
     """The report-independent terms of one proposal, and its memo (see the
     module docstring).
 
-    ``balanced`` says whether the margin is non-negative.  ``scored_at`` and
-    ``utilities_at`` hold the report objects of the profile ``surplus`` and
-    ``utilities`` were settled at, in canonical agent order; ``utilities``
-    is in that order too, and bit i of ``negative`` is set when its entry i
-    is negative.
+    ``balanced`` says whether the margin is non-negative.  ``at`` holds the
+    report objects of the profile the memo was settled at, in canonical
+    agent order, or None before the first settle; ``utilities`` is in that
+    order too, ``surplus`` is their sum, and bit i of ``negative`` is set
+    when entry i is negative.
     """
 
     proposal: Proposal
     margin: Fraction
     position: int
     balanced: bool = field(init=False)
-    scored_at: tuple | None = None
-    surplus: Fraction = ZERO
-    utilities_at: tuple | None = None
+    at: tuple | None = None
     utilities: tuple[Fraction, ...] = ()
+    surplus: Fraction = ZERO
     negative: int = field(init=False)
 
     def __post_init__(self):
         self.balanced = self.margin >= 0
-        # a Fraction has the sign of its numerator, read without a comparison
-        self.negative = sum(1 << i for i, u in enumerate(self.utilities) if u.numerator < 0)
+        self.negative = _negative(self.utilities)
+
+
+def _negative(utilities) -> int:
+    # a Fraction has the sign of its numerator, read without a comparison
+    return sum(1 << i for i, u in enumerate(utilities) if u.numerator < 0)
 
 
 class _Settlement:
     """One report profile settled against terms' memos.
 
-    ``reports`` holds the profile's report objects in canonical agent order,
-    or None when its mappings are not total over the instance.  The agents
-    whose report object differs from a memo's are found once per memo
-    profile.
+    ``reports`` holds the profile's report objects in canonical agent order;
+    a profile whose mappings are not total, or that has a negative
+    transaction report, is refused with ``MarketInstance.validate_reports``'s
+    error.  The agents whose report object differs from a memo's are found
+    once per memo profile.
     """
 
     def __init__(self, instance: MarketInstance, profile: ReportProfile):
         self.instance = instance
-        self.profile = profile
         self.reports = _report_objects(instance, profile)
+        if self.reports is None or any(v < 0 for v in self.reports[: len(instance.tx_ids)]):
+            # raises, naming what is wrong
+            instance.validate_reports(profile)
         self._changed: dict[int, tuple[tuple, tuple[int, ...]]] = {}
 
     def changed(self, at: tuple) -> tuple[int, ...]:
@@ -153,49 +141,43 @@ class _Settlement:
             hit = self._changed[id(at)] = (at, changed)
         return hit[1]
 
-    def surplus(self, term: _Terms) -> Fraction:
-        """``term``'s reported surplus at this profile, its memo moved by the
-        changed agents' reports; ``core.welfare`` when it has none."""
-        allocation = term.proposal.routing.allocation
-        at = term.scored_at
-        if at is None:
-            return welfare(self.instance, allocation, self.profile) - term.margin
-        value = term.surplus
-        agents, new = self.instance.agent_ids, self.reports
-        n_txs = len(self.instance.tx_ids)
-        for i in self.changed(at):
-            if i < n_txs:
-                if agents[i] in allocation.transactions:
-                    value += new[i] - at[i]
-            elif bundle := allocation.inverse(agents[i]):
-                resources = self.instance.resources
-                value += at[i].cost(bundle, resources) - new[i].cost(bundle, resources)
-        return value
-
     def settle(self, term: _Terms) -> Fraction:
-        """``surplus``, written to ``term``'s memo."""
-        term.surplus = self.surplus(term)
-        term.scored_at = self.reports
-        return term.surplus
-
-    def utilities(self, term: _Terms) -> tuple[Fraction, ...]:
-        """Every agent's reported utility under ``term``'s routing, in
-        canonical agent order, from its memo; written back to the memo with
-        the changed agents' bits of ``negative``."""
-        agents = self.instance.agent_ids
-        if term.utilities_at is None:
-            changed, values = range(len(agents)), [ZERO] * len(agents)
+        """``term``'s reported surplus at this profile, its memo settled here:
+        the utilities that read a changed report are rescored, from the
+        report-free ones the first time."""
+        instance, new = self.instance, self.reports
+        agents, n_txs = instance.agent_ids, len(instance.tx_ids)
+        routing = term.proposal.routing
+        allocation, tx_payments, node_payments = (
+            routing.allocation, routing.tx_payments, routing.node_payments
+        )
+        if term.at is None:
+            # a plain list's routing may lack a payment, which counts as 0
+            values = [-tx_payments.get(a, ZERO) for a in agents[:n_txs]]
+            values += [node_payments.get(a, ZERO) for a in agents[n_txs:]]
+            changed, value, negative = range(len(agents)), -term.margin, _negative(values)
         else:
-            changed, values = self.changed(term.utilities_at), list(term.utilities)
-        routing, negative = term.proposal.routing, term.negative
+            values, value, negative = list(term.utilities), term.surplus, term.negative
+            changed = self.changed(term.at)
         for i in changed:
-            values[i] = utility = agent_utility(self.instance, agents[i], routing, self.profile)
+            agent = agents[i]
+            if i < n_txs:
+                if agent not in allocation.transactions:
+                    continue
+                utility = new[i] - tx_payments.get(agent, ZERO)
+            else:
+                bundle = allocation.inverse(agent)
+                if not bundle:
+                    continue
+                utility = node_payments.get(agent, ZERO) - new[i].cost(bundle, instance.resources)
+            value += utility - values[i]
+            values[i] = utility
             if utility.numerator < 0:
                 negative |= 1 << i
             else:
                 negative &= ~(1 << i)
-        term.utilities, term.utilities_at, term.negative = tuple(values), self.reports, negative
-        return term.utilities
+        term.at, term.utilities, term.surplus, term.negative = new, tuple(values), value, negative
+        return value
 
 
 def _report_objects(instance: MarketInstance, reports: ReportProfile) -> tuple | None:
@@ -322,18 +304,16 @@ def surpluses(
     """Each proposal's reported surplus at ``reports`` (``core.surplus``), in
     the order of ``proposals``.
 
-    When ``proposals`` is a round prepared for ``instance`` and ``reports``
-    is total, each is read from its term's memo and the changed agents'
-    reports (``core.welfare`` minus the cached margin when it has no memo);
-    no memo is written.  Otherwise the reports are checked first, so
-    reports that are not total raise ``MalformedInput``.
+    A round prepared for ``instance`` settles its terms' memos; any other
+    sequence is settled through temporary terms.  Reports are checked as
+    ``run`` checks them.
     """
+    settlement = _Settlement(instance, reports)
     if isinstance(proposals, PreparedRound) and proposals.instance is instance:
-        settlement = _Settlement(instance, reports)
-        if settlement.reports is not None:
-            return [settlement.surplus(t) for t in proposals.terms]
-    instance.validate_reports(reports)
-    return [surplus(instance, p.routing, reports) for p in proposals]
+        terms = proposals.terms
+    else:
+        terms = [_Terms(p, margin(p.routing), 0) for p in proposals]
+    return [settlement.settle(t) for t in terms]
 
 
 def _rejection(
@@ -369,17 +349,12 @@ def run(
     was last settled are scored.
     """
     settlement = _Settlement(instance, reports)
-    n_txs = len(instance.tx_ids)
-    if settlement.reports is None or any(v < 0 for v in settlement.reports[:n_txs]):
-        # raises, naming what is wrong
-        instance.validate_reports(reports)
     prepared = prepare_round(instance, spec, proposals, broker_order)
     if not prepared.balanced:
         return _rejection(instance, RejectionReason.NO_BUDGET_BALANCED_PROPOSAL)
 
     best = max(prepared.balanced, key=lambda t: (settlement.settle(t), -t.position))
 
-    utilities = settlement.utilities(best)
     if best.negative:
         # the lowest set bit is the first violator in canonical order
         first = (best.negative & -best.negative).bit_length() - 1
@@ -389,7 +364,7 @@ def run(
         routing=best.proposal.routing,
         winner=best.proposal.broker,
         broker_payment=best.margin,
-        agent_utilities=dict(zip(instance.agent_ids, utilities)),
+        agent_utilities=dict(zip(instance.agent_ids, best.utilities)),
     )
 
 

@@ -17,11 +17,11 @@ routing is a plan read at one scale of the values (scale 1 is
 computes one scale and one product per included transaction, and prices
 no bundle.  A best response always settles one prepared round, the
 rivals' plus the response.  It built the response, so it hands the round
-the response's terms already settled at the reports: its margin, reported
-surplus and reported utilities.
-Best-response dynamics check and settle the starting profile once; then
-each broker turn checks only its response and settles one round, the next
-profile's, without scoring the response.
+the response's terms with their memo already settled at the reports: the
+report objects, every agent's reported utility and their sum, the reported
+surplus.  Best-response dynamics check and settle the starting profile
+once; then each broker turn checks only its response and settles one
+round, the next profile's, and that settlement prices no bundle.
 """
 
 from __future__ import annotations
@@ -273,14 +273,14 @@ def broker_best_response(
     Reports are checked before the rivals, as ``run`` checks them.
     ``rivals`` may be a ``PreparedRound``: when it was prepared for this
     instance, spec and broker order, its cached terms are used and the
-    budget-balanced rivals' surpluses are read from its memos; any other
-    rivals are prepared afresh, in broker order.  Only the response is
+    budget-balanced rivals' surpluses are settled through their memos; any
+    other rivals are prepared afresh, in broker order.  Only the response is
     checked.  Its routing is the remembered argmax's rebate plan read at the
-    winning margin.  Its terms are settled here, not scored by ``run``: the
-    margin is the one asked of the plan (0 for the empty routing), the
-    reported surplus is the welfare maximum's minus that margin, and
-    every agent's reported utility is 0 but an included transaction's, its
-    value minus its payment, as nodes are paid their reported costs.
+    winning margin.  Its memo is settled here, not by ``run``: every agent's
+    reported utility is 0 but an included transaction's, its value minus its
+    payment, as nodes are paid their reported costs, and their sum, the
+    reported surplus, is the welfare maximum's minus the margin asked of the
+    plan (0 for the empty routing).
     """
     if quantum <= 0:
         raise MalformedInput(f"quantum must be positive, got {quantum}")
@@ -300,7 +300,7 @@ def broker_best_response(
             instance, spec, sorted(rivals, key=lambda p: position[p.broker]), broker_order
         )
     settlement = _Settlement(instance, reports)
-    rival_surpluses = [(settlement.surplus(t), t.position) for t in rivals.balanced]
+    rival_surpluses = [(settlement.settle(t), t.position) for t in rivals.balanced]
     if rival_surpluses:
         rival_best = max(s for s, _ in rival_surpluses)
         wins_ties = all(position[broker] < p for s, p in rival_surpluses if s == rival_best)
@@ -319,15 +319,13 @@ def broker_best_response(
     payments = routing.tx_payments
     utilities = [values[t] - payments[t] if t in values else ZERO for t in instance.tx_ids]
     utilities += [ZERO] * len(instance.node_ids)
-    at = settlement.reports
     settled = _Terms(
         Proposal(broker, routing),
         best_margin,
         position[broker],
-        scored_at=at,
-        surplus=response_surplus,
-        utilities_at=at,
+        at=settlement.reports,
         utilities=tuple(utilities),
+        surplus=response_surplus,
     )
     prepared = rivals.with_proposal(settled)
     outcome = run(instance, spec, reports, prepared, broker_order)

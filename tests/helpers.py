@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from itertools import combinations, product
 from math import prod
@@ -13,6 +13,7 @@ from brokerlab.core import (
     MAX_SUBSET_TABLE_TXS,
     Allocation,
     ConstantNonempty,
+    CostFunction,
     LinearResources,
     MarketInstance,
     NodeSpec,
@@ -808,16 +809,38 @@ def settled_terms(
     ``core.surplus`` and every agent's ``agent_utility``, stamped with the
     profile's report objects.  A broker outside the order gets position -1."""
     routing = proposal.routing
-    at = _report_objects(instance, reports)
     return _Terms(
         proposal,
         margin(routing),
         list(broker_order).index(proposal.broker) if proposal.broker in broker_order else -1,
-        scored_at=at,
-        surplus=surplus(instance, routing, reports),
-        utilities_at=at,
+        at=_report_objects(instance, reports),
         utilities=tuple(agent_utility(instance, a, routing, reports) for a in instance.agent_ids),
+        surplus=surplus(instance, routing, reports),
     )
+
+
+@dataclass(frozen=True)
+class CountedCost(CostFunction):
+    """``inner``, logging ``(node, bundle)`` for every evaluation."""
+
+    inner: CostFunction
+    node: str
+    log: list = field(compare=False)
+
+    def cost(self, bundle, resources=None):
+        self.log.append((self.node, frozenset(bundle)))
+        return self.inner.cost(bundle, resources)
+
+
+def counted_reports(profile: ReportProfile, log: list) -> ReportProfile:
+    """``profile`` in fresh mappings, each node report that is not yet a
+    ``CountedCost`` wrapped in one that logs to ``log``; every other report
+    keeps its object."""
+    nodes = {
+        n: c if isinstance(c, CountedCost) else CountedCost(c, n, log)
+        for n, c in profile.node_reports.items()
+    }
+    return ReportProfile(dict(profile.tx_reports), nodes)
 
 
 # ``best_response_dynamics_reference`` is the dynamics loop with nothing

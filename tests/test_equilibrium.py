@@ -96,6 +96,16 @@ class TestTxCandidates:
         with pytest.raises(MalformedInput):
             tx_deviation_candidates(collusion_market, "ghost", [], collusion_market.truthful_reports())
 
+    def test_a_payment_rule_missing_the_transaction_is_refused(self, collusion_market):
+        # a plain list is not validated as a round is, so the candidate
+        # search itself names the transaction the payment rule leaves out
+        truthful = collusion_market.truthful_reports()
+        nodes = {"n1": F(0), "n2": F(0)}
+        for allocation in (Allocation.of({"t1": ["n1"]}), Allocation.of({"t2": ["n1"]})):
+            lacking = Proposal("b1", Routing(allocation, {"t2": F(1)}, nodes))
+            with pytest.raises(MalformedInput, match="proposal payment rule is missing transaction 't1'"):
+                tx_deviation_candidates(collusion_market, "t1", [lacking], truthful)
+
 
 def test_reports_that_are_not_total_are_refused_with_a_typed_error(collusion_market):
     # t2 and both nodes have reports, t1 has none: a surplus would read it

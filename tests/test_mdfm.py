@@ -306,8 +306,8 @@ class TestHierarchyAndSweep:
 
     def test_maximality_needs_the_general_rule_once_bundles_cost(self):
         # at p = (2, 3/2) the pool holds {t0,t2} and {t0,t1,t2,t3} but no
-        # three-transaction set between them, so the one-extension rule calls
-        # {t0,t2} maximal; value sweeps leave INC unchanged on this market
+        # three-transaction set between them, so a rule that looks for
+        # one-transaction extensions only would call {t0,t2} maximal
         usage = [(2, 1), (1, 2), (1, 3), (1, 1)]
         txs = tuple(
             TransactionSpec(f"t{i}", F(100), tuple(map(F, g))) for i, g in enumerate(usage)
@@ -318,7 +318,7 @@ class TestHierarchyAndSweep:
         )
         market = ResourceMarket(2, txs, nodes, single_assignment=True)
         price = (F(2), F(3, 2))
-        infos, hyperplanes, _, _ = mdfm._prepare(market)
+        infos, hyperplanes, *_ = mdfm._prepare(market)
         true = sum(1 << i for i, h in enumerate(hyperplanes) if h.admits(price))
         pool = [info for info in infos if info.mask & true == info.mask]
         direct = pools_at_price(market, price)[1]
@@ -327,8 +327,57 @@ class TestHierarchyAndSweep:
         assert {frozenset({"t0", "t2"}), frozenset({"t0", "t1", "t2", "t3"})} <= tsets
         assert not {frozenset({"t0", "t1", "t2"}), frozenset({"t0", "t2", "t3"})} & tsets
         expected = inclusion_maximal_allocations(direct)
-        assert [info.allocation for info in mdfm._maximal_infos(pool, False)] == expected
-        assert [info.allocation for info in mdfm._maximal_infos(pool, True)] != expected
+        assert [info.allocation for info in mdfm._maximal_infos(pool)] == expected
+        assert frozenset({"t0", "t2"}) not in {a.transactions for a in expected}
+
+    def test_maximal_infos_match_the_reference_on_every_cell_pool(self):
+        # two-node d = 2 markets whose capacities and costly bundles leave
+        # gaps in some pools, as in the pinned market, then random markets
+        rng = random.Random(1)
+
+        def half(lo, hi):
+            return F(rng.randint(2 * lo, 2 * hi), 2)
+
+        markets = []
+        for _ in range(250):
+            txs = tuple(
+                TransactionSpec(f"t{i}", F(100), (F(rng.randint(1, 3)), F(rng.randint(1, 3))))
+                for i in range(4)
+            )
+            nodes = tuple(
+                NodeSpec(
+                    f"n{j}",
+                    LinearResources((half(0, 3), half(0, 3))),
+                    (F(rng.randint(1, 6)), F(rng.randint(1, 6))),
+                )
+                for j in range(2)
+            )
+            markets.append(ResourceMarket(2, txs, nodes, single_assignment=True))
+        for k in range(90):
+            markets.append(
+                random_resource_market(rng, max_txs=4, dimensions=1 + k % 3, n_nodes=1 + k % 2)
+            )
+        pools = costly = gapped = 0
+        for market in markets:
+            d = market.dimensions
+            infos, hyperplanes, *_ = mdfm._prepare(market)
+            for signs, _ in enumerate_cells(nonneg_orthant(d), hyperplanes, d):
+                true = sum(1 << i for i, sign in enumerate(signs) if sign)
+                pool = [info for info in infos if info.mask & true == info.mask]
+                allocations = [info.allocation for info in pool]
+                maximal = mdfm._maximal_infos(pool)
+                assert [info.allocation for info in maximal] == inclusion_maximal_allocations(
+                    allocations
+                )
+                pools += 1
+                costly += any(len(info.rows) > len(info.allocation.transactions) for info in pool)
+                # a set with a strict superset in the pool but none one larger
+                tsets = {a.transactions for a in allocations}
+                gapped += any(
+                    any(o > t for o in tsets) and not any(o > t and len(o - t) == 1 for o in tsets)
+                    for t in tsets
+                )
+        assert pools > 4000 and costly > 3000 and gapped >= 2
 
     def test_hierarchy_on_positive_markets(self):
         rng = random.Random(62)
@@ -389,10 +438,10 @@ class TestIntegerImage:
         for market in self.markets(71, 100):
             instance = market.instance()
             truthful = instance.truthful_reports()
-            infos = mdfm._prepare(market)[0]
+            infos, *_, den = mdfm._prepare(market)
             assert [info.allocation for info in infos] == enumerate_valid(instance)
             for info in infos:
-                assert info.welfare == welfare(instance, info.allocation, truthful)
+                assert F(info.welfare_num, den) == welfare(instance, info.allocation, truthful)
                 checked += 1
         assert checked > 1500
 
@@ -402,7 +451,7 @@ class TestIntegerImage:
             instance = market.instance()
             truthful = instance.truthful_reports()
             d = market.dimensions
-            infos, hyperplanes, _, scales = mdfm._prepare(market)
+            infos, hyperplanes, _, scales, den = mdfm._prepare(market)
             for signs, witness in enumerate_cells(nonneg_orthant(d), hyperplanes, d):
                 true = sum(1 << i for i, sign in enumerate(signs) if sign)
                 pool = [info for info in infos if info.mask & true == info.mask]
@@ -410,7 +459,8 @@ class TestIntegerImage:
                 assert [info.allocation for info in pool] == direct
                 fee_max = fee_maximal_allocations(market, direct, witness)
                 expected = min(welfare(instance, a, truthful) for a in fee_max)
-                assert mdfm._fee_at_price(pool, witness, scales).welfare == expected
+                worst = mdfm._fee_at_price(pool, witness, scales)
+                assert F(worst.welfare_num, den) == expected
                 cells += 1
         assert cells > 600
 

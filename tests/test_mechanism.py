@@ -13,6 +13,7 @@ from brokerlab.core import (
     ReportProfile,
     Routing,
     SubsetTable,
+    agent_utility,
     margin,
     node_utility,
     surplus,
@@ -33,6 +34,8 @@ from brokerlab.strategy import max_extraction_routing, scaled_rebate_routing
 from brokerlab.validity import Constraints, Extensional
 
 from helpers import (
+    CountedCost,
+    counted_reports,
     frac,
     naive_enumerate,
     outcome_or_error,
@@ -398,20 +401,38 @@ def settles_as_reference(instance, reports, prepared, order):
     return expected
 
 
+def report_objects(instance, profile):
+    """The profile's report objects in canonical agent order."""
+    objects = [profile.tx_reports[t] for t in instance.tx_ids]
+    return tuple(objects + [profile.node_reports[n] for n in instance.node_ids])
+
+
+def profile_at(instance, objects):
+    """The report profile whose objects, in canonical agent order, are ``objects``."""
+    n_txs = len(instance.tx_ids)
+    return ReportProfile(
+        dict(zip(instance.tx_ids, objects[:n_txs])), dict(zip(instance.node_ids, objects[n_txs:]))
+    )
+
+
 class TestSettlementMemo:
-    def test_settlement_sequences_match_the_reference(self, monkeypatch):
-        scored = Counter()
-
-        def counted_welfare(instance, allocation, reports):
-            scored[allocation] += 1
-            return welfare(instance, allocation, reports)
-
-        welfare = mechanism.welfare
-        monkeypatch.setattr(mechanism, "welfare", counted_welfare)
+    def test_settlement_sequences_match_the_reference(self):
+        # every node cost evaluation is logged: a run prices, for each
+        # balanced term of its round, each bundle whose node's report object
+        # changed since the term was last settled, once, and nothing else
+        log = []
         rng = random.Random(7331)
         kinds = Counter()
         for instance, reports, rounds, order in memo_rounds(rng, 150):
-            scored.clear()
+            n_txs = len(instance.tx_ids)
+            # each term's memo profile as this test tracks it: only the
+            # swapped-in terms come settled, at ``reports``
+            fresh = {id(t) for t in rounds[0].terms}
+            memo = {
+                id(t): None if id(t) in fresh else report_objects(instance, reports)
+                for r in rounds
+                for t in r.terms
+            }
             profile = reports
             for _ in range(12):
                 count = rng.choice([0, 1, 2, len(instance.agent_ids)])
@@ -419,47 +440,97 @@ class TestSettlementMemo:
                 if rng.random() < 0.25:
                     profile = rebuilt_profile(profile)
                     count = "rebuilt"
+                profile = counted_reports(profile, log)
                 kinds[count] += 1
-                settles_as_reference(instance, profile, rng.choice(rounds), order)
-            # every term is scored with welfare at most once, however the
-            # rounds that share it are settled
-            terms = {id(t): t for r in rounds for t in r.balanced}.values()
-            assert sum(scored.values()) <= len(terms)
+                prepared = rng.choice(rounds)
+                now = report_objects(instance, profile)
+                priced = Counter()
+                for term in prepared.balanced:
+                    at = memo[id(term)]
+                    for j, node in enumerate(instance.node_ids):
+                        bundle = term.proposal.routing.allocation.inverse(node)
+                        if bundle and (at is None or at[n_txs + j] is not now[n_txs + j]):
+                            priced[node, bundle] += 1
+                    memo[id(term)] = now
+                spec = instance.validity
+                expected = outcome_or_error(run_reference, instance, spec, profile, list(prepared), order)
+                log.clear()
+                assert outcome_or_error(run, instance, spec, profile, prepared, order) == expected
+                assert Counter(log) == priced
+                kinds["priced"] += bool(priced)
         assert min(kinds[k] for k in (0, 1, 2, "rebuilt")) > 100
+        assert kinds["priced"] > 300
+
+    def test_every_memo_matches_a_fresh_evaluation_at_its_profile(self):
+        # after every settle, by run or by surpluses, each term's memo holds
+        # agent_utility, core.surplus and the negative mask at the profile
+        # of its report objects
+        rng = random.Random(2718)
+        kinds = Counter()
+        for instance, reports, rounds, order in memo_rounds(rng, 120):
+            terms = {id(t): t for r in rounds for t in r.terms}.values()
+            profile = reports
+            for _ in range(8):
+                profile = changed_profile(rng, instance, profile, rng.choice([0, 1, 2]))
+                prepared = rng.choice(rounds)
+                if rng.random() < 0.25:
+                    settled = mechanism.surpluses(instance, prepared, profile)
+                    fresh = [surplus(instance, p.routing, profile) for p in prepared]
+                    assert settled == fresh
+                    assert mechanism.surpluses(instance, list(prepared), profile) == fresh
+                    at_profile = prepared.terms
+                else:
+                    outcome_or_error(run, instance, instance.validity, profile, prepared, order)
+                    at_profile = prepared.balanced
+                now = report_objects(instance, profile)
+                for term in at_profile:
+                    assert all(a is b for a, b in zip(term.at, now, strict=True))
+                for term in terms:
+                    if term.at is None:
+                        kinds["unsettled"] += 1
+                        continue
+                    routing, at = term.proposal.routing, profile_at(instance, term.at)
+                    utilities = [agent_utility(instance, a, routing, at) for a in instance.agent_ids]
+                    assert term.utilities == tuple(utilities)
+                    assert term.surplus == surplus(instance, routing, at)
+                    assert term.negative == sum(1 << i for i, u in enumerate(utilities) if u < 0)
+                    kinds["negative" if term.negative else "settled"] += 1
+        assert min(kinds.values()) > 300
 
     def test_reports_are_checked_in_one_pass_and_only_changed_ones_scored(
         self, collusion_market, monkeypatch
     ):
         calls = Counter()
 
-        def counted(name, original):
-            def wrapper(*args):
-                calls[name] += 1
-                return original(*args)
+        def counted_validate(*args):
+            calls["validate"] += 1
+            return validate_reports(*args)
 
-            return wrapper
-
-        monkeypatch.setattr(mechanism, "welfare", counted("welfare", mechanism.welfare))
-        monkeypatch.setattr(
-            MarketInstance,
-            "validate_reports",
-            counted("validate", MarketInstance.validate_reports),
-        )
+        validate_reports = MarketInstance.validate_reports
+        monkeypatch.setattr(MarketInstance, "validate_reports", counted_validate)
+        log = []
         spec = collusion_market.validity
-        truthful = collusion_market.truthful_reports()
+        truthful = counted_reports(collusion_market.truthful_reports(), log)
         prepared = prepare_round(collusion_market, spec, demo_proposals(collusion_market), ["b1", "b2"])
-        # well-formed profiles never reach validate_reports
+        # well-formed profiles never reach validate_reports, and the first
+        # settle prices each proposal's bundles once
         run(collusion_market, spec, truthful, prepared, ["b1", "b2"])
-        assert calls == {"welfare": 2}
+        t1, t2 = frozenset({"t1"}), frozenset({"t2"})
+        assert Counter(log) == {("n1", t1): 1, ("n2", t1): 1, ("n1", t2): 1}
+        log.clear()
         for value in (F(7), F(1, 3), F(0)):
             run(collusion_market, spec, truthful.replace_tx("t1", value), prepared, ["b1", "b2"])
         run(collusion_market, spec, truthful, prepared.without("b2"), ["b1", "b2"])
-        assert calls == {"welfare": 2}
+        assert log == [] and calls == {}
+        # a changed node report is priced once on each bundle it is given
+        n1 = CountedCost(ConstantNonempty(F(1)), "n1", log)
+        run(collusion_market, spec, truthful.replace_node("n1", n1), prepared, ["b1", "b2"])
+        assert Counter(log) == {("n1", t1): 1, ("n1", t2): 1}
         # a malformed one reaches it once, for its error
         negative = ReportProfile({**truthful.tx_reports, "t2": F(-1)}, truthful.node_reports)
         with pytest.raises(MalformedInput, match="report of 't2' must be non-negative"):
             run(collusion_market, spec, negative, prepared, ["b1", "b2"])
-        assert calls == {"welfare": 2, "validate": 1}
+        assert calls == {"validate": 1}
 
     def test_malformed_reports_give_the_reference_error(self):
         rng = random.Random(5150)

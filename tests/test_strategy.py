@@ -2,7 +2,7 @@ import hashlib
 import json
 import random
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -14,7 +14,6 @@ from brokerlab.cli import _figure1_proposals
 from brokerlab.core import (
     Allocation,
     ConstantNonempty,
-    CostFunction,
     EMPTY_ALLOCATION,
     ReportProfile,
     Routing,
@@ -40,6 +39,7 @@ from brokerlab.strategy import (
 from brokerlab.validity import Constraints, enumerate_valid
 
 from helpers import (
+    CountedCost,
     best_response_dynamics_reference,
     broker_best_response_reference,
     frac,
@@ -807,19 +807,6 @@ def figure1_generated():
     return figure1, figure1.truthful_reports(), start, ["b1", "b2"], F(1, 4), 100
 
 
-@dataclass(frozen=True)
-class CountedCost(CostFunction):
-    """``inner``, logging ``(node, bundle)`` for every evaluation."""
-
-    inner: CostFunction
-    node: str
-    log: list = field(compare=False)
-
-    def cost(self, bundle, resources=None):
-        self.log.append((self.node, frozenset(bundle)))
-        return self.inner.cost(bundle, resources)
-
-
 class TestDynamicsOracle:
     def test_traces_match_the_fresh_round_loop(self, monkeypatch):
         settled_terms = []
@@ -836,8 +823,7 @@ class TestDynamicsOracle:
             )
             objects = [reports.tx_reports[t] for t in instance.tx_ids]
             objects += [reports.node_reports[n] for n in instance.node_ids]
-            assert settled.scored_at is settled.utilities_at
-            assert all(a is b for a, b in zip(settled.scored_at, objects, strict=True))
+            assert all(a is b for a, b in zip(settled.at, objects, strict=True))
             assert settled.position == prepared.broker_order.index(settled.proposal.broker)
             settled_terms.append(settled)
             return with_proposal(prepared, settled)
@@ -863,36 +849,40 @@ class TestDynamicsOracle:
         assert {s.proposal.routing.allocation.is_empty() for s in settled_terms} == {True, False}
 
     def test_no_welfare_after_the_starting_profile_is_settled(self, monkeypatch):
-        scored = []
-        settled = []
+        # every node cost evaluation is logged; the spans of the run calls
+        # and of the welfare passes are marked in that log
+        log, runs, passes = [], [], []
 
-        def counted_welfare(*args):
-            scored.append(("welfare", args))
-            return welfare_of(*args)
+        def counted(original, spans):
+            def wrapper(*args):
+                before = len(log)
+                result = original(*args)
+                spans.append((before, len(log)))
+                return result
 
-        def counted_utility(*args):
-            scored.append(("agent_utility", args))
-            return utility_of(*args)
+            return wrapper
 
-        def counted_run(*args):
-            outcome = run_round(*args)
-            settled.append(len(scored))
-            return outcome
-
-        welfare_of, utility_of, run_round = mechanism.welfare, mechanism.agent_utility, strategy.run
-        monkeypatch.setattr(mechanism, "welfare", counted_welfare)
-        monkeypatch.setattr(mechanism, "agent_utility", counted_utility)
-        monkeypatch.setattr(strategy, "run", counted_run)
-        run_args = figure1_generated()
-        trace = dynamics_trace(*run_args)
+        monkeypatch.setattr(strategy, "run", counted(strategy.run, runs))
+        monkeypatch.setattr(strategy, "_welfare_max", counted(strategy._welfare_max, passes))
+        monkeypatch.setattr(strategy, "_last_argmax", None)
+        instance, truthful, start, order, quantum, max_rounds = figure1_generated()
+        nodes = {n: CountedCost(c, n, log) for n, c in truthful.node_reports.items()}
+        reports = ReportProfile(truthful.tx_reports, nodes)
+        trace = best_response_dynamics(
+            instance, instance.validity, reports, start, order, quantum, max_rounds
+        )
         assert trace.converged and len(trace.steps) > 10
-        assert len(settled) == 1 + trace.rounds * 2
-        # the starting round scores both proposals and its winner's utilities
-        kinds = [kind for kind, _ in scored]
-        assert kinds.count("welfare") == 2
-        assert kinds.count("agent_utility") == len(run_args[0].agent_ids)
-        # and no turn scores anything after it
-        assert settled[0] == len(scored) == settled[-1]
+        assert len(runs) == 1 + trace.rounds * len(order)
+        # the starting round prices each starting proposal's bundles once,
+        # and its winner's utilities are read off the memo
+        first_start, first_end = runs[0]
+        priced = Counter(log[first_start:first_end])
+        assert priced == Counter(pair for p in start for pair in p.routing.allocation.bundles)
+        assert len(priced) > 1
+        # after it, only the welfare passes price anything: no turn settles a
+        # proposal by its costs, inside a run or out of one
+        assert all(before == after for before, after in runs[1:])
+        assert len(log) - first_end == sum(after - before for before, after in passes)
 
     def test_node_costs_on_the_argmax_bundle_are_evaluated_once_per_run(self, monkeypatch):
         log = []
