@@ -13,6 +13,7 @@ usage errors or operational errors.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from fractions import Fraction
@@ -58,8 +59,8 @@ def _load_scenario(path: str) -> Scenario:
 
 def _emit(payload: dict, output: str) -> None:
     if output == "csv":
-        for key, value in _flatten(payload):
-            print(f"{key},{value}")
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerows((key, str(value)) for key, value in _flatten(payload))
     else:
         print(json.dumps(payload, sort_keys=True, indent=2))
 
@@ -72,7 +73,7 @@ def _flatten(payload, prefix: str = ""):
         for i, value in enumerate(payload):
             yield from _flatten(value, f"{prefix}{i}.")
     else:
-        yield prefix.rstrip("."), payload
+        yield prefix[:-1], payload
 
 
 def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> None:
@@ -109,8 +110,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_equilibrium(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args.scenario)
     _apply_overrides(scenario, args)
-    if args.seed is not None:
-        scenario.seed = args.seed
     _require_market(scenario)
     assert scenario.instance is not None
     instance = scenario.instance
@@ -250,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_eq.add_argument("scenario")
     p_eq.add_argument("--mode", choices=["pne", "dsic-barring-b"], default="pne")
-    p_eq.add_argument("--seed", type=int, help="accepted; changes no answer (the search is exhaustive)")
     p_eq.set_defaults(func=_cmd_equilibrium)
 
     p_dyn = sub.add_parser("dynamics", parents=[search], help="run best-response dynamics")

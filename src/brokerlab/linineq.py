@@ -98,9 +98,6 @@ class Constraint:
         bound = self.bound.numerator * (scale // self.bound.denominator)
         object.__setattr__(self, "_row", (*_primitive(coeffs, bound), self.strict))
 
-    def admits(self, point: Sequence[Fraction]) -> bool:
-        return _holds(self._row, *_scaled(point))
-
     def complement(self) -> Constraint:
         """The other side: the reverse inequality, strict exactly when this one is not."""
         # a negated primitive row is primitive: built without __post_init__

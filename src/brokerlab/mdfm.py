@@ -18,7 +18,9 @@ which holds only when each transaction runs on at most one node, so markets
 whose valid set places a transaction on several nodes are refused.  Within a
 cell the inner min/max over allocations is then price-free; only FEE's
 objective depends on price magnitudes, which keeps it exact for d = 1 and a
-certified lower bound for d >= 2.
+certified lower bound for d >= 2.  ``run_benchmarks`` is the one entry
+point: it computes all four in that pass.  Direct evaluation at a single
+price, the oracle the cells are checked against, lives in ``tests/helpers.py``.
 
 The resource data are read as integers: the instance's ``resource_image``
 scales each dimension by the lcm of its denominators.  Usage and fee vectors
@@ -125,51 +127,9 @@ class ResourceMarket:
         return MarketInstance(self.transactions, self.nodes, Constraints(tuple(constraints)))
 
 
-def base_fee(resources: Sequence[Fraction], price: Sequence[Fraction]) -> Fraction:
-    """Total base fee of a usage vector: the dot product with the unit prices."""
-    if len(resources) != len(price):
-        raise MalformedInput(
-            f"dimension mismatch: usage has {len(resources)} entries, price {len(price)}"
-        )
-    return sum((g * p for g, p in zip(resources, price)), ZERO)
-
-
-def _tx_fees(market: ResourceMarket, price: Sequence[Fraction]) -> dict[str, Fraction]:
-    return {t.id: base_fee(t.resources, price) for t in market.transactions}
-
-
-def base_fee_payments(
-    market: ResourceMarket, allocation: Allocation, price: Sequence[Fraction]
-) -> tuple[dict[str, Fraction], dict[str, Fraction]]:
-    """Posted-price payment rules: included transactions pay their base fee,
-    nodes collect the fees of the transactions they execute.
-
-    With a transaction on several nodes each node still collects the full
-    fee, so the routing's margin goes negative; such outcomes lie outside
-    the posted-price model, and ``run_benchmarks`` refuses their markets.
-    """
-    fees = _tx_fees(market, price)
-    tx_payments = {
-        tx: fee if tx in allocation.transactions else ZERO for tx, fee in fees.items()
-    }
-    node_payments = {
-        n.id: sum((fees[tx] for tx in allocation.inverse(n.id)), ZERO) for n in market.nodes
-    }
-    return tx_payments, node_payments
-
-
 # ---------------------------------------------------------------------------
 # Price-space cells
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class WillingnessPattern:
-    """The transactions whose base fee stays within their value at some
-    price, together with a certifying price."""
-
-    willing: frozenset[str]
-    witness_price: tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)
@@ -194,7 +154,6 @@ def _usage(image: ResourceImage, txs: Iterable[str], d: int) -> tuple[int, ...]:
 def _arrangement(
     market: ResourceMarket,
     participation: Mapping[tuple[str, frozenset[str]], Constraint],
-    zero_splits: bool,
 ) -> tuple[list[Constraint], dict[object, int]]:
     """The hyperplanes that cut price space, as TRUE sides, and each member's index.
 
@@ -204,8 +163,8 @@ def _arrangement(
     half-spaces another; a dropped duplicate only ever had its sign forced,
     so no cell is lost.  The order fixes the cell order and so every
     witness: willingness groups by sorted ids, then participation groups by
-    sorted members, then, when asked, one split p_i <= 0 per dimension
-    (TRUE: a zero price).
+    sorted members, then, for d = 1, the split p <= 0 (TRUE: the zero
+    price), which makes FEE exact there.
     """
     willingness: dict[Constraint, list[str]] = {}
     for t in market.transactions:
@@ -219,11 +178,8 @@ def _arrangement(
     ]
     hyperplanes = [h for h, _ in groups]
     index = {member: i for i, (_, members) in enumerate(groups) for member in members}
-    if zero_splits:
-        d = market.dimensions
-        hyperplanes += [
-            Constraint(tuple(ONE if j == i else ZERO for j in range(d)), ZERO) for i in range(d)
-        ]
+    if market.dimensions == 1:
+        hyperplanes.append(Constraint((ONE,), ZERO))
     return hyperplanes, index
 
 
@@ -240,7 +196,7 @@ def _over(den: int, x: Fraction) -> int:
 
 
 def _prepare(
-    market: ResourceMarket, cap: int = DEFAULT_ENUM_CAP, zero_splits: bool = False
+    market: ResourceMarket, cap: int = DEFAULT_ENUM_CAP
 ) -> tuple[list[_AllocationInfo], list[Constraint], dict[object, int], tuple[int, ...], int]:
     """The valid allocations, the arrangement that admits them, the resource
     image's scales and the welfare denominator: an allocation's rows are the
@@ -298,7 +254,7 @@ def _prepare(
         fee_vector = _usage(image, allocation.transactions, d)
         fee_class = classes.setdefault(fee_vector, len(classes))
         infos.append((allocation, value, fee_vector, fee_class, costly))
-    hyperplanes, index = _arrangement(market, participation, zero_splits)
+    hyperplanes, index = _arrangement(market, participation)
     prepared = []
     for allocation, value, fee_vector, fee_class, costly in infos:
         rows = tuple(index[member] for member in chain(sorted(allocation.transactions), costly))
@@ -306,82 +262,6 @@ def _prepare(
         txs = sum(bits[tx] for tx in allocation.transactions)
         prepared.append(_AllocationInfo(allocation, value, txs, fee_vector, fee_class, rows, mask))
     return prepared, hyperplanes, index, image.scales, den
-
-
-def _check_pattern_caps(market: ResourceMarket) -> None:
-    if len(market.transactions) > MAX_PATTERN_TXS:
-        raise InstanceTooLarge(
-            f"pattern search supports at most {MAX_PATTERN_TXS} transactions, "
-            f"got {len(market.transactions)}"
-        )
-    if market.dimensions > MAX_PATTERN_DIMS:
-        raise InstanceTooLarge(
-            f"pattern search supports at most {MAX_PATTERN_DIMS} dimensions, "
-            f"got {market.dimensions}"
-        )
-
-
-def feasible_patterns(market: ResourceMarket) -> list[WillingnessPattern]:
-    """Every realizable willingness pattern with a certifying price.
-
-    A subset S is feasible when some p >= 0 makes exactly the transactions in
-    S willing (fee <= value) and everything else strictly unwilling.
-    """
-    _check_pattern_caps(market)
-    d = market.dimensions
-    hyperplanes, index = _arrangement(market, {}, zero_splits=False)
-    # willingness groups are disjoint and non-empty, so cells have distinct patterns
-    patterns = [
-        WillingnessPattern(_willing(market, index, signs), witness)
-        for signs, witness in enumerate_cells(nonneg_orthant(d), hyperplanes, d)
-    ]
-    return sorted(patterns, key=lambda pattern: sorted(pattern.willing))
-
-
-def pools_at_price(
-    market: ResourceMarket, price: Sequence[Fraction]
-) -> tuple[frozenset[str], list[Allocation]]:
-    """Direct evaluation at one price: the willing set and the admissible
-    allocation pool (willing transactions only, every working node's fee
-    income covering its bundle cost).
-
-    Independent of the cell machinery; used to cross-check it.
-    """
-    instance = market.instance()
-    fees = _tx_fees(market, price)
-    willing = frozenset(t.id for t in market.transactions if fees[t.id] <= t.value)
-    pool = []
-    for allocation in enumerate_valid(instance):
-        if not allocation.transactions <= willing:
-            continue
-        admissible = True
-        for node, bundle in allocation.bundles:
-            income = sum((fees[tx] for tx in bundle), ZERO)
-            if income < instance.node(node).cost.cost(bundle, instance.resources):
-                admissible = False
-                break
-        if admissible:
-            pool.append(allocation)
-    return willing, pool
-
-
-def inclusion_maximal_allocations(pool: Sequence[Allocation]) -> list[Allocation]:
-    """Pool members allocating a transaction set with no strict superset in the pool."""
-    tsets = {a.transactions for a in pool}
-    return [a for a in pool if not any(t > a.transactions for t in tsets)]
-
-
-def fee_maximal_allocations(
-    market: ResourceMarket, pool: Sequence[Allocation], price: Sequence[Fraction]
-) -> list[Allocation]:
-    """Pool members maximizing total base fees at the given price."""
-    fees = _tx_fees(market, price)
-
-    def total_fee(a: Allocation) -> Fraction:
-        return sum((fees[tx] for tx in a.transactions), ZERO)
-
-    top = max((total_fee(a) for a in pool), default=ZERO)
-    return [a for a in pool if total_fee(a) == top]
 
 
 def _maximal_infos(pool: list[_AllocationInfo]) -> list[_AllocationInfo]:
@@ -449,25 +329,6 @@ class BenchmarkResult:
     hierarchy_ok: bool | None
 
 
-def opt_benchmark(market: ResourceMarket) -> Fraction:
-    """Highest welfare of any valid allocation (payments are free transfers)."""
-    infos, *_, den = _prepare(market)
-    return max((Fraction(info.welfare_num, den) for info in infos), default=ZERO)
-
-
-def inc_benchmark(market: ResourceMarket) -> Fraction:
-    return run_benchmarks(market).inc
-
-
-def fee_benchmark(market: ResourceMarket) -> tuple[Fraction, bool]:
-    result = run_benchmarks(market)
-    return result.fee, result.fee_exact
-
-
-def ora_benchmark(market: ResourceMarket) -> Fraction:
-    return run_benchmarks(market).ora
-
-
 def run_benchmarks(market: ResourceMarket, cap: int = DEFAULT_ENUM_CAP) -> BenchmarkResult:
     """OPT, INC, FEE and ORA in one pass over one list of price cells.
 
@@ -492,10 +353,18 @@ def run_benchmarks(market: ResourceMarket, cap: int = DEFAULT_ENUM_CAP) -> Bench
     (checked before the valid set is enumerated) or the valid-set search
     space exceeds ``cap``.
     """
-    _check_pattern_caps(market)
+    if len(market.transactions) > MAX_PATTERN_TXS:
+        raise InstanceTooLarge(
+            f"pattern search supports at most {MAX_PATTERN_TXS} transactions, "
+            f"got {len(market.transactions)}"
+        )
     d = market.dimensions
+    if d > MAX_PATTERN_DIMS:
+        raise InstanceTooLarge(
+            f"pattern search supports at most {MAX_PATTERN_DIMS} dimensions, got {d}"
+        )
     exact = d == 1
-    infos, hyperplanes, index, scales, den = _prepare(market, cap, zero_splits=exact)
+    infos, hyperplanes, index, scales, den = _prepare(market, cap)
     _refuse_multi_node(infos)
     opt_info = max(infos, key=lambda info: info.welfare_num)
     # (signs, witness, worst maximal member, worst fee-maximal member) per

@@ -47,13 +47,8 @@ from brokerlab.errors import (
     MalformedInput,
     MarketError,
 )
-from brokerlab.linineq import Constraint, find_point, nonneg_orthant
-from brokerlab.mdfm import (
-    ResourceMarket,
-    fee_maximal_allocations,
-    inclusion_maximal_allocations,
-    pools_at_price,
-)
+from brokerlab.linineq import Constraint, enumerate_cells, find_point, nonneg_orthant
+from brokerlab.mdfm import ResourceMarket, run_benchmarks
 from brokerlab.mechanism import (
     MechanismOutcome,
     Proposal,
@@ -396,6 +391,115 @@ def ladder_enumerate(instance: MarketInstance) -> list[Allocation]:
 # ---------------------------------------------------------------------------
 # Resource market generators and price-sweep oracles
 # ---------------------------------------------------------------------------
+
+# Posted-price evaluation at one price, in plain Fraction arithmetic and
+# independent of mdfm's cell machinery, which it cross-checks.
+
+
+def base_fee(resources: Sequence[Fraction], price: Sequence[Fraction]) -> Fraction:
+    """Total base fee of a usage vector: the dot product with the unit prices."""
+    if len(resources) != len(price):
+        raise MalformedInput(
+            f"dimension mismatch: usage has {len(resources)} entries, price {len(price)}"
+        )
+    return sum((g * p for g, p in zip(resources, price)), ZERO)
+
+
+def _tx_fees(market: ResourceMarket, price: Sequence[Fraction]) -> dict[str, Fraction]:
+    return {t.id: base_fee(t.resources, price) for t in market.transactions}
+
+
+def base_fee_payments(
+    market: ResourceMarket, allocation: Allocation, price: Sequence[Fraction]
+) -> tuple[dict[str, Fraction], dict[str, Fraction]]:
+    """Posted-price payment rules: included transactions pay their base fee,
+    nodes collect the fees of the transactions they execute.
+
+    With a transaction on several nodes each node still collects the full
+    fee, so the routing's margin goes negative; such outcomes lie outside
+    the posted-price model, and ``run_benchmarks`` refuses their markets.
+    """
+    fees = _tx_fees(market, price)
+    tx_payments = {
+        tx: fee if tx in allocation.transactions else ZERO for tx, fee in fees.items()
+    }
+    node_payments = {
+        n.id: sum((fees[tx] for tx in allocation.inverse(n.id)), ZERO) for n in market.nodes
+    }
+    return tx_payments, node_payments
+
+
+def pools_at_price(
+    market: ResourceMarket, price: Sequence[Fraction]
+) -> tuple[frozenset[str], list[Allocation]]:
+    """Direct evaluation at one price: the willing set and the admissible
+    allocation pool (willing transactions only, every working node's fee
+    income covering its bundle cost)."""
+    instance = market.instance()
+    fees = _tx_fees(market, price)
+    willing = frozenset(t.id for t in market.transactions if fees[t.id] <= t.value)
+    pool = []
+    for allocation in enumerate_valid(instance):
+        if not allocation.transactions <= willing:
+            continue
+        admissible = True
+        for node, bundle in allocation.bundles:
+            income = sum((fees[tx] for tx in bundle), ZERO)
+            if income < instance.node(node).cost.cost(bundle, instance.resources):
+                admissible = False
+                break
+        if admissible:
+            pool.append(allocation)
+    return willing, pool
+
+
+def inclusion_maximal_allocations(pool: Sequence[Allocation]) -> list[Allocation]:
+    """Pool members allocating a transaction set with no strict superset in the pool."""
+    tsets = {a.transactions for a in pool}
+    return [a for a in pool if not any(t > a.transactions for t in tsets)]
+
+
+def fee_maximal_allocations(
+    market: ResourceMarket, pool: Sequence[Allocation], price: Sequence[Fraction]
+) -> list[Allocation]:
+    """Pool members maximizing total base fees at the given price."""
+    fees = _tx_fees(market, price)
+
+    def total_fee(a: Allocation) -> Fraction:
+        return sum((fees[tx] for tx in a.transactions), ZERO)
+
+    top = max((total_fee(a) for a in pool), default=ZERO)
+    return [a for a in pool if total_fee(a) == top]
+
+
+def willingness_patterns(
+    market: ResourceMarket,
+) -> list[tuple[frozenset[str], tuple[Fraction, ...]]]:
+    """Every realizable willing set with a price certifying it, sorted by set:
+    the cells of the distinct willingness rows g(t) . p <= v_t over p >= 0,
+    each row's transactions willing on its TRUE side."""
+    groups: dict[Constraint, list[str]] = {}
+    for t in market.transactions:
+        groups.setdefault(Constraint(t.resources, t.value), []).append(t.id)
+    rows = sorted(groups.items(), key=lambda kv: sorted(kv[1]))
+    d = market.dimensions
+    patterns = [
+        (frozenset(tx for (_, ids), sign in zip(rows, signs) if sign for tx in ids), witness)
+        for signs, witness in enumerate_cells(nonneg_orthant(d), [h for h, _ in rows], d)
+    ]
+    return sorted(patterns, key=lambda pattern: sorted(pattern[0]))
+
+
+def opt_benchmark(market: ResourceMarket) -> Fraction:
+    """OPT by brute force: the highest ``core.welfare`` of any valid allocation."""
+    instance = market.instance()
+    truthful = instance.truthful_reports()
+    return max(welfare(instance, a, truthful) for a in enumerate_valid(instance))
+
+
+def inc_benchmark(market: ResourceMarket) -> Fraction:
+    """INC as ``run_benchmarks`` reports it."""
+    return run_benchmarks(market).inc
 
 
 def random_resource_market(
@@ -1032,6 +1136,12 @@ def _powerset(items: Sequence[str]):
         yield {items[i] for i in range(n) if mask >> i & 1}
 
 
+def holds(c: Constraint, point: Sequence[Fraction]) -> bool:
+    """Whether ``point`` satisfies ``c``, in plain Fraction arithmetic."""
+    total = sum((a * x for a, x in zip(c.coeffs, point)), ZERO)
+    return total < c.bound or (total == c.bound and not c.strict)
+
+
 def normalized(c: Constraint) -> Constraint:
     scale = next((abs(x) for x in c.coeffs if x != 0), None)
     if scale is None or scale == 1:
@@ -1185,7 +1295,7 @@ def enumerate_cells_reference(
             return
         h = hyperplanes[index]
         for sign, constraint in ((True, h), (False, h.complement())):
-            if constraint.admits(witness):
+            if holds(constraint, witness):
                 next_witness = witness
             else:
                 next_witness = find_point_reference([*stack, constraint], n_vars)

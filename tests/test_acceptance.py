@@ -32,17 +32,9 @@ from brokerlab.equilibrium import (
 from brokerlab.mdfm import (
     collusion_certificate,
     collusion_example_instance,
-    fee_benchmark,
     fee_gap_market,
-    fee_maximal_allocations,
-    feasible_patterns,
-    inc_benchmark,
     inclusion_gap_market,
-    inclusion_maximal_allocations,
-    opt_benchmark,
-    ora_benchmark,
     oracle_gap_market,
-    pools_at_price,
     run_benchmarks,
 )
 from brokerlab.mechanism import Proposal, broker_utility, run
@@ -56,10 +48,16 @@ from brokerlab.validity import enumerate_valid
 
 from conftest import record_acceptance
 from helpers import (
+    fee_maximal_allocations,
+    inc_benchmark,
+    inclusion_maximal_allocations,
+    opt_benchmark,
+    pools_at_price,
     random_instance,
     random_proposals,
     random_reports,
     random_resource_market,
+    willingness_patterns,
 )
 
 ZERO = F(0)
@@ -242,10 +240,9 @@ def test_criterion_6_benchmark_hierarchy():
         result = run_benchmarks(market)
         if not (result.inc <= result.fee <= result.ora <= result.opt):
             hierarchy_failures += 1
-        for pattern in feasible_patterns(market):
-            price = pattern.witness_price
+        for willing, price in willingness_patterns(market):
             if any(p <= 0 for p in price):
-                bumped = _positive_price_in_pattern(market, pattern)
+                bumped = _positive_price_in_pattern(market, willing)
                 if bumped is None:
                     continue
                 price = bumped
@@ -263,7 +260,7 @@ def test_criterion_6_benchmark_hierarchy():
     )
 
 
-def _positive_price_in_pattern(market, pattern):
+def _positive_price_in_pattern(market, pattern_willing):
     """A strictly positive price certifying the same willing set, if one exists."""
     thresholds = [
         t.value / t.resources[0]
@@ -274,7 +271,7 @@ def _positive_price_in_pattern(market, pattern):
         return None
     candidate = (min(thresholds) / 2,)
     willing, _ = pools_at_price(market, candidate)
-    if willing == pattern.willing and all(p > 0 for p in candidate):
+    if willing == pattern_willing and all(p > 0 for p in candidate):
         return candidate
     return None
 
@@ -302,8 +299,8 @@ def test_criterion_8_fee_gap_instances():
     details = []
     for k in (2, 3, 5, 11):
         market = fee_gap_market(k)
-        opt = opt_benchmark(market)
-        fee, exact = fee_benchmark(market)
+        result = run_benchmarks(market)
+        opt, fee, exact = result.opt, result.fee, result.fee_exact
         expected = F(k, 2 * (k - 1))
         details.append(f"k={k}: fee={fee}")
         if opt != 1 or fee != expected or not exact:
@@ -321,8 +318,8 @@ def test_criterion_9_oracle_gap_instances():
     details = []
     for k in (2, 3, 4):
         market = oracle_gap_market(k, [F(i + 1) for i in range(k)], F(1, 2))
-        opt = opt_benchmark(market)
-        ora = ora_benchmark(market)
+        result = run_benchmarks(market)
+        opt, ora = result.opt, result.ora
         details.append(f"k={k}: opt={opt}, ora={ora}")
         if opt != k or ora != 1:
             ok = False

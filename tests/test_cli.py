@@ -1,4 +1,7 @@
+import csv
+import io
 import json
+from fractions import Fraction as F
 
 import pytest
 
@@ -179,6 +182,7 @@ class TestUsage:
             ["run", "SCENARIO", "--quantum", "1/4"],
             ["run", "SCENARIO", "--enum-cap", "9"],
             ["run", "SCENARIO", "--seed", "1"],
+            ["equilibrium", "SCENARIO", "--seed", "1"],
             ["dynamics", "SCENARIO", "--seed", "1"],
             ["dynamics", "SCENARIO", "--output", "csv"],
             ["gen", "figure1", "--quantum", "1/4"],
@@ -224,6 +228,33 @@ class TestEquilibrium:
         report = json.loads(capsys.readouterr().out)
         assert report["is_pne"] is False
         assert report["witnesses"]
+
+    def test_csv_rows_keep_subset_table_keys(self, tmp_path, capsys):
+        # node deviations report SubsetTable costs keyed "t1,t2" and "" (the
+        # empty bundle); each must stay one key of a two-field row
+        from brokerlab.core import Allocation, Routing
+        from brokerlab.mdfm import collusion_example_instance
+        from brokerlab.mechanism import Proposal
+        from brokerlab.scenario import instance_to_scenario_json
+        from brokerlab.strategy import scaled_rebate_routing
+
+        instance = collusion_example_instance()
+        truthful = instance.truthful_reports()
+        both = Allocation.of({"t1": ["n1", "n2"]})
+        single = Routing(Allocation.of({"t2": ["n1"]}), {"t2": F(3)}, {"n1": F(3)})
+        proposals = [
+            Proposal("b1", scaled_rebate_routing(instance, both, truthful, F(0))),
+            Proposal("b2", single),
+        ]
+        payload = instance_to_scenario_json(instance, proposals, ["b1", "b2"])
+        path = write(tmp_path, "tables.json", payload)
+        assert main(["equilibrium", path, "--quantum", "1/4", "--output", "csv"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert rows and all(len(row) == 2 for row in rows)
+        keys = dict(rows)
+        assert keys["witnesses.1.deviation.table.t1,t2"] == "1"
+        assert keys["witnesses.1.deviation.table."] == "0"
+        assert "witnesses.1.deviation.table" not in keys
 
     def test_small_others_cap_without_seed_is_exhaustive(self, tmp_path, capsys):
         from brokerlab.equilibrium import construct_consensus_equilibrium

@@ -12,30 +12,28 @@ from brokerlab.linineq import enumerate_cells, find_point, nonneg_orthant
 from brokerlab.scenario import allocation_to_json, parse_scenario
 from brokerlab.mdfm import (
     ResourceMarket,
-    base_fee,
-    base_fee_payments,
     collusion_certificate,
     collusion_example_instance,
-    fee_benchmark,
     fee_gap_market,
-    fee_maximal_allocations,
-    feasible_patterns,
-    inc_benchmark,
     inclusion_gap_market,
-    inclusion_maximal_allocations,
-    opt_benchmark,
-    ora_benchmark,
     oracle_gap_market,
-    pools_at_price,
     run_benchmarks,
 )
 from brokerlab.validity import MutualExclusion, enumerate_valid
 
 from helpers import (
     attainability_system,
+    base_fee,
+    base_fee_payments,
+    fee_maximal_allocations,
+    holds,
+    inclusion_maximal_allocations,
+    opt_benchmark,
     ora_by_allocation,
+    pools_at_price,
     random_resource_market,
     sweep_benchmarks,
+    willingness_patterns,
 )
 
 X4720 = """{"kind": "resource_market", "dimensions": 4, "single_assignment": true,
@@ -102,15 +100,14 @@ class TestPayments:
 class TestFeasiblePatterns:
     def test_all_willing_at_zero_price(self):
         market = fee_gap_market(2)
-        patterns = feasible_patterns(market)
-        willing_sets = {p.willing for p in patterns}
-        assert frozenset(t.id for t in market.transactions) in willing_sets
-        full = next(p for p in patterns if len(p.willing) == 3)
-        assert all(x == 0 for x in full.witness_price)
+        patterns = dict(willingness_patterns(market))
+        assert frozenset(t.id for t in market.transactions) in patterns
+        full = next(price for willing, price in patterns.items() if len(willing) == 3)
+        assert all(x == 0 for x in full)
 
     def test_oracle_gap_pattern_map(self):
         market = oracle_gap_market(2, [F(1), F(2)])
-        patterns = {tuple(sorted(p.willing)): p.witness_price for p in feasible_patterns(market)}
+        patterns = {tuple(sorted(willing)) for willing, _ in willingness_patterns(market)}
         # thresholds: t01 willing iff p <= 2, t02 willing iff p <= 3
         assert set(patterns) == {(), ("t02",), ("t01", "t02")}
 
@@ -120,24 +117,15 @@ class TestFeasiblePatterns:
             TransactionSpec("t2", F(2), (F(1),)),
         )
         market = ResourceMarket(1, txs, (NodeSpec("n", Zero(), (F(1),)),))
-        patterns = {tuple(sorted(p.willing)) for p in feasible_patterns(market)}
+        patterns = {tuple(sorted(willing)) for willing, _ in willingness_patterns(market)}
         assert all("t1" in p for p in patterns)
 
     def test_witness_prices_certify_their_patterns(self):
         rng = random.Random(3)
         for _ in range(40):
             market = random_resource_market(rng)
-            for pattern in feasible_patterns(market):
-                willing, _ = pools_at_price(market, pattern.witness_price)
-                assert willing == pattern.willing
-
-    def test_caps(self):
-        txs = tuple(
-            TransactionSpec(f"t{i:02d}", F(1), (F(1),)) for i in range(17)
-        )
-        market = ResourceMarket(1, txs, (NodeSpec("n", Zero(), (F(1),)),))
-        with pytest.raises(InstanceTooLarge):
-            feasible_patterns(market)
+            for willing, price in willingness_patterns(market):
+                assert pools_at_price(market, price)[0] == willing
 
     @pytest.mark.parametrize(
         "market, message",
@@ -199,19 +187,19 @@ class TestConstructions:
             oracle_gap_market(2, [F(2), F(1)])
 
     def test_opt_values(self):
-        assert opt_benchmark(inclusion_gap_market(4)) == 1
-        assert opt_benchmark(fee_gap_market(3)) == 1
-        assert opt_benchmark(oracle_gap_market(2, [F(1), F(2)])) == 2
-        assert opt_benchmark(oracle_gap_market(3, [F(1), F(2), F(3)])) == 3
+        assert run_benchmarks(inclusion_gap_market(4)).opt == 1
+        assert run_benchmarks(fee_gap_market(3)).opt == 1
+        assert run_benchmarks(oracle_gap_market(2, [F(1), F(2)])).opt == 2
+        assert run_benchmarks(oracle_gap_market(3, [F(1), F(2), F(3)])).opt == 3
 
     def test_fee_values(self):
-        assert fee_benchmark(fee_gap_market(3)) == (F(3, 4), True)
-        assert fee_benchmark(fee_gap_market(5)) == (F(5, 8), True)
-        assert fee_benchmark(fee_gap_market(2)) == (F(1), True)
+        for k, fee in ((3, F(3, 4)), (5, F(5, 8)), (2, F(1))):
+            result = run_benchmarks(fee_gap_market(k))
+            assert (result.fee, result.fee_exact) == (fee, True)
 
     def test_oracle_values(self):
-        assert ora_benchmark(oracle_gap_market(2, [F(1), F(2)])) == 1
-        assert ora_benchmark(oracle_gap_market(3, [F(1), F(2), F(3)])) == 1
+        assert run_benchmarks(oracle_gap_market(2, [F(1), F(2)])).ora == 1
+        assert run_benchmarks(oracle_gap_market(3, [F(1), F(2), F(3)])).ora == 1
 
     def test_oracle_gap_k5_fits_the_enumeration_cap(self):
         # single assignment leaves 6 choices per transaction: 6^5 leaves
@@ -237,7 +225,7 @@ class TestConstructions:
         assert willing == {"t04"}
         maximal = inclusion_maximal_allocations(pool)
         assert [allocation_to_json(a) for a in maximal] == [{"t04": ["n"]}]
-        assert inc_benchmark(priced) == 1
+        assert run_benchmarks(priced).inc == 1
 
         # The construction makes them conflict through state instead, so the
         # same price leaves them willing and the worst maximal allocation is
@@ -253,15 +241,13 @@ class TestConstructions:
     def test_single_tx_market_inc_equals_opt(self):
         txs = (TransactionSpec("t1", F(5), (F(1),)),)
         market = ResourceMarket(1, txs, (NodeSpec("n", Zero(), (F(2),)),))
-        assert inc_benchmark(market) == 5
-        assert opt_benchmark(market) == 5
+        result = run_benchmarks(market)
+        assert (result.inc, result.opt) == (5, 5)
 
     def test_empty_market(self):
         market = ResourceMarket(1, (), (NodeSpec("n", Zero(), (F(1),)),))
-        assert opt_benchmark(market) == 0
-        assert inc_benchmark(market) == 0
-        assert fee_benchmark(market) == (F(0), True)
-        assert ora_benchmark(market) == 0
+        result = run_benchmarks(market)
+        assert (result.opt, result.inc, result.fee, result.fee_exact, result.ora) == (0, 0, 0, True, 0)
 
 
 def test_posted_price_surplus_equals_welfare_under_single_assignment():
@@ -319,7 +305,7 @@ class TestHierarchyAndSweep:
         market = ResourceMarket(2, txs, nodes, single_assignment=True)
         price = (F(2), F(3, 2))
         infos, hyperplanes, *_ = mdfm._prepare(market)
-        true = sum(1 << i for i, h in enumerate(hyperplanes) if h.admits(price))
+        true = sum(1 << i for i, h in enumerate(hyperplanes) if holds(h, price))
         pool = [info for info in infos if info.mask & true == info.mask]
         direct = pools_at_price(market, price)[1]
         assert {info.allocation for info in pool} == set(direct)
@@ -392,8 +378,7 @@ class TestHierarchyAndSweep:
         checked = 0
         for _ in range(60):
             market = random_resource_market(rng, positive_only=True)
-            for pattern in feasible_patterns(market):
-                price = pattern.witness_price
+            for _, price in willingness_patterns(market):
                 if any(p <= 0 for p in price):
                     continue
                 _, pool = pools_at_price(market, price)
@@ -530,6 +515,7 @@ class TestAssignment:
             result = run_benchmarks(market)
             witness = result.witnesses["ora"]
             assert (result.ora, witness.allocation, witness.price) == ora_by_allocation(market)
+            assert result.opt == opt_benchmark(market)
 
 
 class TestTwoDimensionalConsistency:
