@@ -67,6 +67,11 @@ def _emit(payload: dict, output: str) -> None:
 
 def _flatten(payload, prefix: str = ""):
     if isinstance(payload, dict):
+        num, den = payload.get("num"), payload.get("den")
+        if len(payload) == 2 and isinstance(num, int) and isinstance(den, int):
+            # ``format_number``'s non-integer: one cell, which parse_number reads back
+            yield prefix[:-1], f"{num}/{den}"
+            return
         for key in sorted(payload):
             yield from _flatten(payload[key], f"{prefix}{key}.")
     elif isinstance(payload, list):

@@ -73,8 +73,8 @@ from .validity import (
     enumerate_valid,
 )
 
-MAX_PATTERN_TXS = 16
-MAX_PATTERN_DIMS = 8
+MAX_BENCHMARK_TXS = 16
+MAX_BENCHMARK_DIMS = 8
 
 
 @dataclass(frozen=True)
@@ -349,20 +349,18 @@ def run_benchmarks(market: ResourceMarket, cap: int = DEFAULT_ENUM_CAP) -> Bench
 
     Raises MalformedInput when a valid allocation places a transaction on
     several nodes, where posted prices pay every node the full fee, and
-    InstanceTooLarge when the market exceeds the pattern-search caps
+    InstanceTooLarge when the market exceeds the benchmark caps
     (checked before the valid set is enumerated) or the valid-set search
     space exceeds ``cap``.
     """
-    if len(market.transactions) > MAX_PATTERN_TXS:
+    if len(market.transactions) > MAX_BENCHMARK_TXS:
         raise InstanceTooLarge(
-            f"pattern search supports at most {MAX_PATTERN_TXS} transactions, "
-            f"got {len(market.transactions)}"
+            f"run_benchmarks: {len(market.transactions)} transactions, "
+            f"cap is {MAX_BENCHMARK_TXS}"
         )
     d = market.dimensions
-    if d > MAX_PATTERN_DIMS:
-        raise InstanceTooLarge(
-            f"pattern search supports at most {MAX_PATTERN_DIMS} dimensions, got {d}"
-        )
+    if d > MAX_BENCHMARK_DIMS:
+        raise InstanceTooLarge(f"run_benchmarks: {d} dimensions, cap is {MAX_BENCHMARK_DIMS}")
     exact = d == 1
     infos, hyperplanes, index, scales, den = _prepare(market, cap)
     _refuse_multi_node(infos)

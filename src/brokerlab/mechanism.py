@@ -12,20 +12,18 @@ every check on the proposals and the broker order and caches, for each
 proposal, the terms that do not depend on the reports: its margin, whether
 it is budget-balanced, and its broker's position.  Each term also keeps one
 memo: the report objects of the profile it was last settled at, every
-agent's reported utility there in canonical order, their sum, which is the
-reported surplus (``core.surplus``: payments cancel down to the margin), and
-the agents with a negative utility as an int bit mask (bit i for agent i).
+agent's reported utility there in canonical order, and their sum, which is
+the reported surplus (``core.surplus``: payments cancel down to the margin).
 
 A term is first settled from its report-free utilities: each transaction
 pays, each node is paid, and their sum is minus the margin.  Only an
 allocated transaction's utility and the utility of a node with a bundle read
 a report, so only those agents are then scored.  Later settles compare the
-profile's report objects with the memo's by identity, once per memo profile,
-so a report replaced, rebuilt equal or edited in place counts as changed,
-and rescore only the changed agents among those.  ``run`` checks the
-reports in one pass over their objects, ranks the balanced terms by
-surplus, and reads the winner's IR gate off the mask's lowest set bit and
-its utilities off the memo.
+profile's report objects with the memo's by identity, so a report replaced,
+rebuilt equal or edited in place counts as changed, and rescore only the
+changed agents among those.  ``run`` checks the reports in one pass over
+their objects, ranks the balanced terms by surplus, and reads the winner's
+utilities off its memo: the IR gate names the first negative one.
 
 Deviation search changes one report at a time, so it prepares once and
 passes the prepared sequence to ``run``.  A best response changes one
@@ -89,8 +87,7 @@ class _Terms:
     ``balanced`` says whether the margin is non-negative.  ``at`` holds the
     report objects of the profile the memo was settled at, in canonical
     agent order, or None before the first settle; ``utilities`` is in that
-    order too, ``surplus`` is their sum, and bit i of ``negative`` is set
-    when entry i is negative.
+    order too, and ``surplus`` is their sum.
     """
 
     proposal: Proposal
@@ -100,16 +97,9 @@ class _Terms:
     at: tuple | None = None
     utilities: tuple[Fraction, ...] = ()
     surplus: Fraction = ZERO
-    negative: int = field(init=False)
 
     def __post_init__(self):
         self.balanced = self.margin >= 0
-        self.negative = _negative(self.utilities)
-
-
-def _negative(utilities) -> int:
-    # a Fraction has the sign of its numerator, read without a comparison
-    return sum(1 << i for i, u in enumerate(utilities) if u.numerator < 0)
 
 
 class _Settlement:
@@ -118,8 +108,7 @@ class _Settlement:
     ``reports`` holds the profile's report objects in canonical agent order;
     a profile whose mappings are not total, or that has a negative
     transaction report, is refused with ``MarketInstance.validate_reports``'s
-    error.  The agents whose report object differs from a memo's are found
-    once per memo profile.
+    error.
     """
 
     def __init__(self, instance: MarketInstance, profile: ReportProfile):
@@ -128,23 +117,11 @@ class _Settlement:
         if self.reports is None or any(v < 0 for v in self.reports[: len(instance.tx_ids)]):
             # raises, naming what is wrong
             instance.validate_reports(profile)
-        self._changed: dict[int, tuple[tuple, tuple[int, ...]]] = {}
-
-    def changed(self, at: tuple) -> tuple[int, ...]:
-        """Indices, in canonical agent order, of the agents whose report
-        object is not the one in ``at``."""
-        hit = self._changed.get(id(at))
-        if hit is None:
-            new = self.reports
-            changed = tuple(i for i, r in enumerate(at) if r is not new[i])
-            # ``at`` is kept with its entry so that its id is not reused
-            hit = self._changed[id(at)] = (at, changed)
-        return hit[1]
 
     def settle(self, term: _Terms) -> Fraction:
         """``term``'s reported surplus at this profile, its memo settled here:
-        the utilities that read a changed report are rescored, from the
-        report-free ones the first time."""
+        the utilities that read a report object other than the memo's are
+        rescored, from the report-free ones the first time."""
         instance, new = self.instance, self.reports
         agents, n_txs = instance.agent_ids, len(instance.tx_ids)
         routing = term.proposal.routing
@@ -155,10 +132,10 @@ class _Settlement:
             # a plain list's routing may lack a payment, which counts as 0
             values = [-tx_payments.get(a, ZERO) for a in agents[:n_txs]]
             values += [node_payments.get(a, ZERO) for a in agents[n_txs:]]
-            changed, value, negative = range(len(agents)), -term.margin, _negative(values)
+            changed, value = range(len(agents)), -term.margin
         else:
-            values, value, negative = list(term.utilities), term.surplus, term.negative
-            changed = self.changed(term.at)
+            values, value, at = list(term.utilities), term.surplus, term.at
+            changed = [i for i, r in enumerate(new) if r is not at[i]]
         for i in changed:
             agent = agents[i]
             if i < n_txs:
@@ -172,11 +149,7 @@ class _Settlement:
                 utility = node_payments.get(agent, ZERO) - new[i].cost(bundle, instance.resources)
             value += utility - values[i]
             values[i] = utility
-            if utility.numerator < 0:
-                negative |= 1 << i
-            else:
-                negative &= ~(1 << i)
-        term.at, term.utilities, term.surplus, term.negative = new, tuple(values), value, negative
+        term.at, term.utilities, term.surplus = new, tuple(values), value
         return value
 
 
@@ -355,10 +328,10 @@ def run(
 
     best = max(prepared.balanced, key=lambda t: (settlement.settle(t), -t.position))
 
-    if best.negative:
-        # the lowest set bit is the first violator in canonical order
-        first = (best.negative & -best.negative).bit_length() - 1
-        return _rejection(instance, RejectionReason.IR_VIOLATION, instance.agent_ids[first])
+    for agent, utility in zip(instance.agent_ids, best.utilities):
+        # a Fraction has the sign of its numerator, read without a comparison
+        if utility.numerator < 0:
+            return _rejection(instance, RejectionReason.IR_VIOLATION, agent)
 
     return MechanismOutcome(
         routing=best.proposal.routing,

@@ -9,8 +9,8 @@ beaten strictly, margins live on a configurable lattice ``{k * quantum}``
 because the continuous problem has no maximizer on an open set.  The best
 winning margin never falls as welfare rises, so one welfare pass over the
 valid set finds the best response (see ``broker_best_response``), and
-its argmax is remembered for the last market and reports, together with its
-rebate plan: each node's reported cost on its bundle, the included
+its argmax is remembered for the last market and report objects, together
+with its rebate plan: each node's reported cost on its bundle, the included
 transactions' reported values, their totals and the welfare.  A rebate
 routing is a plan read at one scale of the values (scale 1 is
 ``max_extraction_routing``), so a best response on a remembered argmax
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import is_
 from typing import Sequence
 
 from .core import Allocation, MarketInstance, ReportProfile, Routing, welfare
@@ -122,37 +123,37 @@ def welfare_max_allocation(
     cap: int = DEFAULT_ENUM_CAP,
 ) -> WelfareMax:
     """Argmax of reported welfare over the valid set, canonical tie-break."""
-    return _welfare_max(instance, spec, reports, enumerate_valid(instance, spec, cap))[0]
+    allocations = enumerate_valid(instance, spec, cap)
+    objects = _Settlement(instance, reports).reports
+    return _welfare_max(instance, spec, reports, objects, allocations)[0]
 
 
-# (instance, spec, tx reports, node reports, argmax, the argmax's rebate plan)
-# of the last welfare pass.  Strong references, as in ``validity``; one
-# tuple, replaced whole.
+# (instance, spec, report objects, argmax, the argmax's rebate plan) of the
+# last welfare pass.  Strong references, as in ``validity``; one tuple,
+# replaced whole.
 _last_argmax: (
-    tuple[MarketInstance, ValiditySpec | None, dict, dict, WelfareMax, _RebatePlan] | None
+    tuple[MarketInstance, ValiditySpec | None, tuple, WelfareMax, _RebatePlan] | None
 ) = None
 
 
 def _welfare_max(
     instance: MarketInstance, spec: ValiditySpec | None, reports: ReportProfile,
-    allocations: Sequence[Allocation],
+    objects: tuple, allocations: Sequence[Allocation],
 ) -> tuple[WelfareMax, _RebatePlan]:
     """``_welfare_argmax`` over ``allocations``, the valid set of ``(instance,
-    spec)``, and the argmax's rebate plan at ``reports``, remembered for the
-    last instance and spec (by identity, as in ``enumerate_valid``; every
-    cap that lets it finish gives the same set) and reports (by value,
-    through copies of both mappings, so a profile mutated in place since is
-    scored again).  Reports are checked before they are first scored, so a
-    malformed profile raises ``MalformedInput``."""
+    spec)``, and the argmax's rebate plan at ``reports``, whose report
+    objects, checked by ``_Settlement``, are ``objects``.  Both are
+    remembered for the last instance and spec (by identity, as in
+    ``enumerate_valid``; every cap that lets it finish gives the same set)
+    and report objects (by identity, as each term's memo is, so a report
+    replaced or rebuilt equal since is scored again)."""
     global _last_argmax
-    tx_reports, node_reports = dict(reports.tx_reports), dict(reports.node_reports)
     last = _last_argmax
-    if last and last[0] is instance and last[1] is spec and last[2:4] == (tx_reports, node_reports):
-        return last[4], last[5]
-    instance.validate_reports(reports)
+    if last and last[0] is instance and last[1] is spec and all(map(is_, last[2], objects)):
+        return last[3], last[4]
     best = _welfare_argmax(instance, allocations, reports)
     plan = _RebatePlan(instance, best.allocation, reports)
-    _last_argmax = (instance, spec, tx_reports, node_reports, best, plan)
+    _last_argmax = (instance, spec, objects, best, plan)
     return best, plan
 
 
@@ -293,13 +294,13 @@ def broker_best_response(
             raise MalformedInput(f"rival broker {rival.broker!r} missing from broker order")
 
     allocations = enumerate_valid(instance, spec, cap)
-    best, plan = _welfare_max(instance, spec, reports, allocations)
+    settlement = _Settlement(instance, reports)
+    best, plan = _welfare_max(instance, spec, reports, settlement.reports, allocations)
     position = {b: i for i, b in enumerate(broker_order)}
     if not (isinstance(rivals, PreparedRound) and rivals.prepared_for(instance, spec, broker_order)):
         rivals = prepare_round(
             instance, spec, sorted(rivals, key=lambda p: position[p.broker]), broker_order
         )
-    settlement = _Settlement(instance, reports)
     rival_surpluses = [(settlement.settle(t), t.position) for t in rivals.balanced]
     if rival_surpluses:
         rival_best = max(s for s, _ in rival_surpluses)

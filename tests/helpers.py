@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from itertools import combinations, product
 from math import prod
@@ -903,6 +903,17 @@ def _outcome_with(
 ) -> MechanismOutcome:
     ordered = sorted([*rivals, proposal], key=lambda p: broker_order.index(p.broker))
     return run(instance, spec, reports, ordered, broker_order)
+
+
+def rebuilt_profile(profile: ReportProfile) -> ReportProfile:
+    """A profile equal to ``profile`` whose every report is a new object."""
+    rebuilt = ReportProfile(
+        {t: Fraction(v.numerator, v.denominator) for t, v in profile.tx_reports.items()},
+        {n: replace(cost) for n, cost in profile.node_reports.items()},
+    )
+    assert rebuilt == profile
+    assert all(rebuilt.tx_reports[t] is not v for t, v in profile.tx_reports.items())
+    return rebuilt
 
 
 def settled_terms(

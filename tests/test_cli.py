@@ -7,6 +7,7 @@ import pytest
 
 from brokerlab.cli import main
 from brokerlab.mdfm import fee_gap_market, inclusion_gap_market
+from brokerlab.rationals import parse_number
 from brokerlab.scenario import parse_scenario
 
 
@@ -374,6 +375,22 @@ class TestBenchmarks:
                 },
             },
         }
+
+    def test_csv_writes_a_rational_as_one_cell(self, tmp_path, capsys):
+        path = str(tmp_path / "fee.json")
+        assert main(["gen", "thm-fee", "--k", "3", "--out", path]) == 0
+        assert main(["benchmarks", path]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert main(["benchmarks", path, "--output", "csv"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert rows and all(len(row) == 2 for row in rows)
+        cells = dict(rows)
+        assert (cells["fee"], cells["inc"], cells["witnesses.fee.price.0"]) == ("3/4", "3/4", "1/4")
+        assert not [key for key in cells if key.endswith((".num", ".den"))]
+        # each cell reads back to the number the JSON report holds
+        assert parse_number(cells["fee"]) == parse_number(report["fee"]) == F(3, 4)
+        price = report["witnesses"]["fee"]["price"][0]
+        assert parse_number(cells["witnesses.fee.price.0"]) == parse_number(price)
 
     def test_oracle_gap_via_gen(self, tmp_path, capsys):
         out = str(tmp_path / "wo.json")

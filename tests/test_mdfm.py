@@ -130,8 +130,8 @@ class TestFeasiblePatterns:
     @pytest.mark.parametrize(
         "market, message",
         [
-            (fee_gap_market(16), "at most 16 transactions, got 17"),
-            (inclusion_gap_market(9), "at most 8 dimensions, got 9"),
+            (fee_gap_market(16), "run_benchmarks: 17 transactions, cap is 16"),
+            (inclusion_gap_market(9), "run_benchmarks: 9 dimensions, cap is 8"),
         ],
         ids=["17-transactions", "9-dimensions"],
     )

@@ -45,6 +45,7 @@ from helpers import (
     random_reports,
     random_routing,
     raw_space,
+    rebuilt_profile,
     run_reference,
     settled_terms,
 )
@@ -74,20 +75,32 @@ class TestSelection:
         assert outcome.routing.allocation == Allocation.of({"t1": ["n1", "n2"]})
         assert all(u >= 0 for u in outcome.agent_utilities.values())
 
-    def test_ir_violation_names_first_violator(self, collusion_market):
+    @pytest.mark.parametrize(
+        "allocation, tx_payments, node_payments, violator",
+        [
+            # t2 values 4, and each node costs 1 on a non-empty bundle
+            ({"t2": ["n1"]}, {"t2": F(5)}, {"n1": F(1)}, "t2"),
+            ({"t2": ["n1"]}, {"t2": F(5)}, {"n1": F(0)}, "t2"),
+            ({"t1": ["n1", "n2"]}, {"t1": F(1)}, {"n1": F(0), "n2": F(1, 2)}, "n1"),
+        ],
+        ids=["transaction", "transaction-and-node", "two-nodes"],
+    )
+    def test_ir_violation_names_first_violator(
+        self, collusion_market, allocation, tx_payments, node_payments, violator
+    ):
         truthful = collusion_market.truthful_reports()
         overcharge = Proposal(
             "b1",
             Routing(
-                Allocation.of({"t2": ["n1"]}),
-                {"t1": F(0), "t2": F(5)},
-                {"n1": F(1), "n2": F(0)},
+                Allocation.of(allocation),
+                {"t1": F(0), "t2": F(0), **tx_payments},
+                {"n1": F(0), "n2": F(0), **node_payments},
             ),
         )
         outcome = run(collusion_market, collusion_market.validity, truthful, [overcharge], ["b1"])
         assert outcome.winner is None
         assert outcome.rejection_reason is RejectionReason.IR_VIOLATION
-        assert outcome.ir_violator == "t2"
+        assert outcome.ir_violator == violator
         assert outcome.routing.allocation.is_empty()
 
     def test_no_proposals_rejects(self, collusion_market):
@@ -363,17 +376,6 @@ def changed_profile(rng, instance, profile, count):
     return ReportProfile(tx_reports, node_reports)
 
 
-def rebuilt_profile(profile):
-    """A profile equal to ``profile`` whose every report is a new object."""
-    rebuilt = ReportProfile(
-        {t: F(v.numerator, v.denominator) for t, v in profile.tx_reports.items()},
-        {n: replace(cost) for n, cost in profile.node_reports.items()},
-    )
-    assert rebuilt == profile
-    assert all(rebuilt.tx_reports[t] is not v for t, v in profile.tx_reports.items())
-    return rebuilt
-
-
 def memo_rounds(rng, count):
     """Random rounds, each prepared with a round derived from it by ``without``
     and one by ``with_proposal``: (instance, reports, rounds, order)."""
@@ -463,8 +465,7 @@ class TestSettlementMemo:
 
     def test_every_memo_matches_a_fresh_evaluation_at_its_profile(self):
         # after every settle, by run or by surpluses, each term's memo holds
-        # agent_utility, core.surplus and the negative mask at the profile
-        # of its report objects
+        # agent_utility and core.surplus at the profile of its report objects
         rng = random.Random(2718)
         kinds = Counter()
         for instance, reports, rounds, order in memo_rounds(rng, 120):
@@ -493,8 +494,7 @@ class TestSettlementMemo:
                     utilities = [agent_utility(instance, a, routing, at) for a in instance.agent_ids]
                     assert term.utilities == tuple(utilities)
                     assert term.surplus == surplus(instance, routing, at)
-                    assert term.negative == sum(1 << i for i, u in enumerate(utilities) if u < 0)
-                    kinds["negative" if term.negative else "settled"] += 1
+                    kinds["negative" if any(u < 0 for u in utilities) else "settled"] += 1
         assert min(kinds.values()) > 300
 
     def test_reports_are_checked_in_one_pass_and_only_changed_ones_scored(
@@ -592,10 +592,10 @@ def ir_deviation(rng, instance, reports, profile, agent):
     return ReportProfile(tx_reports, node_reports)
 
 
-class TestViolatorMask:
+class TestIRGate:
     def test_one_agent_deviations_in_and_out_of_violation_match_the_reference(self):
         # one prepared round per market settles a sequence of one-agent
-        # deviations; the winner's violator mask moves with the changed agent
+        # deviations; the winner's first violator moves with the changed agent
         rng = random.Random(4099)
         kinds = Counter()
         for instance, reports, rounds, order in memo_rounds(rng, 150):
@@ -619,13 +619,13 @@ class TestViolatorMask:
         assert min(kinds[k] for k in ("transaction violates", "node violates", "accepted")) > 100
         assert min(kinds[k] for k in ("violator moved", "cleared")) > 30
 
-    def test_the_mask_is_read_off_the_utilities(self, collusion_market):
+    def test_the_violator_is_read_off_the_utilities(self, collusion_market):
         truthful = collusion_market.truthful_reports()
-        proposal = demo_proposals(collusion_market)[0]
-        terms = settled_terms(collusion_market, truthful, proposal, ["b1", "b2"])
-        assert terms.negative == 0
-        lying = truthful.replace_tx("t1", F(1))
-        terms = settled_terms(collusion_market, lying, proposal, ["b1", "b2"])
+        spec, order = collusion_market.validity, ["b1"]
+        prepared = prepare_round(collusion_market, spec, demo_proposals(collusion_market)[:1], order)
+        assert run(collusion_market, spec, truthful, prepared, order).winner == "b1"
+        outcome = run(collusion_market, spec, truthful.replace_tx("t1", F(1)), prepared, order)
         # t1 pays 2 but reports 1
-        assert terms.utilities[0] < 0 and terms.negative == 1
+        assert prepared.terms[0].utilities[0] < 0
+        assert outcome.ir_violator == "t1"
 

@@ -48,6 +48,7 @@ from helpers import (
     random_instance,
     random_reports,
     random_routing,
+    rebuilt_profile,
     run_reference,
     scaled_rebate_routing_reference,
 )
@@ -579,6 +580,26 @@ class TestArgmaxMemo:
         }
         # the memo answered some lookups and missed on every change above
         assert 0 < len(passes) < lookups
+
+    def test_the_memo_answers_the_same_report_objects_only(self, collusion_market, monkeypatch):
+        passes = []
+
+        def counted_argmax(*args):
+            passes.append(args)
+            return argmax(*args)
+
+        argmax = strategy._welfare_argmax
+        monkeypatch.setattr(strategy, "_welfare_argmax", counted_argmax)
+        monkeypatch.setattr(strategy, "_last_argmax", None)
+        spec, truthful = collusion_market.validity, collusion_market.truthful_reports()
+        want = brute_force_argmax(collusion_market, spec, truthful)
+        # the same profile object twice: one welfare pass
+        for _ in range(2):
+            assert welfare_max_allocation(collusion_market, spec, truthful) == want
+        assert len(passes) == 1
+        # an equal profile whose every report is a new object: a fresh pass
+        assert welfare_max_allocation(collusion_market, spec, rebuilt_profile(truthful)) == want
+        assert len(passes) == 2
 
 
 def dynamics_runs(seed, count):
