@@ -323,6 +323,11 @@ class MarketInstance:
     nodes: tuple[NodeSpec, ...]
     validity: "ValiditySpec | None" = None
 
+    # the memos of ``validity.enumerate_valid`` and ``strategy._welfare_max``:
+    # not fields, so out of ==, hash and repr; each replaced whole
+    _valid = None
+    _argmax = None
+
     def __post_init__(self):
         ids = [t.id for t in self.transactions] + [n.id for n in self.nodes]
         if len(set(ids)) != len(ids):

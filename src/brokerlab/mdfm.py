@@ -115,7 +115,8 @@ class ResourceMarket:
 
     def instance(self) -> MarketInstance:
         """The market as a ``MarketInstance``, built once per market, so every
-        stage on one market shares its valid-set memo and resource image."""
+        stage on one market shares its resource image and its valid set,
+        memoised on the market, freed with it."""
         return self._instance
 
     @cached_property

@@ -9,11 +9,11 @@ beaten strictly, margins live on a configurable lattice ``{k * quantum}``
 because the continuous problem has no maximizer on an open set.  The best
 winning margin never falls as welfare rises, so one welfare pass over the
 valid set finds the best response (see ``broker_best_response``), and
-its argmax is remembered for the last market and report objects, together
-with its rebate plan: each node's reported cost on its bundle, the included
-transactions' reported values, their totals and the welfare.  A rebate
-routing is a plan read at one scale of the values (scale 1 is
-``max_extraction_routing``), so a best response on a remembered argmax
+its argmax is memoised on the market, freed with it, for one spec and the
+report objects, together with its rebate plan: each node's reported cost on
+its bundle, the included transactions' reported values, their totals and the
+welfare.  A rebate routing is a plan read at one scale of the values (scale
+1 is ``max_extraction_routing``), so a best response on a memoised argmax
 computes one scale and one product per included transaction, and prices
 no bundle.  A best response always settles one prepared round, the
 rivals' plus the response.  It built the response, so it hands the round
@@ -59,11 +59,12 @@ class _RebatePlan:
     payments depends on the target margin."""
 
     __slots__ = (
-        "instance", "allocation", "node_payments", "total_cost", "values", "total_value", "welfare"
+        "tx_ids", "allocation", "node_payments", "total_cost", "values", "total_value", "welfare"
     )
 
     def __init__(self, instance: MarketInstance, allocation: Allocation, reports: ReportProfile):
-        self.instance, self.allocation = instance, allocation
+        # the ids, not the instance: a plan memoised on it must not hold it
+        self.tx_ids, self.allocation = instance.tx_ids, allocation
         self.node_payments = {
             n: reports.node_reports[n].cost(allocation.inverse(n), instance.resources)
             for n in instance.node_ids
@@ -78,7 +79,7 @@ class _RebatePlan:
     def scaled(self, scale: Fraction) -> Routing:
         """Nodes paid their reported costs, included transactions ``scale``
         times their reported values, in fresh dicts."""
-        tx_payments = dict.fromkeys(self.instance.tx_ids, ZERO)
+        tx_payments = dict.fromkeys(self.tx_ids, ZERO)
         for tx, value in self.values.items():
             tx_payments[tx] = scale * value
         return Routing(self.allocation, tx_payments, dict(self.node_payments))
@@ -128,32 +129,24 @@ def welfare_max_allocation(
     return _welfare_max(instance, spec, reports, objects, allocations)[0]
 
 
-# (instance, spec, report objects, argmax, the argmax's rebate plan) of the
-# last welfare pass.  Strong references, as in ``validity``; one tuple,
-# replaced whole.
-_last_argmax: (
-    tuple[MarketInstance, ValiditySpec | None, tuple, WelfareMax, _RebatePlan] | None
-) = None
-
-
 def _welfare_max(
     instance: MarketInstance, spec: ValiditySpec | None, reports: ReportProfile,
     objects: tuple, allocations: Sequence[Allocation],
 ) -> tuple[WelfareMax, _RebatePlan]:
     """``_welfare_argmax`` over ``allocations``, the valid set of ``(instance,
     spec)``, and the argmax's rebate plan at ``reports``, whose report
-    objects, checked by ``_Settlement``, are ``objects``.  Both are
-    remembered for the last instance and spec (by identity, as in
+    objects, checked by ``_Settlement``, are ``objects``.  Both are memoised
+    on the market, freed with it, as one tuple replaced whole: ``(spec,
+    objects, argmax, plan)``, keyed by the spec (by identity, as in
     ``enumerate_valid``; every cap that lets it finish gives the same set)
-    and report objects (by identity, as each term's memo is, so a report
+    and the report objects (by identity, as each term's memo is, so a report
     replaced or rebuilt equal since is scored again)."""
-    global _last_argmax
-    last = _last_argmax
-    if last and last[0] is instance and last[1] is spec and all(map(is_, last[2], objects)):
-        return last[3], last[4]
+    memo = instance._argmax
+    if memo is not None and memo[0] is spec and all(map(is_, memo[1], objects)):
+        return memo[2], memo[3]
     best = _welfare_argmax(instance, allocations, reports)
     plan = _RebatePlan(instance, best.allocation, reports)
-    _last_argmax = (instance, spec, objects, best, plan)
+    object.__setattr__(instance, "_argmax", (spec, objects, best, plan))
     return best, plan
 
 
@@ -276,7 +269,7 @@ def broker_best_response(
     instance, spec and broker order, its cached terms are used and the
     budget-balanced rivals' surpluses are settled through their memos; any
     other rivals are prepared afresh, in broker order.  Only the response is
-    checked.  Its routing is the remembered argmax's rebate plan read at the
+    checked.  Its routing is the memoised argmax's rebate plan read at the
     winning margin.  Its memo is settled here, not by ``run``: every agent's
     reported utility is 0 but an included transaction's, its value minus its
     payment, as nodes are paid their reported costs, and their sum, the

@@ -32,10 +32,10 @@ counts the effective space, the product over transactions of the node
 sets each may take once the constraints' node-count bounds are applied,
 not the raw ``(2^|N|)^|T|``.
 
-``enumerate_valid`` remembers its last result: the same instance and spec
-objects (compared by identity, as ``mechanism.prepare_round`` compares
-them) with an equal cap get a fresh copy of it without a second search, and
-``is_valid`` accepts a member of it without testing it again.
+``enumerate_valid``'s result is memoised on the market, freed with it: the
+same spec object (compared by identity, as ``mechanism.prepare_round``
+compares it) with an equal cap gets a fresh copy of it without a second
+search, and ``is_valid`` accepts a member of it without testing it again.
 """
 
 from __future__ import annotations
@@ -258,18 +258,6 @@ def _consulted(constraints: Iterable[Constraint]) -> list[Constraint]:
     return [c for c in constraints if type(c).admits is not Constraint.admits]
 
 
-# (instance, spec, cap, valid set, the same as a frozenset) of the last
-# enumeration.  Strong references, so the ids compared below cannot be reused
-# by other objects; one tuple, replaced whole, so a concurrent caller at worst
-# searches again.
-_last: (
-    tuple[
-        MarketInstance, ValiditySpec | None, int, tuple[Allocation, ...], frozenset[Allocation]
-    ]
-    | None
-) = None
-
-
 def is_valid(
     allocation: Allocation,
     spec: ValiditySpec | None,
@@ -277,14 +265,14 @@ def is_valid(
 ) -> bool:
     """Exact membership test for the valid set.
 
-    An allocation in the last enumeration of the same instance and spec
-    objects is valid without a second test.  Any other allocation is
-    tested, once the spec's inputs are checked, by the search's step rule
-    folded over its pairs in canonical order.
+    An allocation in the valid set memoised on the market for the same spec
+    object is valid without a second test.  Any other allocation is tested,
+    once the spec's inputs are checked, by the search's step rule folded over
+    its pairs in canonical order.
     """
     instance.check_allocation_ids(allocation)
-    last = _last
-    if last is not None and last[0] is instance and last[1] is spec and allocation in last[4]:
+    memo = instance._valid
+    if memo is not None and memo[0] is spec and allocation in memo[3]:
         return True
     spec = _resolve(spec, instance)
     if isinstance(spec, Extensional):
@@ -318,18 +306,18 @@ def enumerate_valid(
     reached: preorder over canonically ordered steps is canonical
     allocation order, so nothing is sorted afterwards.
 
-    The last result is remembered: a call with the very same instance and
-    spec objects (by identity; both are immutable) and an equal cap returns
-    it without searching again, and ``is_valid`` reads it.  Every call
-    returns a fresh list, so a caller may mutate it; the ``Allocation``
-    objects in it are shared.
+    The result is memoised on the market, freed with it: a later call with
+    the very same spec object (by identity; specs are immutable) and an
+    equal cap returns it without searching again, and ``is_valid`` reads
+    it.  The memo is one tuple, replaced whole, so a concurrent caller at
+    worst searches again.  Every call returns a fresh list, so a caller may
+    mutate it; the ``Allocation`` objects in it are shared.
     """
-    global _last
-    last = _last
-    if last is not None and last[0] is instance and last[1] is spec and last[2] == cap:
-        return list(last[3])
+    memo = instance._valid
+    if memo is not None and memo[0] is spec and memo[1] == cap:
+        return list(memo[2])
     found = _search_valid(instance, spec, cap)
-    _last = (instance, spec, cap, tuple(found), frozenset(found))
+    object.__setattr__(instance, "_valid", (spec, cap, tuple(found), frozenset(found)))
     return found
 
 
@@ -368,4 +356,7 @@ def _search_valid(
                     search(index + 1, extended)
 
     search(0, EMPTY_ALLOCATION)
+    # ``search`` holds itself through its closure cell: release it, so the
+    # instance and the search's lists need no cyclic collection
+    del search
     return found

@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import json
 import random
+import weakref
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
@@ -208,8 +210,7 @@ class TestRebatePlan:
                     assert routing == scaled_rebate_routing_reference(*args, w)
         assert min(kinds.values()) > 100
 
-    def test_routings_of_one_plan_share_no_mapping(self, collusion_market, monkeypatch):
-        monkeypatch.setattr(strategy, "_last_argmax", None)
+    def test_routings_of_one_plan_share_no_mapping(self, collusion_market):
         truthful = collusion_market.truthful_reports()
         spec, order = collusion_market.validity, ["b1", "b2"]
         both = Allocation.of({"t1": ["n1", "n2"]})
@@ -520,7 +521,6 @@ class TestArgmaxMemo:
 
         argmax = strategy._welfare_argmax
         monkeypatch.setattr(strategy, "_welfare_argmax", counted_argmax)
-        monkeypatch.setattr(strategy, "_last_argmax", None)
         rng = random.Random(6174)
         lookups = 0
         changed = set()
@@ -590,7 +590,6 @@ class TestArgmaxMemo:
 
         argmax = strategy._welfare_argmax
         monkeypatch.setattr(strategy, "_welfare_argmax", counted_argmax)
-        monkeypatch.setattr(strategy, "_last_argmax", None)
         spec, truthful = collusion_market.validity, collusion_market.truthful_reports()
         want = brute_force_argmax(collusion_market, spec, truthful)
         # the same profile object twice: one welfare pass
@@ -600,6 +599,72 @@ class TestArgmaxMemo:
         # an equal profile whose every report is a new object: a fresh pass
         assert welfare_max_allocation(collusion_market, spec, rebuilt_profile(truthful)) == want
         assert len(passes) == 2
+
+
+class TestMarketMemos:
+    """The valid set and the argmax are memoised on the market they
+    describe, and freed with it."""
+
+    def test_two_markets_used_in_turn_search_and_score_once_each(self, monkeypatch):
+        searches, passes = [], []
+
+        def counted_search(*args):
+            searches.append(args)
+            return search(*args)
+
+        def counted_argmax(*args):
+            passes.append(args)
+            return argmax(*args)
+
+        search, argmax = validity._search_valid, strategy._welfare_argmax
+        monkeypatch.setattr(validity, "_search_valid", counted_search)
+        monkeypatch.setattr(strategy, "_welfare_argmax", counted_argmax)
+        rng = random.Random(8128)
+        figure1 = collusion_example_instance()
+        other = random_instance(rng, max_txs=3, max_nodes=2)
+        markets = [
+            (figure1, figure1.truthful_reports()),
+            (other, random_reports(rng, other, liar_prob=0.5)[0]),
+        ]
+        for market, reports in markets * 2:
+            spec = market.validity
+            assert enumerate_valid(market, spec) == naive_enumerate(market, spec)
+            maximum = welfare_max_allocation(market, spec, reports)
+            assert maximum == brute_force_argmax(market, spec, reports)
+        assert [s[0] for s in searches] == [figure1, other]
+        assert len(passes) == 2
+
+    def test_a_market_is_freed_with_its_last_reference(self):
+        def enumerated():
+            market = collusion_example_instance()
+            enumerate_valid(market)
+            return weakref.ref(market)
+
+        def dynamics():
+            market, truthful, start, order, quantum, max_rounds = figure1_generated()
+            trace = best_response_dynamics(
+                market, market.validity, truthful, start, order, quantum, max_rounds
+            )
+            assert trace.converged
+            return weakref.ref(market)
+
+        # with no cyclic collection, only reference counting can free it
+        gc.disable()
+        try:
+            assert enumerated()() is None
+            assert dynamics()() is None
+        finally:
+            gc.enable()
+        # the memos stay out of ==, hash and repr
+        memoised, truthful, start, order, quantum, max_rounds = figure1_generated()
+        best_response_dynamics(
+            memoised, memoised.validity, truthful, start, order, quantum, max_rounds
+        )
+        assert memoised._valid is not None and memoised._argmax is not None
+        fresh = collusion_example_instance()
+        assert memoised == fresh
+        assert hash(memoised) == hash(fresh)
+        assert repr(memoised) == repr(fresh)
 
 
 def dynamics_runs(seed, count):
@@ -655,8 +720,12 @@ class TestDynamicsTraces:
         assert digest == "fa563e9853732fca8d3a03611b1b2282b800aa2836172a338fe7ca49442db4ed"
 
     def test_one_round_per_turn_and_one_search_per_market(self, monkeypatch):
-        runs = []
-        searches = []
+        # Counted over the whole loop, generation included: ``dynamics_runs``
+        # reuses figure 1's instance and reads each random instance's valid
+        # set and argmax before yielding it.  Keys are ids, and the objects
+        # behind them are kept, so no id is reused.
+        runs, checks, searches, passes = [], [], [], []
+        searched, scored = {}, {}
 
         def counted_run(*args):
             runs.append(args)
@@ -674,31 +743,49 @@ class TestDynamicsTraces:
             checks.append(args)
             return is_valid(*args)
 
-        passes = []
-        checks = []
+        def counted_enumerate(instance, spec=None, cap=validity.DEFAULT_ENUM_CAP):
+            before = len(searches)
+            found = validity.enumerate_valid(instance, spec, cap)
+            # one search for a new (instance, spec) key, none for a seen one
+            key = (id(instance), id(spec))
+            assert len(searches) - before == (key not in searched)
+            searched[key] = (instance, spec)
+            return found
+
+        def counted_welfare_max(instance, spec, reports, objects, allocations):
+            before = len(passes)
+            found = welfare_max(instance, spec, reports, objects, allocations)
+            # one pass for a new (instance, spec, report objects) key, none
+            # for a seen one
+            key = (id(instance), id(spec), *map(id, objects))
+            assert len(passes) - before == (key not in scored)
+            scored[key] = (instance, spec, objects)
+            return found
+
         search = validity._search_valid
         argmax = strategy._welfare_argmax
+        welfare_max = strategy._welfare_max
         is_valid = mechanism.is_valid
         monkeypatch.setattr(strategy, "run", counted_run)
         monkeypatch.setattr(validity, "_search_valid", counted_search)
         monkeypatch.setattr(strategy, "_welfare_argmax", counted_argmax)
         monkeypatch.setattr(mechanism, "is_valid", counted_is_valid)
+        monkeypatch.setattr(strategy, "enumerate_valid", counted_enumerate)
+        monkeypatch.setitem(globals(), "enumerate_valid", counted_enumerate)
+        monkeypatch.setattr(strategy, "_welfare_max", counted_welfare_max)
         for run_args in dynamics_runs(2718, 24):
-            instance, order = run_args[0], run_args[3]
-            for calls in (runs, searches, passes, checks):
+            order = run_args[3]
+            for calls in (runs, checks):
                 calls.clear()
-            monkeypatch.setattr(validity, "_last", None)
-            monkeypatch.setattr(strategy, "_last_argmax", None)
             trace = dynamics_trace(*run_args)
             assert len(runs) == 1 + trace.rounds * len(order)
-            assert len(searches) == 1
-            # one welfare pass over the valid set per run
-            assert len(passes) == 1
             # the starting profile, then one response per broker turn
             assert len(checks) == len(order) + trace.rounds * len(order)
-            searched_instance, searched_spec, cap = searches[0]
-            assert searched_instance is instance and searched_spec is instance.validity
-            assert cap == validity.DEFAULT_ENUM_CAP
+        # every search and pass went through a counted lookup
+        assert len(searches) == len(searched) and len(passes) == len(scored)
+        assert {cap for _, _, cap in searches} == {validity.DEFAULT_ENUM_CAP}
+        # one report profile per market: figure 1's three runs share one pass
+        assert len(passes) == 1 + 24
 
 
 class TestDynamics:
@@ -885,7 +972,6 @@ class TestDynamicsOracle:
 
         monkeypatch.setattr(strategy, "run", counted(strategy.run, runs))
         monkeypatch.setattr(strategy, "_welfare_max", counted(strategy._welfare_max, passes))
-        monkeypatch.setattr(strategy, "_last_argmax", None)
         instance, truthful, start, order, quantum, max_rounds = figure1_generated()
         nodes = {n: CountedCost(c, n, log) for n, c in truthful.node_reports.items()}
         reports = ReportProfile(truthful.tx_reports, nodes)
@@ -916,7 +1002,6 @@ class TestDynamicsOracle:
 
         run_round = strategy.run
         monkeypatch.setattr(strategy, "run", counted_run)
-        monkeypatch.setattr(strategy, "_last_argmax", None)
         instance, truthful, start, order, quantum, max_rounds = figure1_generated()
         nodes = {n: CountedCost(c, n, log) for n, c in truthful.node_reports.items()}
         reports = ReportProfile(truthful.tx_reports, nodes)

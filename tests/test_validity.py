@@ -127,11 +127,10 @@ class TestIsValid:
             with pytest.raises(MalformedInput, match="'t1' has no resource vector"):
                 enumerate_valid(instance, spec)
 
-    def test_matches_the_ladder_over_the_raw_space(self, monkeypatch):
+    def test_matches_the_ladder_over_the_raw_space(self):
         # the prefix fold against whole-allocation tests, on the corpus of
-        # the enumeration test below, with no enumeration to read from
-        monkeypatch.setattr(validity, "_last", None)
-
+        # the enumeration test below; every instance is new, so no memoised
+        # enumeration answers for the fold
         def verdict(decide, *args):
             try:
                 return decide(*args)
