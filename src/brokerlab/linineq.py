@@ -312,4 +312,9 @@ def enumerate_cells(
             stack.pop()
             signs.pop()
 
-    yield from walk(0, root, _scaled(root))
+    try:
+        yield from walk(0, root, _scaled(root))
+    finally:
+        # ``walk`` holds itself through its closure cell: release it, so a
+        # finished or abandoned walk frees its lists without a cyclic collection
+        del walk

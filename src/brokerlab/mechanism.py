@@ -15,15 +15,30 @@ memo: the report objects of the profile it was last settled at, every
 agent's reported utility there in canonical order, and their sum, which is
 the reported surplus (``core.surplus``: payments cancel down to the margin).
 
-A term is first settled from its report-free utilities: each transaction
-pays, each node is paid, and their sum is minus the margin.  Only an
-allocated transaction's utility and the utility of a node with a bundle read
-a report, so only those agents are then scored.  Later settles compare the
-profile's report objects with the memo's by identity, so a report replaced,
-rebuilt equal or edited in place counts as changed, and rescore only the
-changed agents among those.  ``run`` checks the reports in one pass over
-their objects, ranks the balanced terms by surplus, and reads the winner's
-utilities off its memo: the IR gate names the first negative one.
+The memo is integer arithmetic over one denominator ``den``: its utilities,
+its surplus and its report-free base utilities (each transaction pays, each
+node is paid; their sum is minus the margin) are ints over ``den``.  The
+first settle makes ``den`` the lcm of the payments' denominators, so the
+payments and the margin are scaled once.  A report ``r`` (a transaction's
+value, or a node's cost on its bundle) with denominator ``d`` enters as
+``r.numerator * (den // d)`` when ``d`` divides ``den``; otherwise the memo
+first rescales exactly: ``den`` is multiplied by ``d // gcd(den, d)``, and
+so is every int it holds.  Nothing is rounded.
+
+A term is first settled from its base utilities, and only an allocated
+transaction's utility and the utility of a node with a bundle read a report,
+so only those agents are then scored.  Later settles compare the profile's
+report objects with the memo's by identity, so a report replaced, rebuilt
+equal or edited in place counts as changed, and rescore only the changed
+agents among those.  ``run`` checks the reports in one pass over their
+objects, ranks the balanced terms by surplus in integer cross-products, and
+reads the signs of the winner's utilities: the IR gate names the first
+negative one.
+
+``Fraction``s are made only at the boundary: the outcome's
+``agent_utilities`` and what ``surpluses`` returns.  The memo caches each
+one it makes and drops an entry only when its value moves, so an outcome
+re-read from an unchanged memo builds none.
 
 Deviation search changes one report at a time, so it prepares once and
 passes the prepared sequence to ``run``.  A best response changes one
@@ -41,6 +56,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping
 
 from .core import MarketInstance, ReportProfile, Routing, margin
@@ -86,8 +102,11 @@ class _Terms:
 
     ``balanced`` says whether the margin is non-negative.  ``at`` holds the
     report objects of the profile the memo was settled at, in canonical
-    agent order, or None before the first settle; ``utilities`` is in that
-    order too, and ``surplus`` is their sum.
+    agent order, or None before the first settle.  ``base`` and
+    ``utilities`` are in that order too, as ints over ``den``, and
+    ``surplus``, the sum of ``utilities``, is over ``den`` as well.
+    ``fractions`` caches ``utilities`` as ``Fraction``s, None where not yet
+    made, and ``fraction`` the surplus.
     """
 
     proposal: Proposal
@@ -95,11 +114,50 @@ class _Terms:
     position: int
     balanced: bool = field(init=False)
     at: tuple | None = None
-    utilities: tuple[Fraction, ...] = ()
-    surplus: Fraction = ZERO
+    den: int = 1
+    base: tuple[int, ...] = ()
+    utilities: tuple[int, ...] = ()
+    surplus: int = 0
+    fractions: list | None = None
+    fraction: Fraction | None = None
 
     def __post_init__(self):
         self.balanced = self.margin >= 0
+
+    def lead(self, other: "_Terms") -> int:
+        """An int with the sign of this surplus minus ``other``'s: the
+        cross-product of the two memos (dens are positive)."""
+        return self.surplus * other.den - other.surplus * self.den
+
+    def utility_fractions(self) -> list[Fraction]:
+        """Every agent's reported utility as a ``Fraction``, in canonical
+        order, made only where the cache lacks it."""
+        fractions, den = self.fractions, self.den
+        for i, cached in enumerate(fractions):
+            if cached is None:
+                fractions[i] = Fraction(self.utilities[i], den)
+        return fractions
+
+    def surplus_fraction(self) -> Fraction:
+        """The reported surplus as a ``Fraction``, made once per value."""
+        if self.fraction is None:
+            self.fraction = Fraction(self.surplus, self.den)
+        return self.fraction
+
+
+def _base_utilities(routing: Routing, agents: tuple[str, ...], n_txs: int):
+    """Each agent's report-free utility (minus a transaction's payment, a
+    node's payment) as ints over the lcm of the payments' denominators:
+    ``(den, base)``.  A plain list's routing may lack a payment, which
+    counts as 0."""
+    txs, nodes = routing.tx_payments, routing.node_payments
+    payments = [txs.get(a, ZERO) for a in agents[:n_txs]]
+    payments += [nodes.get(a, ZERO) for a in agents[n_txs:]]
+    den = lcm(*(p.denominator for p in payments))
+    base = [p.numerator * (den // p.denominator) for p in payments]
+    for i in range(n_txs):
+        base[i] = -base[i]
+    return den, tuple(base)
 
 
 class _Settlement:
@@ -114,43 +172,57 @@ class _Settlement:
     def __init__(self, instance: MarketInstance, profile: ReportProfile):
         self.instance = instance
         self.reports = _report_objects(instance, profile)
-        if self.reports is None or any(v < 0 for v in self.reports[: len(instance.tx_ids)]):
+        if self.reports is None or any(
+            v.numerator < 0 for v in self.reports[: len(instance.tx_ids)]
+        ):
             # raises, naming what is wrong
             instance.validate_reports(profile)
 
-    def settle(self, term: _Terms) -> Fraction:
-        """``term``'s reported surplus at this profile, its memo settled here:
-        the utilities that read a report object other than the memo's are
-        rescored, from the report-free ones the first time."""
+    def settle(self, term: _Terms) -> None:
+        """Settle ``term``'s memo at this profile: the utilities that read a
+        report object other than the memo's are rescored, from the base
+        utilities the first time.  A report off the memo's denominator
+        rescales the memo first.  Nothing is written when a report raises."""
         instance, new = self.instance, self.reports
         agents, n_txs = instance.agent_ids, len(instance.tx_ids)
-        routing = term.proposal.routing
-        allocation, tx_payments, node_payments = (
-            routing.allocation, routing.tx_payments, routing.node_payments
-        )
         if term.at is None:
-            # a plain list's routing may lack a payment, which counts as 0
-            values = [-tx_payments.get(a, ZERO) for a in agents[:n_txs]]
-            values += [node_payments.get(a, ZERO) for a in agents[n_txs:]]
-            changed, value = range(len(agents)), -term.margin
+            den, base = _base_utilities(term.proposal.routing, agents, n_txs)
+            values, value = list(base), sum(base)
+            term.fractions, term.fraction = [None] * len(agents), None
+            changed = range(len(agents))
         else:
-            values, value, at = list(term.utilities), term.surplus, term.at
+            at = term.at
             changed = [i for i, r in enumerate(new) if r is not at[i]]
+            if not changed:
+                return
+            den, base, values, value = term.den, term.base, list(term.utilities), term.surplus
+        allocation = term.proposal.routing.allocation
+        included, fractions = allocation.transactions, term.fractions
         for i in changed:
-            agent = agents[i]
             if i < n_txs:
-                if agent not in allocation.transactions:
+                if agents[i] not in included:
                     continue
-                utility = new[i] - tx_payments.get(agent, ZERO)
+                report = new[i]
             else:
-                bundle = allocation.inverse(agent)
+                bundle = allocation.inverse(agents[i])
                 if not bundle:
                     continue
-                utility = node_payments.get(agent, ZERO) - new[i].cost(bundle, instance.resources)
-            value += utility - values[i]
-            values[i] = utility
-        term.at, term.utilities, term.surplus = new, tuple(values), value
-        return value
+                report = new[i].cost(bundle, instance.resources)
+            d = report.denominator
+            if den % d:
+                factor = d // gcd(den, d)
+                den *= factor
+                base = tuple([b * factor for b in base])
+                values = [v * factor for v in values]
+                value *= factor
+            scaled = report.numerator * (den // d)
+            utility = base[i] + scaled if i < n_txs else base[i] - scaled
+            if utility != values[i]:
+                value += utility - values[i]
+                values[i] = utility
+                fractions[i] = term.fraction = None
+        term.at, term.den, term.base = new, den, base
+        term.utilities, term.surplus = tuple(values), value
 
 
 def _report_objects(instance: MarketInstance, reports: ReportProfile) -> tuple | None:
@@ -286,7 +358,9 @@ def surpluses(
         terms = proposals.terms
     else:
         terms = [_Terms(p, margin(p.routing), 0) for p in proposals]
-    return [settlement.settle(t) for t in terms]
+    for t in terms:
+        settlement.settle(t)
+    return [t.surplus_fraction() for t in terms]
 
 
 def _rejection(
@@ -326,18 +400,26 @@ def run(
     if not prepared.balanced:
         return _rejection(instance, RejectionReason.NO_BUDGET_BALANCED_PROPOSAL)
 
-    best = max(prepared.balanced, key=lambda t: (settlement.settle(t), -t.position))
+    best = None
+    for term in prepared.balanced:
+        settlement.settle(term)
+        if best is None:
+            best = term
+            continue
+        # greater surplus, then the earlier broker
+        lead = term.lead(best)
+        if lead > 0 or (lead == 0 and term.position < best.position):
+            best = term
 
     for agent, utility in zip(instance.agent_ids, best.utilities):
-        # a Fraction has the sign of its numerator, read without a comparison
-        if utility.numerator < 0:
+        if utility < 0:
             return _rejection(instance, RejectionReason.IR_VIOLATION, agent)
 
     return MechanismOutcome(
         routing=best.proposal.routing,
         winner=best.proposal.broker,
         broker_payment=best.margin,
-        agent_utilities=dict(zip(instance.agent_ids, best.utilities)),
+        agent_utilities=dict(zip(instance.agent_ids, best.utility_fractions())),
     )
 
 

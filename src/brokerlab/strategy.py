@@ -19,7 +19,9 @@ no bundle.  A best response always settles one prepared round, the
 rivals' plus the response.  It built the response, so it hands the round
 the response's terms with their memo already settled at the reports: the
 report objects, every agent's reported utility and their sum, the reported
-surplus.  Best-response dynamics check and settle the starting profile
+surplus, as ints over a denominator read off the plan's (the lcm of its
+reported values and costs) and the margin's, so the memo costs no
+``Fraction``.  Best-response dynamics check and settle the starting profile
 once; then each broker turn checks only its response and settles one
 round, the next profile's, and that settlement prices no bundle.
 """
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import is_
 from typing import Sequence
 
@@ -44,7 +47,7 @@ from .mechanism import (
     run,
 )
 from .rationals import ONE, ZERO
-from .validity import DEFAULT_ENUM_CAP, ValiditySpec, enumerate_valid
+from .validity import DEFAULT_ENUM_CAP, ValiditySpec, _key, enumerate_valid
 
 DEFAULT_QUANTUM = Fraction(1, 1024)
 # broker turns one dynamics run may take, whatever ``max_rounds`` allows
@@ -56,10 +59,15 @@ class _RebatePlan:
     profile: each node's payment, its reported cost on its bundle, and their
     total; the included transactions' reported values and their total; and
     the allocation's reported welfare.  Only the scale of the transaction
-    payments depends on the target margin."""
+    payments depends on the target margin.
+
+    The same numbers as ints over ``den``, the lcm of their denominators:
+    ``costs`` (in node order), ``value_nums``, ``total_value_num`` and
+    ``welfare_num``, from which ``settled`` writes a response's memo."""
 
     __slots__ = (
-        "tx_ids", "allocation", "node_payments", "total_cost", "values", "total_value", "welfare"
+        "tx_ids", "allocation", "node_payments", "total_cost", "values", "total_value", "welfare",
+        "den", "costs", "value_nums", "total_value_num", "welfare_num",
     )
 
     def __init__(self, instance: MarketInstance, allocation: Allocation, reports: ReportProfile):
@@ -75,6 +83,12 @@ class _RebatePlan:
         }
         self.total_value = sum(self.values.values(), ZERO)
         self.welfare = self.total_value - self.total_cost
+        costs, values = self.node_payments.values(), self.values
+        den = self.den = lcm(*(x.denominator for x in (*costs, *values.values())))
+        self.costs = [c.numerator * (den // c.denominator) for c in costs]
+        self.value_nums = {t: v.numerator * (den // v.denominator) for t, v in values.items()}
+        self.total_value_num = sum(self.value_nums.values())
+        self.welfare_num = self.total_value_num - sum(self.costs)
 
     def scaled(self, scale: Fraction) -> Routing:
         """Nodes paid their reported costs, included transactions ``scale``
@@ -96,6 +110,41 @@ class _RebatePlan:
             # welfare <= 0 here, so the target must be exactly the (zero) welfare
             return self.scaled(ZERO)
         return self.scaled((self.total_cost + target_margin) / self.total_value)
+
+    def settled(self, broker: str, position: int, target_margin: Fraction, at: tuple) -> _Terms:
+        """The terms of ``broker``'s proposal of ``routing(target_margin)``,
+        with their memo settled at the plan's reports, whose objects are
+        ``at``: the memo in integers, no ``Fraction`` made for it.
+
+        With ``m = M / md`` and the plan's ints ``P = den``, ``TV``, ``W``
+        and ``TC = TV - W``, the scale is ``(TC * md + M * P) / (md * TV)``,
+        so over ``P * md * TV`` an included transaction of value ``V / P``
+        pays ``V * (TC * md + M * P)`` and keeps ``V * E``, where ``E = W *
+        md - M * P``; the surplus is ``TV * E``; a node is paid its cost,
+        ``C * md * TV``, and keeps 0."""
+        m, md = target_margin.numerator, target_margin.denominator
+        p, tv = self.den, self.total_value_num
+        kept = self.welfare_num * md - m * p
+        paid = (tv - self.welfare_num) * md + m * p
+        base, utilities, fractions = [], [], []
+        for tx in self.tx_ids:
+            v = self.value_nums.get(tx)
+            if v is None:
+                base.append(0)
+                utilities.append(0)
+                fractions.append(ZERO)
+            else:
+                base.append(-v * paid)
+                utilities.append(v * kept)
+                fractions.append(None)
+        base += [c * md * tv for c in self.costs]
+        utilities += [0] * len(self.costs)
+        fractions += [ZERO] * len(self.costs)
+        return _Terms(
+            Proposal(broker, self.routing(target_margin)), target_margin, position,
+            at=at, den=p * md * tv, base=tuple(base),
+            utilities=tuple(utilities), surplus=tv * kept, fractions=fractions,
+        )
 
 
 def max_extraction_routing(
@@ -136,17 +185,18 @@ def _welfare_max(
     """``_welfare_argmax`` over ``allocations``, the valid set of ``(instance,
     spec)``, and the argmax's rebate plan at ``reports``, whose report
     objects, checked by ``_Settlement``, are ``objects``.  Both are memoised
-    on the market, freed with it, as one tuple replaced whole: ``(spec,
-    objects, argmax, plan)``, keyed by the spec (by identity, as in
-    ``enumerate_valid``; every cap that lets it finish gives the same set)
-    and the report objects (by identity, as each term's memo is, so a report
-    replaced or rebuilt equal since is scored again)."""
-    memo = instance._argmax
-    if memo is not None and memo[0] is spec and all(map(is_, memo[1], objects)):
+    on the market, freed with it, as one tuple replaced whole: ``(key,
+    objects, argmax, plan)``, keyed by the spec (by identity, ``None`` read
+    as the instance's own, as in ``enumerate_valid``; every cap that lets it
+    finish gives the same set) and the report objects (by identity, as each
+    term's memo is, so a report replaced or rebuilt equal since is scored
+    again)."""
+    key, memo = _key(spec, instance), instance._argmax
+    if memo is not None and memo[0] is key and all(map(is_, memo[1], objects)):
         return memo[2], memo[3]
     best = _welfare_argmax(instance, allocations, reports)
     plan = _RebatePlan(instance, best.allocation, reports)
-    object.__setattr__(instance, "_argmax", (spec, objects, best, plan))
+    object.__setattr__(instance, "_argmax", (key, objects, best, plan))
     return best, plan
 
 
@@ -267,11 +317,13 @@ def broker_best_response(
     Reports are checked before the rivals, as ``run`` checks them.
     ``rivals`` may be a ``PreparedRound``: when it was prepared for this
     instance, spec and broker order, its cached terms are used and the
-    budget-balanced rivals' surpluses are settled through their memos; any
-    other rivals are prepared afresh, in broker order.  Only the response is
-    checked.  Its routing is the memoised argmax's rebate plan read at the
-    winning margin.  Its memo is settled here, not by ``run``: every agent's
-    reported utility is 0 but an included transaction's, its value minus its
+    budget-balanced rivals' surpluses are settled through their memos and
+    compared as ints; any other rivals are prepared afresh, in broker order.
+    Only the top rival surplus becomes a ``Fraction``, cached on its memo.
+    Only the response is checked.  Its routing is the memoised argmax's
+    rebate plan read at the winning margin.  Its memo is settled here, not
+    by ``run``, in integers (``_RebatePlan.settled``): every agent's reported
+    utility is 0 but an included transaction's, its value minus its
     payment, as nodes are paid their reported costs, and their sum, the
     reported surplus, is the welfare maximum's minus the margin asked of the
     plan (0 for the empty routing).
@@ -294,10 +346,18 @@ def broker_best_response(
         rivals = prepare_round(
             instance, spec, sorted(rivals, key=lambda p: position[p.broker]), broker_order
         )
-    rival_surpluses = [(settlement.settle(t), t.position) for t in rivals.balanced]
-    if rival_surpluses:
-        rival_best = max(s for s, _ in rival_surpluses)
-        wins_ties = all(position[broker] < p for s, p in rival_surpluses if s == rival_best)
+    # the budget-balanced rivals of top surplus
+    top: list[_Terms] = []
+    for t in rivals.balanced:
+        settlement.settle(t)
+        lead = t.lead(top[0]) if top else 1
+        if lead > 0:
+            top = [t]
+        elif lead == 0:
+            top.append(t)
+    if top:
+        rival_best = top[0].surplus_fraction()
+        wins_ties = all(position[broker] < t.position for t in top)
     else:
         rival_best, wins_ties = None, True
 
@@ -305,22 +365,13 @@ def broker_best_response(
         best.welfare, rival_best, wins_ties, quantum, lattice_margins
     )
     if best_margin is None or best_margin <= 0:
-        best_margin, response_surplus, routing = ZERO, ZERO, instance.empty_routing()
-        values = {}
+        n = len(instance.agent_ids)
+        settled = _Terms(
+            Proposal(broker, instance.empty_routing()), ZERO, position[broker],
+            at=settlement.reports, base=(0,) * n, utilities=(0,) * n, fractions=[ZERO] * n,
+        )
     else:
-        response_surplus = best.welfare - best_margin
-        routing, values = plan.routing(best_margin), plan.values
-    payments = routing.tx_payments
-    utilities = [values[t] - payments[t] if t in values else ZERO for t in instance.tx_ids]
-    utilities += [ZERO] * len(instance.node_ids)
-    settled = _Terms(
-        Proposal(broker, routing),
-        best_margin,
-        position[broker],
-        at=settlement.reports,
-        utilities=tuple(utilities),
-        surplus=response_surplus,
-    )
+        settled = plan.settled(broker, position[broker], best_margin, settlement.reports)
     prepared = rivals.with_proposal(settled)
     outcome = run(instance, spec, reports, prepared, broker_order)
     return BrokerBestResponse(

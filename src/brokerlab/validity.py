@@ -34,8 +34,9 @@ not the raw ``(2^|N|)^|T|``.
 
 ``enumerate_valid``'s result is memoised on the market, freed with it: the
 same spec object (compared by identity, as ``mechanism.prepare_round``
-compares it) with an equal cap gets a fresh copy of it without a second
-search, and ``is_valid`` accepts a member of it without testing it again.
+compares it, ``None`` standing for the instance's own) with an equal cap
+gets a fresh copy of it without a second search, and ``is_valid`` accepts a
+member of it without testing it again.
 """
 
 from __future__ import annotations
@@ -266,13 +267,14 @@ def is_valid(
     """Exact membership test for the valid set.
 
     An allocation in the valid set memoised on the market for the same spec
-    object is valid without a second test.  Any other allocation is tested,
+    object (``None`` read as the instance's own) is valid without a second
+    test.  Any other allocation is tested,
     once the spec's inputs are checked, by the search's step rule folded over
     its pairs in canonical order.
     """
     instance.check_allocation_ids(allocation)
     memo = instance._valid
-    if memo is not None and memo[0] is spec and allocation in memo[3]:
+    if memo is not None and memo[0] is _key(spec, instance) and allocation in memo[3]:
         return True
     spec = _resolve(spec, instance)
     if isinstance(spec, Extensional):
@@ -307,18 +309,25 @@ def enumerate_valid(
     allocation order, so nothing is sorted afterwards.
 
     The result is memoised on the market, freed with it: a later call with
-    the very same spec object (by identity; specs are immutable) and an
-    equal cap returns it without searching again, and ``is_valid`` reads
+    the very same spec object (by identity; specs are immutable), ``None``
+    and the instance's own spec being one key, and an equal cap returns it
+    without searching again or checking its inputs, and ``is_valid`` reads
     it.  The memo is one tuple, replaced whole, so a concurrent caller at
     worst searches again.  Every call returns a fresh list, so a caller may
     mutate it; the ``Allocation`` objects in it are shared.
     """
-    memo = instance._valid
-    if memo is not None and memo[0] is spec and memo[1] == cap:
+    key, memo = _key(spec, instance), instance._valid
+    if memo is not None and memo[0] is key and memo[1] == cap:
         return list(memo[2])
     found = _search_valid(instance, spec, cap)
-    object.__setattr__(instance, "_valid", (spec, cap, tuple(found), frozenset(found)))
+    object.__setattr__(instance, "_valid", (key, cap, tuple(found), frozenset(found)))
     return found
+
+
+def _key(spec: ValiditySpec | None, instance: MarketInstance) -> ValiditySpec | None:
+    """The spec object the valid-set memo is keyed by: ``None`` reads as the
+    instance's own spec, so passing that spec explicitly is the same key."""
+    return instance.validity if spec is None else spec
 
 
 def _search_valid(

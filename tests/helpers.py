@@ -6,7 +6,7 @@ import random
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from itertools import combinations, product
-from math import prod
+from math import lcm, prod
 from typing import Iterable, Iterator, Sequence
 
 from brokerlab.core import (
@@ -47,8 +47,9 @@ from brokerlab.errors import (
     MalformedInput,
     MarketError,
 )
+from brokerlab.cli import _figure1_proposals
 from brokerlab.linineq import Constraint, enumerate_cells, find_point, nonneg_orthant
-from brokerlab.mdfm import ResourceMarket, run_benchmarks
+from brokerlab.mdfm import ResourceMarket, collusion_example_instance, run_benchmarks
 from brokerlab.mechanism import (
     MechanismOutcome,
     Proposal,
@@ -203,6 +204,22 @@ def random_proposals(
     order = list(brokers)
     rng.shuffle(order)
     return proposals, order
+
+
+def pne_profiles(seed, count):
+    """Figure 1, then random 2-3 broker action profiles on up to 3
+    transactions x 2 nodes: (instance, reports, proposals, broker order)."""
+    figure1 = collusion_example_instance()
+    yield figure1, figure1.truthful_reports(), _figure1_proposals(figure1), ["b1", "b2"]
+    rng = random.Random(seed)
+    made = 0
+    while made < count:
+        instance = random_instance(rng, max_txs=3, max_nodes=2)
+        reports, _ = random_reports(rng, instance, liar_prob=0.3)
+        proposals, order = random_proposals(rng, instance, reports, enumerate_valid(instance))
+        if len(proposals) >= 2:
+            made += 1
+            yield instance, reports, proposals, order
 
 
 def naive_enumerate(instance: MarketInstance, spec=None) -> list[Allocation]:
@@ -920,18 +937,41 @@ def settled_terms(
     instance: MarketInstance, reports: ReportProfile, proposal: Proposal, broker_order: Sequence[str]
 ) -> _Terms:
     """``proposal``'s terms settled at ``reports`` from scratch, as a best
-    response hands them to ``PreparedRound.with_proposal``: the margin,
-    ``core.surplus`` and every agent's ``agent_utility``, stamped with the
-    profile's report objects.  A broker outside the order gets position -1."""
+    response hands them to ``PreparedRound.with_proposal``: the margin, and
+    over one integer denominator ``core.surplus``, every agent's
+    ``agent_utility`` and its report-free part (minus a transaction's
+    payment, a node's payment), stamped with the profile's report objects.
+    The denominator is the lcm of every denominator involved.  A broker
+    outside the order gets position -1."""
     routing = proposal.routing
+    utilities = [agent_utility(instance, a, routing, reports) for a in instance.agent_ids]
+    base = [-routing.tx_payments[t] for t in instance.tx_ids]
+    base += [routing.node_payments[n] for n in instance.node_ids]
+    value = surplus(instance, routing, reports)
+    den = lcm(*(x.denominator for x in [*utilities, *base, value]))
     return _Terms(
         proposal,
         margin(routing),
         list(broker_order).index(proposal.broker) if proposal.broker in broker_order else -1,
         at=_report_objects(instance, reports),
-        utilities=tuple(agent_utility(instance, a, routing, reports) for a in instance.agent_ids),
-        surplus=surplus(instance, routing, reports),
+        den=den,
+        base=tuple(over(x, den) for x in base),
+        utilities=tuple(over(u, den) for u in utilities),
+        surplus=over(value, den),
+        fractions=[None] * len(utilities),
     )
+
+
+def zero_reports(instance: MarketInstance) -> ReportProfile:
+    """Every transaction reporting 0 and every node ``Zero()``: the profile
+    at which each agent's utility is its report-free part."""
+    return ReportProfile(dict.fromkeys(instance.tx_ids, ZERO), dict.fromkeys(instance.node_ids, Zero()))
+
+
+def over(x: Fraction, den: int) -> int:
+    """The numerator of ``x`` over ``den``, which its denominator divides."""
+    assert den % x.denominator == 0
+    return x.numerator * (den // x.denominator)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ from fractions import Fraction as F
 import pytest
 
 from brokerlab import equilibrium, mechanism, strategy
-from brokerlab.cli import _figure1_proposals
 from brokerlab.core import (
     Allocation,
     CostFunction,
@@ -43,6 +42,7 @@ from helpers import (
     dsic_product_oracle,
     node_candidate_tables_reference,
     outcome_or_error,
+    pne_profiles,
     random_instance,
     random_proposals,
     random_reports,
@@ -611,22 +611,6 @@ class TestMonopolistEfficiency:
             )
             assert welfare(instance, outcome.routing.allocation, truthful) == best
             assert surplus(instance, outcome.routing, truthful) == 0
-
-
-def pne_profiles(seed, count):
-    """Figure 1, then random 2-3 broker action profiles on up to 3
-    transactions x 2 nodes: (instance, reports, proposals, broker order)."""
-    figure1 = collusion_example_instance()
-    yield figure1, figure1.truthful_reports(), _figure1_proposals(figure1), ["b1", "b2"]
-    rng = random.Random(seed)
-    made = 0
-    while made < count:
-        instance = random_instance(rng, max_txs=3, max_nodes=2)
-        reports, _ = random_reports(rng, instance, liar_prob=0.3)
-        proposals, order = random_proposals(rng, instance, reports, enumerate_valid(instance))
-        if len(proposals) >= 2:
-            made += 1
-            yield instance, reports, proposals, order
 
 
 def patch_run(monkeypatch, on_call):

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction as F
 from itertools import product
@@ -189,6 +190,29 @@ class TestCells:
             for h, s in zip(hyperplanes, signs):
                 c = h if s else h.complement()
                 assert holds(c, witness)
+
+
+class TestCellWalkMemory:
+    def test_a_finished_or_abandoned_walk_leaves_nothing_to_collect(self):
+        # with no cyclic collection, a walk's closure, stack and branch lists
+        # must go by reference counting, whether it ran out or was dropped
+        hyperplanes = [
+            Constraint((F(1), F(1)), F(2)),
+            Constraint((F(1), F(-1)), F(0)),
+            Constraint((F(0), F(1)), F(1)),
+        ]
+        gc.collect()
+        gc.disable()
+        try:
+            cells = list(enumerate_cells(nonneg_orthant(2), hyperplanes, 2))
+            assert len(cells) > 3
+            assert gc.collect() == 0
+            walk = enumerate_cells(nonneg_orthant(2), hyperplanes, 2)
+            assert next(walk) == cells[0]
+            del walk
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestAgainstFractionElimination:

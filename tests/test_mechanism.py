@@ -5,11 +5,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from brokerlab import mechanism
+from brokerlab import equilibrium, mechanism, strategy
 from brokerlab.core import (
     Allocation,
     ConstantNonempty,
     MarketInstance,
+    PerTransaction,
     ReportProfile,
     Routing,
     SubsetTable,
@@ -39,6 +40,7 @@ from helpers import (
     frac,
     naive_enumerate,
     outcome_or_error,
+    pne_profiles,
     random_instance,
     random_cost,
     random_proposals,
@@ -492,8 +494,8 @@ class TestSettlementMemo:
                         continue
                     routing, at = term.proposal.routing, profile_at(instance, term.at)
                     utilities = [agent_utility(instance, a, routing, at) for a in instance.agent_ids]
-                    assert term.utilities == tuple(utilities)
-                    assert term.surplus == surplus(instance, routing, at)
+                    assert [F(u, term.den) for u in term.utilities] == utilities
+                    assert F(term.surplus, term.den) == surplus(instance, routing, at)
                     kinds["negative" if any(u < 0 for u in utilities) else "settled"] += 1
         assert min(kinds.values()) > 300
 
@@ -629,3 +631,114 @@ class TestIRGate:
         assert prepared.terms[0].utilities[0] < 0
         assert outcome.ir_violator == "t1"
 
+
+
+def assert_integer_memos(terms):
+    """Every settled term's memo is ints over a positive int denominator,
+    its surplus the sum of its utilities, and each cached ``Fraction`` its
+    int over that denominator.  Returns the number of settled terms."""
+    settled = 0
+    for term in terms:
+        if term.at is None:
+            continue
+        settled += 1
+        assert type(term.den) is int and term.den > 0
+        assert all(type(x) is int for x in (*term.base, *term.utilities, term.surplus))
+        assert term.surplus == sum(term.utilities)
+        for utility, cached in zip(term.utilities, term.fractions, strict=True):
+            assert cached is None or cached == F(utility, term.den)
+        assert term.fraction is None or term.fraction == F(term.surplus, term.den)
+    return settled
+
+
+def primes_from(start, count):
+    """The first ``count`` primes at or above ``start``."""
+    found, n = [], start
+    while len(found) < count:
+        if all(n % d for d in range(2, int(n**0.5) + 1)):
+            found.append(n)
+        n += 1
+    return found
+
+
+def prime_report(rng, instance, agent, prime):
+    """A report for ``agent`` whose value, or every cost it gives, has the
+    denominator ``prime``."""
+    if agent in instance.tx_ids:
+        return F(rng.randint(1, 12 * prime), prime)
+    if rng.random() < 0.5:
+        return ConstantNonempty(F(rng.randint(1, 6 * prime), prime))
+    return PerTransaction({t: F(rng.randint(1, 4 * prime), prime) for t in instance.tx_ids})
+
+
+class TestIntegerMemo:
+    def test_the_prepared_round_corpus_settles_in_integers(self):
+        # TestPreparedRound's corpus, every memo checked after each settle
+        rng = random.Random(4242)
+        settled = 0
+        for _ in range(300):
+            instance = random_instance(rng, max_txs=3, max_nodes=2)
+            spec = instance.validity
+            reports, _ = random_reports(rng, instance)
+            pool = naive_enumerate(instance, spec if rng.random() < 0.8 else Constraints(()))
+            proposals, order = random_proposals(rng, instance, reports, pool)
+            try:
+                prepared = prepare_round(instance, spec, proposals, order)
+            except MarketError:
+                continue
+            for profile in [reports] + [random_reports(rng, instance)[0] for _ in range(3)]:
+                settles_as_reference(instance, profile, prepared, order)
+                settled += assert_integer_memos(prepared.terms)
+        assert settled > 1000
+
+    def test_the_deviation_rounds_of_the_pne_corpus_settle_in_integers(self, monkeypatch):
+        # every round check_pne settles, deviations and best responses alike
+        seen = Counter()
+
+        def checked(instance, spec, reports, proposals, order):
+            expected = outcome_or_error(run_reference, instance, spec, reports, list(proposals), order)
+            assert outcome_or_error(run, instance, spec, reports, proposals, order) == expected
+            seen[type(proposals).__name__] += 1
+            seen["settled"] += assert_integer_memos(proposals.terms)
+            return run(instance, spec, reports, proposals, order)
+
+        monkeypatch.setattr(equilibrium, "run", checked)
+        monkeypatch.setattr(strategy, "run", checked)
+        for instance, reports, proposals, order in pne_profiles(2027, 60):
+            check_pne(instance, instance.validity, instance.truthful_reports(), reports, proposals, order)
+        assert seen["PreparedRound"] > 1500 and seen.keys() == {"PreparedRound", "settled"}
+        assert seen["settled"] > 3500
+
+    def test_reports_off_the_lattice_rescale_the_memo_exactly(self):
+        # each step gives one or two agents reports over a prime no earlier
+        # report of the market used, so a memo settled at one denominator
+        # must rescale mid-sequence; it must still equal a fresh evaluation
+        rng = random.Random(10007)
+        primes = primes_from(10007, 400) + [65537, 2**31 - 1]
+        kinds = Counter()
+        for instance, reports, rounds, order in memo_rounds(rng, 100):
+            fresh = iter(rng.sample(primes, len(primes)))
+            terms = {id(t): t for r in rounds for t in r.terms}.values()
+            profile = reports
+            for _ in range(8):
+                tx_reports, node_reports = dict(profile.tx_reports), dict(profile.node_reports)
+                for agent in rng.sample(instance.agent_ids, rng.choice([1, 2])):
+                    report = prime_report(rng, instance, agent, next(fresh))
+                    (tx_reports if agent in tx_reports else node_reports)[agent] = report
+                profile = ReportProfile(tx_reports, node_reports)
+                before = {id(t): (t.den, t.at is None) for t in terms}
+                settles_as_reference(instance, profile, rng.choice(rounds), order)
+                assert_integer_memos(terms)
+                for term in terms:
+                    den, unsettled = before[id(term)]
+                    if term.at is None or unsettled:
+                        continue
+                    assert term.den % den == 0
+                    kinds["rescaled" if term.den > den else "kept"] += 1
+                    routing, at = term.proposal.routing, profile_at(instance, term.at)
+                    utilities = [agent_utility(instance, a, routing, at) for a in instance.agent_ids]
+                    assert [F(u, term.den) for u in term.utilities] == utilities
+                    assert F(term.surplus, term.den) == surplus(instance, routing, at)
+            kinds["twice"] += any(sum(term.den % p == 0 for p in primes) >= 2 for term in terms)
+        assert kinds["rescaled"] > 400 and kinds["kept"] > 800
+        assert kinds["twice"] > 50

@@ -53,6 +53,7 @@ from helpers import (
     rebuilt_profile,
     run_reference,
     scaled_rebate_routing_reference,
+    zero_reports,
 )
 
 
@@ -746,20 +747,23 @@ class TestDynamicsTraces:
         def counted_enumerate(instance, spec=None, cap=validity.DEFAULT_ENUM_CAP):
             before = len(searches)
             found = validity.enumerate_valid(instance, spec, cap)
-            # one search for a new (instance, spec) key, none for a seen one
-            key = (id(instance), id(spec))
+            # one search for a new (instance, spec) key, none for a seen one;
+            # ``None`` and the instance's own spec are one key
+            resolved = instance.validity if spec is None else spec
+            key = (id(instance), id(resolved))
             assert len(searches) - before == (key not in searched)
-            searched[key] = (instance, spec)
+            searched[key] = (instance, resolved)
             return found
 
         def counted_welfare_max(instance, spec, reports, objects, allocations):
             before = len(passes)
             found = welfare_max(instance, spec, reports, objects, allocations)
             # one pass for a new (instance, spec, report objects) key, none
-            # for a seen one
-            key = (id(instance), id(spec), *map(id, objects))
+            # for a seen one, the spec resolved as for a search
+            resolved = instance.validity if spec is None else spec
+            key = (id(instance), id(resolved), *map(id, objects))
             assert len(passes) - before == (key not in scored)
-            scored[key] = (instance, spec, objects)
+            scored[key] = (instance, resolved, objects)
             return found
 
         search = validity._search_valid
@@ -784,7 +788,11 @@ class TestDynamicsTraces:
         # every search and pass went through a counted lookup
         assert len(searches) == len(searched) and len(passes) == len(scored)
         assert {cap for _, _, cap in searches} == {validity.DEFAULT_ENUM_CAP}
-        # one report profile per market: figure 1's three runs share one pass
+        # one search per market, though generation reads each random
+        # market's valid set through ``spec=None`` and then through its own
+        # spec, and one report profile per market: figure 1's three runs
+        # share one search and one pass
+        assert len(searches) == 1 + 24
         assert len(passes) == 1 + 24
 
 
@@ -925,10 +933,15 @@ class TestDynamicsOracle:
             # core recomputed at the profile of the dynamics run
             instance, routing = prepared.instance, settled.proposal.routing
             assert settled.margin == margin(routing)
-            assert settled.surplus == surplus(instance, routing, reports)
-            assert settled.utilities == tuple(
+            # the memo is ints over its denominator
+            den = settled.den
+            assert F(settled.surplus, den) == surplus(instance, routing, reports)
+            assert [F(u, den) for u in settled.utilities] == [
                 agent_utility(instance, a, routing, reports) for a in instance.agent_ids
-            )
+            ]
+            assert [F(b, den) for b in settled.base] == [
+                agent_utility(instance, a, routing, zero_reports(instance)) for a in instance.agent_ids
+            ]
             objects = [reports.tx_reports[t] for t in instance.tx_ids]
             objects += [reports.node_reports[n] for n in instance.node_ids]
             assert all(a is b for a, b in zip(settled.at, objects, strict=True))

@@ -441,13 +441,15 @@ class TestValidSetCache:
         equal_spec = Constraints(first.validity.constraints)
         for instance, spec in [(first, None), (first, None), (twin, None), (twin, None)]:
             assert len(enumerate_valid(instance, spec)) == 4
-        for spec in [first.validity, equal_spec, equal_spec]:
+        # the instance's own spec passed explicitly is the key None stands
+        # for; an equal spec object is another key
+        for spec in [first.validity, equal_spec, equal_spec, first.validity]:
             assert len(enumerate_valid(first, spec)) == 4
         assert len(searched) == 4
         assert [s[0] for s in searched] == [first, twin, first, first]
         assert searched[1][0] is twin
-        assert [s[1] for s in searched][2:] == [first.validity, equal_spec]
-        assert searched[3][1] is equal_spec
+        assert [s[1] for s in searched][2:] == [equal_spec, first.validity]
+        assert searched[2][1] is equal_spec
 
     def test_is_valid_reads_the_last_enumeration(self, monkeypatch):
         tested = []
@@ -471,11 +473,14 @@ class TestValidSetCache:
         assert tested
         with pytest.raises(MalformedInput, match="ghost"):
             is_valid(Allocation.of({"ghost": ["n1"]}), None, instance)
-        # keyed by the spec as passed: the instance's own spec passed
-        # explicitly, an equal spec and an equal instance are tested again
+        # keyed by the spec resolved: the instance's own spec passed
+        # explicitly is the key ``None`` stands for, so it is read, not
+        # tested; an equal spec and an equal instance are tested again
         member = Allocation.of({"t1": ["n1", "n2"]})
+        tested.clear()
+        assert is_valid(member, spec, instance) is True
+        assert tested == []
         for spec_arg, instance_arg in [
-            (spec, instance),
             (Constraints(spec.constraints), instance),
             (None, simple_instance(validity=spec)),
         ]:
