@@ -441,6 +441,8 @@ class MarketInstance:
         if set(reports.node_reports) != set(self.node_ids):
             raise MalformedInput("node reports must be total over the instance")
         for tx, v in reports.tx_reports.items():
+            if not isinstance(v, (int, Fraction)):
+                raise MalformedInput(f"report of {tx!r} must be an int or a Fraction, got {v!r}")
             _require_nonneg(v, f"report of {tx!r}")
 
 

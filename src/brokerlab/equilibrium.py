@@ -19,11 +19,11 @@ margins on the configured lattice where a rival must be beaten strictly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import prod
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .core import (
     MAX_SUBSET_TABLE_TXS,
@@ -183,10 +183,15 @@ class DeviationWitness:
 
 @dataclass(frozen=True)
 class EquilibriumReport:
+    """``candidates`` holds the deviation candidates ``check_pne`` built for
+    each agent, which ``check_dsic_barring_b`` reuses; it is neither compared
+    nor serialized."""
+
     is_pne: bool
     witnesses: tuple[DeviationWitness, ...]
     checked_agent_deviations: int
     checked_broker_allocations: int
+    candidates: Mapping[str, list] = field(default_factory=dict, repr=False, compare=False)
 
 
 def _candidates(
@@ -279,14 +284,15 @@ def check_pne(
     proposals = prepare_round(instance, spec, proposals, broker_order)
     base = run(instance, spec, reports, proposals, broker_order)
     witnesses: list[DeviationWitness] = []
+    candidates: dict[str, list] = {}
     agent_checks = 0
     for agent in instance.agent_ids:
         kind = "tx_report" if agent in reports.tx_reports else "node_report"
         before = agent_utility(instance, agent, base.routing, true_types)
-        candidates = _candidates(instance, agent, proposals, reports)
+        candidates[agent] = _candidates(instance, agent, proposals, reports)
         checked, found = _deviation_witnesses(
-            instance, spec, true_types, reports, proposals, broker_order, agent, candidates,
-            before, kind,
+            instance, spec, true_types, reports, proposals, broker_order, agent,
+            candidates[agent], before, kind,
         )
         agent_checks += checked
         witnesses += found
@@ -314,6 +320,7 @@ def check_pne(
         witnesses=tuple(witnesses),
         checked_agent_deviations=agent_checks,
         checked_broker_allocations=broker_allocations,
+        candidates=candidates,
     )
 
 
@@ -358,12 +365,13 @@ def check_dsic_barring_b(
     each agent against its own report, so agent i's true utility is
     ``u_i * [i passes] * [every other agent passes]``, ``u_i`` read off the
     winner's routing.  Neither i's candidates nor its truthful utility depend
-    on the others' reports, so each agent's candidates are built once, at
-    the true types, and one rival profile settles i: each other agent at its
-    first candidate that passes the gate.  If some other agent has no
-    such candidate, every profile rejects and i has no witness; with no
-    budget-balanced proposal no profile is settled.  ``others_cap`` (at
-    least 1) and ``seed`` are accepted and change no answer.
+    on the others' reports, so each agent's candidates are the ones the
+    equilibrium check built at the true types, and one rival profile settles
+    i: each other agent at its first candidate that passes the gate.  If
+    some other agent has no such candidate, every profile rejects and i has
+    no witness; with no budget-balanced proposal no profile is settled.
+    ``others_cap`` (at least 1) and ``seed`` are accepted and change no
+    answer.
     """
     if others_cap < 1:
         raise MalformedInput(f"others_cap must be at least 1, got {others_cap}")
@@ -376,16 +384,15 @@ def check_dsic_barring_b(
     instance.validate_reports(true_types)
     sigma = prepare_round(instance, spec, sigma, broker_order)
     pne = check_pne(instance, spec, true_types, true_types, sigma, broker_order, quantum, cap)
+    candidates = pne.candidates
 
     agents = instance.agent_ids
     witnesses: list[DeviationWitness] = []
-    candidates: dict[str, list] = {}
     passing: dict[str, object] = {}  # each agent's first candidate that passes
     settled: list[str] = []
     if sigma.balanced:
         routing = min(sigma.balanced, key=lambda t: (t.margin, t.position)).proposal.routing
         for agent in agents:
-            candidates[agent] = _candidates(instance, agent, sigma, true_types)
             for candidate in candidates[agent]:
                 deviated = _with_report(true_types, agent, candidate)
                 if agent_utility(instance, agent, routing, deviated) >= 0:

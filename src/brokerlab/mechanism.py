@@ -15,30 +15,31 @@ memo: the report objects of the profile it was last settled at, every
 agent's reported utility there in canonical order, and their sum, which is
 the reported surplus (``core.surplus``: payments cancel down to the margin).
 
-The memo is integer arithmetic over one denominator ``den``: its utilities,
-its surplus and its report-free base utilities (each transaction pays, each
-node is paid; their sum is minus the margin) are ints over ``den``.  The
-first settle makes ``den`` the lcm of the payments' denominators, so the
-payments and the margin are scaled once.  A report ``r`` (a transaction's
-value, or a node's cost on its bundle) with denominator ``d`` enters as
+The memo is integer arithmetic over one denominator ``den``: its utilities
+and its surplus are ints over ``den``, and it keeps one invariant: every
+payment's denominator divides ``den``.  The first settle makes ``den`` the
+lcm of the payments' denominators (a best response that writes a memo
+picks one its payments divide).  A report ``r`` (a transaction's value, or
+a node's cost on its bundle) with denominator ``d`` enters as
 ``r.numerator * (den // d)`` when ``d`` divides ``den``; otherwise the memo
 first rescales exactly: ``den`` is multiplied by ``d // gcd(den, d)``, and
 so is every int it holds.  Nothing is rounded.
 
-A term is first settled from its base utilities, and only an allocated
-transaction's utility and the utility of a node with a bundle read a report,
-so only those agents are then scored.  Later settles compare the profile's
-report objects with the memo's by identity, so a report replaced, rebuilt
-equal or edited in place counts as changed, and rescore only the changed
-agents among those.  ``run`` checks the reports in one pass over their
-objects, ranks the balanced terms by surplus in integer cross-products, and
-reads the signs of the winner's utilities: the IR gate names the first
-negative one.
+Only an allocated transaction's utility and a bundled node's read a
+report, so only those agents are scored, each from its report and its
+payment in the routing (0 where a plain list's routing lacks one), both
+over ``den``.  Every other agent's utility is minus its payment (a
+transaction) or its payment (a node), set by the first settle.  Later
+settles compare the profile's report objects with the memo's by identity,
+so a report replaced, rebuilt equal or edited in place counts as changed,
+and rescore only the changed agents among those.  ``run`` checks the
+reports in one pass over their objects, ranks the balanced terms by surplus
+in integer cross-products, and reads the signs of the winner's utilities:
+the IR gate names the first negative one.
 
-``Fraction``s are made only at the boundary: the outcome's
-``agent_utilities`` and what ``surpluses`` returns.  The memo caches each
-one it makes and drops an entry only when its value moves, so an outcome
-re-read from an unchanged memo builds none.
+``Fraction``s are made only at the boundary, fresh on each read: the
+outcome's ``agent_utilities`` and what ``surpluses`` returns.  A zero reads
+as ``ZERO``.
 
 Deviation search changes one report at a time, so it prepares once and
 passes the prepared sequence to ``run``.  A best response changes one
@@ -102,11 +103,9 @@ class _Terms:
 
     ``balanced`` says whether the margin is non-negative.  ``at`` holds the
     report objects of the profile the memo was settled at, in canonical
-    agent order, or None before the first settle.  ``base`` and
-    ``utilities`` are in that order too, as ints over ``den``, and
-    ``surplus``, the sum of ``utilities``, is over ``den`` as well.
-    ``fractions`` caches ``utilities`` as ``Fraction``s, None where not yet
-    made, and ``fraction`` the surplus.
+    agent order, or None before the first settle.  ``utilities`` is in that
+    order too, as ints over ``den``, and ``surplus``, the sum of
+    ``utilities``, is over ``den`` as well.
     """
 
     proposal: Proposal
@@ -115,11 +114,8 @@ class _Terms:
     balanced: bool = field(init=False)
     at: tuple | None = None
     den: int = 1
-    base: tuple[int, ...] = ()
     utilities: tuple[int, ...] = ()
     surplus: int = 0
-    fractions: list | None = None
-    fraction: Fraction | None = None
 
     def __post_init__(self):
         self.balanced = self.margin >= 0
@@ -131,97 +127,87 @@ class _Terms:
 
     def utility_fractions(self) -> list[Fraction]:
         """Every agent's reported utility as a ``Fraction``, in canonical
-        order, made only where the cache lacks it."""
-        fractions, den = self.fractions, self.den
-        for i, cached in enumerate(fractions):
-            if cached is None:
-                fractions[i] = Fraction(self.utilities[i], den)
-        return fractions
+        order."""
+        den = self.den
+        return [Fraction(u, den) if u else ZERO for u in self.utilities]
 
     def surplus_fraction(self) -> Fraction:
-        """The reported surplus as a ``Fraction``, made once per value."""
-        if self.fraction is None:
-            self.fraction = Fraction(self.surplus, self.den)
-        return self.fraction
-
-
-def _base_utilities(routing: Routing, agents: tuple[str, ...], n_txs: int):
-    """Each agent's report-free utility (minus a transaction's payment, a
-    node's payment) as ints over the lcm of the payments' denominators:
-    ``(den, base)``.  A plain list's routing may lack a payment, which
-    counts as 0."""
-    txs, nodes = routing.tx_payments, routing.node_payments
-    payments = [txs.get(a, ZERO) for a in agents[:n_txs]]
-    payments += [nodes.get(a, ZERO) for a in agents[n_txs:]]
-    den = lcm(*(p.denominator for p in payments))
-    base = [p.numerator * (den // p.denominator) for p in payments]
-    for i in range(n_txs):
-        base[i] = -base[i]
-    return den, tuple(base)
+        """The reported surplus as a ``Fraction``."""
+        return Fraction(self.surplus, self.den) if self.surplus else ZERO
 
 
 class _Settlement:
     """One report profile settled against terms' memos.
 
-    ``reports`` holds the profile's report objects in canonical agent order;
-    a profile whose mappings are not total, or that has a negative
-    transaction report, is refused with ``MarketInstance.validate_reports``'s
-    error.
+    ``reports`` holds the profile's report objects in canonical agent order.
+    A profile whose mappings are not total, or with a transaction report
+    that is not a non-negative ``int`` or ``Fraction`` by exact type, goes to
+    ``MarketInstance.validate_reports``, which raises naming what is wrong
+    or accepts a subclass of either type.
     """
 
     def __init__(self, instance: MarketInstance, profile: ReportProfile):
         self.instance = instance
         self.reports = _report_objects(instance, profile)
-        if self.reports is None or any(
-            v.numerator < 0 for v in self.reports[: len(instance.tx_ids)]
+        if self.reports is None or not all(
+            (type(v) is Fraction or type(v) is int) and v.numerator >= 0
+            for v in self.reports[: len(instance.tx_ids)]
         ):
-            # raises, naming what is wrong
             instance.validate_reports(profile)
 
     def settle(self, term: _Terms) -> None:
         """Settle ``term``'s memo at this profile: the utilities that read a
-        report object other than the memo's are rescored, from the base
-        utilities the first time.  A report off the memo's denominator
-        rescales the memo first.  Nothing is written when a report raises."""
+        report object other than the memo's are rescored, every utility the
+        first time.  A report off the memo's denominator rescales the memo
+        first.  Nothing is written when a report raises."""
         instance, new = self.instance, self.reports
         agents, n_txs = instance.agent_ids, len(instance.tx_ids)
+        routing = term.proposal.routing
+        txs, nodes = routing.tx_payments, routing.node_payments
         if term.at is None:
-            den, base = _base_utilities(term.proposal.routing, agents, n_txs)
-            values, value = list(base), sum(base)
-            term.fractions, term.fraction = [None] * len(agents), None
+            # each agent's utility without its report: minus a transaction's
+            # payment, a node's payment
+            payments = [txs.get(a, ZERO) for a in agents[:n_txs]]
+            payments += [nodes.get(a, ZERO) for a in agents[n_txs:]]
+            den = lcm(*(p.denominator for p in payments))
+            values = [p.numerator * (den // p.denominator) for p in payments]
+            for i in range(n_txs):
+                values[i] = -values[i]
+            value = sum(values)
             changed = range(len(agents))
         else:
             at = term.at
             changed = [i for i, r in enumerate(new) if r is not at[i]]
             if not changed:
                 return
-            den, base, values, value = term.den, term.base, list(term.utilities), term.surplus
-        allocation = term.proposal.routing.allocation
-        included, fractions = allocation.transactions, term.fractions
+            den, values, value = term.den, list(term.utilities), term.surplus
+        allocation = routing.allocation
+        included = allocation.transactions
         for i in changed:
+            agent = agents[i]
             if i < n_txs:
-                if agents[i] not in included:
+                if agent not in included:
                     continue
-                report = new[i]
+                report, payment = new[i], txs.get(agent, ZERO)
             else:
-                bundle = allocation.inverse(agents[i])
+                bundle = allocation.inverse(agent)
                 if not bundle:
                     continue
                 report = new[i].cost(bundle, instance.resources)
+                payment = nodes.get(agent, ZERO)
             d = report.denominator
             if den % d:
                 factor = d // gcd(den, d)
                 den *= factor
-                base = tuple([b * factor for b in base])
                 values = [v * factor for v in values]
                 value *= factor
             scaled = report.numerator * (den // d)
-            utility = base[i] + scaled if i < n_txs else base[i] - scaled
+            paid = payment.numerator * (den // payment.denominator)
+            utility = scaled - paid if i < n_txs else paid - scaled
             if utility != values[i]:
                 value += utility - values[i]
                 values[i] = utility
-                fractions[i] = term.fraction = None
-        term.at, term.den, term.base = new, den, base
+        term.at, term.den = new, den
         term.utilities, term.surplus = tuple(values), value
 
 

@@ -11,11 +11,11 @@ winning margin never falls as welfare rises, so one welfare pass over the
 valid set finds the best response (see ``broker_best_response``), and
 its argmax is memoised on the market, freed with it, for one spec and the
 report objects, together with its rebate plan: each node's reported cost on
-its bundle, the included transactions' reported values, their totals and the
-welfare.  A rebate routing is a plan read at one scale of the values (scale
-1 is ``max_extraction_routing``), so a best response on a memoised argmax
-computes one scale and one product per included transaction, and prices
-no bundle.  A best response always settles one prepared round, the
+its bundle, the included transactions' reported values, and the total value
+and the welfare as ints over one denominator.  A rebate routing is a plan
+read at one scale of the values (scale 1 is ``max_extraction_routing``), so
+a best response on a memoised argmax computes one scale and one product per
+included transaction, and prices no bundle.  A best response always settles one prepared round, the
 rivals' plus the response.  It built the response, so it hands the round
 the response's terms with their memo already settled at the reports: the
 report objects, every agent's reported utility and their sum, the reported
@@ -56,39 +56,35 @@ MAX_DYNAMICS_TURNS = 1 << 16
 
 class _RebatePlan:
     """What every rebate routing on one allocation shares at one report
-    profile: each node's payment, its reported cost on its bundle, and their
-    total; the included transactions' reported values and their total; and
-    the allocation's reported welfare.  Only the scale of the transaction
-    payments depends on the target margin.
+    profile: each node's payment, its reported cost on its bundle, and the
+    included transactions' reported values.  Only the scale of the
+    transaction payments depends on the target margin.
 
-    The same numbers as ints over ``den``, the lcm of their denominators:
-    ``costs`` (in node order), ``value_nums``, ``total_value_num`` and
-    ``welfare_num``, from which ``settled`` writes a response's memo."""
+    The totals are ints over ``den``, the lcm of the costs' and values'
+    denominators: ``value_nums`` (each included transaction's value),
+    ``total_value_num`` and ``welfare_num``, from which ``routing`` reads the
+    scale and ``settled`` writes a response's memo."""
 
     __slots__ = (
-        "tx_ids", "allocation", "node_payments", "total_cost", "values", "total_value", "welfare",
-        "den", "costs", "value_nums", "total_value_num", "welfare_num",
+        "tx_ids", "allocation", "node_payments", "values",
+        "den", "value_nums", "total_value_num", "welfare_num",
     )
 
     def __init__(self, instance: MarketInstance, allocation: Allocation, reports: ReportProfile):
         # the ids, not the instance: a plan memoised on it must not hold it
         self.tx_ids, self.allocation = instance.tx_ids, allocation
-        self.node_payments = {
+        self.node_payments = costs = {
             n: reports.node_reports[n].cost(allocation.inverse(n), instance.resources)
             for n in instance.node_ids
         }
-        self.total_cost = sum(self.node_payments.values(), ZERO)
-        self.values = {
+        self.values = values = {
             tx: reports.tx_reports[tx] for tx in instance.tx_ids if tx in allocation.transactions
         }
-        self.total_value = sum(self.values.values(), ZERO)
-        self.welfare = self.total_value - self.total_cost
-        costs, values = self.node_payments.values(), self.values
-        den = self.den = lcm(*(x.denominator for x in (*costs, *values.values())))
-        self.costs = [c.numerator * (den // c.denominator) for c in costs]
+        den = self.den = lcm(*(x.denominator for x in (*costs.values(), *values.values())))
         self.value_nums = {t: v.numerator * (den // v.denominator) for t, v in values.items()}
         self.total_value_num = sum(self.value_nums.values())
-        self.welfare_num = self.total_value_num - sum(self.costs)
+        total_cost_num = sum(c.numerator * (den // c.denominator) for c in costs.values())
+        self.welfare_num = self.total_value_num - total_cost_num
 
     def scaled(self, scale: Fraction) -> Routing:
         """Nodes paid their reported costs, included transactions ``scale``
@@ -98,52 +94,48 @@ class _RebatePlan:
             tx_payments[tx] = scale * value
         return Routing(self.allocation, tx_payments, dict(self.node_payments))
 
-    def routing(self, target_margin: Fraction) -> Routing:
-        """``scaled`` at the scale whose margin is ``target_margin``."""
+    def _split(self, target_margin: Fraction) -> tuple[int, Fraction]:
+        """``(kept, scale)`` at ``target_margin``: the integer split of the
+        welfare and the scale whose margin it is.
+
+        With ``m = M / md`` and the plan's ints ``P = den``, ``TV`` and
+        ``W``, an included transaction of value ``V / P`` keeps ``V * kept``
+        and pays ``V * paid`` over ``P * md * TV``, where ``kept = W * md - M
+        * P`` and ``paid = (TV - W) * md + M * P``; the scale is ``paid /
+        (md * TV)``, 0 when ``TV`` is."""
         if target_margin < 0:
             raise InfeasibleTarget(f"target margin must be non-negative, got {target_margin}")
-        if target_margin > self.welfare:
+        m, md = target_margin.numerator, target_margin.denominator
+        p, tv, w = self.den, self.total_value_num, self.welfare_num
+        kept = w * md - m * p
+        if kept < 0:
             raise InfeasibleTarget(
-                f"target margin {target_margin} exceeds reported welfare {self.welfare}"
+                f"target margin {target_margin} exceeds reported welfare {Fraction(w, p)}"
             )
-        if self.total_value == 0:
+        if tv == 0:
             # welfare <= 0 here, so the target must be exactly the (zero) welfare
-            return self.scaled(ZERO)
-        return self.scaled((self.total_cost + target_margin) / self.total_value)
+            return kept, ZERO
+        return kept, Fraction((tv - w) * md + m * p, md * tv)
+
+    def routing(self, target_margin: Fraction) -> Routing:
+        """``scaled`` at the scale whose margin is ``target_margin``."""
+        return self.scaled(self._split(target_margin)[1])
 
     def settled(self, broker: str, position: int, target_margin: Fraction, at: tuple) -> _Terms:
         """The terms of ``broker``'s proposal of ``routing(target_margin)``,
         with their memo settled at the plan's reports, whose objects are
-        ``at``: the memo in integers, no ``Fraction`` made for it.
-
-        With ``m = M / md`` and the plan's ints ``P = den``, ``TV``, ``W``
-        and ``TC = TV - W``, the scale is ``(TC * md + M * P) / (md * TV)``,
-        so over ``P * md * TV`` an included transaction of value ``V / P``
-        pays ``V * (TC * md + M * P)`` and keeps ``V * E``, where ``E = W *
-        md - M * P``; the surplus is ``TV * E``; a node is paid its cost,
-        ``C * md * TV``, and keeps 0."""
-        m, md = target_margin.numerator, target_margin.denominator
-        p, tv = self.den, self.total_value_num
-        kept = self.welfare_num * md - m * p
-        paid = (tv - self.welfare_num) * md + m * p
-        base, utilities, fractions = [], [], []
-        for tx in self.tx_ids:
-            v = self.value_nums.get(tx)
-            if v is None:
-                base.append(0)
-                utilities.append(0)
-                fractions.append(ZERO)
-            else:
-                base.append(-v * paid)
-                utilities.append(v * kept)
-                fractions.append(None)
-        base += [c * md * tv for c in self.costs]
-        utilities += [0] * len(self.costs)
-        fractions += [ZERO] * len(self.costs)
+        ``at``: the memo in integers over ``P * md * TV`` (see ``_split``),
+        no ``Fraction`` made for it.  An included transaction keeps ``V *
+        kept``, the surplus is ``TV * kept``, and every other agent keeps 0
+        (a node is paid its cost)."""
+        kept, scale = self._split(target_margin)
+        tv, value_nums = self.total_value_num, self.value_nums
+        utilities = [value_nums.get(tx, 0) * kept for tx in self.tx_ids]
+        utilities += [0] * len(self.node_payments)
         return _Terms(
-            Proposal(broker, self.routing(target_margin)), target_margin, position,
-            at=at, den=p * md * tv, base=tuple(base),
-            utilities=tuple(utilities), surplus=tv * kept, fractions=fractions,
+            Proposal(broker, self.scaled(scale)), target_margin, position,
+            at=at, den=self.den * target_margin.denominator * tv,
+            utilities=tuple(utilities), surplus=tv * kept,
         )
 
 
@@ -319,7 +311,7 @@ def broker_best_response(
     instance, spec and broker order, its cached terms are used and the
     budget-balanced rivals' surpluses are settled through their memos and
     compared as ints; any other rivals are prepared afresh, in broker order.
-    Only the top rival surplus becomes a ``Fraction``, cached on its memo.
+    Only the top rival surplus becomes a ``Fraction``.
     Only the response is checked.  Its routing is the memoised argmax's
     rebate plan read at the winning margin.  Its memo is settled here, not
     by ``run``, in integers (``_RebatePlan.settled``): every agent's reported
@@ -365,10 +357,9 @@ def broker_best_response(
         best.welfare, rival_best, wins_ties, quantum, lattice_margins
     )
     if best_margin is None or best_margin <= 0:
-        n = len(instance.agent_ids)
         settled = _Terms(
             Proposal(broker, instance.empty_routing()), ZERO, position[broker],
-            at=settlement.reports, base=(0,) * n, utilities=(0,) * n, fractions=[ZERO] * n,
+            at=settlement.reports, utilities=(0,) * len(instance.agent_ids),
         )
     else:
         settled = plan.settled(broker, position[broker], best_margin, settlement.reports)

@@ -938,34 +938,31 @@ def settled_terms(
 ) -> _Terms:
     """``proposal``'s terms settled at ``reports`` from scratch, as a best
     response hands them to ``PreparedRound.with_proposal``: the margin, and
-    over one integer denominator ``core.surplus``, every agent's
-    ``agent_utility`` and its report-free part (minus a transaction's
-    payment, a node's payment), stamped with the profile's report objects.
-    The denominator is the lcm of every denominator involved.  A broker
-    outside the order gets position -1."""
+    over one integer denominator ``core.surplus`` and every agent's
+    ``agent_utility``, stamped with the profile's report objects.  The
+    denominator is the lcm of every denominator involved, payments included.
+    A broker outside the order gets position -1."""
     routing = proposal.routing
     utilities = [agent_utility(instance, a, routing, reports) for a in instance.agent_ids]
-    base = [-routing.tx_payments[t] for t in instance.tx_ids]
-    base += [routing.node_payments[n] for n in instance.node_ids]
+    payments = [*routing.tx_payments.values(), *routing.node_payments.values()]
     value = surplus(instance, routing, reports)
-    den = lcm(*(x.denominator for x in [*utilities, *base, value]))
+    den = lcm(*(x.denominator for x in [*utilities, *payments, value]))
     return _Terms(
         proposal,
         margin(routing),
         list(broker_order).index(proposal.broker) if proposal.broker in broker_order else -1,
         at=_report_objects(instance, reports),
         den=den,
-        base=tuple(over(x, den) for x in base),
         utilities=tuple(over(u, den) for u in utilities),
         surplus=over(value, den),
-        fractions=[None] * len(utilities),
     )
 
 
-def zero_reports(instance: MarketInstance) -> ReportProfile:
-    """Every transaction reporting 0 and every node ``Zero()``: the profile
-    at which each agent's utility is its report-free part."""
-    return ReportProfile(dict.fromkeys(instance.tx_ids, ZERO), dict.fromkeys(instance.node_ids, Zero()))
+def payments_divide(term: _Terms) -> bool:
+    """The memo's invariant: every payment's denominator divides its ``den``."""
+    routing = term.proposal.routing
+    payments = [*routing.tx_payments.values(), *routing.node_payments.values()]
+    return all(term.den % p.denominator == 0 for p in payments)
 
 
 def over(x: Fraction, den: int) -> int:

@@ -563,6 +563,30 @@ class TestDsicMatchesProductOracle:
 
 
 class TestDsicCandidatesAtTrueTypes:
+    def test_one_dsic_check_builds_each_agents_candidates_once(self, monkeypatch):
+        # the equilibrium check builds them at the true types; the rival
+        # profile search reuses those lists
+        built = []
+        candidates = equilibrium._candidates
+
+        def counted(instance, agent, proposals, reports):
+            built.append(agent)
+            return candidates(instance, agent, proposals, reports)
+
+        monkeypatch.setattr(equilibrium, "_candidates", counted)
+        figure1 = collusion_example_instance()
+        cases = [(figure1, consensus(figure1), ["b1", "b2"])]
+        cases += shared_allocation_sigmas(2024, 40)
+        searched = 0
+        for instance, sigma, order in cases:
+            built.clear()
+            report = check_dsic_barring_b(
+                instance, instance.validity, instance.truthful_reports(), sigma, order
+            )
+            assert sorted(built) == sorted(instance.agent_ids)
+            searched += report.profiles_checked > 0
+        assert searched > 20
+
     def test_rival_reports_leave_every_candidate_list_unchanged(self):
         # with one shared allocation an agent's candidates are the same at
         # every rival profile, so check_dsic_barring_b builds them once

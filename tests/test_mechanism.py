@@ -31,7 +31,7 @@ from brokerlab.mechanism import (
     prepare_round,
     run,
 )
-from brokerlab.strategy import max_extraction_routing, scaled_rebate_routing
+from brokerlab.strategy import broker_best_response, max_extraction_routing, scaled_rebate_routing
 from brokerlab.validity import Constraints, Extensional
 
 from helpers import (
@@ -39,6 +39,7 @@ from helpers import (
     counted_reports,
     frac,
     naive_enumerate,
+    payments_divide,
     outcome_or_error,
     pne_profiles,
     random_instance,
@@ -365,6 +366,22 @@ class TestPreparedRound:
         with pytest.raises(MalformedInput, match="transaction reports"):
             check_dsic_barring_b(collusion_market, spec, partial, [bad], ["b1"])
 
+    @pytest.mark.parametrize("report", [0.5, "1", None])
+    def test_a_report_that_is_not_an_int_or_a_fraction_is_refused(self, collusion_market, report):
+        spec, order = collusion_market.validity, ["b1", "b2"]
+        truthful = collusion_market.truthful_reports()
+        odd = ReportProfile({**truthful.tx_reports, "t1": report}, truthful.node_reports)
+        proposals = demo_proposals(collusion_market)
+        prepared = prepare_round(collusion_market, spec, proposals, order)
+        message = "report of 't1' must be an int or a Fraction"
+        for settled in (proposals, prepared):
+            with pytest.raises(MalformedInput, match=message):
+                run(collusion_market, spec, odd, settled, order)
+        with pytest.raises(MalformedInput, match=message):
+            check_pne(collusion_market, spec, truthful, odd, proposals, order)
+        with pytest.raises(MalformedInput, match=message):
+            broker_best_response("b1", collusion_market, spec, odd, proposals[1:], order)
+
 
 
 def changed_profile(rng, instance, profile, count):
@@ -634,20 +651,18 @@ class TestIRGate:
 
 
 def assert_integer_memos(terms):
-    """Every settled term's memo is ints over a positive int denominator,
-    its surplus the sum of its utilities, and each cached ``Fraction`` its
-    int over that denominator.  Returns the number of settled terms."""
+    """Every settled term's memo is ints over a positive int denominator
+    that every payment's denominator divides, and its surplus the sum of
+    its utilities.  Returns the number of settled terms."""
     settled = 0
     for term in terms:
         if term.at is None:
             continue
         settled += 1
         assert type(term.den) is int and term.den > 0
-        assert all(type(x) is int for x in (*term.base, *term.utilities, term.surplus))
+        assert all(type(x) is int for x in (*term.utilities, term.surplus))
         assert term.surplus == sum(term.utilities)
-        for utility, cached in zip(term.utilities, term.fractions, strict=True):
-            assert cached is None or cached == F(utility, term.den)
-        assert term.fraction is None or term.fraction == F(term.surplus, term.den)
+        assert payments_divide(term)
     return settled
 
 
@@ -708,6 +723,39 @@ class TestIntegerMemo:
             check_pne(instance, instance.validity, instance.truthful_reports(), reports, proposals, order)
         assert seen["PreparedRound"] > 1500 and seen.keys() == {"PreparedRound", "settled"}
         assert seen["settled"] > 3500
+
+    def test_a_memo_written_by_the_plan_settles_again_as_the_reference(self):
+        # a best response writes its memo over the plan's P * md * TV; one
+        # agent's report then moves to a fresh prime denominator, so the
+        # memo rescales and rescores that agent from its payment
+        rng = random.Random(65537)
+        primes = primes_from(10007, 200) + [65537, 2**31 - 1]
+        kinds = Counter()
+        for instance, reports, proposals, order in pne_profiles(31337, 80):
+            for broker in order:
+                rivals = [p for p in proposals if p.broker != broker]
+                response = broker_best_response(
+                    broker, instance, instance.validity, reports, rivals, order, F(1, 8)
+                )
+                prepared = response.prepared
+                written = next(t for t in prepared.terms if t.proposal.broker == broker)
+                kinds["empty" if written.proposal.routing.allocation.is_empty() else "plan"] += 1
+                agent = rng.choice(instance.agent_ids)
+                report = prime_report(rng, instance, agent, rng.choice(primes))
+                if agent in reports.tx_reports:
+                    changed = reports.replace_tx(agent, report)
+                else:
+                    changed = reports.replace_node(agent, report)
+                den = written.den
+                settles_as_reference(instance, changed, prepared, order)
+                assert_integer_memos(prepared.terms)
+                routing = written.proposal.routing
+                assert [F(u, written.den) for u in written.utilities] == [
+                    agent_utility(instance, a, routing, changed) for a in instance.agent_ids
+                ]
+                kinds["rescaled" if written.den != den else "kept"] += 1
+        assert kinds["plan"] > 50 and kinds["empty"] > 10
+        assert kinds["rescaled"] > 50 and kinds["kept"] > 50
 
     def test_reports_off_the_lattice_rescale_the_memo_exactly(self):
         # each step gives one or two agents reports over a prime no earlier

@@ -47,13 +47,13 @@ from helpers import (
     frac,
     max_winning_margin_by_division,
     naive_enumerate,
+    payments_divide,
     random_instance,
     random_reports,
     random_routing,
     rebuilt_profile,
     run_reference,
     scaled_rebate_routing_reference,
-    zero_reports,
 )
 
 
@@ -939,9 +939,7 @@ class TestDynamicsOracle:
             assert [F(u, den) for u in settled.utilities] == [
                 agent_utility(instance, a, routing, reports) for a in instance.agent_ids
             ]
-            assert [F(b, den) for b in settled.base] == [
-                agent_utility(instance, a, routing, zero_reports(instance)) for a in instance.agent_ids
-            ]
+            assert payments_divide(settled)
             objects = [reports.tx_reports[t] for t in instance.tx_ids]
             objects += [reports.node_reports[n] for n in instance.node_ids]
             assert all(a is b for a, b in zip(settled.at, objects, strict=True))
