@@ -28,6 +28,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 
 def _require_nonneg(x: Fraction, what: str) -> Fraction:
+    if not isinstance(x, (int, Fraction)):
+        raise MalformedInput(f"{what} must be an int or a Fraction, got {x!r}")
     if x < 0:
         raise MalformedInput(f"{what} must be non-negative, got {x}")
     return x
@@ -441,8 +443,6 @@ class MarketInstance:
         if set(reports.node_reports) != set(self.node_ids):
             raise MalformedInput("node reports must be total over the instance")
         for tx, v in reports.tx_reports.items():
-            if not isinstance(v, (int, Fraction)):
-                raise MalformedInput(f"report of {tx!r} must be an int or a Fraction, got {v!r}")
             _require_nonneg(v, f"report of {tx!r}")
 
 

@@ -1,17 +1,17 @@
 """Exact equilibrium verification via breakpoint deviation search.
 
 The auction outcome, viewed as a function of one agent's report, is
-piecewise constant: a transaction's scalar report enters each proposal's
-surplus affinely (slope one where it is allocated, zero elsewhere) and its
-own IR test flips at its quoted payment, so the outcome can only change at
-finitely many breakpoints.  Checking one representative per interval of
-constancy plus every breakpoint is therefore a complete search over the
-agent's infinite action space.  Node reports are read only at the finitely
-many bundles the proposals assign, which bounds them the same way,
-coordinate by coordinate.  A node candidate is therefore the node's current
-report with the costs of its assigned bundles replaced; it is written out
-as a ``SubsetTable`` only when it becomes a witness.  The product of a
-node's per-bundle candidates is its one budget (``MAX_NODE_CANDIDATES``).
+piecewise constant.  A transaction's report is one coordinate, and a node's
+is read only at the bundles the proposals assign it, one coordinate each.
+A coordinate enters the surplus of each proposal that reads it affinely
+(slope one for a transaction, minus one for a node) and an IR test flips
+at a quoted payment, so the outcome changes only at finitely many
+breakpoints.  Both agent kinds share one rule for them, and checking every
+breakpoint plus one point per interval between them is a complete search
+over the agent's infinite action space.  A node candidate is its current
+report with the costs of its assigned bundles replaced, written out as a
+``SubsetTable`` only when it becomes a witness; the product of its
+per-bundle candidates is its one budget (``MAX_NODE_CANDIDATES``).
 
 Broker deviations are checked through the exact best-response search, with
 margins on the configured lattice where a rival must be beaten strictly.
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import prod
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .core import (
     MAX_SUBSET_TABLE_TXS,
@@ -49,20 +49,37 @@ DEFAULT_OTHERS_CAP = 2048
 MAX_NODE_CANDIDATES = 4096
 
 
-def _interval_representatives(breakpoints: set[Fraction]) -> list[Fraction]:
-    """The breakpoints themselves, the midpoints between neighbours, and one
-    point beyond the largest."""
-    points = sorted(b for b in breakpoints if b >= 0)
-    if not points:
-        points = [ZERO]
-    if points[0] != 0:
-        points.insert(0, ZERO)
-    out = list(points)
+def _quoted_payments(rules: Iterable[Mapping[str, Fraction]], kind: str, agent: str) -> list[Fraction]:
+    """``agent``'s payment in each payment rule, refusing a rule without one."""
+    try:
+        return [rule[agent] for rule in rules]
+    except KeyError:
+        raise MalformedInput(f"proposal payment rule is missing {kind} {agent!r}") from None
+
+
+def _coordinate_candidates(
+    current: Fraction, sign: int, reads: list[bool], bases: list[Fraction], payments: list[Fraction]
+) -> list[Fraction]:
+    """One report coordinate's candidates, in increasing order.
+
+    The coordinate is now at ``current``.  At ``x``, a proposal marked in
+    ``reads`` has surplus ``base + sign * (x - current)`` and any other keeps
+    its ``base``.  The breakpoints are zero, the quoted ``payments`` and each
+    non-negative point where a reading proposal's surplus meets another's,
+    ``current + sign * (other - base)``.  The candidates are the breakpoints,
+    the midpoints between neighbours and one point past the largest.
+    """
+    others = [sign * other for read, other in zip(reads, bases) if not read]
+    points = {ZERO, *payments}
+    for read, base in zip(reads, bases):
+        if read:
+            at = current - sign * base
+            points.update(at + other for other in others)
+    points = sorted(p for p in points if p >= 0)
+    out = []
     for a, b in zip(points, points[1:]):
-        if a != b:
-            out.append((a + b) / 2)
-    out.append(points[-1] + 1)
-    return sorted(set(out))
+        out += (a, Fraction(a + b, 2))  # exact between two int payments too
+    return out + [points[-1], points[-1] + 1]
 
 
 def tx_deviation_candidates(
@@ -73,31 +90,16 @@ def tx_deviation_candidates(
 ) -> list[Fraction]:
     """A finite report set meeting every outcome the transaction can reach.
 
-    Breakpoints: zero, each proposal's quoted payment for the transaction,
-    and each pairwise surplus crossing between proposals that disagree on
-    whether the transaction is allocated.
+    The transaction's report is one coordinate, read with slope one by the
+    proposals that allocate it; every proposal's quoted payment for the
+    transaction is a breakpoint.
     """
     if tx not in reports.tx_reports:
         raise MalformedInput(f"unknown transaction {tx!r}")
-    breakpoints: set[Fraction] = {ZERO}
-    value = reports.tx_reports[tx]
-    intercepts: list[Fraction] = []
-    slopes: list[int] = []
-    for proposal, base in zip(proposals, surpluses(instance, proposals, reports)):
-        if tx not in proposal.routing.tx_payments:
-            raise MalformedInput(f"proposal payment rule is missing transaction {tx!r}")
-        breakpoints.add(proposal.routing.tx_payments[tx])
-        slope = 1 if tx in proposal.routing.allocation.transactions else 0
-        slopes.append(slope)
-        # the surplus with the transaction's report at zero
-        intercepts.append(base - value if slope else base)
-    for i in range(len(proposals)):
-        for j in range(len(proposals)):
-            if slopes[i] == 1 and slopes[j] == 0:
-                crossing = intercepts[j] - intercepts[i]
-                if crossing >= 0:
-                    breakpoints.add(crossing)
-    return _interval_representatives(breakpoints)
+    bases = surpluses(instance, proposals, reports)
+    payments = _quoted_payments((p.routing.tx_payments for p in proposals), "transaction", tx)
+    reads = [tx in p.routing.allocation.transactions for p in proposals]
+    return _coordinate_candidates(reports.tx_reports[tx], 1, reads, bases, payments)
 
 
 class _BundleCosts(CostFunction):
@@ -125,9 +127,9 @@ def node_deviation_candidates(
 
     The mechanism reads a node's report only at the bundles the proposals
     assign it, so a candidate is the current report with the costs of those
-    bundles replaced.  Per-bundle scalars run over breakpoint-interval
-    representatives (quoted payments, surplus equalizers against the other
-    proposals, zero).
+    bundles replaced.  Each bundle is one coordinate, read with slope minus
+    one by the proposals that assign it; only their quoted payments to the
+    node are its breakpoints.
     """
     if node not in reports.node_reports:
         raise MalformedInput(f"unknown node {node!r}")
@@ -142,22 +144,15 @@ def node_deviation_candidates(
             f"{MAX_SUBSET_TABLE_TXS} transactions, got {len(instance.tx_ids)}"
         )
 
-    base_surpluses = surpluses(instance, proposals, reports)
+    bases = surpluses(instance, proposals, reports)
     scalar_candidates: list[list[Fraction]] = []
     for bundle in assigned:
+        reads = [bundle_here == bundle for bundle_here in held]
         current_cost = current.cost(bundle, instance.resources)
-        breakpoints: set[Fraction] = {ZERO}
-        for proposal, bundle_here, base in zip(proposals, held, base_surpluses):
-            if bundle_here != bundle:
-                continue
-            breakpoints.add(proposal.routing.node_payments[node])
-            # cost x on this bundle shifts this proposal's surplus by
-            # current_cost - x; equalize against every proposal that assigns
-            # the node another bundle, at the current reports
-            for other, other_base in zip(held, base_surpluses):
-                if other != bundle and (x := base + current_cost - other_base) >= 0:
-                    breakpoints.add(x)
-        scalar_candidates.append(_interval_representatives(breakpoints))
+        payments = _quoted_payments(
+            (p.routing.node_payments for p, read in zip(proposals, reads) if read), "node", node
+        )
+        scalar_candidates.append(_coordinate_candidates(current_cost, -1, reads, bases, payments))
 
     count = prod(len(c) for c in scalar_candidates)
     if count > MAX_NODE_CANDIDATES:

@@ -57,11 +57,11 @@ from .core import (
     ResourceImage,
     TransactionSpec,
     Zero,
-    welfare,
 )
 from .errors import InstanceTooLarge, MalformedInput
 from .linineq import Constraint, enumerate_cells, find_point, nonneg_orthant
 from .rationals import ONE, ZERO
+from .strategy import welfare_max_allocation
 from .validity import (
     DEFAULT_ENUM_CAP,
     Constraints,
@@ -523,16 +523,14 @@ class CollusionCertificate:
 def collusion_certificate() -> CollusionCertificate:
     instance = collusion_example_instance()
     truthful = instance.truthful_reports()
-    allocations = enumerate_valid(instance)
-    best_welfare = max(welfare(instance, a, truthful) for a in allocations)
-    best = next(a for a in allocations if welfare(instance, a, truthful) == best_welfare)
+    best = welfare_max_allocation(instance, None, truthful)
     v1 = instance.transaction("t1").value
     outside = instance.transaction("t2").value
     required = outside * 2
     return CollusionCertificate(
-        valid_allocations=len(allocations),
-        best_allocation=best,
-        best_welfare=best_welfare,
+        valid_allocations=len(enumerate_valid(instance)),
+        best_allocation=best.allocation,
+        best_welfare=best.welfare,
         max_total_node_payment=v1,
         required_total_node_payment=required,
         outside_offer=outside,

@@ -36,7 +36,6 @@ from brokerlab.equilibrium import (
     TruthfulnessReport,
     _candidates,
     _deviation_witnesses,
-    _interval_representatives,
     _with_report,
     check_pne,
 )
@@ -59,6 +58,7 @@ from brokerlab.mechanism import (
     broker_utility,
     prepare_round,
     run,
+    surpluses,
 )
 from brokerlab.strategy import (
     DEFAULT_QUANTUM,
@@ -1105,6 +1105,58 @@ def dsic_product_oracle(
 # and ``_pick_in_interval``: it scales every row to a leading coefficient of
 # +-1 and eliminates in ``Fraction``.  ``enumerate_cells_reference`` is the
 # former walk over it.  The integer-row kernel must return identical points.
+
+
+def _interval_representatives(breakpoints: set[Fraction]) -> list[Fraction]:
+    """The breakpoints themselves, the midpoints between neighbours, and one
+    point beyond the largest."""
+    points = sorted(b for b in breakpoints if b >= 0)
+    if not points:
+        points = [ZERO]
+    if points[0] != 0:
+        points.insert(0, ZERO)
+    out = list(points)
+    for a, b in zip(points, points[1:]):
+        if a != b:
+            out.append((a + b) / 2)
+    out.append(points[-1] + 1)
+    return sorted(set(out))
+
+
+def tx_candidates_reference(
+    instance: MarketInstance,
+    tx: str,
+    proposals: Sequence[Proposal],
+    reports: ReportProfile,
+) -> list[Fraction]:
+    """``equilibrium.tx_deviation_candidates`` as it was before transactions
+    and nodes shared one breakpoint rule.
+
+    Breakpoints: zero, each proposal's quoted payment for the transaction,
+    and each pairwise surplus crossing between proposals that disagree on
+    whether the transaction is allocated.
+    """
+    if tx not in reports.tx_reports:
+        raise MalformedInput(f"unknown transaction {tx!r}")
+    breakpoints: set[Fraction] = {ZERO}
+    value = reports.tx_reports[tx]
+    intercepts: list[Fraction] = []
+    slopes: list[int] = []
+    for proposal, base in zip(proposals, surpluses(instance, proposals, reports)):
+        if tx not in proposal.routing.tx_payments:
+            raise MalformedInput(f"proposal payment rule is missing transaction {tx!r}")
+        breakpoints.add(proposal.routing.tx_payments[tx])
+        slope = 1 if tx in proposal.routing.allocation.transactions else 0
+        slopes.append(slope)
+        # the surplus with the transaction's report at zero
+        intercepts.append(base - value if slope else base)
+    for i in range(len(proposals)):
+        for j in range(len(proposals)):
+            if slopes[i] == 1 and slopes[j] == 0:
+                crossing = intercepts[j] - intercepts[i]
+                if crossing >= 0:
+                    breakpoints.add(crossing)
+    return _interval_representatives(breakpoints)
 
 
 def node_candidate_tables_reference(

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -26,6 +27,7 @@ from brokerlab.core import (
 )
 from brokerlab.errors import MalformedInput
 from brokerlab.mdfm import collusion_example_instance
+from brokerlab.mechanism import Proposal, run
 
 from helpers import (
     naive_enumerate,
@@ -245,6 +247,36 @@ class TestInstanceValidation:
         truthful = collusion_market.truthful_reports()
         assert set(truthful.tx_reports) == {"t1", "t2"}
         assert set(truthful.node_reports) == {"n1", "n2"}
+
+    @pytest.mark.parametrize("odd", [0.5, "1", None])
+    def test_a_payment_or_spec_number_that_is_not_an_int_or_a_fraction_is_refused(
+        self, collusion_market, odd
+    ):
+        def refused(what, build):
+            message = f"^{re.escape(what)} must be an int or a Fraction, got {re.escape(repr(odd))}$"
+            with pytest.raises(MalformedInput, match=message):
+                build()
+
+        truthful = collusion_market.truthful_reports()
+        for tx_payments, node_payments, what in (
+            ({"t1": F(2), "t2": odd}, {"n1": F(1), "n2": F(1)}, "payment of 't2'"),
+            ({"t1": F(2), "t2": F(0)}, {"n1": F(1), "n2": odd}, "payment to 'n2'"),
+        ):
+            routing = Routing(Allocation.of({"t1": ["n1", "n2"]}), tx_payments, node_payments)
+            refused(what, lambda: collusion_market.validate_routing(routing))
+            refused(what, lambda: run(collusion_market, None, truthful, [Proposal("b1", routing)], ["b1"]))
+        refused("value of 't1'", lambda: TransactionSpec("t1", odd))
+        refused("resource usage of 't1'", lambda: TransactionSpec("t1", F(1), (F(1), odd)))
+        if odd is None:  # an unconstrained dimension
+            assert NodeSpec("n1", Zero(), (F(1), odd)).capacity == (F(1), None)
+        else:
+            refused("capacity of 'n1'", lambda: NodeSpec("n1", Zero(), (F(1), odd)))
+        refused("ConstantNonempty amount", lambda: ConstantNonempty(odd))
+        refused("PerTransaction rate for 't1'", lambda: PerTransaction({"t1": odd}))
+        refused("LinearResources unit cost", lambda: LinearResources((F(1), odd)))
+        table = {frozenset(): F(0), frozenset({"t1"}): odd}
+        refused("SubsetTable cost of ['t1']", lambda: SubsetTable(frozenset({"t1"}), table))
+        refused("report of 't1'", lambda: truthful.replace_tx("t1", odd))
 
     def test_routing_validation(self, collusion_market):
         with pytest.raises(MalformedInput):

@@ -48,6 +48,7 @@ from helpers import (
     random_reports,
     random_routing,
     run_reference,
+    tx_candidates_reference,
 )
 
 
@@ -105,6 +106,31 @@ class TestTxCandidates:
             lacking = Proposal("b1", Routing(allocation, {"t2": F(1)}, nodes))
             with pytest.raises(MalformedInput, match="proposal payment rule is missing transaction 't1'"):
                 tx_deviation_candidates(collusion_market, "t1", [lacking], truthful)
+
+    def test_midpoints_between_integer_payments_are_fractions(self, collusion_market):
+        # int payments are valid, so a midpoint between two of them must not
+        # become a float that the round then refuses as a report
+        truthful = collusion_market.truthful_reports()
+        allocation = Allocation.of({"t1": ["n1", "n2"]})
+        proposals = [
+            Proposal(b, Routing(allocation, {"t1": pay, "t2": 0}, {"n1": 1, "n2": pay - 1}))
+            for b, pay in (("b1", 2), ("b2", 3))
+        ]
+        candidates = tx_deviation_candidates(collusion_market, "t1", proposals, truthful)
+        assert candidates == [0, 1, 2, F(5, 2), 3, 4]
+        assert all(isinstance(c, (int, F)) for c in candidates)
+        report = check_pne(collusion_market, None, truthful, truthful, proposals, ["b1", "b2"])
+        assert report.checked_agent_deviations > 0
+
+
+def test_a_payment_rule_missing_the_node_is_refused(collusion_market):
+    # b1's zero-margin rebate on t1 assigns n1 a bundle, yet pays only n2
+    truthful = collusion_market.truthful_reports()
+    allocation = Allocation.of({"t1": ["n1", "n2"]})
+    rebate = scaled_rebate_routing(collusion_market, allocation, truthful, F(0))
+    lacking = Routing(allocation, rebate.tx_payments, {"n2": rebate.node_payments["n2"]})
+    with pytest.raises(MalformedInput, match="^proposal payment rule is missing node 'n1'$"):
+        node_deviation_candidates(collusion_market, "n1", [Proposal("b1", lacking)], truthful)
 
 
 def test_reports_that_are_not_total_are_refused_with_a_typed_error(collusion_market):
@@ -325,6 +351,31 @@ class TestNodeCandidateOracle:
                 assert found == profitable
                 node_witnesses += len(found)
         assert node_witnesses > 20, node_witnesses
+
+
+class TestTxCandidateOracle:
+    def test_candidates_match_the_pairwise_crossing_construction(self):
+        figure1 = collusion_example_instance()
+        truthful = figure1.truthful_reports()
+        both = Proposal(
+            "b1", scaled_rebate_routing(figure1, Allocation.of({"t1": ["n1", "n2"]}), truthful, F(0))
+        )
+        single = Proposal("b2", max_extraction_routing(figure1, Allocation.of({"t2": ["n1"]}), truthful))
+        cases = [(instance, reports, proposals) for instance, reports, proposals, _ in pne_profiles(8191, 200)]
+        cases.append((figure1, truthful, [both, single]))
+        cases += [
+            (instance, instance.truthful_reports(), sigma)
+            for instance, sigma, _ in shared_allocation_sigmas(8191, 200)
+        ]
+        lengths = set()
+        for instance, reports, proposals in cases:
+            for tx in instance.tx_ids:
+                candidates = tx_deviation_candidates(instance, tx, proposals, reports)
+                reference = tx_candidates_reference(instance, tx, proposals, reports)
+                # equal values of equal types, in the same order
+                assert list(map(repr, candidates)) == list(map(repr, reference))
+                lengths.add(len(candidates))
+        assert len(lengths) > 4, lengths
 
 
 class TestConsensusProfile:
