@@ -178,6 +178,11 @@ def _cmd_benchmarks(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    # the parameters each generator reads; it refuses any other one given
+    reads = {"thm-of": ("d",), "thm-fee": ("k",), "thm-wo": ("k", "values", "epsilon")}
+    for flag in ("d", "k", "values", "epsilon"):
+        if getattr(args, flag) is not None and flag not in reads.get(args.name, ()):
+            raise MarketError(f"gen {args.name} does not read --{flag}")
     if args.name == "thm-of":
         if args.d is None:
             raise MarketError("gen thm-of needs --d")
@@ -193,7 +198,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             values = [parse_number(v, "--values") for v in args.values.split(",")]
         else:
             values = [Fraction(i + 1) for i in range(args.k)]
-        epsilon = parse_number(args.epsilon, "--epsilon") if args.epsilon else Fraction(1, 2)
+        epsilon = parse_number(args.epsilon, "--epsilon") if args.epsilon is not None else Fraction(1, 2)
         payload = resource_market_to_scenario_json(oracle_gap_market(args.k, values, epsilon))
     elif args.name == "figure1":
         instance = collusion_example_instance()

@@ -28,7 +28,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 
 def _require_nonneg(x: Fraction, what: str) -> Fraction:
-    if not isinstance(x, (int, Fraction)):
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
         raise MalformedInput(f"{what} must be an int or a Fraction, got {x!r}")
     if x < 0:
         raise MalformedInput(f"{what} must be non-negative, got {x}")

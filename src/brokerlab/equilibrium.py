@@ -35,7 +35,7 @@ from .core import (
     agent_utility,
 )
 from .errors import InstanceTooLarge, MalformedInput
-from .mechanism import Proposal, broker_utility, prepare_round, run, surpluses
+from .mechanism import Proposal, _Settlement, broker_utility, prepare_round, run, surpluses
 from .rationals import ZERO
 from .strategy import (
     DEFAULT_QUANTUM,
@@ -356,15 +356,16 @@ def check_dsic_barring_b(
     Every proposal in sigma must share one allocation, so each one's reported
     surplus is that allocation's reported welfare minus its margin, and for
     any reports ``run`` picks the same winner: the budget-balanced proposal
-    of least margin, ties to the earlier broker position.  The IR gate tests
-    each agent against its own report, so agent i's true utility is
-    ``u_i * [i passes] * [every other agent passes]``, ``u_i`` read off the
-    winner's routing.  Neither i's candidates nor its truthful utility depend
-    on the others' reports, so each agent's candidates are the ones the
-    equilibrium check built at the true types, and one rival profile settles
-    i: each other agent at its first candidate that passes the gate.  If
-    some other agent has no such candidate, every profile rejects and i has
-    no witness; with no budget-balanced proposal no profile is settled.
+    of least margin, ties to the earlier broker position, which is sigma's
+    ``PreparedRound.leader`` read at the true types.  The IR gate tests each
+    agent against its own report, so agent i's true utility is ``u_i * [i
+    passes] * [every other agent passes]``, ``u_i`` read off the winner's
+    routing.  Neither i's candidates nor its truthful utility depend on the
+    others' reports, so each agent's candidates are the ones the equilibrium
+    check built at the true types, and one rival profile settles i: each
+    other agent at its first candidate that passes the gate.  If some other
+    agent has no such candidate, every profile rejects and i has no
+    witness; with no budget-balanced proposal no profile is settled.
     ``others_cap`` (at least 1) and ``seed`` are accepted and change no
     answer.
     """
@@ -385,8 +386,9 @@ def check_dsic_barring_b(
     witnesses: list[DeviationWitness] = []
     passing: dict[str, object] = {}  # each agent's first candidate that passes
     settled: list[str] = []
-    if sigma.balanced:
-        routing = min(sigma.balanced, key=lambda t: (t.margin, t.position)).proposal.routing
+    leader = sigma.leader(_Settlement(instance, true_types))
+    if leader is not None:
+        routing = leader.proposal.routing
         for agent in agents:
             for candidate in candidates[agent]:
                 deviated = _with_report(true_types, agent, candidate)

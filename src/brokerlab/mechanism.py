@@ -33,9 +33,10 @@ transaction) or its payment (a node), set by the first settle.  Later
 settles compare the profile's report objects with the memo's by identity,
 so a report replaced, rebuilt equal or edited in place counts as changed,
 and rescore only the changed agents among those.  ``run`` checks the
-reports in one pass over their objects, ranks the balanced terms by surplus
-in integer cross-products, and reads the signs of the winner's utilities:
-the IR gate names the first negative one.
+reports in one pass over their objects, reads the winner from
+``PreparedRound.leader``, the one winner rule (the best response and the
+truthfulness check read it too), and reads the signs of the winner's
+utilities: the IR gate names the first negative one.
 
 ``Fraction``s are made only at the boundary, fresh on each read: the
 outcome's ``agent_utilities`` and what ``surpluses`` returns.  A zero reads
@@ -119,11 +120,6 @@ class _Terms:
 
     def __post_init__(self):
         self.balanced = self.margin >= 0
-
-    def lead(self, other: "_Terms") -> int:
-        """An int with the sign of this surplus minus ``other``'s: the
-        cross-product of the two memos (dens are positive)."""
-        return self.surplus * other.den - other.surplus * self.den
 
     def utility_fractions(self) -> list[Fraction]:
         """Every agent's reported utility as a ``Fraction``, in canonical
@@ -228,10 +224,10 @@ class PreparedRound(Sequence):
     """The proposals of one round, validated for one instance, validity spec
     and broker order; built by ``prepare_round``.
 
-    ``terms`` holds one ``_Terms`` per proposal; ``proposals`` and
-    ``balanced`` (the budget-balanced terms, which ``run`` ranks) are read
-    off it.  It reads as the immutable sequence of the proposals.  The
-    proposals' routings must not be mutated after preparation.
+    ``terms`` holds one ``_Terms`` per proposal; ``proposals`` is read off
+    it.  It reads as the immutable sequence of the proposals.  The
+    proposals' routings must not be mutated after preparation.  ``leader``
+    is the one winner rule.
     """
 
     terms: tuple[_Terms, ...]
@@ -239,11 +235,9 @@ class PreparedRound(Sequence):
     spec: ValiditySpec | None
     broker_order: tuple[str, ...]
     proposals: tuple[Proposal, ...] = field(init=False, repr=False)
-    balanced: tuple[_Terms, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "proposals", tuple(t.proposal for t in self.terms))
-        object.__setattr__(self, "balanced", tuple(t for t in self.terms if t.balanced))
 
     def __getitem__(self, index):
         return self.proposals[index]
@@ -253,6 +247,21 @@ class PreparedRound(Sequence):
 
     def __iter__(self):
         return iter(self.proposals)
+
+    def leader(self, settlement: _Settlement) -> _Terms | None:
+        """The budget-balanced term of greatest reported surplus at
+        ``settlement``'s profile, ties to the earlier broker position; None
+        when no term is balanced.  Only the balanced terms are settled, and
+        surpluses compare as integer cross-products (dens are positive)."""
+        best = None
+        for term in self.terms:
+            if not term.balanced:
+                continue
+            settlement.settle(term)
+            lead = 1 if best is None else term.surplus * best.den - best.surplus * term.den
+            if lead > 0 or (lead == 0 and term.position < best.position):
+                best = term
+        return best
 
     def prepared_for(
         self, instance: MarketInstance, spec: ValiditySpec | None, broker_order: Sequence[str]
@@ -382,20 +391,9 @@ def run(
     was last settled are scored.
     """
     settlement = _Settlement(instance, reports)
-    prepared = prepare_round(instance, spec, proposals, broker_order)
-    if not prepared.balanced:
+    best = prepare_round(instance, spec, proposals, broker_order).leader(settlement)
+    if best is None:
         return _rejection(instance, RejectionReason.NO_BUDGET_BALANCED_PROPOSAL)
-
-    best = None
-    for term in prepared.balanced:
-        settlement.settle(term)
-        if best is None:
-            best = term
-            continue
-        # greater surplus, then the earlier broker
-        lead = term.lead(best)
-        if lead > 0 or (lead == 0 and term.position < best.position):
-            best = term
 
     for agent, utility in zip(instance.agent_ids, best.utilities):
         if utility < 0:

@@ -249,8 +249,8 @@ def _max_winning_margin(
     """Largest feasible margin on allocation welfare ``w`` that still wins.
 
     Returns None when no winning margin in [0, w] exists.  ``rival_best`` is
-    the highest budget-balanced rival surplus (None when there is none);
-    ``wins_ties`` says whether the broker precedes every rival attaining it.
+    the rivals' leader's surplus (None when no rival is budget-balanced);
+    ``wins_ties`` says whether the broker precedes the leader.
     """
     if w < 0:
         return None
@@ -288,10 +288,11 @@ def broker_best_response(
     """Exact utility-maximizing proposal against fixed rival proposals.
 
     For each valid allocation the broker's best winning margin is the
-    allocation's reported welfare minus the surplus it must reach: the top
-    rival surplus when the broker wins ties (it precedes every rival at that
-    surplus in the fixed order), or the least lattice-representable surplus
-    strictly above it otherwise.  When no margin is strictly positive the
+    allocation's reported welfare minus the surplus it must reach: the
+    surplus of the rivals' ``PreparedRound.leader`` when the broker wins
+    ties (it precedes the leader in the fixed order), or the least
+    lattice-representable surplus strictly above it otherwise.  When no
+    margin is strictly positive the
     empty routing is the response (utility zero, never negative).
 
     The response is the lexicographic maximum of (margin, welfare) over the
@@ -309,16 +310,15 @@ def broker_best_response(
     Reports are checked before the rivals, as ``run`` checks them.
     ``rivals`` may be a ``PreparedRound``: when it was prepared for this
     instance, spec and broker order, its cached terms are used and the
-    budget-balanced rivals' surpluses are settled through their memos and
-    compared as ints; any other rivals are prepared afresh, in broker order.
-    Only the top rival surplus becomes a ``Fraction``.
-    Only the response is checked.  Its routing is the memoised argmax's
-    rebate plan read at the winning margin.  Its memo is settled here, not
-    by ``run``, in integers (``_RebatePlan.settled``): every agent's reported
-    utility is 0 but an included transaction's, its value minus its
-    payment, as nodes are paid their reported costs, and their sum, the
-    reported surplus, is the welfare maximum's minus the margin asked of the
-    plan (0 for the empty routing).
+    leader is read through their memos; any other rivals are prepared
+    afresh, in broker order.  Only the leader's surplus becomes a
+    ``Fraction``.  Only the response is checked.  Its routing is the
+    memoised argmax's rebate plan read at the winning margin.  Its memo is
+    settled here, not by ``run``, in integers (``_RebatePlan.settled``):
+    every agent's reported utility is 0 but an included transaction's, its
+    value minus its payment, as nodes are paid their reported costs, and
+    their sum, the reported surplus, is the welfare maximum's minus the
+    margin asked of the plan (the empty routing is settled as any term is).
     """
     if quantum <= 0:
         raise MalformedInput(f"quantum must be positive, got {quantum}")
@@ -338,29 +338,20 @@ def broker_best_response(
         rivals = prepare_round(
             instance, spec, sorted(rivals, key=lambda p: position[p.broker]), broker_order
         )
-    # the budget-balanced rivals of top surplus
-    top: list[_Terms] = []
-    for t in rivals.balanced:
-        settlement.settle(t)
-        lead = t.lead(top[0]) if top else 1
-        if lead > 0:
-            top = [t]
-        elif lead == 0:
-            top.append(t)
-    if top:
-        rival_best = top[0].surplus_fraction()
-        wins_ties = all(position[broker] < t.position for t in top)
-    else:
+    # the broker precedes every rival at the top surplus iff it precedes the leader
+    leader = rivals.leader(settlement)
+    if leader is None:
         rival_best, wins_ties = None, True
+    else:
+        rival_best = leader.surplus_fraction()
+        wins_ties = position[broker] < leader.position
 
     best_margin = _max_winning_margin(
         best.welfare, rival_best, wins_ties, quantum, lattice_margins
     )
     if best_margin is None or best_margin <= 0:
-        settled = _Terms(
-            Proposal(broker, instance.empty_routing()), ZERO, position[broker],
-            at=settlement.reports, utilities=(0,) * len(instance.agent_ids),
-        )
+        settled = _Terms(Proposal(broker, instance.empty_routing()), ZERO, position[broker])
+        settlement.settle(settled)
     else:
         settled = plan.settled(broker, position[broker], best_margin, settlement.reports)
     prepared = rivals.with_proposal(settled)

@@ -474,6 +474,29 @@ class TestGen:
         assert main(["gen", "thm-fee"]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["gen", "thm-of", "--d", "3", "--k", "9"], "--k"),
+            (["gen", "thm-of", "--d", "3", "--epsilon", "5"], "--epsilon"),
+            (["gen", "thm-of", "--d", "3", "--values", "1,2"], "--values"),
+            (["gen", "thm-fee", "--k", "3", "--values", "1,2"], "--values"),
+            (["gen", "thm-fee", "--k", "3", "--d", "3"], "--d"),
+            (["gen", "thm-wo", "--k", "3", "--d", "3"], "--d"),
+            (["gen", "figure1", "--d", "3"], "--d"),
+            (["gen", "figure1", "--k", "3"], "--k"),
+            (["gen", "figure1", "--epsilon", ""], "--epsilon"),
+        ],
+    )
+    def test_a_flag_the_generator_does_not_read_is_refused(self, capsys, argv, flag):
+        assert main(argv) == 1
+        name = argv[1]
+        assert capsys.readouterr().err == f"error: gen {name} does not read {flag}\n"
+
+    def test_an_empty_epsilon_is_refused(self, capsys):
+        assert main(["gen", "thm-wo", "--k", "3", "--epsilon", ""]) == 1
+        assert "--epsilon" in capsys.readouterr().err
+
     def test_unwritable_out_exits_one(self, tmp_path, capsys):
         out = str(tmp_path / "missing" / "x.json")
         assert main(["gen", "thm-fee", "--k", "3", "--out", out]) == 1

@@ -248,7 +248,8 @@ class TestInstanceValidation:
         assert set(truthful.tx_reports) == {"t1", "t2"}
         assert set(truthful.node_reports) == {"n1", "n2"}
 
-    @pytest.mark.parametrize("odd", [0.5, "1", None])
+    # a bool is an int to isinstance, but not a number here, as in JSON
+    @pytest.mark.parametrize("odd", [0.5, "1", None, True, False])
     def test_a_payment_or_spec_number_that_is_not_an_int_or_a_fraction_is_refused(
         self, collusion_market, odd
     ):

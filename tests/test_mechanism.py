@@ -132,6 +132,21 @@ class TestSelection:
         assert run(collusion_market, collusion_market.validity, truthful, proposals, ["b2", "b1"]).winner == "b2"
         assert run(collusion_market, collusion_market.validity, truthful, proposals, ["b1", "b2"]).winner == "b1"
 
+    def test_ties_go_to_the_earliest_broker_whatever_the_proposal_order(self, collusion_market):
+        # a deficit proposal from the earliest broker has the greatest
+        # surplus but is not budget-balanced, so it never leads
+        truthful, spec = collusion_market.truthful_reports(), collusion_market.validity
+        routing = demo_proposals(collusion_market)[0].routing
+        deficit = Routing(routing.allocation, {"t1": F(1), "t2": F(0)}, {"n1": F(1), "n2": F(1)})
+        proposals = [Proposal(b, routing) for b in ("b3", "b1", "b2")] + [Proposal("b0", deficit)]
+        order = ["b0", "b2", "b3", "b1"]
+        prepared = prepare_round(collusion_market, spec, proposals, order)
+        for given in (proposals, prepared):
+            outcome = run(collusion_market, spec, truthful, given, order)
+            assert outcome.winner == "b2"
+            assert outcome == run_reference(collusion_market, spec, truthful, proposals, order)
+        assert prepared.leader(mechanism._Settlement(collusion_market, truthful)).proposal.broker == "b2"
+
     def test_invalid_allocation_rejected_at_intake(self, collusion_market):
         truthful = collusion_market.truthful_reports()
         bad = Proposal(
@@ -366,7 +381,7 @@ class TestPreparedRound:
         with pytest.raises(MalformedInput, match="transaction reports"):
             check_dsic_barring_b(collusion_market, spec, partial, [bad], ["b1"])
 
-    @pytest.mark.parametrize("report", [0.5, "1", None])
+    @pytest.mark.parametrize("report", [0.5, "1", None, True, False])
     def test_a_report_that_is_not_an_int_or_a_fraction_is_refused(self, collusion_market, report):
         spec, order = collusion_market.validity, ["b1", "b2"]
         truthful = collusion_market.truthful_reports()
@@ -466,7 +481,7 @@ class TestSettlementMemo:
                 prepared = rng.choice(rounds)
                 now = report_objects(instance, profile)
                 priced = Counter()
-                for term in prepared.balanced:
+                for term in (t for t in prepared.terms if t.balanced):
                     at = memo[id(term)]
                     for j, node in enumerate(instance.node_ids):
                         bundle = term.proposal.routing.allocation.inverse(node)
@@ -501,7 +516,7 @@ class TestSettlementMemo:
                     at_profile = prepared.terms
                 else:
                     outcome_or_error(run, instance, instance.validity, profile, prepared, order)
-                    at_profile = prepared.balanced
+                    at_profile = [t for t in prepared.terms if t.balanced]
                 now = report_objects(instance, profile)
                 for term in at_profile:
                     assert all(a is b for a, b in zip(term.at, now, strict=True))

@@ -500,6 +500,23 @@ class TestBestResponseOracle:
         }
         assert responses == {"empty", "non-empty"}
 
+    @pytest.mark.parametrize(
+        "order, wins_ties", [(["b2", "b1", "b3"], False), (["b1", "b2", "b3"], True)]
+    )
+    def test_rivals_tied_at_the_top_surplus(self, order, wins_ties):
+        # b2 and b3 propose one routing of surplus 3: b1 must beat it
+        # strictly when b2 precedes it, and may match it when b1 comes first
+        instance = collusion_example_instance()
+        reports, spec, quantum = instance.truthful_reports(), instance.validity, F(1, 4)
+        routing = scaled_rebate_routing(instance, Allocation.of({"t1": ["n1", "n2"]}), reports, F(1))
+        rivals = [Proposal("b2", routing), Proposal("b3", routing)]
+        want = broker_best_response_reference("b1", instance, spec, reports, rivals, order, quantum)
+        for given in (rivals, prepare_round(instance, spec, rivals, order)):
+            got = broker_best_response("b1", instance, spec, reports, given, order, quantum)
+            assert (got.proposal, got.utility, got.wins) == (want.proposal, want.utility, want.wins)
+            assert got.wins and got.utility == (1 if wins_ties else F(3, 4))
+            assert got.outcome == run_reference(instance, spec, reports, [*rivals, got.proposal], order)
+
 
 def brute_force_argmax(instance, spec, reports):
     """First allocation of maximal reported welfare in canonical order, over

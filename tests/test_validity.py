@@ -489,3 +489,26 @@ class TestValidSetCache:
             assert tested
         single = Constraints((SingleAssignment(),))
         assert is_valid(member, single, instance) is False
+
+    def test_is_valid_after_enumeration_matches_the_ladder_over_the_raw_space(self):
+        # members answer from the memoised valid set, non-members by the
+        # fold; each raw allocation is equal to its enumerated twin but is
+        # another object, so the memo must look members up by value
+        rng = random.Random(4099)
+        instances = members = others = 0
+        while instances < 120:
+            instance = random_constrained_instance(rng)
+            try:
+                enumerated = enumerate_valid(instance)
+            except MalformedInput:
+                continue
+            instances += 1
+            assert instance._valid is not None
+            same = {id(a) for a in enumerated}
+            for allocation in raw_space(instance):
+                assert id(allocation) not in same
+                verdict = is_valid(allocation, instance.validity, instance)
+                assert verdict == valid_by_ladder(instance, allocation)
+                members += verdict
+                others += not verdict
+        assert members > 1000 and others > 1000
