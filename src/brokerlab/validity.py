@@ -25,7 +25,11 @@ before it.  A constraint therefore states one incremental test,
 ``admits``, or bounds only node-set sizes through ``node_counts``.
 Inputs are checked once per call, so a step is a pure test that
 ``is_valid`` and the search share: a node-set size the constraints allow,
-then every ``admits``.  Enumeration grows allocations one admitted pair at
+then every ``admits``.  ``admits`` reads the prefix from one ``_StepState``
+that the caller pushes each admitted pair onto (and the search pops on
+return): each placed transaction's node set, each node's transaction count
+and, on each capacitated node, the running integer usage, so no step
+re-derives the prefix.  Enumeration grows allocations one admitted pair at
 a time, returns the full valid set in canonical allocation order and
 refuses instances whose search space exceeds a configurable cap.  The cap
 counts the effective space, the product over transactions of the node
@@ -36,20 +40,69 @@ not the raw ``(2^|N|)^|T|``.
 same spec object (compared by identity, as ``mechanism.prepare_round``
 compares it, ``None`` standing for the instance's own) with an equal cap
 gets a fresh copy of it without a second search, and ``is_valid`` accepts a
-member of it without testing it again.
+member of it, found by bisection over the canonically ordered tuple,
+without testing it again.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb, inf, prod
+from operator import add, attrgetter, sub
 from typing import Iterable, Union
 
 from .core import EMPTY_ALLOCATION, Allocation, MarketInstance
 from .errors import InstanceTooLarge, MalformedInput
 
 DEFAULT_ENUM_CAP = 1 << 24
+
+# the memo's bisection key: canonical order is the order of ``pairs``
+_PAIRS = attrgetter("pairs")
+
+
+class _StepState:
+    """The partial allocation a step extends, as the search carries it.
+
+    ``placed`` maps each placed transaction to its node set and ``count``
+    maps every node to the number of placed transactions it runs.  When
+    some constraint sets ``reads_load``, ``load`` maps each capacitated node
+    to its running usage, the sum of the placed transactions' vectors in
+    the instance's integer ``resource_image``, and ``usage`` is that
+    image's per-transaction vectors; otherwise both are empty, so the image
+    is never read unchecked.  ``push`` places a pair and ``pop`` takes a
+    placed transaction off again, exactly, in integers.
+    """
+
+    __slots__ = ("placed", "count", "load", "usage")
+
+    def __init__(self, instance: MarketInstance, consulted: list[Constraint]):
+        self.placed: dict[str, tuple[str, ...]] = {}
+        self.count = dict.fromkeys(instance.node_ids, 0)
+        self.load: dict[str, tuple[int, ...]] = {}
+        self.usage: dict[str, tuple[int, ...]] = {}
+        if any(c.reads_load for c in consulted) and any(
+            node.capacity is not None for node in instance.nodes
+        ):
+            image = instance.resource_image
+            self.usage = image.usage
+            self.load = {node: (0,) * len(c) for node, c in image.capacity.items()}
+
+    def push(self, tx: str, nodes: tuple[str, ...]) -> None:
+        self.placed[tx] = nodes
+        count, load = self.count, self.load
+        for node in nodes:
+            count[node] += 1
+            if node in load:
+                load[node] = tuple(map(add, load[node], self.usage[tx]))
+
+    def pop(self, tx: str) -> None:
+        count, load = self.count, self.load
+        for node in self.placed.pop(tx):
+            count[node] -= 1
+            if node in load:
+                load[node] = tuple(map(sub, load[node], self.usage[tx]))
 
 
 class Constraint:
@@ -64,19 +117,23 @@ class Constraint:
     allocations one admitted pair at a time.
 
     ``check(instance)`` runs once per call and refuses every input the
-    constraint cannot judge, so ``admits(instance, partial, tx, nodes)``
-    never raises: may ``tx`` run on ``nodes`` when added to ``partial``,
-    which satisfies the constraint and holds only transactions sorting
-    before ``tx``?  A constraint that only bounds node-set sizes says so
-    through ``node_counts`` and keeps the default ``admits``, which admits
+    constraint cannot judge, so ``admits(instance, state, tx, nodes)`` never
+    raises: may ``tx`` run on ``nodes`` when added to the partial allocation
+    that ``state`` (a ``_StepState``) holds, which satisfies the constraint
+    and places only transactions sorting before ``tx``?  A constraint that
+    reads ``state.load`` or ``state.usage`` sets ``reads_load``.  A
+    constraint that only bounds node-set sizes says so through
+    ``node_counts`` and keeps the default ``admits``, which admits
     everything: no step takes a node set outside those bounds.
     """
+
+    reads_load = False
 
     def check(self, instance: MarketInstance) -> None:
         """Refuse unknown ids, out-of-range parameters and malformed inputs."""
 
     def admits(
-        self, instance: MarketInstance, partial: Allocation, tx: str, nodes: tuple[str, ...]
+        self, instance: MarketInstance, state: _StepState, tx: str, nodes: tuple[str, ...]
     ) -> bool:
         return True
 
@@ -95,9 +152,13 @@ def _check_txs(listed: Iterable[str], instance: MarketInstance) -> None:
 class NodeCapacity(Constraint):
     """Per node and dimension, total resource usage must fit the node's capacity.
 
-    A step sums and compares the instance's integer ``resource_image``,
-    which ``check`` makes safe to read.
+    A step adds the transaction's vector in the instance's integer
+    ``resource_image``, which ``check`` makes safe to read, to each
+    capacitated node's running usage and compares the sum with the
+    capacity.
     """
+
+    reads_load = True
 
     def check(self, instance: MarketInstance) -> None:
         capacitated = [n for n in instance.node_ids if instance.node(n).capacity is not None]
@@ -113,16 +174,15 @@ class NodeCapacity(Constraint):
                 )
 
     def admits(
-        self, instance: MarketInstance, partial: Allocation, tx: str, nodes: tuple[str, ...]
+        self, instance: MarketInstance, state: _StepState, tx: str, nodes: tuple[str, ...]
     ) -> bool:
+        usage = state.usage.get(tx)
         for node in nodes:
-            if instance.node(node).capacity is None:
-                continue
-            image = instance.resource_image
-            usage = image.usage
-            placed = (usage[other] for other in partial.inverse(node))
-            totals = map(sum, zip(usage[tx], *placed))
-            if any(c is not None and u > c for u, c in zip(totals, image.capacity[node])):
+            load = state.load.get(node)
+            if load is not None and any(
+                c is not None and l + u > c
+                for l, u, c in zip(load, usage, instance.resource_image.capacity[node])
+            ):
                 return False
         return True
 
@@ -139,9 +199,9 @@ class MaxTxPerNode(Constraint):
             raise MalformedInput(f"negative transaction limit {self.limit} for node {self.node!r}")
 
     def admits(
-        self, instance: MarketInstance, partial: Allocation, tx: str, nodes: tuple[str, ...]
+        self, instance: MarketInstance, state: _StepState, tx: str, nodes: tuple[str, ...]
     ) -> bool:
-        return self.node not in nodes or len(partial.inverse(self.node)) < self.limit
+        return self.node not in nodes or state.count[self.node] < self.limit
 
 
 @dataclass(frozen=True)
@@ -176,14 +236,14 @@ class MustShareNode(Constraint):
         _check_txs(self.txs, instance)
 
     def admits(
-        self, instance: MarketInstance, partial: Allocation, tx: str, nodes: tuple[str, ...]
+        self, instance: MarketInstance, state: _StepState, tx: str, nodes: tuple[str, ...]
     ) -> bool:
         if tx not in self.txs:
             return True
         shared = set(nodes)
         for other in self.txs:
             if other != tx:
-                placed = partial.nodes_for(other)
+                placed = state.placed.get(other)
                 if not placed:
                     return True
                 shared.intersection_update(placed)
@@ -199,12 +259,12 @@ class MutualExclusion(Constraint):
         _check_txs([self.first, self.second], instance)
 
     def admits(
-        self, instance: MarketInstance, partial: Allocation, tx: str, nodes: tuple[str, ...]
+        self, instance: MarketInstance, state: _StepState, tx: str, nodes: tuple[str, ...]
     ) -> bool:
         if tx == self.first:
             # a transaction excluded from itself is never allocated
-            return tx != self.second and not partial.nodes_for(self.second)
-        return tx != self.second or not partial.nodes_for(self.first)
+            return tx != self.second and self.second not in state.placed
+        return tx != self.second or self.first not in state.placed
 
 
 @dataclass(frozen=True)
@@ -268,27 +328,31 @@ def is_valid(
 
     An allocation in the valid set memoised on the market for the same spec
     object (``None`` read as the instance's own) is valid without a second
-    test.  Any other allocation is tested,
-    once the spec's inputs are checked, by the search's step rule folded over
-    its pairs in canonical order.
+    test: the memo is in canonical order, so one bisection over its pairs
+    finds it.  Any other allocation is tested, once the spec's inputs are
+    checked, by the search's step rule folded over its pairs in canonical
+    order, each admitted pair pushed onto one step state.
     """
     instance.check_allocation_ids(allocation)
     memo = instance._valid
-    if memo is not None and memo[0] is _key(spec, instance) and allocation in memo[3]:
-        return True
+    if memo is not None and memo[0] is _key(spec, instance):
+        found, pairs = memo[2], allocation.pairs
+        i = bisect_left(found, pairs, key=_PAIRS)
+        if i < len(found) and found[i].pairs == pairs:
+            return True
     spec = _resolve(spec, instance)
     if isinstance(spec, Extensional):
         return allocation in spec.allocations
     constraints = spec.constraints
     consulted = _consulted(constraints)
     n_nodes = len(instance.node_ids)
-    pairs = allocation.pairs
-    for i, (tx, nodes) in enumerate(pairs):
+    state = _StepState(instance, consulted)
+    for tx, nodes in allocation.pairs:
         if len(nodes) not in _sizes(constraints, tx, n_nodes):
             return False
-        partial = Allocation(pairs[:i])
-        if not all(c.admits(instance, partial, tx, nodes) for c in consulted):
+        if not all(c.admits(instance, state, tx, nodes) for c in consulted):
             return False
+        state.push(tx, nodes)
     return True
 
 
@@ -306,7 +370,10 @@ def enumerate_valid(
     constraint admits it, which is exact because constraints are closed
     under dropping a transaction, and each allocation is emitted when it is
     reached: preorder over canonically ordered steps is canonical
-    allocation order, so nothing is sorted afterwards.
+    allocation order, so nothing is sorted afterwards.  One step state
+    carries the partial allocation: a step is pushed onto it before the
+    search descends and popped on return, and a step on the last
+    transaction, which has nothing to descend to, is not pushed.
 
     The result is memoised on the market, freed with it: a later call with
     the very same spec object (by identity; specs are immutable), ``None``
@@ -320,7 +387,7 @@ def enumerate_valid(
     if memo is not None and memo[0] is key and memo[1] == cap:
         return list(memo[2])
     found = _search_valid(instance, spec, cap)
-    object.__setattr__(instance, "_valid", (key, cap, tuple(found), frozenset(found)))
+    object.__setattr__(instance, "_valid", (key, cap, tuple(found)))
     return found
 
 
@@ -343,28 +410,33 @@ def _search_valid(
     space = prod(1 + sum(comb(len(nodes), k) for k in sized) for sized in sizes)
     if space > cap:
         raise InstanceTooLarge(
-            f"search space of {len(txs)} transactions x {len(nodes)} nodes "
+            f"enumerate_valid: search space of {len(txs)} transactions x {len(nodes)} nodes "
             f"has {space} leaves, which exceeds cap {cap}"
         )
     # node ids are sorted, so every combination is a sorted tuple
     subsets = [sorted(s for k in sized for s in combinations(nodes, k)) for sized in sizes]
     consulted = _consulted(constraints)
+    state = _StepState(instance, consulted)
+    last = len(txs) - 1
     found = [EMPTY_ALLOCATION]
 
-    def search(start: int, partial: Allocation) -> None:
+    def search(start: int, pairs: tuple) -> None:
         for index in range(start, len(txs)):
             tx = txs[index]
             for subset in subsets[index]:
                 # a plain loop rather than all(): no generator per step
                 for c in consulted:
-                    if not c.admits(instance, partial, tx, subset):
+                    if not c.admits(instance, state, tx, subset):
                         break
                 else:
-                    extended = Allocation(partial.pairs + ((tx, subset),))
-                    found.append(extended)
-                    search(index + 1, extended)
+                    extended = pairs + ((tx, subset),)
+                    found.append(Allocation(extended))
+                    if index < last:
+                        state.push(tx, subset)
+                        search(index + 1, extended)
+                        state.pop(tx)
 
-    search(0, EMPTY_ALLOCATION)
+    search(0, ())
     # ``search`` holds itself through its closure cell: release it, so the
     # instance and the search's lists need no cyclic collection
     del search

@@ -207,6 +207,43 @@ def mixed_fraction(rng, lo, hi):
     return F(rng.randint(lo * den, hi * den), den)
 
 
+def deep_constrained_instance(rng, shape):
+    """A market of 5 or 6 transactions under ``NodeCapacity``, with
+    ``MaxTxPerNode``, ``MustShareNode`` and ``MutualExclusion`` mixed in.
+
+    Usage has mixed denominators, some nodes declare no capacity and some
+    capacity entries are ``None``.  Six transactions run on at most two
+    nodes, so the ladder's raw space stays at most 2^15 allocations.
+    """
+    n_txs, n_nodes = [(5, 1), (6, 2), (5, 2), (6, 1), (5, 2), (6, 2)][shape % 6]
+    if shape % 12 == 10:
+        n_nodes = 3
+    d = rng.randint(1, 2)
+    txs = tuple(
+        TransactionSpec(f"t{i + 1}", F(1), tuple(mixed_fraction(rng, 0, 2) for _ in range(d)))
+        for i in range(n_txs)
+    )
+    nodes = []
+    for j in range(n_nodes):
+        capacity = None
+        if j == 0 or rng.random() < 0.7:
+            capacity = tuple(
+                None if rng.random() < 0.2 else mixed_fraction(rng, 1, 6) for _ in range(d)
+            )
+        nodes.append(NodeSpec(f"n{j + 1}", Zero(), capacity))
+    tx_ids = [t.id for t in txs]
+    node_ids = [n.id for n in nodes]
+    constraints = [NodeCapacity()]
+    if rng.random() < 0.5:
+        constraints.append(MaxTxPerNode(rng.choice(node_ids), rng.randint(2, 5)))
+    if rng.random() < 0.5:
+        constraints.append(MustShareNode(tuple(sorted(rng.sample(tx_ids, rng.randint(2, 3))))))
+    if rng.random() < 0.4:
+        constraints.append(MutualExclusion(*rng.sample(tx_ids, 2)))
+    rng.shuffle(constraints)
+    return MarketInstance(txs, tuple(nodes), Constraints(tuple(constraints)))
+
+
 class TestCapacityInIntegers:
     """A ``NodeCapacity`` step sums and compares the instance's integer
     resource image; the ladder oracle sums the rational vectors."""
@@ -312,13 +349,21 @@ class TestEnumerateValid:
         assert enumerate_valid(instance, spec) == [EMPTY_ALLOCATION, member]
 
     def test_uncapacitated_node_needs_no_resource_vector(self):
-        txs = (TransactionSpec("t1", F(1)),)
+        # t1 has no vector, and those of t2 and t3 have two lengths, so they
+        # would not scale into one resource image; no node declares a
+        # capacity, so nothing is checked against them
+        txs = (
+            TransactionSpec("t1", F(1)),
+            TransactionSpec("t2", F(1), (F(1), F(2))),
+            TransactionSpec("t3", F(1), (F(1),)),
+        )
         nodes = (NodeSpec("n1", Zero(), None),)
         instance = MarketInstance(txs, nodes, Constraints((NodeCapacity(),)))
-        assert enumerate_valid(instance) == [
-            EMPTY_ALLOCATION,
-            Allocation.of({"t1": ["n1"]}),
-        ]
+        everything = Allocation.of({tx: ["n1"] for tx in instance.tx_ids})
+        assert is_valid(everything, None, instance)
+        valid = enumerate_valid(instance)
+        assert valid[:2] == [EMPTY_ALLOCATION, Allocation.of({"t1": ["n1"]})]
+        assert len(valid) == 8 and everything in valid
 
     def test_negative_tx_limit_in_a_scenario_raises(self):
         payload = {
@@ -335,9 +380,14 @@ class TestEnumerateValid:
             enumerate_valid(instance)
 
     def test_cap_enforced(self):
+        # the refusal names its stage, the size reached and the cap
         instance = simple_instance(n_txs=3, n_nodes=2)
-        with pytest.raises(InstanceTooLarge):
+        with pytest.raises(InstanceTooLarge) as refused:
             enumerate_valid(instance, cap=10)
+        assert str(refused.value) == (
+            "enumerate_valid: search space of 3 transactions x 2 nodes "
+            "has 64 leaves, which exceeds cap 10"
+        )
 
     def test_cap_counts_the_effective_space(self):
         # single assignment: 1 + 4 node choices per transaction, not 2^4
@@ -373,6 +423,22 @@ class TestEnumerateValid:
                 continue
             assert enumerate_valid(instance) == expected
         assert 0 < raised < 200
+
+    def test_deep_searches_match_the_ladder(self):
+        # five and six transactions, so the step state is pushed and popped
+        # through deep stacks; every vector is present, so nothing is refused
+        rng = random.Random(523)
+        deep_valid = deep_invalid = 0
+        for shape in range(24):
+            instance = deep_constrained_instance(rng, shape)
+            for allocation in raw_space(instance):
+                verdict = valid_by_ladder(instance, allocation)
+                assert is_valid(allocation, None, instance) == verdict
+                if len(allocation.pairs) >= 5:
+                    deep_valid += verdict
+                    deep_invalid += not verdict
+            assert enumerate_valid(instance) == ladder_enumerate(instance)
+        assert deep_valid > 5000 and deep_invalid > 5000
 
     def test_deterministic_and_canonically_ordered(self):
         rng = random.Random(11)
@@ -489,6 +555,26 @@ class TestValidSetCache:
             assert tested
         single = Constraints((SingleAssignment(),))
         assert is_valid(member, single, instance) is False
+
+    def test_non_members_at_every_bisection_index_are_folded(self):
+        # only t2 is ever allocated, so the members are the empty allocation
+        # and t2's three node sets; nothing sorts before the empty one
+        spec = Constraints((MutualExclusion("t1", "t1"), MutualExclusion("t3", "t3")))
+        instance = simple_instance(n_txs=3, validity=spec)
+        members = enumerate_valid(instance)
+        assert members == [EMPTY_ALLOCATION] + [
+            Allocation.of({"t2": nodes}) for nodes in (["n1"], ["n1", "n2"], ["n2"])
+        ]
+        for outside in [
+            Allocation.of({"t1": ["n1"]}),  # before the first non-empty member
+            Allocation.of({"t2": ["n1"], "t3": ["n2"]}),  # between two members
+            Allocation.of({"t3": ["n2"]}),  # past the last member
+        ]:
+            assert members[0] < outside and outside not in members
+            assert is_valid(outside, None, instance) is False
+            assert is_valid(outside, None, simple_instance(n_txs=3, validity=spec)) is False
+            assert valid_by_ladder(instance, outside) is False
+        assert all(is_valid(member, None, instance) for member in members)
 
     def test_is_valid_after_enumeration_matches_the_ladder_over_the_raw_space(self):
         # members answer from the memoised valid set, non-members by the
