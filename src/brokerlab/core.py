@@ -56,6 +56,12 @@ class CostFunction:
         raise NotImplementedError
 
 
+def _require_cost_function(cost: CostFunction, what: str) -> CostFunction:
+    if not isinstance(cost, CostFunction):
+        raise MalformedInput(f"{what} must be a cost function, got {cost!r}")
+    return cost
+
+
 @dataclass(frozen=True)
 class Zero(CostFunction):
     """Costless execution of any bundle."""
@@ -296,7 +302,7 @@ class ReportProfile:
         if node not in self.node_reports:
             raise MalformedInput(f"unknown node {node!r} in report profile")
         updated = dict(self.node_reports)
-        updated[node] = cost
+        updated[node] = _require_cost_function(cost, f"report of {node!r}")
         return ReportProfile(self.tx_reports, updated)
 
 
@@ -444,6 +450,8 @@ class MarketInstance:
             raise MalformedInput("node reports must be total over the instance")
         for tx, v in reports.tx_reports.items():
             _require_nonneg(v, f"report of {tx!r}")
+        for node, cost in reports.node_reports.items():
+            _require_cost_function(cost, f"report of {node!r}")
 
 
 # ---------------------------------------------------------------------------

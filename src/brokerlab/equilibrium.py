@@ -19,7 +19,7 @@ margins on the configured lattice where a rival must be beaten strictly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -178,15 +178,10 @@ class DeviationWitness:
 
 @dataclass(frozen=True)
 class EquilibriumReport:
-    """``candidates`` holds the deviation candidates ``check_pne`` built for
-    each agent, which ``check_dsic_barring_b`` reuses; it is neither compared
-    nor serialized."""
-
     is_pne: bool
     witnesses: tuple[DeviationWitness, ...]
     checked_agent_deviations: int
     checked_broker_allocations: int
-    candidates: Mapping[str, list] = field(default_factory=dict, repr=False, compare=False)
 
 
 def _candidates(
@@ -279,15 +274,14 @@ def check_pne(
     proposals = prepare_round(instance, spec, proposals, broker_order)
     base = run(instance, spec, reports, proposals, broker_order)
     witnesses: list[DeviationWitness] = []
-    candidates: dict[str, list] = {}
     agent_checks = 0
     for agent in instance.agent_ids:
         kind = "tx_report" if agent in reports.tx_reports else "node_report"
         before = agent_utility(instance, agent, base.routing, true_types)
-        candidates[agent] = _candidates(instance, agent, proposals, reports)
+        candidates = _candidates(instance, agent, proposals, reports)
         checked, found = _deviation_witnesses(
             instance, spec, true_types, reports, proposals, broker_order, agent,
-            candidates[agent], before, kind,
+            candidates, before, kind,
         )
         agent_checks += checked
         witnesses += found
@@ -315,7 +309,6 @@ def check_pne(
         witnesses=tuple(witnesses),
         checked_agent_deviations=agent_checks,
         checked_broker_allocations=broker_allocations,
-        candidates=candidates,
     )
 
 
@@ -323,9 +316,11 @@ def check_pne(
 class TruthfulnessReport:
     """Result of checking that truthful reporting dominates for every agent,
     quantified over every report profile of the other agents with brokers
-    fixed.  The search is always complete: one rival profile per agent
-    stands for all of them (see ``check_dsic_barring_b``), and
-    ``profiles_checked`` counts the rival profiles settled."""
+    fixed.  The answer is always complete: with one shared allocation it is
+    decided without a search (see ``check_dsic_barring_b``), so ``witnesses``
+    is always empty and stays a field only so that reports keep their
+    ``witnesses`` entry.  ``profiles_checked`` counts the agents whose
+    rivals can all pass the IR gate, one rival profile standing for each."""
 
     holds: bool
     witnesses: tuple[DeviationWitness, ...]
@@ -357,17 +352,24 @@ def check_dsic_barring_b(
     surplus is that allocation's reported welfare minus its margin, and for
     any reports ``run`` picks the same winner: the budget-balanced proposal
     of least margin, ties to the earlier broker position, which is sigma's
-    ``PreparedRound.leader`` read at the true types.  The IR gate tests each
-    agent against its own report, so agent i's true utility is ``u_i * [i
-    passes] * [every other agent passes]``, ``u_i`` read off the winner's
-    routing.  Neither i's candidates nor its truthful utility depend on the
-    others' reports, so each agent's candidates are the ones the equilibrium
-    check built at the true types, and one rival profile settles i: each
-    other agent at its first candidate that passes the gate.  If some other
-    agent has no such candidate, every profile rejects and i has no
-    witness; with no budget-balanced proposal no profile is settled.
-    ``others_cap`` (at least 1) and ``seed`` are accepted and change no
-    answer.
+    ``PreparedRound.leader`` read at the true types.  Neither the winner nor
+    any payment depends on the reports, so the first requirement holds by
+    construction (the taxation principle): the IR gate tests each agent
+    against its own report, so agent i's true utility is ``u_i * [i passes]
+    * [every other agent passes]``, ``u_i`` read off the winner's routing.
+    Reporting truthfully, i passes exactly when ``u_i >= 0`` and so earns
+    ``max(u_i, 0)`` whenever the others pass, the most any report earns.
+    ``witnesses`` is therefore always empty, and the answer is the
+    equilibrium check's.
+
+    ``profiles_checked`` is the number of agents whose rivals can all pass
+    the gate at some report.  A transaction left out of the winner's
+    allocation and still charged fails it at every report; every other agent
+    passes at some report (an included transaction at its payment, a node at
+    cost 0 for its bundle).  So it is every agent when none is blocked, the
+    blocked one when exactly one is, and 0 when two or more are or when no
+    proposal is budget-balanced.  ``others_cap`` (at least 1) and ``seed``
+    are accepted and change no answer.
     """
     if others_cap < 1:
         raise MalformedInput(f"others_cap must be at least 1, got {others_cap}")
@@ -380,39 +382,19 @@ def check_dsic_barring_b(
     instance.validate_reports(true_types)
     sigma = prepare_round(instance, spec, sigma, broker_order)
     pne = check_pne(instance, spec, true_types, true_types, sigma, broker_order, quantum, cap)
-    candidates = pne.candidates
 
-    agents = instance.agent_ids
-    witnesses: list[DeviationWitness] = []
-    passing: dict[str, object] = {}  # each agent's first candidate that passes
-    settled: list[str] = []
+    profiles_checked = 0
     leader = sigma.leader(_Settlement(instance, true_types))
     if leader is not None:
         routing = leader.proposal.routing
-        for agent in agents:
-            for candidate in candidates[agent]:
-                deviated = _with_report(true_types, agent, candidate)
-                if agent_utility(instance, agent, routing, deviated) >= 0:
-                    passing[agent] = candidate
-                    break
-        settled = [a for a in agents if all(b in passing for b in agents if b != a)]
-    for agent in settled:
-        shifted = true_types
-        for other in agents:
-            if other != agent:
-                shifted = _with_report(shifted, other, passing[other])
-        truthful_outcome = run(instance, spec, shifted, sigma, broker_order)
-        truthful_utility = agent_utility(instance, agent, truthful_outcome.routing, true_types)
-        _, found = _deviation_witnesses(
-            instance, spec, true_types, shifted, sigma, broker_order, agent,
-            candidates[agent], truthful_utility, "against_rival_profile",
-        )
-        witnesses += found
+        included = routing.allocation.transactions
+        blocked = sum(1 for tx, paid in routing.tx_payments.items() if paid and tx not in included)
+        profiles_checked = int(blocked == 1) if blocked else len(instance.agent_ids)
 
     return TruthfulnessReport(
-        holds=not witnesses and pne.is_pne,
-        witnesses=tuple(witnesses),
-        profiles_checked=len(settled),
+        holds=pne.is_pne,
+        witnesses=(),
+        profiles_checked=profiles_checked,
         pne=pne,
     )
 

@@ -61,7 +61,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping
 
-from .core import MarketInstance, ReportProfile, Routing, margin
+from .core import CostFunction, MarketInstance, ReportProfile, Routing, margin
 from .errors import InvalidProposal, MalformedInput
 from .rationals import ZERO
 from .validity import ValiditySpec, is_valid
@@ -136,18 +136,20 @@ class _Settlement:
     """One report profile settled against terms' memos.
 
     ``reports`` holds the profile's report objects in canonical agent order.
-    A profile whose mappings are not total, or with a transaction report
-    that is not a non-negative ``int`` or ``Fraction`` by exact type, goes to
+    A profile whose mappings are not total, with a transaction report that
+    is not a non-negative ``int`` or ``Fraction`` by exact type, or with a
+    node report that is not a ``CostFunction``, goes to
     ``MarketInstance.validate_reports``, which raises naming what is wrong
-    or accepts a subclass of either type.
+    or accepts a subclass of either number type.
     """
 
     def __init__(self, instance: MarketInstance, profile: ReportProfile):
         self.instance = instance
-        self.reports = _report_objects(instance, profile)
-        if self.reports is None or not all(
-            (type(v) is Fraction or type(v) is int) and v.numerator >= 0
-            for v in self.reports[: len(instance.tx_ids)]
+        self.reports = reports = _report_objects(instance, profile)
+        n_txs = len(instance.tx_ids)
+        if reports is None or not (
+            all((type(v) is Fraction or type(v) is int) and v.numerator >= 0 for v in reports[:n_txs])
+            and all(isinstance(v, CostFunction) for v in reports[n_txs:])
         ):
             instance.validate_reports(profile)
 

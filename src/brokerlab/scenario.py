@@ -436,18 +436,23 @@ def _parse_resource_market(obj: Mapping[str, Any]) -> ResourceMarket:
     return ResourceMarket(d, txs, nodes, single, exclusions)
 
 
-# the top-level fields parse_scenario reads: shared, then market, then resource_market
-_SCENARIO_FIELDS = frozenset(
-    {"kind", "quantum", "enum_cap", "seed", "others_cap", "max_rounds"}
-    | {"transactions", "nodes", "validity", "proposals", "reports", "broker_order"}
-    | {"dimensions", "single_assignment", "exclusions"}
-)
+# the top-level fields parse_scenario reads for each kind: the run
+# parameters, then the kind's market
+_RUN_FIELDS = frozenset({"kind", "quantum", "enum_cap", "seed", "others_cap", "max_rounds"})
+_SCENARIO_FIELDS = {
+    "market": _RUN_FIELDS
+    | {"transactions", "nodes", "validity", "proposals", "reports", "broker_order"},
+    "resource_market": _RUN_FIELDS
+    | {"dimensions", "transactions", "nodes", "single_assignment", "exclusions"},
+}
 
 
 def parse_scenario(obj: Any) -> Scenario:
     _expect(obj, dict, "scenario")
-    _known_fields(obj, "", _SCENARIO_FIELDS)
     kind = _str(obj.get("kind"), "kind")
+    if kind not in _SCENARIO_FIELDS:
+        raise MalformedInput(f"kind: expected 'market' or 'resource_market', got {kind!r}")
+    _known_fields(obj, "", _SCENARIO_FIELDS[kind])
     scenario = Scenario(kind=kind)
     if "quantum" in obj:
         scenario.quantum = parse_number(obj["quantum"], "quantum")
@@ -478,11 +483,8 @@ def parse_scenario(obj: Any) -> Scenario:
             scenario.broker_order = [p.broker for p in scenario.proposals]
         return scenario
 
-    if kind == "resource_market":
-        scenario.market = _parse_resource_market(obj)
-        return scenario
-
-    raise MalformedInput(f"kind: expected 'market' or 'resource_market', got {kind!r}")
+    scenario.market = _parse_resource_market(obj)
+    return scenario
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from brokerlab.core import (
     welfare,
 )
 from brokerlab.equilibrium import (
+    DEFAULT_OTHERS_CAP,
     MAX_NODE_CANDIDATES,
     DeviationWitness,
     TruthfulnessReport,
@@ -54,6 +55,7 @@ from brokerlab.mechanism import (
     Proposal,
     RejectionReason,
     _report_objects,
+    _Settlement,
     _Terms,
     broker_utility,
     prepare_round,
@@ -1092,6 +1094,93 @@ def dsic_product_oracle(
         holds=not witnesses and pne.is_pne,
         witnesses=tuple(witnesses),
         profiles_checked=profiles_checked,
+        pne=pne,
+    )
+
+
+def check_dsic_reference(
+    instance: MarketInstance,
+    spec: ValiditySpec | None,
+    true_types: ReportProfile,
+    sigma: Sequence[Proposal],
+    broker_order: Sequence[str],
+    others_cap: int = DEFAULT_OTHERS_CAP,
+    seed: int | None = None,
+    quantum: Fraction = DEFAULT_QUANTUM,
+    cap: int = DEFAULT_ENUM_CAP,
+) -> TruthfulnessReport:
+    """``equilibrium.check_dsic_barring_b`` as it was before it decided the
+    rival-profile half from the shared allocation, verbatim but for building
+    each agent's candidates with ``_candidates`` where it read the lists
+    ``check_pne`` had kept.  Its own docstring follows.
+
+    Check both requirements for truthfulness with brokers pinned to sigma.
+
+    First, with the broker profile fixed, truthful reporting must be a best
+    response for every agent against *every* report profile of the other
+    agents.  Second, truthful reports plus sigma must form an equilibrium,
+    delegated to the exact checker.
+
+    Every proposal in sigma must share one allocation, so each one's reported
+    surplus is that allocation's reported welfare minus its margin, and for
+    any reports ``run`` picks the same winner: the budget-balanced proposal
+    of least margin, ties to the earlier broker position, which is sigma's
+    ``PreparedRound.leader`` read at the true types.  The IR gate tests each
+    agent against its own report, so agent i's true utility is ``u_i * [i
+    passes] * [every other agent passes]``, ``u_i`` read off the winner's
+    routing.  Neither i's candidates nor its truthful utility depend on the
+    others' reports, so each agent's candidates are the ones the equilibrium
+    check built at the true types, and one rival profile settles i: each
+    other agent at its first candidate that passes the gate.  If some other
+    agent has no such candidate, every profile rejects and i has no
+    witness; with no budget-balanced proposal no profile is settled.
+    ``others_cap`` (at least 1) and ``seed`` are accepted and change no
+    answer.
+    """
+    if others_cap < 1:
+        raise MalformedInput(f"others_cap must be at least 1, got {others_cap}")
+    if not sigma:
+        raise MalformedInput("sigma must contain at least one proposal")
+    allocations = {p.routing.allocation for p in sigma}
+    if len(allocations) != 1:
+        raise MalformedInput("all proposals in sigma must share one allocation")
+
+    instance.validate_reports(true_types)
+    sigma = prepare_round(instance, spec, sigma, broker_order)
+    pne = check_pne(instance, spec, true_types, true_types, sigma, broker_order, quantum, cap)
+    candidates = {a: _candidates(instance, a, sigma, true_types) for a in instance.agent_ids}
+
+    agents = instance.agent_ids
+    witnesses: list[DeviationWitness] = []
+    passing: dict[str, object] = {}  # each agent's first candidate that passes
+    settled: list[str] = []
+    leader = sigma.leader(_Settlement(instance, true_types))
+    if leader is not None:
+        routing = leader.proposal.routing
+        for agent in agents:
+            for candidate in candidates[agent]:
+                deviated = _with_report(true_types, agent, candidate)
+                if agent_utility(instance, agent, routing, deviated) >= 0:
+                    passing[agent] = candidate
+                    break
+        settled = [a for a in agents if all(b in passing for b in agents if b != a)]
+    for agent in settled:
+        shifted = true_types
+        for other in agents:
+            if other != agent:
+                shifted = _with_report(shifted, other, passing[other])
+        truthful_outcome = run(instance, spec, shifted, sigma, broker_order)
+        truthful_utility = agent_utility(instance, agent, truthful_outcome.routing, true_types)
+        _, found = _deviation_witnesses(
+            instance, spec, true_types, shifted, sigma, broker_order, agent,
+            candidates[agent], truthful_utility, "against_rival_profile",
+        )
+        witnesses += found
+
+    return TruthfulnessReport(
+        holds=not witnesses and pne.is_pne,
+        witnesses=tuple(witnesses),
+        profiles_checked=len(settled),
         pne=pne,
     )
 

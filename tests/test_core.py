@@ -14,6 +14,7 @@ from brokerlab.core import (
     MarketInstance,
     NodeSpec,
     PerTransaction,
+    ReportProfile,
     Routing,
     SubsetTable,
     TransactionSpec,
@@ -278,6 +279,13 @@ class TestInstanceValidation:
         table = {frozenset(): F(0), frozenset({"t1"}): odd}
         refused("SubsetTable cost of ['t1']", lambda: SubsetTable(frozenset({"t1"}), table))
         refused("report of 't1'", lambda: truthful.replace_tx("t1", odd))
+        # nor is any of them a node's cost report
+        message = f"^report of 'n1' must be a cost function, got {re.escape(repr(odd))}$"
+        with pytest.raises(MalformedInput, match=message):
+            truthful.replace_node("n1", odd)
+        odd_node = ReportProfile(truthful.tx_reports, {**truthful.node_reports, "n1": odd})
+        with pytest.raises(MalformedInput, match=message):
+            collusion_market.validate_reports(odd_node)
 
     def test_routing_validation(self, collusion_market):
         with pytest.raises(MalformedInput):

@@ -39,6 +39,7 @@ from brokerlab.strategy import (
 from brokerlab.validity import enumerate_valid
 
 from helpers import (
+    check_dsic_reference,
     dsic_product_oracle,
     node_candidate_tables_reference,
     outcome_or_error,
@@ -582,6 +583,7 @@ class TestDsicMatchesProductOracle:
         oracle = dsic_product_oracle(instance, instance.validity, truthful, sigma, order)
         assert (report.holds, report.pne, report.exhaustive) == (oracle.holds, oracle.pne, oracle.exhaustive)
         assert list(report.witnesses) == first_occurrences(oracle.witnesses)
+        assert report == check_dsic_reference(instance, instance.validity, truthful, sigma, order)
         return report
 
     def test_random_shared_allocation_sigmas(self):
@@ -613,10 +615,55 @@ class TestDsicMatchesProductOracle:
         assert report.profiles_checked == 1  # only t2's rivals all pass
 
 
+class TestDsicMatchesReference:
+    """Deciding the rival-profile half from the shared allocation gives the
+    whole report the search over one rival profile per agent gave."""
+
+    def assert_matches(self, instance, sigma, order):
+        truthful = instance.truthful_reports()
+        report = check_dsic_barring_b(instance, instance.validity, truthful, sigma, order)
+        assert report == check_dsic_reference(instance, instance.validity, truthful, sigma, order)
+        assert report.witnesses == ()
+        return report
+
+    def test_figure1_consensus(self):
+        figure1 = collusion_example_instance()
+        report = self.assert_matches(figure1, consensus(figure1), ["b1", "b2"])
+        assert report.holds and report.profiles_checked == 4
+
+    @pytest.mark.parametrize("seed, count", [(4242, 300), (2024, 40)])
+    def test_random_shared_allocation_sigmas(self, seed, count):
+        seen = set()
+        for instance, sigma, order in shared_allocation_sigmas(seed, count):
+            report = self.assert_matches(instance, sigma, order)
+            checked = report.profiles_checked
+            seen.add(checked if checked < 2 else "all")
+            assert checked in (0, 1, len(instance.agent_ids))
+        assert seen == {0, 1, "all"}
+
+    def test_two_charged_excluded_transactions(self):
+        # t2 and t3 fail the IR gate at every report, so every agent has a
+        # rival that does
+        instance = MarketInstance(
+            tuple(TransactionSpec(t, F(5)) for t in ("t1", "t2", "t3")), (NodeSpec("n1", Zero()),)
+        )
+        routing = Routing(Allocation.of({"t1": ["n1"]}), {"t1": F(2), "t2": F(1), "t3": F(1)}, {"n1": F(1)})
+        sigma = [Proposal("b1", routing), Proposal("b2", routing)]
+        report = self.assert_matches(instance, sigma, ["b1", "b2"])
+        assert report.profiles_checked == 0
+
+    def test_a_paid_unassigned_node(self, collusion_market):
+        # n2 runs nothing but is paid, so it passes at every report
+        allocation = Allocation.of({"t2": ["n1"]})
+        routing = Routing(allocation, {"t1": F(0), "t2": F(3)}, {"n1": F(1), "n2": F(1)})
+        report = self.assert_matches(collusion_market, [Proposal("b1", routing)], ["b1"])
+        assert report.profiles_checked == 4
+
+
 class TestDsicCandidatesAtTrueTypes:
     def test_one_dsic_check_builds_each_agents_candidates_once(self, monkeypatch):
-        # the equilibrium check builds them at the true types; the rival
-        # profile search reuses those lists
+        # the equilibrium check builds them at the true types, and deciding
+        # the rival-profile half builds none
         built = []
         candidates = equilibrium._candidates
 
@@ -640,7 +687,7 @@ class TestDsicCandidatesAtTrueTypes:
 
     def test_rival_reports_leave_every_candidate_list_unchanged(self):
         # with one shared allocation an agent's candidates are the same at
-        # every rival profile, so check_dsic_barring_b builds them once
+        # every rival profile, so check_dsic_reference builds them once
         def comparable(candidates):
             return [
                 (c.report, c.costs) if isinstance(c, equilibrium._BundleCosts) else c
@@ -740,6 +787,25 @@ class TestPreparedDeviationSearch:
             proposers = sum(1 for b in order if b in {p.broker for p in proposals})
             assert calls["brokerlab.equilibrium"] == 1 + report.checked_agent_deviations
             assert calls["brokerlab.strategy"] == proposers
+
+    def test_a_dsic_check_makes_only_its_equilibrium_checks_run_calls(self, monkeypatch):
+        # the rival-profile half settles no round of its own
+        calls = {"brokerlab.equilibrium": 0, "brokerlab.strategy": 0}
+        patch_run(monkeypatch, lambda name, args: calls.__setitem__(name, calls[name] + 1))
+        figure1 = collusion_example_instance()
+        cases = [(figure1, consensus(figure1), ["b1", "b2"])]
+        cases += shared_allocation_sigmas(2024, 40)
+        settled = 0
+        for instance, sigma, order in cases:
+            calls.update(dict.fromkeys(calls, 0))
+            report = check_dsic_barring_b(
+                instance, instance.validity, instance.truthful_reports(), sigma, order
+            )
+            proposers = sum(1 for b in order if b in {p.broker for p in sigma})
+            assert calls["brokerlab.equilibrium"] == 1 + report.pne.checked_agent_deviations
+            assert calls["brokerlab.strategy"] == proposers
+            settled += report.profiles_checked
+        assert settled
 
 
 def _digest(reports) -> str:

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
@@ -381,21 +382,30 @@ class TestPreparedRound:
         with pytest.raises(MalformedInput, match="transaction reports"):
             check_dsic_barring_b(collusion_market, spec, partial, [bad], ["b1"])
 
+    # a node report must be a cost function, and none of these is one
     @pytest.mark.parametrize("report", [0.5, "1", None, True, False])
     def test_a_report_that_is_not_an_int_or_a_fraction_is_refused(self, collusion_market, report):
         spec, order = collusion_market.validity, ["b1", "b2"]
         truthful = collusion_market.truthful_reports()
-        odd = ReportProfile({**truthful.tx_reports, "t1": report}, truthful.node_reports)
         proposals = demo_proposals(collusion_market)
         prepared = prepare_round(collusion_market, spec, proposals, order)
-        message = "report of 't1' must be an int or a Fraction"
-        for settled in (proposals, prepared):
+        for odd, message in (
+            (
+                ReportProfile({**truthful.tx_reports, "t1": report}, truthful.node_reports),
+                "report of 't1' must be an int or a Fraction",
+            ),
+            (
+                ReportProfile(truthful.tx_reports, {**truthful.node_reports, "n1": report}),
+                f"^report of 'n1' must be a cost function, got {re.escape(repr(report))}$",
+            ),
+        ):
+            for settled in (proposals, prepared):
+                with pytest.raises(MalformedInput, match=message):
+                    run(collusion_market, spec, odd, settled, order)
             with pytest.raises(MalformedInput, match=message):
-                run(collusion_market, spec, odd, settled, order)
-        with pytest.raises(MalformedInput, match=message):
-            check_pne(collusion_market, spec, truthful, odd, proposals, order)
-        with pytest.raises(MalformedInput, match=message):
-            broker_best_response("b1", collusion_market, spec, odd, proposals[1:], order)
+                check_pne(collusion_market, spec, truthful, odd, proposals, order)
+            with pytest.raises(MalformedInput, match=message):
+                broker_best_response("b1", collusion_market, spec, odd, proposals[1:], order)
 
 
 

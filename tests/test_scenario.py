@@ -270,6 +270,19 @@ RECORD_ERRORS = [
         {"nodes": {"n1": {"type": "Zero", "amount": "2"}}},
         "reports.nodes[n1].amount: unknown field",
     ),
+    # a top-level field that only the other kind reads
+    (
+        "market",
+        ("exclusions",),
+        [{"type": "MutualExclusion", "txs": ["t1", "t2"]}],
+        "exclusions: unknown field",
+    ),
+    ("market", ("dimensions",), 2, "dimensions: unknown field"),
+    ("market", ("single_assignment",), True, "single_assignment: unknown field"),
+    ("resource_market", ("validity",), None, "validity: unknown field"),
+    ("resource_market", ("proposals",), [], "proposals: unknown field"),
+    ("resource_market", ("reports",), None, "reports: unknown field"),
+    ("resource_market", ("broker_order",), ["b1"], "broker_order: unknown field"),
 ]
 
 # (a record, a stray field, the message); RequiredNodeCount's two forms at once
