@@ -86,6 +86,8 @@ def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> None:
     search the valid set."""
     if args.quantum is not None:
         scenario.quantum = parse_number(args.quantum, "--quantum")
+        if scenario.quantum <= 0:
+            raise MalformedInput(f"--quantum: must be positive, got {scenario.quantum}")
     if args.enum_cap is not None:
         if args.enum_cap < 1:
             raise MalformedInput(f"--enum-cap: must be at least 1, got {args.enum_cap}")

@@ -167,10 +167,15 @@ class SubsetTable(CostFunction):
         return value
 
 
-def require_table_over(cost: CostFunction, tx_ids: Iterable[str], what: str) -> None:
-    """Refuse a ``SubsetTable`` cost that is not over exactly ``tx_ids``."""
-    if isinstance(cost, SubsetTable) and cost.transactions != frozenset(tx_ids):
-        raise MalformedInput(f"{what} must cover exactly the instance transactions")
+def require_cost_over(cost: CostFunction, tx_ids: Iterable[str], where: str) -> None:
+    """Refuse a ``PerTransaction`` rate keyed by an id outside ``tx_ids``,
+    which would be ignored, and a ``SubsetTable`` not over exactly them."""
+    tx_ids = frozenset(tx_ids)
+    if isinstance(cost, PerTransaction) and not tx_ids.issuperset(cost.rates):
+        unknown = sorted(set(cost.rates) - tx_ids)
+        raise MalformedInput(f"{where}: PerTransaction rates for unknown transactions {unknown}")
+    if isinstance(cost, SubsetTable) and cost.transactions != tx_ids:
+        raise MalformedInput(f"{where}: SubsetTable must cover exactly the instance transactions")
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +346,7 @@ class MarketInstance:
         if len(set(ids)) != len(ids):
             raise MalformedInput("agent ids must be unique across transactions and nodes")
         for node in self.nodes:
-            require_table_over(node.cost, self.tx_ids, f"SubsetTable of node {node.id!r}")
+            require_cost_over(node.cost, self.tx_ids, f"node {node.id!r}")
 
     @cached_property
     def tx_ids(self) -> tuple[str, ...]:

@@ -267,7 +267,10 @@ def check_pne(
     through the exact best response against the fixed others, where a
     witness must improve utility on the margin lattice.  The proposals are
     prepared once and every deviation settles against them through ``run``.
+    A quantum that is not positive is refused first, even if no broker proposes.
     """
+    if quantum <= 0:
+        raise MalformedInput(f"quantum must be positive, got {quantum}")
     instance.validate_reports(true_types)
     # reports are refused before proposals, as in run
     instance.validate_reports(reports)

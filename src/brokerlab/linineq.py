@@ -259,8 +259,9 @@ def find_point(constraints: Iterable[Constraint], n_vars: int) -> tuple[Fraction
                     lo = (num, a, strict)
         if lo is not None and hi is not None:
             c = lo[0] * hi[1] - hi[0] * lo[1]
+            # the last variable is never eliminated: this is its only infeasibility test
             if c > 0 or (c == 0 and (lo[2] or hi[2])):
-                return None  # defensive; elimination should prevent this
+                return None
         p, q = _pick_in_interval(lo, hi, den)
         g = gcd(p, q)
         p, q = p // g, q // g

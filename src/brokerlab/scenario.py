@@ -33,7 +33,7 @@ from .core import (
     SubsetTable,
     TransactionSpec,
     Zero,
-    require_table_over,
+    require_cost_over,
 )
 from .equilibrium import (
     DEFAULT_OTHERS_CAP,
@@ -340,7 +340,7 @@ def parse_reports(obj: Any, instance: MarketInstance, where: str) -> ReportProfi
         if node not in node_reports:
             raise MalformedInput(f"{where}.nodes[{node}]: unknown node")
         cost = parse_cost_function(fn, f"{where}.nodes[{node}]")
-        require_table_over(cost, instance.tx_ids, f"{where}.nodes[{node}]: SubsetTable")
+        require_cost_over(cost, instance.tx_ids, f"{where}.nodes[{node}]")
         node_reports[node] = cost
     return ReportProfile(tx_reports, node_reports)
 

@@ -25,13 +25,14 @@ before it.  A constraint therefore states one incremental test,
 ``admits``, or bounds only node-set sizes through ``node_counts``.
 Inputs are checked once per call, so a step is a pure test that
 ``is_valid`` and the search share: a node-set size the constraints allow,
-then every ``admits``.  ``admits`` reads the prefix from one ``_StepState``
-that the caller pushes each admitted pair onto (and the search pops on
-return): each placed transaction's node set, each node's transaction count
-and, on each capacitated node, the running integer usage, so no step
-re-derives the prefix.  Enumeration grows allocations one admitted pair at
-a time, returns the full valid set in canonical allocation order and
-refuses instances whose search space exceeds a configurable cap.  The cap
+then every ``admits``.  Each call builds one ``_StepState`` that holds the
+step rule (node-set sizes, the constraints to consult, integer capacities)
+and the prefix, which the caller pushes each admitted pair onto (and the
+search pops on return): each placed transaction's node set, each node's
+transaction count and each capacitated node's running integer usage, so
+no step re-derives the prefix.  Enumeration grows allocations one admitted
+pair at a time, returns the full valid set in canonical allocation order
+and refuses instances whose search space exceeds a configurable cap.  The cap
 counts the effective space, the product over transactions of the node
 sets each may take once the constraints' node-count bounds are applied,
 not the raw ``(2^|N|)^|T|``.
@@ -63,30 +64,41 @@ _PAIRS = attrgetter("pairs")
 
 
 class _StepState:
-    """The partial allocation a step extends, as the search carries it.
+    """One spec's step rule on one instance, and the partial allocation a
+    step extends, as the search carries it.
 
-    ``placed`` maps each placed transaction to its node set and ``count``
-    maps every node to the number of placed transactions it runs.  When
-    some constraint sets ``reads_load``, ``load`` maps each capacitated node
-    to its running usage, the sum of the placed transactions' vectors in
-    the instance's integer ``resource_image``, and ``usage`` is that
-    image's per-transaction vectors; otherwise both are empty, so the image
-    is never read unchecked.  ``push`` places a pair and ``pop`` takes a
-    placed transaction off again, exactly, in integers.
+    ``sizes`` maps each transaction, in id order, to the node-set sizes it
+    may take once allocated, and ``consulted`` lists the constraints whose
+    ``admits`` can refuse a step.  ``placed`` maps each placed transaction
+    to its node set and ``count`` every node to its placed transactions.
+    When some consulted constraint sets ``reads_load`` and some node has a
+    capacity, ``load`` and ``capacity`` map each capacitated node to its
+    running usage and its capacity in the instance's integer
+    ``resource_image``, and ``usage`` is that image's per-transaction
+    vectors; otherwise all three are empty, so the image is never read
+    unchecked.  ``push`` places a pair and ``pop`` takes a placed
+    transaction off again, exactly, in integers.
     """
 
-    __slots__ = ("placed", "count", "load", "usage")
+    __slots__ = ("sizes", "consulted", "placed", "count", "load", "usage", "capacity")
 
-    def __init__(self, instance: MarketInstance, consulted: list[Constraint]):
+    def __init__(self, instance: MarketInstance, constraints: tuple[Constraint, ...]):
+        n_nodes = len(instance.node_ids)
+        self.sizes: dict[str, range] = {}
+        for tx in instance.tx_ids:
+            bounds = [(1, n_nodes)] + [c.node_counts(tx) for c in constraints]
+            self.sizes[tx] = range(max(lo for lo, _ in bounds), min(hi for _, hi in bounds) + 1)
+        self.consulted = [c for c in constraints if type(c).admits is not Constraint.admits]
         self.placed: dict[str, tuple[str, ...]] = {}
         self.count = dict.fromkeys(instance.node_ids, 0)
         self.load: dict[str, tuple[int, ...]] = {}
         self.usage: dict[str, tuple[int, ...]] = {}
-        if any(c.reads_load for c in consulted) and any(
+        self.capacity: dict[str, tuple[int | None, ...]] = {}
+        if any(c.reads_load for c in self.consulted) and any(
             node.capacity is not None for node in instance.nodes
         ):
             image = instance.resource_image
-            self.usage = image.usage
+            self.usage, self.capacity = image.usage, image.capacity
             self.load = {node: (0,) * len(c) for node, c in image.capacity.items()}
 
     def push(self, tx: str, nodes: tuple[str, ...]) -> None:
@@ -117,14 +129,15 @@ class Constraint:
     allocations one admitted pair at a time.
 
     ``check(instance)`` runs once per call and refuses every input the
-    constraint cannot judge, so ``admits(instance, state, tx, nodes)`` never
-    raises: may ``tx`` run on ``nodes`` when added to the partial allocation
-    that ``state`` (a ``_StepState``) holds, which satisfies the constraint
-    and places only transactions sorting before ``tx``?  A constraint that
-    reads ``state.load`` or ``state.usage`` sets ``reads_load``.  A
-    constraint that only bounds node-set sizes says so through
-    ``node_counts`` and keeps the default ``admits``, which admits
-    everything: no step takes a node set outside those bounds.
+    constraint cannot judge, so ``admits(state, tx, nodes)`` never raises:
+    may ``tx`` run on ``nodes`` when added to the partial allocation that
+    ``state`` (a ``_StepState``) holds, which satisfies the constraint and
+    places only transactions sorting before ``tx``?  ``admits`` reads only
+    the state.  A constraint that reads ``state.load``, ``state.usage`` or
+    ``state.capacity`` sets ``reads_load``.  A constraint that only bounds
+    node-set sizes says so through ``node_counts`` and keeps the default
+    ``admits``, which admits everything: no step takes a node set outside
+    those bounds.
     """
 
     reads_load = False
@@ -132,9 +145,7 @@ class Constraint:
     def check(self, instance: MarketInstance) -> None:
         """Refuse unknown ids, out-of-range parameters and malformed inputs."""
 
-    def admits(
-        self, instance: MarketInstance, state: _StepState, tx: str, nodes: tuple[str, ...]
-    ) -> bool:
+    def admits(self, state: _StepState, tx: str, nodes: tuple[str, ...]) -> bool:
         return True
 
     def node_counts(self, tx: str) -> tuple[int, float]:
@@ -154,8 +165,8 @@ class NodeCapacity(Constraint):
 
     A step adds the transaction's vector in the instance's integer
     ``resource_image``, which ``check`` makes safe to read, to each
-    capacitated node's running usage and compares the sum with the
-    capacity.
+    capacitated node's running usage and compares the sum with the node's
+    capacity in that image, all three read from the step state.
     """
 
     reads_load = True
@@ -173,15 +184,12 @@ class NodeCapacity(Constraint):
                     f"resource vector of {tx!r} has wrong length for node {node!r}"
                 )
 
-    def admits(
-        self, instance: MarketInstance, state: _StepState, tx: str, nodes: tuple[str, ...]
-    ) -> bool:
+    def admits(self, state: _StepState, tx: str, nodes: tuple[str, ...]) -> bool:
         usage = state.usage.get(tx)
         for node in nodes:
             load = state.load.get(node)
             if load is not None and any(
-                c is not None and l + u > c
-                for l, u, c in zip(load, usage, instance.resource_image.capacity[node])
+                c is not None and l + u > c for l, u, c in zip(load, usage, state.capacity[node])
             ):
                 return False
         return True
@@ -198,9 +206,7 @@ class MaxTxPerNode(Constraint):
         if self.limit < 0:
             raise MalformedInput(f"negative transaction limit {self.limit} for node {self.node!r}")
 
-    def admits(
-        self, instance: MarketInstance, state: _StepState, tx: str, nodes: tuple[str, ...]
-    ) -> bool:
+    def admits(self, state: _StepState, tx: str, nodes: tuple[str, ...]) -> bool:
         return self.node not in nodes or state.count[self.node] < self.limit
 
 
@@ -235,9 +241,7 @@ class MustShareNode(Constraint):
     def check(self, instance: MarketInstance) -> None:
         _check_txs(self.txs, instance)
 
-    def admits(
-        self, instance: MarketInstance, state: _StepState, tx: str, nodes: tuple[str, ...]
-    ) -> bool:
+    def admits(self, state: _StepState, tx: str, nodes: tuple[str, ...]) -> bool:
         if tx not in self.txs:
             return True
         shared = set(nodes)
@@ -258,9 +262,7 @@ class MutualExclusion(Constraint):
     def check(self, instance: MarketInstance) -> None:
         _check_txs([self.first, self.second], instance)
 
-    def admits(
-        self, instance: MarketInstance, state: _StepState, tx: str, nodes: tuple[str, ...]
-    ) -> bool:
+    def admits(self, state: _StepState, tx: str, nodes: tuple[str, ...]) -> bool:
         if tx == self.first:
             # a transaction excluded from itself is never allocated
             return tx != self.second and self.second not in state.placed
@@ -308,17 +310,6 @@ def _resolve(spec: ValiditySpec | None, instance: MarketInstance) -> ValiditySpe
     return spec
 
 
-def _sizes(constraints: Iterable[Constraint], tx: str, n_nodes: int) -> range:
-    """Node-set sizes an allocated ``tx`` may take (unallocated is size 0)."""
-    bounds = [(1, n_nodes)] + [c.node_counts(tx) for c in constraints]
-    return range(max(lo for lo, _ in bounds), min(hi for _, hi in bounds) + 1)
-
-
-def _consulted(constraints: Iterable[Constraint]) -> list[Constraint]:
-    """The constraints whose ``admits`` can refuse a step."""
-    return [c for c in constraints if type(c).admits is not Constraint.admits]
-
-
 def is_valid(
     allocation: Allocation,
     spec: ValiditySpec | None,
@@ -343,14 +334,11 @@ def is_valid(
     spec = _resolve(spec, instance)
     if isinstance(spec, Extensional):
         return allocation in spec.allocations
-    constraints = spec.constraints
-    consulted = _consulted(constraints)
-    n_nodes = len(instance.node_ids)
-    state = _StepState(instance, consulted)
+    state = _StepState(instance, spec.constraints)
     for tx, nodes in allocation.pairs:
-        if len(nodes) not in _sizes(constraints, tx, n_nodes):
+        if len(nodes) not in state.sizes[tx]:
             return False
-        if not all(c.admits(instance, state, tx, nodes) for c in consulted):
+        if not all(c.admits(state, tx, nodes) for c in state.consulted):
             return False
         state.push(tx, nodes)
     return True
@@ -403,10 +391,10 @@ def _search_valid(
     spec = _resolve(spec, instance)
     if isinstance(spec, Extensional):
         return list(spec.allocations)
-    constraints = spec.constraints
+    state = _StepState(instance, spec.constraints)
     txs = instance.tx_ids
     nodes = instance.node_ids
-    sizes = [_sizes(constraints, tx, len(nodes)) for tx in txs]
+    sizes = state.sizes.values()
     space = prod(1 + sum(comb(len(nodes), k) for k in sized) for sized in sizes)
     if space > cap:
         raise InstanceTooLarge(
@@ -415,8 +403,7 @@ def _search_valid(
         )
     # node ids are sorted, so every combination is a sorted tuple
     subsets = [sorted(s for k in sized for s in combinations(nodes, k)) for sized in sizes]
-    consulted = _consulted(constraints)
-    state = _StepState(instance, consulted)
+    consulted = state.consulted
     last = len(txs) - 1
     found = [EMPTY_ALLOCATION]
 
@@ -426,7 +413,7 @@ def _search_valid(
             for subset in subsets[index]:
                 # a plain loop rather than all(): no generator per step
                 for c in consulted:
-                    if not c.admits(instance, state, tx, subset):
+                    if not c.admits(state, tx, subset):
                         break
                 else:
                     extended = pairs + ((tx, subset),)

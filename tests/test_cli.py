@@ -2,6 +2,7 @@ import csv
 import io
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -195,6 +196,20 @@ class TestUsage:
     def test_flags_a_command_does_not_read_are_refused(self, fig1_path, capsys, argv):
         assert main([fig1_path if a == "SCENARIO" else a for a in argv]) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["equilibrium", "dynamics"])
+    @pytest.mark.parametrize("quantum", ["0", "-1"])
+    def test_a_quantum_that_is_not_positive_is_refused(self, fig1_path, capsys, command, quantum):
+        # without proposals no broker's best response reads the quantum, so
+        # only the flag's own check can refuse it
+        with open(fig1_path, encoding="utf-8") as f:
+            payload = json.load(f)
+        del payload["proposals"], payload["broker_order"]
+        path = write(Path(fig1_path).parent, "bare.json", payload)
+        assert main([command, path, "--quantum", quantum]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--quantum: must be positive, got {quantum}" in captured.err
 
     @pytest.mark.parametrize("cap", ["0", "-1"])
     def test_enum_cap_below_one_is_refused(self, fig1_path, capsys, cap):

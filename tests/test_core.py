@@ -298,3 +298,15 @@ class TestInstanceValidation:
                 (TransactionSpec("t1", F(1)),),
                 (NodeSpec("n1", table),),
             )
+
+    def test_a_rate_for_an_unknown_transaction_is_refused(self):
+        txs = (TransactionSpec("t1", F(1)), TransactionSpec("t2", F(1)))
+        # a rate map may leave a known transaction out: it costs 0
+        partial = MarketInstance(txs, (NodeSpec("n1", PerTransaction({"t2": F(1)})),))
+        assert partial.node("n1").cost.cost(["t1", "t2"]) == 1
+        misspelt = PerTransaction({"t_1": F(3), "t2": F(1), "t9": F(2)})
+        with pytest.raises(
+            MalformedInput,
+            match=r"^node 'n1': PerTransaction rates for unknown transactions \['t9', 't_1'\]$",
+        ):
+            MarketInstance(txs, (NodeSpec("n1", misspelt),))

@@ -268,6 +268,15 @@ class TestCheckPne:
         assert report.is_pne and report.checked_agent_deviations > 0
         assert not built
 
+    @pytest.mark.parametrize("quantum", [F(0), F(-1), F(-1, 4)])
+    def test_a_quantum_that_is_not_positive_is_refused_without_brokers(
+        self, collusion_market, quantum
+    ):
+        # no broker proposes, so no best response would read the quantum
+        truthful = collusion_market.truthful_reports()
+        with pytest.raises(MalformedInput, match=f"^quantum must be positive, got {quantum}$"):
+            check_pne(collusion_market, None, truthful, truthful, [], [], quantum)
+
     def test_consensus_profile_is_equilibrium(self, collusion_market):
         truthful = collusion_market.truthful_reports()
         report = check_pne(

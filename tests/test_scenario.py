@@ -283,6 +283,19 @@ RECORD_ERRORS = [
     ("resource_market", ("proposals",), [], "proposals: unknown field"),
     ("resource_market", ("reports",), None, "reports: unknown field"),
     ("resource_market", ("broker_order",), ["b1"], "broker_order: unknown field"),
+    # a rate keyed by a misspelt transaction would leave t1 free on n1
+    (
+        "market",
+        ("nodes", 0, "cost"),
+        {"type": "PerTransaction", "rates": {"t_1": "1"}},
+        "node 'n1': PerTransaction rates for unknown transactions ['t_1']",
+    ),
+    (
+        "market",
+        ("reports",),
+        {"nodes": {"n1": {"type": "PerTransaction", "rates": {"t1": "2", "t_1": "1", "t0": "1"}}}},
+        "reports.nodes[n1]: PerTransaction rates for unknown transactions ['t0', 't_1']",
+    ),
 ]
 
 # (a record, a stray field, the message); RequiredNodeCount's two forms at once

@@ -1,5 +1,5 @@
 import random
-from dataclasses import fields
+from dataclasses import dataclass, fields
 from fractions import Fraction as F
 from math import inf
 from typing import get_type_hints
@@ -40,6 +40,7 @@ from helpers import (
     random_constrained_instance,
     random_instance,
     raw_space,
+    satisfies_by_ladder,
     valid_by_ladder,
 )
 
@@ -199,6 +200,60 @@ def test_every_constraint_type_can_refuse(cls):
         hints = get_type_hints(cls)
         constraint = cls(**{f.name: SAMPLE_FIELDS[hints[f.name]] for f in fields(cls)})
         assert constraint.node_counts("t1") != (0, inf)
+
+
+def test_a_constraint_type_written_outside_the_library_joins_the_step_rule():
+    # a new type as README describes one: ``check`` refuses unknown ids and
+    # ``admits`` reads only the step state.  Defined here, after collection,
+    # so the parametrized lists of ``Constraint.__subclasses__()`` omit it.
+    @dataclass(frozen=True)
+    class Apart(Constraint):
+        """The two transactions never share a node."""
+
+        first: str
+        second: str
+
+        def check(self, instance):
+            unknown = {self.first, self.second} - set(instance.tx_ids)
+            if unknown:
+                raise MalformedInput(f"Apart references unknown transactions {sorted(unknown)}")
+
+        def admits(self, state, tx, nodes):
+            if tx not in (self.first, self.second):
+                return True
+            other = self.second if tx == self.first else self.first
+            return not set(nodes).intersection(state.placed.get(other, ()))
+
+    def holds(instance, allocation, constraint):
+        if isinstance(constraint, Apart):
+            shared = set(allocation.nodes_for(constraint.first))
+            return not shared.intersection(allocation.nodes_for(constraint.second))
+        return satisfies_by_ladder(instance, allocation, constraint)
+
+    rng = random.Random(61)
+    markets = refused_by_apart = 0
+    while markets < 40:
+        instance = random_instance(rng)
+        if len(instance.tx_ids) < 2:
+            continue
+        markets += 1
+        apart = Apart(*rng.sample(instance.tx_ids, 2))
+        for constraints in ((apart,), instance.validity.constraints + (apart,)):
+            spec = Constraints(constraints)
+            raw = raw_space(instance)
+            expected = {a for a in raw if all(holds(instance, a, c) for c in constraints)}
+            # the fold runs first, so no memoised valid set answers for it
+            for allocation in raw:
+                assert is_valid(allocation, spec, instance) == (allocation in expected)
+            assert enumerate_valid(instance, spec) == sorted(expected)
+            refused_by_apart += sum(not holds(instance, a, apart) for a in raw)
+    assert refused_by_apart > 10_000
+    unknown = Constraints((Apart("t1", "t9"),))
+    instance = simple_instance()
+    with pytest.raises(MalformedInput, match=r"Apart references unknown transactions \['t9'\]"):
+        enumerate_valid(instance, unknown)
+    with pytest.raises(MalformedInput, match=r"Apart references unknown transactions \['t9'\]"):
+        is_valid(EMPTY_ALLOCATION, unknown, instance)
 
 
 def mixed_fraction(rng, lo, hi):
