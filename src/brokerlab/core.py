@@ -196,6 +196,10 @@ class TransactionSpec:
     resources: tuple[Fraction, ...] | None = None
 
     def __post_init__(self):
+        # a cost table's bundle is written as its comma-joined ids, and the
+        # empty string is the empty bundle's key
+        if not self.id or "," in self.id:
+            raise MalformedInput(f"transaction id {self.id!r} must be non-empty and contain no ','")
         _require_nonneg(self.value, f"value of {self.id!r}")
         if self.resources is not None:
             for g in self.resources:

@@ -12,6 +12,8 @@ over the agent's infinite action space.  A node candidate is its current
 report with the costs of its assigned bundles replaced, written out as a
 ``SubsetTable`` only when it becomes a witness; the product of its
 per-bundle candidates is its one budget (``MAX_NODE_CANDIDATES``).
+``check_pne`` settles every agent's candidates in one loop, which tells a
+transaction from a node once per agent.
 
 Broker deviations are checked through the exact best-response search, with
 margins on the configured lattice where a rival must be beaten strictly.
@@ -184,25 +186,6 @@ class EquilibriumReport:
     checked_broker_allocations: int
 
 
-def _candidates(
-    instance: MarketInstance,
-    agent: str,
-    proposals: Sequence[Proposal],
-    reports: ReportProfile,
-) -> list:
-    """The deviation candidates of a transaction or a node."""
-    if agent in reports.tx_reports:
-        return tx_deviation_candidates(instance, agent, proposals, reports)
-    return node_deviation_candidates(instance, agent, proposals, reports)
-
-
-def _with_report(reports: ReportProfile, agent: str, report) -> ReportProfile:
-    """``reports`` with one transaction's or node's report replaced."""
-    if agent in reports.tx_reports:
-        return reports.replace_tx(agent, report)
-    return reports.replace_node(agent, report)
-
-
 def _subset_table(instance: MarketInstance, costs: CostFunction) -> SubsetTable:
     """``costs`` written out over every subset of the instance's transactions."""
     txs = sorted(instance.tx_ids)
@@ -210,45 +193,6 @@ def _subset_table(instance: MarketInstance, costs: CostFunction) -> SubsetTable:
         frozenset(t for i, t in enumerate(txs) if mask >> i & 1) for mask in range(1 << len(txs))
     )
     return SubsetTable(frozenset(txs), {s: costs.cost(s, instance.resources) for s in subsets})
-
-
-def _deviation_witnesses(
-    instance: MarketInstance,
-    spec: ValiditySpec | None,
-    true_types: ReportProfile,
-    reports: ReportProfile,
-    proposals: Sequence[Proposal],
-    broker_order: Sequence[str],
-    agent: str,
-    candidates: Sequence,
-    before: Fraction,
-    kind: str,
-) -> tuple[int, list[DeviationWitness]]:
-    """Settle each of one agent's ``candidates`` reports against the others'
-    ``reports`` through ``run``.
-
-    Returns the number of candidates settled and, as witnesses of ``kind``,
-    those that raise the agent's true utility above ``before``.  A
-    transaction's candidate equal to its current report is skipped, since it
-    settles the round ``reports`` already gives; node candidates never are.  A
-    node's witness is its candidate written out as a ``SubsetTable`` over the
-    instance's transactions.
-    """
-    current = reports.tx_reports.get(agent)
-    checked = 0
-    witnesses = []
-    for candidate in candidates:
-        if candidate == current:
-            continue
-        checked += 1
-        deviated = _with_report(reports, agent, candidate)
-        outcome = run(instance, spec, deviated, proposals, broker_order)
-        after = agent_utility(instance, agent, outcome.routing, true_types)
-        if after > before:
-            if isinstance(candidate, _BundleCosts):
-                candidate = _subset_table(instance, candidate)
-            witnesses.append(DeviationWitness(agent, kind, candidate, before, after))
-    return checked, witnesses
 
 
 def check_pne(
@@ -279,15 +223,24 @@ def check_pne(
     witnesses: list[DeviationWitness] = []
     agent_checks = 0
     for agent in instance.agent_ids:
-        kind = "tx_report" if agent in reports.tx_reports else "node_report"
         before = agent_utility(instance, agent, base.routing, true_types)
-        candidates = _candidates(instance, agent, proposals, reports)
-        checked, found = _deviation_witnesses(
-            instance, spec, true_types, reports, proposals, broker_order, agent,
-            candidates, before, kind,
-        )
-        agent_checks += checked
-        witnesses += found
+        # the agent's kind decides its candidates, its swap and its witnesses;
+        # a transaction's current report settles the base round, so it is skipped
+        if agent in reports.tx_reports:
+            kind, swap, as_table = "tx_report", reports.replace_tx, False
+            current = reports.tx_reports[agent]
+            candidates = tx_deviation_candidates(instance, agent, proposals, reports)
+            candidates = [c for c in candidates if c != current]
+        else:
+            kind, swap, as_table = "node_report", reports.replace_node, True
+            candidates = node_deviation_candidates(instance, agent, proposals, reports)
+        agent_checks += len(candidates)
+        for candidate in candidates:
+            outcome = run(instance, spec, swap(agent, candidate), proposals, broker_order)
+            after = agent_utility(instance, agent, outcome.routing, true_types)
+            if after > before:
+                deviation = _subset_table(instance, candidate) if as_table else candidate
+                witnesses.append(DeviationWitness(agent, kind, deviation, before, after))
 
     broker_allocations = 0
     by_broker = {p.broker: p for p in proposals}
@@ -415,7 +368,9 @@ def construct_consensus_equilibrium(
     With at least two brokers this profile is a pure equilibrium and makes
     truthful reporting dominant for transactions and nodes.
     """
-    if len(set(broker_ids)) < 2:
+    if len(set(broker_ids)) != len(broker_ids):
+        raise MalformedInput("each broker may submit at most one proposal")
+    if len(broker_ids) < 2:
         raise MalformedInput("the consensus profile needs at least two brokers")
     best = welfare_max_allocation(instance, spec, true_types, cap)
     routing = scaled_rebate_routing(instance, best.allocation, true_types, ZERO)

@@ -262,9 +262,7 @@ def parse_validity(obj: Any, where: str) -> ValiditySpec:
     return Extensional(_records(obj.get("allocations"), f"{where}.allocations", parse_allocation))
 
 
-def validity_to_json(spec: ValiditySpec | None) -> dict:
-    if spec is None:
-        return {"type": "constraints", "constraints": []}
+def validity_to_json(spec: ValiditySpec) -> dict:
     if isinstance(spec, Constraints):
         return {
             "type": "constraints",
@@ -504,8 +502,9 @@ def instance_to_scenario_json(
         "nodes": [
             _node_to_json(n, {"cost": cost_function_to_json(n.cost)}) for n in instance.nodes
         ],
-        "validity": validity_to_json(instance.validity),
     }
+    if instance.validity is not None:
+        payload["validity"] = validity_to_json(instance.validity)
     if proposals:
         payload["proposals"] = [proposal_to_json(p) for p in proposals]
     if broker_order:

@@ -35,10 +35,11 @@ from brokerlab.equilibrium import (
     MAX_NODE_CANDIDATES,
     DeviationWitness,
     TruthfulnessReport,
-    _candidates,
-    _deviation_witnesses,
-    _with_report,
+    _BundleCosts,
+    _subset_table,
     check_pne,
+    node_deviation_candidates,
+    tx_deviation_candidates,
 )
 from brokerlab.errors import (
     InfeasibleTarget,
@@ -1039,6 +1040,70 @@ def best_response_dynamics_reference(
         if not improved:
             return DynamicsTrace(tuple(steps), tuple(current[b] for b in broker_order), True, rounds)
     return DynamicsTrace(tuple(steps), tuple(current[b] for b in broker_order), False, max_rounds)
+
+
+# ``_candidates``, ``_with_report`` and ``_deviation_witnesses`` are the
+# former ``equilibrium`` helpers of the same names, verbatim: each tells a
+# transaction from a node again, where ``check_pne``'s loop now does so once
+# per agent.  The oracles below settle rival profiles through them.
+
+
+def _candidates(
+    instance: MarketInstance,
+    agent: str,
+    proposals: Sequence[Proposal],
+    reports: ReportProfile,
+) -> list:
+    """The deviation candidates of a transaction or a node."""
+    if agent in reports.tx_reports:
+        return tx_deviation_candidates(instance, agent, proposals, reports)
+    return node_deviation_candidates(instance, agent, proposals, reports)
+
+
+def _with_report(reports: ReportProfile, agent: str, report) -> ReportProfile:
+    """``reports`` with one transaction's or node's report replaced."""
+    if agent in reports.tx_reports:
+        return reports.replace_tx(agent, report)
+    return reports.replace_node(agent, report)
+
+
+def _deviation_witnesses(
+    instance: MarketInstance,
+    spec: ValiditySpec | None,
+    true_types: ReportProfile,
+    reports: ReportProfile,
+    proposals: Sequence[Proposal],
+    broker_order: Sequence[str],
+    agent: str,
+    candidates: Sequence,
+    before: Fraction,
+    kind: str,
+) -> tuple[int, list[DeviationWitness]]:
+    """Settle each of one agent's ``candidates`` reports against the others'
+    ``reports`` through ``run``.
+
+    Returns the number of candidates settled and, as witnesses of ``kind``,
+    those that raise the agent's true utility above ``before``.  A
+    transaction's candidate equal to its current report is skipped, since it
+    settles the round ``reports`` already gives; node candidates never are.  A
+    node's witness is its candidate written out as a ``SubsetTable`` over the
+    instance's transactions.
+    """
+    current = reports.tx_reports.get(agent)
+    checked = 0
+    witnesses = []
+    for candidate in candidates:
+        if candidate == current:
+            continue
+        checked += 1
+        deviated = _with_report(reports, agent, candidate)
+        outcome = run(instance, spec, deviated, proposals, broker_order)
+        after = agent_utility(instance, agent, outcome.routing, true_types)
+        if after > before:
+            if isinstance(candidate, _BundleCosts):
+                candidate = _subset_table(instance, candidate)
+            witnesses.append(DeviationWitness(agent, kind, candidate, before, after))
+    return checked, witnesses
 
 
 def dsic_product_oracle(

@@ -67,6 +67,16 @@ class TestRun:
         assert main(["run", path]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_a_comma_in_a_transaction_id_exits_one(self, tmp_path, capsys):
+        payload = {
+            "kind": "market",
+            "transactions": [{"id": "a,b", "value": "1"}],
+            "nodes": [{"id": "n1", "cost": {"type": "Zero"}}],
+        }
+        path = write(tmp_path, "comma.json", payload)
+        assert main(["run", path]) == 1
+        assert "transaction id 'a,b'" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "value", ['"1e999999999"', "1" * 4301], ids=["huge-exponent", "long-integer"]
     )

@@ -240,6 +240,12 @@ class TestInstanceValidation:
                 (NodeSpec("x", Zero()),),
             )
 
+    @pytest.mark.parametrize("tx_id", ["", "a,b", ","])
+    def test_an_id_a_cost_table_key_cannot_carry_is_refused(self, tx_id):
+        # a table's bundle is written as comma-joined ids, "" as the empty one
+        with pytest.raises(MalformedInput, match=f"^transaction id {re.escape(repr(tx_id))} "):
+            TransactionSpec(tx_id, F(1))
+
     def test_negative_value_rejected(self):
         with pytest.raises(MalformedInput):
             TransactionSpec("t1", F(-1))

@@ -39,6 +39,8 @@ from brokerlab.strategy import (
 from brokerlab.validity import enumerate_valid
 
 from helpers import (
+    _candidates,
+    _with_report,
     check_dsic_reference,
     dsic_product_oracle,
     node_candidate_tables_reference,
@@ -418,6 +420,13 @@ class TestConsensusProfile:
             {"t01": ["n01"], "t02": ["n02"]}
         )
 
+    def test_duplicate_broker_ids_are_refused(self, collusion_market):
+        # the profile would hold two proposals from b1, which every check refuses
+        truthful = collusion_market.truthful_reports()
+        for brokers in (["b1", "b1", "b2"], ["b1", "b1"]):
+            with pytest.raises(MalformedInput, match="^each broker may submit at most one proposal$"):
+                construct_consensus_equilibrium(collusion_market, collusion_market.validity, truthful, brokers)
+
     def test_needs_two_brokers(self, collusion_market):
         with pytest.raises(MalformedInput):
             construct_consensus_equilibrium(
@@ -565,7 +574,7 @@ def shared_allocation_sigmas(seed, count, max_profiles=None):
         sigma = [Proposal(b, random_routing(rng, instance, allocation, truthful)) for b in brokers]
         order = rng.sample(brokers, len(brokers))
         if max_profiles is not None:
-            sizes = {a: len(equilibrium._candidates(instance, a, sigma, truthful)) for a in instance.agent_ids}
+            sizes = {a: len(_candidates(instance, a, sigma, truthful)) for a in instance.agent_ids}
             profiles = sum(math.prod(n for b, n in sizes.items() if b != a) for a in sizes)
             if profiles > max_profiles:
                 continue
@@ -674,13 +683,12 @@ class TestDsicCandidatesAtTrueTypes:
         # the equilibrium check builds them at the true types, and deciding
         # the rival-profile half builds none
         built = []
-        candidates = equilibrium._candidates
+        for name in ("tx_deviation_candidates", "node_deviation_candidates"):
+            def counted(instance, agent, proposals, reports, _generator=getattr(equilibrium, name)):
+                built.append(agent)
+                return _generator(instance, agent, proposals, reports)
 
-        def counted(instance, agent, proposals, reports):
-            built.append(agent)
-            return candidates(instance, agent, proposals, reports)
-
-        monkeypatch.setattr(equilibrium, "_candidates", counted)
+            monkeypatch.setattr(equilibrium, name, counted)
         figure1 = collusion_example_instance()
         cases = [(figure1, consensus(figure1), ["b1", "b2"])]
         cases += shared_allocation_sigmas(2024, 40)
@@ -708,14 +716,14 @@ class TestDsicCandidatesAtTrueTypes:
             truthful = instance.truthful_reports()
             sigma = prepare_round(instance, instance.validity, sigma, order)
             agents = instance.agent_ids
-            lists = {a: equilibrium._candidates(instance, a, sigma, truthful) for a in agents}
+            lists = {a: _candidates(instance, a, sigma, truthful) for a in agents}
             for agent in agents:
                 others = [a for a in agents if a != agent]
                 for profile in itertools.product(*(lists[other] for other in others)):
                     shifted = truthful
                     for other, report in zip(others, profile):
-                        shifted = equilibrium._with_report(shifted, other, report)
-                    at_rivals = equilibrium._candidates(instance, agent, sigma, shifted)
+                        shifted = _with_report(shifted, other, report)
+                    at_rivals = _candidates(instance, agent, sigma, shifted)
                     assert comparable(at_rivals) == comparable(lists[agent])
                     profiles += 1
         assert profiles > 5000

@@ -531,14 +531,19 @@ def test_whole_resource_market_round_trip(market):
     assert canonical(resource_market_to_scenario_json(parsed)) == canonical(payload)
 
 
-@given(st.randoms(use_true_random=False))
+@given(st.randoms(use_true_random=False), st.booleans())
 @settings(max_examples=150, deadline=None)
-def test_market_scenario_with_proposals_and_reports_round_trip(rng):
+def test_market_scenario_with_proposals_and_reports_round_trip(rng, keep_validity):
     instance = random_instance(rng, max_txs=3, max_nodes=2)
+    if not keep_validity:
+        # validity is written only when set, so a market without one reads
+        # back without one, not with an empty constraint list
+        instance = MarketInstance(instance.transactions, instance.nodes)
     reports, _ = random_reports(rng, instance)
     valid = naive_enumerate(instance, instance.validity)
     proposals, order = random_proposals(rng, instance, reports, valid)
     payload = instance_to_scenario_json(instance, proposals, order, reports)
+    assert ("validity" in payload) == keep_validity
     parsed = parse_scenario(json.loads(canonical(payload)))
     assert parsed.instance == instance
     assert parsed.proposals == proposals
