@@ -5,6 +5,11 @@ Transactions (demand side) carry a valuation for being executed; nodes
 pairs an allocation with payment rules for both sides.  All quantities are
 exact rationals and every function here is pure.
 
+A node's cost, as its type or as its report, must be a cost over the
+market's transactions (``coverage_fault``).  ``require_cost_over`` applies
+that rule wherever a cost enters: a ``MarketInstance``'s nodes,
+``validate_reports`` and ``ReportProfile.replace_node``.
+
 Canonical orders used for tie-breaking throughout the package:
 
 * allocations compare by their normalized pair form (sorted ``(tx, nodes)``
@@ -167,15 +172,22 @@ class SubsetTable(CostFunction):
         return value
 
 
-def require_cost_over(cost: CostFunction, tx_ids: Iterable[str], where: str) -> None:
-    """Refuse a ``PerTransaction`` rate keyed by an id outside ``tx_ids``,
-    which would be ignored, and a ``SubsetTable`` not over exactly them."""
-    tx_ids = frozenset(tx_ids)
+def coverage_fault(cost: CostFunction, tx_ids: frozenset[str]) -> str | None:
+    """Why ``cost`` is not a cost over the transactions ``tx_ids``, or None
+    when it is: a ``PerTransaction`` rate keyed by an id outside them, which
+    would be ignored, or a ``SubsetTable`` not over exactly them."""
     if isinstance(cost, PerTransaction) and not tx_ids.issuperset(cost.rates):
-        unknown = sorted(set(cost.rates) - tx_ids)
-        raise MalformedInput(f"{where}: PerTransaction rates for unknown transactions {unknown}")
+        return f"PerTransaction rates for unknown transactions {sorted(set(cost.rates) - tx_ids)}"
     if isinstance(cost, SubsetTable) and cost.transactions != tx_ids:
-        raise MalformedInput(f"{where}: SubsetTable must cover exactly the instance transactions")
+        return "SubsetTable must cover exactly the instance transactions"
+    return None
+
+
+def require_cost_over(cost: CostFunction, tx_ids: Iterable[str], where: str) -> None:
+    """Refuse ``cost`` at ``where`` when it has a ``coverage_fault`` over ``tx_ids``."""
+    fault = coverage_fault(cost, frozenset(tx_ids))
+    if fault is not None:
+        raise MalformedInput(f"{where}: {fault}")
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +322,10 @@ class ReportProfile:
     def replace_node(self, node: str, cost: CostFunction) -> "ReportProfile":
         if node not in self.node_reports:
             raise MalformedInput(f"unknown node {node!r} in report profile")
+        where = f"report of {node!r}"
+        require_cost_over(_require_cost_function(cost, where), self.tx_reports, where)
         updated = dict(self.node_reports)
-        updated[node] = _require_cost_function(cost, f"report of {node!r}")
+        updated[node] = cost
         return ReportProfile(self.tx_reports, updated)
 
 
@@ -355,6 +369,10 @@ class MarketInstance:
     @cached_property
     def tx_ids(self) -> tuple[str, ...]:
         return tuple(sorted(t.id for t in self.transactions))
+
+    @cached_property
+    def tx_set(self) -> frozenset[str]:
+        return frozenset(self.tx_ids)
 
     @cached_property
     def node_ids(self) -> tuple[str, ...]:
@@ -460,7 +478,8 @@ class MarketInstance:
         for tx, v in reports.tx_reports.items():
             _require_nonneg(v, f"report of {tx!r}")
         for node, cost in reports.node_reports.items():
-            _require_cost_function(cost, f"report of {node!r}")
+            where = f"report of {node!r}"
+            require_cost_over(_require_cost_function(cost, where), self.tx_set, where)
 
 
 # ---------------------------------------------------------------------------

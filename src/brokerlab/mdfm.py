@@ -12,7 +12,8 @@ cells of the price-space arrangement cut by two predicate families:
 its bundle covers the bundle's cost).  A cell is its sign vector, and its
 admissible pool is every valid allocation whose mask of needed TRUE sides
 lies inside the cell's.  One list of cells serves INC, FEE and ORA: each pool
-is filtered once, and ORA is the best welfare admitted by any cell.  Surplus
+is filtered once and each cell keeps its pool's best member, the first in
+canonical order; ORA is the best of those, ties to canonical order.  Surplus
 equals allocation welfare because base-fee payments are internal transfers,
 which holds only when each transaction runs on at most one node, so markets
 whose valid set places a transaction on several nodes are refused.  Within a
@@ -43,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import combinations
 from math import lcm
 from operator import mul
 from typing import Iterable, Mapping, Sequence
@@ -140,7 +141,6 @@ class _AllocationInfo:
     txs: int  # bit i: the instance's i-th transaction is included
     # sum of g(t) over included transactions, in the instance's resource image
     fee_vector: tuple[int, ...]
-    fee_class: int  # equal exactly when the fee vectors are
     # hyperplanes needed on their TRUE side, repeats kept: each included
     # transaction's (sorted), then each costly bundle's
     rows: tuple[int, ...]
@@ -233,10 +233,19 @@ def _prepare(
     costs: dict[tuple[str, frozenset[str]], int] = {}
     participation: dict[tuple[str, frozenset[str]], Constraint] = {}
     infos = []
-    classes: dict[tuple[int, ...], int] = {}
     for allocation in allocations:
-        value = sum(values[tx] for tx in allocation.transactions)
-        costly = []
+        # the rows' members: the transactions, sorted, then the costly pairs
+        members = []
+        for tx, nodes in allocation.pairs:
+            if len(nodes) > 1:
+                raise MalformedInput(
+                    f"benchmarks need each transaction on at most one node, but a valid "
+                    f"allocation places {tx!r} on {len(nodes)} nodes; set single_assignment"
+                )
+            members.append(tx)
+        value = sum(values[tx] for tx in members)
+        txs = sum(bits[tx] for tx in members)
+        fee_vector = _usage(image, members, d)
         for pair in allocation.bundles:
             cost = costs.get(pair)
             if cost is None:
@@ -251,17 +260,14 @@ def _prepare(
                 costs[pair] = cost
             if cost:
                 value -= cost
-                costly.append(pair)
-        fee_vector = _usage(image, allocation.transactions, d)
-        fee_class = classes.setdefault(fee_vector, len(classes))
-        infos.append((allocation, value, fee_vector, fee_class, costly))
+                members.append(pair)
+        infos.append((allocation, value, txs, fee_vector, members))
     hyperplanes, index = _arrangement(market, participation)
     prepared = []
-    for allocation, value, fee_vector, fee_class, costly in infos:
-        rows = tuple(index[member] for member in chain(sorted(allocation.transactions), costly))
+    for allocation, value, txs, fee_vector, members in infos:
+        rows = tuple(index[member] for member in members)
         mask = sum(1 << i for i in set(rows))
-        txs = sum(bits[tx] for tx in allocation.transactions)
-        prepared.append(_AllocationInfo(allocation, value, txs, fee_vector, fee_class, rows, mask))
+        prepared.append(_AllocationInfo(allocation, value, txs, fee_vector, rows, mask))
     return prepared, hyperplanes, index, image.scales, den
 
 
@@ -293,23 +299,10 @@ def _fee_at_price(
     dens = [p.denominator * s for p, s in zip(price, scales)]
     den = lcm(*dens)
     scaled = [p.numerator * (den // q) for p, q in zip(price, dens)]
-    fees: dict[int, int] = {}
-    for info in pool:
-        if info.fee_class not in fees:
-            fees[info.fee_class] = sum(map(mul, info.fee_vector, scaled))
+    fees = {v: sum(map(mul, v, scaled)) for v in {info.fee_vector for info in pool}}
     top = max(fees.values())
-    maximizers = (info for info in pool if fees[info.fee_class] == top)
+    maximizers = (info for info in pool if fees[info.fee_vector] == top)
     return min(maximizers, key=lambda info: info.welfare_num)
-
-
-def _refuse_multi_node(infos: Iterable[_AllocationInfo]) -> None:
-    for info in infos:
-        for tx, nodes in info.allocation.pairs:
-            if len(nodes) > 1:
-                raise MalformedInput(
-                    f"benchmarks need each transaction on at most one node, but a valid "
-                    f"allocation places {tx!r} on {len(nodes)} nodes; set single_assignment"
-                )
 
 
 @dataclass(frozen=True)
@@ -345,8 +338,9 @@ def run_benchmarks(market: ResourceMarket, cap: int = DEFAULT_ENUM_CAP) -> Bench
       resource, so the value is exact.  For d >= 2 it is a lower bound
       certified at the witness prices.
     - ORA: the best allocation an informed planner can post prices for,
-      i.e. the best welfare any cell admits.  Its witness is the first such
-      allocation in canonical order, with a price solving its own system.
+      i.e. the best of the cells' best members (each its pool's first best
+      in canonical order).  Its witness is the canonically first of those
+      of that welfare, with a price solving its own system.
 
     Raises MalformedInput when a valid allocation places a transaction on
     several nodes, where posted prices pay every node the full fee, and
@@ -364,25 +358,21 @@ def run_benchmarks(market: ResourceMarket, cap: int = DEFAULT_ENUM_CAP) -> Bench
         raise InstanceTooLarge(f"run_benchmarks: {d} dimensions, cap is {MAX_BENCHMARK_DIMS}")
     exact = d == 1
     infos, hyperplanes, index, scales, den = _prepare(market, cap)
-    _refuse_multi_node(infos)
     opt_info = max(infos, key=lambda info: info.welfare_num)
-    # (signs, witness, worst maximal member, worst fee-maximal member) per
-    # cell; every pool holds the empty allocation, and max() keeps the first
-    # cell that attains the best.  All welfare is ranked by its integer over
-    # one denominator.
+    # (signs, witness, worst maximal member, worst fee-maximal member, best
+    # member) per cell; every pool holds the empty allocation, and max()
+    # keeps the first cell, and the first member, that attains the best.
+    # All welfare is ranked by its integer over one denominator.
     cells = []
-    attainable: set[Allocation] = set()
     for signs, witness in enumerate_cells(nonneg_orthant(d), hyperplanes, d):
         true = sum(1 << i for i, sign in enumerate(signs) if sign)
         pool = [info for info in infos if info.mask & true == info.mask]
         worst = min(_maximal_infos(pool), key=lambda info: info.welfare_num)
-        cells.append((signs, witness, worst, _fee_at_price(pool, witness, scales)))
-        attainable.update(info.allocation for info in pool)
-    inc_signs, inc_price, inc_info, _ = max(cells, key=lambda cell: cell[2].welfare_num)
-    fee_signs, fee_price, _, fee_info = max(cells, key=lambda cell: cell[3].welfare_num)
-    ora_info = max(
-        (info for info in infos if info.allocation in attainable), key=lambda info: info.welfare_num
-    )
+        best = max(pool, key=lambda info: info.welfare_num)
+        cells.append((signs, witness, worst, _fee_at_price(pool, witness, scales), best))
+    inc_signs, inc_price, inc_info, _, _ = max(cells, key=lambda cell: cell[2].welfare_num)
+    fee_signs, fee_price, _, fee_info, _ = max(cells, key=lambda cell: cell[3].welfare_num)
+    ora_info = min((cell[4] for cell in cells), key=lambda i: (-i.welfare_num, i.allocation))
     ora_price = find_point(nonneg_orthant(d) + [hyperplanes[i] for i in ora_info.rows], d)
     opt_value, inc_value, fee_value, ora_value = (
         Fraction(info.welfare_num, den) for info in (opt_info, inc_info, fee_info, ora_info)

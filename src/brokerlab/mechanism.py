@@ -33,7 +33,8 @@ transaction) or its payment (a node), set by the first settle.  Later
 settles compare the profile's report objects with the memo's by identity,
 so a report replaced, rebuilt equal or edited in place counts as changed,
 and rescore only the changed agents among those.  ``run`` checks the
-reports in one pass over their objects, reads the winner from
+reports in one pass over their objects (a node report must be a cost over
+the market's transactions, ``core.coverage_fault``), reads the winner from
 ``PreparedRound.leader``, the one winner rule (the best response and the
 truthfulness check read it too), and reads the signs of the winner's
 utilities: the IR gate names the first negative one.
@@ -61,7 +62,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping
 
-from .core import CostFunction, MarketInstance, ReportProfile, Routing, margin
+from .core import CostFunction, MarketInstance, ReportProfile, Routing, coverage_fault, margin
 from .errors import InvalidProposal, MalformedInput
 from .rationals import ZERO
 from .validity import ValiditySpec, is_valid
@@ -138,7 +139,8 @@ class _Settlement:
     ``reports`` holds the profile's report objects in canonical agent order.
     A profile whose mappings are not total, with a transaction report that
     is not a non-negative ``int`` or ``Fraction`` by exact type, or with a
-    node report that is not a ``CostFunction``, goes to
+    node report that is not a ``CostFunction`` or has a ``coverage_fault``
+    over the market's transactions, goes to
     ``MarketInstance.validate_reports``, which raises naming what is wrong
     or accepts a subclass of either number type.
     """
@@ -146,10 +148,10 @@ class _Settlement:
     def __init__(self, instance: MarketInstance, profile: ReportProfile):
         self.instance = instance
         self.reports = reports = _report_objects(instance, profile)
-        n_txs = len(instance.tx_ids)
+        n_txs, txs = len(instance.tx_ids), instance.tx_set
         if reports is None or not (
             all((type(v) is Fraction or type(v) is int) and v.numerator >= 0 for v in reports[:n_txs])
-            and all(isinstance(v, CostFunction) for v in reports[n_txs:])
+            and all(isinstance(v, CostFunction) and not coverage_fault(v, txs) for v in reports[n_txs:])
         ):
             instance.validate_reports(profile)
 

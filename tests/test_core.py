@@ -26,9 +26,11 @@ from brokerlab.core import (
     tx_utility,
     welfare,
 )
+from brokerlab.equilibrium import check_pne
 from brokerlab.errors import MalformedInput
 from brokerlab.mdfm import collusion_example_instance
 from brokerlab.mechanism import Proposal, run
+from brokerlab.strategy import best_response_dynamics
 
 from helpers import (
     naive_enumerate,
@@ -316,3 +318,43 @@ class TestInstanceValidation:
             match=r"^node 'n1': PerTransaction rates for unknown transactions \['t9', 't_1'\]$",
         ):
             MarketInstance(txs, (NodeSpec("n1", misspelt),))
+
+    @pytest.mark.parametrize(
+        "report, message",
+        [
+            (
+                PerTransaction({"t_1": F(100)}),
+                r"PerTransaction rates for unknown transactions \['t_1'\]",
+            ),
+            (
+                SubsetTable(frozenset({"t9"}), {frozenset(): F(0), frozenset({"t9"}): F(1)}),
+                "SubsetTable must cover exactly the instance transactions",
+            ),
+        ],
+        ids=["misspelt-rate", "foreign-table"],
+    )
+    def test_a_node_report_over_unknown_transactions_is_refused(
+        self, collusion_market, report, message
+    ):
+        # wherever the report enters, whether or not n1 is given a bundle
+        truthful = collusion_market.truthful_reports()
+        lying = ReportProfile(truthful.tx_reports, {**truthful.node_reports, "n1": report})
+        spec, order = collusion_market.validity, ["b1", "b2"]
+        elsewhere = Routing(
+            Allocation.of({"t2": ["n2"]}), {"t1": F(0), "t2": F(2)}, {"n1": F(0), "n2": F(1)}
+        )
+        proposals = [Proposal("b1", collusion_market.empty_routing()), Proposal("b2", elsewhere)]
+        calls = [
+            lambda: truthful.replace_node("n1", report),
+            lambda: collusion_market.validate_reports(lying),
+            lambda: run(collusion_market, spec, lying, proposals, order),
+            lambda: check_pne(collusion_market, spec, truthful, lying, proposals, order, F(1, 4)),
+            lambda: best_response_dynamics(
+                collusion_market, spec, lying, proposals, order, F(1, 4), 8
+            ),
+        ]
+        for call in calls:
+            with pytest.raises(MalformedInput, match=f"^report of 'n1': {message}$"):
+                call()
+        # the truthful profile settles the same round
+        assert run(collusion_market, spec, truthful, proposals, order).winner == "b2"

@@ -584,7 +584,8 @@ class TestSettlementMemo:
             settles_as_reference(instance, reports, prepared, order)
             tx, node = rng.choice(instance.tx_ids), rng.choice(instance.node_ids)
             negative = ReportProfile({**reports.tx_reports, tx: F(-1)}, reports.node_reports)
-            # a table over no transaction has no entry for any bundle the node runs
+            # a table over no transaction does not cover the market, whether or
+            # not the node runs a bundle
             empty_table = SubsetTable(frozenset(), {frozenset(): F(0)})
             lacking = ReportProfile(reports.tx_reports, {**reports.node_reports, node: empty_table})
             for bad in (negative, lacking, changed_profile(rng, instance, reports, 1)):
@@ -593,8 +594,10 @@ class TestSettlementMemo:
             # an error leaves the memos as they were
             settles_as_reference(instance, reports, prepared, order)
         assert sum(n for message, n in errors.items() if "must be non-negative" in message) == 120
-        assert sum(n for message, n in errors.items() if "has no entry for bundle" in message) > 30
-        assert errors["settled"] > 150
+        uncovered = "SubsetTable must cover exactly the instance transactions"
+        assert sum(n for message, n in errors.items() if uncovered in message) == 120
+        # every changed profile settles
+        assert errors["settled"] == 120
 
     def test_in_place_edits_are_seen_and_outcomes_do_not_share_the_memo(self):
         rng = random.Random(6021)
