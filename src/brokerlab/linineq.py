@@ -30,10 +30,13 @@ more than ``MAX_FM_ROWS`` rows is refused with ``InstanceTooLarge``.
 Also provided: enumeration of the feasible sign cells of a hyperplane
 arrangement restricted to a base system, used to split price space by
 willingness and participation predicates.  The walk re-tests the parent
-cell's witness before re-running elimination, which keeps the work close to
-one elimination per emitted cell.  Each witness is scaled to integers over
-a common denominator once, when ``find_point`` returns it, so a test
-against a hyperplane is one integer dot product of its primitive row.
+cell's witness before re-running elimination, so a branch that the witness
+already satisfies costs no elimination, and an optional caller hook can skip
+a branch, and every cell below it, before either test: a caller that needs
+only a few extremes over the cells stops walking where none can change.
+Each witness is scaled to integers over a common denominator once, when
+``find_point`` returns it, so a test against a hyperplane is one integer
+dot product of its primitive row.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InstanceTooLarge
 from .rationals import ZERO
@@ -277,29 +280,51 @@ def enumerate_cells(
     base: Sequence[Constraint],
     hyperplanes: Sequence[Constraint],
     n_vars: int,
+    prune: Callable[[int, int], bool] | None = None,
 ) -> Iterator[tuple[tuple[bool, ...], tuple[Fraction, ...]]]:
     """Feasible sign vectors of the arrangement, with a witness point each.
 
     Each hyperplane is given by its TRUE side; FALSE is its complement.
-    Branches depth-first over the hyperplanes, pruning branches whose
-    accumulated system is infeasible, so the work is proportional to the
-    number of non-empty cells rather than 2^len(hyperplanes).
+    Branches depth-first over the hyperplanes, TRUE first, dropping branches
+    whose accumulated system is infeasible, so the walk makes at most two
+    eliminations per non-empty partial cell rather than 2^len(hyperplanes).
+
+    ``prune(decided, true_bits)``, when given, is asked about each branch
+    before its system is tested: ``decided`` hyperplanes are fixed once the
+    branch's sign is set, and bit i of ``true_bits`` is set when hyperplane
+    i < decided is on its TRUE side.  A branch it answers true for is
+    skipped with every cell below it.  Both branches of a node start from
+    the parent's witness, so a skipped branch moves no other cell's witness,
+    and the cells left are emitted in the same order with the same points.
+    It runs between yields, so it may read what the caller learnt from the
+    cells emitted so far.
     """
     root = find_point(base, n_vars)
     if root is None:
         return
 
-    branches = [((True, h), (False, h.complement())) for h in hyperplanes]
+    # each branch: its sign, its side, and its bit in the TRUE mask
+    branches = [
+        ((True, h, 1 << i), (False, h.complement(), 0)) for i, h in enumerate(hyperplanes)
+    ]
     stack: list[Constraint] = list(base)
     signs: list[bool] = []
 
     # a witness travels with its integer image, made once per find_point
     # result, so each hyperplane test is one integer dot product
-    def walk(index: int, witness: tuple[Fraction, ...], image: tuple[tuple[int, ...], int]):
+    def walk(
+        index: int,
+        true_bits: int,
+        witness: tuple[Fraction, ...],
+        image: tuple[tuple[int, ...], int],
+    ):
         if index == len(hyperplanes):
             yield (tuple(signs), witness)
             return
-        for sign, constraint in branches[index]:
+        for sign, constraint, bit in branches[index]:
+            bits = true_bits | bit
+            if prune is not None and prune(index + 1, bits):
+                continue
             if _holds(constraint._row, *image):
                 next_witness, next_image = witness, image
             else:
@@ -309,12 +334,12 @@ def enumerate_cells(
                 next_image = _scaled(next_witness)
             stack.append(constraint)
             signs.append(sign)
-            yield from walk(index + 1, next_witness, next_image)
+            yield from walk(index + 1, bits, next_witness, next_image)
             stack.pop()
             signs.pop()
 
     try:
-        yield from walk(0, root, _scaled(root))
+        yield from walk(0, 0, root, _scaled(root))
     finally:
         # ``walk`` holds itself through its closure cell: release it, so a
         # finished or abandoned walk frees its lists without a cyclic collection

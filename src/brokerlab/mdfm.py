@@ -11,9 +11,11 @@ cells of the price-space arrangement cut by two predicate families:
 *willingness* (g(t) . p <= v_t) and *participation* (a node's fee income on
 its bundle covers the bundle's cost).  A cell is its sign vector, and its
 admissible pool is every valid allocation whose mask of needed TRUE sides
-lies inside the cell's.  One list of cells serves INC, FEE and ORA: each pool
-is filtered once and each cell keeps its pool's best member, the first in
-canonical order; ORA is the best of those, ties to canonical order.  Surplus
+lies inside the cell's.  One walk serves INC, FEE and ORA: each pool is
+filtered once, INC and FEE keep the first cell of their best value, and ORA
+is the best of the cells' best members, ties to canonical order.  No
+benchmark of a cell exceeds its pool's best welfare, so the walk skips each
+subtree whose admissible allocations cannot beat a running value.  Surplus
 equals allocation welfare because base-fee payments are internal transfers,
 which holds only when each transaction runs on at most one node, so markets
 whose valid set places a transaction on several nodes are refused.  Within a
@@ -41,6 +43,7 @@ so a node whose cost exceeds its fee income drops out.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -324,7 +327,7 @@ class BenchmarkResult:
 
 
 def run_benchmarks(market: ResourceMarket, cap: int = DEFAULT_ENUM_CAP) -> BenchmarkResult:
-    """OPT, INC, FEE and ORA in one pass over one list of price cells.
+    """OPT, INC, FEE and ORA in one branch-and-bound walk over the price cells.
 
     Within a cell, a sign vector, the admissible pool (each allocation whose
     mask lies inside the cell's TRUE side) is fixed, so each benchmark's
@@ -342,6 +345,18 @@ def run_benchmarks(market: ResourceMarket, cap: int = DEFAULT_ENUM_CAP) -> Bench
       in canonical order).  Its witness is the canonically first of those
       of that welfare, with a price solving its own system.
 
+    The values are kept as the walk goes: INC and FEE move only on a
+    strictly better cell, so each keeps the first cell of its value, and ORA
+    on a better best member or an equal one earlier in canonical order.
+    Below a walk node a cell's pool holds only allocations needing no side
+    decided FALSE there, and none of a cell's benchmarks exceeds its pool's
+    best welfare.  So once a cell is in, a branch is skipped, before its
+    system is solved, when none of its admissible allocations is worth more
+    than the lower of INC and FEE (ORA is never below either), or as much
+    as ORA and canonically before ORA's witness: no cell below it could move
+    a value or a witness, and the cells still visited keep their witness
+    prices.
+
     Raises MalformedInput when a valid allocation places a transaction on
     several nodes, where posted prices pay every node the full fee, and
     InstanceTooLarge when the market exceeds the benchmark caps
@@ -358,21 +373,42 @@ def run_benchmarks(market: ResourceMarket, cap: int = DEFAULT_ENUM_CAP) -> Bench
         raise InstanceTooLarge(f"run_benchmarks: {d} dimensions, cap is {MAX_BENCHMARK_DIMS}")
     exact = d == 1
     infos, hyperplanes, index, scales, den = _prepare(market, cap)
-    opt_info = max(infos, key=lambda info: info.welfare_num)
-    # (signs, witness, worst maximal member, worst fee-maximal member, best
-    # member) per cell; every pool holds the empty allocation, and max()
-    # keeps the first cell, and the first member, that attains the best.
-    # All welfare is ranked by its integer over one denominator.
-    cells = []
-    for signs, witness in enumerate_cells(nonneg_orthant(d), hyperplanes, d):
+    # the members by welfare, ties in canonical order: OPT is the first, a
+    # cell's best member is the first of its pool, and ORA is the lowest
+    # rank of those.  INC and FEE are (signs, witness, member) of the first
+    # cell of their best value, the one max() over a list of cells keeps.
+    ranked = sorted(infos, key=lambda info: -info.welfare_num)
+    opt_info = ranked[0]
+    inc = fee = None
+    ora = len(ranked)
+    # the members that could still move a value: a cell's benchmarks are
+    # members of its pool, so a subtree whose cells admit none is skipped.
+    # Before the first cell every member is one, and the empty allocation
+    # is in every pool.
+    contenders = ranked
+
+    def prune(decided: int, true_bits: int) -> bool:
+        # a cell below admits a member only if it needs no side decided FALSE
+        false_bits = ((1 << decided) - 1) & ~true_bits
+        return all(info.mask & false_bits for info in contenders)
+
+    for signs, witness in enumerate_cells(nonneg_orthant(d), hyperplanes, d, prune):
         true = sum(1 << i for i, sign in enumerate(signs) if sign)
         pool = [info for info in infos if info.mask & true == info.mask]
         worst = min(_maximal_infos(pool), key=lambda info: info.welfare_num)
-        best = max(pool, key=lambda info: info.welfare_num)
-        cells.append((signs, witness, worst, _fee_at_price(pool, witness, scales), best))
-    inc_signs, inc_price, inc_info, _, _ = max(cells, key=lambda cell: cell[2].welfare_num)
-    fee_signs, fee_price, _, fee_info, _ = max(cells, key=lambda cell: cell[3].welfare_num)
-    ora_info = min((cell[4] for cell in cells), key=lambda i: (-i.welfare_num, i.allocation))
+        if inc is None or worst.welfare_num > inc[2].welfare_num:
+            inc = (signs, witness, worst)
+        fee_max = _fee_at_price(pool, witness, scales)
+        if fee is None or fee_max.welfare_num > fee[2].welfare_num:
+            fee = (signs, witness, fee_max)
+        ora = min(ora, next(r for r, info in enumerate(ranked) if info.mask & true == info.mask))
+        # members above the lower of INC and FEE, and those ranked before ORA
+        floor = min(inc[2].welfare_num, fee[2].welfare_num)
+        above = bisect_left(ranked, -floor, key=lambda info: -info.welfare_num)
+        contenders = ranked[: max(above, ora)]
+    inc_signs, inc_price, inc_info = inc
+    fee_signs, fee_price, fee_info = fee
+    ora_info = ranked[ora]
     ora_price = find_point(nonneg_orthant(d) + [hyperplanes[i] for i in ora_info.rows], d)
     opt_value, inc_value, fee_value, ora_value = (
         Fraction(info.welfare_num, den) for info in (opt_info, inc_info, fee_info, ora_info)

@@ -50,7 +50,17 @@ from brokerlab.errors import (
 )
 from brokerlab.cli import _figure1_proposals
 from brokerlab.linineq import Constraint, enumerate_cells, find_point, nonneg_orthant
-from brokerlab.mdfm import ResourceMarket, collusion_example_instance, run_benchmarks
+from brokerlab.mdfm import (
+    BenchmarkResult,
+    BenchmarkWitness,
+    ResourceMarket,
+    _fee_at_price,
+    _maximal_infos,
+    _prepare,
+    _willing,
+    collusion_example_instance,
+    run_benchmarks,
+)
 from brokerlab.mechanism import (
     MechanismOutcome,
     Proposal,
@@ -646,6 +656,50 @@ def ora_by_allocation(
             best = (value, allocation, point)
     assert best is not None  # the empty allocation is always attainable
     return best
+
+
+def run_benchmarks_reference(
+    market: ResourceMarket, cap: int = DEFAULT_ENUM_CAP
+) -> BenchmarkResult:
+    """``run_benchmarks`` before its walk was pruned: every cell of the
+    arrangement is walked and kept in one list, INC and FEE are the first
+    cells of the highest worst member (``max``), and ORA is the best of the
+    cells' best members, ties to canonical order.  ``cap`` reaches
+    ``_prepare``; the transaction and dimension caps are not repeated."""
+    d = market.dimensions
+    infos, hyperplanes, index, scales, den = _prepare(market, cap)
+    opt_info = max(infos, key=lambda info: info.welfare_num)
+    cells = []
+    for signs, witness in enumerate_cells(nonneg_orthant(d), hyperplanes, d):
+        true = sum(1 << i for i, sign in enumerate(signs) if sign)
+        pool = [info for info in infos if info.mask & true == info.mask]
+        worst = min(_maximal_infos(pool), key=lambda info: info.welfare_num)
+        best = max(pool, key=lambda info: info.welfare_num)
+        cells.append((signs, witness, worst, _fee_at_price(pool, witness, scales), best))
+    inc_signs, inc_price, inc_info, _, _ = max(cells, key=lambda cell: cell[2].welfare_num)
+    fee_signs, fee_price, _, fee_info, _ = max(cells, key=lambda cell: cell[3].welfare_num)
+    ora_info = min((cell[4] for cell in cells), key=lambda i: (-i.welfare_num, i.allocation))
+    ora_price = find_point(nonneg_orthant(d) + [hyperplanes[i] for i in ora_info.rows], d)
+    opt_value, inc_value, fee_value, ora_value = (
+        Fraction(info.welfare_num, den) for info in (opt_info, inc_info, fee_info, ora_info)
+    )
+    exact = d == 1
+    return BenchmarkResult(
+        opt=opt_value,
+        inc=inc_value,
+        fee=fee_value,
+        fee_exact=exact,
+        ora=ora_value,
+        witnesses={
+            "opt": BenchmarkWitness(opt_info.allocation, None, None),
+            "inc": BenchmarkWitness(
+                inc_info.allocation, inc_price, _willing(market, index, inc_signs)
+            ),
+            "fee": BenchmarkWitness(None, fee_price, _willing(market, index, fee_signs)),
+            "ora": BenchmarkWitness(ora_info.allocation, ora_price, None),
+        },
+        hierarchy_ok=inc_value <= fee_value <= ora_value <= opt_value if exact else None,
+    )
 
 
 # ---------------------------------------------------------------------------

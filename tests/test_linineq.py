@@ -251,6 +251,56 @@ class TestAgainstFractionElimination:
             cells += len(got)
         assert cells > 600
 
+    def test_pruned_walk_drops_exactly_the_skipped_subtrees(self):
+        # a skipped branch takes every cell below it and moves no other
+        # cell's witness; the hook hears each branch once, in walk order
+        rng = random.Random(36)
+        cells = dropped = 0
+        for _ in range(300):
+            n = rng.randint(1, 3)
+            base = nonneg_orthant(n) + random_linear_system(rng, n, max_rows=2)
+            hyperplanes = [
+                Constraint(
+                    tuple(frac(rng, -3, 3, (1, 2, 3)) for _ in range(n)),
+                    frac(rng, -2, 6, (1, 2)),
+                )
+                for _ in range(rng.randint(1, 6))
+            ]
+            full = list(enumerate_cells(base, hyperplanes, n))
+            verdicts: dict[tuple[int, int], bool] = {}
+
+            def prune(decided, true_bits):
+                assert (decided, true_bits) not in verdicts
+                verdicts[decided, true_bits] = rng.random() < 0.2
+                return verdicts[decided, true_bits]
+
+            got = list(enumerate_cells(base, hyperplanes, n, prune))
+
+            def kept(signs):
+                bits = sum(1 << i for i, sign in enumerate(signs) if sign)
+                # every prefix of a kept cell was asked about, and none skipped
+                return not any(
+                    verdicts[k, bits & ((1 << k) - 1)] for k in range(1, len(signs) + 1)
+                )
+
+            assert got == [cell for cell in full if kept(cell[0])]
+            cells += len(got)
+            dropped += len(full) - len(got)
+        assert cells > 300 and dropped > 300
+
+    def test_a_skipped_branch_costs_no_elimination(self, monkeypatch):
+        calls = []
+        real = linineq.find_point
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(linineq, "find_point", counted)
+        hyperplanes = [Constraint((F(1), F(-1)), F(0)), Constraint((F(0), F(1)), F(1))]
+        assert list(enumerate_cells(nonneg_orthant(2), hyperplanes, 2, lambda *_: True)) == []
+        assert len(calls) == 1  # the root's point only
+
     @staticmethod
     def with_duplicates(rng, rows):
         """rows with positive multiples of some of them inserted after their

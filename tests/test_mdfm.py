@@ -1,12 +1,14 @@
+import importlib.util
 import json
 import random
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from brokerlab.core import Allocation, LinearResources, NodeSpec, TransactionSpec, Zero, welfare
-from brokerlab import mdfm, validity
+from brokerlab import linineq, mdfm, validity
 from brokerlab.errors import InstanceTooLarge, MalformedInput
 from brokerlab.linineq import enumerate_cells, find_point, nonneg_orthant
 from brokerlab.scenario import allocation_to_json, parse_scenario
@@ -32,6 +34,7 @@ from helpers import (
     ora_by_allocation,
     pools_at_price,
     random_resource_market,
+    run_benchmarks_reference,
     sweep_benchmarks,
     willingness_patterns,
 )
@@ -48,6 +51,24 @@ X4720 = """{"kind": "resource_market", "dimensions": 4, "single_assignment": tru
  "nodes": [
   {"id": "n1", "capacity": [2, 4, 2, 5], "unit_costs": ["1/2", 1, 0, 0]},
   {"id": "n2", "capacity": [6, 7, 4, 7], "unit_costs": [0, 0, 0, 1]}]}"""
+
+X3521 = """{"kind": "resource_market", "dimensions": 3, "single_assignment": true,
+ "transactions": [
+  {"id": "t1", "value": "1/2", "resources": ["5/2", "3/2", "5/2"]},
+  {"id": "t2", "value": 6, "resources": [1, 2, "3/2"]},
+  {"id": "t3", "value": 2, "resources": ["3/2", "3/2", 2]},
+  {"id": "t4", "value": "5/2", "resources": [1, 2, "5/2"]},
+  {"id": "t5", "value": 1, "resources": ["1/2", 1, "5/2"]}],
+ "nodes": [
+  {"id": "n1", "capacity": [4, 3, 8], "unit_costs": ["1/2", 0, 1]},
+  {"id": "n2", "capacity": [4, 7, 7], "unit_costs": ["1/2", 2, 1]}]}"""
+
+# perfbench's seeded scenario generators, read as a module of plain functions
+_GEN_SPEC = importlib.util.spec_from_file_location(
+    "perfbench_gen", Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+)
+perfbench_gen = importlib.util.module_from_spec(_GEN_SPEC)
+_GEN_SPEC.loader.exec_module(perfbench_gen)
 
 
 class TestBaseFee:
@@ -152,6 +173,71 @@ class TestFeasiblePatterns:
         with pytest.raises(InstanceTooLarge, match=r"find_point: elimination reached \d+ rows, cap is 16384"):
             run_benchmarks(scenario.market)
         assert time.perf_counter() - start < 2
+
+
+class TestPrunedWalk:
+    """``run_benchmarks`` skips each subtree of the cell walk that cannot
+    move INC, FEE or ORA; the unpruned pass it replaced is the oracle."""
+
+    def test_pruned_pass_matches_the_unpruned_reference(self):
+        markets = [
+            parse_scenario(scenario).market
+            for seed in (1, 2, 3)
+            for _, scenario, _ in perfbench_gen.price_benchmarks(seed, 2000)
+        ]
+        markets += [inclusion_gap_market(d) for d in range(3, 9)]
+        markets += [fee_gap_market(k) for k in range(2, 13)]
+        markets += [oracle_gap_market(k, [F(v) for v in range(1, k + 1)]) for k in (2, 3, 4)]
+        # d = 3 tail markets whose unpruned walk stays under a second
+        # (tail1 takes seconds); 19, 23 and 24 have a benchmark below OPT
+        markets += [
+            parse_scenario(
+                perfbench_gen.random_resource_market(random.Random(f"tail{i}"), 3, 5, 2, i)
+            ).market
+            for i in (0, *range(2, 12), 19, 23, 24)
+        ]
+        below_opt = 0
+        for market in markets:
+            result = run_benchmarks(market)
+            assert result == run_benchmarks_reference(market)
+            below_opt += min(result.inc, result.fee, result.ora) < result.opt
+        assert below_opt > 1000
+
+    def test_x3521_is_answered_in_a_few_dozen_eliminations(self, monkeypatch):
+        # perfbench/gen.py's random_resource_market(Random("x3521"), d=3,
+        # 5 txs, 2 nodes, slot 1): unpruned, its walk makes 4,391
+        # find_point calls and takes tens of seconds, though all four
+        # benchmarks are 4
+        calls = []
+        real = linineq.find_point
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(linineq, "find_point", counted)
+        monkeypatch.setattr(mdfm, "find_point", counted)
+        market = parse_scenario(json.loads(X3521)).market
+        start = time.perf_counter()
+        result = run_benchmarks(market)
+        assert time.perf_counter() - start < 2
+        assert (result.opt, result.inc, result.fee, result.ora) == (4, 4, 4, 4)
+        assert len(calls) <= 100
+
+    def test_a_market_the_unpruned_walk_refuses_is_answered(self):
+        # perfbench/gen.py's random_resource_market(Random("tail22"), d=4,
+        # 5 txs, 2 nodes, slot 22): the unpruned walk reaches a level past
+        # MAX_FM_ROWS; pruned, it never builds that system
+        scenario = perfbench_gen.random_resource_market(random.Random("tail22"), 4, 5, 2, 22)
+        market = parse_scenario(scenario).market
+        with pytest.raises(InstanceTooLarge, match="cap is 16384"):
+            run_benchmarks_reference(market)
+        result = run_benchmarks(market)
+        assert (result.opt, result.inc, result.fee, result.ora) == (8, 8, 8, 8)
+        ora = result.witnesses["ora"]
+        instance = market.instance()
+        assert validity.is_valid(ora.allocation, instance.validity, instance)
+        assert all(holds(c, ora.price) for c in attainability_system(market, ora.allocation))
 
 
 class TestConstructions:
