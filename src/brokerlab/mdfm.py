@@ -157,7 +157,7 @@ def _usage(image: ResourceImage, txs: Iterable[str], d: int) -> tuple[int, ...]:
 
 def _arrangement(
     market: ResourceMarket,
-    participation: Mapping[tuple[str, frozenset[str]], Constraint],
+    participation: Mapping[tuple[str, tuple[str, ...]], Constraint],
 ) -> tuple[list[Constraint], dict[object, int]]:
     """The hyperplanes that cut price space, as TRUE sides, and each member's index.
 
@@ -173,12 +173,12 @@ def _arrangement(
     willingness: dict[Constraint, list[str]] = {}
     for t in market.transactions:
         willingness.setdefault(Constraint(t.resources, t.value), []).append(t.id)
-    groups_of: dict[Constraint, set[tuple[str, frozenset[str]]]] = {}
+    groups_of: dict[Constraint, set[tuple[str, tuple[str, ...]]]] = {}
     for member, side in participation.items():
         groups_of.setdefault(side, set()).add(member)
     groups: list[tuple[Constraint, Iterable[object]]] = [
         *sorted(willingness.items(), key=lambda kv: sorted(kv[1])),
-        *sorted(groups_of.items(), key=lambda kv: sorted((n, sorted(b)) for n, b in kv[1])),
+        *sorted(groups_of.items(), key=lambda kv: sorted(kv[1])),
     ]
     hyperplanes = [h for h, _ in groups]
     index = {member: i for i, (_, members) in enumerate(groups) for member in members}
@@ -233,12 +233,14 @@ def _prepare(
     row_factors = [row_scale // s * den for s in image.scales]
     bits = {tx: 1 << i for i, tx in enumerate(instance.tx_ids)}
     # each (node, bundle) pair's cost over den, and each costly one's TRUE side
-    costs: dict[tuple[str, frozenset[str]], int] = {}
-    participation: dict[tuple[str, frozenset[str]], Constraint] = {}
+    costs: dict[tuple[str, tuple[str, ...]], int] = {}
+    participation: dict[tuple[str, tuple[str, ...]], Constraint] = {}
     infos = []
     for allocation in allocations:
-        # the rows' members: the transactions, sorted, then the costly pairs
+        # the rows' members: the transactions, sorted, then the costly pairs,
+        # each bundle a tuple of ids, sorted as the canonical pairs are
         members = []
+        bundles: dict[str, list[str]] = {}
         for tx, nodes in allocation.pairs:
             if len(nodes) > 1:
                 raise MalformedInput(
@@ -246,13 +248,14 @@ def _prepare(
                     f"allocation places {tx!r} on {len(nodes)} nodes; set single_assignment"
                 )
             members.append(tx)
+            bundles.setdefault(nodes[0], []).append(tx)
         value = sum(values[tx] for tx in members)
         txs = sum(bits[tx] for tx in members)
         fee_vector = _usage(image, members, d)
-        for pair in allocation.bundles:
+        for node, bundle in sorted(bundles.items()):
+            pair = (node, tuple(bundle))
             cost = costs.get(pair)
             if cost is None:
-                node, bundle = pair
                 cost = 0
                 if node in weights:
                     usage = _usage(image, bundle, d)

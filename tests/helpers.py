@@ -7,6 +7,7 @@ from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm, prod
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from brokerlab.core import (
@@ -54,9 +55,12 @@ from brokerlab.mdfm import (
     BenchmarkResult,
     BenchmarkWitness,
     ResourceMarket,
+    _AllocationInfo,
     _fee_at_price,
     _maximal_infos,
+    _over,
     _prepare,
+    _usage,
     _willing,
     collusion_example_instance,
     run_benchmarks,
@@ -656,6 +660,94 @@ def ora_by_allocation(
             best = (value, allocation, point)
     assert best is not None  # the empty allocation is always attainable
     return best
+
+
+def _arrangement_reference(
+    market: ResourceMarket, participation: dict[tuple[str, frozenset[str]], Constraint]
+) -> tuple[list[Constraint], dict[object, int]]:
+    """``mdfm._arrangement`` as it was while participation keys were
+    ``(node, frozenset)``: groups of costly pairs sort by their members with
+    each bundle written as a sorted list."""
+    willingness: dict[Constraint, list[str]] = {}
+    for t in market.transactions:
+        willingness.setdefault(Constraint(t.resources, t.value), []).append(t.id)
+    groups_of: dict[Constraint, set[tuple[str, frozenset[str]]]] = {}
+    for member, side in participation.items():
+        groups_of.setdefault(side, set()).add(member)
+    groups = [
+        *sorted(willingness.items(), key=lambda kv: sorted(kv[1])),
+        *sorted(groups_of.items(), key=lambda kv: sorted((n, sorted(b)) for n, b in kv[1])),
+    ]
+    hyperplanes = [h for h, _ in groups]
+    index = {member: i for i, (_, members) in enumerate(groups) for member in members}
+    if market.dimensions == 1:
+        hyperplanes.append(Constraint((Fraction(1),), ZERO))
+    return hyperplanes, index
+
+
+def prepare_reference(
+    market: ResourceMarket, cap: int = DEFAULT_ENUM_CAP
+) -> tuple[list[_AllocationInfo], list[Constraint], dict[object, int], tuple[int, ...], int]:
+    """``mdfm._prepare`` as it was before it read each allocation from its
+    pairs alone: each costly ``(node, bundle)`` member comes from
+    ``Allocation.bundles``, a ``frozenset`` per node, and its usage is
+    summed again per bundle."""
+    instance = market.instance()
+    d = market.dimensions
+    allocations = enumerate_valid(instance, cap=cap)
+    image = instance.resource_image
+    unit_costs = {
+        n.id: [Fraction(c, s) for c, s in zip(n.cost.unit_costs, image.scales)]
+        for n in market.nodes
+        if isinstance(n.cost, LinearResources)
+    }
+    den = lcm(
+        *(t.value.denominator for t in market.transactions),
+        *(c.denominator for costs in unit_costs.values() for c in costs),
+    )
+    values = {t.id: _over(den, t.value) for t in market.transactions}
+    weights = {n: [_over(den, c) for c in costs] for n, costs in unit_costs.items()}
+    row_scale = lcm(*image.scales)
+    row_factors = [row_scale // s * den for s in image.scales]
+    bits = {tx: 1 << i for i, tx in enumerate(instance.tx_ids)}
+    costs: dict[tuple[str, frozenset[str]], int] = {}
+    participation: dict[tuple[str, frozenset[str]], Constraint] = {}
+    infos = []
+    for allocation in allocations:
+        members = []
+        for tx, nodes in allocation.pairs:
+            if len(nodes) > 1:
+                raise MalformedInput(
+                    f"benchmarks need each transaction on at most one node, but a valid "
+                    f"allocation places {tx!r} on {len(nodes)} nodes; set single_assignment"
+                )
+            members.append(tx)
+        value = sum(values[tx] for tx in members)
+        txs = sum(bits[tx] for tx in members)
+        fee_vector = _usage(image, members, d)
+        for pair in allocation.bundles:
+            cost = costs.get(pair)
+            if cost is None:
+                node, bundle = pair
+                cost = 0
+                if node in weights:
+                    usage = _usage(image, bundle, d)
+                    cost = sum(map(mul, usage, weights[node]))
+                    if cost:
+                        coeffs = tuple(-g * f for g, f in zip(usage, row_factors))
+                        participation[pair] = Constraint(coeffs, -cost * row_scale)
+                costs[pair] = cost
+            if cost:
+                value -= cost
+                members.append(pair)
+        infos.append((allocation, value, txs, fee_vector, members))
+    hyperplanes, index = _arrangement_reference(market, participation)
+    prepared = []
+    for allocation, value, txs, fee_vector, members in infos:
+        rows = tuple(index[member] for member in members)
+        mask = sum(1 << i for i in set(rows))
+        prepared.append(_AllocationInfo(allocation, value, txs, fee_vector, rows, mask))
+    return prepared, hyperplanes, index, image.scales, den
 
 
 def run_benchmarks_reference(

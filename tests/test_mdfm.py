@@ -7,7 +7,15 @@ from pathlib import Path
 
 import pytest
 
-from brokerlab.core import Allocation, LinearResources, NodeSpec, TransactionSpec, Zero, welfare
+from brokerlab.core import (
+    EMPTY_ALLOCATION,
+    Allocation,
+    LinearResources,
+    NodeSpec,
+    TransactionSpec,
+    Zero,
+    welfare,
+)
 from brokerlab import linineq, mdfm, validity
 from brokerlab.errors import InstanceTooLarge, MalformedInput
 from brokerlab.linineq import enumerate_cells, find_point, nonneg_orthant
@@ -33,6 +41,7 @@ from helpers import (
     opt_benchmark,
     ora_by_allocation,
     pools_at_price,
+    prepare_reference,
     random_resource_market,
     run_benchmarks_reference,
     sweep_benchmarks,
@@ -557,6 +566,51 @@ class TestIntegerImage:
         assert cells > 100
         assert len(searched) == len(markets)
         assert all(i is m.instance() for i, m in zip(searched, markets))
+
+
+class TestPrepareFromPairs:
+    """``_prepare`` reads each valid allocation from its canonical pairs in
+    one scan; the version that read ``Allocation.bundles`` is the oracle."""
+
+    def test_prepare_matches_the_bundle_view_reference(self):
+        markets = [
+            parse_scenario(scenario).market
+            for _, scenario, _ in perfbench_gen.price_benchmarks(1, 2000)
+        ]
+        markets += [inclusion_gap_market(d) for d in range(3, 9)]
+        markets += [fee_gap_market(k) for k in range(2, 13)]
+        markets += [oracle_gap_market(k, [F(v) for v in range(1, k + 1)]) for k in (2, 3, 4)]
+        rng = random.Random(71)
+        markets += [mixed_denominator_market(rng, d) for d in (2, 3) for _ in range(100)]
+        costly = 0
+        for market in markets:
+            infos, hyperplanes, index, scales, den = mdfm._prepare(market)
+            ref_infos, ref_hyperplanes, ref_index, ref_scales, ref_den = prepare_reference(market)
+            assert infos == ref_infos
+            assert (hyperplanes, scales, den) == (ref_hyperplanes, ref_scales, ref_den)
+            assert index == {
+                key if isinstance(key, str) else (key[0], tuple(sorted(key[1]))): i
+                for key, i in ref_index.items()
+            }
+            costly += any(not isinstance(key, str) for key in index)
+        assert costly > 500
+
+    def test_a_benchmark_run_caches_no_bundle_view(self):
+        markets = [inclusion_gap_market(4), fee_gap_market(6)]
+        markets.append(oracle_gap_market(3, [F(1), F(2), F(3)]))
+        markets += [
+            parse_scenario(
+                perfbench_gen.random_resource_market(random.Random(f"x{i}"), 2, 4, 2, i)
+            ).market
+            for i in range(3)
+        ]
+        for market in markets:
+            run_benchmarks(market)
+            # every search starts from the shared EMPTY_ALLOCATION, whose
+            # view any earlier caller may have cached
+            allocations = enumerate_valid(market.instance())[1:]
+            assert allocations and allocations[0] is not EMPTY_ALLOCATION
+            assert not any("_inverse" in vars(a) for a in allocations)
 
 
 class TestAssignment:
