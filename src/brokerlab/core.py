@@ -5,10 +5,10 @@ Transactions (demand side) carry a valuation for being executed; nodes
 pairs an allocation with payment rules for both sides.  All quantities are
 exact rationals and every function here is pure.
 
-A node's cost, as its type or as its report, must be a cost over the
-market's transactions (``coverage_fault``).  ``require_cost_over`` applies
-that rule wherever a cost enters: a ``MarketInstance``'s nodes,
-``validate_reports`` and ``ReportProfile.replace_node``.
+``MarketInstance.validate_reports`` is the one report rule: it checks a
+profile once, naming its first fault in canonical agent order, and returns
+its report objects in that order.  A node's cost, as its type or as its
+report, is held to one coverage rule, ``cost_fault``, wherever it enters.
 
 Canonical orders used for tie-breaking throughout the package:
 
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import TYPE_CHECKING, ItemsView, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, ItemsView, Iterable, Mapping
 
 from .errors import MalformedInput
 from .rationals import ZERO
@@ -32,11 +32,29 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .validity import ValiditySpec
 
 
-def _require_nonneg(x: Fraction, what: str) -> Fraction:
+def _number_fault(x: object) -> str | None:
+    """What keeps ``x`` from being a non-negative ``int`` or ``Fraction`` (a
+    ``bool`` is none, as in JSON; a subclass is one), worded to follow its
+    name, or None.  The exact types pass the first test."""
+    if (type(x) is Fraction or type(x) is int) and x.numerator >= 0:
+        return None
     if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
-        raise MalformedInput(f"{what} must be an int or a Fraction, got {x!r}")
-    if x < 0:
-        raise MalformedInput(f"{what} must be non-negative, got {x}")
+        return f" must be an int or a Fraction, got {x!r}"
+    return f" must be non-negative, got {x}" if x < 0 else None
+
+
+def _refuse(named: Iterable[tuple[str, object]], fault_of: Callable, what: str) -> None:
+    """Refuse the first ``(id, x)`` of ``named`` in which ``fault_of`` finds
+    a fault, as ``what`` and the id; only that fault is formatted."""
+    for name, x in named:
+        fault = fault_of(x)
+        if fault is not None:
+            raise MalformedInput(f"{what} {name!r}{fault}")
+
+
+def _require_nonneg(x: Fraction, what: str) -> Fraction:
+    if (fault := _number_fault(x)) is not None:
+        raise MalformedInput(what + fault)
     return x
 
 
@@ -59,12 +77,6 @@ class CostFunction:
         resources: Mapping[str, tuple[Fraction, ...]] | None = None,
     ) -> Fraction:
         raise NotImplementedError
-
-
-def _require_cost_function(cost: CostFunction, what: str) -> CostFunction:
-    if not isinstance(cost, CostFunction):
-        raise MalformedInput(f"{what} must be a cost function, got {cost!r}")
-    return cost
 
 
 @dataclass(frozen=True)
@@ -172,22 +184,26 @@ class SubsetTable(CostFunction):
         return value
 
 
-def coverage_fault(cost: CostFunction, tx_ids: frozenset[str]) -> str | None:
-    """Why ``cost`` is not a cost over the transactions ``tx_ids``, or None
-    when it is: a ``PerTransaction`` rate keyed by an id outside them, which
-    would be ignored, or a ``SubsetTable`` not over exactly them."""
+def cost_fault(cost: object, tx_ids: frozenset[str], resources: Mapping | None = None) -> str | None:
+    """What keeps ``cost`` from being a node's cost over the transactions
+    ``tx_ids``, worded to follow the node's name, or None: no
+    ``CostFunction``, a ``PerTransaction`` rate for another id (ignored), a
+    ``SubsetTable`` not over exactly them, or, given their ``resources``, a
+    ``LinearResources`` cost that cannot price one (``NodeCapacity``'s rule).
+    A ``ReportProfile`` has no resource vectors to give."""
+    if not isinstance(cost, CostFunction):
+        return f" must be a cost function, got {cost!r}"
     if isinstance(cost, PerTransaction) and not tx_ids.issuperset(cost.rates):
-        return f"PerTransaction rates for unknown transactions {sorted(set(cost.rates) - tx_ids)}"
+        return f": PerTransaction rates for unknown transactions {sorted(set(cost.rates) - tx_ids)}"
     if isinstance(cost, SubsetTable) and cost.transactions != tx_ids:
-        return "SubsetTable must cover exactly the instance transactions"
+        return ": SubsetTable must cover exactly the instance transactions"
+    if isinstance(cost, LinearResources) and resources is not None:
+        d = len(cost.unit_costs)
+        for tx in sorted(tx_ids):
+            usage = resources.get(tx)
+            if usage is None or len(usage) != d:
+                return f": LinearResources cost needs a resource vector of length {d} for {tx!r}"
     return None
-
-
-def require_cost_over(cost: CostFunction, tx_ids: Iterable[str], where: str) -> None:
-    """Refuse ``cost`` at ``where`` when it has a ``coverage_fault`` over ``tx_ids``."""
-    fault = coverage_fault(cost, frozenset(tx_ids))
-    if fault is not None:
-        raise MalformedInput(f"{where}: {fault}")
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +338,8 @@ class ReportProfile:
     def replace_node(self, node: str, cost: CostFunction) -> "ReportProfile":
         if node not in self.node_reports:
             raise MalformedInput(f"unknown node {node!r} in report profile")
-        where = f"report of {node!r}"
-        require_cost_over(_require_cost_function(cost, where), self.tx_reports, where)
+        if (fault := cost_fault(cost, frozenset(self.tx_reports))) is not None:
+            raise MalformedInput(f"report of {node!r}{fault}")
         updated = dict(self.node_reports)
         updated[node] = cost
         return ReportProfile(self.tx_reports, updated)
@@ -363,8 +379,7 @@ class MarketInstance:
         ids = [t.id for t in self.transactions] + [n.id for n in self.nodes]
         if len(set(ids)) != len(ids):
             raise MalformedInput("agent ids must be unique across transactions and nodes")
-        for node in self.nodes:
-            require_cost_over(node.cost, self.tx_ids, f"node {node.id!r}")
+        _refuse(((n.id, n.cost) for n in self.nodes), self.cost_fault, "node")
 
     @cached_property
     def tx_ids(self) -> tuple[str, ...]:
@@ -377,6 +392,14 @@ class MarketInstance:
     @cached_property
     def node_ids(self) -> tuple[str, ...]:
         return tuple(sorted(n.id for n in self.nodes))
+
+    @cached_property
+    def node_set(self) -> frozenset[str]:
+        return frozenset(self.node_ids)
+
+    def cost_fault(self, cost: object) -> str | None:
+        """``core.cost_fault`` over this market's transactions and their vectors."""
+        return cost_fault(cost, self.tx_set, self.resources)
 
     @cached_property
     def agent_ids(self) -> tuple[str, ...]:
@@ -451,35 +474,37 @@ class MarketInstance:
 
     def validate_routing(self, routing: Routing) -> None:
         """Check payment totality, non-negativity, and id hygiene."""
-        if set(routing.tx_payments) != set(self.tx_ids):
+        if routing.tx_payments.keys() != self.tx_set:
             raise MalformedInput("transaction payment rule must be total over the instance")
-        if set(routing.node_payments) != set(self.node_ids):
+        if routing.node_payments.keys() != self.node_set:
             raise MalformedInput("node payment rule must be total over the instance")
-        for tx, p in routing.tx_payments.items():
-            _require_nonneg(p, f"payment of {tx!r}")
-        for n, p in routing.node_payments.items():
-            _require_nonneg(p, f"payment to {n!r}")
+        _refuse(routing.tx_payments.items(), _number_fault, "payment of")
+        _refuse(routing.node_payments.items(), _number_fault, "payment to")
         self.check_allocation_ids(routing.allocation)
 
     def check_allocation_ids(self, allocation: Allocation) -> None:
         """Refuse an allocation that names a transaction or node not in the market."""
-        unknown_txs = allocation.transactions - set(self.tx_ids)
-        unknown_nodes = allocation.nodes - set(self.node_ids)
+        unknown_txs = allocation.transactions - self.tx_set
+        unknown_nodes = allocation.nodes - self.node_set
         if unknown_txs or unknown_nodes:
             raise MalformedInput(
                 f"allocation references unknown ids {sorted(unknown_txs | unknown_nodes)}"
             )
 
-    def validate_reports(self, reports: ReportProfile) -> None:
-        if set(reports.tx_reports) != set(self.tx_ids):
+    def validate_reports(self, reports: ReportProfile) -> tuple:
+        """The profile's report objects in canonical agent order, once both
+        mappings are total, each value has no ``_number_fault`` and each cost
+        no ``cost_fault``; the first fault in that order is named."""
+        txs, nodes = reports.tx_reports, reports.node_reports
+        if txs.keys() != self.tx_set:
             raise MalformedInput("transaction reports must be total over the instance")
-        if set(reports.node_reports) != set(self.node_ids):
+        if nodes.keys() != self.node_set:
             raise MalformedInput("node reports must be total over the instance")
-        for tx, v in reports.tx_reports.items():
-            _require_nonneg(v, f"report of {tx!r}")
-        for node, cost in reports.node_reports.items():
-            where = f"report of {node!r}"
-            require_cost_over(_require_cost_function(cost, where), self.tx_set, where)
+        values = [txs[t] for t in self.tx_ids]
+        costs = [nodes[n] for n in self.node_ids]
+        _refuse(zip(self.tx_ids, values), _number_fault, "report of")
+        _refuse(zip(self.node_ids, costs), self.cost_fault, "report of")
+        return tuple(values + costs)
 
 
 # ---------------------------------------------------------------------------

@@ -33,10 +33,10 @@ transaction) or its payment (a node), set by the first settle.  Later
 settles compare the profile's report objects with the memo's by identity,
 so a report replaced, rebuilt equal or edited in place counts as changed,
 and rescore only the changed agents among those.  ``run`` checks the
-reports in one pass over their objects (a node report must be a cost over
-the market's transactions, ``core.coverage_fault``), reads the winner from
-``PreparedRound.leader``, the one winner rule (the best response and the
-truthfulness check read it too), and reads the signs of the winner's
+reports once, by the one report rule, ``MarketInstance.validate_reports``,
+which returns their objects in canonical agent order, reads the winner
+from ``PreparedRound.leader``, the one winner rule (the best response and
+the truthfulness check read it too), and reads the signs of the winner's
 utilities: the IR gate names the first negative one.
 
 ``Fraction``s are made only at the boundary, fresh on each read: the
@@ -62,7 +62,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping
 
-from .core import CostFunction, MarketInstance, ReportProfile, Routing, coverage_fault, margin
+from .core import MarketInstance, ReportProfile, Routing, margin
 from .errors import InvalidProposal, MalformedInput
 from .rationals import ZERO
 from .validity import ValiditySpec, is_valid
@@ -134,26 +134,13 @@ class _Terms:
 
 
 class _Settlement:
-    """One report profile settled against terms' memos.
-
-    ``reports`` holds the profile's report objects in canonical agent order.
-    A profile whose mappings are not total, with a transaction report that
-    is not a non-negative ``int`` or ``Fraction`` by exact type, or with a
-    node report that is not a ``CostFunction`` or has a ``coverage_fault``
-    over the market's transactions, goes to
-    ``MarketInstance.validate_reports``, which raises naming what is wrong
-    or accepts a subclass of either number type.
-    """
+    """One report profile, checked once, settled against terms' memos:
+    ``reports`` holds its report objects in canonical agent order, as
+    ``MarketInstance.validate_reports`` returns them."""
 
     def __init__(self, instance: MarketInstance, profile: ReportProfile):
         self.instance = instance
-        self.reports = reports = _report_objects(instance, profile)
-        n_txs, txs = len(instance.tx_ids), instance.tx_set
-        if reports is None or not (
-            all((type(v) is Fraction or type(v) is int) and v.numerator >= 0 for v in reports[:n_txs])
-            and all(isinstance(v, CostFunction) and not coverage_fault(v, txs) for v in reports[n_txs:])
-        ):
-            instance.validate_reports(profile)
+        self.reports = instance.validate_reports(profile)
 
     def settle(self, term: _Terms) -> None:
         """Settle ``term``'s memo at this profile: the utilities that read a
@@ -209,18 +196,6 @@ class _Settlement:
                 values[i] = utility
         term.at, term.den = new, den
         term.utilities, term.surplus = tuple(values), value
-
-
-def _report_objects(instance: MarketInstance, reports: ReportProfile) -> tuple | None:
-    """The profile's report objects in canonical agent order, or None when
-    its mappings are not total over the instance."""
-    txs, nodes = reports.tx_reports, reports.node_reports
-    if len(txs) != len(instance.tx_ids) or len(nodes) != len(instance.node_ids):
-        return None
-    try:
-        return tuple([txs[t] for t in instance.tx_ids] + [nodes[n] for n in instance.node_ids])
-    except KeyError:
-        return None
 
 
 @dataclass(frozen=True, eq=False)

@@ -33,7 +33,6 @@ from .core import (
     SubsetTable,
     TransactionSpec,
     Zero,
-    require_cost_over,
 )
 from .equilibrium import (
     DEFAULT_OTHERS_CAP,
@@ -338,7 +337,8 @@ def parse_reports(obj: Any, instance: MarketInstance, where: str) -> ReportProfi
         if node not in node_reports:
             raise MalformedInput(f"{where}.nodes[{node}]: unknown node")
         cost = parse_cost_function(fn, f"{where}.nodes[{node}]")
-        require_cost_over(cost, instance.tx_ids, f"{where}.nodes[{node}]")
+        if (fault := instance.cost_fault(cost)) is not None:
+            raise MalformedInput(f"{where}.nodes[{node}]{fault}")
         node_reports[node] = cost
     return ReportProfile(tx_reports, node_reports)
 

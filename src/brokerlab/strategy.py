@@ -166,8 +166,7 @@ def welfare_max_allocation(
 ) -> WelfareMax:
     """Argmax of reported welfare over the valid set, canonical tie-break."""
     allocations = enumerate_valid(instance, spec, cap)
-    objects = _Settlement(instance, reports).reports
-    return _welfare_max(instance, spec, reports, objects, allocations)[0]
+    return _welfare_max(instance, spec, reports, instance.validate_reports(reports), allocations)[0]
 
 
 def _welfare_max(
@@ -176,7 +175,7 @@ def _welfare_max(
 ) -> tuple[WelfareMax, _RebatePlan]:
     """``_welfare_argmax`` over ``allocations``, the valid set of ``(instance,
     spec)``, and the argmax's rebate plan at ``reports``, whose report
-    objects, checked by ``_Settlement``, are ``objects``.  Both are memoised
+    objects, checked by ``validate_reports``, are ``objects``.  Both are memoised
     on the market, freed with it, as one tuple replaced whole: ``(key,
     objects, argmax, plan)``, keyed by the spec (by identity, ``None`` read
     as the instance's own, as in ``enumerate_valid``; every cap that lets it

@@ -69,7 +69,6 @@ from brokerlab.mechanism import (
     MechanismOutcome,
     Proposal,
     RejectionReason,
-    _report_objects,
     _Settlement,
     _Terms,
     broker_utility,
@@ -1082,6 +1081,103 @@ def rebuilt_profile(profile: ReportProfile) -> ReportProfile:
     return rebuilt
 
 
+def validate_reports_reference(instance: MarketInstance, reports: ReportProfile) -> None:
+    """The report rule as ``MarketInstance.validate_reports`` held it while
+    it returned nothing: totality, then each mapping's reports in its
+    insertion order, so the first fault named is the mapping's first."""
+    if set(reports.tx_reports) != set(instance.tx_ids):
+        raise MalformedInput("transaction reports must be total over the instance")
+    if set(reports.node_reports) != set(instance.node_ids):
+        raise MalformedInput("node reports must be total over the instance")
+    for tx, v in reports.tx_reports.items():
+        if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+            raise MalformedInput(f"report of {tx!r} must be an int or a Fraction, got {v!r}")
+        if v < 0:
+            raise MalformedInput(f"report of {tx!r} must be non-negative, got {v}")
+    txs = instance.tx_set
+    for node, cost in reports.node_reports.items():
+        where = f"report of {node!r}"
+        if not isinstance(cost, CostFunction):
+            raise MalformedInput(f"{where} must be a cost function, got {cost!r}")
+        if isinstance(cost, PerTransaction) and not txs.issuperset(cost.rates):
+            unknown = sorted(set(cost.rates) - txs)
+            raise MalformedInput(f"{where}: PerTransaction rates for unknown transactions {unknown}")
+        if isinstance(cost, SubsetTable) and cost.transactions != txs:
+            raise MalformedInput(f"{where}: SubsetTable must cover exactly the instance transactions")
+
+
+class FractionSubclass(Fraction):
+    """A ``Fraction`` by ``isinstance`` but not by exact type."""
+
+
+FAULT_KINDS = (
+    "negative",
+    "bool",
+    "float",
+    "fraction-subclass",  # not a fault: the rule accepts it
+    "missing-key",
+    "extra-key",
+    "not-a-cost",
+    "uncovering-rates",
+    "uncovering-table",
+)
+
+
+def faulty_profile(
+    rng: random.Random, instance: MarketInstance, reports: ReportProfile, count: int
+) -> tuple[ReportProfile, list[str]]:
+    """``reports`` with ``count`` faults drawn from ``FAULT_KINDS``, in
+    fresh mappings of shuffled insertion order, and the kinds drawn."""
+    txs, nodes = dict(reports.tx_reports), dict(reports.node_reports)
+    kinds = [rng.choice(FAULT_KINDS) for _ in range(count)]
+    for kind in kinds:
+        tx, node = rng.choice(instance.tx_ids), rng.choice(instance.node_ids)
+        if kind == "negative":
+            txs[tx] = Fraction(-rng.randint(1, 6), rng.choice((1, 2, 3)))
+        elif kind == "bool":
+            txs[tx] = rng.choice((True, False))
+        elif kind == "float":
+            txs[tx] = float(reports.tx_reports[tx])
+        elif kind == "fraction-subclass":
+            txs[tx] = FractionSubclass(reports.tx_reports[tx])
+        elif kind == "missing-key":
+            if rng.random() < 0.5:
+                txs.pop(tx, None)
+            else:
+                nodes.pop(node, None)
+        elif kind == "extra-key":
+            if rng.random() < 0.5:
+                txs["x_extra"] = Fraction(1)
+            else:
+                nodes["x_extra"] = Zero()
+        elif kind == "not-a-cost":
+            nodes[node] = rng.choice(("cheap", Fraction(1), None))
+        elif kind == "uncovering-rates":
+            nodes[node] = PerTransaction({tx: Fraction(1), "x_unknown": Fraction(2)})
+        else:
+            nodes[node] = SubsetTable(frozenset(), {frozenset(): ZERO})
+    tx_items, node_items = list(txs.items()), list(nodes.items())
+    rng.shuffle(tx_items)
+    rng.shuffle(node_items)
+    return ReportProfile(dict(tx_items), dict(node_items)), kinds
+
+
+def report_error(check, *args) -> str | None:
+    """The message of the ``MalformedInput`` that ``check(*args)`` raises,
+    or None when it raises none."""
+    try:
+        check(*args)
+    except MalformedInput as exc:
+        return str(exc)
+    return None
+
+
+def report_objects(instance: MarketInstance, profile: ReportProfile) -> tuple:
+    """The profile's report objects in canonical agent order."""
+    objects = [profile.tx_reports[t] for t in instance.tx_ids]
+    return tuple(objects + [profile.node_reports[n] for n in instance.node_ids])
+
+
 def settled_terms(
     instance: MarketInstance, reports: ReportProfile, proposal: Proposal, broker_order: Sequence[str]
 ) -> _Terms:
@@ -1100,7 +1196,7 @@ def settled_terms(
         proposal,
         margin(routing),
         list(broker_order).index(proposal.broker) if proposal.broker in broker_order else -1,
-        at=_report_objects(instance, reports),
+        at=report_objects(instance, reports),
         den=den,
         utilities=tuple(over(u, den) for u in utilities),
         surplus=over(value, den),

@@ -1,5 +1,7 @@
 import random
 import re
+from collections import Counter
+from dataclasses import dataclass, replace
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from brokerlab.core import (
     Allocation,
     ConstantNonempty,
+    CostFunction,
     EMPTY_ALLOCATION,
     LinearResources,
     MarketInstance,
@@ -30,15 +33,31 @@ from brokerlab.equilibrium import check_pne
 from brokerlab.errors import MalformedInput
 from brokerlab.mdfm import collusion_example_instance
 from brokerlab.mechanism import Proposal, run
-from brokerlab.strategy import best_response_dynamics
+from brokerlab.scenario import parse_reports, reports_to_json
+from brokerlab.strategy import best_response_dynamics, broker_best_response, welfare_max_allocation
 
 from helpers import (
+    FAULT_KINDS,
+    faulty_profile,
     naive_enumerate,
     random_instance,
     random_reports,
     random_routing,
+    report_error,
+    report_objects,
     surplus_by_utilities,
+    validate_reports_reference,
 )
+
+
+@dataclass(frozen=True)
+class Raising(CostFunction):
+    """A cost that raises on every bundle, naming its node."""
+
+    node: str
+
+    def cost(self, bundle, resources=None):
+        raise MalformedInput(f"cost of {self.node!r}")
 
 
 @pytest.fixture
@@ -143,11 +162,11 @@ class TestSurplusAndWelfare:
         # both reported costs raise; the lower node id must raise first
         instance = MarketInstance(
             (TransactionSpec("t1", F(1)), TransactionSpec("t2", F(1))),
-            (NodeSpec("n1", LinearResources((F(1),))), NodeSpec("n2", LinearResources((F(1),)))),
+            (NodeSpec("n1", Raising("n1")), NodeSpec("n2", Raising("n2"))),
         )
         allocation = Allocation.of({"t1": ["n2"], "t2": ["n1"]})
         assert list(allocation.bundles) == [("n1", frozenset({"t2"})), ("n2", frozenset({"t1"}))]
-        with pytest.raises(MalformedInput, match="'t2'"):
+        with pytest.raises(MalformedInput, match="^cost of 'n1'$"):
             welfare(instance, allocation, instance.truthful_reports())
 
 
@@ -320,41 +339,131 @@ class TestInstanceValidation:
             MarketInstance(txs, (NodeSpec("n1", misspelt),))
 
     @pytest.mark.parametrize(
-        "report, message",
+        "report, message, vectors",
         [
             (
                 PerTransaction({"t_1": F(100)}),
                 r"PerTransaction rates for unknown transactions \['t_1'\]",
+                None,
             ),
             (
                 SubsetTable(frozenset({"t9"}), {frozenset(): F(0), frozenset({"t9"}): F(1)}),
                 "SubsetTable must cover exactly the instance transactions",
+                None,
+            ),
+            (
+                LinearResources((F(1),)),
+                "LinearResources cost needs a resource vector of length 1 for 't1'",
+                None,
+            ),
+            (
+                LinearResources((F(1), F(1))),
+                "LinearResources cost needs a resource vector of length 2 for 't1'",
+                (F(1),),
             ),
         ],
-        ids=["misspelt-rate", "foreign-table"],
+        ids=["misspelt-rate", "foreign-table", "linear-without-vectors", "linear-of-another-length"],
     )
     def test_a_node_report_over_unknown_transactions_is_refused(
-        self, collusion_market, report, message
+        self, collusion_market, report, message, vectors
     ):
-        # wherever the report enters, whether or not n1 is given a bundle
-        truthful = collusion_market.truthful_reports()
+        # wherever the report enters, whether or not n1 is given a bundle;
+        # ``vectors`` is every transaction's resource vector
+        market = replace(
+            collusion_market,
+            transactions=tuple(replace(t, resources=vectors) for t in collusion_market.transactions),
+        )
+        truthful = market.truthful_reports()
         lying = ReportProfile(truthful.tx_reports, {**truthful.node_reports, "n1": report})
-        spec, order = collusion_market.validity, ["b1", "b2"]
+        spec, order = market.validity, ["b1", "b2"]
         elsewhere = Routing(
             Allocation.of({"t2": ["n2"]}), {"t1": F(0), "t2": F(2)}, {"n1": F(0), "n2": F(1)}
         )
-        proposals = [Proposal("b1", collusion_market.empty_routing()), Proposal("b2", elsewhere)]
+        proposals = [Proposal("b1", market.empty_routing()), Proposal("b2", elsewhere)]
         calls = [
-            lambda: truthful.replace_node("n1", report),
-            lambda: collusion_market.validate_reports(lying),
-            lambda: run(collusion_market, spec, lying, proposals, order),
-            lambda: check_pne(collusion_market, spec, truthful, lying, proposals, order, F(1, 4)),
-            lambda: best_response_dynamics(
-                collusion_market, spec, lying, proposals, order, F(1, 4), 8
-            ),
+            lambda: market.validate_reports(lying),
+            lambda: run(market, spec, lying, proposals, order),
+            lambda: check_pne(market, spec, truthful, lying, proposals, order, F(1, 4)),
+            lambda: best_response_dynamics(market, spec, lying, proposals, order, F(1, 4), 8),
         ]
+        if isinstance(report, LinearResources):
+            # a profile holds no resource vectors, so it takes the report
+            assert truthful.replace_node("n1", report) == lying
+        else:
+            calls.append(lambda: truthful.replace_node("n1", report))
         for call in calls:
             with pytest.raises(MalformedInput, match=f"^report of 'n1': {message}$"):
                 call()
+        with pytest.raises(MalformedInput, match=rf"^reports\.nodes\[n1\]: {message}$"):
+            parse_reports(reports_to_json(lying), market, "reports")
+        with pytest.raises(MalformedInput, match=f"^node 'n1': {message}$"):
+            MarketInstance(market.transactions, (NodeSpec("n1", report), market.node("n2")))
         # the truthful profile settles the same round
-        assert run(collusion_market, spec, truthful, proposals, order).winner == "b2"
+        assert run(market, spec, truthful, proposals, order).winner == "b2"
+
+    @pytest.mark.parametrize(
+        "tx_reports, node_reports, message",
+        [
+            (
+                {"t2": F(-1), "t1": F(-2)},
+                {"n2": ConstantNonempty(F(1)), "n1": ConstantNonempty(F(1))},
+                "report of 't1' must be non-negative, got -2",
+            ),
+            (
+                {"t2": F(4), "t1": F(6)},
+                {"n2": "cheap", "n1": PerTransaction({"t9": F(1)})},
+                r"report of 'n1': PerTransaction rates for unknown transactions \['t9'\]",
+            ),
+            (
+                {"t2": 0.5, "t1": True},
+                {"n2": ConstantNonempty(F(1)), "n1": "cheap"},
+                "report of 't1' must be an int or a Fraction, got True",
+            ),
+        ],
+        ids=["two-values", "two-costs", "values-before-costs"],
+    )
+    def test_the_first_faulty_report_in_canonical_agent_order_is_named(
+        self, collusion_market, tx_reports, node_reports, message
+    ):
+        # the mappings are built in reverse id order, so their first fault in
+        # insertion order is not the first in canonical order
+        market, spec, order = collusion_market, collusion_market.validity, ["b1", "b2"]
+        faulty = ReportProfile(tx_reports, node_reports)
+        truthful = market.truthful_reports()
+        elsewhere = Routing(
+            Allocation.of({"t2": ["n2"]}), {"t1": F(0), "t2": F(2)}, {"n1": F(0), "n2": F(1)}
+        )
+        proposals = [Proposal("b1", market.empty_routing()), Proposal("b2", elsewhere)]
+        calls = [
+            lambda: market.validate_reports(faulty),
+            lambda: run(market, spec, faulty, proposals, order),
+            lambda: check_pne(market, spec, truthful, faulty, proposals, order, F(1, 4)),
+            lambda: broker_best_response("b1", market, spec, faulty, proposals[1:], order),
+            lambda: welfare_max_allocation(market, spec, faulty),
+            lambda: best_response_dynamics(market, spec, faulty, proposals, order, F(1, 4), 8),
+        ]
+        for call in calls:
+            with pytest.raises(MalformedInput, match=f"^{message}$"):
+                call()
+
+    def test_validate_reports_agrees_with_the_reference_on_a_seeded_corpus(self):
+        # the same verdict as the rule that named faults in insertion order,
+        # and on a profile with one fault the same message
+        rng = random.Random(3838)
+        kinds = Counter()
+        for _ in range(400):
+            instance = random_instance(rng)
+            reports, _ = random_reports(rng, instance)
+            faults = rng.choice((0, 1, 1, 1, 2, 3))
+            profile, drawn = faulty_profile(rng, instance, reports, faults)
+            kinds.update(drawn)
+            expected = report_error(validate_reports_reference, instance, profile)
+            got = report_error(instance.validate_reports, profile)
+            if faults <= 1:
+                assert got == expected
+            else:
+                assert (got is None) == (expected is None)
+            if got is None:
+                objects = instance.validate_reports(profile)
+                assert all(a is b for a, b in zip(objects, report_objects(instance, profile), strict=True))
+        assert min(kinds.values()) >= 30 and len(kinds) == len(FAULT_KINDS)

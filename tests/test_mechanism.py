@@ -50,6 +50,7 @@ from helpers import (
     random_routing,
     raw_space,
     rebuilt_profile,
+    report_objects,
     run_reference,
     settled_terms,
 )
@@ -447,12 +448,6 @@ def settles_as_reference(instance, reports, prepared, order):
     return expected
 
 
-def report_objects(instance, profile):
-    """The profile's report objects in canonical agent order."""
-    objects = [profile.tx_reports[t] for t in instance.tx_ids]
-    return tuple(objects + [profile.node_reports[n] for n in instance.node_ids])
-
-
 def profile_at(instance, objects):
     """The report profile whose objects, in canonical agent order, are ``objects``."""
     n_txs = len(instance.tx_ids)
@@ -556,25 +551,26 @@ class TestSettlementMemo:
         spec = collusion_market.validity
         truthful = counted_reports(collusion_market.truthful_reports(), log)
         prepared = prepare_round(collusion_market, spec, demo_proposals(collusion_market), ["b1", "b2"])
-        # well-formed profiles never reach validate_reports, and the first
-        # settle prices each proposal's bundles once
+        # every run checks its profile once, and the first settle prices
+        # each proposal's bundles once
         run(collusion_market, spec, truthful, prepared, ["b1", "b2"])
         t1, t2 = frozenset({"t1"}), frozenset({"t2"})
         assert Counter(log) == {("n1", t1): 1, ("n2", t1): 1, ("n1", t2): 1}
+        assert calls == {"validate": 1}
         log.clear()
         for value in (F(7), F(1, 3), F(0)):
             run(collusion_market, spec, truthful.replace_tx("t1", value), prepared, ["b1", "b2"])
         run(collusion_market, spec, truthful, prepared.without("b2"), ["b1", "b2"])
-        assert log == [] and calls == {}
+        assert log == [] and calls == {"validate": 5}
         # a changed node report is priced once on each bundle it is given
         n1 = CountedCost(ConstantNonempty(F(1)), "n1", log)
         run(collusion_market, spec, truthful.replace_node("n1", n1), prepared, ["b1", "b2"])
         assert Counter(log) == {("n1", t1): 1, ("n1", t2): 1}
-        # a malformed one reaches it once, for its error
+        # a malformed one is refused by that one check
         negative = ReportProfile({**truthful.tx_reports, "t2": F(-1)}, truthful.node_reports)
         with pytest.raises(MalformedInput, match="report of 't2' must be non-negative"):
             run(collusion_market, spec, negative, prepared, ["b1", "b2"])
-        assert calls == {"validate": 1}
+        assert calls == {"validate": 7}
 
     def test_malformed_reports_give_the_reference_error(self):
         rng = random.Random(5150)
