@@ -32,15 +32,19 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .validity import ValiditySpec
 
 
+def _type_fault(x: object, kind: str = "an int or a Fraction", types=(int, Fraction)) -> str | None:
+    """What keeps ``x`` from being ``kind``, one of ``types`` (a ``bool`` is none), or None."""
+    if isinstance(x, bool) or not isinstance(x, types):
+        return f" must be {kind}, got {x!r}"
+    return None
+
+
 def _number_fault(x: object) -> str | None:
-    """What keeps ``x`` from being a non-negative ``int`` or ``Fraction`` (a
-    ``bool`` is none, as in JSON; a subclass is one), worded to follow its
-    name, or None.  The exact types pass the first test."""
+    """``_type_fault``, or what keeps ``x`` from being non-negative, or None.
+    The exact types pass the first test."""
     if (type(x) is Fraction or type(x) is int) and x.numerator >= 0:
         return None
-    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
-        return f" must be an int or a Fraction, got {x!r}"
-    return f" must be non-negative, got {x}" if x < 0 else None
+    return _type_fault(x) or (f" must be non-negative, got {x}" if x < 0 else None)
 
 
 def _refuse(named: Iterable[tuple[str, object]], fault_of: Callable, what: str) -> None:
@@ -484,12 +488,8 @@ class MarketInstance:
 
     def check_allocation_ids(self, allocation: Allocation) -> None:
         """Refuse an allocation that names a transaction or node not in the market."""
-        unknown_txs = allocation.transactions - self.tx_set
-        unknown_nodes = allocation.nodes - self.node_set
-        if unknown_txs or unknown_nodes:
-            raise MalformedInput(
-                f"allocation references unknown ids {sorted(unknown_txs | unknown_nodes)}"
-            )
+        if unknown := (allocation.transactions - self.tx_set) | (allocation.nodes - self.node_set):
+            raise MalformedInput(f"allocation references unknown ids {sorted(unknown)}")
 
     def validate_reports(self, reports: ReportProfile) -> tuple:
         """The profile's report objects in canonical agent order, once both

@@ -13,7 +13,8 @@ report with the costs of its assigned bundles replaced, written out as a
 ``SubsetTable`` only when it becomes a witness; the product of its
 per-bundle candidates is its one budget (``MAX_NODE_CANDIDATES``).
 ``check_pne`` settles every agent's candidates in one loop, which tells a
-transaction from a node once per agent.
+transaction from a node once per agent.  Both generators settle
+``surpluses`` first, which holds a plain list to ``validate_routing``.
 
 Broker deviations are checked through the exact best-response search, with
 margins on the configured lattice where a rival must be beaten strictly.
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import prod
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 from .core import (
     MAX_SUBSET_TABLE_TXS,
@@ -41,6 +42,7 @@ from .mechanism import Proposal, _Settlement, broker_utility, prepare_round, run
 from .rationals import ZERO
 from .strategy import (
     DEFAULT_QUANTUM,
+    _check_quantum,
     broker_best_response,
     scaled_rebate_routing,
     welfare_max_allocation,
@@ -49,14 +51,6 @@ from .validity import DEFAULT_ENUM_CAP, ValiditySpec
 
 DEFAULT_OTHERS_CAP = 2048
 MAX_NODE_CANDIDATES = 4096
-
-
-def _quoted_payments(rules: Iterable[Mapping[str, Fraction]], kind: str, agent: str) -> list[Fraction]:
-    """``agent``'s payment in each payment rule, refusing a rule without one."""
-    try:
-        return [rule[agent] for rule in rules]
-    except KeyError:
-        raise MalformedInput(f"proposal payment rule is missing {kind} {agent!r}") from None
 
 
 def _coordinate_candidates(
@@ -99,7 +93,7 @@ def tx_deviation_candidates(
     if tx not in reports.tx_reports:
         raise MalformedInput(f"unknown transaction {tx!r}")
     bases = surpluses(instance, proposals, reports)
-    payments = _quoted_payments((p.routing.tx_payments for p in proposals), "transaction", tx)
+    payments = [p.routing.tx_payments[tx] for p in proposals]
     reads = [tx in p.routing.allocation.transactions for p in proposals]
     return _coordinate_candidates(reports.tx_reports[tx], 1, reads, bases, payments)
 
@@ -135,6 +129,7 @@ def node_deviation_candidates(
     """
     if node not in reports.node_reports:
         raise MalformedInput(f"unknown node {node!r}")
+    bases = surpluses(instance, proposals, reports)
     current = reports.node_reports[node]
     held = [p.routing.allocation.inverse(node) for p in proposals]
     assigned = list(dict.fromkeys(bundle for bundle in held if bundle))
@@ -146,14 +141,11 @@ def node_deviation_candidates(
             f"{MAX_SUBSET_TABLE_TXS} transactions, got {len(instance.tx_ids)}"
         )
 
-    bases = surpluses(instance, proposals, reports)
     scalar_candidates: list[list[Fraction]] = []
     for bundle in assigned:
         reads = [bundle_here == bundle for bundle_here in held]
         current_cost = current.cost(bundle, instance.resources)
-        payments = _quoted_payments(
-            (p.routing.node_payments for p, read in zip(proposals, reads) if read), "node", node
-        )
+        payments = [p.routing.node_payments[node] for p, read in zip(proposals, reads) if read]
         scalar_candidates.append(_coordinate_candidates(current_cost, -1, reads, bases, payments))
 
     count = prod(len(c) for c in scalar_candidates)
@@ -213,8 +205,7 @@ def check_pne(
     prepared once and every deviation settles against them through ``run``.
     A quantum that is not positive is refused first, even if no broker proposes.
     """
-    if quantum <= 0:
-        raise MalformedInput(f"quantum must be positive, got {quantum}")
+    _check_quantum(quantum)
     instance.validate_reports(true_types)
     # reports are refused before proposals, as in run
     instance.validate_reports(reports)

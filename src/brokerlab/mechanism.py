@@ -27,17 +27,17 @@ so is every int it holds.  Nothing is rounded.
 
 Only an allocated transaction's utility and a bundled node's read a
 report, so only those agents are scored, each from its report and its
-payment in the routing (0 where a plain list's routing lacks one), both
-over ``den``.  Every other agent's utility is minus its payment (a
-transaction) or its payment (a node), set by the first settle.  Later
-settles compare the profile's report objects with the memo's by identity,
-so a report replaced, rebuilt equal or edited in place counts as changed,
-and rescore only the changed agents among those.  ``run`` checks the
-reports once, by the one report rule, ``MarketInstance.validate_reports``,
-which returns their objects in canonical agent order, reads the winner
-from ``PreparedRound.leader``, the one winner rule (the best response and
-the truthfulness check read it too), and reads the signs of the winner's
-utilities: the IR gate names the first negative one.
+payment in the routing, both over ``den``.  Every other agent's utility is
+minus its payment (a transaction) or its payment (a node), set by the
+first settle.  Later settles compare the profile's report objects with the
+memo's by identity, so a report replaced, rebuilt equal or edited in place
+counts as changed, and rescore only the changed agents among those.
+``run`` checks the reports once, by the one report rule,
+``MarketInstance.validate_reports``, which returns their objects in
+canonical agent order, reads the winner from ``PreparedRound.leader``, the
+one winner rule (the best response and the truthfulness check read it
+too), and reads the signs of the winner's utilities: the IR gate names the
+first negative one.
 
 ``Fraction``s are made only at the boundary, fresh on each read: the
 outcome's ``agent_utilities`` and what ``surpluses`` returns.  A zero reads
@@ -50,7 +50,8 @@ proposal: ``PreparedRound.without`` drops a broker's proposal and
 proposal; both keep the other terms and their memos.  The best response
 built its proposal, so it hands over its memo already settled at the
 profile it answered, and ``run`` scores nothing for it.  ``surpluses``
-settles every proposal's terms, a plain list's through temporary ones.
+settles every proposal's terms, a plain list's through temporary ones.  So
+every routing settled has passed ``validate_routing`` or was built total.
 """
 
 from __future__ import annotations
@@ -154,12 +155,10 @@ class _Settlement:
         if term.at is None:
             # each agent's utility without its report: minus a transaction's
             # payment, a node's payment
-            payments = [txs.get(a, ZERO) for a in agents[:n_txs]]
-            payments += [nodes.get(a, ZERO) for a in agents[n_txs:]]
+            payments = [txs[a] for a in agents[:n_txs]] + [nodes[a] for a in agents[n_txs:]]
             den = lcm(*(p.denominator for p in payments))
             values = [p.numerator * (den // p.denominator) for p in payments]
-            for i in range(n_txs):
-                values[i] = -values[i]
+            values[:n_txs] = [-v for v in values[:n_txs]]
             value = sum(values)
             changed = range(len(agents))
         else:
@@ -175,13 +174,12 @@ class _Settlement:
             if i < n_txs:
                 if agent not in included:
                     continue
-                report, payment = new[i], txs.get(agent, ZERO)
+                report, payment = new[i], txs[agent]
             else:
                 bundle = allocation.inverse(agent)
                 if not bundle:
                     continue
-                report = new[i].cost(bundle, instance.resources)
-                payment = nodes.get(agent, ZERO)
+                report, payment = new[i].cost(bundle, instance.resources), nodes[agent]
             d = report.denominator
             if den % d:
                 factor = d // gcd(den, d)
@@ -324,13 +322,15 @@ def surpluses(
     the order of ``proposals``.
 
     A round prepared for ``instance`` settles its terms' memos; any other
-    sequence is settled through temporary terms.  Reports are checked as
-    ``run`` checks them.
+    sequence passes ``validate_routing`` (with no spec, validity is not
+    checked) and is settled through temporary terms.  Reports come first.
     """
     settlement = _Settlement(instance, reports)
     if isinstance(proposals, PreparedRound) and proposals.instance is instance:
         terms = proposals.terms
     else:
+        for p in proposals:
+            instance.validate_routing(p.routing)
         terms = [_Terms(p, margin(p.routing), 0) for p in proposals]
     for t in terms:
         settlement.settle(t)

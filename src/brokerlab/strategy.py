@@ -34,7 +34,7 @@ from math import lcm
 from operator import is_
 from typing import Sequence
 
-from .core import Allocation, MarketInstance, ReportProfile, Routing, welfare
+from .core import Allocation, MarketInstance, ReportProfile, Routing, _type_fault, welfare
 from .errors import InfeasibleTarget, InstanceTooLarge, MalformedInput
 from .mechanism import (
     MechanismOutcome,
@@ -54,6 +54,14 @@ DEFAULT_QUANTUM = Fraction(1, 1024)
 MAX_DYNAMICS_TURNS = 1 << 16
 
 
+def _check_quantum(quantum: object) -> None:
+    """Refuse a quantum that is not a positive ``int`` or ``Fraction`` (a ``bool`` is neither)."""
+    if (fault := _type_fault(quantum)) is not None:
+        raise MalformedInput("quantum" + fault)
+    if quantum <= 0:
+        raise MalformedInput(f"quantum must be positive, got {quantum}")
+
+
 class _RebatePlan:
     """What every rebate routing on one allocation shares at one report
     profile: each node's payment, its reported cost on its bundle, and the
@@ -62,7 +70,7 @@ class _RebatePlan:
 
     The totals are ints over ``den``, the lcm of the costs' and values'
     denominators: ``value_nums`` (each included transaction's value),
-    ``total_value_num`` and ``welfare_num``, from which ``routing`` reads the
+    ``total_value_num`` and ``welfare_num``, from which ``_split`` reads the
     scale and ``settled`` writes a response's memo."""
 
     __slots__ = (
@@ -117,12 +125,8 @@ class _RebatePlan:
             return kept, ZERO
         return kept, Fraction((tv - w) * md + m * p, md * tv)
 
-    def routing(self, target_margin: Fraction) -> Routing:
-        """``scaled`` at the scale whose margin is ``target_margin``."""
-        return self.scaled(self._split(target_margin)[1])
-
     def settled(self, broker: str, position: int, target_margin: Fraction, at: tuple) -> _Terms:
-        """The terms of ``broker``'s proposal of ``routing(target_margin)``,
+        """The terms of ``broker``'s rebate proposal at ``target_margin``,
         with their memo settled at the plan's reports, whose objects are
         ``at``: the memo in integers over ``P * md * TV`` (see ``_split``),
         no ``Fraction`` made for it.  An included transaction keeps ``V *
@@ -146,8 +150,10 @@ def max_extraction_routing(
 
     Every included transaction pays its full reported value and every
     working node is paid exactly its reported bundle cost, so reported
-    surplus is zero.
+    surplus is zero.  The reports and the allocation's ids are checked first.
     """
+    instance.validate_reports(reports)
+    instance.check_allocation_ids(allocation)
     return _RebatePlan(instance, allocation, reports).scaled(ONE)
 
 
@@ -219,9 +225,14 @@ def scaled_rebate_routing(
     Nodes are paid their reported costs; transaction payments are the
     reported values scaled by a common factor in [0, 1], so every agent's
     reported utility stays non-negative.  Feasible whenever
-    ``0 <= target_margin <= welfare(allocation)``.
+    ``0 <= target_margin <= welfare(allocation)``; the inputs are checked first.
     """
-    return _RebatePlan(instance, allocation, reports).routing(target_margin)
+    instance.validate_reports(reports)
+    instance.check_allocation_ids(allocation)
+    if (fault := _type_fault(target_margin)) is not None:
+        raise MalformedInput("target margin" + fault)
+    plan = _RebatePlan(instance, allocation, reports)
+    return plan.scaled(plan._split(target_margin)[1])
 
 
 @dataclass(frozen=True)
@@ -319,8 +330,7 @@ def broker_best_response(
     their sum, the reported surplus, is the welfare maximum's minus the
     margin asked of the plan (the empty routing is settled as any term is).
     """
-    if quantum <= 0:
-        raise MalformedInput(f"quantum must be positive, got {quantum}")
+    _check_quantum(quantum)
     if broker not in broker_order:
         raise MalformedInput(f"broker {broker!r} missing from broker order")
     for rival in rivals:
@@ -400,10 +410,9 @@ def best_response_dynamics(
     response and settles one round.  A run that needs more than
     ``MAX_DYNAMICS_TURNS`` broker turns raises ``InstanceTooLarge``.
     """
-    if quantum <= 0:
-        raise MalformedInput(f"quantum must be positive, got {quantum}")
-    if max_rounds < 1:
-        raise MalformedInput(f"max_rounds must be at least 1, got {max_rounds}")
+    _check_quantum(quantum)
+    if _type_fault(max_rounds, "an int", int) is not None or max_rounds < 1:
+        raise MalformedInput(f"max_rounds must be an int of at least 1, got {max_rounds!r}")
     brokers = [p.broker for p in initial]
     if len(brokers) < 2:
         raise MalformedInput("best-response dynamics need at least two brokers")

@@ -3,6 +3,8 @@ import itertools
 import json
 import math
 import random
+import re
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -101,13 +103,13 @@ class TestTxCandidates:
             tx_deviation_candidates(collusion_market, "ghost", [], collusion_market.truthful_reports())
 
     def test_a_payment_rule_missing_the_transaction_is_refused(self, collusion_market):
-        # a plain list is not validated as a round is, so the candidate
-        # search itself names the transaction the payment rule leaves out
+        # a plain list is held to the one proposal rule, validate_routing, as
+        # a round is, so a payment rule that leaves t1 out is refused
         truthful = collusion_market.truthful_reports()
         nodes = {"n1": F(0), "n2": F(0)}
         for allocation in (Allocation.of({"t1": ["n1"]}), Allocation.of({"t2": ["n1"]})):
             lacking = Proposal("b1", Routing(allocation, {"t2": F(1)}, nodes))
-            with pytest.raises(MalformedInput, match="proposal payment rule is missing transaction 't1'"):
+            with pytest.raises(MalformedInput, match="^transaction payment rule must be total over the instance$"):
                 tx_deviation_candidates(collusion_market, "t1", [lacking], truthful)
 
     def test_midpoints_between_integer_payments_are_fractions(self, collusion_market):
@@ -132,7 +134,7 @@ def test_a_payment_rule_missing_the_node_is_refused(collusion_market):
     allocation = Allocation.of({"t1": ["n1", "n2"]})
     rebate = scaled_rebate_routing(collusion_market, allocation, truthful, F(0))
     lacking = Routing(allocation, rebate.tx_payments, {"n2": rebate.node_payments["n2"]})
-    with pytest.raises(MalformedInput, match="^proposal payment rule is missing node 'n1'$"):
+    with pytest.raises(MalformedInput, match="^node payment rule must be total over the instance$"):
         node_deviation_candidates(collusion_market, "n1", [Proposal("b1", lacking)], truthful)
 
 
@@ -381,13 +383,83 @@ class TestTxCandidateOracle:
         ]
         lengths = set()
         for instance, reports, proposals in cases:
+            # the plain list and its prepared round give the same candidates
+            prepared = prepare_round(instance, None, proposals, [p.broker for p in proposals])
             for tx in instance.tx_ids:
                 candidates = tx_deviation_candidates(instance, tx, proposals, reports)
                 reference = tx_candidates_reference(instance, tx, proposals, reports)
                 # equal values of equal types, in the same order
                 assert list(map(repr, candidates)) == list(map(repr, reference))
+                assert tx_deviation_candidates(instance, tx, prepared, reports) == candidates
                 lengths.add(len(candidates))
         assert len(lengths) > 4, lengths
+
+
+ROUTING_FAULTS = (
+    "float", "str", "none", "negative", "unknown-payee", "unknown-tx", "unknown-node", "missing"
+)
+BAD_PAYMENTS = {"float": 0.5, "str": "1", "none": None, "negative": F(-1)}
+
+
+def faulty_routing(rng, instance, routing, fault, keep):
+    """``routing`` with one ``fault`` of ``ROUTING_FAULTS`` and the message
+    ``validate_routing`` refuses it with.  A bad payment goes to any agent,
+    a missing one is an agent's other than ``keep``, whose payment the
+    candidate search reads."""
+    txs, nodes = dict(routing.tx_payments), dict(routing.node_payments)
+    assignment = dict(routing.allocation.pairs)
+    if fault in BAD_PAYMENTS:
+        agent, x = rng.choice(instance.agent_ids), BAD_PAYMENTS[fault]
+        is_tx = agent in txs
+        (txs if is_tx else nodes)[agent] = x
+        rest = " must be non-negative, got -1" if fault == "negative" else (
+            f" must be an int or a Fraction, got {x!r}"
+        )
+        message = f"payment {'of' if is_tx else 'to'} {agent!r}{rest}"
+    elif fault in ("unknown-payee", "missing"):
+        if fault == "unknown-payee":
+            is_tx = rng.random() < 0.5
+            (txs if is_tx else nodes)["ghost"] = F(1)
+        else:
+            agent = rng.choice([a for a in instance.agent_ids if a != keep])
+            is_tx = agent in txs
+            del (txs if is_tx else nodes)[agent]
+        message = f"{'transaction' if is_tx else 'node'} payment rule must be total over the instance"
+    elif fault == "unknown-tx":
+        assignment["t9"] = [rng.choice(instance.node_ids)]
+        message = "allocation references unknown ids ['t9']"
+    else:
+        tx = rng.choice(instance.tx_ids)
+        assignment[tx] = [*assignment.get(tx, ()), "n9"]
+        message = "allocation references unknown ids ['n9']"
+    return Routing(Allocation.of(assignment), txs, nodes), message
+
+
+def test_malformed_plain_lists_are_refused_by_the_one_proposal_rule():
+    # surpluses and both candidate searches hold a plain list to
+    # validate_routing, as a prepared round is, even for a node the list
+    # leaves idle; the oracle tests above take the well-formed lists
+    rng = random.Random(3907)
+    seen, idle = Counter(), 0
+    for k, (instance, reports, proposals, _) in enumerate(pne_profiles(3907, 120)):
+        tx, node = rng.choice(instance.tx_ids), rng.choice(instance.node_ids)
+        calls = {
+            "surpluses": (lambda plain: mechanism.surpluses(instance, plain, reports), None),
+            "tx": (lambda plain: tx_deviation_candidates(instance, tx, plain, reports), tx),
+            "node": (lambda plain: node_deviation_candidates(instance, node, plain, reports), node),
+        }
+        for j, (name, (call, keep)) in enumerate(calls.items()):
+            fault = ROUTING_FAULTS[(3 * k + j) % len(ROUTING_FAULTS)]
+            i = rng.randrange(len(proposals))
+            routing, message = faulty_routing(rng, instance, proposals[i].routing, fault, keep)
+            plain = [*proposals[:i], Proposal(proposals[i].broker, routing), *proposals[i + 1:]]
+            if name == "node" and not any(node in p.routing.allocation.nodes for p in plain):
+                idle += 1
+            with pytest.raises(MalformedInput, match="^" + re.escape(message) + "$"):
+                call(plain)
+            seen[name, fault] += 1
+    assert len(seen) == 3 * len(ROUTING_FAULTS), seen
+    assert idle > 10, idle
 
 
 class TestConsensusProfile:

@@ -545,12 +545,15 @@ class TestSettlementMemo:
             calls["validate"] += 1
             return validate_reports(*args)
 
+        # the rebate constructors check their reports too, so the proposals
+        # are built before the checks are counted
+        proposals = demo_proposals(collusion_market)
         validate_reports = MarketInstance.validate_reports
         monkeypatch.setattr(MarketInstance, "validate_reports", counted_validate)
         log = []
         spec = collusion_market.validity
         truthful = counted_reports(collusion_market.truthful_reports(), log)
-        prepared = prepare_round(collusion_market, spec, demo_proposals(collusion_market), ["b1", "b2"])
+        prepared = prepare_round(collusion_market, spec, proposals, ["b1", "b2"])
         # every run checks its profile once, and the first settle prices
         # each proposal's bundles once
         run(collusion_market, spec, truthful, prepared, ["b1", "b2"])

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import random
+import re
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -24,7 +25,7 @@ from brokerlab.core import (
     surplus,
     welfare,
 )
-from brokerlab.equilibrium import construct_consensus_equilibrium
+from brokerlab.equilibrium import check_pne, construct_consensus_equilibrium
 from brokerlab.errors import InfeasibleTarget, InstanceTooLarge, MalformedInput, MarketError
 from brokerlab.mdfm import collusion_example_instance, oracle_gap_market
 from brokerlab.mechanism import Proposal, prepare_round, run
@@ -163,6 +164,88 @@ class TestScaledRebate:
                     for tx in allocation.transactions
                 ]
                 assert all(u >= 0 for u in outcome_utils)
+
+
+REBATE_FAULTS = {
+    "report-missing-n2": "node reports must be total over the instance",
+    "negative-report": "report of 't2' must be non-negative, got -4",
+    "float-report": "report of 't2' must be an int or a Fraction, got 4.0",
+    "unknown-tx": "allocation references unknown ids ['t9']",
+    "unknown-node": "allocation references unknown ids ['n9']",
+}
+
+
+def faulty_rebate_inputs(figure1, fault):
+    """Figure 1's truthful reports and an allocation running t2 on n1, with
+    one ``REBATE_FAULTS`` fault put in them."""
+    truthful = figure1.truthful_reports()
+    txs, nodes = dict(truthful.tx_reports), dict(truthful.node_reports)
+    assignment = {"t2": ["n1"]}
+    if fault == "report-missing-n2":
+        del nodes["n2"]
+    elif fault == "negative-report":
+        txs["t2"] = F(-4)
+    elif fault == "float-report":
+        txs["t2"] = 4.0
+    elif fault == "unknown-tx":
+        assignment["t9"] = ["n2"]
+    else:
+        assignment["t2"] = ["n9"]
+    return ReportProfile(txs, nodes), Allocation.of(assignment)
+
+
+class TestRebateInputs:
+    """The rebate constructors check their reports (``validate_reports``) and
+    their allocation's ids (``check_allocation_ids``) before they read them."""
+
+    @pytest.mark.parametrize("fault", sorted(REBATE_FAULTS))
+    def test_malformed_reports_and_allocations_are_refused(self, collusion_market, fault):
+        reports, allocation = faulty_rebate_inputs(collusion_market, fault)
+        message = "^" + re.escape(REBATE_FAULTS[fault]) + "$"
+        with pytest.raises(MalformedInput, match=message):
+            max_extraction_routing(collusion_market, allocation, reports)
+        with pytest.raises(MalformedInput, match=message):
+            scaled_rebate_routing(collusion_market, allocation, reports, F(0))
+
+    @pytest.mark.parametrize("target", [0.5, "1", None, True])
+    def test_a_target_margin_that_is_not_an_int_or_fraction_is_refused(
+        self, collusion_market, target
+    ):
+        truthful = collusion_market.truthful_reports()
+        allocation = Allocation.of({"t1": ["n1", "n2"]})
+        message = "^" + re.escape(f"target margin must be an int or a Fraction, got {target!r}") + "$"
+        with pytest.raises(MalformedInput, match=message):
+            scaled_rebate_routing(collusion_market, allocation, truthful, target)
+
+
+class TestQuantumAndRounds:
+    """One quantum rule for the equilibrium check, the best response and the
+    dynamics, and ``max_rounds`` refused unless it is an int of at least 1."""
+
+    @pytest.mark.parametrize("quantum", [0.25, "1", None, True])
+    def test_a_quantum_that_is_not_an_int_or_fraction_is_refused_everywhere(
+        self, collusion_market, quantum
+    ):
+        truthful = collusion_market.truthful_reports()
+        spec, order = collusion_market.validity, ["b1", "b2"]
+        start = _figure1_proposals(collusion_market)
+        message = "^" + re.escape(f"quantum must be an int or a Fraction, got {quantum!r}") + "$"
+        with pytest.raises(MalformedInput, match=message):
+            check_pne(collusion_market, spec, truthful, truthful, start, order, quantum)
+        with pytest.raises(MalformedInput, match=message):
+            broker_best_response("b1", collusion_market, spec, truthful, start[1:], order, quantum)
+        with pytest.raises(MalformedInput, match=message):
+            best_response_dynamics(collusion_market, spec, truthful, start, order, quantum, 4)
+
+    @pytest.mark.parametrize("max_rounds", [2.5, "3", None, True])
+    def test_max_rounds_that_is_not_an_int_is_refused(self, collusion_market, max_rounds):
+        truthful = collusion_market.truthful_reports()
+        start = _figure1_proposals(collusion_market)
+        message = "^" + re.escape(f"max_rounds must be an int of at least 1, got {max_rounds!r}") + "$"
+        with pytest.raises(MalformedInput, match=message):
+            best_response_dynamics(
+                collusion_market, collusion_market.validity, truthful, start, ["b1", "b2"], F(1, 4), max_rounds
+            )
 
 
 def routing_or_error(make, *args):
