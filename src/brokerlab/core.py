@@ -7,8 +7,12 @@ exact rationals and every function here is pure.
 
 ``MarketInstance.validate_reports`` is the one report rule: it checks a
 profile once, naming its first fault in canonical agent order, and returns
-its report objects in that order.  A node's cost, as its type or as its
-report, is held to one coverage rule, ``cost_fault``, wherever it enters.
+its report objects in that order.  It keeps the last tuple that passed on
+the market and tests only the objects not identical to it, so a profile
+checked again, as each best-response turn checks the fixed one, costs its
+totality checks and one identity pass and returns that very tuple.  A
+node's cost, as its type or as its report, is held to one coverage rule,
+``cost_fault``, wherever it enters.
 
 Canonical orders used for tie-breaking throughout the package:
 
@@ -23,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import is_
 from typing import TYPE_CHECKING, Callable, ItemsView, Iterable, Mapping
 
 from .errors import MalformedInput
@@ -374,10 +379,12 @@ class MarketInstance:
     nodes: tuple[NodeSpec, ...]
     validity: "ValiditySpec | None" = None
 
-    # the memos of ``validity.enumerate_valid`` and ``strategy._welfare_max``:
-    # not fields, so out of ==, hash and repr; each replaced whole
+    # the memos of ``validity.enumerate_valid``, ``strategy._welfare_max`` and
+    # ``validate_reports``: not fields, so out of ==, hash and repr; each
+    # replaced whole
     _valid = None
     _argmax = None
+    _reports = None
 
     def __post_init__(self):
         ids = [t.id for t in self.transactions] + [n.id for n in self.nodes]
@@ -494,17 +501,29 @@ class MarketInstance:
     def validate_reports(self, reports: ReportProfile) -> tuple:
         """The profile's report objects in canonical agent order, once both
         mappings are total, each value has no ``_number_fault`` and each cost
-        no ``cost_fault``; the first fault in that order is named."""
+        no ``cost_fault``; the first fault in that order is named.
+
+        The last tuple that passed is memoised on the market and replaced
+        whole.  Report objects are immutable, so one identical (``is``) to
+        the memo's object in its position passed before and is not tested
+        again; when every object is, the memo tuple itself is returned."""
         txs, nodes = reports.tx_reports, reports.node_reports
         if txs.keys() != self.tx_set:
             raise MalformedInput("transaction reports must be total over the instance")
         if nodes.keys() != self.node_set:
             raise MalformedInput("node reports must be total over the instance")
-        values = [txs[t] for t in self.tx_ids]
-        costs = [nodes[n] for n in self.node_ids]
-        _refuse(zip(self.tx_ids, values), _number_fault, "report of")
-        _refuse(zip(self.node_ids, costs), self.cost_fault, "report of")
-        return tuple(values + costs)
+        objects = (*[txs[t] for t in self.tx_ids], *[nodes[n] for n in self.node_ids])
+        memo = self._reports
+        if memo is not None and all(map(is_, objects, memo)):
+            return memo
+        n_txs = len(self.tx_ids)
+        for i, (agent, x) in enumerate(zip(self.agent_ids, objects)):
+            if memo is None or x is not memo[i]:
+                fault = _number_fault(x) if i < n_txs else self.cost_fault(x)
+                if fault is not None:
+                    raise MalformedInput(f"report of {agent!r}{fault}")
+        object.__setattr__(self, "_reports", objects)
+        return objects
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ from .strategy import (
     scaled_rebate_routing,
     welfare_max_allocation,
 )
-from .validity import DEFAULT_ENUM_CAP, ValiditySpec
+from .validity import DEFAULT_ENUM_CAP, ValiditySpec, _check_cap
 
 DEFAULT_OTHERS_CAP = 2048
 MAX_NODE_CANDIDATES = 4096
@@ -206,6 +206,7 @@ def check_pne(
     A quantum that is not positive is refused first, even if no broker proposes.
     """
     _check_quantum(quantum)
+    _check_cap(cap)
     instance.validate_reports(true_types)
     # reports are refused before proposals, as in run
     instance.validate_reports(reports)
@@ -315,11 +316,11 @@ def check_dsic_barring_b(
     passes at some report (an included transaction at its payment, a node at
     cost 0 for its bundle).  So it is every agent when none is blocked, the
     blocked one when exactly one is, and 0 when two or more are or when no
-    proposal is budget-balanced.  ``others_cap`` (at least 1) and ``seed``
-    are accepted and change no answer.
+    proposal is budget-balanced.  ``others_cap`` (an int of at least 1) and
+    ``seed`` are accepted and change no answer.
     """
-    if others_cap < 1:
-        raise MalformedInput(f"others_cap must be at least 1, got {others_cap}")
+    _check_cap(others_cap, "others_cap")
+    _check_cap(cap)
     if not sigma:
         raise MalformedInput("sigma must contain at least one proposal")
     allocations = {p.routing.allocation for p in sigma}

@@ -74,6 +74,7 @@ from .validity import (
     NodeCapacity,
     RequiredNodeCount,
     SingleAssignment,
+    _check_cap,
     enumerate_valid,
 )
 
@@ -360,12 +361,13 @@ def run_benchmarks(market: ResourceMarket, cap: int = DEFAULT_ENUM_CAP) -> Bench
     a value or a witness, and the cells still visited keep their witness
     prices.
 
-    Raises MalformedInput when a valid allocation places a transaction on
-    several nodes, where posted prices pay every node the full fee, and
-    InstanceTooLarge when the market exceeds the benchmark caps
-    (checked before the valid set is enumerated) or the valid-set search
-    space exceeds ``cap``.
+    Raises MalformedInput for a ``cap`` that is not an int of at least 1
+    and when a valid allocation places a transaction on several nodes,
+    where posted prices pay every node the full fee, and InstanceTooLarge
+    when the market exceeds the benchmark caps (checked before the valid
+    set is enumerated) or the valid-set search space exceeds ``cap``.
     """
+    _check_cap(cap)
     if len(market.transactions) > MAX_BENCHMARK_TXS:
         raise InstanceTooLarge(
             f"run_benchmarks: {len(market.transactions)} transactions, "

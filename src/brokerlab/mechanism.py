@@ -31,7 +31,10 @@ payment in the routing, both over ``den``.  Every other agent's utility is
 minus its payment (a transaction) or its payment (a node), set by the
 first settle.  Later settles compare the profile's report objects with the
 memo's by identity, so a report replaced, rebuilt equal or edited in place
-counts as changed, and rescore only the changed agents among those.
+counts as changed, and rescore only the changed agents among those.  A
+profile checked again unchanged gets ``validate_reports``' memoised tuple
+back, so a memo settled at that very tuple is settled in O(1), without the
+per-agent diff.
 ``run`` checks the reports once, by the one report rule,
 ``MarketInstance.validate_reports``, which returns their objects in
 canonical agent order, reads the winner from ``PreparedRound.leader``, the
@@ -147,8 +150,11 @@ class _Settlement:
         """Settle ``term``'s memo at this profile: the utilities that read a
         report object other than the memo's are rescored, every utility the
         first time.  A report off the memo's denominator rescales the memo
-        first.  Nothing is written when a report raises."""
+        first.  Nothing is written when a report raises.  A memo settled at
+        this very tuple returns at once."""
         instance, new = self.instance, self.reports
+        if term.at is new:
+            return
         agents, n_txs = instance.agent_ids, len(instance.tx_ids)
         routing = term.proposal.routing
         txs, nodes = routing.tx_payments, routing.node_payments

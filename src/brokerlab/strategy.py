@@ -8,22 +8,27 @@ responses range over all valid allocations; where a rival's surplus must be
 beaten strictly, margins live on a configurable lattice ``{k * quantum}``
 because the continuous problem has no maximizer on an open set.  The best
 winning margin never falls as welfare rises, so one welfare pass over the
-valid set finds the best response (see ``broker_best_response``), and
-its argmax is memoised on the market, freed with it, for one spec and the
-report objects, together with its rebate plan: each node's reported cost on
-its bundle, the included transactions' reported values, and the total value
-and the welfare as ints over one denominator.  A rebate routing is a plan
-read at one scale of the values (scale 1 is ``max_extraction_routing``), so
-a best response on a memoised argmax computes one scale and one product per
-included transaction, and prices no bundle.  A best response always settles one prepared round, the
-rivals' plus the response.  It built the response, so it hands the round
-the response's terms with their memo already settled at the reports: the
-report objects, every agent's reported utility and their sum, the reported
-surplus, as ints over a denominator read off the plan's (the lcm of its
-reported values and costs) and the margin's, so the memo costs no
-``Fraction``.  Best-response dynamics check and settle the starting profile
+valid set finds the best response (see ``broker_best_response``).  The
+pass scores welfare in ints over one denominator and prices each distinct
+``(node, bundle)`` once (``_welfare_argmax``).  Its argmax is memoised on
+the market, freed with it, for one spec and the report objects, together
+with its rebate plan: each node's reported cost on its bundle, the included
+transactions' reported values, and the total value and the welfare as ints
+over one denominator.  A rebate routing is a plan read at one scale of the
+values (scale 1 is ``max_extraction_routing``), so a best response on a
+memoised argmax computes one scale and one product per included
+transaction, and prices no bundle.  A best response always settles one
+prepared round, the rivals' plus the response.  It built the response, so
+it hands the round the response's terms with their memo already settled at
+the reports: the report objects, every agent's reported utility and their
+sum, the reported surplus, as ints over a denominator read off the plan's
+(the lcm of its reported values and costs) and the margin's, so the memo
+costs no ``Fraction``.  Best-response dynamics check and settle the starting profile
 once; then each broker turn checks only its response and settles one
-round, the next profile's, and that settlement prices no bundle.
+round, the next profile's, and that settlement prices no bundle.  The
+profile never changes, so each turn's report checks get the market's
+memoised report tuple back (``MarketInstance.validate_reports``), and
+every term already settled at it is settled in O(1).
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from math import lcm
 from operator import is_
 from typing import Sequence
 
-from .core import Allocation, MarketInstance, ReportProfile, Routing, _type_fault, welfare
+from .core import Allocation, MarketInstance, ReportProfile, Routing, _type_fault
 from .errors import InfeasibleTarget, InstanceTooLarge, MalformedInput
 from .mechanism import (
     MechanismOutcome,
@@ -47,7 +52,7 @@ from .mechanism import (
     run,
 )
 from .rationals import ONE, ZERO
-from .validity import DEFAULT_ENUM_CAP, ValiditySpec, _key, enumerate_valid
+from .validity import DEFAULT_ENUM_CAP, ValiditySpec, _check_cap, _key, enumerate_valid
 
 DEFAULT_QUANTUM = Fraction(1, 1024)
 # broker turns one dynamics run may take, whatever ``max_rounds`` allows
@@ -189,7 +194,9 @@ def _welfare_max(
     term's memo is, so a report replaced or rebuilt equal since is scored
     again)."""
     key, memo = _key(spec, instance), instance._argmax
-    if memo is not None and memo[0] is key and all(map(is_, memo[1], objects)):
+    if memo is not None and memo[0] is key and (
+        memo[1] is objects or all(map(is_, memo[1], objects))
+    ):
         return memo[2], memo[3]
     best = _welfare_argmax(instance, allocations, reports)
     plan = _RebatePlan(instance, best.allocation, reports)
@@ -200,18 +207,41 @@ def _welfare_max(
 def _welfare_argmax(
     instance: MarketInstance, allocations: Sequence[Allocation], reports: ReportProfile
 ) -> WelfareMax:
-    """The first of ``allocations`` with maximal reported welfare."""
-    best: Allocation | None = None
-    best_welfare = ZERO
-    ties = 0
+    """The first of ``allocations`` with maximal reported welfare, scored as
+    ints over one denominator, the lcm of the reported values' and the
+    costs' denominators.
+
+    Each allocation's bundles are read from its pairs, as ``mdfm._prepare``
+    reads them, and each distinct ``(node, bundle)`` is priced once, where
+    ``core.welfare`` would first price it (allocations in order, nodes in id
+    order), so a raising cost raises there too."""
+    node_reports, resources = reports.node_reports, instance.resources
+    costs: dict[tuple[str, tuple[str, ...]], Fraction] = {}
+    keyed = []
     for allocation in allocations:
-        w = welfare(instance, allocation, reports)
-        if best is None or w > best_welfare:
-            best, best_welfare, ties = allocation, w, 1
-        elif w == best_welfare:
+        bundles: dict[str, list[str]] = {}
+        for tx, nodes in allocation.pairs:
+            for node in nodes:
+                bundles.setdefault(node, []).append(tx)
+        keys = [(node, tuple(bundles[node])) for node in sorted(bundles)]
+        for key in keys:
+            if key not in costs:
+                costs[key] = node_reports[key[0]].cost(frozenset(key[1]), resources)
+        keyed.append(keys)
+    values = reports.tx_reports
+    den = lcm(*(v.denominator for v in values.values()), *(c.denominator for c in costs.values()))
+    value_nums = {t: v.numerator * (den // v.denominator) for t, v in values.items()}
+    cost_nums = {k: c.numerator * (den // c.denominator) for k, c in costs.items()}
+    best: Allocation | None = None
+    best_num = ties = 0
+    for allocation, keys in zip(allocations, keyed):
+        w = sum([value_nums[tx] for tx, _ in allocation.pairs]) - sum([cost_nums[k] for k in keys])
+        if best is None or w > best_num:
+            best, best_num, ties = allocation, w, 1
+        elif w == best_num:
             ties += 1
     assert best is not None  # the empty allocation is always enumerated
-    return WelfareMax(best, best_welfare, ties == 1)
+    return WelfareMax(best, Fraction(best_num, den), ties == 1)
 
 
 def scaled_rebate_routing(
@@ -331,6 +361,7 @@ def broker_best_response(
     margin asked of the plan (the empty routing is settled as any term is).
     """
     _check_quantum(quantum)
+    _check_cap(cap)
     if broker not in broker_order:
         raise MalformedInput(f"broker {broker!r} missing from broker order")
     for rival in rivals:
@@ -411,8 +442,8 @@ def best_response_dynamics(
     ``MAX_DYNAMICS_TURNS`` broker turns raises ``InstanceTooLarge``.
     """
     _check_quantum(quantum)
-    if _type_fault(max_rounds, "an int", int) is not None or max_rounds < 1:
-        raise MalformedInput(f"max_rounds must be an int of at least 1, got {max_rounds!r}")
+    _check_cap(max_rounds, "max_rounds")
+    _check_cap(cap)
     brokers = [p.broker for p in initial]
     if len(brokers) < 2:
         raise MalformedInput("best-response dynamics need at least two brokers")

@@ -54,7 +54,7 @@ from math import comb, inf, prod
 from operator import add, attrgetter, sub
 from typing import Iterable, Union
 
-from .core import EMPTY_ALLOCATION, Allocation, MarketInstance
+from .core import EMPTY_ALLOCATION, Allocation, MarketInstance, _type_fault
 from .errors import InstanceTooLarge, MalformedInput
 
 DEFAULT_ENUM_CAP = 1 << 24
@@ -369,14 +369,23 @@ def enumerate_valid(
     without searching again or checking its inputs, and ``is_valid`` reads
     it.  The memo is one tuple, replaced whole, so a concurrent caller at
     worst searches again.  Every call returns a fresh list, so a caller may
-    mutate it; the ``Allocation`` objects in it are shared.
+    mutate it; the ``Allocation`` objects in it are shared.  A cap that is
+    not an ``int`` of at least 1 is refused first.
     """
+    _check_cap(cap)
     key, memo = _key(spec, instance), instance._valid
     if memo is not None and memo[0] is key and memo[1] == cap:
         return list(memo[2])
     found = _search_valid(instance, spec, cap)
     object.__setattr__(instance, "_valid", (key, cap, tuple(found)))
     return found
+
+
+def _check_cap(cap: object, what: str = "cap") -> None:
+    """Refuse a cap, or another count named ``what``, that is not an ``int``
+    of at least 1 (a ``bool`` is none)."""
+    if _type_fault(cap, "an int", int) is not None or cap < 1:
+        raise MalformedInput(f"{what} must be an int of at least 1, got {cap!r}")
 
 
 def _key(spec: ValiditySpec | None, instance: MarketInstance) -> ValiditySpec | None:

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import importlib.util
 import random
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm, prod
 from operator import mul
+from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from brokerlab.core import (
@@ -80,6 +82,7 @@ from brokerlab.strategy import (
     DEFAULT_QUANTUM,
     DynamicsStep,
     DynamicsTrace,
+    WelfareMax,
     max_extraction_routing,
     scaled_rebate_routing,
 )
@@ -98,6 +101,13 @@ from brokerlab.validity import (
 )
 
 ZERO = Fraction(0)
+
+# perfbench's seeded scenario generators, read as a module of plain functions
+_GEN_SPEC = importlib.util.spec_from_file_location(
+    "perfbench_gen", Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+)
+perfbench_gen = importlib.util.module_from_spec(_GEN_SPEC)
+_GEN_SPEC.loader.exec_module(perfbench_gen)
 
 
 def frac(rng: random.Random, lo: int = 0, hi: int = 10, dens=(1, 1, 2, 4)) -> Fraction:
@@ -1104,6 +1114,22 @@ def validate_reports_reference(instance: MarketInstance, reports: ReportProfile)
             raise MalformedInput(f"{where}: PerTransaction rates for unknown transactions {unknown}")
         if isinstance(cost, SubsetTable) and cost.transactions != txs:
             raise MalformedInput(f"{where}: SubsetTable must cover exactly the instance transactions")
+
+
+def welfare_argmax_reference(
+    instance: MarketInstance, allocations: Sequence[Allocation], reports: ReportProfile
+) -> WelfareMax:
+    """``strategy._welfare_argmax`` as a ``Fraction`` scan: ``core.welfare``
+    of each allocation in order, every bundle priced again where it
+    recurs, and the first maximum kept."""
+    best, top, ties = None, ZERO, 0
+    for allocation in allocations:
+        w = welfare(instance, allocation, reports)
+        if best is None or w > top:
+            best, top, ties = allocation, w, 1
+        elif w == top:
+            ties += 1
+    return WelfareMax(best, top, ties == 1)
 
 
 class FractionSubclass(Fraction):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brokerlab import core
 from brokerlab.core import (
     Allocation,
     ConstantNonempty,
@@ -38,8 +39,11 @@ from brokerlab.strategy import best_response_dynamics, broker_best_response, wel
 
 from helpers import (
     FAULT_KINDS,
+    FractionSubclass,
     faulty_profile,
+    frac,
     naive_enumerate,
+    random_cost,
     random_instance,
     random_reports,
     random_routing,
@@ -467,3 +471,135 @@ class TestInstanceValidation:
                 objects = instance.validate_reports(profile)
                 assert all(a is b for a, b in zip(objects, report_objects(instance, profile), strict=True))
         assert min(kinds.values()) >= 30 and len(kinds) == len(FAULT_KINDS)
+
+
+def drawn_report(rng, instance, index, seen):
+    """A report object for canonical position ``index``: one used there
+    before, a fresh valid one, one rebuilt equal, or a fault."""
+    if seen and rng.random() < 0.25:
+        return rng.choice(seen)
+    tx_ids = list(instance.tx_ids)
+    if index < len(tx_ids):
+        kind = rng.choice(("fresh", "fresh", "negative", "bool", "float", "subclass"))
+        if kind == "negative":
+            return F(-rng.randint(1, 6), rng.choice((1, 2, 3)))
+        if kind == "bool":
+            return rng.choice((True, False))
+        if kind == "float":
+            return rng.randint(0, 8) / 2
+        value = frac(rng)
+        return FractionSubclass(value) if kind == "subclass" else value
+    kind = rng.choice(("fresh", "fresh", "rebuilt", "not-a-cost", "uncovering-rates", "uncovering-table"))
+    costs = [c for c in seen if isinstance(c, CostFunction)]
+    if kind == "rebuilt" and costs:
+        return replace(costs[-1])
+    if kind == "not-a-cost":
+        return rng.choice(("cheap", F(1), None))
+    if kind == "uncovering-rates":
+        return PerTransaction({rng.choice(tx_ids): F(1), "x_unknown": F(2)})
+    if kind == "uncovering-table":
+        return SubsetTable(frozenset(), {frozenset(): F(0)})
+    return random_cost(rng, tx_ids)
+
+
+def profile_of(instance, objects):
+    """The profile holding ``objects`` in canonical agent order, its
+    mappings built in that order."""
+    n_txs = len(instance.tx_ids)
+    return ReportProfile(
+        dict(zip(instance.tx_ids, objects[:n_txs])), dict(zip(instance.node_ids, objects[n_txs:]))
+    )
+
+
+class TestReportMemo:
+    """``validate_reports`` keeps the last tuple that passed on the market
+    and tests only the report objects not identical to it."""
+
+    def test_seeded_chains_agree_with_the_reference(self, monkeypatch):
+        # each profile differs from the last in one object; the fault tests
+        # are logged, so that which objects were tested is seen too
+        tested = []
+        number_fault, cost_fault = core._number_fault, MarketInstance.cost_fault
+        monkeypatch.setattr(core, "_number_fault", lambda x: tested.append(x) or number_fault(x))
+        monkeypatch.setattr(
+            MarketInstance, "cost_fault", lambda self, c: tested.append(c) or cost_fault(self, c)
+        )
+        rng = random.Random(2718)
+        seen = Counter()
+        for _ in range(200):
+            instance = random_instance(rng)
+            objects = list(report_objects(instance, random_reports(rng, instance)[0]))
+            used = [[x] for x in objects]
+            memo = None
+            for _ in range(20):
+                index = rng.randrange(len(objects))
+                objects[index] = drawn_report(rng, instance, index, used[index])
+                used[index].append(objects[index])
+                profile = profile_of(instance, objects)
+                expected = report_error(validate_reports_reference, instance, profile)
+                tested.clear()
+                try:
+                    out, got = instance.validate_reports(profile), None
+                except MalformedInput as exc:
+                    got = str(exc)
+                assert got == expected
+                fresh = [x for i, x in enumerate(objects) if memo is None or x is not memo[i]]
+                if got is None:
+                    assert list(map(id, tested)) == list(map(id, fresh))
+                    assert all(a is b for a, b in zip(out, objects, strict=True))
+                    if not fresh:
+                        assert out is memo
+                        seen["memo returned"] += 1
+                    memo = out
+                    seen["passed"] += 1
+                else:
+                    # tested up to the first fault, in canonical order
+                    assert list(map(id, tested)) == list(map(id, fresh))[: len(tested)]
+                    seen["refused"] += 1
+        assert seen["passed"] > 600 and seen["refused"] > 2000 and seen["memo returned"] > 100
+
+    def test_a_report_swapped_into_the_mapping_in_place_is_checked_again(self, collusion_market):
+        truthful = collusion_market.truthful_reports()
+        profile = ReportProfile(dict(truthful.tx_reports), dict(truthful.node_reports))
+        first = collusion_market.validate_reports(profile)
+        assert collusion_market.validate_reports(profile) is first
+        original = profile.tx_reports["t1"]
+        profile.tx_reports["t1"] = F(-1)
+        with pytest.raises(MalformedInput, match="^report of 't1' must be non-negative, got -1$"):
+            collusion_market.validate_reports(profile)
+        profile.tx_reports["t1"] = original
+        profile.node_reports["n2"] = "cheap"
+        with pytest.raises(MalformedInput, match="^report of 'n2' must be a cost function, got 'cheap'$"):
+            collusion_market.validate_reports(profile)
+        # the refusals left the memo as it was
+        profile.node_reports["n2"] = truthful.node_reports["n2"]
+        assert collusion_market.validate_reports(profile) is first
+        # an equal profile of new objects is a new tuple
+        rebuilt = ReportProfile(
+            {t: F(v.numerator, v.denominator) for t, v in profile.tx_reports.items()},
+            {n: replace(c) for n, c in profile.node_reports.items()},
+        )
+        again = collusion_market.validate_reports(rebuilt)
+        assert again == first and again is not first
+
+    def test_the_memo_is_per_market(self):
+        rates = PerTransaction({"t3": F(1)})
+        markets = [
+            MarketInstance(
+                tuple(TransactionSpec(f"t{i + 1}", F(2)) for i in range(n)), (NodeSpec("n1", Zero()),)
+            )
+            for n in (3, 2)
+        ]
+        profiles = [
+            ReportProfile({t: F(2) for t in market.tx_ids}, {"n1": rates}) for market in markets
+        ]
+        assert markets[0].validate_reports(profiles[0])[-1] is rates
+        message = r"^report of 'n1': PerTransaction rates for unknown transactions \['t3'\]$"
+        for _ in range(2):
+            with pytest.raises(MalformedInput, match=message):
+                markets[1].validate_reports(profiles[1])
+        assert markets[0].validate_reports(profiles[0])[-1] is rates
+        # the memo stays out of ==, hash and repr
+        fresh = replace(markets[0])
+        assert markets[0]._reports is not None and fresh._reports is None
+        assert (markets[0], hash(markets[0]), repr(markets[0])) == (fresh, hash(fresh), repr(fresh))

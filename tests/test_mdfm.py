@@ -1,9 +1,7 @@
-import importlib.util
 import json
 import random
 import time
 from fractions import Fraction as F
-from pathlib import Path
 
 import pytest
 
@@ -40,6 +38,7 @@ from helpers import (
     inclusion_maximal_allocations,
     opt_benchmark,
     ora_by_allocation,
+    perfbench_gen,
     pools_at_price,
     prepare_reference,
     random_resource_market,
@@ -71,14 +70,6 @@ X3521 = """{"kind": "resource_market", "dimensions": 3, "single_assignment": tru
  "nodes": [
   {"id": "n1", "capacity": [4, 3, 8], "unit_costs": ["1/2", 0, 1]},
   {"id": "n2", "capacity": [4, 7, 7], "unit_costs": ["1/2", 2, 1]}]}"""
-
-# perfbench's seeded scenario generators, read as a module of plain functions
-_GEN_SPEC = importlib.util.spec_from_file_location(
-    "perfbench_gen", Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
-)
-perfbench_gen = importlib.util.module_from_spec(_GEN_SPEC)
-_GEN_SPEC.loader.exec_module(perfbench_gen)
-
 
 class TestBaseFee:
     def test_zero_price(self):

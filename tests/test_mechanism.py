@@ -575,6 +575,43 @@ class TestSettlementMemo:
             run(collusion_market, spec, negative, prepared, ["b1", "b2"])
         assert calls == {"validate": 7}
 
+    def test_a_memo_settled_at_the_checked_tuple_is_not_diffed(self, collusion_market):
+        # the report check returns its memoised tuple for an unchanged
+        # profile, and a term settled at that tuple is not read again
+        class Watched(tuple):
+            reads = 0
+
+            def __iter__(self):
+                Watched.reads += 1
+                return super().__iter__()
+
+            def __getitem__(self, index):
+                Watched.reads += 1
+                return super().__getitem__(index)
+
+        spec, order = collusion_market.validity, ["b1", "b2"]
+        truthful = collusion_market.truthful_reports()
+        prepared = prepare_round(collusion_market, spec, demo_proposals(collusion_market), order)
+        watched = Watched(collusion_market.validate_reports(truthful))
+        object.__setattr__(collusion_market, "_reports", watched)
+        first = mechanism._Settlement(collusion_market, truthful)
+        assert first.reports is watched
+        for term in prepared.terms:
+            first.settle(term)
+        memos = [(t.den, t.utilities, t.surplus) for t in prepared.terms]
+        again = mechanism._Settlement(collusion_market, truthful)
+        assert again.reports is watched
+        Watched.reads = 0
+        for term in prepared.terms:
+            again.settle(term)
+        assert Watched.reads == 0
+        assert [(t.den, t.utilities, t.surplus) for t in prepared.terms] == memos
+        assert all(t.at is watched for t in prepared.terms)
+        # the round settles as before
+        assert run(collusion_market, spec, truthful, prepared, order) == run_reference(
+            collusion_market, spec, truthful, list(prepared), order
+        )
+
     def test_malformed_reports_give_the_reference_error(self):
         rng = random.Random(5150)
         errors = Counter()

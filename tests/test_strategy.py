@@ -5,8 +5,9 @@ import random
 import re
 import weakref
 from collections import Counter
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -17,19 +18,25 @@ from brokerlab.cli import _figure1_proposals
 from brokerlab.core import (
     Allocation,
     ConstantNonempty,
+    CostFunction,
     EMPTY_ALLOCATION,
+    MarketInstance,
+    NodeSpec,
+    PerTransaction,
     ReportProfile,
     Routing,
+    SubsetTable,
+    TransactionSpec,
     agent_utility,
     margin,
     surplus,
     welfare,
 )
-from brokerlab.equilibrium import check_pne, construct_consensus_equilibrium
+from brokerlab.equilibrium import check_dsic_barring_b, check_pne, construct_consensus_equilibrium
 from brokerlab.errors import InfeasibleTarget, InstanceTooLarge, MalformedInput, MarketError
-from brokerlab.mdfm import collusion_example_instance, oracle_gap_market
+from brokerlab.mdfm import collusion_example_instance, fee_gap_market, oracle_gap_market, run_benchmarks
 from brokerlab.mechanism import Proposal, prepare_round, run
-from brokerlab.scenario import dynamics_step_to_json, dynamics_summary_to_json
+from brokerlab.scenario import dynamics_step_to_json, dynamics_summary_to_json, parse_scenario
 from brokerlab.strategy import (
     WelfareMax,
     _max_winning_margin,
@@ -39,22 +46,27 @@ from brokerlab.strategy import (
     scaled_rebate_routing,
     welfare_max_allocation,
 )
-from brokerlab.validity import Constraints, enumerate_valid
+from brokerlab.validity import Constraints, RequiredNodeCount, SingleAssignment, enumerate_valid
 
 from helpers import (
     CountedCost,
     best_response_dynamics_reference,
     broker_best_response_reference,
+    counted_reports,
     frac,
     max_winning_margin_by_division,
     naive_enumerate,
     payments_divide,
+    perfbench_gen,
     random_instance,
     random_reports,
     random_routing,
+    random_subset_table,
     rebuilt_profile,
+    report_error,
     run_reference,
     scaled_rebate_routing_reference,
+    welfare_argmax_reference,
 )
 
 
@@ -246,6 +258,42 @@ class TestQuantumAndRounds:
             best_response_dynamics(
                 collusion_market, collusion_market.validity, truthful, start, ["b1", "b2"], F(1, 4), max_rounds
             )
+
+
+class TestCapRule:
+    """One cap rule, ``validity._check_cap``, wherever a cap is taken: an
+    int of at least 1, a ``bool`` refused."""
+
+    @pytest.mark.parametrize("cap", [2.5, "9", None, True, 0, -1])
+    def test_a_cap_that_is_not_an_int_of_at_least_one_is_refused_everywhere(
+        self, collusion_market, cap
+    ):
+        truthful = collusion_market.truthful_reports()
+        spec, order = collusion_market.validity, ["b1", "b2"]
+        start = _figure1_proposals(collusion_market)
+        consensus = construct_consensus_equilibrium(collusion_market, spec, truthful, order)
+        message = "^" + re.escape(f"cap must be an int of at least 1, got {cap!r}") + "$"
+        calls = [
+            lambda: enumerate_valid(collusion_market, spec, cap),
+            lambda: welfare_max_allocation(collusion_market, spec, truthful, cap),
+            lambda: broker_best_response("b1", collusion_market, spec, truthful, start[1:], order, cap=cap),
+            lambda: best_response_dynamics(collusion_market, spec, truthful, start, order, F(1, 4), 4, cap),
+            lambda: check_pne(collusion_market, spec, truthful, truthful, start, order, F(1, 4), cap),
+            lambda: check_dsic_barring_b(collusion_market, spec, truthful, consensus, order, cap=cap),
+            lambda: run_benchmarks(fee_gap_market(3), cap),
+        ]
+        for call in calls:
+            with pytest.raises(MalformedInput, match=message):
+                call()
+        with pytest.raises(MalformedInput, match="^others_" + message[1:]):
+            check_dsic_barring_b(collusion_market, spec, truthful, consensus, order, others_cap=cap)
+
+    def test_an_int_cap_is_taken_as_before(self, collusion_market):
+        spec = collusion_market.validity
+        assert len(enumerate_valid(collusion_market, spec, 6)) == 4
+        with pytest.raises(InstanceTooLarge, match="has 6 leaves, which exceeds cap 5$"):
+            enumerate_valid(collusion_market, Constraints(spec.constraints), 5)
+        assert run_benchmarks(fee_gap_market(3), 1 << 10).fee == F(3, 4)
 
 
 def routing_or_error(make, *args):
@@ -700,6 +748,170 @@ class TestArgmaxMemo:
         # an equal profile whose every report is a new object: a fresh pass
         assert welfare_max_allocation(collusion_market, spec, rebuilt_profile(truthful)) == want
         assert len(passes) == 2
+
+
+PRIMES = (1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def prime_cost(rng, tx_ids):
+    """A random cost whose amounts have prime denominators."""
+
+    def amount():
+        return F(rng.randint(0, 60), rng.choice(PRIMES))
+
+    roll = rng.random()
+    if roll < 0.3:
+        return ConstantNonempty(amount())
+    if roll < 0.7:
+        return PerTransaction({t: amount() for t in tx_ids if rng.random() < 0.8})
+    return SubsetTable(
+        frozenset(tx_ids),
+        {frozenset(c): amount() if c else F(0) for k in range(len(tx_ids) + 1) for c in combinations(tx_ids, k)},
+    )
+
+
+def is_monotone(table):
+    return all(
+        table.table[small] <= table.table[large]
+        for small in table.table
+        for large in table.table
+        if small <= large
+    )
+
+
+@dataclass(frozen=True)
+class RaisingOn(CostFunction):
+    """Costs ``len(bundle)``, but raises on the listed bundles, naming its
+    node and the bundle."""
+
+    node: str
+    raising: frozenset = frozenset()
+
+    def cost(self, bundle, resources=None):
+        if frozenset(bundle) in self.raising:
+            raise MalformedInput(f"cost of {self.node!r} on {sorted(bundle)}")
+        return F(len(frozenset(bundle)))
+
+
+def argmax_fields(maximum):
+    return maximum.allocation, maximum.welfare, type(maximum.welfare), maximum.unique
+
+
+class TestIntegerArgmax:
+    """``_welfare_argmax`` scores in ints over one denominator and prices
+    each distinct bundle once; ``welfare_argmax_reference`` is the
+    ``Fraction`` scan it replaced."""
+
+    def check(self, instance, reports, spec=None):
+        allocations = enumerate_valid(instance, spec)
+        got = strategy._welfare_argmax(instance, allocations, reports)
+        assert argmax_fields(got) == argmax_fields(welfare_argmax_reference(instance, allocations, reports))
+        return got
+
+    def test_agrees_with_the_fraction_scan_on_the_seed_1_pools(self):
+        unique = Counter()
+        for workload, count in (("dynamics", 150), ("truthfulness", 800)):
+            for _, payload, _ in getattr(perfbench_gen, workload)(1, count):
+                scenario = parse_scenario(payload)
+                instance = scenario.instance
+                for reports in (scenario.reports, instance.truthful_reports()):
+                    unique[self.check(instance, reports, instance.validity).unique] += 1
+        assert unique[True] > 500 and unique[False] > 50
+
+    def test_agrees_on_prime_denominators(self):
+        rng = random.Random(7919)
+        dens = Counter()
+        for _ in range(250):
+            instance = random_instance(rng, max_txs=3, max_nodes=3)
+            tx_ids = list(instance.tx_ids)
+            reports = ReportProfile(
+                {t: F(rng.randint(0, 90), rng.choice(PRIMES)) for t in tx_ids},
+                {n: prime_cost(rng, tx_ids) for n in instance.node_ids},
+            )
+            for spec in (None, Constraints(())):
+                got = self.check(instance, reports, spec)
+                dens[got.welfare.denominator > 100] += 1
+        assert dens[True] > 50
+
+    def test_agrees_on_non_monotone_subset_tables(self):
+        # no constraint, so a transaction may run on several nodes and each
+        # bundle recurs across many allocations
+        rng = random.Random(104729)
+        non_monotone = 0
+        for _ in range(150):
+            instance = random_instance(rng, max_txs=3, max_nodes=2)
+            tx_ids = list(instance.tx_ids)
+            tables = {n: random_subset_table(rng, tx_ids) for n in instance.node_ids}
+            non_monotone += sum(not is_monotone(t) for t in tables.values())
+            reports = ReportProfile({t: frac(rng, 0, 12, PRIMES[:6]) for t in tx_ids}, tables)
+            self.check(instance, reports, Constraints(()))
+        assert non_monotone > 100
+
+    def test_each_distinct_bundle_is_priced_once_and_no_inverse_is_cached(self):
+        # no constraint on figure 1: bundles recur across the allocations
+        instance = replace(collusion_example_instance(), validity=Constraints(()))
+        log = []
+        reports = counted_reports(instance.truthful_reports(), log)
+        allocations = enumerate_valid(instance)
+        want = welfare_argmax_reference(instance, allocations, reports)
+        by_reference = Counter(log)
+        assert max(by_reference.values()) > 1
+        log.clear()
+        fresh = [Allocation(a.pairs) for a in allocations]
+        assert argmax_fields(strategy._welfare_argmax(instance, fresh, reports)) == argmax_fields(want)
+        assert Counter(log) == Counter(set(by_reference))
+        # bundles are read from the pairs: no allocation caches its inverse
+        assert not any("_inverse" in vars(a) for a in fresh)
+
+    def test_a_raising_cost_raises_where_the_fraction_scan_raises(self):
+        # allocation order first: n2 on {t1} comes in canonical order before
+        # n1 on {t2}, though n1 precedes n2 by id
+        instance = MarketInstance(
+            (TransactionSpec("t1", F(3)), TransactionSpec("t2", F(3))),
+            (
+                NodeSpec("n2", RaisingOn("n2", frozenset({frozenset({"t1"})}))),
+                NodeSpec("n1", RaisingOn("n1", frozenset({frozenset({"t2"})}))),
+            ),
+            Constraints((SingleAssignment(),)),
+        )
+        allocations = enumerate_valid(instance)
+        reports = instance.truthful_reports()
+        for scan in (strategy._welfare_argmax, welfare_argmax_reference):
+            with pytest.raises(MalformedInput, match=r"^cost of 'n2' on \['t1'\]$"):
+                scan(instance, allocations, reports)
+        # one allocation that brings in two raising bundles: nodes in id order
+        both = MarketInstance(
+            instance.transactions,
+            (
+                NodeSpec("n2", RaisingOn("n2", frozenset({frozenset({"t1"})}))),
+                NodeSpec("n1", RaisingOn("n1", frozenset({frozenset({"t1"})}))),
+            ),
+            Constraints((RequiredNodeCount.exactly("t1", 2),)),
+        )
+        allocations = enumerate_valid(both)
+        assert allocations[1] == Allocation.of({"t1": ["n1", "n2"]})
+        for scan in (strategy._welfare_argmax, welfare_argmax_reference):
+            with pytest.raises(MalformedInput, match=r"^cost of 'n1' on \['t1'\]$"):
+                scan(both, allocations, both.truthful_reports())
+
+    def test_raising_costs_agree_with_the_fraction_scan_on_a_corpus(self):
+        rng = random.Random(6007)
+        raised = 0
+        for _ in range(200):
+            instance = random_instance(rng, max_txs=3, max_nodes=3)
+            tx_ids = list(instance.tx_ids)
+            subsets = [frozenset(c) for k in range(1, len(tx_ids) + 1) for c in combinations(tx_ids, k)]
+            reports = ReportProfile(
+                dict(instance.truthful_reports().tx_reports),
+                {n: RaisingOn(n, frozenset(rng.sample(subsets, min(len(subsets), rng.randint(0, 2))))) for n in instance.node_ids},
+            )
+            allocations = enumerate_valid(instance, Constraints(()))
+            got = report_error(strategy._welfare_argmax, instance, allocations, reports)
+            assert got == report_error(welfare_argmax_reference, instance, allocations, reports)
+            if got is None:
+                self.check(instance, reports, Constraints(()))
+            raised += got is not None
+        assert 50 < raised < 190
 
 
 class TestMarketMemos:
